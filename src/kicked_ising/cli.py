@@ -245,7 +245,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", help="output CSV path (default: stdout)")
     sub.add_argument("--workers", type=int, help="parallel workers for sweeps "
                      "(default: $KICKED_ISING_WORKERS or 1)")
-    sub.add_argument("--seed", type=int, help="reserved; no randomness in scope")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -83,13 +83,14 @@ class RunConfig:
 def run_time_series(config: RunConfig) -> list[MeasureReport]:
     """Evolve and sample; the t=0 report is always included."""
     pair_measures = bool(config.measures & _PAIR_MEASURES)
+    boundary = config.params.boundary
     try:
         state = initial_state(config.params, config.initial)
-        out = [report(state, 0, pair_measures=pair_measures)]
+        out = [report(state, 0, pair_measures=pair_measures, boundary=boundary)]
         for t in range(1, config.steps + 1):
             state = step(state, config.params)
             if t % config.sample_every == 0:
-                out.append(report(state, t, pair_measures=pair_measures))
+                out.append(report(state, t, pair_measures=pair_measures, boundary=boundary))
     except MemoryError as exc:
         raise RuntimeError(
             f"state vector for {config.params.num_qubits} qubits does not fit in memory"

@@ -13,8 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jacobi import eigh_small
-from .statevec import PAULI_Y, PureState
+from .statevec import BOUNDARIES, PAULI_Y, PureState
 
 # spin-flip kernel sigma_y (x) sigma_y; identical for either sign convention of sigma_y
 _SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y).real.astype(float)
@@ -39,40 +38,59 @@ def rdm_pair(state: PureState, i: int, j: int) -> np.ndarray:
         raise IndexError(f"qubit pair ({i}, {j}) out of range for {L} qubits")
     if i == j:
         raise ValueError(f"need two distinct qubits, got ({i}, {j})")
-    t = state.amplitudes.reshape((2,) * L)
-    t = np.moveaxis(t, (L - 1 - i, L - 1 - j), (0, 1)).reshape(4, -1)
+    lo, hi = min(i, j), max(i, j)
+    # axes: the qubits above hi, qubit hi, those between, qubit lo, those below lo
+    t = state.amplitudes.reshape(2 ** (L - 1 - hi), 2, 2 ** (hi - lo - 1), 2, 2 ** lo)
+    t = t.transpose((3, 1, 0, 2, 4) if i < j else (1, 3, 0, 2, 4)).reshape(4, -1)
     return t @ t.conj().T
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """``(A + A^dagger)/2`` over the last two axes, to shed rounding noise."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
 def _clamped_spectrum(w: np.ndarray, what: str) -> np.ndarray:
-    if w.min() < _EIG_FLOOR:
+    """Check and clean a ``(..., n)`` stack of ascending spectra, one per matrix."""
+    if w.size and w.min() < _EIG_FLOOR:
         raise ValueError(f"{what} has eigenvalue {w.min():.3e} below {_EIG_FLOOR:.0e}; "
                          "input is not a valid density matrix")
     # eigenvalues below the backward-error resolution of the solver are
     # indistinguishable from exact zeros; zeroing them keeps the later square
     # root from amplifying rank-deficiency noise (~1e-16) to the 1e-8 scale
-    floor = 32.0 * np.finfo(float).eps * max(w.max(), 0.0)
+    floor = 32.0 * np.finfo(float).eps * np.maximum(w[..., -1:], 0.0)
     return np.where(w < floor, 0.0, w)
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrences(rho: np.ndarray) -> np.ndarray:
+    """Wootters concurrences of a ``(..., 4, 4)`` stack of two-qubit density matrices.
 
     The eigenvalues of ``rho rho~`` (with ``rho~`` the spin-flipped complex
     conjugate) are obtained from the Hermitian congruent form
-    ``sqrt(rho) rho~ sqrt(rho)``, diagonalized with the small-matrix Jacobi
-    kernel.  Result is max(sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4), 0).
+    ``sqrt(rho) rho~ sqrt(rho)``; both spectra of the whole stack come from
+    one LAPACK call each.  Returns the ``(...)`` array of
+    max(sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4), 0), with l1 the largest.
+    Raises ValueError if any matrix in the stack has an eigenvalue below -1e-9.
     """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a stack of 4x4 density matrices, got shape {rho.shape}")
+    rho = _hermitian_part(rho)
+    w, v = np.linalg.eigh(rho)
+    w = _clamped_spectrum(w, "rho")
+    sqrt_rho = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
+    w2 = np.linalg.eigvalsh(_hermitian_part(sqrt_rho @ rho_tilde @ sqrt_rho))
+    lam = np.sqrt(_clamped_spectrum(w2, "rho rho~"))
+    return np.maximum(lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0], 0.0)
+
+
+def concurrence(rho: np.ndarray) -> float:
+    """Wootters concurrence of one two-qubit density matrix (see :func:`concurrences`)."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    w, v = eigh_small(rho, vectors=True)
-    w = _clamped_spectrum(w, "rho")
-    sqrt_rho = (v * np.sqrt(w)) @ v.conj().T
-    rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
-    w2, _ = eigh_small(sqrt_rho @ rho_tilde @ sqrt_rho)
-    lam = np.sqrt(_clamped_spectrum(w2, "rho rho~"))[::-1]
-    return max(float(lam[0] - lam[1] - lam[2] - lam[3]), 0.0)
+    return float(concurrences(rho[None])[0])
 
 
 def one_tangle(state: PureState, k: int) -> float:
@@ -112,12 +130,9 @@ def residual_tangle(state: PureState, focus: int) -> float:
 
     Reported raw (not clamped) so the monogamy inequality stays testable.
     """
-    L = state.num_qubits
-    total = one_tangle(state, focus)
-    for j in range(L):
-        if j != focus:
-            total -= concurrence(rdm_pair(state, focus, j)) ** 2
-    return total
+    others = [j for j in range(state.num_qubits) if j != focus]
+    pairs = np.array([rdm_pair(state, focus, j) for j in others])
+    return one_tangle(state, focus) - float(np.sum(concurrences(pairs) ** 2))
 
 
 @dataclass(frozen=True)
@@ -126,7 +141,8 @@ class MeasureReport:
 
     ``pair_concurrences`` is the symmetric (L, L) concurrence table, or None
     when the pairwise measures were skipped for speed; the derived scalars
-    then come back as None as well.
+    then come back as None as well.  ``boundary`` names the chain's bonds
+    that ``nn_concurrence`` averages over.
     """
 
     t: int
@@ -135,6 +151,7 @@ class MeasureReport:
     n_tangle: float
     one_tangles: np.ndarray
     pair_concurrences: np.ndarray | None
+    boundary: str = "periodic"
 
     @property
     def one_tangle(self) -> float:
@@ -163,11 +180,12 @@ class MeasureReport:
 
     @property
     def nn_concurrence(self) -> float | None:
-        """Mean concurrence over the ring bonds (i, i+1 mod L)."""
+        """Mean concurrence over the bonds (i, i+1), plus (L-1, 0) on a ring."""
         if self.pair_concurrences is None:
             return None
         L = self.num_qubits
-        bonds = {(min(i, (i + 1) % L), max(i, (i + 1) % L)) for i in range(L)}
+        num_bonds = L if self.boundary == "periodic" else L - 1
+        bonds = {(min(i, (i + 1) % L), max(i, (i + 1) % L)) for i in range(num_bonds)}
         return float(np.mean([self.pair_concurrences[i, j] for i, j in sorted(bonds)]))
 
     def value(self, measure: str) -> float:
@@ -181,16 +199,23 @@ class MeasureReport:
         return float(out)
 
 
-def report(state: PureState, t: int, pair_measures: bool = True) -> MeasureReport:
-    """Assemble all measures of ``state`` at kick count ``t``."""
+def report(state: PureState, t: int, pair_measures: bool = True,
+           boundary: str = "periodic") -> MeasureReport:
+    """Assemble all measures of ``state`` at kick count ``t``.
+
+    ``boundary`` is that of the chain the state lives on; it selects the
+    bonds of ``nn_concurrence``.
+    """
+    if boundary not in BOUNDARIES:
+        raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
     L = state.num_qubits
     tangles = np.array([one_tangle(state, k) for k in range(L)])
     pairs = None
     if pair_measures:
+        i, j = np.triu_indices(L, k=1)
+        rhos = np.array([rdm_pair(state, a, b) for a, b in zip(i.tolist(), j.tolist())])
         pairs = np.zeros((L, L))
-        for i in range(L):
-            for j in range(i + 1, L):
-                pairs[i, j] = pairs[j, i] = concurrence(rdm_pair(state, i, j))
+        pairs[i, j] = pairs[j, i] = concurrences(rhos)
     return MeasureReport(
         t=t,
         num_qubits=L,
@@ -198,4 +223,5 @@ def report(state: PureState, t: int, pair_measures: bool = True) -> MeasureRepor
         n_tangle=n_tangle(state),
         one_tangles=tangles,
         pair_concurrences=pairs,
+        boundary=boundary,
     )

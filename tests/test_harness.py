@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import helpers
 from kicked_ising import (
     AxisSpec,
     ChainParams,
@@ -78,6 +79,22 @@ class TestRunTimeSeries:
         for r in run_time_series(cfg):
             assert r.q_measure == pytest.approx(
                 jw_q_vacuum(10, np.pi / 2, np.pi / 3, r.t), abs=1e-8)
+
+    def test_open_chain_nn_concurrence_averages_its_bonds(self):
+        # an open chain has L - 1 bonds; the end pair (0, L-1) is not one of them
+        cfg = RunConfig(params=quick_params(num_qubits=6, boundary="open"), steps=3)
+        last = run_time_series(cfg)[-1]
+        assert last.t == 3
+        psi = initial_state(cfg.params, "vacuum").amplitudes
+        step_matrix = helpers.step_dense(6, 0.7, 0.0, 0.0, "open")
+        for _ in range(3):
+            psi = step_matrix @ psi
+        bonds = [helpers.concurrence_oracle(helpers.brute_rdm2(psi, i, i + 1, 6))
+                 for i in range(5)]
+        # these RDMs are rank-deficient, and the oracle's unclamped square roots
+        # turn their ~1e-17 eigenvalue noise into ~1e-9
+        assert last.nn_concurrence == pytest.approx(np.mean(bonds), abs=1e-8)
+        assert last.nn_concurrence == pytest.approx(0.20588, abs=1e-5)
 
     def test_validation(self):
         with pytest.raises(ValueError):

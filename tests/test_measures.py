@@ -9,6 +9,7 @@ from kicked_ising import (
     PureState,
     apply_ising_kick,
     concurrence,
+    concurrences,
     make_ghz,
     make_vacuum,
     n_tangle,
@@ -29,6 +30,16 @@ def cluster_state(L, jx_t, boundary="periodic"):
 
 def random_pure(L, seed):
     return PureState(L, helpers.random_state(L, np.random.default_rng(seed)))
+
+
+def corner_matrix(jx_t):
+    """The cluster-evolution corner matrix of ``test_corner_matrix_spectrum``."""
+    a = np.sin(jx_t / 2) ** 2 / 4
+    b = abs(np.sin(jx_t)) / 4
+    rho = np.diag([a, a, a, 1 - 3 * a]).astype(complex)
+    rho[0, 3] = -1j * b
+    rho[3, 0] = 1j * b
+    return rho
 
 
 def assert_valid_rdm(rho, dim):
@@ -154,6 +165,48 @@ class TestConcurrence:
             concurrence(np.eye(3, dtype=complex))
 
 
+class TestConcurrenceStack:
+    def stack(self):
+        bell = np.zeros(4, dtype=complex)
+        bell[0] = bell[3] = 2 ** -0.5
+        fixed = [np.outer(bell, bell.conj()), np.diag([1.0, 0, 0, 0]).astype(complex)]
+        fixed += [corner_matrix(jx_t) for jx_t in (0.4, 1.1, 2.0, 2.9)]
+        randoms = []
+        for seed in range(20):
+            s = random_pure(4, 100 + seed)
+            randoms += [rdm_pair(s, 0, 2), rdm_pair(s, 3, 1)]
+        return np.array(fixed + randoms)
+
+    def test_matches_oracle_elementwise(self):
+        rhos = self.stack()
+        got = concurrences(rhos)
+        assert got.shape == (len(rhos),)
+        want = [helpers.concurrence_oracle(rho) for rho in rhos]
+        assert np.max(np.abs(got - want)) < 1e-10
+        # leading axes are batch axes
+        assert np.max(np.abs(concurrences(rhos.reshape(-1, 2, 4, 4)) - got.reshape(-1, 2))) < 1e-14
+
+    def test_one_invalid_matrix_fails_the_stack(self):
+        rhos = self.stack()
+        rhos[5] = np.diag([1.1, 0, 0, -0.1])
+        with pytest.raises(ValueError):
+            concurrences(rhos)
+        with pytest.raises(ValueError):
+            concurrences(np.zeros((3, 3, 3), dtype=complex))
+
+    def test_report_table_matches_single_calls(self):
+        s = make_vacuum(8)
+        params = ChainParams(8, 0.9, 1.1, 0.6)
+        for _ in range(4):
+            s = step(s, params)
+        table = report(s, 4).pair_concurrences
+        for i in range(8):
+            assert table[i, i] == 0.0
+            for j in range(8):
+                if i != j:
+                    assert table[i, j] == pytest.approx(concurrence(rdm_pair(s, i, j)), abs=1e-12)
+
+
 class TestTangles:
     def test_one_tangle_product(self):
         assert one_tangle(make_vacuum(4), 1) == 0.0
@@ -267,6 +320,10 @@ class TestReport:
         assert r.q_measure >= 0.0
         with pytest.raises(ValueError):
             r.value("nn_concurrence")
+
+    def test_rejects_unknown_boundary(self):
+        with pytest.raises(ValueError):
+            report(make_vacuum(4), 0, boundary="ring")
 
     def test_value_lookup(self):
         r = report(make_ghz(4), 1)
