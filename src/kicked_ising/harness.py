@@ -1,7 +1,8 @@
 """Time-series runs, stationary time averages, parameter sweeps, and the
 numeric-vs-analytic comparison drivers.
 
-Time series are sequential (state evolution is ordered); sweeps are
+Time series are sequential (state evolution is ordered) and run in the
+sigma_x frame of :class:`~kicked_ising.statevec.XFrameKick`; sweeps are
 data-parallel over grid points, each point owning a private state, with
 results assembled in a fixed row-major order so the output is deterministic
 for any worker count.
@@ -17,7 +18,15 @@ import numpy as np
 
 from . import analytic
 from .measures import MeasureReport, report
-from .statevec import ChainParams, PureState, make_basis_state, make_ghz, make_vacuum, step
+from .statevec import (
+    ChainParams,
+    PureState,
+    XFrameKick,
+    fwht_inplace,
+    make_basis_state,
+    make_ghz,
+    make_vacuum,
+)
 
 MEASURES = frozenset(
     {"q", "n_tangle", "one_tangle", "nn_concurrence", "residual_tangle", "sum_two_tangles"}
@@ -26,6 +35,16 @@ _PAIR_MEASURES = frozenset({"nn_concurrence", "residual_tangle", "sum_two_tangle
 SWEEP_PARAMETERS = ("j_x", "b_field", "theta")
 
 _NAMED_INITIALS = ("vacuum", "all_up", "ghz")
+
+# |theta - pi/2| below this is the transverse field, where the free-fermion
+# (JW) closed form is exact; any wider window would swap numerics for an
+# approximation without saying so
+_TRANSVERSE_ATOL = 1e-12
+
+# complex state-sized arrays alive at once in a time series: the state, the
+# kick's spare buffer and phase vector, the cached real bond-alignment and
+# parity vectors (half a copy each), and a pair RDM's two temporaries
+_LIVE_STATE_COPIES = 6
 
 
 class NoAnalyticOracleError(ValueError):
@@ -80,21 +99,53 @@ class RunConfig:
         object.__setattr__(self, "measures", frozenset(self.measures))
 
 
-def run_time_series(config: RunConfig) -> list[MeasureReport]:
-    """Evolve and sample; the t=0 report is always included."""
-    pair_measures = bool(config.measures & _PAIR_MEASURES)
-    boundary = config.params.boundary
+def _available_memory_bytes() -> int | None:
+    """MemAvailable from /proc/meminfo, or None where the system does not say."""
     try:
-        state = initial_state(config.params, config.initial)
-        out = [report(state, 0, pair_measures=pair_measures, boundary=boundary)]
-        for t in range(1, config.steps + 1):
-            state = step(state, config.params)
-            if t % config.sample_every == 0:
-                out.append(report(state, t, pair_measures=pair_measures, boundary=boundary))
-    except MemoryError as exc:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError):
+        pass
+    return None
+
+
+def _check_memory(num_qubits: int) -> None:
+    """Raise RuntimeError before allocating a run that cannot fit in memory."""
+    need = 16 * 2 ** num_qubits * _LIVE_STATE_COPIES
+    have = _available_memory_bytes()
+    if have is not None and need > have:
         raise RuntimeError(
-            f"state vector for {config.params.num_qubits} qubits does not fit in memory"
-        ) from exc
+            f"a {num_qubits}-qubit run needs about {need / 2 ** 30:.2f} GiB "
+            f"({_LIVE_STATE_COPIES} arrays of 2^{num_qubits} complex amplitudes), "
+            f"but only {have / 2 ** 30:.2f} GiB is available"
+        )
+
+
+def run_time_series(config: RunConfig) -> list[MeasureReport]:
+    """Evolve and sample; the t=0 report is always included.
+
+    The state is evolved in the sigma_x frame, where every reported measure
+    takes the same value as in the z basis.
+    """
+    params = config.params
+    L = params.num_qubits
+    pair_measures = bool(config.measures & _PAIR_MEASURES)
+    _check_memory(L)
+    try:
+        # the fresh initial state is transformed in place; nothing else holds it
+        amps = fwht_inplace(initial_state(params, config.initial).amplitudes)
+        kick = XFrameKick(params)
+        out = [report(PureState(L, amps), 0, pair_measures=pair_measures,
+                      boundary=params.boundary)]
+        for t in range(1, config.steps + 1):
+            amps = kick(amps)
+            if t % config.sample_every == 0:
+                out.append(report(PureState(L, amps), t, pair_measures=pair_measures,
+                                  boundary=params.boundary))
+    except MemoryError as exc:
+        raise RuntimeError(f"state vector for {L} qubits does not fit in memory") from exc
     return out
 
 
@@ -152,21 +203,22 @@ class SweepConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
 
-def _jw_fast_path_applies(config: SweepConfig, params: ChainParams) -> bool:
+def _jw_closed_form_applies(params: ChainParams, initial: str) -> bool:
+    """Whether the free-fermion closed form gives Q exactly for this run:
+    a transverse field, a vacuum start, and an even periodic ring of L >= 4."""
     return (
-        config.allow_jw
-        and config.measure == "q"
-        and config.initial == "vacuum"
+        abs(params.theta - math.pi / 2.0) < _TRANSVERSE_ATOL
+        and initial == "vacuum"
         and params.boundary == "periodic"
         and params.num_qubits % 2 == 0
         and params.num_qubits >= 4
-        and abs(params.theta - math.pi / 2.0) < 1e-3
     )
 
 
 def _point_average(config: SweepConfig, value1: float, value2: float) -> float:
     params = replace(config.fixed, **{config.axis1.name: value1, config.axis2.name: value2})
-    if _jw_fast_path_applies(config, params):
+    if config.allow_jw and config.measure == "q" and _jw_closed_form_applies(params,
+                                                                           config.initial):
         ts = np.arange(1, config.steps + 1)
         return float(np.mean(analytic.jw_q_vacuum(params.num_qubits, params.j_x,
                                                   params.b_field, ts)))
@@ -212,12 +264,6 @@ def compare_numeric_analytic(params: ChainParams, t_max: int,
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     L = params.num_qubits
     zero_field = abs(params.b_field) < 1e-12
-    transverse = (
-        abs(params.theta - math.pi / 2.0) < 1e-12
-        and params.boundary == "periodic"
-        and L % 2 == 0
-        and initial == "vacuum"
-    )
     if zero_field and initial == "vacuum":
         pair_measures = params.boundary == "periodic"
         run = RunConfig(params=params, steps=t_max, initial=initial,
@@ -251,7 +297,7 @@ def compare_numeric_analytic(params: ChainParams, t_max: int,
         want_nt = analytic.sym_cluster_n_tangle(params.j_x, ts, L)
         nt_dev = float(np.max(np.abs(np.array([r.n_tangle for r in series]) - want_nt)))
         return {"q": q_dev, "n_tangle": nt_dev}
-    if transverse:
+    if _jw_closed_form_applies(params, initial):
         run = RunConfig(params=params, steps=t_max, initial=initial,
                         measures=frozenset({"q"}))
         series = run_time_series(run)
@@ -260,7 +306,7 @@ def compare_numeric_analytic(params: ChainParams, t_max: int,
         return {"q": float(np.max(np.abs(np.array([r.q_measure for r in series]) - want)))}
     raise NoAnalyticOracleError(
         "no analytic oracle: need B = 0 (vacuum or ghz start) or theta = pi/2 "
-        "(vacuum start, periodic, even L)"
+        "(vacuum start, periodic, even L >= 4)"
     )
 
 

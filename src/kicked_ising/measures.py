@@ -13,12 +13,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .statevec import BOUNDARIES, PAULI_Y, PureState
+from .statevec import BLOCK_QUBITS, BOUNDARIES, PAULI_Y, PureState, blocks
 
 # spin-flip kernel sigma_y (x) sigma_y; identical for either sign convention of sigma_y
 _SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y).real.astype(float)
 
 _EIG_FLOOR = -1e-9  # spectra of valid density matrices may only dip this far below 0
+
+_RDM_CHUNK = 1 << 16  # amplitudes per partial block-RDM product (1 MiB)
 
 
 def rdm_single(state: PureState, k: int) -> np.ndarray:
@@ -100,10 +102,55 @@ def one_tangle(state: PureState, k: int) -> float:
     return min(max(4.0 * det, 0.0), 1.0)
 
 
+@lru_cache(maxsize=BLOCK_QUBITS)
+def _bit_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Block indices ``m`` with bit ``j`` clear and ``m | 2^j``, one row per bit ``j``."""
+    m = np.arange(1 << (size - 1))
+    j = np.arange(size)[:, None]
+    clear = ((m >> j) << (j + 1)) | (m & ((1 << j) - 1))  # a 0 inserted at bit j
+    return clear, clear | (1 << j)
+
+
+def _block_rdm(amplitudes: np.ndarray, lo: int, size: int) -> np.ndarray:
+    """2^s x 2^s reduced density matrix of qubits ``lo .. lo+s-1``.
+
+    Summed over slices of at most ``_RDM_CHUNK`` amplitudes, so that no
+    temporary is larger than one slice.
+    """
+    d = 1 << size
+    if lo == 0:  # the block is the fastest axis: (d, rows) x (rows, d) products
+        m = amplitudes.reshape(-1, d)
+        step = max(1, _RDM_CHUNK // d)
+        return sum(m[r:r + step].T @ m[r:r + step].conj() for r in range(0, len(m), step))
+    v = amplitudes.reshape(-1, d, 1 << lo)
+    rows = max(1, _RDM_CHUNK // v[0].size)
+    cols = min(v.shape[2], max(1, _RDM_CHUNK // d))
+    parts = (v[r:r + rows, :, c:c + cols]
+             for r in range(0, v.shape[0], rows) for c in range(0, v.shape[2], cols))
+    return sum(np.matmul(p, p.conj().swapaxes(1, 2)).sum(axis=0) for p in parts)
+
+
+def one_tangles(state: PureState) -> np.ndarray:
+    """All L one-tangles (see :func:`one_tangle`), from one RDM per block.
+
+    The blocks are those of the kick kernel (:func:`~kicked_ising.statevec.blocks`).
+    Each costs one 2^s x 2^s reduced-density-matrix product, whose partial
+    traces give the block's s single-qubit RDMs.
+    """
+    out = np.empty(state.num_qubits)
+    for lo, size in blocks(state.num_qubits):
+        rho = _block_rdm(state.amplitudes, lo, size)
+        clear, isset = _bit_pairs(size)
+        p = rho.diagonal().real
+        coherence = rho[clear, isset].sum(axis=1)
+        det = p[clear].sum(axis=1) * p[isset].sum(axis=1) - np.abs(coherence) ** 2
+        out[lo:lo + size] = np.clip(4.0 * det, 0.0, 1.0)
+    return out
+
+
 def q_measure(state: PureState) -> float:
     """Average one-tangle over all qubits (Meyer-Wallach measure)."""
-    L = state.num_qubits
-    return sum(one_tangle(state, k) for k in range(L)) / L
+    return float(one_tangles(state).mean())
 
 
 @lru_cache(maxsize=32)
@@ -121,7 +168,7 @@ def n_tangle(state: PureState) -> float:
     complement pairing makes it vanish identically for odd L.
     """
     a = state.amplitudes
-    total = np.sum(a * a[::-1] * _parity_signs(state.num_qubits))
+    total = np.dot(a[::-1] * _parity_signs(state.num_qubits), a)
     return min(float(abs(total) ** 2), 1.0)
 
 
@@ -209,7 +256,7 @@ def report(state: PureState, t: int, pair_measures: bool = True,
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
     L = state.num_qubits
-    tangles = np.array([one_tangle(state, k) for k in range(L)])
+    tangles = one_tangles(state)
     pairs = None
     if pair_measures:
         i, j = np.triu_indices(L, k=1)

@@ -10,10 +10,22 @@ Basis convention (shared by every module in this package):
   bit flip and ``sigma_y = [[0, 1j], [-1j, 0]]`` completes the Pauli algebra.
 
 One kick of the chain is ``U = U_xx(j_x) . U_field(b, theta)``: the tilted
-magnetic-field rotation acts first, then the nearest-neighbour Ising coupling
-``exp(-i j_x sum_n S^x_n S^x_{n+1})``.  The coupling is applied in the
-``sigma_x`` eigenbasis reached by a fast Walsh-Hadamard transform, which costs
-O(L 2^L) instead of the O(4^L) dense product.
+magnetic-field rotation ``u`` acts first on every qubit, then the
+nearest-neighbour Ising coupling ``exp(-i j_x sum_n S^x_n S^x_{n+1})``.  The
+coupling is a diagonal phase vector ``D`` in the ``sigma_x`` eigenbasis,
+which the Hadamard ``H`` on every qubit reaches, so
+``U = H^{(x)L} D (H u)^{(x)L}``.
+
+Every product gate ``w^{(x)L}`` (the field rotation, the Walsh-Hadamard
+transform and their fusions) goes through one kernel.  It cuts the chain into
+``ceil(L / 5)`` blocks of at most five qubits and applies each block's
+Kronecker power ``w^{(x)s}`` as one matrix product on an ``(A, 2**s, B)``
+view of the amplitudes: ``ceil(L / 5)`` passes over the state, not ``L``.
+
+A time series is evolved in the ``sigma_x`` frame, on ``H^{(x)L} psi``, where
+consecutive kicks collapse to ``D (H u H)^{(x)L}``: one fused pass and one
+phase multiply (:class:`XFrameKick`).  Every measure the package reports is
+invariant under ``H`` on each qubit, so the state is never transformed back.
 """
 
 from __future__ import annotations
@@ -32,6 +44,20 @@ BOUNDARIES = ("periodic", "open")
 
 _NORM_ATOL = 1e-10  # fresh states sit at 1e-12; long runs may drift towards this
 
+# qubits per fused block: a 32x32 gate makes each pass over the state compute-bound
+BLOCK_QUBITS = 5
+
+# The Walsh-Hadamard gate is SIGN / sqrt(2).  The kernels keep SIGN's exact
+# +-1 entries and gather the powers of 1/sqrt(2) into exact powers of 1/2
+# wherever they can, so a long run's norm does not drift one rounding per pass.
+SIGN = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def _check_norm(amplitudes: np.ndarray) -> None:
+    norm = math.sqrt(np.vdot(amplitudes, amplitudes).real)
+    if abs(norm - 1.0) > _NORM_ATOL:
+        raise ValueError(f"state norm {norm!r} is not 1 within {_NORM_ATOL}")
+
 
 @dataclass(frozen=True)
 class PureState:
@@ -49,9 +75,7 @@ class PureState:
                 f"amplitude array of shape {self.amplitudes.shape} does not match "
                 f"num_qubits={self.num_qubits}"
             )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > _NORM_ATOL:
-            raise ValueError(f"state norm {norm!r} is not 1 within {_NORM_ATOL}")
+        _check_norm(amps)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -115,28 +139,84 @@ def make_ghz(num_qubits: int) -> PureState:
     return PureState(num_qubits, amps)
 
 
-def fwht_inplace(amplitudes: np.ndarray) -> np.ndarray:
-    """In-place normalized fast Walsh-Hadamard transform, H^{tensor L}.
+def blocks(num_qubits: int) -> list[tuple[int, int]]:
+    """``(lowest qubit, size)`` of the ``ceil(L / BLOCK_QUBITS)`` blocks covering the chain.
 
-    Applies ``H = [[1, 1], [1, -1]]/sqrt(2)`` on every qubit in O(L 2^L);
-    the transform is involutive.  The array length must be a power of two.
+    Sizes differ by at most one, the larger blocks lowest.
     """
+    out, lo = [], 0
+    for remaining in range(-(-num_qubits // BLOCK_QUBITS), 0, -1):
+        size = -(-(num_qubits - lo) // remaining)
+        out.append((lo, size))
+        lo += size
+    return out
+
+
+def _block_gates(num_qubits: int, w: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(lowest qubit, w^{(x)s})`` for each block of :func:`blocks`.
+
+    The Kronecker powers are built as outer products, which cost far less
+    per call than ``np.kron``.
+    """
+    gates, power = [], np.ones((1, 1))
+    for lo, size in reversed(blocks(num_qubits)):  # sizes ascend
+        while len(power) < 1 << size:
+            power = (power[:, None, :, None] * w[None, :, None, :]).reshape(2 * len(power), -1)
+        gates.append((lo, power))
+    return gates[::-1]
+
+
+def _fused_pass(amps: np.ndarray, gates, spare: np.ndarray):
+    """Apply every block gate, alternating between ``amps`` and ``spare``.
+
+    Returns ``(result, spare)``: the buffer that holds the product and the
+    one left free.
+    """
+    for lo, gate in gates:
+        gate = gate.astype(amps.dtype, copy=False)  # mixed dtypes also cost a copy
+        d = gate.shape[0]
+        if lo == 0:  # the block is the fastest axis: one (A, d) x (d, d) product; with
+            # a transposed view as its right factor numpy would stage it in a copy
+            np.matmul(amps.reshape(-1, d), np.ascontiguousarray(gate.T),
+                      out=spare.reshape(-1, d))
+        else:
+            np.matmul(gate, amps.reshape(-1, d, 1 << lo), out=spare.reshape(-1, d, 1 << lo))
+        amps, spare = spare, amps
+    return amps, spare
+
+
+def _num_qubits_of(amplitudes: np.ndarray) -> int:
     n = amplitudes.shape[0]
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"length {n} is not a power of two")
-    h = 1
-    while h < n:
-        v = amplitudes.reshape(-1, 2, h)
-        lo = v[:, 0, :] + v[:, 1, :]
-        hi = v[:, 0, :] - v[:, 1, :]
-        v[:, 0, :] = lo
-        v[:, 1, :] = hi
-        h *= 2
-    amplitudes *= 1.0 / math.sqrt(n)
+    return n.bit_length() - 1
+
+
+def apply_product_gate(amplitudes: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w^{(x)L}``, the 2x2 gate ``w`` on every qubit, as a new amplitude array."""
+    amps = np.array(amplitudes, dtype=complex)
+    out, _ = _fused_pass(amps, _block_gates(_num_qubits_of(amps), w), np.empty_like(amps))
+    return out
+
+
+def fwht_inplace(amplitudes: np.ndarray) -> np.ndarray:
+    """In-place normalized fast Walsh-Hadamard transform, H^{tensor L}.
+
+    Applies ``H = [[1, 1], [1, -1]]/sqrt(2)`` on every qubit through the
+    fused product-gate kernel; the transform is involutive.  The array length
+    must be a power of two.
+    """
+    L = _num_qubits_of(amplitudes)
+    gates = _block_gates(L, SIGN)
+    if gates:  # the whole 2^(-L/2), exact for even L, goes into the first gate
+        gates[0] = (0, gates[0][1] * 2.0 ** (-L / 2))
+    out, _ = _fused_pass(amplitudes, gates, np.empty_like(amplitudes))
+    if out is not amplitudes:
+        amplitudes[...] = out
     return amplitudes
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def _bond_alignment(num_qubits: int, boundary: str) -> np.ndarray:
     """sum_n s_n s_{n+1} over the bonds, per basis index, with s = +/-1 from the bits."""
     idx = np.arange(2 ** num_qubits, dtype=np.uint32)
@@ -152,11 +232,27 @@ def _bond_alignment(num_qubits: int, boundary: str) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
+def _ising_phase_vector(num_qubits: int, j_x: float, boundary: str) -> np.ndarray:
+    """exp(-i (j_x/4) sum_n s_n s_{n+1}) per sigma_x eigenbasis index."""
+    out = -0.25j * j_x * _bond_alignment(num_qubits, boundary)
+    return np.exp(out, out=out)
+
+
+@lru_cache(maxsize=2)
 def _ising_phases(num_qubits: int, j_x: float, boundary: str) -> np.ndarray:
-    out = np.exp(-0.25j * j_x * _bond_alignment(num_qubits, boundary))
+    out = _ising_phase_vector(num_qubits, j_x, boundary)
     out.setflags(write=False)
     return out
+
+
+def _z_frame_kick(state: PureState, first: np.ndarray, phases: np.ndarray) -> PureState:
+    """``SIGN^{(x)L} D (first / 2)^{(x)L}`` on a z-basis state: two fused passes."""
+    L = state.num_qubits
+    amps, spare = _fused_pass(state.amplitudes.copy(), _block_gates(L, first / 2.0),
+                              np.empty_like(state.amplitudes))
+    amps *= phases
+    amps, _ = _fused_pass(amps, _block_gates(L, SIGN), spare)
+    return PureState(L, amps)
 
 
 def apply_ising_kick(state: PureState, j_x: float, boundary: str = "periodic") -> PureState:
@@ -168,11 +264,7 @@ def apply_ising_kick(state: PureState, j_x: float, boundary: str = "periodic") -
     """
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
-    amps = state.amplitudes.copy()
-    fwht_inplace(amps)
-    amps *= _ising_phases(state.num_qubits, float(j_x), boundary)
-    fwht_inplace(amps)
-    return PureState(state.num_qubits, amps)
+    return _z_frame_kick(state, SIGN, _ising_phases(state.num_qubits, float(j_x), boundary))
 
 
 def field_unitary(b_field: float, theta: float) -> np.ndarray:
@@ -183,18 +275,8 @@ def field_unitary(b_field: float, theta: float) -> np.ndarray:
 
 def apply_field_kick(state: PureState, b_field: float, theta: float) -> PureState:
     """Apply the tilted-field rotation independently to every qubit."""
-    u = field_unitary(b_field, theta)
-    amps = state.amplitudes.copy()
-    n = amps.shape[0]
-    h = 1
-    while h < n:
-        v = amps.reshape(-1, 2, h)
-        lo = v[:, 0, :].copy()
-        hi = v[:, 1, :]
-        v[:, 0, :] = u[0, 0] * lo + u[0, 1] * hi
-        v[:, 1, :] = u[1, 0] * lo + u[1, 1] * hi
-        h *= 2
-    return PureState(state.num_qubits, amps)
+    return PureState(state.num_qubits,
+                     apply_product_gate(state.amplitudes, field_unitary(b_field, theta)))
 
 
 def step(state: PureState, params: ChainParams) -> PureState:
@@ -203,5 +285,29 @@ def step(state: PureState, params: ChainParams) -> PureState:
         raise ValueError(
             f"state has {state.num_qubits} qubits but params expect {params.num_qubits}"
         )
-    out = apply_field_kick(state, params.b_field, params.theta)
-    return apply_ising_kick(out, params.j_x, params.boundary)
+    u = field_unitary(params.b_field, params.theta)
+    phases = _ising_phases(params.num_qubits, float(params.j_x), params.boundary)
+    return _z_frame_kick(state, SIGN @ u, phases)
+
+
+class XFrameKick:
+    """One kick in the sigma_x frame, ``D (H u H)^{(x)L}``, for a whole time series.
+
+    Call it on ``H^{(x)L} psi`` (see :func:`fwht_inplace`).  It returns the
+    kicked amplitudes in the same frame, in either the array it was given or
+    its spare one, and checks their norm.  It owns its phase vector and spare
+    buffer, so neither outlives the run.
+    """
+
+    def __init__(self, params: ChainParams):
+        L = params.num_qubits
+        u = field_unitary(params.b_field, params.theta)
+        self._gates = _block_gates(L, SIGN @ u @ SIGN / 2.0)
+        self._phases = _ising_phase_vector(L, float(params.j_x), params.boundary)
+        self._spare = np.empty(2 ** L, dtype=complex)
+
+    def __call__(self, amplitudes: np.ndarray) -> np.ndarray:
+        amps, self._spare = _fused_pass(amplitudes, self._gates, self._spare)
+        amps *= self._phases
+        _check_norm(amps)
+        return amps

@@ -36,6 +36,7 @@ from kicked_ising import (
     cluster_nn_concurrence,
     cluster_q,
     concurrence,
+    concurrences,
     initial_state,
     jw_modes,
     jw_q_vacuum,
@@ -176,14 +177,10 @@ def test_criterion_07_special_point():
 
 def _ckw_min_slack(state) -> float:
     L = state.num_qubits
-    slack = []
-    for k in range(L):
-        total = one_tangle(state, k)
-        for j in range(L):
-            if j != k:
-                total -= concurrence(rdm_pair(state, k, j)) ** 2
-        slack.append(total)
-    return min(slack)
+    # row k is the stack of focus qubit k: its pairs (k, j) for every j != k
+    pairs = np.array([[rdm_pair(state, k, j) for j in range(L) if j != k] for k in range(L)])
+    tangles = np.array([one_tangle(state, k) for k in range(L)])
+    return float(np.min(tangles - np.sum(concurrences(pairs) ** 2, axis=1)))
 
 
 def test_criterion_08_monogamy():

@@ -1,5 +1,7 @@
 """Time series, averaging, sweeps, and the numeric-vs-analytic drivers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,9 @@ from kicked_ising import (
     compare_numeric_analytic,
     initial_state,
     jw_q_vacuum,
+    report,
     run_time_series,
+    step,
     sweep_grid,
     sym_cluster_n_tangle,
     time_average,
@@ -96,6 +100,26 @@ class TestRunTimeSeries:
         assert last.nn_concurrence == pytest.approx(np.mean(bonds), abs=1e-8)
         assert last.nn_concurrence == pytest.approx(0.20588, abs=1e-5)
 
+    def test_matches_z_frame_step_and_report(self):
+        # the series is evolved in the sigma_x frame; each reported measure must
+        # equal that of the z-basis walk
+        cases = [(6, 1.3, 0.9, 0.6, "vacuum"), (6, 0.7, 0.0, 0.0, "vacuum"),
+                 (6, 1.1, 0.5, 1.2, "ghz"), (5, 2.1, 1.7, 0.3, "ghz"),
+                 (7, 0.9, 1.2, 0.8, "0110100"), (12, 1.0, 0.6, 0.7, "100000000001")]
+        for boundary in ("periodic", "open"):
+            for L, jx, b, theta, initial in cases:
+                params = ChainParams(L, jx, b, theta, boundary)
+                series = run_time_series(RunConfig(params=params, steps=8, initial=initial))
+                state = initial_state(params, initial)
+                for r in series:
+                    if r.t:
+                        state = step(state, params)
+                    want = report(state, r.t, boundary=boundary)
+                    assert r.q_measure == pytest.approx(want.q_measure, abs=1e-10)
+                    assert r.n_tangle == pytest.approx(want.n_tangle, abs=1e-10)
+                    assert np.max(np.abs(r.one_tangles - want.one_tangles)) < 1e-10
+                    assert np.max(np.abs(r.pair_concurrences - want.pair_concurrences)) < 1e-10
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(params=quick_params(), steps=0)
@@ -103,6 +127,27 @@ class TestRunTimeSeries:
             RunConfig(params=quick_params(), steps=5, sample_every=0)
         with pytest.raises(ValueError):
             RunConfig(params=quick_params(), steps=5, measures=frozenset({"entropy"}))
+
+
+class TestMemoryPreflight:
+    def test_refuses_a_run_that_cannot_fit_before_allocating(self, monkeypatch):
+        from kicked_ising import harness
+
+        def no_state(*args):
+            raise AssertionError("the state was allocated before the memory check")
+
+        monkeypatch.setattr(harness, "_available_memory_bytes", lambda: 1 << 20)
+        monkeypatch.setattr(harness, "initial_state", no_state)
+        with pytest.raises(RuntimeError, match="16-qubit run needs"):
+            run_time_series(RunConfig(params=quick_params(num_qubits=16), steps=1))
+
+    def test_runs_when_it_fits_or_the_system_does_not_say(self, monkeypatch):
+        from kicked_ising import harness
+
+        cfg = RunConfig(params=quick_params(num_qubits=10), steps=2, measures=frozenset({"q"}))
+        for available in (None, harness._LIVE_STATE_COPIES * 16 * 2 ** 10):
+            monkeypatch.setattr(harness, "_available_memory_bytes", lambda: available)
+            assert [r.t for r in run_time_series(cfg)] == [0, 1, 2]
 
 
 class TestTimeAverage:
@@ -169,6 +214,28 @@ class TestSweepGrid:
         slow = sweep_grid(SweepConfig(**axes, allow_jw=False))
         assert np.max(np.abs(fast - slow)) < 1e-8
 
+    def test_jw_fast_path_is_exact_only(self):
+        # 9e-4 off the transverse line the closed form sits ~1e-5 from the dynamics
+        fixed = quick_params(num_qubits=6, theta=np.pi / 2 - 9e-4)
+        axes = dict(axis1=AxisSpec("j_x", 0.8, 2.2, 2),
+                    axis2=AxisSpec("b_field", 0.4, 1.7, 2), fixed=fixed, steps=100)
+        near = sweep_grid(SweepConfig(**axes))
+        numeric = sweep_grid(SweepConfig(**axes, allow_jw=False))
+        assert np.max(np.abs(near - numeric)) < 1e-10
+
+    def test_numeric_sweep_keeps_the_phase_caches_small(self):
+        from kicked_ising import statevec
+
+        statevec._ising_phases.cache_clear()
+        statevec._bond_alignment.cache_clear()
+        cfg = SweepConfig(axis1=AxisSpec("j_x", 0.3, 2.7, 6),
+                          axis2=AxisSpec("b_field", 0.4, 1.1, 2),
+                          fixed=quick_params(num_qubits=6, theta=0.7), steps=3)
+        sweep_grid(cfg)
+        for cache in (statevec._ising_phases, statevec._bond_alignment):
+            info = cache.cache_info()
+            assert info.maxsize <= 2 and info.currsize <= 2
+
     def test_point_failures_carry_coordinates(self):
         cfg = SweepConfig(
             axis1=AxisSpec("j_x", 0.5, 1.0, 2),
@@ -215,6 +282,13 @@ class TestCompare:
                                         t_max=30, initial="ghz")
         assert devs["q"] < 1e-12
         assert devs["n_tangle"] < 1e-10
+
+    def test_near_transverse_regime_rejected(self):
+        params = quick_params(num_qubits=6, b_field=0.4, theta=np.pi / 2 - 9e-4)
+        with pytest.raises(NoAnalyticOracleError):
+            compare_numeric_analytic(params, t_max=10)
+        with pytest.raises(NoAnalyticOracleError):
+            compare_numeric_analytic(replace(params, num_qubits=2, theta=np.pi / 2), t_max=10)
 
     def test_tilted_regime_rejected(self):
         with pytest.raises(NoAnalyticOracleError):

@@ -14,6 +14,7 @@ from kicked_ising import (
     make_vacuum,
     n_tangle,
     one_tangle,
+    one_tangles,
     q_measure,
     rdm_pair,
     rdm_single,
@@ -274,6 +275,31 @@ class TestTangles:
             c2 = concurrence(rdm_pair(s, 0, 1)) ** 2
             assert c2 == pytest.approx(one_tangle(s, 0), abs=1e-10)
             assert c2 == pytest.approx(one_tangle(s, 1), abs=1e-10)
+
+
+class TestBlockOneTangles:
+    def test_matches_per_qubit_one_tangle(self):
+        rng = np.random.default_rng(21)
+        for L in range(2, 13):
+            s = PureState(L, helpers.random_state(L, rng))
+            want = [one_tangle(s, k) for k in range(L)]
+            assert np.max(np.abs(one_tangles(s) - want)) < 1e-12
+
+    def test_summed_over_slices(self, monkeypatch):
+        # slices smaller than a block row and than a block column
+        from kicked_ising import measures
+        rng = np.random.default_rng(22)
+        states = [PureState(L, helpers.random_state(L, rng)) for L in (7, 11, 12)]
+        whole = [one_tangles(s) for s in states]
+        monkeypatch.setattr(measures, "_RDM_CHUNK", 4)
+        for s, want in zip(states, whole):
+            assert np.max(np.abs(one_tangles(s) - want)) < 1e-13
+
+    def test_product_and_cluster_values(self):
+        assert np.all(one_tangles(make_vacuum(7)) == 0.0)
+        assert np.allclose(one_tangles(make_ghz(9)), 1.0, atol=1e-12)
+        s = cluster_state(8, np.pi / 2)
+        assert np.allclose(one_tangles(s), one_tangle(s, 0), atol=1e-12)
 
 
 class TestLocalUnitaryInvariance:

@@ -20,6 +20,7 @@ from kicked_ising import (
     rdm_single,
     step,
 )
+from kicked_ising.statevec import BLOCK_QUBITS, XFrameKick, apply_product_gate, blocks
 
 
 def overlap(a, b):
@@ -104,6 +105,65 @@ class TestFwht:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             fwht_inplace(np.zeros(3, dtype=complex))
+
+
+class TestProductGate:
+    def test_blocks_cover_the_chain(self):
+        for L in range(1, 31):
+            layout = blocks(L)
+            assert len(layout) == -(-L // BLOCK_QUBITS)
+            assert [lo for lo, _ in layout] == list(np.cumsum([0] + [s for _, s in layout])[:-1])
+            sizes = [s for _, s in layout]
+            assert sum(sizes) == L and max(sizes) <= BLOCK_QUBITS
+            assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
+
+    def test_matches_dense_kron(self):
+        # L < 5 is one block; 6..9 are two blocks of unequal or equal sizes
+        rng = np.random.default_rng(11)
+        for L in range(2, 10):
+            for w in (helpers.random_unitary_2x2(rng),
+                      rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))):
+                psi = helpers.random_state(L, rng)
+                before = psi.copy()
+                out = apply_product_gate(psi, w)
+                expect = helpers.apply_local_unitaries(psi, [w] * L)
+                assert np.max(np.abs(out - expect)) < 1e-12
+                assert np.array_equal(psi, before)
+
+    def test_fwht_stays_in_place(self):
+        # an odd block count (L=11 and 12: three blocks) ends the alternation in
+        # the spare buffer; the oracle applies H one qubit at a time
+        rng = np.random.default_rng(12)
+        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        for L in (3, 7, 11, 12):
+            v = helpers.random_state(L, rng)
+            expect = v
+            for k in range(L):
+                expect = np.einsum("ij,ajb->aib", h, expect.reshape(-1, 2, 2 ** k)).ravel()
+            out = fwht_inplace(v)
+            assert out is v
+            assert np.max(np.abs(v - expect)) < 1e-12
+
+
+class TestXFrameKick:
+    def test_is_step_conjugated_by_hadamards(self):
+        rng = np.random.default_rng(13)
+        for L, boundary in ((3, "open"), (6, "periodic"), (11, "periodic"), (12, "open")):
+            params = ChainParams(L, 1.3, 0.8, 0.5, boundary)
+            psi = helpers.random_state(L, rng)
+            kick = XFrameKick(params)
+            x_frame = fwht_inplace(psi.copy())
+            z_frame = PureState(L, psi)
+            for _ in range(3):
+                x_frame = kick(x_frame)
+                z_frame = step(z_frame, params)
+            expect = fwht_inplace(z_frame.amplitudes.copy())
+            assert np.max(np.abs(x_frame - expect)) < 1e-12
+
+    def test_checks_the_norm(self):
+        kick = XFrameKick(ChainParams(4, 1.0, 0.5, 0.3))
+        with pytest.raises(ValueError, match="norm"):
+            kick(np.full(16, 0.3, dtype=complex))
 
 
 class TestFieldKick:
