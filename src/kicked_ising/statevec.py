@@ -47,10 +47,10 @@ _NORM_ATOL = 1e-10  # fresh states sit at 1e-12; long runs may drift towards thi
 # qubits per fused block: a 32x32 gate makes each pass over the state compute-bound
 BLOCK_QUBITS = 5
 
-# The Walsh-Hadamard gate is SIGN / sqrt(2).  The kernels keep SIGN's exact
+# The Walsh-Hadamard gate is _SIGN / sqrt(2).  The kernels keep _SIGN's exact
 # +-1 entries and gather the powers of 1/sqrt(2) into exact powers of 1/2
 # wherever they can, so a long run's norm does not drift one rounding per pass.
-SIGN = np.array([[1.0, 1.0], [1.0, -1.0]])
+_SIGN = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 def _check_norm(amplitudes: np.ndarray) -> None:
@@ -207,7 +207,7 @@ def fwht_inplace(amplitudes: np.ndarray) -> np.ndarray:
     must be a power of two.
     """
     L = _num_qubits_of(amplitudes)
-    gates = _block_gates(L, SIGN)
+    gates = _block_gates(L, _SIGN)
     if gates:  # the whole 2^(-L/2), exact for even L, goes into the first gate
         gates[0] = (0, gates[0][1] * 2.0 ** (-L / 2))
     out, _ = _fused_pass(amplitudes, gates, np.empty_like(amplitudes))
@@ -246,12 +246,12 @@ def _ising_phases(num_qubits: int, j_x: float, boundary: str) -> np.ndarray:
 
 
 def _z_frame_kick(state: PureState, first: np.ndarray, phases: np.ndarray) -> PureState:
-    """``SIGN^{(x)L} D (first / 2)^{(x)L}`` on a z-basis state: two fused passes."""
+    """``_SIGN^{(x)L} D (first / 2)^{(x)L}`` on a z-basis state: two fused passes."""
     L = state.num_qubits
     amps, spare = _fused_pass(state.amplitudes.copy(), _block_gates(L, first / 2.0),
                               np.empty_like(state.amplitudes))
     amps *= phases
-    amps, _ = _fused_pass(amps, _block_gates(L, SIGN), spare)
+    amps, _ = _fused_pass(amps, _block_gates(L, _SIGN), spare)
     return PureState(L, amps)
 
 
@@ -264,7 +264,7 @@ def apply_ising_kick(state: PureState, j_x: float, boundary: str = "periodic") -
     """
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
-    return _z_frame_kick(state, SIGN, _ising_phases(state.num_qubits, float(j_x), boundary))
+    return _z_frame_kick(state, _SIGN, _ising_phases(state.num_qubits, float(j_x), boundary))
 
 
 def field_unitary(b_field: float, theta: float) -> np.ndarray:
@@ -287,7 +287,7 @@ def step(state: PureState, params: ChainParams) -> PureState:
         )
     u = field_unitary(params.b_field, params.theta)
     phases = _ising_phases(params.num_qubits, float(params.j_x), params.boundary)
-    return _z_frame_kick(state, SIGN @ u, phases)
+    return _z_frame_kick(state, _SIGN @ u, phases)
 
 
 class XFrameKick:
@@ -302,7 +302,7 @@ class XFrameKick:
     def __init__(self, params: ChainParams):
         L = params.num_qubits
         u = field_unitary(params.b_field, params.theta)
-        self._gates = _block_gates(L, SIGN @ u @ SIGN / 2.0)
+        self._gates = _block_gates(L, _SIGN @ u @ _SIGN / 2.0)
         self._phases = _ising_phase_vector(L, float(params.j_x), params.boundary)
         self._spare = np.empty(2 ** L, dtype=complex)
 
