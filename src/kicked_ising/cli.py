@@ -6,21 +6,21 @@ grid of time averages), ``analytic`` (closed forms alone), and ``compare``
 
 Values are printed with 17 significant digits so the CSV round-trips to
 bit-identical doubles; identical invocations produce byte-identical files.
-A flat ``key = value`` config file can supply any flag; explicit flags win.
+A flat ``key = value`` config file can supply any run option; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import analytic
 from .harness import (
-    MEASURES,
+    REGIMES,
     AxisSpec,
     NoAnalyticOracleError,
     RunConfig,
@@ -57,6 +57,10 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
+# options about the invocation itself rather than the run
+_NOT_IN_CONFIG = frozenset({"help", "config", "output", "workers"})
+
+
 def _parse_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -71,17 +75,18 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _merge_config(args: argparse.Namespace, types: dict[str, type], defaults: dict) -> None:
-    """Fill unset flags from the config file, then from the defaults table."""
-    if getattr(args, "config", None):
-        for key, text in _parse_config_file(args.config).items():
-            if key not in types:
-                raise ValueError(f"unknown config key {key!r}")
-            if getattr(args, key, None) is None:
-                setattr(args, key, types[key](text))
-    for key, value in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
+def _config_as_defaults(sub: argparse.ArgumentParser, path: str) -> None:
+    """Make the file's values the defaults of ``sub``'s own options.
+
+    argparse converts string defaults through each option's ``type``, and
+    flags given on the command line still win.
+    """
+    values = _parse_config_file(path)
+    options = {action.dest for action in sub._actions} - _NOT_IN_CONFIG
+    for key in values:
+        if key not in options:
+            raise ValueError(f"unknown config key {key!r}")
+    sub.set_defaults(**values)
 
 
 def _require(args: argparse.Namespace, names: list[str]) -> None:
@@ -91,9 +96,14 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
 
 
 def _workers(args: argparse.Namespace) -> int:
-    if getattr(args, "workers", None) is not None:
+    """``--workers``, else ``$KICKED_ISING_WORKERS``, else 1."""
+    if args.workers is not None:
         return max(1, args.workers)
-    return max(1, int(os.environ.get("KICKED_ISING_WORKERS", "1")))
+    text = os.environ.get("KICKED_ISING_WORKERS", "1")
+    try:
+        return max(1, int(text))
+    except ValueError:
+        raise ValueError(f"KICKED_ISING_WORKERS must be an integer, got {text!r}") from None
 
 
 def _parse_axis(text: str) -> AxisSpec:
@@ -108,13 +118,7 @@ def _parse_axis(text: str) -> AxisSpec:
 
 # ------------------------------------------------------------------- evolve
 
-_EVOLVE_TYPES = {"L": int, "jx": float, "b": float, "theta": float, "steps": int,
-                 "boundary": str, "initial": str, "sample_every": int}
-_EVOLVE_DEFAULTS = {"boundary": "periodic", "initial": "vacuum", "sample_every": 1}
-
-
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    _merge_config(args, _EVOLVE_TYPES, _EVOLVE_DEFAULTS)
     _require(args, ["L", "jx", "b", "theta", "steps"])
     params = ChainParams(args.L, args.jx, args.b, args.theta, args.boundary)
     config = RunConfig(params=params, steps=args.steps, initial=args.initial,
@@ -132,20 +136,10 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- sweep
 
-_SWEEP_TYPES = {"axis1": str, "axis2": str, "L": int, "jx": float, "b": float,
-                "theta": float, "kicks": int, "measure": str, "boundary": str,
-                "initial": str}
-_SWEEP_DEFAULTS = {"measure": "q", "boundary": "periodic", "initial": "vacuum",
-                   "jx": 0.0, "b": 0.0, "theta": 0.0}
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _merge_config(args, _SWEEP_TYPES, _SWEEP_DEFAULTS)
     _require(args, ["axis1", "axis2", "L", "kicks"])
     axis1 = _parse_axis(args.axis1)
     axis2 = _parse_axis(args.axis2)
-    if args.measure not in MEASURES:
-        raise ValueError(f"unknown measure {args.measure!r}; known: {sorted(MEASURES)}")
     fixed = ChainParams(args.L, args.jx, args.b, args.theta, args.boundary)
     config = SweepConfig(axis1=axis1, axis2=axis2, fixed=fixed, steps=args.kicks,
                          measure=args.measure, initial=args.initial)
@@ -161,15 +155,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- analytic
 
-_ANALYTIC_TYPES = {"formula": str, "L": int, "jx": float, "b": float, "boundary": str,
-                   "tmin": float, "tmax": float, "samples": int}
-_ANALYTIC_DEFAULTS = {"boundary": "periodic", "tmin": 0.0, "samples": 100}
-
 _FORMULAS = ("cluster_q", "cluster_nn_concurrence", "cluster_n_tangle", "sym_n_tangle", "jw_q")
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    _merge_config(args, _ANALYTIC_TYPES, _ANALYTIC_DEFAULTS)
     _require(args, ["formula"])
     if args.formula not in _FORMULAS:
         raise ValueError(f"formula must be one of {_FORMULAS}, got {args.formula!r}")
@@ -202,28 +191,15 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ compare
 
-_COMPARE_TYPES = {"regime": str, "L": int, "jx": float, "b": float, "theta": float,
-                  "boundary": str, "tmax": int, "tol": float}
-_COMPARE_DEFAULTS = {"boundary": "periodic", "tol": 1e-8, "b": 0.0, "theta": 0.0}
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
-    _merge_config(args, _COMPARE_TYPES, _COMPARE_DEFAULTS)
     _require(args, ["regime", "L", "jx", "tmax"])
-    if args.regime == "zero-field":
-        params = ChainParams(args.L, args.jx, 0.0, args.theta, args.boundary)
-        initial = "vacuum"
-    elif args.regime == "transverse":
-        params = ChainParams(args.L, args.jx, args.b, math.pi / 2.0, args.boundary)
-        initial = "vacuum"
-    elif args.regime == "symmetrized":
-        params = ChainParams(args.L, args.jx, 0.0, args.theta, args.boundary)
-        initial = "ghz"
-    else:
-        print(f"error: no analytic oracle for regime {args.regime!r}", file=sys.stderr)
-        return EXIT_NO_ORACLE
     try:
-        deviations = compare_numeric_analytic(params, args.tmax, initial=initial)
+        if args.regime not in REGIMES:
+            raise NoAnalyticOracleError(f"no analytic oracle for regime {args.regime!r}")
+        regime = REGIMES[args.regime]
+        params = replace(ChainParams(args.L, args.jx, args.b, args.theta, args.boundary),
+                         **regime.pinned)
+        deviations = compare_numeric_analytic(params, args.tmax, initial=regime.initial)
     except NoAnalyticOracleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_ORACLE
@@ -240,11 +216,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- wiring
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, func) -> None:
     sub.add_argument("--config", help="flat 'key = value' config file; flags override")
     sub.add_argument("--output", help="output CSV path (default: stdout)")
-    sub.add_argument("--workers", type=int, help="parallel workers for sweeps "
-                     "(default: $KICKED_ISING_WORKERS or 1)")
+    sub.set_defaults(func=func, subparser=sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,49 +235,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float)
     p.add_argument("--theta", type=float)
     p.add_argument("--steps", type=int)
-    p.add_argument("--boundary", choices=("periodic", "open"))
-    p.add_argument("--initial")
-    p.add_argument("--sample-every", dest="sample_every", type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_evolve)
+    p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
+    p.add_argument("--initial", default="vacuum")
+    p.add_argument("--sample-every", dest="sample_every", type=int, default=1)
+    _add_common(p, _cmd_evolve)
 
     p = subs.add_parser("sweep", help="two-axis grid of time-averaged measures")
     p.add_argument("--axis1", help="swept axis as name:min:max:count")
     p.add_argument("--axis2", help="second swept axis")
     p.add_argument("--L", type=int)
-    p.add_argument("--jx", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--theta", type=float)
+    p.add_argument("--jx", type=float, default=0.0)
+    p.add_argument("--b", type=float, default=0.0)
+    p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--kicks", type=int, help="time-average window in kicks")
-    p.add_argument("--measure", help="measure to average (default q)")
-    p.add_argument("--boundary", choices=("periodic", "open"))
-    p.add_argument("--initial")
-    _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
+    p.add_argument("--measure", default="q", help="measure to average (default q)")
+    p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
+    p.add_argument("--initial", default="vacuum")
+    p.add_argument("--workers", type=int, help="parallel worker processes "
+                   "(default: $KICKED_ISING_WORKERS or 1)")
+    _add_common(p, _cmd_sweep)
 
     p = subs.add_parser("analytic", help="closed-form curves as CSV")
     p.add_argument("--formula", help="one of " + ", ".join(_FORMULAS))
     p.add_argument("--L", type=int)
     p.add_argument("--jx", type=float)
     p.add_argument("--b", type=float)
-    p.add_argument("--boundary", choices=("periodic", "open"))
-    p.add_argument("--tmin", type=float)
+    p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
+    p.add_argument("--tmin", type=float, default=0.0)
     p.add_argument("--tmax", type=float)
-    p.add_argument("--samples", type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_analytic)
+    p.add_argument("--samples", type=int, default=100)
+    _add_common(p, _cmd_analytic)
 
     p = subs.add_parser("compare", help="numeric evolution vs closed form")
-    p.add_argument("--regime", help="zero-field, transverse, or symmetrized")
+    p.add_argument("--regime", help="one of " + ", ".join(REGIMES))
     p.add_argument("--L", type=int)
     p.add_argument("--jx", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--boundary", choices=("periodic", "open"))
+    p.add_argument("--b", type=float, default=0.0)
+    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     p.add_argument("--tmax", type=int)
-    p.add_argument("--tol", type=float)
-    _add_common(p)
-    p.set_defaults(func=_cmd_compare)
+    p.add_argument("--tol", type=float, default=1e-8)
+    _add_common(p, _cmd_compare)
 
     return parser
 
@@ -311,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            _config_as_defaults(args.subparser, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         return _fail(str(exc))

@@ -11,6 +11,7 @@ for any worker count.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -36,10 +37,10 @@ SWEEP_PARAMETERS = ("j_x", "b_field", "theta")
 
 _NAMED_INITIALS = ("vacuum", "all_up", "ghz")
 
-# |theta - pi/2| below this is the transverse field, where the free-fermion
-# (JW) closed form is exact; any wider window would swap numerics for an
-# approximation without saying so
-_TRANSVERSE_ATOL = 1e-12
+# a regime's pinned field (B = 0, theta = pi/2) must hold to this, because
+# its closed forms are exact only there; any wider window would swap
+# numerics for an approximation without saying so
+_PIN_ATOL = 1e-12
 
 # complex state-sized arrays alive at once in a time series: the state, the
 # kick's spare buffer and phase vector, the cached real bond-alignment and
@@ -198,21 +199,16 @@ class SweepConfig:
         if self.axis1.name == self.axis2.name:
             raise ValueError(f"axes must sweep distinct parameters, both are {self.axis1.name!r}")
         if self.measure not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}")
+            raise ValueError(f"unknown measure {self.measure!r}; known: {sorted(MEASURES)}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
 
 def _jw_closed_form_applies(params: ChainParams, initial: str) -> bool:
-    """Whether the free-fermion closed form gives Q exactly for this run:
-    a transverse field, a vacuum start, and an even periodic ring of L >= 4."""
-    return (
-        abs(params.theta - math.pi / 2.0) < _TRANSVERSE_ATOL
-        and initial == "vacuum"
-        and params.boundary == "periodic"
-        and params.num_qubits % 2 == 0
-        and params.num_qubits >= 4
-    )
+    """Whether the free-fermion closed form gives Q exactly for this run: the
+    transverse regime's Q oracle, which ``compare`` uses too."""
+    transverse = REGIMES["transverse"]
+    return transverse.contains(params, initial) and transverse.oracles["q"].holds(params)
 
 
 def _point_average(config: SweepConfig, value1: float, value2: float) -> float:
@@ -252,64 +248,89 @@ def sweep_grid(config: SweepConfig, workers: int = 1) -> np.ndarray:
     return np.array(flat).reshape(config.axis1.count, config.axis2.count)
 
 
+# ------------------------------------------------------------------ regimes
+
+def _ring(min_qubits: int, even: bool = False) -> Callable[[ChainParams], bool]:
+    """Periodic chains of at least ``min_qubits`` qubits, an even count if ``even``."""
+    return lambda p: (p.boundary == "periodic" and p.num_qubits >= min_qubits
+                      and not (even and p.num_qubits % 2))
+
+
+@dataclass(frozen=True)
+class Oracle:
+    """A measure's closed form over the sampled kicks and the chains it holds on."""
+
+    exact: Callable[[ChainParams, np.ndarray], np.ndarray]
+    holds: Callable[[ChainParams], bool]
+
+
+@dataclass(frozen=True)
+class Regime:
+    """An exactly solvable line: its initial state, the ChainParams fields it
+    pins, and an oracle per comparable measure."""
+
+    initial: str
+    pinned: dict[str, float]
+    oracles: dict[str, Oracle]
+
+    def contains(self, params: ChainParams, initial: str) -> bool:
+        return initial == self.initial and all(
+            abs(getattr(params, field) - value) < _PIN_ATOL
+            for field, value in self.pinned.items())
+
+
+# searched in this order, so a vacuum start with B = 0 and theta = pi/2 is zero-field
+REGIMES = {
+    "zero-field": Regime("vacuum", {"b_field": 0.0}, {
+        "q": Oracle(lambda p, ts: analytic.cluster_q(p.j_x, ts, p.boundary, p.num_qubits),
+                    lambda p: p.boundary == "open" or p.num_qubits >= 3),
+        "nn_concurrence": Oracle(lambda p, ts: analytic.cluster_nn_concurrence(p.j_x, ts),
+                                 _ring(4)),
+        "n_tangle": Oracle(lambda p, ts: analytic.cluster_n_tangle(p.j_x, ts, p.num_qubits),
+                           _ring(4, even=True)),
+    }),
+    "symmetrized": Regime("ghz", {"b_field": 0.0}, {
+        "q": Oracle(lambda p, ts: np.ones_like(ts), _ring(2, even=True)),
+        "n_tangle": Oracle(lambda p, ts: analytic.sym_cluster_n_tangle(p.j_x, ts, p.num_qubits),
+                           _ring(2, even=True)),
+    }),
+    "transverse": Regime("vacuum", {"theta": math.pi / 2.0}, {
+        "q": Oracle(lambda p, ts: analytic.jw_q_vacuum(p.num_qubits, p.j_x, p.b_field, ts),
+                    _ring(4, even=True)),
+    }),
+}
+
+
+def _measured(r: MeasureReport, measure: str):
+    """A report's value of ``measure``; for nn_concurrence every ring bond, not their mean."""
+    if measure == "nn_concurrence":
+        sites = np.arange(r.num_qubits)
+        return r.pair_concurrences[sites, (sites + 1) % r.num_qubits]
+    return r.value(measure)
+
+
 def compare_numeric_analytic(params: ChainParams, t_max: int,
                              initial: str = "vacuum") -> dict[str, float]:
-    """Run the numerical evolution against its closed form.
+    """Run the numerical evolution against its closed forms.
 
-    Supported regimes: zero field (B = 0, any tilt) from the vacuum or from
-    the GHZ state, and the transverse field (theta = pi/2) from the vacuum.
-    Returns the max absolute deviation per comparable measure over t <= t_max.
+    The run must lie on one of the ``REGIMES``; every measure whose closed
+    form holds on this chain is compared, and ``NoAnalyticOracleError`` is
+    raised, before anything is evolved, when none does.  Returns the max
+    absolute deviation per compared measure over t <= t_max.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    L = params.num_qubits
-    zero_field = abs(params.b_field) < 1e-12
-    if zero_field and initial == "vacuum":
-        pair_measures = params.boundary == "periodic"
-        run = RunConfig(params=params, steps=t_max, initial=initial,
-                        measures=frozenset({"q", "nn_concurrence"}) if pair_measures
-                        else frozenset({"q"}))
-        series = run_time_series(run)
-        ts = np.array([r.t for r in series], dtype=float)
-        devs = {"q": float(np.max(np.abs(
-            np.array([r.q_measure for r in series])
-            - cluster_q_for(params, ts))))}
-        if pair_measures:
-            want = analytic.cluster_nn_concurrence(params.j_x, ts)
-            bond_dev = 0.0
-            for n, r in enumerate(series):
-                bonds = [r.pair_concurrences[i, (i + 1) % L] for i in range(L)]
-                bond_dev = max(bond_dev, float(np.max(np.abs(np.array(bonds) - want[n]))))
-            devs["nn_concurrence"] = bond_dev
-            if L % 2 == 0 and L >= 4:
-                want_nt = analytic.cluster_n_tangle(params.j_x, ts, L)
-                devs["n_tangle"] = float(np.max(np.abs(
-                    np.array([r.n_tangle for r in series]) - want_nt)))
-        return devs
-    if zero_field and initial == "ghz":
-        if L % 2:
-            raise NoAnalyticOracleError("symmetrized-state closed forms need an even qubit count")
-        run = RunConfig(params=params, steps=t_max, initial=initial,
-                        measures=frozenset({"q", "n_tangle"}))
-        series = run_time_series(run)
-        ts = np.array([r.t for r in series], dtype=float)
-        q_dev = float(np.max(np.abs(np.array([r.q_measure for r in series]) - 1.0)))
-        want_nt = analytic.sym_cluster_n_tangle(params.j_x, ts, L)
-        nt_dev = float(np.max(np.abs(np.array([r.n_tangle for r in series]) - want_nt)))
-        return {"q": q_dev, "n_tangle": nt_dev}
-    if _jw_closed_form_applies(params, initial):
-        run = RunConfig(params=params, steps=t_max, initial=initial,
-                        measures=frozenset({"q"}))
-        series = run_time_series(run)
-        ts = np.array([r.t for r in series])
-        want = analytic.jw_q_vacuum(L, params.j_x, params.b_field, ts)
-        return {"q": float(np.max(np.abs(np.array([r.q_measure for r in series]) - want)))}
-    raise NoAnalyticOracleError(
-        "no analytic oracle: need B = 0 (vacuum or ghz start) or theta = pi/2 "
-        "(vacuum start, periodic, even L >= 4)"
-    )
-
-
-def cluster_q_for(params: ChainParams, t):
-    """Closed-form Q for the zero-field evolution with these chain parameters."""
-    return analytic.cluster_q(params.j_x, t, params.boundary, params.num_qubits)
+    name = next((n for n, regime in REGIMES.items() if regime.contains(params, initial)), None)
+    if name is None:
+        raise NoAnalyticOracleError(
+            "no analytic oracle: need B = 0 (vacuum or ghz start) or theta = pi/2 (vacuum start)")
+    oracles = {m: o for m, o in REGIMES[name].oracles.items() if o.holds(params)}
+    if not oracles:
+        raise NoAnalyticOracleError(f"no closed form of the {name} regime holds for "
+                                    f"{params.num_qubits} qubits, {params.boundary} boundary")
+    series = run_time_series(RunConfig(params=params, steps=t_max, initial=initial,
+                                       measures=frozenset(oracles)))
+    ts = np.array([r.t for r in series], dtype=float)
+    return {m: max(float(np.max(np.abs(_measured(r, m) - want)))
+                   for r, want in zip(series, o.exact(params, ts)))
+            for m, o in oracles.items()}

@@ -106,6 +106,34 @@ class TestConfigFile:
         assert main(["evolve", "--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["config", "output", "workers"])
+    def test_invocation_keys_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"axis1 = jx:0:1:2\naxis2 = b:2:3:2\nL = 4\nkicks = 5\n{key} = 2\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+
+    def test_every_compare_key_equals_its_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("regime = zero-field\nL = 6\njx = 0.7\nb = 0.3\ntheta = 0.4\n"
+                       "boundary = open\ntmax = 20\ntol = 1e-9\n")
+        code_file, from_file = run_cli(["compare", "--config", str(cfg)], tmp_path, "a.csv")
+        code_flags, from_flags = run_cli(
+            ["compare", "--regime", "zero-field", "--L", "6", "--jx", "0.7", "--b", "0.3",
+             "--theta", "0.4", "--boundary", "open", "--tmax", "20", "--tol", "1e-9"],
+            tmp_path, "b.csv")
+        assert code_file == code_flags == 0
+        assert from_file == from_flags
+
+    def test_flag_wins_even_when_it_is_the_default(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("L = 5\njx = 0.9\nb = 0\ntheta = 0\nsteps = 4\nboundary = open\n")
+        _, overridden = run_cli(["evolve", "--config", str(cfg), "--boundary", "periodic"],
+                                tmp_path, "a.csv")
+        _, direct = run_cli(["evolve", "--L", "5", "--jx", "0.9", "--b", "0", "--theta", "0",
+                             "--steps", "4"], tmp_path, "b.csv")
+        assert overridden == direct
+
 
 class TestSweep:
     def test_degenerate_grid_four_equal_values(self, tmp_path):
@@ -140,6 +168,27 @@ class TestSweep:
                      "--L", "4", "--kicks", "5"])
         assert code == 2
         assert "distinct" in capsys.readouterr().err
+
+    def test_unknown_measure_lists_the_known_ones(self, capsys):
+        code = main(["sweep", "--axis1", "jx:0:1:2", "--axis2", "b:2:3:2",
+                     "--L", "4", "--kicks", "5", "--measure", "entropy"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'entropy'" in err
+        assert all(name in err for name in ("'q'", "'n_tangle'", "'nn_concurrence'"))
+
+    def test_bad_worker_variable_named(self, monkeypatch, capsys):
+        monkeypatch.setenv("KICKED_ISING_WORKERS", "two")
+        code = main(["sweep", "--axis1", "jx:0:1:2", "--axis2", "b:2:3:2",
+                     "--L", "4", "--kicks", "5"])
+        assert code == 2
+        assert "KICKED_ISING_WORKERS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evolve", "analytic", "compare"])
+    def test_workers_flag_only_on_sweep(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--workers", "2"])
+        assert exc.value.code == 2
 
 
 class TestAnalytic:
@@ -200,6 +249,30 @@ class TestCompare:
     def test_tilted_regime_distinct_exit(self, capsys):
         assert main(["compare", "--regime", "tilted", "--L", "6", "--jx", "0.5",
                      "--tmax", "10"]) == 3
+
+    def test_three_ring_compares_q_only(self, tmp_path):
+        code, blob = run_cli(["compare", "--regime", "zero-field", "--L", "3",
+                              "--jx", "0.7", "--tmax", "20"], tmp_path)
+        assert code == 0
+        _, rows = parse_csv(blob)
+        assert [r[0] for r in rows] == ["q"]
+
+    def test_open_symmetrized_chain_has_no_oracle(self, tmp_path):
+        code, blob = run_cli(["compare", "--regime", "symmetrized", "--boundary", "open",
+                              "--L", "4", "--jx", "0.7", "--tmax", "20"], tmp_path)
+        assert code == 3
+        assert blob == b""
+
+    def test_two_ring_fails_before_evolving(self, monkeypatch, capsys):
+        from kicked_ising import harness
+
+        def no_run(config):
+            raise AssertionError("evolved a run that has no closed form")
+
+        monkeypatch.setattr(harness, "run_time_series", no_run)
+        assert main(["compare", "--regime", "zero-field", "--L", "2", "--jx", "0.7",
+                     "--tmax", "20"]) == 3
+        assert "no closed form" in capsys.readouterr().err
 
     def test_tolerance_gate(self, tmp_path):
         # an impossible tolerance flips the exit code to 1

@@ -294,6 +294,29 @@ class TestCompare:
         with pytest.raises(NoAnalyticOracleError):
             compare_numeric_analytic(quick_params(b_field=0.4, theta=np.pi / 4), t_max=10)
 
+    @pytest.mark.parametrize("num_qubits, measures", [(3, {"q"}), (5, {"q", "nn_concurrence"})])
+    def test_odd_rings(self, num_qubits, measures):
+        # the nearest-neighbour form needs a ring of L >= 4; a triangle misses it by 0.14
+        devs = compare_numeric_analytic(quick_params(num_qubits=num_qubits), t_max=20)
+        assert set(devs) == measures
+        assert max(devs.values()) < 1e-12
+
+    def test_open_symmetrized_chain_rejected(self):
+        with pytest.raises(NoAnalyticOracleError):
+            compare_numeric_analytic(quick_params(boundary="open"), t_max=20, initial="ghz")
+
+    def test_no_closed_form_fails_before_evolving(self, monkeypatch):
+        from kicked_ising import harness
+
+        def no_run(config):
+            raise AssertionError("evolved a run that has no closed form")
+
+        monkeypatch.setattr(harness, "run_time_series", no_run)
+        with pytest.raises(NoAnalyticOracleError):
+            compare_numeric_analytic(quick_params(num_qubits=2), t_max=20)
+        with pytest.raises(NoAnalyticOracleError):
+            compare_numeric_analytic(quick_params(num_qubits=5), t_max=20, initial="ghz")
+
     def test_symmetrized_formula_reference(self):
         # the formula the ghz comparison uses, spot-checked at one point
         assert sym_cluster_n_tangle(1.1, np.pi / 1.1, 6) == pytest.approx(1.0, abs=1e-12)
