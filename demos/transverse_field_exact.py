@@ -58,7 +58,7 @@ def main():
         if t:
             state = step(state, params2)
         closed = jw_sz_profile(L2, jx2, b2, [3, 4], t)
-        line = "  ".join(f"{v:+ .3f}" for v in closed)
+        line = "  ".join(f"{v:+.3f}" for v in closed)
         check = np.max(np.abs(closed - sz_numeric(state)))
         print(f"{t:>3}  {line}   (vs numeric: {check:.1e})")
 

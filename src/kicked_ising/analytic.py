@@ -129,34 +129,29 @@ class JWModeSet:
     modes: tuple[JWMode, ...]
 
 
-def _generic_mode(q: float, j_x: float, b_field: float) -> JWMode:
-    c, s = math.cos(j_x / 2.0), math.sin(j_x / 2.0)
-    cos_b, sin_b = math.cos(b_field), math.sin(b_field)
-    cq, sq = math.cos(q), math.sin(q)
-    if abs(sq * sin_b * s) < _DEGENERATE_EPS:
-        raise DegenerateModeError(
-            f"sin(q) sin(B) sin(j_x/2) = {sq * sin_b * s:.3e} vanishes at "
-            f"q={q!r}, b_field={b_field!r}, j_x={j_x!r}"
-        )
+def _mode_arrays(q: np.ndarray, j_x, b_field):
+    """``(theta_q, a_plus, a_minus, b_plus, b_minus)`` of the generic modes as
+    arrays over (point, q): ``j_x`` and ``b_field`` of shape (P, 1) broadcast
+    against the (Q,) momenta ``q``."""
+    c, s = np.cos(j_x / 2.0), np.sin(j_x / 2.0)
+    cos_b, sin_b = np.cos(b_field), np.sin(b_field)
+    cq, sq = np.cos(q), np.sin(q)
+    if np.any(np.abs(sq * sin_b * s) < _DEGENERATE_EPS):
+        raise DegenerateModeError(f"sin(q) sin(B) sin(j_x/2) vanishes for a mode at "
+                                  f"b_field={b_field!r}, j_x={j_x!r}")
     cos_th = cos_b * c - cq * sin_b * s
-    # |cos| <= 1 holds identically: (c cos B, -s cos q sin B) has norm < 1
-    theta = math.acos(min(1.0, max(-1.0, cos_th)))
-    sin_th = math.sin(theta)
+    # |cos| <= 1 holds identically: (c cos B, -s cos q sin B) has norm < 1.
+    # math.acos element by element: np.arccos can differ from it in the last bit
+    theta = np.vectorize(math.acos, otypes=[float])(np.clip(cos_th, -1.0, 1.0))
+    sin_th = np.sin(theta)
     # Eigenvector ratios b/a of the even-parity block, one per eigenphase
     # branch exp(+/- i theta); r_plus r_minus = -1 makes them orthogonal.
     r_plus = (c * sin_b + s * cq * cos_b - sin_th) / (s * sq)
     r_minus = (c * sin_b + s * cq * cos_b + sin_th) / (s * sq)
-    a_plus = 1.0 / math.sqrt(1.0 + r_plus * r_plus)
-    a_minus = 1.0 / math.sqrt(1.0 + r_minus * r_minus)
-    phase = complex(math.cos(b_field), math.sin(b_field))  # e^{iB}, common to both
-    return JWMode(
-        q=q,
-        theta_q=theta,
-        a_plus=a_plus,
-        a_minus=a_minus,
-        b_plus=a_plus * r_plus * phase,
-        b_minus=a_minus * r_minus * phase,
-    )
+    a_plus = 1.0 / np.sqrt(1.0 + r_plus * r_plus)
+    a_minus = 1.0 / np.sqrt(1.0 + r_minus * r_minus)
+    phase = cos_b + 1j * sin_b  # e^{iB}, common to both
+    return theta, a_plus, a_minus, a_plus * r_plus * phase, a_minus * r_minus * phase
 
 
 def jw_modes(num_qubits: int, j_x: float, b_field: float, sector: str = "even") -> JWModeSet:
@@ -164,20 +159,20 @@ def jw_modes(num_qubits: int, j_x: float, b_field: float, sector: str = "even") 
     _require_even(num_qubits, minimum=4)
     L = num_qubits
     if sector == "even":
-        modes = tuple(
-            _generic_mode((2 * j - 1) * math.pi / L, j_x, b_field) for j in range(1, L // 2 + 1)
-        )
+        qs = (2 * np.arange(1, L // 2 + 1) - 1) * math.pi / L
     elif sector == "odd":
+        qs = 2 * np.arange(1, L // 2) * math.pi / L
+    else:
+        raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
+    arrays = _mode_arrays(qs, float(j_x), float(b_field))
+    modes = tuple(JWMode(float(q), float(th), float(ap), float(am), complex(bp), complex(bm))
+                  for q, th, ap, am, bp, bm in zip(qs, *arrays))
+    if sector == "odd":
         diag0 = JWMode(q=0.0, theta_q=b_field + j_x / 2.0, a_plus=1.0, a_minus=0.0,
                        b_plus=0j, b_minus=0j)
         diag_pi = JWMode(q=math.pi, theta_q=b_field - j_x / 2.0, a_plus=1.0, a_minus=0.0,
                          b_plus=0j, b_minus=0j)
-        interior = tuple(
-            _generic_mode(2 * j * math.pi / L, j_x, b_field) for j in range(1, L // 2)
-        )
-        modes = (diag0,) + interior + (diag_pi,)
-    else:
-        raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
+        modes = (diag0,) + modes + (diag_pi,)
     return JWModeSet(num_qubits=L, sector=sector, modes=modes)
 
 
@@ -201,6 +196,37 @@ def jw_q_vacuum(num_qubits: int, j_x: float, b_field: float, t):
     x = sum(np.abs(m.eta(t_arr)) ** 2 for m in modes.modes) * (2.0 / num_qubits)
     out = 4.0 * x * (1.0 - x)
     return out if out.ndim else float(out)
+
+
+def jw_q_average(num_qubits: int, j_x, b_field, steps: int) -> np.ndarray:
+    """Mean of :func:`jw_q_vacuum` over kicks 1..steps at the P points of (P,) arrays.
+
+    ``x(t) = X0 + (4/L) Re S(t)`` with ``S(t) = sum_q A_q conj(B_q) e^{-2i theta_q t}``
+    (``A = a_plus b_plus``, ``B = a_minus b_minus``); for t = m k + r, S over the
+    window is one (k, q) x (q, r) product of exact phases per point.
+    """
+    _require_even(num_qubits, minimum=4)
+    L = num_qubits
+    j_x, b_field = np.asarray(j_x, dtype=float), np.asarray(b_field, dtype=float)
+    coupled = np.abs(np.sin(j_x / 2.0)) >= _DEGENERATE_EPS  # else it never entangles
+    fielded = np.abs(np.sin(b_field)) >= _DEGENERATE_EPS
+    cluster, generic = coupled & ~fielded, coupled & fielded
+    out = np.zeros(j_x.shape)
+    ts = np.arange(1, steps + 1)
+    out[cluster] = cluster_q(j_x[cluster][:, None], ts, "periodic", L).mean(axis=1)
+    theta, a_plus, a_minus, b_plus, b_minus = _mode_arrays(
+        (2 * np.arange(1, L // 2 + 1) - 1) * math.pi / L,  # the even sector
+        j_x[generic][:, None], b_field[generic][:, None])
+    a, b = a_plus * b_plus, a_minus * b_minus
+    m = math.isqrt(steps) + 1
+    k = m * np.arange(steps // m + 1)
+    turn = -2j * theta[..., None]
+    coarse = (a * b.conj())[..., None] * np.exp(turn * k)
+    s = (coarse.swapaxes(1, 2) @ np.exp(turn * np.arange(m))).reshape(-1, k.size * m)
+    x0 = (np.abs(a) ** 2 + np.abs(b) ** 2).sum(axis=1) * (2.0 / L)
+    x = x0[:, None] + (4.0 / L) * s[:, 1:steps + 1].real
+    out[generic] = (4.0 * x * (1.0 - x)).mean(axis=1)
+    return out
 
 
 def jw_sz_profile(num_qubits: int, j_x: float, b_field: float,

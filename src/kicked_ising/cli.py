@@ -12,7 +12,6 @@ A flat ``key = value`` config file can supply any run option; explicit flags win
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -58,7 +57,7 @@ def _fail(message: str) -> int:
 
 
 # options about the invocation itself rather than the run
-_NOT_IN_CONFIG = frozenset({"help", "config", "output", "workers"})
+_NOT_IN_CONFIG = frozenset({"help", "config", "output"})
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -79,13 +78,19 @@ def _config_as_defaults(sub: argparse.ArgumentParser, path: str) -> None:
     """Make the file's values the defaults of ``sub``'s own options.
 
     argparse converts string defaults through each option's ``type``, and
-    flags given on the command line still win.
+    flags given on the command line still win.  It checks ``choices`` only on
+    flags, so the file's values are checked here.
     """
     values = _parse_config_file(path)
-    options = {action.dest for action in sub._actions} - _NOT_IN_CONFIG
-    for key in values:
+    options = {action.dest: action for action in sub._actions
+               if action.dest not in _NOT_IN_CONFIG}
+    for key, value in values.items():
         if key not in options:
             raise ValueError(f"unknown config key {key!r}")
+        action = options[key]
+        if action.choices is not None and (action.type or str)(value) not in action.choices:
+            raise ValueError(f"config key {key!r} must be one of {list(action.choices)}, "
+                             f"got {value!r}")
     sub.set_defaults(**values)
 
 
@@ -93,17 +98,6 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
     missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
         raise ValueError("missing required parameter(s): " + ", ".join(sorted(missing)))
-
-
-def _workers(args: argparse.Namespace) -> int:
-    """``--workers``, else ``$KICKED_ISING_WORKERS``, else 1."""
-    if args.workers is not None:
-        return max(1, args.workers)
-    text = os.environ.get("KICKED_ISING_WORKERS", "1")
-    try:
-        return max(1, int(text))
-    except ValueError:
-        raise ValueError(f"KICKED_ISING_WORKERS must be an integer, got {text!r}") from None
 
 
 def _parse_axis(text: str) -> AxisSpec:
@@ -143,7 +137,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     fixed = ChainParams(args.L, args.jx, args.b, args.theta, args.boundary)
     config = SweepConfig(axis1=axis1, axis2=axis2, fixed=fixed, steps=args.kicks,
                          measure=args.measure, initial=args.initial)
-    grid = sweep_grid(config, workers=_workers(args))
+    grid = sweep_grid(config)
     v1s, v2s = axis1.values(), axis2.values()
     lines = ["axis1,axis2,value"]
     for i, v1 in enumerate(v1s):
@@ -199,7 +193,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         regime = REGIMES[args.regime]
         params = replace(ChainParams(args.L, args.jx, args.b, args.theta, args.boundary),
                          **regime.pinned)
-        deviations = compare_numeric_analytic(params, args.tmax, initial=regime.initial)
+        deviations = compare_numeric_analytic(params, args.tmax, initial=regime.initial,
+                                              regime=args.regime)
     except NoAnalyticOracleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_ORACLE
@@ -251,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", default="q", help="measure to average (default q)")
     p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     p.add_argument("--initial", default="vacuum")
-    p.add_argument("--workers", type=int, help="parallel worker processes "
-                   "(default: $KICKED_ISING_WORKERS or 1)")
     _add_common(p, _cmd_sweep)
 
     p = subs.add_parser("analytic", help="closed-form curves as CSV")

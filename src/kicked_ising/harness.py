@@ -1,24 +1,23 @@
 """Time-series runs, stationary time averages, parameter sweeps, and the
 numeric-vs-analytic comparison drivers.
 
-Time series are sequential (state evolution is ordered) and run in the
-sigma_x frame of :class:`~kicked_ising.statevec.XFrameKick`; sweeps are
-data-parallel over grid points, each point owning a private state, with
-results assembled in a fixed row-major order so the output is deterministic
-for any worker count.
+Every run goes through one kick loop, :func:`_evolve`, which kicks a stack of
+states, one per parameter point, in the sigma_x frame of
+:class:`~kicked_ising.statevec.XFrameKick`; a time series is a stack of one.
+Sweeps take their grid in chunks, the transverse points from the free-fermion
+closed form and the rest as stacks, in a fixed row-major order.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import analytic
-from .measures import MeasureReport, report
+from .measures import MeasureReport, n_tangle, one_tangles, report
 from .statevec import (
     ChainParams,
     PureState,
@@ -46,6 +45,10 @@ _PIN_ATOL = 1e-12
 # kick's spare buffer and phase vector, the cached real bond-alignment and
 # parity vectors (half a copy each), and a pair RDM's two temporaries
 _LIVE_STATE_COPIES = 6
+
+# complex numbers in a sweep chunk: its stack of states, or its JW points'
+# windows; a point larger than this is a chunk of its own
+_CHUNK_AMPLITUDES = 1 << 14
 
 
 class NoAnalyticOracleError(ValueError):
@@ -112,42 +115,49 @@ def _available_memory_bytes() -> int | None:
     return None
 
 
-def _check_memory(num_qubits: int) -> None:
+def _check_memory(num_qubits: int, points: int = 1) -> None:
     """Raise RuntimeError before allocating a run that cannot fit in memory."""
-    need = 16 * 2 ** num_qubits * _LIVE_STATE_COPIES
+    need = 16 * 2 ** num_qubits * _LIVE_STATE_COPIES * points
     have = _available_memory_bytes()
     if have is not None and need > have:
         raise RuntimeError(
             f"a {num_qubits}-qubit run needs about {need / 2 ** 30:.2f} GiB "
-            f"({_LIVE_STATE_COPIES} arrays of 2^{num_qubits} complex amplitudes), "
+            f"({_LIVE_STATE_COPIES * points} arrays of 2^{num_qubits} complex amplitudes), "
             f"but only {have / 2 ** 30:.2f} GiB is available"
         )
 
 
-def run_time_series(config: RunConfig) -> list[MeasureReport]:
-    """Evolve and sample; the t=0 report is always included.
+def _evolve(points: list[ChainParams], initial: str, steps: int, sample_every: int = 1):
+    """The kick loop: evolve every point of one chain from ``initial`` together.
 
-    The state is evolved in the sigma_x frame, where every reported measure
-    takes the same value as in the z basis.
+    Yields ``(t, amps)`` at t = 0 and every ``sample_every`` kicks, with
+    ``amps`` the ``(P, 2**L)`` stack whose row p belongs to ``points[p]``.  The
+    rows are in the sigma_x frame, where every reported measure takes the same
+    value as in the z basis.
     """
-    params = config.params
-    L = params.num_qubits
-    pair_measures = bool(config.measures & _PAIR_MEASURES)
-    _check_memory(L)
+    L = points[0].num_qubits
+    _check_memory(L, len(points))
     try:
         # the fresh initial state is transformed in place; nothing else holds it
-        amps = fwht_inplace(initial_state(params, config.initial).amplitudes)
-        kick = XFrameKick(params)
-        out = [report(PureState(L, amps), 0, pair_measures=pair_measures,
-                      boundary=params.boundary)]
-        for t in range(1, config.steps + 1):
-            amps = kick(amps)
-            if t % config.sample_every == 0:
-                out.append(report(PureState(L, amps), t, pair_measures=pair_measures,
-                                  boundary=params.boundary))
+        start = fwht_inplace(initial_state(points[0], initial).amplitudes)
+        amps = start[None] if len(points) == 1 else np.tile(start, (len(points), 1))
+        kick = XFrameKick(points)
     except MemoryError as exc:
         raise RuntimeError(f"state vector for {L} qubits does not fit in memory") from exc
-    return out
+    yield 0, amps
+    for t in range(1, steps + 1):
+        amps = kick(amps)
+        if t % sample_every == 0:
+            yield t, amps
+
+
+def run_time_series(config: RunConfig) -> list[MeasureReport]:
+    """Evolve and sample; the t=0 report is always included."""
+    params = config.params
+    pair_measures = bool(config.measures & _PAIR_MEASURES)
+    return [report(PureState(params.num_qubits, amps[0]), t, pair_measures=pair_measures,
+                   boundary=params.boundary)
+            for t, amps in _evolve([params], config.initial, config.steps, config.sample_every)]
 
 
 def time_average(series: list[MeasureReport], measure: str) -> float:
@@ -193,7 +203,6 @@ class SweepConfig:
     steps: int
     measure: str = "q"
     initial: str = "vacuum"
-    allow_jw: bool = True
 
     def __post_init__(self):
         if self.axis1.name == self.axis2.name:
@@ -211,41 +220,61 @@ def _jw_closed_form_applies(params: ChainParams, initial: str) -> bool:
     return transverse.contains(params, initial) and transverse.oracles["q"].holds(params)
 
 
-def _point_average(config: SweepConfig, value1: float, value2: float) -> float:
-    params = replace(config.fixed, **{config.axis1.name: value1, config.axis2.name: value2})
-    if config.allow_jw and config.measure == "q" and _jw_closed_form_applies(params,
-                                                                           config.initial):
-        ts = np.arange(1, config.steps + 1)
-        return float(np.mean(analytic.jw_q_vacuum(params.num_qubits, params.j_x,
-                                                  params.b_field, ts)))
-    run = RunConfig(params=params, steps=config.steps, initial=config.initial,
-                    measures=frozenset({config.measure}))
-    return time_average(run_time_series(run), config.measure)
+def _jw_averages(config: SweepConfig, points: list[ChainParams]) -> np.ndarray:
+    """Mean Q over kicks 1..steps of transverse points, from the closed form."""
+    return analytic.jw_q_average(points[0].num_qubits, [p.j_x for p in points],
+                                 [p.b_field for p in points], config.steps)
 
 
-def _point_task(args) -> float:
-    config, i, j, v1, v2 = args
+def _numeric_averages(config: SweepConfig, points: list[ChainParams]) -> np.ndarray:
+    """Mean measure over kicks 1..steps of points evolved as one stack."""
+    values = np.empty((len(points), config.steps))  # a row per point, as time_average sums
+    L, boundary = points[0].num_qubits, points[0].boundary
+    for t, amps in _evolve(points, config.initial, config.steps):
+        if t == 0:
+            continue
+        if config.measure in ("q", "one_tangle"):
+            values[:, t - 1] = one_tangles(amps).mean(axis=1)
+        elif config.measure == "n_tangle":
+            values[:, t - 1] = n_tangle(amps)
+        else:
+            values[:, t - 1] = [report(PureState(L, row), t, boundary=boundary)
+                                .value(config.measure) for row in amps]
+    return values.mean(axis=1)
+
+
+def _located(evaluate, config: SweepConfig, points: list[ChainParams], ks: list[int]):
+    """``evaluate(config, points)``; if the chunk fails, each point again on its
+    own, so that a failure is raised as the SweepPointError of its grid point."""
     try:
-        return _point_average(config, v1, v2)
+        return evaluate(config, points)
     except Exception as exc:  # re-raised with coordinates attached
-        raise SweepPointError(i, j, v1, v2, exc) from exc
+        if len(points) == 1:
+            i, j = divmod(ks[0], config.axis2.count)
+            raise SweepPointError(i, j, float(config.axis1.values()[i]),
+                                  float(config.axis2.values()[j]), exc) from exc
+    return np.concatenate([_located(evaluate, config, [p], [k]) for p, k in zip(points, ks)])
 
 
-def sweep_grid(config: SweepConfig, workers: int = 1) -> np.ndarray:
-    """Time-averaged measure on the axis1 x axis2 grid, row-major in axis1."""
-    v1s = config.axis1.values()
-    v2s = config.axis2.values()
-    tasks = [
-        (config, i, j, float(v1), float(v2))
-        for i, v1 in enumerate(v1s)
-        for j, v2 in enumerate(v2s)
-    ]
-    if workers <= 1:
-        flat = [_point_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_point_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    return np.array(flat).reshape(config.axis1.count, config.axis2.count)
+def sweep_grid(config: SweepConfig) -> np.ndarray:
+    """Time-averaged measure on the axis1 x axis2 grid, row-major in axis1.
+
+    Points where the free-fermion closed form gives Q exactly take it, the
+    rest are evolved together as stacks of states; both in chunks of at most
+    ``_CHUNK_AMPLITUDES`` complex numbers, or of one point.
+    """
+    points = [replace(config.fixed, **{config.axis1.name: float(v1), config.axis2.name: float(v2)})
+              for v1 in config.axis1.values() for v2 in config.axis2.values()]
+    jw = [config.measure == "q" and _jw_closed_form_applies(p, config.initial) for p in points]
+    out = np.empty(len(points))
+    for closed_form, evaluate, size in ((True, _jw_averages, config.steps),
+                                        (False, _numeric_averages, 2 ** config.fixed.num_qubits)):
+        todo = [k for k, flag in enumerate(jw) if flag == closed_form]
+        chunk = max(1, _CHUNK_AMPLITUDES // size)
+        for start in range(0, len(todo), chunk):
+            ks = todo[start:start + chunk]
+            out[ks] = _located(evaluate, config, [points[k] for k in ks], ks)
+    return out.reshape(config.axis1.count, config.axis2.count)
 
 
 # ------------------------------------------------------------------ regimes
@@ -309,21 +338,25 @@ def _measured(r: MeasureReport, measure: str):
     return r.value(measure)
 
 
-def compare_numeric_analytic(params: ChainParams, t_max: int,
-                             initial: str = "vacuum") -> dict[str, float]:
+def compare_numeric_analytic(params: ChainParams, t_max: int, initial: str = "vacuum",
+                             regime: str | None = None) -> dict[str, float]:
     """Run the numerical evolution against its closed forms.
 
-    The run must lie on one of the ``REGIMES``; every measure whose closed
-    form holds on this chain is compared, and ``NoAnalyticOracleError`` is
-    raised, before anything is evolved, when none does.  Returns the max
-    absolute deviation per compared measure over t <= t_max.
+    The run must lie on ``regime``, or if that is None on the first of the
+    ``REGIMES`` that contains it; every measure whose closed form holds on
+    this chain is compared, and ``NoAnalyticOracleError`` is raised, before
+    anything is evolved, when none does.  Returns the max absolute deviation
+    per compared measure over t <= t_max.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    name = next((n for n, regime in REGIMES.items() if regime.contains(params, initial)), None)
+    names = list(REGIMES) if regime is None else [regime]
+    name = next((n for n in names if n in REGIMES and REGIMES[n].contains(params, initial)),
+                None)
     if name is None:
         raise NoAnalyticOracleError(
-            "no analytic oracle: need B = 0 (vacuum or ghz start) or theta = pi/2 (vacuum start)")
+            "no analytic oracle: need B = 0 (vacuum or ghz start) or theta = pi/2 (vacuum start)"
+            if regime is None else f"the run does not lie on the {regime} regime")
     oracles = {m: o for m, o in REGIMES[name].oracles.items() if o.holds(params)}
     if not oracles:
         raise NoAnalyticOracleError(f"no closed form of the {name} regime holds for "

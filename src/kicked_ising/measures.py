@@ -112,40 +112,45 @@ def _bit_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_rdm(amplitudes: np.ndarray, lo: int, size: int) -> np.ndarray:
-    """2^s x 2^s reduced density matrix of qubits ``lo .. lo+s-1``.
+    """2^s x 2^s reduced density matrix of qubits ``lo .. lo+s-1`` per row of a stack.
 
-    Summed over slices of at most ``_RDM_CHUNK`` amplitudes, so that no
-    temporary is larger than one slice.
+    Summed over slices of at most ``_RDM_CHUNK`` amplitudes a row, so that no
+    temporary is larger than one slice a row.
     """
-    d = 1 << size
+    d, p = 1 << size, len(amplitudes)
     if lo == 0:  # the block is the fastest axis: (d, rows) x (rows, d) products
-        m = amplitudes.reshape(-1, d)
+        m = amplitudes.reshape(p, -1, d)
         step = max(1, _RDM_CHUNK // d)
-        return sum(m[r:r + step].T @ m[r:r + step].conj() for r in range(0, len(m), step))
-    v = amplitudes.reshape(-1, d, 1 << lo)
-    rows = max(1, _RDM_CHUNK // v[0].size)
-    cols = min(v.shape[2], max(1, _RDM_CHUNK // d))
-    parts = (v[r:r + rows, :, c:c + cols]
-             for r in range(0, v.shape[0], rows) for c in range(0, v.shape[2], cols))
-    return sum(np.matmul(p, p.conj().swapaxes(1, 2)).sum(axis=0) for p in parts)
+        return sum(m[:, r:r + step].swapaxes(1, 2) @ m[:, r:r + step].conj()
+                   for r in range(0, m.shape[1], step))
+    v = amplitudes.reshape(p, -1, d, 1 << lo)
+    rows = max(1, _RDM_CHUNK // v[0, 0].size)
+    cols = min(v.shape[3], max(1, _RDM_CHUNK // d))
+    parts = (v[:, r:r + rows, :, c:c + cols]
+             for r in range(0, v.shape[1], rows) for c in range(0, v.shape[3], cols))
+    return sum(np.matmul(q, q.conj().swapaxes(-1, -2)).sum(axis=1) for q in parts)
 
 
-def one_tangles(state: PureState) -> np.ndarray:
+def one_tangles(state) -> np.ndarray:
     """All L one-tangles (see :func:`one_tangle`), from one RDM per block.
 
-    The blocks are those of the kick kernel (:func:`~kicked_ising.statevec.blocks`).
-    Each costs one 2^s x 2^s reduced-density-matrix product, whose partial
-    traces give the block's s single-qubit RDMs.
+    For a ``(P, 2**L)`` stack of amplitude rows in place of a PureState, a
+    (P, L) array.  The blocks are those of the kick kernel
+    (:func:`~kicked_ising.statevec.blocks`).  Each costs one 2^s x 2^s
+    reduced-density-matrix product, whose partial traces give the block's s
+    single-qubit RDMs.
     """
-    out = np.empty(state.num_qubits)
-    for lo, size in blocks(state.num_qubits):
-        rho = _block_rdm(state.amplitudes, lo, size)
+    amps = state.amplitudes[None] if isinstance(state, PureState) else state
+    L = amps.shape[-1].bit_length() - 1
+    out = np.empty((len(amps), L))
+    for lo, size in blocks(L):
+        rho = _block_rdm(amps, lo, size)
         clear, isset = _bit_pairs(size)
-        p = rho.diagonal().real
-        coherence = rho[clear, isset].sum(axis=1)
-        det = p[clear].sum(axis=1) * p[isset].sum(axis=1) - np.abs(coherence) ** 2
-        out[lo:lo + size] = np.clip(4.0 * det, 0.0, 1.0)
-    return out
+        p = rho.diagonal(axis1=-2, axis2=-1).real
+        coherence = rho[:, clear, isset].sum(axis=-1)
+        det = p[:, clear].sum(axis=-1) * p[:, isset].sum(axis=-1) - np.abs(coherence) ** 2
+        out[:, lo:lo + size] = np.clip(4.0 * det, 0.0, 1.0)
+    return out[0] if isinstance(state, PureState) else out
 
 
 def q_measure(state: PureState) -> float:
@@ -161,15 +166,19 @@ def _parity_signs(num_qubits: int) -> np.ndarray:
     return out
 
 
-def n_tangle(state: PureState) -> float:
+def n_tangle(state):
     """|<psi| sigma_y^{(x) L} |psi*>|^2, the N-qubit generalization of the tangle.
 
     Evaluated in O(2^L) as ``|sum_b psi(b) psi(~b) (-1)^popcount(b)|^2``; the
-    complement pairing makes it vanish identically for odd L.
+    complement pairing makes it vanish identically for odd L.  A (P,) array for
+    a ``(P, 2**L)`` stack of amplitude rows in place of a PureState.
     """
-    a = state.amplitudes
-    total = np.dot(a[::-1] * _parity_signs(state.num_qubits), a)
-    return min(float(abs(total) ** 2), 1.0)
+    a = state.amplitudes[None] if isinstance(state, PureState) else state
+    flipped = a[:, ::-1] * _parity_signs(a.shape[-1].bit_length() - 1)
+    total = np.matmul(flipped[:, None, :], a[:, :, None])[:, 0, 0]
+    # np.hypot rounds as abs() of a complex does; np.abs can differ in the last bit
+    out = np.minimum(np.hypot(total.real, total.imag) ** 2, 1.0)
+    return float(out[0]) if isinstance(state, PureState) else out
 
 
 def residual_tangle(state: PureState, focus: int) -> float:

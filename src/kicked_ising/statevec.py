@@ -24,8 +24,10 @@ view of the amplitudes: ``ceil(L / 5)`` passes over the state, not ``L``.
 
 A time series is evolved in the ``sigma_x`` frame, on ``H^{(x)L} psi``, where
 consecutive kicks collapse to ``D (H u H)^{(x)L}``: one fused pass and one
-phase multiply (:class:`XFrameKick`).  Every measure the package reports is
-invariant under ``H`` on each qubit, so the state is never transformed back.
+phase multiply (:class:`XFrameKick`), on a ``(P, 2**L)`` stack of states with
+one row, block gates and phases per parameter point.  Every measure the
+package reports is invariant under ``H`` on each qubit, so the state is never
+transformed back.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ BLOCK_QUBITS = 5
 _SIGN = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
-def _check_norm(amplitudes: np.ndarray) -> None:
-    norm = math.sqrt(np.vdot(amplitudes, amplitudes).real)
-    if abs(norm - 1.0) > _NORM_ATOL:
-        raise ValueError(f"state norm {norm!r} is not 1 within {_NORM_ATOL}")
+def _check_norm(amplitudes: np.ndarray) -> None:  # one state or each row of a stack
+    for norm in np.sqrt(np.vecdot(amplitudes, amplitudes).real).reshape(-1).tolist():
+        if abs(norm - 1.0) > _NORM_ATOL:
+            raise ValueError(f"state norm {norm!r} is not 1 within {_NORM_ATOL}")
 
 
 @dataclass(frozen=True)
@@ -155,13 +157,14 @@ def blocks(num_qubits: int) -> list[tuple[int, int]]:
 def _block_gates(num_qubits: int, w: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """``(lowest qubit, w^{(x)s})`` for each block of :func:`blocks`.
 
-    The Kronecker powers are built as outer products, which cost far less
-    per call than ``np.kron``.
+    ``w`` may be a ``(P, 2, 2)`` stack, one gate per row of a state stack.  The
+    powers are built as outer products, which cost far less than ``np.kron``.
     """
     gates, power = [], np.ones((1, 1))
     for lo, size in reversed(blocks(num_qubits)):  # sizes ascend
-        while len(power) < 1 << size:
-            power = (power[:, None, :, None] * w[None, :, None, :]).reshape(2 * len(power), -1)
+        while (n := power.shape[-1]) < 1 << size:
+            power = (power[..., :, None, :, None] * w[..., None, :, None, :]).reshape(
+                *w.shape[:-2], 2 * n, 2 * n)
         gates.append((lo, power))
     return gates[::-1]
 
@@ -169,24 +172,27 @@ def _block_gates(num_qubits: int, w: np.ndarray) -> list[tuple[int, np.ndarray]]
 def _fused_pass(amps: np.ndarray, gates, spare: np.ndarray):
     """Apply every block gate, alternating between ``amps`` and ``spare``.
 
+    ``amps`` may be a ``(P, 2**L)`` stack and each gate a ``(P, d, d)`` stack.
     Returns ``(result, spare)``: the buffer that holds the product and the
     one left free.
     """
+    rows = amps.size // amps.shape[-1]
     for lo, gate in gates:
         gate = gate.astype(amps.dtype, copy=False)  # mixed dtypes also cost a copy
-        d = gate.shape[0]
-        if lo == 0:  # the block is the fastest axis: one (A, d) x (d, d) product; with
-            # a transposed view as its right factor numpy would stage it in a copy
-            np.matmul(amps.reshape(-1, d), np.ascontiguousarray(gate.T),
-                      out=spare.reshape(-1, d))
+        d = gate.shape[-1]
+        if lo == 0:  # the block is the fastest axis: one (A, d) x (d, d) product per row;
+            # with a transposed view as its right factor numpy would stage it in a copy
+            np.matmul(amps.reshape(rows, -1, d), np.ascontiguousarray(gate.swapaxes(-1, -2)),
+                      out=spare.reshape(rows, -1, d))
         else:
-            np.matmul(gate, amps.reshape(-1, d, 1 << lo), out=spare.reshape(-1, d, 1 << lo))
+            np.matmul(gate[..., None, :, :], amps.reshape(rows, -1, d, 1 << lo),
+                      out=spare.reshape(rows, -1, d, 1 << lo))
         amps, spare = spare, amps
     return amps, spare
 
 
 def _num_qubits_of(amplitudes: np.ndarray) -> int:
-    n = amplitudes.shape[0]
+    n = amplitudes.shape[-1]
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"length {n} is not a power of two")
     return n.bit_length() - 1
@@ -204,7 +210,7 @@ def fwht_inplace(amplitudes: np.ndarray) -> np.ndarray:
 
     Applies ``H = [[1, 1], [1, -1]]/sqrt(2)`` on every qubit through the
     fused product-gate kernel; the transform is involutive.  The array length
-    must be a power of two.
+    (the row length of a ``(P, 2**L)`` stack) must be a power of two.
     """
     L = _num_qubits_of(amplitudes)
     gates = _block_gates(L, _SIGN)
@@ -232,9 +238,9 @@ def _bond_alignment(num_qubits: int, boundary: str) -> np.ndarray:
     return out
 
 
-def _ising_phase_vector(num_qubits: int, j_x: float, boundary: str) -> np.ndarray:
-    """exp(-i (j_x/4) sum_n s_n s_{n+1}) per sigma_x eigenbasis index."""
-    out = -0.25j * j_x * _bond_alignment(num_qubits, boundary)
+def _ising_phase_vector(num_qubits: int, j_x, boundary: str) -> np.ndarray:
+    """exp(-i (j_x/4) sum_n s_n s_{n+1}) per sigma_x eigenbasis index (a row per j_x)."""
+    out = -0.25j * np.asarray(j_x, dtype=float)[..., None] * _bond_alignment(num_qubits, boundary)
     return np.exp(out, out=out)
 
 
@@ -291,20 +297,23 @@ def step(state: PureState, params: ChainParams) -> PureState:
 
 
 class XFrameKick:
-    """One kick in the sigma_x frame, ``D (H u H)^{(x)L}``, for a whole time series.
+    """One kick in the sigma_x frame, ``D (H u H)^{(x)L}``, for a stack of time series.
 
-    Call it on ``H^{(x)L} psi`` (see :func:`fwht_inplace`).  It returns the
-    kicked amplitudes in the same frame, in either the array it was given or
-    its spare one, and checks their norm.  It owns its phase vector and spare
-    buffer, so neither outlives the run.
+    Call it on the ``(P, 2**L)`` stack whose row p is ``H^{(x)L} psi_p`` (see
+    :func:`fwht_inplace`), to kick it at ``points[p]``; the points share one
+    chain (qubit count and boundary).  It returns the kicked stack in the same
+    frame, in either the array it was given or its spare one, and checks every
+    row's norm.  It owns its phases and spare buffer, so neither outlives the run.
     """
 
-    def __init__(self, params: ChainParams):
-        L = params.num_qubits
-        u = field_unitary(params.b_field, params.theta)
+    def __init__(self, points: list[ChainParams]):
+        L, boundary = points[0].num_qubits, points[0].boundary
+        if any((p.num_qubits, p.boundary) != (L, boundary) for p in points):
+            raise ValueError("the points of a stack must share qubit count and boundary")
+        u = np.array([field_unitary(p.b_field, p.theta) for p in points])
         self._gates = _block_gates(L, _SIGN @ u @ _SIGN / 2.0)
-        self._phases = _ising_phase_vector(L, float(params.j_x), params.boundary)
-        self._spare = np.empty(2 ** L, dtype=complex)
+        self._phases = _ising_phase_vector(L, [p.j_x for p in points], boundary)
+        self._spare = np.empty_like(self._phases)
 
     def __call__(self, amplitudes: np.ndarray) -> np.ndarray:
         amps, self._spare = _fused_pass(amplitudes, self._gates, self._spare)

@@ -193,6 +193,18 @@ class TestJwQ:
             assert q_measure(s) == pytest.approx(jw_q_vacuum(L, np.pi / 2, np.pi / 3, t),
                                                  abs=1e-8)
 
+    def test_window_average_is_the_mean_of_the_trace(self):
+        from kicked_ising.analytic import jw_q_average
+
+        # j_x = pi pairs the quasi-energies; sin(j_x/2) = 0 and sin B = 0 have own forms
+        jx = np.array([0.3, np.pi, 2 * np.pi, 1.1, 4.0, 0.0, 5.5])
+        b = np.array([0.4, 0.9, 0.5, 0.0, np.pi, 1.3, 2.9])
+        for L, steps in ((4, 1), (8, 37), (20, 1000), (40, 3000)):
+            got = jw_q_average(L, jx, b, steps)
+            for k in range(len(jx)):
+                trace = jw_q_vacuum(L, jx[k], b[k], np.arange(1, steps + 1))
+                assert abs(got[k] - np.mean(trace)) < 1e-12
+
     def test_special_point_all_or_nothing(self):
         L = 10
         for t in range(1, 26):

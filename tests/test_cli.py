@@ -125,6 +125,16 @@ class TestConfigFile:
         assert code_file == code_flags == 0
         assert from_file == from_flags
 
+    def test_values_obey_choices(self, tmp_path, capsys):
+        # this formula never reads the boundary, so only the choices can catch it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("formula = cluster_nn_concurrence\njx = 1\ntmax = 5\n"
+                       "boundary = sideways\n")
+        code, blob = run_cli(["analytic", "--config", str(cfg)], tmp_path)
+        assert code == 2
+        assert blob == b""
+        assert "sideways" in capsys.readouterr().err
+
     def test_flag_wins_even_when_it_is_the_default(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("L = 5\njx = 0.9\nb = 0\ntheta = 0\nsteps = 4\nboundary = open\n")
@@ -145,13 +155,6 @@ class TestSweep:
         assert header == ["axis1", "axis2", "value"]
         values = {r[2] for r in rows}
         assert len(rows) == 4 and len(values) == 1
-
-    def test_worker_counts_byte_identical(self, tmp_path):
-        base = ["sweep", "--axis1", "jx:0.5:2.5:3", "--axis2", "b:0.3:1.9:3",
-                "--theta", "1.5707963267948966", "--L", "8", "--kicks", "50"]
-        _, one = run_cli(base + ["--workers", "1"], tmp_path, "w1.csv")
-        _, two = run_cli(base + ["--workers", "2"], tmp_path, "w2.csv")
-        assert one == two
 
     def test_row_major_order(self, tmp_path):
         _, blob = run_cli(["sweep", "--axis1", "jx:0:1:2", "--axis2", "b:2:3:2",
@@ -177,15 +180,8 @@ class TestSweep:
         assert "'entropy'" in err
         assert all(name in err for name in ("'q'", "'n_tangle'", "'nn_concurrence'"))
 
-    def test_bad_worker_variable_named(self, monkeypatch, capsys):
-        monkeypatch.setenv("KICKED_ISING_WORKERS", "two")
-        code = main(["sweep", "--axis1", "jx:0:1:2", "--axis2", "b:2:3:2",
-                     "--L", "4", "--kicks", "5"])
-        assert code == 2
-        assert "KICKED_ISING_WORKERS" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["evolve", "analytic", "compare"])
-    def test_workers_flag_only_on_sweep(self, command):
+    @pytest.mark.parametrize("command", ["evolve", "sweep", "analytic", "compare"])
+    def test_workers_flag_refused(self, command):
         with pytest.raises(SystemExit) as exc:
             main([command, "--workers", "2"])
         assert exc.value.code == 2
@@ -273,6 +269,16 @@ class TestCompare:
         assert main(["compare", "--regime", "zero-field", "--L", "2", "--jx", "0.7",
                      "--tmax", "20"]) == 3
         assert "no closed form" in capsys.readouterr().err
+
+    def test_transverse_at_zero_field_compares_the_transverse_regime(self, tmp_path):
+        # a vacuum start at B = 0, theta = pi/2 lies on the zero-field line too; the
+        # transverse regime's only closed form is the free-fermion Q
+        code, blob = run_cli(["compare", "--regime", "transverse", "--L", "6", "--jx", "0.7",
+                              "--b", "0", "--tmax", "20"], tmp_path)
+        assert code == 0
+        _, rows = parse_csv(blob)
+        assert [r[0] for r in rows] == ["q"]
+        assert float(rows[0][1]) < 1e-12
 
     def test_tolerance_gate(self, tmp_path):
         # an impossible tolerance flips the exit code to 1

@@ -24,6 +24,7 @@ from kicked_ising import (
     sym_cluster_n_tangle,
     time_average,
 )
+from kicked_ising.harness import MEASURES
 
 # time-averaged Q for (L=6, j_x=B=theta=pi/4, 1000 kicks); recorded from the
 # first validated build, pinned here as the determinism fixture
@@ -34,6 +35,18 @@ def quick_params(**kw):
     base = dict(num_qubits=4, j_x=0.7, b_field=0.0, theta=0.0, boundary="periodic")
     base.update(kw)
     return ChainParams(**base)
+
+
+def per_point_averages(cfg):
+    """The sweep's reference: each grid point's own time series, averaged."""
+    out = np.empty((cfg.axis1.count, cfg.axis2.count))
+    for i, v1 in enumerate(cfg.axis1.values()):
+        for j, v2 in enumerate(cfg.axis2.values()):
+            params = replace(cfg.fixed, **{cfg.axis1.name: v1, cfg.axis2.name: v2})
+            run = RunConfig(params=params, steps=cfg.steps, initial=cfg.initial,
+                            measures=frozenset({cfg.measure}))
+            out[i, j] = time_average(run_time_series(run), cfg.measure)
+    return out
 
 
 class TestInitialState:
@@ -195,33 +208,18 @@ class TestSweepGrid:
         cluster_avg = np.mean(cluster_q(0.7, np.arange(1, 51), "periodic", 6))
         assert grid[0, 0] == pytest.approx(cluster_avg, abs=1e-10)
 
-    def test_worker_counts_agree_bitwise(self):
-        cfg = SweepConfig(
-            axis1=AxisSpec("j_x", 0.5, 2.5, 3),
-            axis2=AxisSpec("b_field", 0.3, 1.9, 2),
-            fixed=quick_params(num_qubits=6, theta=np.pi / 2),
-            steps=30,
-        )
-        serial = sweep_grid(cfg, workers=1)
-        parallel = sweep_grid(cfg, workers=2)
-        assert np.array_equal(serial, parallel)
-
     def test_jw_fast_path_agrees_with_numeric(self):
-        fixed = quick_params(num_qubits=6, theta=np.pi / 2)
-        axes = dict(axis1=AxisSpec("j_x", 0.8, 2.2, 2),
-                    axis2=AxisSpec("b_field", 0.4, 1.7, 2), fixed=fixed, steps=40)
-        fast = sweep_grid(SweepConfig(**axes))
-        slow = sweep_grid(SweepConfig(**axes, allow_jw=False))
-        assert np.max(np.abs(fast - slow)) < 1e-8
+        cfg = SweepConfig(axis1=AxisSpec("j_x", 0.8, 2.2, 2),
+                          axis2=AxisSpec("b_field", 0.4, 1.7, 2),
+                          fixed=quick_params(num_qubits=6, theta=np.pi / 2), steps=40)
+        assert np.max(np.abs(sweep_grid(cfg) - per_point_averages(cfg))) < 1e-8
 
     def test_jw_fast_path_is_exact_only(self):
         # 9e-4 off the transverse line the closed form sits ~1e-5 from the dynamics
-        fixed = quick_params(num_qubits=6, theta=np.pi / 2 - 9e-4)
-        axes = dict(axis1=AxisSpec("j_x", 0.8, 2.2, 2),
-                    axis2=AxisSpec("b_field", 0.4, 1.7, 2), fixed=fixed, steps=100)
-        near = sweep_grid(SweepConfig(**axes))
-        numeric = sweep_grid(SweepConfig(**axes, allow_jw=False))
-        assert np.max(np.abs(near - numeric)) < 1e-10
+        cfg = SweepConfig(axis1=AxisSpec("j_x", 0.8, 2.2, 2),
+                          axis2=AxisSpec("b_field", 0.4, 1.7, 2),
+                          fixed=quick_params(num_qubits=6, theta=np.pi / 2 - 9e-4), steps=100)
+        assert np.max(np.abs(sweep_grid(cfg) - per_point_averages(cfg))) < 1e-10
 
     def test_numeric_sweep_keeps_the_phase_caches_small(self):
         from kicked_ising import statevec
@@ -257,6 +255,84 @@ class TestSweepGrid:
             AxisSpec("j_x", 0, 1, 1)
         with pytest.raises(ValueError):
             AxisSpec("coupling", 0, 1, 4)
+
+
+class TestStackedSweep:
+    """A sweep kicks its grid as stacks of states; each point must read as if run alone."""
+
+    @pytest.mark.parametrize("measure", sorted(MEASURES))
+    def test_every_measure_matches_the_per_point_series(self, measure):
+        for boundary, initial in (("periodic", "ghz"), ("open", "010110")):
+            cfg = SweepConfig(axis1=AxisSpec("j_x", 0.4, 2.9, 3),
+                              axis2=AxisSpec("theta", 0.3, 1.2, 3),
+                              fixed=quick_params(num_qubits=6, b_field=0.9, boundary=boundary),
+                              steps=12, measure=measure, initial=initial)
+            assert np.max(np.abs(sweep_grid(cfg) - per_point_averages(cfg))) < 1e-12
+
+    def test_theta_axis_ending_on_the_transverse_line(self, monkeypatch):
+        from kicked_ising import analytic, harness
+
+        jw_points = []
+        average = analytic.jw_q_average
+
+        def counted(num_qubits, j_x, b_field, steps):
+            jw_points.extend(j_x)
+            return average(num_qubits, j_x, b_field, steps)
+
+        monkeypatch.setattr(analytic, "jw_q_average", counted)
+        monkeypatch.setattr(harness, "_CHUNK_AMPLITUDES", 3 * 2 ** 6)  # chunks of 3 rows
+        cfg = SweepConfig(axis1=AxisSpec("j_x", 0.5, 2.5, 4),
+                          axis2=AxisSpec("theta", 0.2, np.pi / 2, 3),
+                          fixed=quick_params(num_qubits=6, b_field=0.7), steps=25)
+        grid = sweep_grid(cfg)
+        assert len(jw_points) == 4  # the theta = pi/2 column, and nothing else
+        assert np.max(np.abs(grid - per_point_averages(cfg))) < 1e-12
+
+    def test_jw_points_match_the_closed_form_on_its_degenerate_lines(self):
+        # the grid holds sin(j_x/2) = 0 (j_x = 0, 2 pi) and sin B = 0 (B = 0, pi)
+        cfg = SweepConfig(axis1=AxisSpec("j_x", 0.0, 2 * np.pi, 5),
+                          axis2=AxisSpec("b_field", 0.0, np.pi, 5),
+                          fixed=quick_params(num_qubits=8, theta=np.pi / 2), steps=60)
+        grid = sweep_grid(cfg)
+        ts = np.arange(1, 61)
+        for i, jx in enumerate(cfg.axis1.values()):
+            for j, b in enumerate(cfg.axis2.values()):
+                assert abs(grid[i, j] - np.mean(jw_q_vacuum(8, jx, b, ts))) < 1e-12
+
+    def test_a_row_failing_mid_chunk_names_its_own_point(self, monkeypatch):
+        from kicked_ising import harness, statevec
+
+        cfg = SweepConfig(axis1=AxisSpec("b_field", 0.3, 1.5, 3),
+                          axis2=AxisSpec("theta", 0.2, 1.0, 3),
+                          fixed=quick_params(j_x=0.9), steps=5)
+        bad = (cfg.axis1.values()[1], cfg.axis2.values()[2])
+        unitary = statevec.field_unitary
+
+        def leaky(b_field, theta):  # one grid point's field gate loses its unitarity
+            return unitary(b_field, theta) * (1.01 if (b_field, theta) == bad else 1.0)
+
+        monkeypatch.setattr(statevec, "field_unitary", leaky)
+        assert harness._CHUNK_AMPLITUDES >= 9 * 2 ** 4  # all nine points in one stack
+        with pytest.raises(SweepPointError) as err:
+            sweep_grid(cfg)
+        assert err.value.grid_index == (1, 2)
+        assert err.value.axis_values == bad
+        assert "norm" in str(err.value)
+
+    def test_chunks_pass_the_memory_preflight(self, monkeypatch):
+        from kicked_ising import harness
+
+        cfg = SweepConfig(axis1=AxisSpec("j_x", 0.5, 1.5, 3),
+                          axis2=AxisSpec("b_field", 0.3, 1.5, 3),
+                          fixed=quick_params(num_qubits=10, theta=0.4), steps=3)
+        one_point = harness._LIVE_STATE_COPIES * 16 * 2 ** 10
+        monkeypatch.setattr(harness, "_available_memory_bytes", lambda: one_point)
+        # the stack of nine does not fit, so its points go one at a time
+        assert np.max(np.abs(sweep_grid(cfg) - per_point_averages(cfg))) < 1e-12
+        monkeypatch.setattr(harness, "_available_memory_bytes", lambda: one_point - 1)
+        with pytest.raises(SweepPointError, match="needs about") as err:
+            sweep_grid(cfg)
+        assert err.value.grid_index == (0, 0)
 
 
 class TestCompare:
@@ -316,6 +392,17 @@ class TestCompare:
             compare_numeric_analytic(quick_params(num_qubits=2), t_max=20)
         with pytest.raises(NoAnalyticOracleError):
             compare_numeric_analytic(quick_params(num_qubits=5), t_max=20, initial="ghz")
+
+    def test_named_regime_is_the_one_compared(self):
+        # B = 0 puts a vacuum start with theta = pi/2 on the zero-field line as well
+        params = quick_params(num_qubits=6, theta=np.pi / 2)
+        assert set(compare_numeric_analytic(params, t_max=20)) == {"q", "nn_concurrence",
+                                                                   "n_tangle"}
+        devs = compare_numeric_analytic(params, t_max=20, regime="transverse")
+        assert set(devs) == {"q"}
+        assert devs["q"] < 1e-12
+        with pytest.raises(NoAnalyticOracleError):
+            compare_numeric_analytic(quick_params(b_field=0.3), t_max=20, regime="zero-field")
 
     def test_symmetrized_formula_reference(self):
         # the formula the ghz comparison uses, spot-checked at one point

@@ -151,19 +151,48 @@ class TestXFrameKick:
         for L, boundary in ((3, "open"), (6, "periodic"), (11, "periodic"), (12, "open")):
             params = ChainParams(L, 1.3, 0.8, 0.5, boundary)
             psi = helpers.random_state(L, rng)
-            kick = XFrameKick(params)
-            x_frame = fwht_inplace(psi.copy())
+            kick = XFrameKick([params])
+            x_frame = fwht_inplace(psi.copy())[None]
             z_frame = PureState(L, psi)
             for _ in range(3):
                 x_frame = kick(x_frame)
                 z_frame = step(z_frame, params)
             expect = fwht_inplace(z_frame.amplitudes.copy())
-            assert np.max(np.abs(x_frame - expect)) < 1e-12
+            assert x_frame.shape == (1, 2 ** L)
+            assert np.max(np.abs(x_frame[0] - expect)) < 1e-12
 
     def test_checks_the_norm(self):
-        kick = XFrameKick(ChainParams(4, 1.0, 0.5, 0.3))
+        kick = XFrameKick([ChainParams(4, 1.0, 0.5, 0.3)])
         with pytest.raises(ValueError, match="norm"):
-            kick(np.full(16, 0.3, dtype=complex))
+            kick(np.full((1, 16), 0.3, dtype=complex))
+
+    def test_stack_rows_are_kicked_at_their_own_points(self):
+        # per-row field gates and per-row Ising phases: a stack equals its rows kicked alone
+        rng = np.random.default_rng(17)
+        for L, boundary in ((4, "periodic"), (7, "open"), (11, "periodic")):
+            points = [ChainParams(L, *rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, np.pi),
+                                  boundary) for _ in range(5)]
+            stack = fwht_inplace(np.array([helpers.random_state(L, rng) for _ in points]))
+            kick, rows = XFrameKick(points), stack.copy()
+            for _ in range(3):
+                stack = kick(stack)
+            for params, row, got in zip(points, rows, stack):
+                single = XFrameKick([params])
+                row = row[None].copy()
+                for _ in range(3):
+                    row = single(row)
+                assert np.array_equal(row[0], got)
+
+    def test_stack_norm_check_sees_every_row(self):
+        points = [ChainParams(4, 1.0, 0.5, 0.3)] * 3
+        stack = fwht_inplace(np.tile(np.eye(16, dtype=complex)[0], (3, 1)))
+        stack[2] *= 1.01
+        with pytest.raises(ValueError, match="norm"):
+            XFrameKick(points)(stack)
+
+    def test_stack_points_share_one_chain(self):
+        with pytest.raises(ValueError, match="share"):
+            XFrameKick([ChainParams(4, 1.0, 0.5, 0.3), ChainParams(4, 1.0, 0.5, 0.3, "open")])
 
 
 class TestFieldKick:
