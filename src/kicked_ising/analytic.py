@@ -16,9 +16,13 @@ import numpy as np
 
 _DEGENERATE_EPS = 1e-12
 
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi
+
 
 class DegenerateModeError(ValueError):
-    """The generic mode eigenvectors divide by sin(q) sin(B) sin(j_x/2)."""
+    """The generic mode eigenvectors lose their precision where
+    :func:`_resolved` fails; the sin B = 0 lines, where the field commutes with
+    the coupling, have the cluster forms."""
 
 
 def _require_even(num_qubits: int, minimum: int = 2) -> None:
@@ -129,16 +133,58 @@ class JWModeSet:
     modes: tuple[JWMode, ...]
 
 
+def _even_momenta(num_qubits: int) -> np.ndarray:
+    """q = pi/L, 3pi/L, ..., (L-1)pi/L: the even sector, where the vacuum lies."""
+    return (2 * np.arange(1, num_qubits // 2 + 1) - 1) * math.pi / num_qubits
+
+
+def _resolved(q: np.ndarray, j_x, b_field):
+    """Whether the generic modes keep their precision at each point: ``j_x``
+    and ``b_field`` of shape (P, 1) (or scalars) against the (Q,) momenta
+    ``q``, reduced over q.
+
+    The eigenvector ratios divide by sin(q) sin(j_x/2), and one of them
+    cancels to an error that grows as 1/(sin(theta_q) sin(q) sin(j_x/2)),
+    so that product must clear the floor for every q: Q is off by up to
+    ~3e-8 at the floor, by O(1) at j_x = B = 1e-8.  sin(theta_q) is taken
+    free of cancellation, as hypot(P, sin(q) sin(j_x/2)) with
+    P = cos(j_x/2) sin B + sin(j_x/2) cos q cos B.
+    """
+    s = np.sin(j_x / 2.0)
+    divisor = np.abs(np.sin(q) * s)
+    p = np.cos(j_x / 2.0) * np.sin(b_field) + s * np.cos(q) * np.cos(b_field)
+    return np.all(np.hypot(p, divisor) * divisor >= _DEGENERATE_EPS, axis=-1)
+
+
+def _routes(num_qubits: int, j_x, b_field):
+    """``(coupled, fielded, resolved)``: which closed form gives the vacuum's Q
+    at each point.  Not ``fielded``: the field commutes with the coupling and
+    the cluster form holds.  Else not ``coupled``: the coupling never
+    entangles, taken as sin(q) sin(j_x/2) falling below the floor for some
+    even-sector q.  Else ``resolved``: the generic modes hold (see
+    :func:`_resolved`); a point that is not has no closed form here."""
+    j_x, b_field = np.asarray(j_x, dtype=float), np.asarray(b_field, dtype=float)
+    q = _even_momenta(num_qubits)
+    coupled = np.abs(np.sin(j_x / 2.0)) * np.abs(np.sin(q)).min() >= _DEGENERATE_EPS
+    fielded = np.abs(np.sin(b_field)) >= _DEGENERATE_EPS
+    return coupled, fielded, _resolved(q, j_x[..., None], b_field[..., None])
+
+
+def jw_q_resolves(num_qubits: int, j_x, b_field) -> np.ndarray:
+    """Whether :func:`jw_q_vacuum` and :func:`jw_q_average` give Q at the
+    points of ``j_x`` and ``b_field``; they raise DegenerateModeError where not."""
+    _require_even(num_qubits, minimum=4)
+    coupled, fielded, resolved = _routes(num_qubits, j_x, b_field)
+    return ~fielded | ~coupled | resolved
+
+
 def _mode_arrays(q: np.ndarray, j_x, b_field):
     """``(theta_q, a_plus, a_minus, b_plus, b_minus)`` of the generic modes as
     arrays over (point, q): ``j_x`` and ``b_field`` of shape (P, 1) broadcast
-    against the (Q,) momenta ``q``."""
+    against the (Q,) momenta ``q``.  Only for points :func:`_resolved` passes."""
     c, s = np.cos(j_x / 2.0), np.sin(j_x / 2.0)
     cos_b, sin_b = np.cos(b_field), np.sin(b_field)
     cq, sq = np.cos(q), np.sin(q)
-    if np.any(np.abs(sq * sin_b * s) < _DEGENERATE_EPS):
-        raise DegenerateModeError(f"sin(q) sin(B) sin(j_x/2) vanishes for a mode at "
-                                  f"b_field={b_field!r}, j_x={j_x!r}")
     cos_th = cos_b * c - cq * sin_b * s
     # |cos| <= 1 holds identically: (c cos B, -s cos q sin B) has norm < 1.
     # math.acos element by element: np.arccos can differ from it in the last bit
@@ -154,16 +200,26 @@ def _mode_arrays(q: np.ndarray, j_x, b_field):
     return theta, a_plus, a_minus, a_plus * r_plus * phase, a_minus * r_minus * phase
 
 
+def _unresolved(j_x, b_field) -> str:
+    return (f"sin(theta_q) sin(q) sin(j_x/2) vanishes for a mode at "
+            f"b_field={b_field!r}, j_x={j_x!r}")
+
+
 def jw_modes(num_qubits: int, j_x: float, b_field: float, sector: str = "even") -> JWModeSet:
     """All positive-q modes of one parity sector of the fermionized kick."""
     _require_even(num_qubits, minimum=4)
     L = num_qubits
+    if not _routes(L, j_x, b_field)[1]:
+        raise DegenerateModeError(f"sin B vanishes at b_field={b_field!r}: the field "
+                                  f"commutes with the coupling")
     if sector == "even":
-        qs = (2 * np.arange(1, L // 2 + 1) - 1) * math.pi / L
+        qs = _even_momenta(L)
     elif sector == "odd":
         qs = 2 * np.arange(1, L // 2) * math.pi / L
     else:
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
+    if not _resolved(qs, j_x, b_field):
+        raise DegenerateModeError(_unresolved(j_x, b_field))
     arrays = _mode_arrays(qs, float(j_x), float(b_field))
     modes = tuple(JWMode(float(q), float(th), float(ap), float(am), complex(bp), complex(bm))
                   for q, th, ap, am, bp, bm in zip(qs, *arrays))
@@ -181,51 +237,98 @@ def jw_q_vacuum(num_qubits: int, j_x: float, b_field: float, t):
 
     ``x = (1/L) sum_q |eta_q(t)|^2`` over both signs of q.  The parameter
     lines where the generic mode formulas degenerate are served by their own
-    closed forms: a trivial coupling (sin(j_x/2) = 0) never entangles, and a
-    trivial field (sin(B) = 0) commutes with the coupling, reducing to the
-    zero-field cluster result.
+    closed forms: a trivial field (sin(B) = 0) commutes with the coupling,
+    reducing to the zero-field cluster result, and a trivial coupling
+    (sin(j_x/2) sin(pi/L) = 0) never entangles.  Raises DegenerateModeError
+    where :func:`jw_q_resolves` refuses the point.
     """
     _require_even(num_qubits, minimum=4)
     t_arr = np.asarray(t, dtype=float)
-    if abs(math.sin(j_x / 2.0)) < _DEGENERATE_EPS:
+    coupled, fielded, _ = _routes(num_qubits, j_x, b_field)
+    if not fielded:
+        return cluster_q(j_x, t, "periodic", num_qubits)
+    if not coupled:
         out = np.zeros_like(t_arr)
         return out if out.ndim else float(out)
-    if abs(math.sin(b_field)) < _DEGENERATE_EPS:
-        return cluster_q(j_x, t, "periodic", num_qubits)
     modes = jw_modes(num_qubits, j_x, b_field, "even")
     x = sum(np.abs(m.eta(t_arr)) ** 2 for m in modes.modes) * (2.0 / num_qubits)
     out = 4.0 * x * (1.0 - x)
     return out if out.ndim else float(out)
 
 
+def _two_sum(a, b):
+    """``(s, e)`` with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    a_part = s - b
+    return s, (a - a_part) + (b - (s - a_part))
+
+
+def _dirichlet(hi, lo, steps: int):
+    """The window mean (1/T) sum_{t=1..T} e^{-2iht} at h = hi + lo, T = steps,
+    where hi + lo is the exact sum of two doubles and |hi| <= 2 pi.
+
+    It has period pi in h, so h is first reduced to its distance d from the
+    nearest multiple of pi, exactly but for the rounding of d itself: k pi
+    and hi - k pi are exact for |k| <= 2, and the low part of pi enters with
+    ``lo``.  Then K = e^{-id(T+1)} sin(dT) / (T sin d)
+    = tan(dT) / (T tan d) (1 - i tan d) / (1 + i tan dT), with the series
+    1 + (T^2-1) d^2 / 3 for the first factor where |d| T < 1e-6.
+    """
+    turns = np.rint(hi / math.pi)
+    d = (hi - turns * math.pi) + (lo - turns * _PI_LO)
+    tan_d, tan_dt = np.tan(d), np.tan(d * steps)
+    small = np.abs(d) * steps < 1e-6
+    ratio = np.where(small, 1.0 + (steps * steps - 1.0) * d * d / 3.0,
+                     tan_dt / (steps * np.where(small, 1.0, tan_d)))
+    scale = ratio / (1.0 + tan_dt * tan_dt)
+    return scale * (1.0 - tan_d * tan_dt) - 1j * (scale * (tan_d + tan_dt))
+
+
 def jw_q_average(num_qubits: int, j_x, b_field, steps: int) -> np.ndarray:
     """Mean of :func:`jw_q_vacuum` over kicks 1..steps at the P points of (P,) arrays.
 
-    ``x(t) = X0 + (4/L) Re S(t)`` with ``S(t) = sum_q A_q conj(B_q) e^{-2i theta_q t}``
-    (``A = a_plus b_plus``, ``B = a_minus b_minus``); for t = m k + r, S over the
-    window is one (k, q) x (q, r) product of exact phases per point.
+    Every term of Q(t) is a constant or a phase e^{-2iht}, whose window mean
+    is the Dirichlet kernel of :func:`_dirichlet`, so the cost of a point does
+    not depend on ``steps``.  ``x(t) = X0 + (4/L) Re S(t)`` with
+    ``S(t) = sum_q c_q e^{-2i theta_q t}`` (``c = a_plus b_plus conj(a_minus b_minus)``),
+    and mean Q = 4(<x> - <x^2>) needs kernels at theta_q for <S>, at
+    theta_q + theta_r for <S^2> and at theta_q - theta_r for <|S|^2>: both
+    pair sums are symmetric, so (L/2)^2 + L/2 kernels a point.  On sin B = 0,
+    Q = 5/8 - cos(j_x t)/2 - cos(2 j_x t)/8 takes two kernels.  Raises
+    DegenerateModeError if :func:`jw_q_resolves` refuses a point.
     """
     _require_even(num_qubits, minimum=4)
     L = num_qubits
     j_x, b_field = np.asarray(j_x, dtype=float), np.asarray(b_field, dtype=float)
-    coupled = np.abs(np.sin(j_x / 2.0)) >= _DEGENERATE_EPS  # else it never entangles
-    fielded = np.abs(np.sin(b_field)) >= _DEGENERATE_EPS
-    cluster, generic = coupled & ~fielded, coupled & fielded
+    coupled, fielded, resolved = _routes(L, j_x, b_field)
+    cluster, generic = ~fielded, coupled & fielded  # the rest never entangle
+    unresolved = np.flatnonzero(generic & ~resolved)
+    if unresolved.size:
+        k = unresolved[0]
+        raise DegenerateModeError(_unresolved(j_x[k], b_field[k]))
     out = np.zeros(j_x.shape)
-    ts = np.arange(1, steps + 1)
-    out[cluster] = cluster_q(j_x[cluster][:, None], ts, "periodic", L).mean(axis=1)
+    # j_x = j + 2 turns math.pi exactly; the kernels have period pi, so what
+    # is left of the turns is their share of the low part of pi
+    j = np.fmod(j_x[cluster], 2.0 * math.pi)
+    turns = np.rint((j_x[cluster] - j) / (2.0 * math.pi))
+    out[cluster] = (0.625 - 0.5 * _dirichlet(j / 2.0, -turns * _PI_LO, steps).real
+                    - 0.125 * _dirichlet(j, -2.0 * turns * _PI_LO, steps).real)
     theta, a_plus, a_minus, b_plus, b_minus = _mode_arrays(
-        (2 * np.arange(1, L // 2 + 1) - 1) * math.pi / L,  # the even sector
-        j_x[generic][:, None], b_field[generic][:, None])
+        _even_momenta(L), j_x[generic][:, None], b_field[generic][:, None])
     a, b = a_plus * b_plus, a_minus * b_minus
-    m = math.isqrt(steps) + 1
-    k = m * np.arange(steps // m + 1)
-    turn = -2j * theta[..., None]
-    coarse = (a * b.conj())[..., None] * np.exp(turn * k)
-    s = (coarse.swapaxes(1, 2) @ np.exp(turn * np.arange(m))).reshape(-1, k.size * m)
+    c = a * b.conj()
     x0 = (np.abs(a) ** 2 + np.abs(b) ** 2).sum(axis=1) * (2.0 / L)
-    x = x0[:, None] + (4.0 / L) * s[:, 1:steps + 1].real
-    out[generic] = (4.0 * x * (1.0 - x)).mean(axis=1)
+    q, r = np.triu_indices(L // 2, 1)  # the pairs q < r
+    k_sum = _dirichlet(*_two_sum(theta[:, q], theta[:, r]), steps)
+    k_diff = _dirichlet(*_two_sum(theta[:, q], -theta[:, r]), steps)
+    mean_s = (c * _dirichlet(theta, 0.0, steps)).sum(axis=1).real
+    mean_s2 = ((c * c * _dirichlet(2.0 * theta, 0.0, steps)).sum(axis=1)
+               + 2.0 * (c[:, q] * c[:, r] * k_sum).sum(axis=1)).real
+    mean_abs_s2 = ((np.abs(c) ** 2).sum(axis=1)
+                   + 2.0 * (c[:, q] * c[:, r].conj() * k_diff).sum(axis=1).real)
+    mean_x = x0 + (4.0 / L) * mean_s
+    mean_x2 = x0 * x0 + (8.0 / L) * x0 * mean_s + (8.0 / L ** 2) * (mean_s2 + mean_abs_s2)
+    out[generic] = 4.0 * (mean_x - mean_x2)
     return out
 
 
@@ -250,7 +353,7 @@ def jw_sz_profile(num_qubits: int, j_x: float, b_field: float,
     if sites and not (0 <= sites[0] and sites[-1] < L):
         raise ValueError(f"sites {sites} out of range for {L} qubits")
 
-    if abs(math.sin(j_x / 2.0)) < _DEGENERATE_EPS:
+    if not _routes(L, j_x, b_field)[0]:
         # coupling acts as a global phase; the field conserves every occupation
         out = np.full(L, -0.5)
         out[sites] = 0.5

@@ -21,9 +21,11 @@ from . import analytic
 from .harness import (
     REGIMES,
     AxisSpec,
+    InsufficientMemoryError,
     NoAnalyticOracleError,
     RunConfig,
     SweepConfig,
+    SweepPointError,
     compare_numeric_analytic,
     run_time_series,
     sweep_grid,
@@ -281,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
             _config_as_defaults(args.subparser, args.config)
             args = parser.parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, InsufficientMemoryError, SweepPointError) as exc:
         return _fail(str(exc))
 
 

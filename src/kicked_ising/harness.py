@@ -47,12 +47,16 @@ _PIN_ATOL = 1e-12
 _LIVE_STATE_COPIES = 6
 
 # complex numbers in a sweep chunk: its stack of states, or its JW points'
-# windows; a point larger than this is a chunk of its own
+# (L/2)^2 Dirichlet kernels each; a point larger than this is a chunk of its own
 _CHUNK_AMPLITUDES = 1 << 14
 
 
 class NoAnalyticOracleError(ValueError):
     """Requested a closed-form comparison where no closed form applies."""
+
+
+class InsufficientMemoryError(RuntimeError):
+    """A run needs more memory than the system has available."""
 
 
 class SweepPointError(RuntimeError):
@@ -116,11 +120,11 @@ def _available_memory_bytes() -> int | None:
 
 
 def _check_memory(num_qubits: int, points: int = 1) -> None:
-    """Raise RuntimeError before allocating a run that cannot fit in memory."""
+    """Raise InsufficientMemoryError before allocating a run that cannot fit."""
     need = 16 * 2 ** num_qubits * _LIVE_STATE_COPIES * points
     have = _available_memory_bytes()
     if have is not None and need > have:
-        raise RuntimeError(
+        raise InsufficientMemoryError(
             f"a {num_qubits}-qubit run needs about {need / 2 ** 30:.2f} GiB "
             f"({_LIVE_STATE_COPIES * points} arrays of 2^{num_qubits} complex amplitudes), "
             f"but only {have / 2 ** 30:.2f} GiB is available"
@@ -143,7 +147,8 @@ def _evolve(points: list[ChainParams], initial: str, steps: int, sample_every: i
         amps = start[None] if len(points) == 1 else np.tile(start, (len(points), 1))
         kick = XFrameKick(points)
     except MemoryError as exc:
-        raise RuntimeError(f"state vector for {L} qubits does not fit in memory") from exc
+        raise InsufficientMemoryError(
+            f"state vector for {L} qubits does not fit in memory") from exc
     yield 0, amps
     for t in range(1, steps + 1):
         amps = kick(amps)
@@ -213,11 +218,18 @@ class SweepConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
 
-def _jw_closed_form_applies(params: ChainParams, initial: str) -> bool:
-    """Whether the free-fermion closed form gives Q exactly for this run: the
-    transverse regime's Q oracle, which ``compare`` uses too."""
+def _jw_points(config: SweepConfig, points: list[ChainParams]) -> np.ndarray:
+    """Which points take mean Q from the free-fermion closed form: those the
+    transverse regime's Q oracle holds for, as ``compare`` takes them, that
+    the closed form resolves.  The rest are evolved."""
     transverse = REGIMES["transverse"]
-    return transverse.contains(params, initial) and transverse.oracles["q"].holds(params)
+    jw = np.array([config.measure == "q" and transverse.contains(p, config.initial)
+                   and transverse.oracles["q"].holds(p) for p in points])
+    if jw.any():
+        ks = np.flatnonzero(jw)
+        jw[ks] = analytic.jw_q_resolves(config.fixed.num_qubits, [points[k].j_x for k in ks],
+                                        [points[k].b_field for k in ks])
+    return jw
 
 
 def _jw_averages(config: SweepConfig, points: list[ChainParams]) -> np.ndarray:
@@ -245,10 +257,11 @@ def _numeric_averages(config: SweepConfig, points: list[ChainParams]) -> np.ndar
 
 def _located(evaluate, config: SweepConfig, points: list[ChainParams], ks: list[int]):
     """``evaluate(config, points)``; if the chunk fails, each point again on its
-    own, so that a failure is raised as the SweepPointError of its grid point."""
+    own, so that a failure is raised as the SweepPointError of its grid point.
+    Only a point's own failures are located; any other exception propagates."""
     try:
         return evaluate(config, points)
-    except Exception as exc:  # re-raised with coordinates attached
+    except (ValueError, InsufficientMemoryError) as exc:
         if len(points) == 1:
             i, j = divmod(ks[0], config.axis2.count)
             raise SweepPointError(i, j, float(config.axis1.values()[i]),
@@ -265,11 +278,12 @@ def sweep_grid(config: SweepConfig) -> np.ndarray:
     """
     points = [replace(config.fixed, **{config.axis1.name: float(v1), config.axis2.name: float(v2)})
               for v1 in config.axis1.values() for v2 in config.axis2.values()]
-    jw = [config.measure == "q" and _jw_closed_form_applies(p, config.initial) for p in points]
+    jw = _jw_points(config, points)
     out = np.empty(len(points))
-    for closed_form, evaluate, size in ((True, _jw_averages, config.steps),
-                                        (False, _numeric_averages, 2 ** config.fixed.num_qubits)):
-        todo = [k for k, flag in enumerate(jw) if flag == closed_form]
+    L = config.fixed.num_qubits
+    for closed_form, evaluate, size in ((True, _jw_averages, (L // 2) ** 2),
+                                        (False, _numeric_averages, 2 ** L)):
+        todo = np.flatnonzero(jw == closed_form).tolist()
         chunk = max(1, _CHUNK_AMPLITUDES // size)
         for start in range(0, len(todo), chunk):
             ks = todo[start:start + chunk]
@@ -345,8 +359,9 @@ def compare_numeric_analytic(params: ChainParams, t_max: int, initial: str = "va
     The run must lie on ``regime``, or if that is None on the first of the
     ``REGIMES`` that contains it; every measure whose closed form holds on
     this chain is compared, and ``NoAnalyticOracleError`` is raised, before
-    anything is evolved, when none does.  Returns the max absolute deviation
-    per compared measure over t <= t_max.
+    anything is evolved, when none does or a closed form does not resolve
+    the point.  Returns the max absolute deviation per compared measure over
+    t <= t_max.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
@@ -361,9 +376,14 @@ def compare_numeric_analytic(params: ChainParams, t_max: int, initial: str = "va
     if not oracles:
         raise NoAnalyticOracleError(f"no closed form of the {name} regime holds for "
                                     f"{params.num_qubits} qubits, {params.boundary} boundary")
+    ts = np.arange(t_max + 1, dtype=float)  # the series samples every kick
+    try:
+        wants = {m: o.exact(params, ts) for m, o in oracles.items()}
+    except analytic.DegenerateModeError as exc:
+        raise NoAnalyticOracleError(f"no closed form of the {name} regime resolves "
+                                    f"this point: {exc}") from exc
     series = run_time_series(RunConfig(params=params, steps=t_max, initial=initial,
                                        measures=frozenset(oracles)))
-    ts = np.array([r.t for r in series], dtype=float)
     return {m: max(float(np.max(np.abs(_measured(r, m) - want)))
-                   for r, want in zip(series, o.exact(params, ts)))
-            for m, o in oracles.items()}
+                   for r, want in zip(series, wants[m]))
+            for m in oracles}

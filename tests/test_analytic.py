@@ -20,6 +20,7 @@ from kicked_ising import (
     step,
     sym_cluster_n_tangle,
 )
+from kicked_ising.analytic import jw_q_average, jw_q_resolves
 
 
 class TestClusterQ:
@@ -171,9 +172,12 @@ class TestModes:
             assert np.max(np.abs(budget - 1.0)) < 1e-10
 
     def test_degenerate_parameters_raise(self):
-        for (jx, b) in [(0.0, 0.5), (2 * np.pi, 0.5), (1.0, 0.0), (1.0, np.pi)]:
+        # at j_x = B = 1e-8 the generic form is off by 0.97 from the state vector
+        for (jx, b) in [(0.0, 0.5), (2 * np.pi, 0.5), (1.0, 0.0), (1.0, np.pi), (1e-8, 1e-8)]:
             with pytest.raises(DegenerateModeError):
                 jw_modes(8, jx, b)
+        with pytest.raises(DegenerateModeError):
+            jw_q_vacuum(8, 1e-8, 1e-8, 10)
 
     def test_rejects_odd_chain(self):
         with pytest.raises(ValueError):
@@ -194,16 +198,76 @@ class TestJwQ:
                                                  abs=1e-8)
 
     def test_window_average_is_the_mean_of_the_trace(self):
-        from kicked_ising.analytic import jw_q_average
-
-        # j_x = pi pairs the quasi-energies; sin(j_x/2) = 0 and sin B = 0 have own forms
-        jx = np.array([0.3, np.pi, 2 * np.pi, 1.1, 4.0, 0.0, 5.5])
-        b = np.array([0.4, 0.9, 0.5, 0.0, np.pi, 1.3, 2.9])
-        for L, steps in ((4, 1), (8, 37), (20, 1000), (40, 3000)):
+        # j_x = pi pairs the quasi-energies; sin(j_x/2) = 0 and sin B = 0 have own
+        # forms, and on sin B = 0 the 2 j_x term resonates at j_x = pi
+        jx = np.array([0.3, np.pi, 2 * np.pi, 1.1, 4.0, 0.0, 5.5, np.pi, 9.5, -1.3])
+        b = np.array([0.4, 0.9, 0.5, 0.0, np.pi, 1.3, 2.9, 0.0, np.pi, 0.0])
+        for L, steps in ((4, 1), (6, 2), (8, 37), (20, 1000), (40, 3000), (8, 10 ** 5)):
             got = jw_q_average(L, jx, b, steps)
             for k in range(len(jx)):
                 trace = jw_q_vacuum(L, jx[k], b[k], np.arange(1, steps + 1))
                 assert abs(got[k] - np.mean(trace)) < 1e-12
+
+    def test_dirichlet_kernel_is_the_window_mean_of_its_phases(self):
+        from kicked_ising.analytic import _PI_LO, _dirichlet
+
+        # h = 0 is the 0/0 of the ratio; float(pi) and 2 float(pi) miss their
+        # multiples of pi by 1.2e-16 and 2.4e-16, and 1e-13 is as near to zero
+        hs = np.array([0.0, 1e-13, -4e-10, 0.3, np.pi / 2, np.pi, np.pi - 2e-11, -2.5,
+                       2 * np.pi, 6.1])
+        for steps in (1, 7, 1000, 10 ** 5):
+            t = np.arange(1, steps + 1, dtype=np.longdouble)
+            want = np.exp(-2j * np.outer(hs.astype(np.longdouble), t)).mean(axis=1)
+            assert np.max(np.abs(_dirichlet(hs, 0.0, steps) - want)) < 1e-14
+            # float(pi) plus its low part is pi to within 1e-32, a resonance
+            assert abs(_dirichlet(np.pi, _PI_LO, steps) - 1.0) < 1e-14
+
+    def test_window_average_is_exact_at_resonances_of_long_windows(self):
+        # near j_x = pi, theta_q + theta_{pi-q} lies within ~1e-9 of pi, so the
+        # Dirichlet kernel needs that distance to full relative precision
+        steps = 10 ** 6
+        jx = np.array([np.pi, np.pi + 1e-9, np.pi - 1e-9, np.pi - 1e-6])
+        for b in (0.9, 2.2):
+            got = jw_q_average(8, jx, np.full(len(jx), b), steps)
+            for k in range(len(jx)):
+                trace = jw_q_vacuum(8, jx[k], b, np.arange(1, steps + 1))
+                assert abs(got[k] - np.mean(trace)) < 1e-12
+
+    def test_near_zero_field_takes_the_generic_modes(self):
+        # 1e-12 <= |sin B| < 4e-11 is routed past the cluster form, and the
+        # generic modes divide only by sin(q) sin(j_x/2)
+        L, jx, ts = 8, 0.5, np.arange(1, 31)
+        for b in (3e-12, 1e-11, 4e-11, np.pi - 3e-12):
+            params = ChainParams(L, jx, b, np.pi / 2)
+            s, numeric = make_vacuum(L), []
+            for _ in ts:
+                s = step(s, params)
+                numeric.append(q_measure(s))
+            assert np.max(np.abs(jw_q_vacuum(L, jx, b, ts) - numeric)) < 1e-12
+            assert abs(jw_q_average(L, [jx], [b], len(ts))[0] - np.mean(numeric)) < 1e-12
+
+    def test_weak_coupling_is_routed_to_no_entanglement(self):
+        # sin(j_x/2) sin(pi/L) < 1e-12: the state vector stays a product state
+        L, jx, b = 8, 4e-12, 0.5
+        params = ChainParams(L, jx, b, np.pi / 2)
+        s = make_vacuum(L)
+        for _ in range(1000):
+            s = step(s, params)
+            assert q_measure(s) < 1e-20
+        assert jw_q_vacuum(L, jx, b, 1000) == 0.0
+        assert jw_q_average(L, [jx], [b], 1000)[0] == 0.0
+
+    def test_points_below_the_floor_have_no_closed_form(self):
+        # sin B sin q sin(j_x/2) clears 1e-12 here, but at q = 7 pi/8 the
+        # quasi-energy is ~8e-7 and sin(theta_q) sin(q) sin(j_x/2) is 5.9e-13
+        L, jx, b = 8, 4e-6, 1.848e-6
+        assert not jw_q_resolves(L, jx, b)
+        # a generic point, a weak coupling and a zero field all resolve
+        assert list(jw_q_resolves(L, [0.5, 0.0, 1e-8], [0.5, 1e-8, 0.0])) == [True] * 3
+        with pytest.raises(DegenerateModeError):
+            jw_q_vacuum(L, jx, b, 10)
+        with pytest.raises(DegenerateModeError):
+            jw_q_average(L, [0.5, jx], [0.5, b], 10)
 
     def test_special_point_all_or_nothing(self):
         L = 10

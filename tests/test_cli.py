@@ -73,6 +73,15 @@ class TestEvolve:
         assert code == 2
         assert "missing required" in capsys.readouterr().err
 
+    def test_memory_preflight_is_a_clean_error(self, monkeypatch, capsys):
+        from kicked_ising import harness
+
+        monkeypatch.setattr(harness, "_available_memory_bytes", lambda: 1)
+        code = main(["evolve", "--L", "6", "--jx", "0.9", "--b", "0.4", "--theta", "0.7",
+                     "--steps", "3"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: a 6-qubit run needs about")
+
     def test_identical_invocations_byte_identical(self, tmp_path):
         args = ["evolve", "--L", "5", "--jx", "0.9", "--b", "0.4",
                 "--theta", "0.7", "--steps", "12"]
@@ -180,6 +189,44 @@ class TestSweep:
         assert "'entropy'" in err
         assert all(name in err for name in ("'q'", "'n_tangle'", "'nn_concurrence'"))
 
+    def test_near_zero_field_points(self, tmp_path):
+        # 1e-12 <= |sin B| < 4e-11 takes the generic free-fermion modes
+        code, blob = run_cli(["sweep", "--axis1", "jx:0.5:1:2", "--axis2", "b:3e-12:1:2",
+                              "--theta", "1.5707963267948966", "--L", "8", "--kicks", "20"],
+                             tmp_path)
+        assert code == 0
+        _, rows = parse_csv(blob)
+        ts = list(range(1, 21))
+        for jx, b, value in rows:
+            want = sum(jw_q_vacuum(8, float(jx), float(b), ts)) / len(ts)
+            assert float(value) == pytest.approx(want, abs=1e-12)
+
+    def test_failing_point_is_a_clean_error(self, monkeypatch, capsys):
+        from kicked_ising import harness
+
+        monkeypatch.setattr(harness, "_available_memory_bytes", lambda: 1)
+        code = main(["sweep", "--axis1", "jx:0.5:1:2", "--axis2", "b:0.3:1:2",
+                     "--theta", "0.4", "--L", "6", "--kicks", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep point (0, 0)")
+        assert "needs about" in err
+
+    def test_other_failures_keep_their_traceback(self, monkeypatch):
+        from kicked_ising import cli, harness
+
+        def broken(*args):
+            raise RuntimeError("a bug, not a bad input")
+
+        monkeypatch.setattr(harness, "_numeric_averages", broken)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["sweep", "--axis1", "jx:0.5:1:2", "--axis2", "b:0.3:1:2",
+                  "--theta", "0.4", "--L", "6", "--kicks", "3"])
+        monkeypatch.setattr(cli, "run_time_series", broken)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["evolve", "--L", "6", "--jx", "0.9", "--b", "0.4", "--theta", "0.7",
+                  "--steps", "3"])
+
     @pytest.mark.parametrize("command", ["evolve", "sweep", "analytic", "compare"])
     def test_workers_flag_refused(self, command):
         with pytest.raises(SystemExit) as exc:
@@ -279,6 +326,27 @@ class TestCompare:
         _, rows = parse_csv(blob)
         assert [r[0] for r in rows] == ["q"]
         assert float(rows[0][1]) < 1e-12
+
+    def test_transverse_near_zero_field(self, tmp_path):
+        # 1e-12 <= |sin B| < 4e-11 takes the generic free-fermion modes
+        code, blob = run_cli(["compare", "--regime", "transverse", "--L", "8", "--jx", "0.5",
+                              "--b", "3e-12", "--tmax", "20"], tmp_path)
+        assert code == 0
+        _, rows = parse_csv(blob)
+        assert [r[0] for r in rows] == ["q"]
+        assert float(rows[0][1]) < 1e-12
+
+    def test_transverse_below_the_floor_has_no_oracle(self, monkeypatch, capsys):
+        from kicked_ising import harness
+
+        def no_run(config):
+            raise AssertionError("evolved a run that has no closed form")
+
+        # the generic modes cannot resolve (j_x, B) = (4e-6, 1.848e-6)
+        monkeypatch.setattr(harness, "run_time_series", no_run)
+        assert main(["compare", "--regime", "transverse", "--L", "8", "--jx", "4e-6",
+                     "--b", "1.848e-6", "--tmax", "20"]) == 3
+        assert "no closed form of the transverse regime resolves" in capsys.readouterr().err
 
     def test_tolerance_gate(self, tmp_path):
         # an impossible tolerance flips the exit code to 1

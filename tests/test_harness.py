@@ -299,6 +299,46 @@ class TestStackedSweep:
             for j, b in enumerate(cfg.axis2.values()):
                 assert abs(grid[i, j] - np.mean(jw_q_vacuum(8, jx, b, ts))) < 1e-12
 
+    def test_points_the_closed_form_cannot_resolve_are_evolved(self, monkeypatch):
+        from kicked_ising import analytic
+
+        jw_points = []
+        average = analytic.jw_q_average
+
+        def counted(num_qubits, j_x, b_field, steps):
+            jw_points.extend(zip(j_x, b_field))
+            return average(num_qubits, j_x, b_field, steps)
+
+        monkeypatch.setattr(analytic, "jw_q_average", counted)
+        # (j_x, B) = (4e-6, 1.848e-6) lies below the generic modes' floor
+        cfg = SweepConfig(axis1=AxisSpec("j_x", 4e-6, 1.0, 2),
+                          axis2=AxisSpec("b_field", 1.848e-6, 1.0, 2),
+                          fixed=quick_params(num_qubits=8, theta=np.pi / 2), steps=200)
+        grid = sweep_grid(cfg)
+        assert (4e-6, 1.848e-6) not in jw_points and len(jw_points) == 3
+        assert np.max(np.abs(grid - per_point_averages(cfg))) < 1e-12
+
+    def test_jw_chunks_do_not_depend_on_the_window(self, monkeypatch):
+        from kicked_ising import analytic
+
+        chunks = []
+        average = analytic.jw_q_average
+
+        def counted(num_qubits, j_x, b_field, steps):
+            chunks.append(len(j_x))
+            return average(num_qubits, j_x, b_field, steps)
+
+        monkeypatch.setattr(analytic, "jw_q_average", counted)
+        cfg = SweepConfig(axis1=AxisSpec("j_x", 0.5, 2.5, 3),
+                          axis2=AxisSpec("b_field", 0.3, 1.5, 3),
+                          fixed=quick_params(num_qubits=20, theta=np.pi / 2), steps=10 ** 4)
+        grid = sweep_grid(cfg)
+        assert chunks == [9]
+        ts = np.arange(1, cfg.steps + 1)
+        for i, jx in enumerate(cfg.axis1.values()):
+            for j, b in enumerate(cfg.axis2.values()):
+                assert abs(grid[i, j] - np.mean(jw_q_vacuum(20, jx, b, ts))) < 1e-12
+
     def test_a_row_failing_mid_chunk_names_its_own_point(self, monkeypatch):
         from kicked_ising import harness, statevec
 
