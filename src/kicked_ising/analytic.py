@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_DEGENERATE_EPS = 1e-12
-
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi
-
-
-class DegenerateModeError(ValueError):
-    """The generic mode eigenvectors lose their precision where
-    :func:`_resolved` fails; the sin B = 0 lines, where the field commutes with
-    the coupling, have the cluster forms."""
 
 
 def _require_even(num_qubits: int, minimum: int = 2) -> None:
@@ -138,88 +130,54 @@ def _even_momenta(num_qubits: int) -> np.ndarray:
     return (2 * np.arange(1, num_qubits // 2 + 1) - 1) * math.pi / num_qubits
 
 
-def _resolved(q: np.ndarray, j_x, b_field):
-    """Whether the generic modes keep their precision at each point: ``j_x``
-    and ``b_field`` of shape (P, 1) (or scalars) against the (Q,) momenta
-    ``q``, reduced over q.
-
-    The eigenvector ratios divide by sin(q) sin(j_x/2), and one of them
-    cancels to an error that grows as 1/(sin(theta_q) sin(q) sin(j_x/2)),
-    so that product must clear the floor for every q: Q is off by up to
-    ~3e-8 at the floor, by O(1) at j_x = B = 1e-8.  sin(theta_q) is taken
-    free of cancellation, as hypot(P, sin(q) sin(j_x/2)) with
-    P = cos(j_x/2) sin B + sin(j_x/2) cos q cos B.
-    """
-    s = np.sin(j_x / 2.0)
-    divisor = np.abs(np.sin(q) * s)
-    p = np.cos(j_x / 2.0) * np.sin(b_field) + s * np.cos(q) * np.cos(b_field)
-    return np.all(np.hypot(p, divisor) * divisor >= _DEGENERATE_EPS, axis=-1)
-
-
-def _routes(num_qubits: int, j_x, b_field):
-    """``(coupled, fielded, resolved)``: which closed form gives the vacuum's Q
-    at each point.  Not ``fielded``: the field commutes with the coupling and
-    the cluster form holds.  Else not ``coupled``: the coupling never
-    entangles, taken as sin(q) sin(j_x/2) falling below the floor for some
-    even-sector q.  Else ``resolved``: the generic modes hold (see
-    :func:`_resolved`); a point that is not has no closed form here."""
-    j_x, b_field = np.asarray(j_x, dtype=float), np.asarray(b_field, dtype=float)
-    q = _even_momenta(num_qubits)
-    coupled = np.abs(np.sin(j_x / 2.0)) * np.abs(np.sin(q)).min() >= _DEGENERATE_EPS
-    fielded = np.abs(np.sin(b_field)) >= _DEGENERATE_EPS
-    return coupled, fielded, _resolved(q, j_x[..., None], b_field[..., None])
-
-
-def jw_q_resolves(num_qubits: int, j_x, b_field) -> np.ndarray:
-    """Whether :func:`jw_q_vacuum` and :func:`jw_q_average` give Q at the
-    points of ``j_x`` and ``b_field``; they raise DegenerateModeError where not."""
-    _require_even(num_qubits, minimum=4)
-    coupled, fielded, resolved = _routes(num_qubits, j_x, b_field)
-    return ~fielded | ~coupled | resolved
-
-
 def _mode_arrays(q: np.ndarray, j_x, b_field):
-    """``(theta_q, a_plus, a_minus, b_plus, b_minus)`` of the generic modes as
-    arrays over (point, q): ``j_x`` and ``b_field`` of shape (P, 1) broadcast
-    against the (Q,) momenta ``q``.  Only for points :func:`_resolved` passes."""
+    """``(theta_q, a_plus, a_minus, b_plus, b_minus)`` of the modes as arrays
+    over (point, q): ``j_x`` and ``b_field`` of shape (P, 1) broadcast against
+    the (Q,) momenta ``q``.
+
+    Free of cancellation at every (j_x, B).  With
+    P = cos(j_x/2) sin B + sin(j_x/2) cos q cos B and g = sin(j_x/2) sin q,
+    cos^2(theta_q) + P^2 + g^2 = 1 identically, so sin(theta_q) = hypot(P, g)
+    and theta_q = atan2(sin, cos).  The eigenvector ratios b/a of the
+    even-parity block, (P -/+ sin(theta_q)) / g for the eigenphase branches
+    exp(+/- i theta), multiply to -1; the one whose terms cancel is
+    -g / (P +/- sin(theta_q)).  So with D = |P| + sin(theta_q) and
+    n = hypot(g, D), the branch of small ratio (plus where P >= 0) is
+    (D, -sgn(P) g) / n and the other is (|g|, sgn(P g) D) / n; neither
+    divides by g.
+    """
     c, s = np.cos(j_x / 2.0), np.sin(j_x / 2.0)
     cos_b, sin_b = np.cos(b_field), np.sin(b_field)
     cq, sq = np.cos(q), np.sin(q)
-    cos_th = cos_b * c - cq * sin_b * s
-    # |cos| <= 1 holds identically: (c cos B, -s cos q sin B) has norm < 1.
-    # math.acos element by element: np.arccos can differ from it in the last bit
-    theta = np.vectorize(math.acos, otypes=[float])(np.clip(cos_th, -1.0, 1.0))
-    sin_th = np.sin(theta)
-    # Eigenvector ratios b/a of the even-parity block, one per eigenphase
-    # branch exp(+/- i theta); r_plus r_minus = -1 makes them orthogonal.
-    r_plus = (c * sin_b + s * cq * cos_b - sin_th) / (s * sq)
-    r_minus = (c * sin_b + s * cq * cos_b + sin_th) / (s * sq)
-    a_plus = 1.0 / np.sqrt(1.0 + r_plus * r_plus)
-    a_minus = 1.0 / np.sqrt(1.0 + r_minus * r_minus)
+    p, g = c * sin_b + s * cq * cos_b, s * sq
+    sin_th = np.hypot(p, g)
+    theta = np.arctan2(sin_th, cos_b * c - cq * sin_b * s)
+    d = np.abs(p) + sin_th
+    n = np.hypot(g, d)
+    # n = 0 only at j_x = B = 0, where the kick is the identity and any basis
+    # diagonalises it; (1, 0) and (0, 1) are taken there
+    d, n = np.where(n > 0.0, d, 1.0), np.where(n > 0.0, n, 1.0)
+    sign = np.copysign(1.0, p)
+    a_small, b_small = d / n, -sign * g / n
+    # copysign, not sign: np.sign(0) = 0 would zero this branch at g = 0
+    a_large, b_large = np.abs(g) / n, np.copysign(d, sign * g) / n
+    plus_small = sign > 0.0
     phase = cos_b + 1j * sin_b  # e^{iB}, common to both
-    return theta, a_plus, a_minus, a_plus * r_plus * phase, a_minus * r_minus * phase
-
-
-def _unresolved(j_x, b_field) -> str:
-    return (f"sin(theta_q) sin(q) sin(j_x/2) vanishes for a mode at "
-            f"b_field={b_field!r}, j_x={j_x!r}")
+    return (theta, np.where(plus_small, a_small, a_large), np.where(plus_small, a_large, a_small),
+            np.where(plus_small, b_small, b_large) * phase,
+            np.where(plus_small, b_large, b_small) * phase)
 
 
 def jw_modes(num_qubits: int, j_x: float, b_field: float, sector: str = "even") -> JWModeSet:
     """All positive-q modes of one parity sector of the fermionized kick."""
     _require_even(num_qubits, minimum=4)
     L = num_qubits
-    if not _routes(L, j_x, b_field)[1]:
-        raise DegenerateModeError(f"sin B vanishes at b_field={b_field!r}: the field "
-                                  f"commutes with the coupling")
     if sector == "even":
         qs = _even_momenta(L)
     elif sector == "odd":
         qs = 2 * np.arange(1, L // 2) * math.pi / L
     else:
         raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
-    if not _resolved(qs, j_x, b_field):
-        raise DegenerateModeError(_unresolved(j_x, b_field))
     arrays = _mode_arrays(qs, float(j_x), float(b_field))
     modes = tuple(JWMode(float(q), float(th), float(ap), float(am), complex(bp), complex(bm))
                   for q, th, ap, am, bp, bm in zip(qs, *arrays))
@@ -235,21 +193,13 @@ def jw_modes(num_qubits: int, j_x: float, b_field: float, sector: str = "even") 
 def jw_q_vacuum(num_qubits: int, j_x: float, b_field: float, t):
     """Exact Q(t) for the transverse kick started from the vacuum: 4x(1-x).
 
-    ``x = (1/L) sum_q |eta_q(t)|^2`` over both signs of q.  The parameter
-    lines where the generic mode formulas degenerate are served by their own
-    closed forms: a trivial field (sin(B) = 0) commutes with the coupling,
-    reducing to the zero-field cluster result, and a trivial coupling
-    (sin(j_x/2) sin(pi/L) = 0) never entangles.  Raises DegenerateModeError
-    where :func:`jw_q_resolves` refuses the point.
+    ``x = (1/L) sum_q |eta_q(t)|^2`` over both signs of q.  The modes hold
+    at every (j_x, B): on sin(B) = 0, where the field commutes with the
+    coupling, this is the zero-field :func:`cluster_q`, and on
+    sin(j_x/2) = 0 it is 0.
     """
     _require_even(num_qubits, minimum=4)
     t_arr = np.asarray(t, dtype=float)
-    coupled, fielded, _ = _routes(num_qubits, j_x, b_field)
-    if not fielded:
-        return cluster_q(j_x, t, "periodic", num_qubits)
-    if not coupled:
-        out = np.zeros_like(t_arr)
-        return out if out.ndim else float(out)
     modes = jw_modes(num_qubits, j_x, b_field, "even")
     x = sum(np.abs(m.eta(t_arr)) ** 2 for m in modes.modes) * (2.0 / num_qubits)
     out = 4.0 * x * (1.0 - x)
@@ -293,28 +243,13 @@ def jw_q_average(num_qubits: int, j_x, b_field, steps: int) -> np.ndarray:
     ``S(t) = sum_q c_q e^{-2i theta_q t}`` (``c = a_plus b_plus conj(a_minus b_minus)``),
     and mean Q = 4(<x> - <x^2>) needs kernels at theta_q for <S>, at
     theta_q + theta_r for <S^2> and at theta_q - theta_r for <|S|^2>: both
-    pair sums are symmetric, so (L/2)^2 + L/2 kernels a point.  On sin B = 0,
-    Q = 5/8 - cos(j_x t)/2 - cos(2 j_x t)/8 takes two kernels.  Raises
-    DegenerateModeError if :func:`jw_q_resolves` refuses a point.
+    pair sums are symmetric, so (L/2)^2 + L/2 kernels a point.
     """
     _require_even(num_qubits, minimum=4)
     L = num_qubits
     j_x, b_field = np.asarray(j_x, dtype=float), np.asarray(b_field, dtype=float)
-    coupled, fielded, resolved = _routes(L, j_x, b_field)
-    cluster, generic = ~fielded, coupled & fielded  # the rest never entangle
-    unresolved = np.flatnonzero(generic & ~resolved)
-    if unresolved.size:
-        k = unresolved[0]
-        raise DegenerateModeError(_unresolved(j_x[k], b_field[k]))
-    out = np.zeros(j_x.shape)
-    # j_x = j + 2 turns math.pi exactly; the kernels have period pi, so what
-    # is left of the turns is their share of the low part of pi
-    j = np.fmod(j_x[cluster], 2.0 * math.pi)
-    turns = np.rint((j_x[cluster] - j) / (2.0 * math.pi))
-    out[cluster] = (0.625 - 0.5 * _dirichlet(j / 2.0, -turns * _PI_LO, steps).real
-                    - 0.125 * _dirichlet(j, -2.0 * turns * _PI_LO, steps).real)
     theta, a_plus, a_minus, b_plus, b_minus = _mode_arrays(
-        _even_momenta(L), j_x[generic][:, None], b_field[generic][:, None])
+        _even_momenta(L), j_x[:, None], b_field[:, None])
     a, b = a_plus * b_plus, a_minus * b_minus
     c = a * b.conj()
     x0 = (np.abs(a) ** 2 + np.abs(b) ** 2).sum(axis=1) * (2.0 / L)
@@ -328,8 +263,7 @@ def jw_q_average(num_qubits: int, j_x, b_field, steps: int) -> np.ndarray:
                    + 2.0 * (c[:, q] * c[:, r].conj() * k_diff).sum(axis=1).real)
     mean_x = x0 + (4.0 / L) * mean_s
     mean_x2 = x0 * x0 + (8.0 / L) * x0 * mean_s + (8.0 / L ** 2) * (mean_s2 + mean_abs_s2)
-    out[generic] = 4.0 * (mean_x - mean_x2)
-    return out
+    return 4.0 * (mean_x - mean_x2)
 
 
 def jw_sz_profile(num_qubits: int, j_x: float, b_field: float,
@@ -352,12 +286,6 @@ def jw_sz_profile(num_qubits: int, j_x: float, b_field: float,
         raise ValueError("occupied sites must be distinct")
     if sites and not (0 <= sites[0] and sites[-1] < L):
         raise ValueError(f"sites {sites} out of range for {L} qubits")
-
-    if not _routes(L, j_x, b_field)[0]:
-        # coupling acts as a global phase; the field conserves every occupation
-        out = np.full(L, -0.5)
-        out[sites] = 0.5
-        return out
 
     modes = jw_modes(L, j_x, b_field, "even").modes
     qs = np.array([m.q for m in modes])

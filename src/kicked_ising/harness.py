@@ -218,30 +218,37 @@ class SweepConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
 
 
-def _jw_points(config: SweepConfig, points: list[ChainParams]) -> np.ndarray:
+def _jw_mask(config: SweepConfig, thetas: np.ndarray) -> np.ndarray:
     """Which points take mean Q from the free-fermion closed form: those the
-    transverse regime's Q oracle holds for, as ``compare`` takes them, that
-    the closed form resolves.  The rest are evolved."""
+    transverse regime's Q oracle holds for, as ``compare`` takes them.  Of a
+    point's parameters only theta decides it, so each distinct theta is
+    decided once, through a set: np.unique's sort alone raises a small
+    sweep's peak memory by ~0.3 MB.  The rest are evolved."""
     transverse = REGIMES["transverse"]
-    jw = np.array([config.measure == "q" and transverse.contains(p, config.initial)
-                   and transverse.oracles["q"].holds(p) for p in points])
-    if jw.any():
-        ks = np.flatnonzero(jw)
-        jw[ks] = analytic.jw_q_resolves(config.fixed.num_qubits, [points[k].j_x for k in ks],
-                                        [points[k].b_field for k in ks])
-    return jw
+
+    def takes(theta: float) -> bool:
+        p = replace(config.fixed, theta=theta)
+        return (config.measure == "q" and transverse.contains(p, config.initial)
+                and transverse.oracles["q"].holds(p))
+
+    thetas = thetas.tolist()
+    decided = {theta: takes(theta) for theta in set(thetas)}
+    return np.array([decided[theta] for theta in thetas], dtype=bool)
 
 
-def _jw_averages(config: SweepConfig, points: list[ChainParams]) -> np.ndarray:
+def _jw_averages(config: SweepConfig, axes: dict[str, np.ndarray], ks: list[int]) -> np.ndarray:
     """Mean Q over kicks 1..steps of transverse points, from the closed form."""
-    return analytic.jw_q_average(points[0].num_qubits, [p.j_x for p in points],
-                                 [p.b_field for p in points], config.steps)
+    return analytic.jw_q_average(config.fixed.num_qubits, axes["j_x"][ks], axes["b_field"][ks],
+                                 config.steps)
 
 
-def _numeric_averages(config: SweepConfig, points: list[ChainParams]) -> np.ndarray:
+def _numeric_averages(config: SweepConfig, axes: dict[str, np.ndarray],
+                      ks: list[int]) -> np.ndarray:
     """Mean measure over kicks 1..steps of points evolved as one stack."""
+    points = [replace(config.fixed, **{name: float(axes[name][k]) for name in SWEEP_PARAMETERS})
+              for k in ks]
     values = np.empty((len(points), config.steps))  # a row per point, as time_average sums
-    L, boundary = points[0].num_qubits, points[0].boundary
+    L, boundary = config.fixed.num_qubits, config.fixed.boundary
     for t, amps in _evolve(points, config.initial, config.steps):
         if t == 0:
             continue
@@ -255,18 +262,19 @@ def _numeric_averages(config: SweepConfig, points: list[ChainParams]) -> np.ndar
     return values.mean(axis=1)
 
 
-def _located(evaluate, config: SweepConfig, points: list[ChainParams], ks: list[int]):
-    """``evaluate(config, points)``; if the chunk fails, each point again on its
-    own, so that a failure is raised as the SweepPointError of its grid point.
-    Only a point's own failures are located; any other exception propagates."""
+def _located(evaluate, config: SweepConfig, axes: dict[str, np.ndarray], ks: list[int]):
+    """``evaluate(config, axes, ks)``; if the chunk fails, each point again on
+    its own, so that a failure is raised as the SweepPointError of its grid
+    point.  Only a point's own failures are located; any other exception
+    propagates."""
     try:
-        return evaluate(config, points)
+        return evaluate(config, axes, ks)
     except (ValueError, InsufficientMemoryError) as exc:
-        if len(points) == 1:
+        if len(ks) == 1:
             i, j = divmod(ks[0], config.axis2.count)
             raise SweepPointError(i, j, float(config.axis1.values()[i]),
                                   float(config.axis2.values()[j]), exc) from exc
-    return np.concatenate([_located(evaluate, config, [p], [k]) for p, k in zip(points, ks)])
+    return np.concatenate([_located(evaluate, config, axes, [k]) for k in ks])
 
 
 def sweep_grid(config: SweepConfig) -> np.ndarray:
@@ -276,10 +284,12 @@ def sweep_grid(config: SweepConfig) -> np.ndarray:
     rest are evolved together as stacks of states; both in chunks of at most
     ``_CHUNK_AMPLITUDES`` complex numbers, or of one point.
     """
-    points = [replace(config.fixed, **{config.axis1.name: float(v1), config.axis2.name: float(v2)})
-              for v1 in config.axis1.values() for v2 in config.axis2.values()]
-    jw = _jw_points(config, points)
-    out = np.empty(len(points))
+    v1, v2 = np.meshgrid(config.axis1.values(), config.axis2.values(), indexing="ij")
+    swept = {config.axis1.name: v1.ravel(), config.axis2.name: v2.ravel()}
+    axes = {name: swept.get(name, np.full(v1.size, float(getattr(config.fixed, name))))
+            for name in SWEEP_PARAMETERS}
+    jw = _jw_mask(config, axes["theta"])
+    out = np.empty(v1.size)
     L = config.fixed.num_qubits
     for closed_form, evaluate, size in ((True, _jw_averages, (L // 2) ** 2),
                                         (False, _numeric_averages, 2 ** L)):
@@ -287,7 +297,7 @@ def sweep_grid(config: SweepConfig) -> np.ndarray:
         chunk = max(1, _CHUNK_AMPLITUDES // size)
         for start in range(0, len(todo), chunk):
             ks = todo[start:start + chunk]
-            out[ks] = _located(evaluate, config, [points[k] for k in ks], ks)
+            out[ks] = _located(evaluate, config, axes, ks)
     return out.reshape(config.axis1.count, config.axis2.count)
 
 
@@ -359,9 +369,8 @@ def compare_numeric_analytic(params: ChainParams, t_max: int, initial: str = "va
     The run must lie on ``regime``, or if that is None on the first of the
     ``REGIMES`` that contains it; every measure whose closed form holds on
     this chain is compared, and ``NoAnalyticOracleError`` is raised, before
-    anything is evolved, when none does or a closed form does not resolve
-    the point.  Returns the max absolute deviation per compared measure over
-    t <= t_max.
+    anything is evolved, when none does.  Returns the max absolute deviation
+    per compared measure over t <= t_max.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
@@ -377,11 +386,7 @@ def compare_numeric_analytic(params: ChainParams, t_max: int, initial: str = "va
         raise NoAnalyticOracleError(f"no closed form of the {name} regime holds for "
                                     f"{params.num_qubits} qubits, {params.boundary} boundary")
     ts = np.arange(t_max + 1, dtype=float)  # the series samples every kick
-    try:
-        wants = {m: o.exact(params, ts) for m, o in oracles.items()}
-    except analytic.DegenerateModeError as exc:
-        raise NoAnalyticOracleError(f"no closed form of the {name} regime resolves "
-                                    f"this point: {exc}") from exc
+    wants = {m: o.exact(params, ts) for m, o in oracles.items()}
     series = run_time_series(RunConfig(params=params, steps=t_max, initial=initial,
                                        measures=frozenset(oracles)))
     return {m: max(float(np.max(np.abs(_measured(r, m) - want)))

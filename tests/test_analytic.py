@@ -6,7 +6,6 @@ import pytest
 import helpers
 from kicked_ising import (
     ChainParams,
-    DegenerateModeError,
     cluster_n_tangle,
     cluster_nn_concurrence,
     cluster_q,
@@ -20,7 +19,28 @@ from kicked_ising import (
     step,
     sym_cluster_n_tangle,
 )
-from kicked_ising.analytic import jw_q_average, jw_q_resolves
+from kicked_ising.analytic import jw_q_average
+
+# the lines where the modes' eigenvector ratios degenerate: sin(j_x/2) = 0
+# (j_x = 0, 2 pi), sin B = 0 (B = 0, pi), and small j_x and B together
+DEGENERATE_COUPLINGS = (0.0, 2 * np.pi, 1e-8)
+DEGENERATE_FIELDS = (0.0, np.pi, 1e-8)
+# every pair of them, and each against a generic value of the other
+DEGENERATE_POINTS = [(jx, b) for jx in DEGENERATE_COUPLINGS + (1.1,)
+                     for b in DEGENERATE_FIELDS + (0.9,)][:-1]
+
+
+def assert_matches_state_vector(L, jx, b, steps):
+    """jw_q_vacuum kick by kick, and jw_q_average over the window, within 1e-12
+    of the state vector from the vacuum; returns the state vector's Q."""
+    params = ChainParams(L, jx, b, np.pi / 2)
+    s, numeric = make_vacuum(L), []
+    for _ in range(steps):
+        s = step(s, params)
+        numeric.append(q_measure(s))
+    assert np.max(np.abs(jw_q_vacuum(L, jx, b, np.arange(1, steps + 1)) - numeric)) < 1e-12
+    assert abs(jw_q_average(L, np.array([jx]), np.array([b]), steps)[0] - np.mean(numeric)) < 1e-12
+    return numeric
 
 
 class TestClusterQ:
@@ -154,8 +174,11 @@ class TestModes:
             assert abs(want) <= 1.0
 
     def test_eigenvectors_diagonalize_dense_block(self):
-        for (jx, b) in [(np.pi / 2, np.pi / 3), (1.1, 0.4), (2.7, 2.0)]:
+        for (jx, b) in [(np.pi / 2, np.pi / 3), (1.1, 0.4), (2.7, 2.0)] + DEGENERATE_POINTS:
             for m in jw_modes(8, jx, b).modes:
+                # unit vectors: np.sign(0) = 0 would zero the large-ratio branch
+                assert m.a_plus ** 2 + abs(m.b_plus) ** 2 == pytest.approx(1.0, abs=1e-15)
+                assert m.a_minus ** 2 + abs(m.b_minus) ** 2 == pytest.approx(1.0, abs=1e-15)
                 block = helpers.v_q_block(jx, b, m.q)
                 prefactor = np.exp(-1j * ((jx / 2) * np.cos(m.q) + b))
                 v_plus = np.array([m.a_plus, m.b_plus])
@@ -167,17 +190,10 @@ class TestModes:
 
     def test_mode_unitarity_over_time(self):
         ts = np.arange(0, 200)
-        for m in jw_modes(6, 1.3, 0.8).modes:
-            budget = np.abs(m.zeta(ts)) ** 2 + np.abs(m.eta(ts)) ** 2
-            assert np.max(np.abs(budget - 1.0)) < 1e-10
-
-    def test_degenerate_parameters_raise(self):
-        # at j_x = B = 1e-8 the generic form is off by 0.97 from the state vector
-        for (jx, b) in [(0.0, 0.5), (2 * np.pi, 0.5), (1.0, 0.0), (1.0, np.pi), (1e-8, 1e-8)]:
-            with pytest.raises(DegenerateModeError):
-                jw_modes(8, jx, b)
-        with pytest.raises(DegenerateModeError):
-            jw_q_vacuum(8, 1e-8, 1e-8, 10)
+        for (jx, b) in [(1.3, 0.8)] + DEGENERATE_POINTS:
+            for m in jw_modes(6, jx, b).modes:
+                budget = np.abs(m.zeta(ts)) ** 2 + np.abs(m.eta(ts)) ** 2
+                assert np.max(np.abs(budget - 1.0)) < 1e-10
 
     def test_rejects_odd_chain(self):
         with pytest.raises(ValueError):
@@ -198,8 +214,9 @@ class TestJwQ:
                                                  abs=1e-8)
 
     def test_window_average_is_the_mean_of_the_trace(self):
-        # j_x = pi pairs the quasi-energies; sin(j_x/2) = 0 and sin B = 0 have own
-        # forms, and on sin B = 0 the 2 j_x term resonates at j_x = pi
+        # j_x = pi pairs the quasi-energies; on sin(j_x/2) = 0 and sin B = 0 the
+        # eigenvector ratios degenerate, and on sin B = 0 the quasi-energies are
+        # all j_x/2, so the 2 j_x term resonates at j_x = pi
         jx = np.array([0.3, np.pi, 2 * np.pi, 1.1, 4.0, 0.0, 5.5, np.pi, 9.5, -1.3])
         b = np.array([0.4, 0.9, 0.5, 0.0, np.pi, 1.3, 2.9, 0.0, np.pi, 0.0])
         for L, steps in ((4, 1), (6, 2), (8, 37), (20, 1000), (40, 3000), (8, 10 ** 5)):
@@ -234,40 +251,17 @@ class TestJwQ:
                 assert abs(got[k] - np.mean(trace)) < 1e-12
 
     def test_near_zero_field_takes_the_generic_modes(self):
-        # 1e-12 <= |sin B| < 4e-11 is routed past the cluster form, and the
-        # generic modes divide only by sin(q) sin(j_x/2)
-        L, jx, ts = 8, 0.5, np.arange(1, 31)
         for b in (3e-12, 1e-11, 4e-11, np.pi - 3e-12):
-            params = ChainParams(L, jx, b, np.pi / 2)
-            s, numeric = make_vacuum(L), []
-            for _ in ts:
-                s = step(s, params)
-                numeric.append(q_measure(s))
-            assert np.max(np.abs(jw_q_vacuum(L, jx, b, ts) - numeric)) < 1e-12
-            assert abs(jw_q_average(L, [jx], [b], len(ts))[0] - np.mean(numeric)) < 1e-12
+            assert_matches_state_vector(8, 0.5, b, 30)
 
-    def test_weak_coupling_is_routed_to_no_entanglement(self):
-        # sin(j_x/2) sin(pi/L) < 1e-12: the state vector stays a product state
-        L, jx, b = 8, 4e-12, 0.5
-        params = ChainParams(L, jx, b, np.pi / 2)
-        s = make_vacuum(L)
-        for _ in range(1000):
-            s = step(s, params)
-            assert q_measure(s) < 1e-20
-        assert jw_q_vacuum(L, jx, b, 1000) == 0.0
-        assert jw_q_average(L, [jx], [b], 1000)[0] == 0.0
-
-    def test_points_below_the_floor_have_no_closed_form(self):
-        # sin B sin q sin(j_x/2) clears 1e-12 here, but at q = 7 pi/8 the
-        # quasi-energy is ~8e-7 and sin(theta_q) sin(q) sin(j_x/2) is 5.9e-13
-        L, jx, b = 8, 4e-6, 1.848e-6
-        assert not jw_q_resolves(L, jx, b)
-        # a generic point, a weak coupling and a zero field all resolve
-        assert list(jw_q_resolves(L, [0.5, 0.0, 1e-8], [0.5, 1e-8, 0.0])) == [True] * 3
-        with pytest.raises(DegenerateModeError):
-            jw_q_vacuum(L, jx, b, 10)
-        with pytest.raises(DegenerateModeError):
-            jw_q_average(L, [0.5, jx], [0.5, b], 10)
+    def test_degenerate_parameters_match_the_state_vector(self):
+        # an eigenvector ratio written (P -/+ sin(theta_q)) / (sin(j_x/2) sin q)
+        # cancels as sin(theta_q) sin(q) sin(j_x/2) shrinks: that form was off
+        # by 0.97 at j_x = B = 1e-8, by 1.8e-11 at (1e-4, 1e-3), and at
+        # (4e-6, 1.848e-6) the product is 5.9e-13 for q = 7 pi/8
+        for (jx, b) in DEGENERATE_POINTS + [(1e-4, 1e-3), (4e-6, 1.848e-6)]:
+            assert_matches_state_vector(8, jx, b, 200)
+        assert_matches_state_vector(12, 1e-8, 1e-8, 50)
 
     def test_special_point_all_or_nothing(self):
         L = 10
@@ -284,17 +278,14 @@ class TestJwQ:
         assert np.max(np.abs(got_pi - cluster_q(1.3, ts, "periodic", 8))) < 1e-12
 
     def test_trivial_coupling_never_entangles(self):
-        assert jw_q_vacuum(8, 0.0, 0.9, 17) == 0.0
-        assert np.all(jw_q_vacuum(8, 2 * np.pi, 0.9, np.arange(5)) == 0.0)
+        # sin(j_x/2) sin(pi/L) is 0, 1e-16 and 8e-13: the state vector stays a
+        # product state
+        for jx in (0.0, 2 * np.pi, 4e-12):
+            assert np.max(assert_matches_state_vector(8, jx, 0.5, 1000)) < 1e-20
 
     def test_degenerate_routing_matches_numeric(self):
-        # the B = pi line goes through the cluster route; cross-check numerically
-        L, jx = 6, 0.9
-        params = ChainParams(L, jx, np.pi, np.pi / 2)
-        s = make_vacuum(L)
-        for t in range(1, 13):
-            s = step(s, params)
-            assert q_measure(s) == pytest.approx(jw_q_vacuum(L, jx, np.pi, t), abs=1e-10)
+        # B = pi commutes with the coupling, as B = 0 does
+        assert_matches_state_vector(6, 0.9, np.pi, 12)
 
 
 class TestSzProfile:
@@ -317,7 +308,10 @@ class TestSzProfile:
         cases = [((0, 1), np.pi / 2, np.pi / 3, 3),
                  ((0, 1), 1.1, 0.4, 5),
                  ((2, 5), 2.7, 2.0, 4),
-                 ((1, 2, 4, 7), 1.9, 0.8, 6)]
+                 ((1, 2, 4, 7), 1.9, 0.8, 6),
+                 ((0, 3), 1.1, 0.0, 5),  # sin B = 0, where the field commutes
+                 ((1, 6), 0.9, np.pi, 4),
+                 ((2, 5), 1e-8, 1e-8, 7)]
         for sites, jx, b, t_max in cases:
             bits = ["0"] * L
             for s_ in sites:
