@@ -256,12 +256,17 @@ class TestJwQ:
 
     def test_degenerate_parameters_match_the_state_vector(self):
         # an eigenvector ratio written (P -/+ sin(theta_q)) / (sin(j_x/2) sin q)
-        # cancels as sin(theta_q) sin(q) sin(j_x/2) shrinks: that form was off
-        # by 0.97 at j_x = B = 1e-8, by 1.8e-11 at (1e-4, 1e-3), and at
-        # (4e-6, 1.848e-6) the product is 5.9e-13 for q = 7 pi/8
-        for (jx, b) in DEGENERATE_POINTS + [(1e-4, 1e-3), (4e-6, 1.848e-6)]:
+        # is 0/0 on these lines, and was off by 0.97 at j_x = B = 1e-8
+        for (jx, b) in DEGENERATE_POINTS:
             assert_matches_state_vector(8, jx, b, 200)
         assert_matches_state_vector(12, 1e-8, 1e-8, 50)
+
+    def test_small_coupling_and_field_match_the_state_vector(self):
+        # that ratio cancels as sin(theta_q) sin(q) sin(j_x/2) shrinks: it was
+        # off by 1.8e-11 at (1e-4, 1e-3), and at (4e-6, 1.848e-6) the product
+        # is 5.9e-13 for q = 7 pi/8
+        for (jx, b) in [(1e-4, 1e-3), (4e-6, 1.848e-6)]:
+            assert_matches_state_vector(8, jx, b, 200)
 
     def test_special_point_all_or_nothing(self):
         L = 10
@@ -278,10 +283,14 @@ class TestJwQ:
         assert np.max(np.abs(got_pi - cluster_q(1.3, ts, "periodic", 8))) < 1e-12
 
     def test_trivial_coupling_never_entangles(self):
-        # sin(j_x/2) sin(pi/L) is 0, 1e-16 and 8e-13: the state vector stays a
-        # product state
-        for jx in (0.0, 2 * np.pi, 4e-12):
+        # sin(j_x/2) is 0 and 1e-16: the state vector stays a product state
+        for jx in (0.0, 2 * np.pi):
             assert np.max(assert_matches_state_vector(8, jx, 0.5, 1000)) < 1e-20
+
+    def test_weak_coupling_matches_the_state_vector(self):
+        # sin(j_x/2) sin(pi/L) is 8e-13: the state vector stays a product state
+        # to 1e-20, and both closed forms follow it with no route of their own
+        assert np.max(assert_matches_state_vector(8, 4e-12, 0.5, 1000)) < 1e-20
 
     def test_degenerate_routing_matches_numeric(self):
         # B = pi commutes with the coupling, as B = 0 does

@@ -328,15 +328,22 @@ class TestCompare:
         assert float(rows[0][1]) < 1e-12
 
     def test_transverse_near_zero_field(self, tmp_path):
-        # |sin B| of 3e-12, and small j_x and B where one eigenvector ratio of
-        # the free-fermion modes is ~1e-6 of the other
-        for jx, b in (("0.5", "3e-12"), ("4e-6", "1.848e-6")):
-            code, blob = run_cli(["compare", "--regime", "transverse", "--L", "8", "--jx", jx,
-                                  "--b", b, "--tmax", "20"], tmp_path)
-            assert code == 0
-            _, rows = parse_csv(blob)
-            assert [r[0] for r in rows] == ["q"]
-            assert float(rows[0][1]) < 1e-12
+        # |sin B| of 3e-12 takes the same free-fermion modes as any other field
+        code, blob = run_cli(["compare", "--regime", "transverse", "--L", "8", "--jx", "0.5",
+                              "--b", "3e-12", "--tmax", "20"], tmp_path)
+        assert code == 0
+        _, rows = parse_csv(blob)
+        assert [r[0] for r in rows] == ["q"]
+        assert float(rows[0][1]) < 1e-12
+
+    def test_transverse_small_coupling_and_field(self, tmp_path):
+        # one eigenvector ratio of the free-fermion modes is ~1e-6 of the other
+        code, blob = run_cli(["compare", "--regime", "transverse", "--L", "8", "--jx", "4e-6",
+                              "--b", "1.848e-6", "--tmax", "20"], tmp_path)
+        assert code == 0
+        _, rows = parse_csv(blob)
+        assert [r[0] for r in rows] == ["q"]
+        assert float(rows[0][1]) < 1e-12
 
     def test_tolerance_gate(self, tmp_path):
         # an impossible tolerance flips the exit code to 1
