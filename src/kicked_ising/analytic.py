@@ -10,7 +10,6 @@ and is cross-validated against it in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,66 +81,25 @@ def sym_cluster_n_tangle(j_x: float, t, num_qubits: int):
 
 # ------------------------------------------------------------------- fermions
 
-@dataclass(frozen=True)
-class JWMode:
-    """One momentum mode of the fermionized transverse-field kick.
-
-    ``theta_q`` is the quasi-energy angle; ``(a_plus, b_plus)`` and
-    ``(a_minus, b_minus)`` are the eigenvectors of the even-parity 2x2 block
-    of the mode unitary in the (|0>, |-q q>) basis, for eigenphases
-    ``exp(-i((j_x/2) cos q + B)) exp(+/- i theta_q)``.  The special q = 0, pi
-    modes of the odd sector are diagonal: a_plus = 1 and
-    theta_q = B +/- j_x/2 so that zeta reproduces their pure phase.
-    """
-
-    q: float
-    theta_q: float
-    a_plus: float
-    a_minus: float
-    b_plus: complex
-    b_minus: complex
-
-    def zeta(self, t):
-        """Particle-conserving coefficient of the Heisenberg-evolved mode operator."""
-        phase = np.exp(-1j * self.theta_q * np.asarray(t, dtype=float))
-        return self.a_plus ** 2 * phase + self.a_minus ** 2 * np.conj(phase)
-
-    def eta(self, t):
-        """Pair-creating coefficient; |zeta|^2 + |eta|^2 = 1 at all times."""
-        phase = np.exp(-1j * self.theta_q * np.asarray(t, dtype=float))
-        return self.a_plus * self.b_plus * phase + self.a_minus * self.b_minus * np.conj(phase)
-
-
-@dataclass(frozen=True)
-class JWModeSet:
-    """The momentum grid of one fermion-parity sector (L even).
-
-    Even sector: q = pi/L, 3pi/L, ..., (L-1)pi/L (each standing for the
-    +/- q pair).  Odd sector: q = 0, 2pi/L, ..., (L-2)pi/L, pi.
-    """
-
-    num_qubits: int
-    sector: str
-    modes: tuple[JWMode, ...]
-
-
 def _even_momenta(num_qubits: int) -> np.ndarray:
     """q = pi/L, 3pi/L, ..., (L-1)pi/L: the even sector, where the vacuum lies."""
     return (2 * np.arange(1, num_qubits // 2 + 1) - 1) * math.pi / num_qubits
 
 
 def _mode_arrays(q: np.ndarray, j_x, b_field):
-    """``(theta_q, a_plus, a_minus, b_plus, b_minus)`` of the modes as arrays
-    over (point, q): ``j_x`` and ``b_field`` of shape (P, 1) broadcast against
-    the (Q,) momenta ``q``.
+    """``(theta_q, a_plus, a_minus, b_plus, b_minus)`` of the modes at the (Q,)
+    momenta ``q``, broadcast against ``j_x`` and ``b_field`` (scalars or (P, 1)).
 
-    Free of cancellation at every (j_x, B).  With
-    P = cos(j_x/2) sin B + sin(j_x/2) cos q cos B and g = sin(j_x/2) sin q,
-    cos^2(theta_q) + P^2 + g^2 = 1 identically, so sin(theta_q) = hypot(P, g)
-    and theta_q = atan2(sin, cos).  The eigenvector ratios b/a of the
-    even-parity block, (P -/+ sin(theta_q)) / g for the eigenphase branches
-    exp(+/- i theta), multiply to -1; the one whose terms cancel is
-    -g / (P +/- sin(theta_q)).  So with D = |P| + sin(theta_q) and
+    ``theta_q`` is the quasi-energy angle; ``(a_plus, b_plus)`` and
+    ``(a_minus, b_minus)`` are the eigenvectors of the even-parity 2x2 block
+    of the mode unitary in the (|0>, |-q q>) basis, for eigenphases
+    ``exp(-i((j_x/2) cos q + B)) exp(+/- i theta_q)``, free of cancellation
+    at every (j_x, B).  With P = cos(j_x/2) sin B + sin(j_x/2) cos q cos B
+    and g = sin(j_x/2) sin q, cos^2(theta_q) + P^2 + g^2 = 1 identically, so
+    sin(theta_q) = hypot(P, g) and theta_q = atan2(sin, cos).  The eigenvector
+    ratios b/a of the even-parity block, (P -/+ sin(theta_q)) / g for the
+    eigenphase branches exp(+/- i theta), multiply to -1; the one whose terms
+    cancel is -g / (P +/- sin(theta_q)).  So with D = |P| + sin(theta_q) and
     n = hypot(g, D), the branch of small ratio (plus where P >= 0) is
     (D, -sgn(P) g) / n and the other is (|g|, sgn(P g) D) / n; neither
     divides by g.
@@ -168,40 +126,37 @@ def _mode_arrays(q: np.ndarray, j_x, b_field):
             np.where(plus_small, b_large, b_small) * phase)
 
 
-def jw_modes(num_qubits: int, j_x: float, b_field: float, sector: str = "even") -> JWModeSet:
-    """All positive-q modes of one parity sector of the fermionized kick."""
+def _vacuum_series(num_qubits: int, j_x, b_field):
+    """``(x0, c, theta)`` of the vacuum's pair density
+    ``x(t) = x0 + (4/L) Re sum_q c_q e^{-2i theta_q t}``, over the last axis q.
+
+    ``x = (1/L) sum_q |eta_q(t)|^2`` over both signs of q, and
+    ``eta_q(t) = a_plus b_plus e^{-i theta_q t} + a_minus b_minus e^{+i theta_q t}``,
+    so ``c = a_plus b_plus conj(a_minus b_minus)``; ``j_x`` and ``b_field`` as
+    for :func:`_mode_arrays`.
+    """
     _require_even(num_qubits, minimum=4)
-    L = num_qubits
-    if sector == "even":
-        qs = _even_momenta(L)
-    elif sector == "odd":
-        qs = 2 * np.arange(1, L // 2) * math.pi / L
-    else:
-        raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
-    arrays = _mode_arrays(qs, float(j_x), float(b_field))
-    modes = tuple(JWMode(float(q), float(th), float(ap), float(am), complex(bp), complex(bm))
-                  for q, th, ap, am, bp, bm in zip(qs, *arrays))
-    if sector == "odd":
-        diag0 = JWMode(q=0.0, theta_q=b_field + j_x / 2.0, a_plus=1.0, a_minus=0.0,
-                       b_plus=0j, b_minus=0j)
-        diag_pi = JWMode(q=math.pi, theta_q=b_field - j_x / 2.0, a_plus=1.0, a_minus=0.0,
-                         b_plus=0j, b_minus=0j)
-        modes = (diag0,) + modes + (diag_pi,)
-    return JWModeSet(num_qubits=L, sector=sector, modes=modes)
+    theta, a_plus, a_minus, b_plus, b_minus = _mode_arrays(
+        _even_momenta(num_qubits), j_x, b_field)
+    a, b = a_plus * b_plus, a_minus * b_minus
+    x0 = (np.abs(a) ** 2 + np.abs(b) ** 2).sum(axis=-1) * (2.0 / num_qubits)
+    return x0, a * b.conj(), theta
 
 
 def jw_q_vacuum(num_qubits: int, j_x: float, b_field: float, t):
     """Exact Q(t) for the transverse kick started from the vacuum: 4x(1-x).
 
-    ``x = (1/L) sum_q |eta_q(t)|^2`` over both signs of q.  The modes hold
-    at every (j_x, B): on sin(B) = 0, where the field commutes with the
-    coupling, this is the zero-field :func:`cluster_q`, and on
-    sin(j_x/2) = 0 it is 0.
+    ``x`` is the series of :func:`_vacuum_series`, summed one mode at a time
+    so memory stays linear in ``t``.  The modes hold at every (j_x, B): on
+    sin(B) = 0, where the field commutes with the coupling, this is the
+    zero-field :func:`cluster_q`, and on sin(j_x/2) = 0 it is 0.
     """
-    _require_even(num_qubits, minimum=4)
+    x0, c, theta = _vacuum_series(num_qubits, float(j_x), float(b_field))
     t_arr = np.asarray(t, dtype=float)
-    modes = jw_modes(num_qubits, j_x, b_field, "even")
-    x = sum(np.abs(m.eta(t_arr)) ** 2 for m in modes.modes) * (2.0 / num_qubits)
+    s = np.zeros(t_arr.shape)
+    for c_q, theta_q in zip(c, theta):
+        s += (c_q * np.exp(-2j * theta_q * t_arr)).real
+    x = x0 + (4.0 / num_qubits) * s
     out = 4.0 * x * (1.0 - x)
     return out if out.ndim else float(out)
 
@@ -239,20 +194,15 @@ def jw_q_average(num_qubits: int, j_x, b_field, steps: int) -> np.ndarray:
 
     Every term of Q(t) is a constant or a phase e^{-2iht}, whose window mean
     is the Dirichlet kernel of :func:`_dirichlet`, so the cost of a point does
-    not depend on ``steps``.  ``x(t) = X0 + (4/L) Re S(t)`` with
-    ``S(t) = sum_q c_q e^{-2i theta_q t}`` (``c = a_plus b_plus conj(a_minus b_minus)``),
+    not depend on ``steps``.  With :func:`_vacuum_series`,
+    ``x(t) = x0 + (4/L) Re S(t)`` and ``S(t) = sum_q c_q e^{-2i theta_q t}``,
     and mean Q = 4(<x> - <x^2>) needs kernels at theta_q for <S>, at
     theta_q + theta_r for <S^2> and at theta_q - theta_r for <|S|^2>: both
     pair sums are symmetric, so (L/2)^2 + L/2 kernels a point.
     """
-    _require_even(num_qubits, minimum=4)
     L = num_qubits
     j_x, b_field = np.asarray(j_x, dtype=float), np.asarray(b_field, dtype=float)
-    theta, a_plus, a_minus, b_plus, b_minus = _mode_arrays(
-        _even_momenta(L), j_x[:, None], b_field[:, None])
-    a, b = a_plus * b_plus, a_minus * b_minus
-    c = a * b.conj()
-    x0 = (np.abs(a) ** 2 + np.abs(b) ** 2).sum(axis=1) * (2.0 / L)
+    x0, c, theta = _vacuum_series(L, j_x[:, None], b_field[:, None])
     q, r = np.triu_indices(L // 2, 1)  # the pairs q < r
     k_sum = _dirichlet(*_two_sum(theta[:, q], theta[:, r]), steps)
     k_diff = _dirichlet(*_two_sum(theta[:, q], -theta[:, r]), steps)
@@ -287,10 +237,12 @@ def jw_sz_profile(num_qubits: int, j_x: float, b_field: float,
     if sites and not (0 <= sites[0] and sites[-1] < L):
         raise ValueError(f"sites {sites} out of range for {L} qubits")
 
-    modes = jw_modes(L, j_x, b_field, "even").modes
-    qs = np.array([m.q for m in modes])
-    zeta_q = np.array([m.zeta(t) for m in modes])
-    eta_q = np.array([m.eta(t) for m in modes])
+    qs = _even_momenta(L)
+    theta, a_plus, a_minus, b_plus, b_minus = _mode_arrays(qs, float(j_x), float(b_field))
+    phase = np.exp(-1j * theta * float(t))
+    # particle-conserving and pair-creating coefficients; |zeta|^2 + |eta|^2 = 1
+    zeta_q = a_plus ** 2 * phase + a_minus ** 2 * phase.conj()
+    eta_q = a_plus * b_plus * phase + a_minus * b_minus * phase.conj()
 
     x = 2.0 / L * float(np.sum(np.abs(eta_q) ** 2))
     out = np.full(L, -0.5 + x)

@@ -161,6 +161,9 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     _require(args, ["jx", "tmax"])
     if args.formula == "jw_q":
         _require(args, ["L", "b"])
+        if args.tmin != 0.0 or not args.tmax.is_integer():
+            raise ValueError(f"jw_q counts whole kicks from 0: need --tmin 0 and an integer "
+                             f"--tmax, got --tmin {args.tmin:g} --tmax {args.tmax:g}")
         ts = np.arange(0, int(args.tmax) + 1)
         values = analytic.jw_q_vacuum(args.L, args.jx, args.b, ts)
     else:

@@ -158,7 +158,7 @@ def q_measure(state: PureState) -> float:
     return float(one_tangles(state).mean())
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def _parity_signs(num_qubits: int) -> np.ndarray:
     counts = np.bitwise_count(np.arange(2 ** num_qubits, dtype=np.uint32))
     out = np.where(counts & 1, -1.0, 1.0)

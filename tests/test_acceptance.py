@@ -39,7 +39,6 @@ from kicked_ising import (
     concurrence,
     concurrences,
     initial_state,
-    jw_modes,
     jw_q_vacuum,
     n_tangle,
     one_tangle,
@@ -52,6 +51,7 @@ from kicked_ising import (
     sym_cluster_n_tangle,
     time_average,
 )
+from kicked_ising.analytic import _even_momenta, _mode_arrays
 from kicked_ising.cli import main as cli_main
 
 JX_SET = (0.3, 0.7, math.pi / 2)
@@ -280,7 +280,7 @@ def test_criterion_10_sweep_landscape():
         if abs(math.sin(b)) < 1e-12:
             continue  # the field commutes with the coupling; no mode structure
         # even-sector q = (2j - 1) pi / L, so the reversed list holds pi - q
-        theta = np.array([m.theta_q for m in jw_modes(20, jx_values[nearest_pi], b).modes])
+        theta = _mode_arrays(_even_momenta(20), jx_values[nearest_pi], b)[0]
         pairing = max(pairing, np.max(np.abs(theta + theta[::-1] - math.pi)))
     ok = (abs(best - nearest_pi) <= 1 and mirror < 1e-12 and notch < 0.0
           and pairing < 1e-12 and elapsed < 300.0)

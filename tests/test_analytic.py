@@ -9,7 +9,6 @@ from kicked_ising import (
     cluster_n_tangle,
     cluster_nn_concurrence,
     cluster_q,
-    jw_modes,
     jw_q_vacuum,
     jw_sz_profile,
     make_ghz,
@@ -19,7 +18,7 @@ from kicked_ising import (
     step,
     sym_cluster_n_tangle,
 )
-from kicked_ising.analytic import jw_q_average
+from kicked_ising.analytic import _even_momenta, _mode_arrays, jw_q_average
 
 # the lines where the modes' eigenvector ratios degenerate: sin(j_x/2) = 0
 # (j_x = 0, 2 pi), sin B = 0 (B = 0, pi), and small j_x and B together
@@ -148,56 +147,55 @@ class TestSymmetrizedNTangle:
 
 class TestModes:
     def test_even_momentum_grid(self):
-        ms = jw_modes(4, 1.0, 0.5, "even")
-        assert [m.q for m in ms.modes] == pytest.approx([np.pi / 4, 3 * np.pi / 4])
-
-    def test_odd_momentum_grid_and_diagonal_phases(self):
-        ms = jw_modes(4, 0.9, 0.5, "odd")
-        assert [m.q for m in ms.modes] == pytest.approx([0.0, np.pi / 2, np.pi])
-        assert ms.modes[0].theta_q == pytest.approx(0.5 + 0.45)
-        assert ms.modes[-1].theta_q == pytest.approx(0.5 - 0.45)
-        for t in (0, 3, 11):
-            assert abs(ms.modes[0].eta(t)) == 0.0
-            assert abs(ms.modes[0].zeta(t)) == pytest.approx(1.0, abs=1e-12)
+        assert _even_momenta(4) == pytest.approx([np.pi / 4, 3 * np.pi / 4])
 
     def test_normalization(self):
         for (jx, b) in [(np.pi / 2, np.pi / 3), (1.1, 0.4), (2.7, 2.0), (0.3, 2.9)]:
-            for m in jw_modes(10, jx, b).modes:
-                assert m.a_plus ** 2 + abs(m.b_plus) ** 2 == pytest.approx(1.0, abs=1e-10)
-                assert m.a_minus ** 2 + abs(m.b_minus) ** 2 == pytest.approx(1.0, abs=1e-10)
+            _, a_plus, a_minus, b_plus, b_minus = _mode_arrays(_even_momenta(10), jx, b)
+            assert a_plus ** 2 + np.abs(b_plus) ** 2 == pytest.approx(1.0, abs=1e-10)
+            assert a_minus ** 2 + np.abs(b_minus) ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_quasi_energy_angle(self):
         jx, b = 1.7, 0.6
-        for m in jw_modes(8, jx, b).modes:
-            want = np.cos(b) * np.cos(jx / 2) - np.cos(m.q) * np.sin(b) * np.sin(jx / 2)
-            assert np.cos(m.theta_q) == pytest.approx(want, abs=1e-12)
-            assert abs(want) <= 1.0
+        qs = _even_momenta(8)
+        want = np.cos(b) * np.cos(jx / 2) - np.cos(qs) * np.sin(b) * np.sin(jx / 2)
+        assert np.cos(_mode_arrays(qs, jx, b)[0]) == pytest.approx(want, abs=1e-12)
+        assert np.all(np.abs(want) <= 1.0)
 
     def test_eigenvectors_diagonalize_dense_block(self):
+        qs = _even_momenta(8)
         for (jx, b) in [(np.pi / 2, np.pi / 3), (1.1, 0.4), (2.7, 2.0)] + DEGENERATE_POINTS:
-            for m in jw_modes(8, jx, b).modes:
-                # unit vectors: np.sign(0) = 0 would zero the large-ratio branch
-                assert m.a_plus ** 2 + abs(m.b_plus) ** 2 == pytest.approx(1.0, abs=1e-15)
-                assert m.a_minus ** 2 + abs(m.b_minus) ** 2 == pytest.approx(1.0, abs=1e-15)
-                block = helpers.v_q_block(jx, b, m.q)
-                prefactor = np.exp(-1j * ((jx / 2) * np.cos(m.q) + b))
-                v_plus = np.array([m.a_plus, m.b_plus])
-                v_minus = np.array([m.a_minus, m.b_minus])
+            theta, a_plus, a_minus, b_plus, b_minus = _mode_arrays(qs, jx, b)
+            # unit vectors: np.sign(0) = 0 would zero the large-ratio branch
+            assert a_plus ** 2 + np.abs(b_plus) ** 2 == pytest.approx(1.0, abs=1e-15)
+            assert a_minus ** 2 + np.abs(b_minus) ** 2 == pytest.approx(1.0, abs=1e-15)
+            for k, q in enumerate(qs):
+                block = helpers.v_q_block(jx, b, q)
+                prefactor = np.exp(-1j * ((jx / 2) * np.cos(q) + b))
+                v_plus = np.array([a_plus[k], b_plus[k]])
+                v_minus = np.array([a_minus[k], b_minus[k]])
                 assert np.max(np.abs(block @ v_plus
-                                     - prefactor * np.exp(1j * m.theta_q) * v_plus)) < 1e-12
+                                     - prefactor * np.exp(1j * theta[k]) * v_plus)) < 1e-12
                 assert np.max(np.abs(block @ v_minus
-                                     - prefactor * np.exp(-1j * m.theta_q) * v_minus)) < 1e-12
+                                     - prefactor * np.exp(-1j * theta[k]) * v_minus)) < 1e-12
 
     def test_mode_unitarity_over_time(self):
-        ts = np.arange(0, 200)
+        ts = np.arange(0, 200)[:, None]
         for (jx, b) in [(1.3, 0.8)] + DEGENERATE_POINTS:
-            for m in jw_modes(6, jx, b).modes:
-                budget = np.abs(m.zeta(ts)) ** 2 + np.abs(m.eta(ts)) ** 2
-                assert np.max(np.abs(budget - 1.0)) < 1e-10
+            theta, a_plus, a_minus, b_plus, b_minus = _mode_arrays(_even_momenta(6), jx, b)
+            phase = np.exp(-1j * theta * ts)  # (kick, q)
+            zeta = a_plus ** 2 * phase + a_minus ** 2 * phase.conj()
+            eta = a_plus * b_plus * phase + a_minus * b_minus * phase.conj()
+            budget = np.abs(zeta) ** 2 + np.abs(eta) ** 2
+            assert np.max(np.abs(budget - 1.0)) < 1e-10
 
     def test_rejects_odd_chain(self):
         with pytest.raises(ValueError):
-            jw_modes(5, 1.0, 0.5)
+            jw_q_vacuum(5, 1.0, 0.5, np.arange(3))
+        with pytest.raises(ValueError):
+            jw_q_average(5, np.array([1.0]), np.array([0.5]), 10)
+        with pytest.raises(ValueError):
+            jw_sz_profile(5, 1.0, 0.5, [0, 1], 3)
 
 
 class TestJwQ:

@@ -258,6 +258,16 @@ class TestAnalytic:
             want = 0.0 if t % 5 == 0 else 1.0
             assert float(r[1]) == pytest.approx(want, abs=1e-9)
 
+    def test_jw_q_refuses_times_it_cannot_honour(self, capsys):
+        # the mode formula takes whole kicks from 0; a fractional end or a
+        # later start would otherwise be rounded or dropped without a word
+        for extra in (["--tmax", "2.9"], ["--tmin", "2", "--tmax", "5"]):
+            code = main(["analytic", "--formula", "jw_q", "--L", "6", "--jx", "1",
+                         "--b", "0.5", *extra])
+            assert code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error:") and "--tmax" in err
+
     def test_odd_chain_rejected(self, tmp_path, capsys):
         code = main(["analytic", "--formula", "cluster_n_tangle", "--L", "5",
                      "--jx", "1", "--tmax", "5"])

@@ -222,15 +222,18 @@ class TestSweepGrid:
         assert np.max(np.abs(sweep_grid(cfg) - per_point_averages(cfg))) < 1e-10
 
     def test_numeric_sweep_keeps_the_phase_caches_small(self):
-        from kicked_ising import statevec
+        from kicked_ising import measures, statevec
 
         statevec._ising_phases.cache_clear()
         statevec._bond_alignment.cache_clear()
-        cfg = SweepConfig(axis1=AxisSpec("j_x", 0.3, 2.7, 6),
-                          axis2=AxisSpec("b_field", 0.4, 1.1, 2),
-                          fixed=quick_params(num_qubits=6, theta=0.7), steps=3)
-        sweep_grid(cfg)
-        for cache in (statevec._ising_phases, statevec._bond_alignment):
+        measures._parity_signs.cache_clear()
+        for num_qubits in (4, 5, 6):  # each chain length needs its own 2^L-sized entries
+            cfg = SweepConfig(axis1=AxisSpec("j_x", 0.3, 2.7, 6),
+                              axis2=AxisSpec("b_field", 0.4, 1.1, 2),
+                              fixed=quick_params(num_qubits=num_qubits, theta=0.7), steps=3,
+                              measure="n_tangle")
+            sweep_grid(cfg)
+        for cache in (statevec._ising_phases, statevec._bond_alignment, measures._parity_signs):
             info = cache.cache_info()
             assert info.maxsize <= 2 and info.currsize <= 2
 
