@@ -87,76 +87,61 @@ def _even_momenta(num_qubits: int) -> np.ndarray:
 
 
 def _mode_arrays(q: np.ndarray, j_x, b_field):
-    """``(theta_q, a_plus, a_minus, b_plus, b_minus)`` of the modes at the (Q,)
-    momenta ``q``, broadcast against ``j_x`` and ``b_field`` (scalars or (P, 1)).
+    """``(theta_q, cos_2phi, sin_2phi)`` of the modes at the (Q,) momenta ``q``,
+    broadcast against ``j_x`` and ``b_field`` (scalars or (P, 1)): each mode's
+    quasi-energy angle theta_q and Bogoliubov angle phi_q.
 
-    ``theta_q`` is the quasi-energy angle; ``(a_plus, b_plus)`` and
-    ``(a_minus, b_minus)`` are the eigenvectors of the even-parity 2x2 block
-    of the mode unitary in the (|0>, |-q q>) basis, for eigenphases
-    ``exp(-i((j_x/2) cos q + B)) exp(+/- i theta_q)``, free of cancellation
-    at every (j_x, B).  With P = cos(j_x/2) sin B + sin(j_x/2) cos q cos B
-    and g = sin(j_x/2) sin q, cos^2(theta_q) + P^2 + g^2 = 1 identically, so
-    sin(theta_q) = hypot(P, g) and theta_q = atan2(sin, cos).  The eigenvector
-    ratios b/a of the even-parity block, (P -/+ sin(theta_q)) / g for the
-    eigenphase branches exp(+/- i theta), multiply to -1; the one whose terms
-    cancel is -g / (P +/- sin(theta_q)).  So with D = |P| + sin(theta_q) and
-    n = hypot(g, D), the branch of small ratio (plus where P >= 0) is
-    (D, -sgn(P) g) / n and the other is (|g|, sgn(P g) D) / n; neither
-    divides by g.
+    The even-parity 2x2 block of the mode unitary in the (|0>, |-q q>) basis
+    has eigenphases ``exp(-i((j_x/2) cos q + B)) exp(+/- i theta_q)``.  With
+    P = cos(j_x/2) sin B + sin(j_x/2) cos q cos B and g = sin(j_x/2) sin q,
+    cos^2(theta_q) + P^2 + g^2 = 1 identically, so sin(theta_q) = hypot(P, g),
+    theta_q = atan2(sin, cos) and (cos 2phi, sin 2phi) = (P, g) / sin(theta_q),
+    free of cancellation at every (j_x, B).  The block's orthonormal
+    eigenvectors (a_+, b_+) and (a_-, b_-), for exp(+/- i theta_q), have real
+    a_+/-, and b_+/- that share the factor e^{iB}; they reduce to the angle:
+    a_+ b_+ = -a_- b_- = -(sin 2phi / 2) e^{iB} and a_+^2 - a_-^2 = cos 2phi.
+    The common e^{iB} cancels from every quantity reported here.  At
+    sin(theta_q) = 0 the mode does not move and (1, 0) is taken.
     """
     c, s = np.cos(j_x / 2.0), np.sin(j_x / 2.0)
     cos_b, sin_b = np.cos(b_field), np.sin(b_field)
-    cq, sq = np.cos(q), np.sin(q)
-    p, g = c * sin_b + s * cq * cos_b, s * sq
+    cq = np.cos(q)
+    p, g = c * sin_b + s * cq * cos_b, s * np.sin(q)
     sin_th = np.hypot(p, g)
     theta = np.arctan2(sin_th, cos_b * c - cq * sin_b * s)
-    d = np.abs(p) + sin_th
-    n = np.hypot(g, d)
-    # n = 0 only at j_x = B = 0, where the kick is the identity and any basis
-    # diagonalises it; (1, 0) and (0, 1) are taken there
-    d, n = np.where(n > 0.0, d, 1.0), np.where(n > 0.0, n, 1.0)
-    sign = np.copysign(1.0, p)
-    a_small, b_small = d / n, -sign * g / n
-    # copysign, not sign: np.sign(0) = 0 would zero this branch at g = 0
-    a_large, b_large = np.abs(g) / n, np.copysign(d, sign * g) / n
-    plus_small = sign > 0.0
-    phase = cos_b + 1j * sin_b  # e^{iB}, common to both
-    return (theta, np.where(plus_small, a_small, a_large), np.where(plus_small, a_large, a_small),
-            np.where(plus_small, b_small, b_large) * phase,
-            np.where(plus_small, b_large, b_small) * phase)
+    moves = sin_th > 0.0
+    sin_th = np.where(moves, sin_th, 1.0)
+    return theta, np.where(moves, p / sin_th, 1.0), g / sin_th
 
 
 def _vacuum_series(num_qubits: int, j_x, b_field):
-    """``(x0, c, theta)`` of the vacuum's pair density
-    ``x(t) = x0 + (4/L) Re sum_q c_q e^{-2i theta_q t}``, over the last axis q.
+    """``(w, theta)`` of the vacuum's pair density
+    ``x(t) = (1/L) sum_q w_q (1 - cos 2 theta_q t)``, over the last axis q.
 
     ``x = (1/L) sum_q |eta_q(t)|^2`` over both signs of q, and
-    ``eta_q(t) = a_plus b_plus e^{-i theta_q t} + a_minus b_minus e^{+i theta_q t}``,
-    so ``c = a_plus b_plus conj(a_minus b_minus)``; ``j_x`` and ``b_field`` as
-    for :func:`_mode_arrays`.
+    ``|eta_q(t)| = |sin 2phi_q sin theta_q t|``, so ``w = sin^2 2phi``;
+    ``j_x`` and ``b_field`` as for :func:`_mode_arrays`.
     """
     _require_even(num_qubits, minimum=4)
-    theta, a_plus, a_minus, b_plus, b_minus = _mode_arrays(
-        _even_momenta(num_qubits), j_x, b_field)
-    a, b = a_plus * b_plus, a_minus * b_minus
-    x0 = (np.abs(a) ** 2 + np.abs(b) ** 2).sum(axis=-1) * (2.0 / num_qubits)
-    return x0, a * b.conj(), theta
+    theta, _, sin_2phi = _mode_arrays(_even_momenta(num_qubits), j_x, b_field)
+    return sin_2phi ** 2, theta
 
 
 def jw_q_vacuum(num_qubits: int, j_x: float, b_field: float, t):
     """Exact Q(t) for the transverse kick started from the vacuum: 4x(1-x).
 
-    ``x`` is the series of :func:`_vacuum_series`, summed one mode at a time
-    so memory stays linear in ``t``.  The modes hold at every (j_x, B): on
-    sin(B) = 0, where the field commutes with the coupling, this is the
-    zero-field :func:`cluster_q`, and on sin(j_x/2) = 0 it is 0.
+    ``x = (2/L) sum_q w_q sin^2(theta_q t)`` is the series of
+    :func:`_vacuum_series`, summed one mode at a time so memory stays linear
+    in ``t``.  The modes hold at every (j_x, B): on sin(B) = 0, where the
+    field commutes with the coupling, this is the zero-field
+    :func:`cluster_q`, and on sin(j_x/2) = 0 it is 0.
     """
-    x0, c, theta = _vacuum_series(num_qubits, float(j_x), float(b_field))
+    w, theta = _vacuum_series(num_qubits, float(j_x), float(b_field))
     t_arr = np.asarray(t, dtype=float)
-    s = np.zeros(t_arr.shape)
-    for c_q, theta_q in zip(c, theta):
-        s += (c_q * np.exp(-2j * theta_q * t_arr)).real
-    x = x0 + (4.0 / num_qubits) * s
+    x = np.zeros(t_arr.shape)
+    for w_q, theta_q in zip(w, theta):
+        x += w_q * np.sin(theta_q * t_arr) ** 2
+    x *= 2.0 / num_qubits
     out = 4.0 * x * (1.0 - x)
     return out if out.ndim else float(out)
 
@@ -169,15 +154,15 @@ def _two_sum(a, b):
 
 
 def _dirichlet(hi, lo, steps: int):
-    """The window mean (1/T) sum_{t=1..T} e^{-2iht} at h = hi + lo, T = steps,
+    """The window mean (1/T) sum_{t=1..T} cos 2ht at h = hi + lo, T = steps,
     where hi + lo is the exact sum of two doubles and |hi| <= 2 pi.
 
     It has period pi in h, so h is first reduced to its distance d from the
     nearest multiple of pi, exactly but for the rounding of d itself: k pi
     and hi - k pi are exact for |k| <= 2, and the low part of pi enters with
-    ``lo``.  Then K = e^{-id(T+1)} sin(dT) / (T sin d)
-    = tan(dT) / (T tan d) (1 - i tan d) / (1 + i tan dT), with the series
-    1 + (T^2-1) d^2 / 3 for the first factor where |d| T < 1e-6.
+    ``lo``.  Then K = cos(d(T+1)) sin(dT) / (T sin d)
+    = tan(dT) / (T tan d) (1 - tan d tan dT) / (1 + tan^2 dT), with the
+    series 1 + (T^2-1) d^2 / 3 for the first factor where |d| T < 1e-6.
     """
     turns = np.rint(hi / math.pi)
     d = (hi - turns * math.pi) + (lo - turns * _PI_LO)
@@ -185,34 +170,35 @@ def _dirichlet(hi, lo, steps: int):
     small = np.abs(d) * steps < 1e-6
     ratio = np.where(small, 1.0 + (steps * steps - 1.0) * d * d / 3.0,
                      tan_dt / (steps * np.where(small, 1.0, tan_d)))
-    scale = ratio / (1.0 + tan_dt * tan_dt)
-    return scale * (1.0 - tan_d * tan_dt) - 1j * (scale * (tan_d + tan_dt))
+    return ratio / (1.0 + tan_dt * tan_dt) * (1.0 - tan_d * tan_dt)
 
 
 def jw_q_average(num_qubits: int, j_x, b_field, steps: int) -> np.ndarray:
     """Mean of :func:`jw_q_vacuum` over kicks 1..steps at the P points of (P,) arrays.
 
-    Every term of Q(t) is a constant or a phase e^{-2iht}, whose window mean
-    is the Dirichlet kernel of :func:`_dirichlet`, so the cost of a point does
-    not depend on ``steps``.  With :func:`_vacuum_series`,
-    ``x(t) = x0 + (4/L) Re S(t)`` and ``S(t) = sum_q c_q e^{-2i theta_q t}``,
-    and mean Q = 4(<x> - <x^2>) needs kernels at theta_q for <S>, at
-    theta_q + theta_r for <S^2> and at theta_q - theta_r for <|S|^2>: both
-    pair sums are symmetric, so (L/2)^2 + L/2 kernels a point.
+    Every term of Q(t) is a constant or a cos 2ht, whose window mean is the
+    Dirichlet kernel of :func:`_dirichlet`, so the cost of a point does not
+    depend on ``steps``.  With :func:`_vacuum_series`, ``x(t) = x0 - C(t)``,
+    ``x0 = (1/L) sum_q w_q`` and ``C(t) = (1/L) sum_q w_q cos 2 theta_q t``,
+    and mean Q = 4(<x> - <x^2>) needs kernels at theta_q for <C>, and at
+    2 theta_q and theta_q +/- theta_r for <C^2>: the pair sum is symmetric,
+    so (L/2)^2 + L/2 kernels a point.
     """
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     L = num_qubits
     j_x, b_field = np.asarray(j_x, dtype=float), np.asarray(b_field, dtype=float)
-    x0, c, theta = _vacuum_series(L, j_x[:, None], b_field[:, None])
+    w, theta = _vacuum_series(L, j_x[:, None], b_field[:, None])
+    u = w / L
     q, r = np.triu_indices(L // 2, 1)  # the pairs q < r
-    k_sum = _dirichlet(*_two_sum(theta[:, q], theta[:, r]), steps)
-    k_diff = _dirichlet(*_two_sum(theta[:, q], -theta[:, r]), steps)
-    mean_s = (c * _dirichlet(theta, 0.0, steps)).sum(axis=1).real
-    mean_s2 = ((c * c * _dirichlet(2.0 * theta, 0.0, steps)).sum(axis=1)
-               + 2.0 * (c[:, q] * c[:, r] * k_sum).sum(axis=1)).real
-    mean_abs_s2 = ((np.abs(c) ** 2).sum(axis=1)
-                   + 2.0 * (c[:, q] * c[:, r].conj() * k_diff).sum(axis=1).real)
-    mean_x = x0 + (4.0 / L) * mean_s
-    mean_x2 = x0 * x0 + (8.0 / L) * x0 * mean_s + (8.0 / L ** 2) * (mean_s2 + mean_abs_s2)
+    k_pairs = (_dirichlet(*_two_sum(theta[:, q], theta[:, r]), steps)
+               + _dirichlet(*_two_sum(theta[:, q], -theta[:, r]), steps))
+    x0 = u.sum(axis=1)
+    mean_c = (u * _dirichlet(theta, 0.0, steps)).sum(axis=1)
+    mean_c2 = (0.5 * (u * u * (1.0 + _dirichlet(2.0 * theta, 0.0, steps))).sum(axis=1)
+               + (u[:, q] * u[:, r] * k_pairs).sum(axis=1))
+    mean_x = x0 - mean_c
+    mean_x2 = x0 * x0 - 2.0 * x0 * mean_c + mean_c2
     return 4.0 * (mean_x - mean_x2)
 
 
@@ -238,13 +224,14 @@ def jw_sz_profile(num_qubits: int, j_x: float, b_field: float,
         raise ValueError(f"sites {sites} out of range for {L} qubits")
 
     qs = _even_momenta(L)
-    theta, a_plus, a_minus, b_plus, b_minus = _mode_arrays(qs, float(j_x), float(b_field))
-    phase = np.exp(-1j * theta * float(t))
-    # particle-conserving and pair-creating coefficients; |zeta|^2 + |eta|^2 = 1
-    zeta_q = a_plus ** 2 * phase + a_minus ** 2 * phase.conj()
-    eta_q = a_plus * b_plus * phase + a_minus * b_minus * phase.conj()
+    theta, cos_2phi, sin_2phi = _mode_arrays(qs, float(j_x), float(b_field))
+    cos_t, sin_t = np.cos(theta * float(t)), np.sin(theta * float(t))
+    # particle-conserving and pair-creating coefficients, the latter without
+    # its phase i e^{iB}, which no |.|^2 below sees; |zeta|^2 + |eta|^2 = 1
+    zeta_q = cos_t - 1j * cos_2phi * sin_t
+    eta_q = sin_2phi * sin_t
 
-    x = 2.0 / L * float(np.sum(np.abs(eta_q) ** 2))
+    x = 2.0 / L * float(np.sum(eta_q ** 2))
     out = np.full(L, -0.5 + x)
     if not sites:
         return out

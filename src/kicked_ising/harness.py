@@ -32,6 +32,8 @@ MEASURES = frozenset(
     {"q", "n_tangle", "one_tangle", "nn_concurrence", "residual_tangle", "sum_two_tangles"}
 )
 _PAIR_MEASURES = frozenset({"nn_concurrence", "residual_tangle", "sum_two_tangles"})
+# Q is the mean one-tangle: one number under two names
+_Q_MEASURES = frozenset({"q", "one_tangle"})
 SWEEP_PARAMETERS = ("j_x", "b_field", "theta")
 
 _NAMED_INITIALS = ("vacuum", "all_up", "ghz")
@@ -46,8 +48,9 @@ _PIN_ATOL = 1e-12
 # parity vectors (half a copy each), and a pair RDM's two temporaries
 _LIVE_STATE_COPIES = 6
 
-# complex numbers in a sweep chunk: its stack of states, or its JW points'
-# (L/2)^2 Dirichlet kernels each; a point larger than this is a chunk of its own
+# numbers in a sweep chunk: the complex amplitudes of its stack of states, or
+# its JW points' (L/2)^2 real Dirichlet kernels each; a point larger than this
+# is a chunk of its own
 _CHUNK_AMPLITUDES = 1 << 14
 
 
@@ -228,7 +231,7 @@ def _jw_mask(config: SweepConfig, thetas: np.ndarray) -> np.ndarray:
 
     def takes(theta: float) -> bool:
         p = replace(config.fixed, theta=theta)
-        return (config.measure == "q" and transverse.contains(p, config.initial)
+        return (config.measure in _Q_MEASURES and transverse.contains(p, config.initial)
                 and transverse.oracles["q"].holds(p))
 
     thetas = thetas.tolist()
@@ -252,7 +255,7 @@ def _numeric_averages(config: SweepConfig, axes: dict[str, np.ndarray],
     for t, amps in _evolve(points, config.initial, config.steps):
         if t == 0:
             continue
-        if config.measure in ("q", "one_tangle"):
+        if config.measure in _Q_MEASURES:
             values[:, t - 1] = one_tangles(amps).mean(axis=1)
         elif config.measure == "n_tangle":
             values[:, t - 1] = n_tangle(amps)

@@ -151,9 +151,8 @@ class TestModes:
 
     def test_normalization(self):
         for (jx, b) in [(np.pi / 2, np.pi / 3), (1.1, 0.4), (2.7, 2.0), (0.3, 2.9)]:
-            _, a_plus, a_minus, b_plus, b_minus = _mode_arrays(_even_momenta(10), jx, b)
-            assert a_plus ** 2 + np.abs(b_plus) ** 2 == pytest.approx(1.0, abs=1e-10)
-            assert a_minus ** 2 + np.abs(b_minus) ** 2 == pytest.approx(1.0, abs=1e-10)
+            _, cos_2phi, sin_2phi = _mode_arrays(_even_momenta(10), jx, b)
+            assert cos_2phi ** 2 + sin_2phi ** 2 == pytest.approx(1.0, abs=1e-15)
 
     def test_quasi_energy_angle(self):
         jx, b = 1.7, 0.6
@@ -162,32 +161,32 @@ class TestModes:
         assert np.cos(_mode_arrays(qs, jx, b)[0]) == pytest.approx(want, abs=1e-12)
         assert np.all(np.abs(want) <= 1.0)
 
-    def test_eigenvectors_diagonalize_dense_block(self):
+    def test_mode_form_evolves_the_dense_block(self):
+        # V^t e_0 = pref^t (conj zeta_q, -i e^{iB} eta_q) with
+        # zeta_q = cos(theta t) - i cos(2phi) sin(theta t), eta_q = sin(2phi) sin(theta t)
         qs = _even_momenta(8)
         for (jx, b) in [(np.pi / 2, np.pi / 3), (1.1, 0.4), (2.7, 2.0)] + DEGENERATE_POINTS:
-            theta, a_plus, a_minus, b_plus, b_minus = _mode_arrays(qs, jx, b)
-            # unit vectors: np.sign(0) = 0 would zero the large-ratio branch
-            assert a_plus ** 2 + np.abs(b_plus) ** 2 == pytest.approx(1.0, abs=1e-15)
-            assert a_minus ** 2 + np.abs(b_minus) ** 2 == pytest.approx(1.0, abs=1e-15)
+            theta, cos_2phi, sin_2phi = _mode_arrays(qs, jx, b)
             for k, q in enumerate(qs):
                 block = helpers.v_q_block(jx, b, q)
                 prefactor = np.exp(-1j * ((jx / 2) * np.cos(q) + b))
-                v_plus = np.array([a_plus[k], b_plus[k]])
-                v_minus = np.array([a_minus[k], b_minus[k]])
-                assert np.max(np.abs(block @ v_plus
-                                     - prefactor * np.exp(1j * theta[k]) * v_plus)) < 1e-12
-                assert np.max(np.abs(block @ v_minus
-                                     - prefactor * np.exp(-1j * theta[k]) * v_minus)) < 1e-12
+                v = np.array([1.0, 0.0], dtype=complex)
+                for t in range(40):
+                    c, s = np.cos(theta[k] * t), np.sin(theta[k] * t)
+                    want = prefactor ** t * np.array(
+                        [c + 1j * cos_2phi[k] * s, -1j * np.exp(1j * b) * sin_2phi[k] * s])
+                    assert np.max(np.abs(v - want)) < 1e-12
+                    v = block @ v
 
     def test_mode_unitarity_over_time(self):
         ts = np.arange(0, 200)[:, None]
         for (jx, b) in [(1.3, 0.8)] + DEGENERATE_POINTS:
-            theta, a_plus, a_minus, b_plus, b_minus = _mode_arrays(_even_momenta(6), jx, b)
-            phase = np.exp(-1j * theta * ts)  # (kick, q)
-            zeta = a_plus ** 2 * phase + a_minus ** 2 * phase.conj()
-            eta = a_plus * b_plus * phase + a_minus * b_minus * phase.conj()
+            theta, cos_2phi, sin_2phi = _mode_arrays(_even_momenta(6), jx, b)
+            cos_t, sin_t = np.cos(theta * ts), np.sin(theta * ts)  # (kick, q)
+            zeta = cos_t - 1j * cos_2phi * sin_t
+            eta = sin_2phi * sin_t
             budget = np.abs(zeta) ** 2 + np.abs(eta) ** 2
-            assert np.max(np.abs(budget - 1.0)) < 1e-10
+            assert np.max(np.abs(budget - 1.0)) < 1e-14
 
     def test_rejects_odd_chain(self):
         with pytest.raises(ValueError):
@@ -223,6 +222,12 @@ class TestJwQ:
                 trace = jw_q_vacuum(L, jx[k], b[k], np.arange(1, steps + 1))
                 assert abs(got[k] - np.mean(trace)) < 1e-12
 
+    @pytest.mark.parametrize("steps", [0, -3, 2.5, np.float64(4.0)])
+    def test_window_must_be_whole_kicks(self, steps):
+        with pytest.raises(ValueError, match="steps"):
+            jw_q_average(8, np.array([1.1]), np.array([0.4]), steps)
+        assert jw_q_average(8, np.array([1.1]), np.array([0.4]), np.int64(3)).shape == (1,)
+
     def test_dirichlet_kernel_is_the_window_mean_of_its_phases(self):
         from kicked_ising.analytic import _PI_LO, _dirichlet
 
@@ -232,7 +237,7 @@ class TestJwQ:
                        2 * np.pi, 6.1])
         for steps in (1, 7, 1000, 10 ** 5):
             t = np.arange(1, steps + 1, dtype=np.longdouble)
-            want = np.exp(-2j * np.outer(hs.astype(np.longdouble), t)).mean(axis=1)
+            want = np.cos(2 * np.outer(hs.astype(np.longdouble), t)).mean(axis=1)
             assert np.max(np.abs(_dirichlet(hs, 0.0, steps) - want)) < 1e-14
             # float(pi) plus its low part is pi to within 1e-32, a resonance
             assert abs(_dirichlet(np.pi, _PI_LO, steps) - 1.0) < 1e-14

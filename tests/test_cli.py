@@ -201,6 +201,17 @@ class TestSweep:
             want = sum(jw_q_vacuum(8, float(jx), float(b), ts)) / len(ts)
             assert float(value) == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("theta", ["1.5707963267948966", "0.9"])
+    def test_one_tangle_is_q(self, tmp_path, theta):
+        # Q is the mean one-tangle: on the transverse line both names take
+        # the closed form, off it both are evolved
+        blobs = [run_cli(["sweep", "--axis1", "jx:0.4:2.9:3", "--axis2", "b:0.2:1.7:3",
+                          "--theta", theta, "--L", "8", "--kicks", "30",
+                          "--measure", measure], tmp_path, f"{measure}.csv")
+                 for measure in ("q", "one_tangle")]
+        assert blobs[0][0] == blobs[1][0] == 0
+        assert blobs[0][1] == blobs[1][1]
+
     def test_failing_point_is_a_clean_error(self, monkeypatch, capsys):
         from kicked_ising import harness
 
