@@ -27,13 +27,10 @@ from .measures import (
     concurrence,
     concurrences,
     n_tangle,
-    one_tangle,
     one_tangles,
     q_measure,
     rdm_pair,
-    rdm_single,
     report,
-    residual_tangle,
 )
 from .statevec import (
     ChainParams,
@@ -75,13 +72,10 @@ __all__ = [
     "make_ghz",
     "make_vacuum",
     "n_tangle",
-    "one_tangle",
     "one_tangles",
     "q_measure",
     "rdm_pair",
-    "rdm_single",
     "report",
-    "residual_tangle",
     "run_time_series",
     "step",
     "sweep_grid",

@@ -86,6 +86,14 @@ def _even_momenta(num_qubits: int) -> np.ndarray:
     return (2 * np.arange(1, num_qubits // 2 + 1) - 1) * math.pi / num_qubits
 
 
+def _kick_counts(t) -> np.ndarray:
+    """``t`` as floats, each a whole number >= 0 of kicks: the modes are exact only there."""
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t_arr) & (t_arr >= 0.0) & (t_arr == np.rint(t_arr))):
+        raise ValueError(f"t must be whole kick counts >= 0, got {t!r}")
+    return t_arr
+
+
 def _mode_arrays(q: np.ndarray, j_x, b_field):
     """``(theta_q, cos_2phi, sin_2phi)`` of the modes at the (Q,) momenta ``q``,
     broadcast against ``j_x`` and ``b_field`` (scalars or (P, 1)): each mode's
@@ -137,7 +145,7 @@ def jw_q_vacuum(num_qubits: int, j_x: float, b_field: float, t):
     :func:`cluster_q`, and on sin(j_x/2) = 0 it is 0.
     """
     w, theta = _vacuum_series(num_qubits, float(j_x), float(b_field))
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _kick_counts(t)
     x = np.zeros(t_arr.shape)
     for w_q, theta_q in zip(w, theta):
         x += w_q * np.sin(theta_q * t_arr) ** 2
@@ -225,7 +233,8 @@ def jw_sz_profile(num_qubits: int, j_x: float, b_field: float,
 
     qs = _even_momenta(L)
     theta, cos_2phi, sin_2phi = _mode_arrays(qs, float(j_x), float(b_field))
-    cos_t, sin_t = np.cos(theta * float(t)), np.sin(theta * float(t))
+    t = float(_kick_counts(t))
+    cos_t, sin_t = np.cos(theta * t), np.sin(theta * t)
     # particle-conserving and pair-creating coefficients, the latter without
     # its phase i e^{iB}, which no |.|^2 below sees; |zeta|^2 + |eta|^2 = 1
     zeta_q = cos_t - 1j * cos_2phi * sin_t

@@ -23,16 +23,6 @@ _EIG_FLOOR = -1e-9  # spectra of valid density matrices may only dip this far be
 _RDM_CHUNK = 1 << 16  # amplitudes per partial block-RDM product (1 MiB)
 
 
-def rdm_single(state: PureState, k: int) -> np.ndarray:
-    """2x2 reduced density matrix of qubit ``k`` (partial trace over the rest)."""
-    L = state.num_qubits
-    if not 0 <= k < L:
-        raise IndexError(f"qubit index {k} out of range for {L} qubits")
-    t = state.amplitudes.reshape((2,) * L)
-    t = np.moveaxis(t, L - 1 - k, 0).reshape(2, -1)
-    return t @ t.conj().T
-
-
 def rdm_pair(state: PureState, i: int, j: int) -> np.ndarray:
     """4x4 reduced density matrix of qubits ``(i, j)``, qubit ``i`` leftmost."""
     L = state.num_qubits
@@ -95,13 +85,6 @@ def concurrence(rho: np.ndarray) -> float:
     return float(concurrences(rho[None])[0])
 
 
-def one_tangle(state: PureState, k: int) -> float:
-    """4 det of the single-qubit reduced density matrix, clamped to [0, 1]."""
-    r = rdm_single(state, k)
-    det = (r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]).real
-    return min(max(4.0 * det, 0.0), 1.0)
-
-
 @lru_cache(maxsize=BLOCK_QUBITS)
 def _bit_pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
     """Block indices ``m`` with bit ``j`` clear and ``m | 2^j``, one row per bit ``j``."""
@@ -132,7 +115,8 @@ def _block_rdm(amplitudes: np.ndarray, lo: int, size: int) -> np.ndarray:
 
 
 def one_tangles(state) -> np.ndarray:
-    """All L one-tangles (see :func:`one_tangle`), from one RDM per block.
+    """All L one-tangles, 4 det of each single-qubit reduced density matrix
+    clamped to [0, 1], from one RDM per block.
 
     For a ``(P, 2**L)`` stack of amplitude rows in place of a PureState, a
     (P, L) array.  The blocks are those of the kick kernel
@@ -179,16 +163,6 @@ def n_tangle(state):
     # np.hypot rounds as abs() of a complex does; np.abs can differ in the last bit
     out = np.minimum(np.hypot(total.real, total.imag) ** 2, 1.0)
     return float(out[0]) if isinstance(state, PureState) else out
-
-
-def residual_tangle(state: PureState, focus: int) -> float:
-    """One-tangle of ``focus`` minus the squared concurrences to every other qubit.
-
-    Reported raw (not clamped) so the monogamy inequality stays testable.
-    """
-    others = [j for j in range(state.num_qubits) if j != focus]
-    pairs = np.array([rdm_pair(state, focus, j) for j in others])
-    return one_tangle(state, focus) - float(np.sum(concurrences(pairs) ** 2))
 
 
 @dataclass(frozen=True)

@@ -244,23 +244,6 @@ def _ising_phase_vector(num_qubits: int, j_x, boundary: str) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-@lru_cache(maxsize=2)
-def _ising_phases(num_qubits: int, j_x: float, boundary: str) -> np.ndarray:
-    out = _ising_phase_vector(num_qubits, j_x, boundary)
-    out.setflags(write=False)
-    return out
-
-
-def _z_frame_kick(state: PureState, first: np.ndarray, phases: np.ndarray) -> PureState:
-    """``_SIGN^{(x)L} D (first / 2)^{(x)L}`` on a z-basis state: two fused passes."""
-    L = state.num_qubits
-    amps, spare = _fused_pass(state.amplitudes.copy(), _block_gates(L, first / 2.0),
-                              np.empty_like(state.amplitudes))
-    amps *= phases
-    amps, _ = _fused_pass(amps, _block_gates(L, _SIGN), spare)
-    return PureState(L, amps)
-
-
 def apply_ising_kick(state: PureState, j_x: float, boundary: str = "periodic") -> PureState:
     """exp(-i j_x sum_n S^x_n S^x_{n+1}) over the chain bonds.
 
@@ -270,7 +253,9 @@ def apply_ising_kick(state: PureState, j_x: float, boundary: str = "periodic") -
     """
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
-    return _z_frame_kick(state, _SIGN, _ising_phases(state.num_qubits, float(j_x), boundary))
+    amps = fwht_inplace(state.amplitudes.copy())
+    amps *= _ising_phase_vector(state.num_qubits, j_x, boundary)
+    return PureState(state.num_qubits, fwht_inplace(amps))
 
 
 def field_unitary(b_field: float, theta: float) -> np.ndarray:
@@ -286,14 +271,13 @@ def apply_field_kick(state: PureState, b_field: float, theta: float) -> PureStat
 
 
 def step(state: PureState, params: ChainParams) -> PureState:
-    """One kick: the field rotation first, then the Ising coupling."""
+    """One kick: :func:`apply_field_kick`, then :func:`apply_ising_kick`."""
     if state.num_qubits != params.num_qubits:
         raise ValueError(
             f"state has {state.num_qubits} qubits but params expect {params.num_qubits}"
         )
-    u = field_unitary(params.b_field, params.theta)
-    phases = _ising_phases(params.num_qubits, float(params.j_x), params.boundary)
-    return _z_frame_kick(state, _SIGN @ u, phases)
+    kicked = apply_field_kick(state, params.b_field, params.theta)
+    return apply_ising_kick(kicked, params.j_x, params.boundary)
 
 
 class XFrameKick:

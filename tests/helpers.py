@@ -92,10 +92,15 @@ def brute_rdm2(psi: np.ndarray, i: int, j: int, L: int) -> np.ndarray:
 
 
 def concurrence_oracle(rho: np.ndarray) -> float:
-    """Wootters concurrence through the non-Hermitian product spectrum."""
+    """Wootters concurrence through the non-Hermitian product spectrum.
+
+    Eigenvalues below 64 eps of the largest are rounding noise of a
+    rank-deficient product; they are zeroed before the square root, which
+    would otherwise lift their ~1e-17 to ~1e-8.
+    """
     flip = np.kron(SY, SY)
-    lam = np.linalg.eigvals(rho @ flip @ rho.conj() @ flip)
-    lam = np.sqrt(np.clip(lam.real, 0.0, None))
+    lam = np.linalg.eigvals(rho @ flip @ rho.conj() @ flip).real
+    lam = np.sqrt(np.where(lam < 64 * np.finfo(float).eps * max(lam.max(), 0.0), 0.0, lam))
     lam[::-1].sort()
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
 

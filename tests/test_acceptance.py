@@ -41,7 +41,7 @@ from kicked_ising import (
     initial_state,
     jw_q_vacuum,
     n_tangle,
-    one_tangle,
+    one_tangles,
     q_measure,
     rdm_pair,
     report,
@@ -182,7 +182,7 @@ def _ckw_min_slack(state) -> float:
     L = state.num_qubits
     # row k is the stack of focus qubit k: its pairs (k, j) for every j != k
     pairs = np.array([[rdm_pair(state, k, j) for j in range(L) if j != k] for k in range(L)])
-    tangles = np.array([one_tangle(state, k) for k in range(L)])
+    tangles = one_tangles(state)
     return float(np.min(tangles - np.sum(concurrences(pairs) ** 2, axis=1)))
 
 

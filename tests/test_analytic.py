@@ -354,6 +354,28 @@ class TestSzProfile:
             jw_sz_profile(8, 1.0, 0.5, [3, 9], 2)
 
 
+class TestWholeKicks:
+    """The modes are exact only at whole kicks, so the mode forms take no other t."""
+
+    @pytest.mark.parametrize("t", [2.5, -3, -3.0, np.nan, np.inf])
+    def test_rejects_t_off_the_kick_grid(self, t):
+        with pytest.raises(ValueError):
+            jw_q_vacuum(8, 1.1, 0.4, t)
+        with pytest.raises(ValueError):
+            jw_q_vacuum(8, 1.1, 0.4, np.array([0.0, 1.0, t]))
+        with pytest.raises(ValueError):
+            jw_sz_profile(8, 1.1, 0.4, [2, 5], t)
+
+    def test_accepts_whole_valued_floats(self):
+        # compare samples its closed forms at np.arange(t_max + 1, dtype=float)
+        ts = np.arange(6)
+        assert np.array_equal(jw_q_vacuum(8, 1.1, 0.4, ts.astype(float)),
+                              jw_q_vacuum(8, 1.1, 0.4, ts))
+        assert jw_q_vacuum(8, 1.1, 0.4, 3.0) == jw_q_vacuum(8, 1.1, 0.4, np.int64(3))
+        assert np.array_equal(jw_sz_profile(8, 1.1, 0.4, [2, 5], 3.0),
+                              jw_sz_profile(8, 1.1, 0.4, [2, 5], 3))
+
+
 class TestOracleAgreement:
     """Trimmed version of the full closed-form-vs-numeric sweep (the
     acceptance suite runs the L in {4,6,8,10}, t <= 100 version)."""

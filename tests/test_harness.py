@@ -108,9 +108,8 @@ class TestRunTimeSeries:
             psi = step_matrix @ psi
         bonds = [helpers.concurrence_oracle(helpers.brute_rdm2(psi, i, i + 1, 6))
                  for i in range(5)]
-        # these RDMs are rank-deficient, and the oracle's unclamped square roots
-        # turn their ~1e-17 eigenvalue noise into ~1e-9
-        assert last.nn_concurrence == pytest.approx(np.mean(bonds), abs=1e-8)
+        # these RDMs are rank-deficient; the oracle zeroes their eigenvalue noise
+        assert last.nn_concurrence == pytest.approx(np.mean(bonds), abs=1e-12)
         assert last.nn_concurrence == pytest.approx(0.20588, abs=1e-5)
 
     def test_matches_z_frame_step_and_report(self):
@@ -224,7 +223,6 @@ class TestSweepGrid:
     def test_numeric_sweep_keeps_the_phase_caches_small(self):
         from kicked_ising import measures, statevec
 
-        statevec._ising_phases.cache_clear()
         statevec._bond_alignment.cache_clear()
         measures._parity_signs.cache_clear()
         for num_qubits in (4, 5, 6):  # each chain length needs its own 2^L-sized entries
@@ -233,7 +231,7 @@ class TestSweepGrid:
                               fixed=quick_params(num_qubits=num_qubits, theta=0.7), steps=3,
                               measure="n_tangle")
             sweep_grid(cfg)
-        for cache in (statevec._ising_phases, statevec._bond_alignment, measures._parity_signs):
+        for cache in (statevec._bond_alignment, measures._parity_signs):
             info = cache.cache_info()
             assert info.maxsize <= 2 and info.currsize <= 2
 

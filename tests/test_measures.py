@@ -1,5 +1,7 @@
 """Reduced density matrices and entanglement measures against brute force."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,10 @@ from kicked_ising import (
     make_ghz,
     make_vacuum,
     n_tangle,
-    one_tangle,
     one_tangles,
     q_measure,
     rdm_pair,
-    rdm_single,
     report,
-    residual_tangle,
     step,
 )
 
@@ -50,32 +49,6 @@ def assert_valid_rdm(rho, dim):
     assert np.linalg.eigvalsh(rho).min() > -1e-12
 
 
-class TestRdmSingle:
-    def test_product_state(self):
-        rho = rdm_single(make_vacuum(4), 2)
-        assert np.allclose(rho, np.diag([1.0, 0.0]))
-
-    def test_ghz_is_maximally_mixed(self):
-        for k in range(3):
-            rho = rdm_single(make_ghz(3), k)
-            assert np.max(np.abs(rho - np.eye(2) / 2)) < 1e-12
-
-    def test_matches_brute_force(self):
-        s = random_pure(3, 21)
-        for k in range(3):
-            assert np.max(np.abs(rdm_single(s, k) - helpers.brute_rdm1(s.amplitudes, k, 3))) < 1e-13
-
-    def test_invariants_on_random_states(self):
-        for seed in range(3):
-            s = random_pure(5, seed)
-            for k in range(5):
-                assert_valid_rdm(rdm_single(s, k), 2)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(IndexError):
-            rdm_single(make_vacuum(3), 3)
-
-
 class TestRdmPair:
     def test_product_state(self):
         rho = rdm_pair(make_vacuum(4), 0, 2)
@@ -88,7 +61,8 @@ class TestRdmPair:
         s = cluster_state(6, 1.3)
         for pair in [(0, 3), (1, 4)]:
             rho = rdm_pair(s, *pair)
-            product = np.kron(rdm_single(s, pair[0]), rdm_single(s, pair[1]))
+            product = np.kron(helpers.brute_rdm1(s.amplitudes, pair[0], 6),
+                              helpers.brute_rdm1(s.amplitudes, pair[1], 6))
             assert np.max(np.abs(rho - product)) < 1e-12
 
     def test_cluster_non_neighbours_carry_no_concurrence(self):
@@ -133,6 +107,18 @@ class TestConcurrence:
             s = random_pure(4, 100 + seed)
             rho = rdm_pair(s, 0, 2)
             assert concurrence(rho) == pytest.approx(helpers.concurrence_oracle(rho), abs=1e-10)
+
+    def test_oracle_matches_on_rank_deficient_open_chain_rdms(self):
+        # zero-field open chains give pair RDMs whose product rho rho~ is rank-deficient
+        for jx in (0.7, 1.3, 2.1):
+            params = ChainParams(6, jx, 0.0, 0.0, "open")
+            s = make_vacuum(6)
+            for _ in range(7):
+                s = step(s, params)
+                for i, j in itertools.combinations(range(6), 2):
+                    rho = rdm_pair(s, i, j)
+                    assert concurrence(rho) == pytest.approx(helpers.concurrence_oracle(rho),
+                                                             abs=1e-12)
 
     def test_corner_matrix_spectrum(self):
         # density matrices that are diagonal except for one anti-diagonal
@@ -210,14 +196,14 @@ class TestConcurrenceStack:
 
 class TestTangles:
     def test_one_tangle_product(self):
-        assert one_tangle(make_vacuum(4), 1) == 0.0
+        assert one_tangles(make_vacuum(4))[1] == 0.0
 
     def test_one_tangle_ghz(self):
-        assert one_tangle(make_ghz(5), 3) == pytest.approx(1.0, abs=1e-12)
+        assert one_tangles(make_ghz(5))[3] == pytest.approx(1.0, abs=1e-12)
 
     def test_one_tangle_cluster_value(self):
         s = cluster_state(6, np.pi / 3)
-        assert one_tangle(s, 2) == pytest.approx(1 - np.cos(np.pi / 6) ** 4, abs=1e-12)
+        assert one_tangles(s)[2] == pytest.approx(1 - np.cos(np.pi / 6) ** 4, abs=1e-12)
 
     def test_q_vacuum(self):
         assert q_measure(make_vacuum(5)) == 0.0
@@ -233,7 +219,7 @@ class TestTangles:
             s = random_pure(5, 200 + seed)
             total = 0.0
             for k in range(5):
-                rho = rdm_single(s, k)
+                rho = helpers.brute_rdm1(s.amplitudes, k, 5)
                 for pauli in (helpers.SX, helpers.SY, helpers.SZ):
                     total += np.trace(rho @ pauli / 2).real ** 2
             assert q_measure(s) == pytest.approx(1 - 4 * total / 5, abs=1e-12)
@@ -254,27 +240,28 @@ class TestTangles:
         assert n_tangle(rotated) == pytest.approx(n_tangle(s), abs=1e-12)
 
     def test_residual_tangle_product(self):
-        assert residual_tangle(make_vacuum(4), 0) == pytest.approx(0.0, abs=1e-12)
+        assert report(make_vacuum(4), 0).residual_tangles[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_residual_tangle_ghz3(self):
-        assert residual_tangle(make_ghz(3), 0) == pytest.approx(1.0, abs=1e-12)
+        assert report(make_ghz(3), 0).residual_tangles[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_residual_tangle_cluster_maximum(self):
         s = cluster_state(4, np.pi)
-        assert residual_tangle(s, 1) == pytest.approx(1.0, abs=1e-12)
+        assert report(s, 0).residual_tangles[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_monogamy_on_random_states(self):
         for seed in range(10):
             s = random_pure(5, 400 + seed)
+            residual = report(s, 0).residual_tangles
             for focus in range(5):
-                assert residual_tangle(s, focus) >= -1e-9
+                assert residual[focus] >= -1e-9
 
     def test_pair_concurrence_squared_is_one_tangle_for_two_qubits(self):
         for seed in range(10):
             s = random_pure(2, 700 + seed)
             c2 = concurrence(rdm_pair(s, 0, 1)) ** 2
-            assert c2 == pytest.approx(one_tangle(s, 0), abs=1e-10)
-            assert c2 == pytest.approx(one_tangle(s, 1), abs=1e-10)
+            assert c2 == pytest.approx(one_tangles(s)[0], abs=1e-10)
+            assert c2 == pytest.approx(one_tangles(s)[1], abs=1e-10)
 
 
 class TestBlockOneTangles:
@@ -282,7 +269,9 @@ class TestBlockOneTangles:
         rng = np.random.default_rng(21)
         for L in range(2, 13):
             s = PureState(L, helpers.random_state(L, rng))
-            want = [one_tangle(s, k) for k in range(L)]
+            dets = [np.linalg.det(helpers.brute_rdm1(s.amplitudes, k, L)).real
+                    for k in range(L)]
+            want = np.clip(4.0 * np.array(dets), 0.0, 1.0)
             assert np.max(np.abs(one_tangles(s) - want)) < 1e-12
 
     def test_summed_over_slices(self, monkeypatch):
@@ -299,7 +288,7 @@ class TestBlockOneTangles:
         assert np.all(one_tangles(make_vacuum(7)) == 0.0)
         assert np.allclose(one_tangles(make_ghz(9)), 1.0, atol=1e-12)
         s = cluster_state(8, np.pi / 2)
-        assert np.allclose(one_tangles(s), one_tangle(s, 0), atol=1e-12)
+        assert np.allclose(one_tangles(s), 1 - np.cos(np.pi / 4) ** 4, atol=1e-12)
 
 
 class TestLocalUnitaryInvariance:
@@ -310,7 +299,7 @@ class TestLocalUnitaryInvariance:
         rotated = PureState(4, helpers.apply_local_unitaries(s.amplitudes, us))
         assert q_measure(rotated) == pytest.approx(q_measure(s), abs=1e-10)
         for k in range(4):
-            assert one_tangle(rotated, k) == pytest.approx(one_tangle(s, k), abs=1e-10)
+            assert one_tangles(rotated)[k] == pytest.approx(one_tangles(s)[k], abs=1e-10)
         for (i, j) in [(0, 1), (1, 3)]:
             assert concurrence(rdm_pair(rotated, i, j)) == pytest.approx(
                 concurrence(rdm_pair(s, i, j)), abs=1e-10)

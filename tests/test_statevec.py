@@ -17,7 +17,6 @@ from kicked_ising import (
     make_vacuum,
     n_tangle,
     q_measure,
-    rdm_single,
     step,
 )
 from kicked_ising.statevec import BLOCK_QUBITS, XFrameKick, apply_product_gate, blocks
@@ -330,7 +329,7 @@ class TestInvariants:
         s = make_vacuum(6)
         for _ in range(7):
             s = step(s, params)
-        rdms = [rdm_single(s, k) for k in range(6)]
+        rdms = [helpers.brute_rdm1(s.amplitudes, k, 6) for k in range(6)]
         for r in rdms[1:]:
             assert np.max(np.abs(r - rdms[0])) < 1e-12
 
@@ -344,7 +343,7 @@ class TestInvariants:
     def test_step_at_20_qubits_is_fast(self):
         params = ChainParams(20, 1.0, 0.5, 0.7)
         s = make_vacuum(20)
-        s = step(s, params)  # warm the phase cache
+        s = step(s, params)
         best = min(_timed_step(s, params) for _ in range(3))
         assert best < 1.0, f"one step took {best:.2f}s at L=20"
 
