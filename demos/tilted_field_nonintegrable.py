@@ -9,7 +9,7 @@ the extra multipartite entanglement comes out of the pairwise budget.
 
 import numpy as np
 
-from kicked_ising import ChainParams, make_vacuum, report, step, time_average, run_time_series, RunConfig
+from kicked_ising import ChainParams, RunConfig, run_time_series, time_average
 
 
 def main():
@@ -20,14 +20,11 @@ def main():
     print(f"{'theta':>8} {'min Q (t>=20)':>14} {'mean Q':>9} {'avg two-tangle sum':>19}")
     for theta, label in [(0.0, "0"), (np.pi / 8, "pi/8"), (np.pi / 4, "pi/4"),
                          (3 * np.pi / 8, "3pi/8"), (np.pi / 2, "pi/2")]:
-        params = ChainParams(L, jx, b, theta)
-        state = make_vacuum(L)
-        qs, twos = [], []
-        for t in range(1, window + 1):
-            state = step(state, params)
-            r = report(state, t)
-            qs.append(r.q_measure)
-            twos.append(r.sum_two_tangles)
+        cfg = RunConfig(params=ChainParams(L, jx, b, theta), steps=window,
+                        measures=frozenset({"q", "sum_two_tangles"}))
+        series = run_time_series(cfg)[1:]  # kicks 1 .. window
+        qs = [r.q_measure for r in series]
+        twos = [r.sum_two_tangles for r in series]
         print(f"{label:>8} {min(qs[19:]):>14.6f} {np.mean(qs):>9.4f} {np.mean(twos):>19.6f}")
 
     print("\nthe parallel trace unentangles almost completely (it is the cluster")

@@ -12,6 +12,7 @@ A flat ``key = value`` config file can supply any run option; explicit flags win
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -102,14 +103,33 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
         raise ValueError("missing required parameter(s): " + ", ".join(sorted(missing)))
 
 
-def _parse_axis(text: str) -> AxisSpec:
+def _finite(text: str) -> float:
+    """The argparse ``type`` of every float option: a finite float.
+
+    argparse names the option in the message when this raises.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_axis(text: str, option: str) -> AxisSpec:
     parts = text.split(":")
     if len(parts) != 4:
-        raise ValueError(f"axis must be given as name:min:max:count, got {text!r}")
+        raise ValueError(f"{option} must be given as name:min:max:count, got {text!r}")
     name, lo, hi, count = parts
     if name not in _AXIS_NAMES:
-        raise ValueError(f"axis name must be one of {sorted(set(_AXIS_NAMES))}, got {name!r}")
-    return AxisSpec(_AXIS_NAMES[name], float(lo), float(hi), int(count))
+        raise ValueError(f"{option} name must be one of {sorted(set(_AXIS_NAMES))}, "
+                         f"got {name!r}")
+    try:
+        bounds = _finite(lo), _finite(hi)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{option} bound: {exc}") from None
+    return AxisSpec(_AXIS_NAMES[name], *bounds, int(count))
 
 
 # ------------------------------------------------------------------- evolve
@@ -134,8 +154,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _require(args, ["axis1", "axis2", "L", "kicks"])
-    axis1 = _parse_axis(args.axis1)
-    axis2 = _parse_axis(args.axis2)
+    axis1 = _parse_axis(args.axis1, "--axis1")
+    axis2 = _parse_axis(args.axis2, "--axis2")
     fixed = ChainParams(args.L, args.jx, args.b, args.theta, args.boundary)
     config = SweepConfig(axis1=axis1, axis2=axis2, fixed=fixed, steps=args.kicks,
                          measure=args.measure, initial=args.initial)
@@ -231,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("evolve", help="time series of entanglement measures")
     p.add_argument("--L", type=int)
-    p.add_argument("--jx", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--theta", type=float)
+    p.add_argument("--jx", type=_finite)
+    p.add_argument("--b", type=_finite)
+    p.add_argument("--theta", type=_finite)
     p.add_argument("--steps", type=int)
     p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     p.add_argument("--initial", default="vacuum")
@@ -244,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis1", help="swept axis as name:min:max:count")
     p.add_argument("--axis2", help="second swept axis")
     p.add_argument("--L", type=int)
-    p.add_argument("--jx", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--jx", type=_finite, default=0.0)
+    p.add_argument("--b", type=_finite, default=0.0)
+    p.add_argument("--theta", type=_finite, default=0.0)
     p.add_argument("--kicks", type=int, help="time-average window in kicks")
     p.add_argument("--measure", default="q", help="measure to average (default q)")
     p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
@@ -256,23 +276,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("analytic", help="closed-form curves as CSV")
     p.add_argument("--formula", help="one of " + ", ".join(_FORMULAS))
     p.add_argument("--L", type=int)
-    p.add_argument("--jx", type=float)
-    p.add_argument("--b", type=float)
+    p.add_argument("--jx", type=_finite)
+    p.add_argument("--b", type=_finite)
     p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
-    p.add_argument("--tmin", type=float, default=0.0)
-    p.add_argument("--tmax", type=float)
+    p.add_argument("--tmin", type=_finite, default=0.0)
+    p.add_argument("--tmax", type=_finite)
     p.add_argument("--samples", type=int, default=100)
     _add_common(p, _cmd_analytic)
 
     p = subs.add_parser("compare", help="numeric evolution vs closed form")
     p.add_argument("--regime", help="one of " + ", ".join(REGIMES))
     p.add_argument("--L", type=int)
-    p.add_argument("--jx", type=float)
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--jx", type=_finite)
+    p.add_argument("--b", type=_finite, default=0.0)
+    p.add_argument("--theta", type=_finite, default=0.0)
     p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     p.add_argument("--tmax", type=int)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_finite, default=1e-8)
     _add_common(p, _cmd_compare)
 
     return parser

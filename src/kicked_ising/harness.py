@@ -89,6 +89,18 @@ def initial_state(params: ChainParams, initial: str) -> PureState:
     )
 
 
+def _shift_invariant(params: ChainParams, initial: str) -> bool:
+    """Whether every state of a run is its own image under the ring shift.
+
+    True on a ring started from a named state or from a bitstring of one
+    repeated bit: each start is shift-invariant, and the uniform kick commutes
+    with the shift.  Decided from the run's input alone, never from its
+    amplitudes; :func:`~kicked_ising.measures.report` takes it as given.
+    """
+    L = params.num_qubits
+    return params.boundary == "periodic" and initial in (*_NAMED_INITIALS, "0" * L, "1" * L)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One time-series experiment."""
@@ -163,8 +175,9 @@ def run_time_series(config: RunConfig) -> list[MeasureReport]:
     """Evolve and sample; the t=0 report is always included."""
     params = config.params
     pair_measures = bool(config.measures & _PAIR_MEASURES)
+    shift = _shift_invariant(params, config.initial)
     return [report(PureState(params.num_qubits, amps[0]), t, pair_measures=pair_measures,
-                   boundary=params.boundary)
+                   boundary=params.boundary, shift_invariant=shift)
             for t, amps in _evolve([params], config.initial, config.steps, config.sample_every)]
 
 
@@ -252,6 +265,7 @@ def _numeric_averages(config: SweepConfig, axes: dict[str, np.ndarray],
               for k in ks]
     values = np.empty((len(points), config.steps))  # a row per point, as time_average sums
     L, boundary = config.fixed.num_qubits, config.fixed.boundary
+    shift = _shift_invariant(config.fixed, config.initial)
     for t, amps in _evolve(points, config.initial, config.steps):
         if t == 0:
             continue
@@ -260,8 +274,9 @@ def _numeric_averages(config: SweepConfig, axes: dict[str, np.ndarray],
         elif config.measure == "n_tangle":
             values[:, t - 1] = n_tangle(amps)
         else:
-            values[:, t - 1] = [report(PureState(L, row), t, boundary=boundary)
-                                .value(config.measure) for row in amps]
+            values[:, t - 1] = [report(PureState(L, row), t, boundary=boundary,
+                                       shift_invariant=shift).value(config.measure)
+                                for row in amps]
     return values.mean(axis=1)
 
 

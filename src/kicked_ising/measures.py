@@ -230,22 +230,37 @@ class MeasureReport:
 
 
 def report(state: PureState, t: int, pair_measures: bool = True,
-           boundary: str = "periodic") -> MeasureReport:
+           boundary: str = "periodic", shift_invariant: bool = False) -> MeasureReport:
     """Assemble all measures of ``state`` at kick count ``t``.
 
     ``boundary`` is that of the chain the state lives on; it selects the
     bonds of ``nn_concurrence``.
+
+    ``shift_invariant`` is the caller's assertion, not checked here, that the
+    ring shift maps ``state`` to itself up to a phase.  A pair's concurrence
+    then depends only on its ring distance d, so the table is filled from the
+    L // 2 pairs (0, d) instead of all L (L - 1) / 2; a ring started from a
+    shift-invariant state and kicked uniformly stays so.  Only a periodic
+    chain has the shift.
     """
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
+    if shift_invariant and boundary != "periodic":
+        raise ValueError(f"a {boundary} chain has no ring shift to be invariant under")
     L = state.num_qubits
     tangles = one_tangles(state)
     pairs = None
     if pair_measures:
         i, j = np.triu_indices(L, k=1)
-        rhos = np.array([rdm_pair(state, a, b) for a, b in zip(i.tolist(), j.tolist())])
+        if shift_invariant:
+            by_distance = concurrences(np.array([rdm_pair(state, 0, d)
+                                                 for d in range(1, L // 2 + 1)]))
+            values = by_distance[np.minimum(j - i, L - (j - i)) - 1]
+        else:
+            values = concurrences(np.array([rdm_pair(state, a, b)
+                                            for a, b in zip(i.tolist(), j.tolist())]))
         pairs = np.zeros((L, L))
-        pairs[i, j] = pairs[j, i] = concurrences(rhos)
+        pairs[i, j] = pairs[j, i] = values
     return MeasureReport(
         t=t,
         num_qubits=L,

@@ -57,7 +57,7 @@ _SIGN = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 def _check_norm(amplitudes: np.ndarray) -> None:  # one state or each row of a stack
     for norm in np.sqrt(np.vecdot(amplitudes, amplitudes).real).reshape(-1).tolist():
-        if abs(norm - 1.0) > _NORM_ATOL:
+        if not abs(norm - 1.0) <= _NORM_ATOL:  # so a NaN norm fails too
             raise ValueError(f"state norm {norm!r} is not 1 within {_NORM_ATOL}")
 
 

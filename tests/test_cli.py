@@ -5,7 +5,7 @@ import math
 import pytest
 
 from kicked_ising import cluster_q, jw_q_vacuum
-from kicked_ising.cli import main
+from kicked_ising.cli import build_parser, main
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -88,6 +88,15 @@ class TestEvolve:
         _, first = run_cli(args, tmp_path, "a.csv")
         _, second = run_cli(args, tmp_path, "b.csv")
         assert first == second
+
+    @pytest.mark.parametrize("named, bits", [("vacuum", "000000000000"),
+                                             ("all_up", "111111111111")])
+    def test_uniform_bitstring_equals_its_named_start(self, tmp_path, named, bits):
+        args = ["evolve", "--L", "12", "--jx", "0.9", "--b", "1.1", "--theta", "0.6",
+                "--steps", "6", "--initial"]
+        _, by_name = run_cli(args + [named], tmp_path, "a.csv")
+        _, by_bits = run_cli(args + [bits], tmp_path, "b.csv")
+        assert by_name == by_bits
 
 
 class TestConfigFile:
@@ -372,6 +381,73 @@ class TestCompare:
                            "--jx", "1.1", "--b", "0.4", "--tmax", "20",
                            "--tol", "1e-18"], tmp_path)
         assert code == 1
+
+
+_RUNS = {
+    "evolve": ["evolve", "--L", "4", "--jx", "0.9", "--b", "0.4", "--theta", "0.7",
+               "--steps", "3"],
+    "sweep": ["sweep", "--axis1", "jx:0:1:2", "--axis2", "b:0:1:2", "--jx", "0.9",
+              "--b", "0.4", "--theta", "0.7", "--L", "4", "--kicks", "3"],
+    "analytic": ["analytic", "--formula", "jw_q", "--L", "4", "--jx", "0.9", "--b", "0.4",
+                 "--tmin", "0", "--tmax", "3"],
+    "compare": ["compare", "--regime", "transverse", "--L", "4", "--jx", "0.9", "--b", "0.4",
+                "--theta", "0.7", "--tmax", "3", "--tol", "1e-8"],
+}
+_FLOAT_OPTIONS = [(command, option) for command, argv in _RUNS.items()
+                  for option in argv if option in ("--jx", "--b", "--theta", "--tmin",
+                                                   "--tmax", "--tol")
+                  if (command, option) != ("compare", "--tmax")]  # a whole count of kicks
+
+
+class TestNonFiniteNumbers:
+    """NaN and infinity are refused at the option that carries them, never run."""
+
+    def test_every_float_option_is_covered(self):
+        subs = next(a for a in build_parser()._actions if a.dest == "command").choices
+        floats = {(command, option) for command, sub in subs.items() for a in sub._actions
+                  if a.type not in (None, int, str) for option in a.option_strings}
+        assert floats == set(_FLOAT_OPTIONS)
+
+    @pytest.mark.parametrize("command, option", _FLOAT_OPTIONS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_float_option_refused(self, command, option, value, capsys):
+        argv = list(_RUNS[command])
+        k = argv.index(option)
+        argv[k:k + 2] = [f"{option}={value}"]  # "-inf" alone would read as a flag
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert out == "" and len(errors) == 1
+        assert option in errors[0] and repr(value) in errors[0]
+
+    def test_nan_sweep_coupling_is_an_error_not_nan_rows(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis1", "b:0.5:1:2", "--axis2", "theta:0.3:0.6:2",
+                  "--jx", "nan", "--L", "4", "--kicks", "3", "--measure", "q"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and [line for line in err.splitlines() if "error:" in line] == [
+            "kicked-ising sweep: error: argument --jx: expected a finite number, got 'nan'"]
+
+    @pytest.mark.parametrize("axis", ["--axis1", "--axis2"])
+    @pytest.mark.parametrize("bounds", ["0:nan", "inf:1", "-inf:nan"])
+    def test_axis_bound_refused(self, axis, bounds, capsys):
+        argv = list(_RUNS["sweep"])
+        argv[argv.index(axis) + 1] = f"b:{bounds}:2" if axis == "--axis2" else f"jx:{bounds}:2"
+        assert main(argv + ["--theta", "1.5707963267948966"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {axis} bound: expected a finite number")
+        assert len(err.splitlines()) == 1
+
+    def test_config_file_value_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("L = 4\njx = 0.9\nb = inf\ntheta = 0.7\nsteps = 3\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["evolve", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "argument --b: expected a finite number, got 'inf'" in capsys.readouterr().err
 
 
 def test_stdout_default(capsys):

@@ -10,6 +10,7 @@ from kicked_ising import (
     AxisSpec,
     ChainParams,
     NoAnalyticOracleError,
+    PureState,
     RunConfig,
     SweepConfig,
     SweepPointError,
@@ -24,7 +25,8 @@ from kicked_ising import (
     sym_cluster_n_tangle,
     time_average,
 )
-from kicked_ising.harness import MEASURES
+from kicked_ising import measures
+from kicked_ising.harness import MEASURES, _evolve, _shift_invariant
 
 # time-averaged Q for (L=6, j_x=B=theta=pi/4, 1000 kicks); recorded from the
 # first validated build, pinned here as the determinism fixture
@@ -248,6 +250,14 @@ class TestSweepGrid:
         assert err.value.grid_index == (0, 0)
         assert err.value.axis_values == (0.5, 0.5)
 
+    def test_a_nan_coupling_fails_its_point(self):
+        # a NaN state must not pass the norm check and average to NaN values
+        cfg = SweepConfig(axis1=AxisSpec("j_x", 0.5, 1.0, 2),
+                          axis2=AxisSpec("b_field", 0.5, 1.0, 2),
+                          fixed=quick_params(theta=0.7), steps=3, measure="q")
+        with pytest.raises(SweepPointError, match="norm nan"):
+            sweep_grid(replace(cfg, axis1=AxisSpec("j_x", 0.5, float("nan"), 2)))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SweepConfig(axis1=AxisSpec("j_x", 0, 1, 2), axis2=AxisSpec("j_x", 0, 1, 2),
@@ -448,3 +458,52 @@ class TestCompare:
     def test_symmetrized_formula_reference(self):
         # the formula the ghz comparison uses, spot-checked at one point
         assert sym_cluster_n_tangle(1.1, np.pi / 1.1, 6) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestShiftReducedTables:
+    """A ring run from a shift-invariant start fills its pair table by ring distance."""
+
+    def test_decided_by_boundary_and_start(self):
+        ring, chain = quick_params(num_qubits=5), quick_params(num_qubits=5, boundary="open")
+        for initial in ("vacuum", "all_up", "ghz", "00000", "11111"):
+            assert _shift_invariant(ring, initial)
+            assert not _shift_invariant(chain, initial)
+        for initial in ("00001", "01010", "0000", "000000"):
+            assert not _shift_invariant(ring, initial)
+
+    @pytest.mark.parametrize("num_qubits", range(2, 13))
+    def test_reduced_table_matches_the_full_one(self, num_qubits):
+        rng = np.random.default_rng(1200 + num_qubits)
+        for initial in ("vacuum", "all_up", "ghz"):
+            jx, b, theta = rng.uniform(0.0, 2.0 * np.pi, 3)
+            params = ChainParams(num_qubits, jx, b, theta)
+            series = run_time_series(RunConfig(params=params, steps=5, initial=initial))
+            for r, (t, amps) in zip(series, _evolve([params], initial, 5)):
+                full = report(PureState(num_qubits, amps[0]), t).pair_concurrences
+                assert r.t == t
+                assert np.max(np.abs(r.pair_concurrences - full)) < 1e-12
+
+    @pytest.mark.parametrize("boundary, initial", [("open", "vacuum"), ("open", "ghz"),
+                                                   ("periodic", "0110100")])
+    def test_other_runs_keep_the_full_table(self, boundary, initial):
+        params = ChainParams(7, 1.3, 0.9, 0.6, boundary)
+        series = run_time_series(RunConfig(params=params, steps=4, initial=initial))
+        for r, (t, amps) in zip(series, _evolve([params], initial, 4)):
+            full = report(PureState(7, amps[0]), t, boundary=boundary)
+            assert np.array_equal(r.pair_concurrences, full.pair_concurrences)
+
+    def test_one_pair_rdm_per_ring_distance(self, monkeypatch):
+        calls = []
+        rdm_pair = measures.rdm_pair
+        monkeypatch.setattr(measures, "rdm_pair", lambda *a: calls.append(a) or rdm_pair(*a))
+        for boundary, per_report in (("periodic", 4), ("open", 28)):
+            calls.clear()
+            run_time_series(RunConfig(params=quick_params(num_qubits=8, theta=0.6,
+                                                          boundary=boundary), steps=2))
+            assert len(calls) == 3 * per_report
+        calls.clear()
+        sweep_grid(SweepConfig(axis1=AxisSpec("j_x", 0.5, 1.0, 2),
+                               axis2=AxisSpec("b_field", 0.5, 1.0, 2),
+                               fixed=quick_params(num_qubits=8, theta=0.6), steps=2,
+                               measure="nn_concurrence"))
+        assert len(calls) == 4 * 2 * 4  # points x sampled kicks x ring distances

@@ -340,6 +340,24 @@ class TestReport:
         with pytest.raises(ValueError):
             report(make_vacuum(4), 0, boundary="ring")
 
+    def test_shift_invariant_table_needs_a_ring(self):
+        with pytest.raises(ValueError, match="ring shift"):
+            report(make_vacuum(4), 0, boundary="open", shift_invariant=True)
+
+    @pytest.mark.parametrize("num_qubits", [6, 7])
+    def test_shift_invariant_table_is_filled_by_ring_distance(self, num_qubits):
+        L = num_qubits
+        s = make_vacuum(L)
+        for _ in range(3):
+            s = step(s, ChainParams(L, 0.9, 1.1, 0.6))
+        full = report(s, 3).pair_concurrences
+        reduced = report(s, 3, shift_invariant=True).pair_concurrences
+        assert np.max(np.abs(reduced - full)) < 1e-12
+        for i, j in itertools.permutations(range(L), 2):
+            d = min(abs(i - j), L - abs(i - j))
+            assert reduced[i, j] == reduced[0, d]
+        assert np.all(np.diag(reduced) == 0.0)
+
     def test_value_lookup(self):
         r = report(make_ghz(4), 1)
         assert r.value("q") == r.q_measure

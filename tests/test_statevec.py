@@ -70,6 +70,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PureState(2, np.array([1.0, 1.0, 0.0, 0.0], dtype=complex))
 
+    def test_pure_state_rejects_a_nan_norm(self):
+        # NaN compares false with every tolerance, so the check must not pass it
+        with pytest.raises(ValueError, match="norm nan"):
+            PureState(2, np.array([np.nan, 0.0, 0.0, 0.0], dtype=complex))
+
     def test_pure_state_validates_length(self):
         with pytest.raises(ValueError):
             PureState(3, np.ones(4, dtype=complex) / 2)

@@ -1,0 +1,231 @@
+"""Time one layer of the package as the runs call it, in two or more source
+trees side by side.
+
+Each layer in ``LAYERS`` names a package function, the cases that call it
+through a whole run, and the ``BENCH_*.json`` file its record goes to:
+
+- ``jw_average``: ``analytic.jw_q_average``, timed inside ``harness.sweep_grid``
+  (``BENCH_jw_average.json``).  Cases: ``grid``, the seed-0 ``sweep-jw-L20``
+  grid of ``perfbench`` (51 x 51 points of (j_x, B) at theta = pi/2, L = 20,
+  1000 kicks); and ``window-T``, the 4 x 4 grid spanning the same ranges at
+  L = 20, for windows of T = 10^2, 10^4 and 10^6 kicks.
+- ``report``: ``harness.report`` with every pair measure, timed inside
+  ``harness.run_time_series`` (``BENCH_report.json``).  Cases: ``L12``, the
+  seed-0 ``evolve-pairs-L12`` run (L = 12, 40 kicks, a vacuum ring); and
+  ``L16`` and ``L20``, the same couplings at L = 16 and 20 for 3 kicks.
+
+Each ``LABEL=SRC_DIR`` names a tree whose ``kicked_ising`` package is timed.
+The trees take turns: each of the ``REPEATS`` rounds starts one fresh
+interpreter per tree, the first tree of a round rotating, and that
+interpreter runs every case once untimed and once timed.  So every tree sees
+the same host phases, and a before/after pair recorded in one invocation is
+comparable; one tree per invocation is not, as the host's speed drifts
+between invocations by more than the quartiles within one.  The median and
+quartiles of the layer's seconds per run, and of the whole run, are merged
+into the layer's file at the repository root under each label, next to what
+other labels recorded.  BLAS runs one thread unless the environment says
+otherwise.
+
+Run from the repository root, with a second tree checked out elsewhere:
+
+    python3 tools/bench_layer.py report before=../parent/src after=src
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import importlib  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from collections.abc import Callable  # noqa: E402
+from dataclasses import dataclass  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+WINDOWS = (10 ** 2, 10 ** 4, 10 ** 6)
+REPEATS = 9  # timed runs per case and tree
+CHILD_FLAG = "--time-this-interpreter"
+
+
+def _seed0(workload: str):
+    """The flags and sweep axes of ``perfbench``'s seed-0 invocation of ``workload``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    inv = WORKLOADS[workload].generate(0, False)
+    return dict(zip(inv.argv[1::2], inv.argv[2::2])), inv.axes
+
+
+def _jw_average_cases() -> dict:
+    from kicked_ising.harness import AxisSpec, SweepConfig, sweep_grid
+    from kicked_ising.statevec import ChainParams
+
+    flags, ((lo1, hi1, n1), (lo2, hi2, n2)) = _seed0("sweep-jw-L20")
+    fixed = ChainParams(int(flags["--L"]), 0.0, 0.0, float(flags["--theta"]))
+    grids = {"grid": (n1, n2, int(flags["--kicks"]))}
+    grids.update((f"window-{steps}", (4, 4, steps)) for steps in WINDOWS)
+    cases = {}
+    for name, (c1, c2, steps) in grids.items():
+        config = SweepConfig(AxisSpec("j_x", lo1, hi1, c1), AxisSpec("b_field", lo2, hi2, c2),
+                             fixed, steps)
+        cases[name] = (lambda config=config: sweep_grid(config),
+                       {"points": c1 * c2, "num_qubits": fixed.num_qubits, "kicks": steps})
+    return cases
+
+
+def _report_cases() -> dict:
+    from kicked_ising.harness import RunConfig, run_time_series
+    from kicked_ising.statevec import ChainParams
+
+    flags, _ = _seed0("evolve-pairs-L12")
+    jx, b, theta = (float(flags[f]) for f in ("--jx", "--b", "--theta"))
+    cases = {}
+    for L, steps in ((int(flags["--L"]), int(flags["--steps"])), (16, 3), (20, 3)):
+        config = RunConfig(ChainParams(L, jx, b, theta), steps)
+        cases[f"L{L}"] = (lambda config=config: run_time_series(config),
+                          {"num_qubits": L, "kicks": steps})
+    return cases
+
+
+@dataclass(frozen=True)
+class Layer:
+    """A timed package function, the runs that call it, and where they are recorded."""
+
+    module: str  # the kicked_ising module whose attribute the runs look up per call
+    function: str
+    run: str  # what one case runs; its seconds are recorded as ``<run>_s``
+    cases: Callable[[], dict]  # case name -> (run it, what it covers), built per tree
+    output: str
+
+
+LAYERS = {
+    "jw_average": Layer("analytic", "jw_q_average", "sweep", _jw_average_cases,
+                        "BENCH_jw_average.json"),
+    "report": Layer("harness", "report", "series", _report_cases, "BENCH_report.json"),
+}
+
+
+def _time_cases(layer: Layer) -> dict:
+    """One untimed and one timed run per case in this interpreter: seconds
+    inside the layer, seconds in the whole run, and how often the run called
+    the layer."""
+    module = importlib.import_module(f"kicked_ising.{layer.module}")
+    original = getattr(module, layer.function)
+    tally = {"layer": 0.0, "calls": 0}
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            tally["layer"] += time.perf_counter() - start
+            tally["calls"] += 1
+
+    setattr(module, layer.function, timed)
+    out = {}
+    try:
+        for name, (run, covers) in layer.cases().items():
+            run()  # warm-up
+            tally.update(layer=0.0, calls=0)
+            start = time.perf_counter()
+            run()
+            out[name] = {"run": time.perf_counter() - start, **tally, **covers}
+    finally:
+        setattr(module, layer.function, original)
+    return out
+
+
+def _spread(samples: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "samples": len(samples)}
+
+
+def _source_digest(src: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted((src / "kicked_ising").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def _tree(text: str) -> tuple[str, Path]:
+    label, sep, src = text.partition("=")
+    if not (sep and label and src):
+        raise argparse.ArgumentTypeError(f"expected LABEL=SRC_DIR, got {text!r}")
+    path = Path(src).resolve()
+    if not (path / "kicked_ising" / "__init__.py").is_file():
+        raise argparse.ArgumentTypeError(f"no kicked_ising package under {path}")
+    return label, path
+
+
+def _run_child(layer: str, src: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, __file__, CHILD_FLAG, layer], env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(done.stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("layer", choices=sorted(LAYERS))
+    parser.add_argument("trees", nargs="+", type=_tree, metavar="LABEL=SRC_DIR",
+                        help="source trees to time alternately, two or more")
+    args = parser.parse_args(argv)
+    labels = [label for label, _ in args.trees]
+    if len(args.trees) < 2 or len(set(labels)) != len(labels):
+        parser.error("need two or more trees with distinct labels")
+    layer = LAYERS[args.layer]
+    rounds = {label: [] for label in labels}
+    for r in range(REPEATS):
+        k = r % len(args.trees)
+        for label, src in args.trees[k:] + args.trees[:k]:
+            rounds[label].append(_run_child(args.layer, src))
+    output = ROOT / layer.output
+    record = json.loads(output.read_text()) if output.exists() else {}
+    host = {"cpu": _cpu_model(), "nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
+    for label, src in args.trees:
+        samples = rounds[label]
+        cases = {name: {key: value for key, value in first.items()
+                        if key not in ("layer", "run")}
+                 | {"layer_s": _spread([s[name]["layer"] for s in samples]),
+                    f"{layer.run}_s": _spread([s[name]["run"] for s in samples])}
+                 for name, first in samples[0].items()}
+        record.setdefault("runs", {})[label] = {
+            "source_sha256": _source_digest(src), "host": host, "cases": cases,
+            "alternated_with": [other for other in labels if other != label]}
+        for name, case in cases.items():
+            print(f"{label} {name}: layer {case['layer_s']['median'] * 1e3:.2f} ms "
+                  f"[{case['layer_s']['q1'] * 1e3:.2f}, {case['layer_s']['q3'] * 1e3:.2f}], "
+                  f"{layer.run} {case[f'{layer.run}_s']['median'] * 1e3:.2f} ms")
+    output.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == [CHILD_FLAG]:
+        print(json.dumps(_time_cases(LAYERS[sys.argv[2]])))
+        sys.exit(0)
+    sys.exit(main())
