@@ -11,14 +11,11 @@ import numpy as np
 
 from kicked_ising import (
     ChainParams,
+    RunConfig,
     cluster_n_tangle,
     cluster_nn_concurrence,
     cluster_q,
-    make_ghz,
-    make_vacuum,
-    n_tangle,
-    report,
-    step,
+    run_time_series,
     sym_cluster_n_tangle,
 )
 
@@ -30,29 +27,22 @@ def main():
     print(f"cluster evolution: L={L}, j_x={jx}, periodic, vacuum start")
     print(f"{'t':>3} {'Q':>10} {'Q form':>10} {'C_nn':>10} {'C form':>10} "
           f"{'n-tangle':>10} {'nt form':>10}")
-    state = make_vacuum(L)
     rows = []
-    for t in range(0, 25):
-        if t:
-            state = step(state, params)
-        r = report(state, t)
-        rows.append((t, r.q_measure, r.nn_concurrence, r.n_tangle))
-        print(f"{t:>3} {r.q_measure:>10.6f} {cluster_q(jx, t, 'periodic', L):>10.6f} "
-              f"{r.nn_concurrence:>10.6f} {cluster_nn_concurrence(jx, t):>10.6f} "
-              f"{r.n_tangle:>10.6f} {cluster_n_tangle(jx, t, L):>10.6f}")
+    for r in run_time_series(RunConfig(params, 24)):
+        rows.append((r.t, r.q_measure, r.nn_concurrence, r.n_tangle))
+        print(f"{r.t:>3} {r.q_measure:>10.6f} {cluster_q(jx, r.t, 'periodic', L):>10.6f} "
+              f"{r.nn_concurrence:>10.6f} {cluster_nn_concurrence(jx, r.t):>10.6f} "
+              f"{r.n_tangle:>10.6f} {cluster_n_tangle(jx, r.t, L):>10.6f}")
 
     t_star = np.pi / jx
     print(f"\nat j_x*t = pi (t ~ {t_star:.1f}) Q is maximal while every two-qubit")
     print("concurrence vanishes: the entanglement is genuinely multipartite.")
 
     print("\nsymmetrized states: GHZ seed under the same coupling")
-    state = make_ghz(L)
     print(f"{'t':>3} {'Q':>10} {'n-tangle':>10} {'nt form':>10}")
-    for t in range(0, 17):
-        if t:
-            state = step(state, params)
-        print(f"{t:>3} {report(state, t, pair_measures=False).q_measure:>10.6f} "
-              f"{n_tangle(state):>10.6f} {sym_cluster_n_tangle(jx, t, L):>10.6f}")
+    for r in run_time_series(RunConfig(params, 16, "ghz", frozenset({"q", "n_tangle"}))):
+        print(f"{r.t:>3} {r.q_measure:>10.6f} {r.n_tangle:>10.6f} "
+              f"{sym_cluster_n_tangle(jx, r.t, L):>10.6f}")
     print("\nQ stays pinned at 1 and the n-tangle returns to 1 at j_x*t = k*pi,")
     print("instead of decaying like 2^-(L-2) as it does for the bare cluster states.")
 

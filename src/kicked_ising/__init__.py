@@ -35,8 +35,6 @@ from .measures import (
 from .statevec import (
     ChainParams,
     PureState,
-    apply_field_kick,
-    apply_ising_kick,
     fwht_inplace,
     make_basis_state,
     make_ghz,
@@ -56,8 +54,6 @@ __all__ = [
     "RunConfig",
     "SweepConfig",
     "SweepPointError",
-    "apply_field_kick",
-    "apply_ising_kick",
     "cluster_n_tangle",
     "cluster_nn_concurrence",
     "cluster_q",

@@ -129,7 +129,11 @@ def _parse_axis(text: str, option: str) -> AxisSpec:
         bounds = _finite(lo), _finite(hi)
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"{option} bound: {exc}") from None
-    return AxisSpec(_AXIS_NAMES[name], *bounds, int(count))
+    try:
+        points = int(count)
+    except ValueError:
+        raise ValueError(f"{option} count: expected a whole number, got {count!r}") from None
+    return AxisSpec(_AXIS_NAMES[name], *bounds, points)
 
 
 # ------------------------------------------------------------------- evolve
@@ -184,9 +188,13 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         if args.tmin != 0.0 or not args.tmax.is_integer():
             raise ValueError(f"jw_q counts whole kicks from 0: need --tmin 0 and an integer "
                              f"--tmax, got --tmin {args.tmin:g} --tmax {args.tmax:g}")
+        if args.tmax < 0:
+            raise ValueError(f"jw_q counts kicks forward: need --tmax >= 0, got {args.tmax:g}")
         ts = np.arange(0, int(args.tmax) + 1)
         values = analytic.jw_q_vacuum(args.L, args.jx, args.b, ts)
     else:
+        if args.samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {args.samples}")
         ts = np.linspace(args.tmin, args.tmax, args.samples)
         if args.formula == "cluster_q":
             if args.boundary == "open":

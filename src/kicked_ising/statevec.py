@@ -16,18 +16,18 @@ coupling is a diagonal phase vector ``D`` in the ``sigma_x`` eigenbasis,
 which the Hadamard ``H`` on every qubit reaches, so
 ``U = H^{(x)L} D (H u)^{(x)L}``.
 
-Every product gate ``w^{(x)L}`` (the field rotation, the Walsh-Hadamard
-transform and their fusions) goes through one kernel.  It cuts the chain into
+Every product gate ``w^{(x)L}`` (the Walsh-Hadamard transform and the
+fused kick gate ``H u H``) goes through one kernel.  It cuts the chain into
 ``ceil(L / 5)`` blocks of at most five qubits and applies each block's
 Kronecker power ``w^{(x)s}`` as one matrix product on an ``(A, 2**s, B)``
 view of the amplitudes: ``ceil(L / 5)`` passes over the state, not ``L``.
 
-A time series is evolved in the ``sigma_x`` frame, on ``H^{(x)L} psi``, where
-consecutive kicks collapse to ``D (H u H)^{(x)L}``: one fused pass and one
-phase multiply (:class:`XFrameKick`), on a ``(P, 2**L)`` stack of states with
-one row, block gates and phases per parameter point.  Every measure the
-package reports is invariant under ``H`` on each qubit, so the state is never
-transformed back.
+Every evolution runs in the ``sigma_x`` frame, on ``H^{(x)L} psi``, where a
+kick is ``D (H u H)^{(x)L}``: one fused pass and one phase multiply
+(:class:`XFrameKick`), on a ``(P, 2**L)`` stack of states with one row, block
+gates and phases per parameter point.  :func:`step` transforms one state in
+and back out; a time series never transforms back, as every measure the
+package reports is invariant under ``H`` on each qubit.
 """
 
 from __future__ import annotations
@@ -191,20 +191,6 @@ def _fused_pass(amps: np.ndarray, gates, spare: np.ndarray):
     return amps, spare
 
 
-def _num_qubits_of(amplitudes: np.ndarray) -> int:
-    n = amplitudes.shape[-1]
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"length {n} is not a power of two")
-    return n.bit_length() - 1
-
-
-def apply_product_gate(amplitudes: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``w^{(x)L}``, the 2x2 gate ``w`` on every qubit, as a new amplitude array."""
-    amps = np.array(amplitudes, dtype=complex)
-    out, _ = _fused_pass(amps, _block_gates(_num_qubits_of(amps), w), np.empty_like(amps))
-    return out
-
-
 def fwht_inplace(amplitudes: np.ndarray) -> np.ndarray:
     """In-place normalized fast Walsh-Hadamard transform, H^{tensor L}.
 
@@ -212,7 +198,10 @@ def fwht_inplace(amplitudes: np.ndarray) -> np.ndarray:
     fused product-gate kernel; the transform is involutive.  The array length
     (the row length of a ``(P, 2**L)`` stack) must be a power of two.
     """
-    L = _num_qubits_of(amplitudes)
+    n = amplitudes.shape[-1]
+    if n < 1 or (n & (n - 1)) != 0:
+        raise ValueError(f"length {n} is not a power of two")
+    L = n.bit_length() - 1
     gates = _block_gates(L, _SIGN)
     if gates:  # the whole 2^(-L/2), exact for even L, goes into the first gate
         gates[0] = (0, gates[0][1] * 2.0 ** (-L / 2))
@@ -244,40 +233,21 @@ def _ising_phase_vector(num_qubits: int, j_x, boundary: str) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def apply_ising_kick(state: PureState, j_x: float, boundary: str = "periodic") -> PureState:
-    """exp(-i j_x sum_n S^x_n S^x_{n+1}) over the chain bonds.
-
-    Walsh-Hadamard to the sigma_x eigenbasis, multiply each amplitude by
-    exp(-i (j_x/4) sum_n s_n s_{n+1}) with the eigenvalue signs s_n read off
-    the index bits, and transform back.
-    """
-    if boundary not in BOUNDARIES:
-        raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
-    amps = fwht_inplace(state.amplitudes.copy())
-    amps *= _ising_phase_vector(state.num_qubits, j_x, boundary)
-    return PureState(state.num_qubits, fwht_inplace(amps))
-
-
 def field_unitary(b_field: float, theta: float) -> np.ndarray:
     """The 2x2 one-qubit rotation exp(-i b (cos(theta) S^x + sin(theta) S^z))."""
     axis = math.cos(theta) * PAULI_X + math.sin(theta) * PAULI_Z
     return math.cos(b_field / 2) * np.eye(2) - 1j * math.sin(b_field / 2) * axis
 
 
-def apply_field_kick(state: PureState, b_field: float, theta: float) -> PureState:
-    """Apply the tilted-field rotation independently to every qubit."""
-    return PureState(state.num_qubits,
-                     apply_product_gate(state.amplitudes, field_unitary(b_field, theta)))
-
-
 def step(state: PureState, params: ChainParams) -> PureState:
-    """One kick: :func:`apply_field_kick`, then :func:`apply_ising_kick`."""
+    """One kick ``U = U_xx(j_x) . U_field(b, theta)``: the sigma_x-frame kick of
+    :class:`XFrameKick` between two Walsh-Hadamard transforms."""
     if state.num_qubits != params.num_qubits:
         raise ValueError(
             f"state has {state.num_qubits} qubits but params expect {params.num_qubits}"
         )
-    kicked = apply_field_kick(state, params.b_field, params.theta)
-    return apply_ising_kick(kicked, params.j_x, params.boundary)
+    kicked = XFrameKick([params])(fwht_inplace(state.amplitudes[None].copy()))
+    return PureState(state.num_qubits, fwht_inplace(kicked)[0])
 
 
 class XFrameKick:

@@ -190,6 +190,16 @@ class TestSweep:
         assert code == 2
         assert "distinct" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis", ["--axis1", "--axis2"])
+    @pytest.mark.parametrize("count", ["x", "2.0", ""])
+    def test_axis_count_names_its_option(self, axis, count, capsys):
+        argv = ["sweep", "--axis1", "jx:0:1:2", "--axis2", "b:2:3:2", "--L", "4", "--kicks", "5"]
+        argv[argv.index(axis) + 1] = argv[argv.index(axis) + 1][:-1] + count
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {axis} count: expected a whole number, got {count!r}")
+
     def test_unknown_measure_lists_the_known_ones(self, capsys):
         code = main(["sweep", "--axis1", "jx:0:1:2", "--axis2", "b:2:3:2",
                      "--L", "4", "--kicks", "5", "--measure", "entropy"])
@@ -280,13 +290,23 @@ class TestAnalytic:
 
     def test_jw_q_refuses_times_it_cannot_honour(self, capsys):
         # the mode formula takes whole kicks from 0; a fractional end or a
-        # later start would otherwise be rounded or dropped without a word
-        for extra in (["--tmax", "2.9"], ["--tmin", "2", "--tmax", "5"]):
+        # later start would otherwise be rounded or dropped without a word,
+        # and a negative end would print a bare header
+        for extra in (["--tmax", "2.9"], ["--tmin", "2", "--tmax", "5"], ["--tmax", "-2"]):
             code = main(["analytic", "--formula", "jw_q", "--L", "6", "--jx", "1",
                          "--b", "0.5", *extra])
             assert code == 2
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error:") and "--tmax" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_a_curve_needs_a_sample(self, samples, capsys):
+        # no samples would print a bare header and exit 0, or numpy's own message
+        assert main(["analytic", "--formula", "cluster_q", "--jx", "1", "--tmax", "1",
+                     "--samples", samples]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: --samples")
 
     def test_odd_chain_rejected(self, tmp_path, capsys):
         code = main(["analytic", "--formula", "cluster_n_tangle", "--L", "5",

@@ -7,11 +7,15 @@ import pytest
 import kicked_ising
 
 # each duplicated a path that remains: one_tangles and report give the
-# one-tangles and residual tangles, and step composes the two kick layers
+# one-tangles and residual tangles, and step is the x-frame kick between two
+# Walsh-Hadamard transforms, so a field-only or coupling-only kick is step at
+# j_x = 0 or b = 0
 DELETED = {
-    "kicked_ising": ("one_tangle", "rdm_single", "residual_tangle"),
+    "kicked_ising": ("apply_field_kick", "apply_ising_kick", "one_tangle", "rdm_single",
+                     "residual_tangle"),
     "kicked_ising.measures": ("one_tangle", "rdm_single", "residual_tangle"),
-    "kicked_ising.statevec": ("_ising_phases", "_z_frame_kick"),
+    "kicked_ising.statevec": ("_ising_phases", "_z_frame_kick", "apply_field_kick",
+                              "apply_ising_kick", "apply_product_gate"),
 }
 
 

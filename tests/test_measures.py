@@ -9,7 +9,6 @@ import helpers
 from kicked_ising import (
     ChainParams,
     PureState,
-    apply_ising_kick,
     concurrence,
     concurrences,
     make_ghz,
@@ -25,7 +24,7 @@ from kicked_ising import (
 
 def cluster_state(L, jx_t, boundary="periodic"):
     """Vacuum evolved by the bare coupling to accumulated phase jx_t."""
-    return apply_ising_kick(make_vacuum(L), jx_t, boundary)
+    return step(make_vacuum(L), ChainParams(L, jx_t, 0.0, 0.0, boundary))
 
 
 def random_pure(L, seed):

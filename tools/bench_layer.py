@@ -13,6 +13,10 @@ through a whole run, and the ``BENCH_*.json`` file its record goes to:
   ``harness.run_time_series`` (``BENCH_report.json``).  Cases: ``L12``, the
   seed-0 ``evolve-pairs-L12`` run (L = 12, 40 kicks, a vacuum ring); and
   ``L16`` and ``L20``, the same couplings at L = 16 and 20 for 3 kicks.
+- ``step``: ``statevec.step``, one kick of one state, timed over a run of
+  kicks from the vacuum ring (``BENCH_step.json``).  Cases: ``L10`` (100
+  kicks), ``L14`` (20 kicks) and ``L20`` (3 kicks), at the seed-0
+  ``evolve-pairs-L12`` couplings.
 
 Each ``LABEL=SRC_DIR`` names a tree whose ``kicked_ising`` package is timed.
 The trees take turns: each of the ``REPEATS`` rounds starts one fresh
@@ -99,6 +103,22 @@ def _report_cases() -> dict:
     return cases
 
 
+def _step_cases() -> dict:
+    from kicked_ising import statevec
+
+    flags, _ = _seed0("evolve-pairs-L12")
+    jx, b, theta = (float(flags[f]) for f in ("--jx", "--b", "--theta"))
+    cases = {}
+    for L, kicks in ((10, 100), (14, 20), (20, 3)):
+        def run(params=statevec.ChainParams(L, jx, b, theta), kicks=kicks):
+            state = statevec.make_vacuum(params.num_qubits)
+            for _ in range(kicks):
+                state = statevec.step(state, params)  # the module attribute, as timed
+
+        cases[f"L{L}"] = (run, {"num_qubits": L, "kicks": kicks})
+    return cases
+
+
 @dataclass(frozen=True)
 class Layer:
     """A timed package function, the runs that call it, and where they are recorded."""
@@ -114,6 +134,7 @@ LAYERS = {
     "jw_average": Layer("analytic", "jw_q_average", "sweep", _jw_average_cases,
                         "BENCH_jw_average.json"),
     "report": Layer("harness", "report", "series", _report_cases, "BENCH_report.json"),
+    "step": Layer("statevec", "step", "series", _step_cases, "BENCH_step.json"),
 }
 
 
