@@ -133,6 +133,8 @@ def _parse_axis(text: str, option: str) -> AxisSpec:
         points = int(count)
     except ValueError:
         raise ValueError(f"{option} count: expected a whole number, got {count!r}") from None
+    if points < 2:
+        raise ValueError(f"{option} count: need at least 2 points, got {points}")
     return AxisSpec(_AXIS_NAMES[name], *bounds, points)
 
 

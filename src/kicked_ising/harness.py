@@ -18,15 +18,7 @@ import numpy as np
 
 from . import analytic
 from .measures import MeasureReport, n_tangle, one_tangles, report
-from .statevec import (
-    ChainParams,
-    PureState,
-    XFrameKick,
-    fwht_inplace,
-    make_basis_state,
-    make_ghz,
-    make_vacuum,
-)
+from .statevec import ChainParams, PureState, XFrameKick
 
 MEASURES = frozenset(
     {"q", "n_tangle", "one_tangle", "nn_concurrence", "residual_tangle", "sum_two_tangles"}
@@ -44,8 +36,9 @@ _NAMED_INITIALS = ("vacuum", "all_up", "ghz")
 _PIN_ATOL = 1e-12
 
 # complex state-sized arrays alive at once in a time series: the state, the
-# kick's spare buffer and phase vector, the cached real bond-alignment and
-# parity vectors (half a copy each), and a pair RDM's two temporaries
+# kick's spare buffer and phase vector, and a pair RDM's two temporaries; the
+# cached bond-flip counts and parity signs take one byte an amplitude, an
+# eighth of a copy together, and the rest is headroom
 _LIVE_STATE_COPIES = 6
 
 # numbers in a sweep chunk: the complex amplitudes of its stack of states, or
@@ -72,21 +65,48 @@ class SweepPointError(RuntimeError):
         self.axis_values = (value1, value2)
 
 
-def initial_state(params: ChainParams, initial: str) -> PureState:
-    """Build a named initial state ('vacuum', 'all_up', 'ghz') or a bitstring."""
-    L = params.num_qubits
+def _start_terms(num_qubits: int, initial: str) -> list[tuple[int, float]]:
+    """A named initial state or a bitstring as its (basis index, amplitude) terms."""
+    top = 2 ** num_qubits - 1
     if initial == "vacuum":
-        return make_vacuum(L)
+        return [(0, 1.0)]
     if initial == "all_up":
-        return make_basis_state(L, "1" * L)
+        return [(top, 1.0)]
     if initial == "ghz":
-        return make_ghz(L)
-    if len(initial) == L and set(initial) <= {"0", "1"}:
-        return make_basis_state(L, initial)
+        return [(0, 1.0 / math.sqrt(2.0)), (top, 1.0 / math.sqrt(2.0))]
+    if len(initial) == num_qubits and set(initial) <= {"0", "1"}:
+        return [(int(initial, 2), 1.0)]
     raise ValueError(
-        f"initial must be one of {_NAMED_INITIALS} or a bitstring of length {L}, "
+        f"initial must be one of {_NAMED_INITIALS} or a bitstring of length {num_qubits}, "
         f"got {initial!r}"
     )
+
+
+def initial_state(params: ChainParams, initial: str) -> PureState:
+    """Build a named initial state ('vacuum', 'all_up', 'ghz') or a bitstring."""
+    amps = np.zeros(2 ** params.num_qubits, dtype=complex)
+    for index, amplitude in _start_terms(params.num_qubits, initial):
+        amps[index] = amplitude
+    return PureState(params.num_qubits, amps)
+
+
+def _x_frame_start(params: ChainParams, initial: str) -> np.ndarray:
+    """``H^{(x)L}`` of :func:`initial_state`, built in the sigma_x frame directly.
+
+    The basis state |b> becomes 2^{-L/2} (-1)^{popcount(x & b)} at each index
+    x, so the vacuum is a constant vector.  The amplitudes are those that
+    ``fwht_inplace`` gives, to the last bit.
+    """
+    L = params.num_qubits
+    out = np.zeros(2 ** L, dtype=complex)
+    for index, amplitude in _start_terms(L, initial):
+        value = amplitude * 2.0 ** (-L / 2)
+        if index == 0:
+            out += value
+        else:
+            odd = np.bitwise_count(np.arange(2 ** L, dtype=np.uint32) & index) & 1
+            out += np.where(odd, -value, value)
+    return out
 
 
 def _shift_invariant(params: ChainParams, initial: str) -> bool:
@@ -95,7 +115,8 @@ def _shift_invariant(params: ChainParams, initial: str) -> bool:
     True on a ring started from a named state or from a bitstring of one
     repeated bit: each start is shift-invariant, and the uniform kick commutes
     with the shift.  Decided from the run's input alone, never from its
-    amplitudes; :func:`~kicked_ising.measures.report` takes it as given.
+    amplitudes; :func:`~kicked_ising.measures.report` and
+    :func:`~kicked_ising.measures.one_tangles` take it as given.
     """
     L = params.num_qubits
     return params.boundary == "periodic" and initial in (*_NAMED_INITIALS, "0" * L, "1" * L)
@@ -157,8 +178,7 @@ def _evolve(points: list[ChainParams], initial: str, steps: int, sample_every: i
     L = points[0].num_qubits
     _check_memory(L, len(points))
     try:
-        # the fresh initial state is transformed in place; nothing else holds it
-        start = fwht_inplace(initial_state(points[0], initial).amplitudes)
+        start = _x_frame_start(points[0], initial)
         amps = start[None] if len(points) == 1 else np.tile(start, (len(points), 1))
         kick = XFrameKick(points)
     except MemoryError as exc:
@@ -270,7 +290,7 @@ def _numeric_averages(config: SweepConfig, axes: dict[str, np.ndarray],
         if t == 0:
             continue
         if config.measure in _Q_MEASURES:
-            values[:, t - 1] = one_tangles(amps).mean(axis=1)
+            values[:, t - 1] = one_tangles(amps, shift).mean(axis=1)
         elif config.measure == "n_tangle":
             values[:, t - 1] = n_tangle(amps)
         else:

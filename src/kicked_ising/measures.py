@@ -114,7 +114,17 @@ def _block_rdm(amplitudes: np.ndarray, lo: int, size: int) -> np.ndarray:
     return sum(np.matmul(q, q.conj().swapaxes(-1, -2)).sum(axis=1) for q in parts)
 
 
-def one_tangles(state) -> np.ndarray:
+def _sliced_vecdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k conj(a[..., k]) b[..., k], summed over slices of ``_RDM_CHUNK``.
+
+    Rounding grows with the length of one dot product, so a long one is cut
+    into slices whose partial sums are added."""
+    n = a.shape[-1]
+    return sum(np.vecdot(a[..., r:r + _RDM_CHUNK], b[..., r:r + _RDM_CHUNK])
+               for r in range(0, n, _RDM_CHUNK))
+
+
+def one_tangles(state, shift_invariant: bool = False) -> np.ndarray:
     """All L one-tangles, 4 det of each single-qubit reduced density matrix
     clamped to [0, 1], from one RDM per block.
 
@@ -123,9 +133,21 @@ def one_tangles(state) -> np.ndarray:
     (:func:`~kicked_ising.statevec.blocks`).  Each costs one 2^s x 2^s
     reduced-density-matrix product, whose partial traces give the block's s
     single-qubit RDMs.
+
+    ``shift_invariant`` is the caller's assertion, not checked here, that the
+    ring shift maps every row to itself up to a phase, as in :func:`report`.
+    Every qubit then has the RDM of qubit L-1, whose entries are three dot
+    products of the two contiguous halves of a row.
     """
     amps = state.amplitudes[None] if isinstance(state, PureState) else state
     L = amps.shape[-1].bit_length() - 1
+    if shift_invariant:
+        half = amps.shape[-1] // 2
+        lo, hi = amps[:, :half], amps[:, half:]
+        det = (_sliced_vecdot(lo, lo).real * _sliced_vecdot(hi, hi).real
+               - np.abs(_sliced_vecdot(lo, hi)) ** 2)
+        out = np.repeat(np.clip(4.0 * det, 0.0, 1.0)[:, None], L, axis=1)
+        return out[0] if isinstance(state, PureState) else out
     out = np.empty((len(amps), L))
     for lo, size in blocks(L):
         rho = _block_rdm(amps, lo, size)
@@ -145,7 +167,7 @@ def q_measure(state: PureState) -> float:
 @lru_cache(maxsize=2)
 def _parity_signs(num_qubits: int) -> np.ndarray:
     counts = np.bitwise_count(np.arange(2 ** num_qubits, dtype=np.uint32))
-    out = np.where(counts & 1, -1.0, 1.0)
+    out = np.where(counts & 1, np.int8(-1), np.int8(1))
     out.setflags(write=False)
     return out
 
@@ -155,11 +177,16 @@ def n_tangle(state):
 
     Evaluated in O(2^L) as ``|sum_b psi(b) psi(~b) (-1)^popcount(b)|^2``; the
     complement pairing makes it vanish identically for odd L.  A (P,) array for
-    a ``(P, 2**L)`` stack of amplitude rows in place of a PureState.
+    a ``(P, 2**L)`` stack of amplitude rows in place of a PureState.  The sum
+    runs over slices of ``_RDM_CHUNK`` amplitudes, reading ``psi(~b)`` as a
+    reversed view, so no temporary is larger than one slice a row.
     """
     a = state.amplitudes[None] if isinstance(state, PureState) else state
-    flipped = a[:, ::-1] * _parity_signs(a.shape[-1].bit_length() - 1)
-    total = np.matmul(flipped[:, None, :], a[:, :, None])[:, 0, 0]
+    signs = _parity_signs(a.shape[-1].bit_length() - 1)
+    flipped = a[:, ::-1]
+    total = sum(np.matmul((flipped[:, r:r + _RDM_CHUNK] * signs[r:r + _RDM_CHUNK])[:, None, :],
+                          a[:, r:r + _RDM_CHUNK, None])[:, 0, 0]
+                for r in range(0, a.shape[-1], _RDM_CHUNK))
     # np.hypot rounds as abs() of a complex does; np.abs can differ in the last bit
     out = np.minimum(np.hypot(total.real, total.imag) ** 2, 1.0)
     return float(out[0]) if isinstance(state, PureState) else out
@@ -237,8 +264,9 @@ def report(state: PureState, t: int, pair_measures: bool = True,
     bonds of ``nn_concurrence``.
 
     ``shift_invariant`` is the caller's assertion, not checked here, that the
-    ring shift maps ``state`` to itself up to a phase.  A pair's concurrence
-    then depends only on its ring distance d, so the table is filled from the
+    ring shift maps ``state`` to itself up to a phase.  Every qubit then has
+    the same one-tangle (see :func:`one_tangles`), and a pair's concurrence
+    depends only on its ring distance d, so the table is filled from the
     L // 2 pairs (0, d) instead of all L (L - 1) / 2; a ring started from a
     shift-invariant state and kicked uniformly stays so.  Only a periodic
     chain has the shift.
@@ -248,7 +276,7 @@ def report(state: PureState, t: int, pair_measures: bool = True,
     if shift_invariant and boundary != "periodic":
         raise ValueError(f"a {boundary} chain has no ring shift to be invariant under")
     L = state.num_qubits
-    tangles = one_tangles(state)
+    tangles = one_tangles(state, shift_invariant)
     pairs = None
     if pair_measures:
         i, j = np.triu_indices(L, k=1)

@@ -212,25 +212,30 @@ def fwht_inplace(amplitudes: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=2)
-def _bond_alignment(num_qubits: int, boundary: str) -> np.ndarray:
-    """sum_n s_n s_{n+1} over the bonds, per basis index, with s = +/-1 from the bits."""
+def _bond_flips(num_qubits: int, boundary: str) -> np.ndarray:
+    """How many bonds join unequal bits, per basis index, as uint8."""
     idx = np.arange(2 ** num_qubits, dtype=np.uint32)
     if boundary == "periodic":
         neighbour = (idx >> 1) | ((idx & 1) << (num_qubits - 1))
-        flips = np.bitwise_count(idx ^ neighbour)
-        n_bonds = num_qubits
+        out = np.bitwise_count(idx ^ neighbour)
     else:
-        flips = np.bitwise_count((idx ^ (idx >> 1)) & ((1 << (num_qubits - 1)) - 1))
-        n_bonds = num_qubits - 1
-    out = (n_bonds - 2 * flips.astype(np.int32)).astype(np.float64)
+        out = np.bitwise_count((idx ^ (idx >> 1)) & ((1 << (num_qubits - 1)) - 1))
+    out = out.astype(np.uint8, copy=False)
     out.setflags(write=False)
     return out
 
 
 def _ising_phase_vector(num_qubits: int, j_x, boundary: str) -> np.ndarray:
-    """exp(-i (j_x/4) sum_n s_n s_{n+1}) per sigma_x eigenbasis index (a row per j_x)."""
-    out = -0.25j * np.asarray(j_x, dtype=float)[..., None] * _bond_alignment(num_qubits, boundary)
-    return np.exp(out, out=out)
+    """exp(-i (j_x/4) sum_n s_n s_{n+1}) per sigma_x eigenbasis index (a row per j_x),
+    with s = +/-1 from the bits.
+
+    A basis index with k unequal bonds has alignment n_bonds - 2k, so the
+    exponential is taken once per alignment and gathered by the flip counts.
+    """
+    n_bonds = num_qubits if boundary == "periodic" else num_qubits - 1
+    alignment = np.arange(n_bonds, -n_bonds - 1, -2, dtype=np.float64)
+    table = np.exp(-0.25j * np.asarray(j_x, dtype=float)[..., None] * alignment)
+    return np.take(table, _bond_flips(num_qubits, boundary), axis=-1)
 
 
 def field_unitary(b_field: float, theta: float) -> np.ndarray:

@@ -200,6 +200,16 @@ class TestSweep:
         assert out == "" and len(err.splitlines()) == 1
         assert err.startswith(f"error: {axis} count: expected a whole number, got {count!r}")
 
+    @pytest.mark.parametrize("axis", ["--axis1", "--axis2"])
+    @pytest.mark.parametrize("count", ["1", "0", "-3"])
+    def test_axis_too_few_points_names_its_option(self, axis, count, capsys):
+        argv = ["sweep", "--axis1", "jx:0:1:2", "--axis2", "b:2:3:2", "--L", "4", "--kicks", "5"]
+        argv[argv.index(axis) + 1] = argv[argv.index(axis) + 1][:-1] + count
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {axis} count: need at least 2 points, got {count}")
+
     def test_unknown_measure_lists_the_known_ones(self, capsys):
         code = main(["sweep", "--axis1", "jx:0:1:2", "--axis2", "b:2:3:2",
                      "--L", "4", "--kicks", "5", "--measure", "entropy"])

@@ -14,8 +14,8 @@ DELETED = {
     "kicked_ising": ("apply_field_kick", "apply_ising_kick", "one_tangle", "rdm_single",
                      "residual_tangle"),
     "kicked_ising.measures": ("one_tangle", "rdm_single", "residual_tangle"),
-    "kicked_ising.statevec": ("_ising_phases", "_z_frame_kick", "apply_field_kick",
-                              "apply_ising_kick", "apply_product_gate"),
+    "kicked_ising.statevec": ("_bond_alignment", "_ising_phases", "_z_frame_kick",
+                              "apply_field_kick", "apply_ising_kick", "apply_product_gate"),
 }
 
 

@@ -25,8 +25,8 @@ from kicked_ising import (
     sym_cluster_n_tangle,
     time_average,
 )
-from kicked_ising import measures
-from kicked_ising.harness import MEASURES, _evolve, _shift_invariant
+from kicked_ising import fwht_inplace, measures
+from kicked_ising.harness import MEASURES, _evolve, _shift_invariant, _x_frame_start
 
 # time-averaged Q for (L=6, j_x=B=theta=pi/4, 1000 kicks); recorded from the
 # first validated build, pinned here as the determinism fixture
@@ -65,6 +65,22 @@ class TestInitialState:
             initial_state(quick_params(), "thermal")
         with pytest.raises(ValueError):
             initial_state(quick_params(), "01")
+
+
+class TestXFrameStart:
+    def test_is_bitwise_the_transformed_start(self):
+        rng = np.random.default_rng(31)
+        for L in range(2, 15):
+            bitstrings = ["".join(rng.choice(["0", "1"], L)) for _ in range(3)]
+            for boundary in ("periodic", "open"):
+                p = quick_params(num_qubits=L, boundary=boundary)
+                for initial in ("vacuum", "all_up", "ghz", *bitstrings):
+                    want = fwht_inplace(initial_state(p, initial).amplitudes)
+                    assert _x_frame_start(p, initial).tobytes() == want.tobytes()
+
+    def test_rejects_unknown(self):
+        with pytest.raises(ValueError, match="initial must be"):
+            _x_frame_start(quick_params(), "thermal")
 
 
 class TestRunTimeSeries:
@@ -151,7 +167,7 @@ class TestMemoryPreflight:
             raise AssertionError("the state was allocated before the memory check")
 
         monkeypatch.setattr(harness, "_available_memory_bytes", lambda: 1 << 20)
-        monkeypatch.setattr(harness, "initial_state", no_state)
+        monkeypatch.setattr(harness, "_x_frame_start", no_state)
         with pytest.raises(RuntimeError, match="16-qubit run needs"):
             run_time_series(RunConfig(params=quick_params(num_qubits=16), steps=1))
 
@@ -225,7 +241,7 @@ class TestSweepGrid:
     def test_numeric_sweep_keeps_the_phase_caches_small(self):
         from kicked_ising import measures, statevec
 
-        statevec._bond_alignment.cache_clear()
+        statevec._bond_flips.cache_clear()
         measures._parity_signs.cache_clear()
         for num_qubits in (4, 5, 6):  # each chain length needs its own 2^L-sized entries
             cfg = SweepConfig(axis1=AxisSpec("j_x", 0.3, 2.7, 6),
@@ -233,7 +249,7 @@ class TestSweepGrid:
                               fixed=quick_params(num_qubits=num_qubits, theta=0.7), steps=3,
                               measure="n_tangle")
             sweep_grid(cfg)
-        for cache in (statevec._bond_alignment, measures._parity_signs):
+        for cache in (statevec._bond_flips, measures._parity_signs):
             info = cache.cache_info()
             assert info.maxsize <= 2 and info.currsize <= 2
 

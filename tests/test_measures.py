@@ -278,16 +278,46 @@ class TestBlockOneTangles:
         from kicked_ising import measures
         rng = np.random.default_rng(22)
         states = [PureState(L, helpers.random_state(L, rng)) for L in (7, 11, 12)]
-        whole = [one_tangles(s) for s in states]
+        whole = [(one_tangles(s), one_tangles(s, shift_invariant=True)) for s in states]
         monkeypatch.setattr(measures, "_RDM_CHUNK", 4)
-        for s, want in zip(states, whole):
+        for s, (want, want_shift) in zip(states, whole):
             assert np.max(np.abs(one_tangles(s) - want)) < 1e-13
+            assert np.max(np.abs(one_tangles(s, shift_invariant=True) - want_shift)) < 1e-13
 
     def test_product_and_cluster_values(self):
         assert np.all(one_tangles(make_vacuum(7)) == 0.0)
         assert np.allclose(one_tangles(make_ghz(9)), 1.0, atol=1e-12)
         s = cluster_state(8, np.pi / 2)
         assert np.allclose(one_tangles(s), 1 - np.cos(np.pi / 4) ** 4, atol=1e-12)
+
+
+class TestShiftInvariantOneTangles:
+    def test_match_the_block_path_on_kicked_rings(self):
+        from kicked_ising.harness import _evolve
+        rng = np.random.default_rng(23)
+        for L in range(2, 15):
+            for initial in ("vacuum", "all_up", "ghz"):
+                points = [ChainParams(L, *rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, np.pi))
+                          for _ in range(3)]
+                for stack in (points[:1], points):
+                    for t, amps in _evolve(stack, initial, 3):
+                        got = one_tangles(amps, shift_invariant=True)
+                        assert got.shape == (len(stack), L)
+                        assert np.max(np.abs(got - one_tangles(amps))) < 1e-12
+                    row = PureState(L, amps[0])
+                    assert np.max(np.abs(one_tangles(row, shift_invariant=True)
+                                         - one_tangles(row))) < 1e-12
+
+
+class TestNTangleSlices:
+    def test_summed_over_slices(self, monkeypatch):
+        from kicked_ising import measures
+        rng = np.random.default_rng(24)
+        stacks = [np.array([helpers.random_state(L, rng) for _ in range(3)]) for L in (6, 9, 12)]
+        whole = [n_tangle(a) for a in stacks]
+        monkeypatch.setattr(measures, "_RDM_CHUNK", 4)
+        for a, want in zip(stacks, whole):
+            assert np.max(np.abs(n_tangle(a) - want)) < 1e-13
 
 
 class TestLocalUnitaryInvariance:

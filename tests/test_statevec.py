@@ -17,7 +17,14 @@ from kicked_ising import (
     q_measure,
     step,
 )
-from kicked_ising.statevec import BLOCK_QUBITS, XFrameKick, _block_gates, _fused_pass, blocks
+from kicked_ising.statevec import (
+    BLOCK_QUBITS,
+    XFrameKick,
+    _block_gates,
+    _fused_pass,
+    _ising_phase_vector,
+    blocks,
+)
 
 
 def field_kick(state, b, theta):
@@ -202,6 +209,28 @@ class TestXFrameKick:
     def test_stack_points_share_one_chain(self):
         with pytest.raises(ValueError, match="share"):
             XFrameKick([ChainParams(4, 1.0, 0.5, 0.3), ChainParams(4, 1.0, 0.5, 0.3, "open")])
+
+
+class TestIsingPhases:
+    @staticmethod
+    def exp_per_index(L, j_x, boundary):
+        """exp(-i (j_x/4) sum_n s_n s_{n+1}), one exponential per basis index."""
+        idx = np.arange(2 ** L)
+        bits = (idx[:, None] >> np.arange(L)) & 1
+        s = 1.0 - 2.0 * bits
+        pairs = s[:, :-1] * s[:, 1:]
+        alignment = pairs.sum(axis=1) + (s[:, -1] * s[:, 0] if boundary == "periodic" else 0)
+        return np.exp(-0.25j * np.asarray(j_x, dtype=float)[..., None] * alignment)
+
+    def test_table_gather_is_bitwise_the_per_index_exponential(self):
+        rng = np.random.default_rng(29)
+        for L in range(2, 15):
+            for boundary in ("periodic", "open"):
+                for j_x in (rng.uniform(-7, 7), rng.uniform(-7, 7, 3), 0.0, np.pi):
+                    got = _ising_phase_vector(L, j_x, boundary)
+                    want = self.exp_per_index(L, j_x, boundary)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestFieldKick:

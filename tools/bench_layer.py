@@ -17,6 +17,10 @@ through a whole run, and the ``BENCH_*.json`` file its record goes to:
   kicks from the vacuum ring (``BENCH_step.json``).  Cases: ``L10`` (100
   kicks), ``L14`` (20 kicks) and ``L20`` (3 kicks), at the seed-0
   ``evolve-pairs-L12`` couplings.
+- ``series``: ``harness.run_time_series`` with the measure ``q`` alone, as
+  ``compare --regime transverse`` calls it (``BENCH_series.json``).  Case:
+  ``L20``, the seed-0 ``compare-transverse-L20`` run (L = 20, 3 kicks from
+  the vacuum ring at theta = pi/2).
 
 Each ``LABEL=SRC_DIR`` names a tree whose ``kicked_ising`` package is timed.
 The trees take turns: each of the ``REPEATS`` rounds starts one fresh
@@ -46,6 +50,7 @@ import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -119,6 +124,18 @@ def _step_cases() -> dict:
     return cases
 
 
+def _series_cases() -> dict:
+    from kicked_ising import harness
+    from kicked_ising.statevec import ChainParams
+
+    flags, _ = _seed0("compare-transverse-L20")
+    L, steps = int(flags["--L"]), int(flags["--tmax"])
+    config = harness.RunConfig(ChainParams(L, float(flags["--jx"]), float(flags["--b"]),
+                                           math.pi / 2.0), steps, measures=frozenset({"q"}))
+    # the module attribute, as timed
+    return {f"L{L}": (lambda: harness.run_time_series(config), {"num_qubits": L, "kicks": steps})}
+
+
 @dataclass(frozen=True)
 class Layer:
     """A timed package function, the runs that call it, and where they are recorded."""
@@ -135,6 +152,8 @@ LAYERS = {
                         "BENCH_jw_average.json"),
     "report": Layer("harness", "report", "series", _report_cases, "BENCH_report.json"),
     "step": Layer("statevec", "step", "series", _step_cases, "BENCH_step.json"),
+    "series": Layer("harness", "run_time_series", "series", _series_cases,
+                    "BENCH_series.json"),
 }
 
 
