@@ -2,7 +2,7 @@
 numeric-vs-analytic comparison drivers.
 
 Every run goes through one kick loop, :func:`_evolve`, which kicks a stack of
-states, one per parameter point, in the sigma_x frame of
+states, one per parameter point, in the frame of
 :class:`~kicked_ising.statevec.XFrameKick`; a time series is a stack of one.
 Sweeps take their grid in chunks, the transverse points from the free-fermion
 closed form and the rest as stacks, in a fixed row-major order.
@@ -35,11 +35,12 @@ _NAMED_INITIALS = ("vacuum", "all_up", "ghz")
 # numerics for an approximation without saying so
 _PIN_ATOL = 1e-12
 
-# complex state-sized arrays alive at once in a time series: the state, the
-# kick's spare buffer and phase vector, and a pair RDM's two temporaries; the
-# cached bond-flip counts and parity signs take one byte an amplitude, an
-# eighth of a copy together, and the rest is headroom
-_LIVE_STATE_COPIES = 6
+# complex state-sized arrays alive at once in a time series: the state and
+# the kick's spare buffer and phase vector; the cached bond-flip counts and
+# parity signs take one byte an amplitude, an eighth of a copy together, and
+# the rest is headroom.  A 20-qubit evolve with every measure peaks 3.6
+# copies above the bare interpreter
+_LIVE_STATE_COPIES = 4
 
 # numbers in a sweep chunk: the complex amplitudes of its stack of states, or
 # its JW points' (L/2)^2 real Dirichlet kernels each; a point larger than this
@@ -172,8 +173,9 @@ def _evolve(points: list[ChainParams], initial: str, steps: int, sample_every: i
 
     Yields ``(t, amps)`` at t = 0 and every ``sample_every`` kicks, with
     ``amps`` the ``(P, 2**L)`` stack whose row p belongs to ``points[p]``.  The
-    rows are in the sigma_x frame, where every reported measure takes the same
-    value as in the z basis.
+    rows are in the frame of :class:`~kicked_ising.statevec.XFrameKick`, the
+    z-basis state under a Hadamard and a diagonal phase gate on every qubit,
+    where every reported measure takes the same value as in the z basis.
     """
     L = points[0].num_qubits
     _check_memory(L, len(points))
@@ -181,6 +183,7 @@ def _evolve(points: list[ChainParams], initial: str, steps: int, sample_every: i
         start = _x_frame_start(points[0], initial)
         amps = start[None] if len(points) == 1 else np.tile(start, (len(points), 1))
         kick = XFrameKick(points)
+        kick.enter(amps)
     except MemoryError as exc:
         raise InsufficientMemoryError(
             f"state vector for {L} qubits does not fit in memory") from exc
@@ -195,9 +198,11 @@ def run_time_series(config: RunConfig) -> list[MeasureReport]:
     """Evolve and sample; the t=0 report is always included."""
     params = config.params
     pair_measures = bool(config.measures & _PAIR_MEASURES)
+    n_tangle_measure = "n_tangle" in config.measures
     shift = _shift_invariant(params, config.initial)
     return [report(PureState(params.num_qubits, amps[0]), t, pair_measures=pair_measures,
-                   boundary=params.boundary, shift_invariant=shift)
+                   n_tangle_measure=n_tangle_measure, boundary=params.boundary,
+                   shift_invariant=shift)
             for t, amps in _evolve([params], config.initial, config.steps, config.sample_every)]
 
 
@@ -294,7 +299,8 @@ def _numeric_averages(config: SweepConfig, axes: dict[str, np.ndarray],
         elif config.measure == "n_tangle":
             values[:, t - 1] = n_tangle(amps)
         else:
-            values[:, t - 1] = [report(PureState(L, row), t, boundary=boundary,
+            values[:, t - 1] = [report(PureState(L, row), t, n_tangle_measure=False,
+                                       boundary=boundary,
                                        shift_invariant=shift).value(config.measure)
                                 for row in amps]
     return values.mean(axis=1)

@@ -32,9 +32,22 @@ def rdm_pair(state: PureState, i: int, j: int) -> np.ndarray:
         raise ValueError(f"need two distinct qubits, got ({i}, {j})")
     lo, hi = min(i, j), max(i, j)
     # axes: the qubits above hi, qubit hi, those between, qubit lo, those below lo
-    t = state.amplitudes.reshape(2 ** (L - 1 - hi), 2, 2 ** (hi - lo - 1), 2, 2 ** lo)
-    t = t.transpose((3, 1, 0, 2, 4) if i < j else (1, 3, 0, 2, 4)).reshape(4, -1)
-    return t @ t.conj().T
+    v = state.amplitudes.reshape(2 ** (L - 1 - hi), 2, 2 ** (hi - lo - 1), 2, 2 ** lo)
+    order = (3, 1, 0, 2, 4) if i < j else (1, 3, 0, 2, 4)
+
+    def gram(part):  # the pair's rows of a slice of the state, times their adjoint
+        t = part.transpose(order).reshape(4, -1)
+        return t @ t.conj().T
+
+    if state.dim <= _RDM_CHUNK:
+        return gram(v)
+    # summed over slices of at most _RDM_CHUNK amplitudes, as in _block_rdm
+    below = min(v.shape[4], max(1, _RDM_CHUNK // 4))
+    between = min(v.shape[2], max(1, _RDM_CHUNK // (4 * below)))
+    above = max(1, _RDM_CHUNK // (4 * between * below))
+    return sum(gram(v[a:a + above, :, m:m + between, :, c:c + below])
+               for a in range(0, v.shape[0], above) for m in range(0, v.shape[2], between)
+               for c in range(0, v.shape[4], below))
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -42,10 +55,10 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def _clamped_spectrum(w: np.ndarray, what: str) -> np.ndarray:
-    """Check and clean a ``(..., n)`` stack of ascending spectra, one per matrix."""
+def _clamped_spectrum(w: np.ndarray) -> np.ndarray:
+    """Check and clean a ``(..., n)`` stack of ascending density-matrix spectra."""
     if w.size and w.min() < _EIG_FLOOR:
-        raise ValueError(f"{what} has eigenvalue {w.min():.3e} below {_EIG_FLOOR:.0e}; "
+        raise ValueError(f"rho has eigenvalue {w.min():.3e} below {_EIG_FLOOR:.0e}; "
                          "input is not a valid density matrix")
     # eigenvalues below the backward-error resolution of the solver are
     # indistinguishable from exact zeros; zeroing them keeps the later square
@@ -57,24 +70,23 @@ def _clamped_spectrum(w: np.ndarray, what: str) -> np.ndarray:
 def concurrences(rho: np.ndarray) -> np.ndarray:
     """Wootters concurrences of a ``(..., 4, 4)`` stack of two-qubit density matrices.
 
-    The eigenvalues of ``rho rho~`` (with ``rho~`` the spin-flipped complex
-    conjugate) are obtained from the Hermitian congruent form
-    ``sqrt(rho) rho~ sqrt(rho)``; both spectra of the whole stack come from
-    one LAPACK call each.  Returns the ``(...)`` array of
-    max(sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4), 0), with l1 the largest.
+    With ``rho = F F^dagger``, ``F = V sqrt(w)`` from the eigendecomposition,
+    the eigenvalues of ``rho rho~`` (with ``rho~`` the spin-flipped complex
+    conjugate) are the squared singular values of ``S = F^T (sigma_y (x)
+    sigma_y) F``.  Taking the singular values directly keeps their error at
+    rounding level: a square root of a computed ``rho rho~`` eigenvalue would
+    lift rounding noise to ~1e-8 on a separable pair.  Each of the two
+    decompositions of the whole stack is one LAPACK call.  Returns the
+    ``(...)`` array of max(s1 - s2 - s3 - s4, 0), with s1 the largest.
     Raises ValueError if any matrix in the stack has an eigenvalue below -1e-9.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a stack of 4x4 density matrices, got shape {rho.shape}")
-    rho = _hermitian_part(rho)
-    w, v = np.linalg.eigh(rho)
-    w = _clamped_spectrum(w, "rho")
-    sqrt_rho = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
-    w2 = np.linalg.eigvalsh(_hermitian_part(sqrt_rho @ rho_tilde @ sqrt_rho))
-    lam = np.sqrt(_clamped_spectrum(w2, "rho rho~"))
-    return np.maximum(lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0], 0.0)
+    w, v = np.linalg.eigh(_hermitian_part(rho))
+    f = v * np.sqrt(_clamped_spectrum(w))[..., None, :]
+    s = np.linalg.svd(f.swapaxes(-1, -2) @ _SPIN_FLIP @ f, compute_uv=False)
+    return np.maximum(s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3], 0.0)
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -198,14 +210,15 @@ class MeasureReport:
 
     ``pair_concurrences`` is the symmetric (L, L) concurrence table, or None
     when the pairwise measures were skipped for speed; the derived scalars
-    then come back as None as well.  ``boundary`` names the chain's bonds
-    that ``nn_concurrence`` averages over.
+    then come back as None as well.  ``n_tangle`` is None when it was
+    skipped.  ``boundary`` names the chain's bonds that ``nn_concurrence``
+    averages over.
     """
 
     t: int
     num_qubits: int
     q_measure: float
-    n_tangle: float
+    n_tangle: float | None
     one_tangles: np.ndarray
     pair_concurrences: np.ndarray | None
     boundary: str = "periodic"
@@ -257,8 +270,11 @@ class MeasureReport:
 
 
 def report(state: PureState, t: int, pair_measures: bool = True,
-           boundary: str = "periodic", shift_invariant: bool = False) -> MeasureReport:
-    """Assemble all measures of ``state`` at kick count ``t``.
+           n_tangle_measure: bool = True, boundary: str = "periodic",
+           shift_invariant: bool = False) -> MeasureReport:
+    """Assemble the measures of ``state`` at kick count ``t``: the one-tangles
+    always, the pair table if ``pair_measures`` and the n-tangle if
+    ``n_tangle_measure``; a skipped measure reads None.
 
     ``boundary`` is that of the chain the state lives on; it selects the
     bonds of ``nn_concurrence``.
@@ -293,7 +309,7 @@ def report(state: PureState, t: int, pair_measures: bool = True,
         t=t,
         num_qubits=L,
         q_measure=float(tangles.mean()),
-        n_tangle=n_tangle(state),
+        n_tangle=n_tangle(state) if n_tangle_measure else None,
         one_tangles=tangles,
         pair_concurrences=pairs,
         boundary=boundary,

@@ -17,17 +17,24 @@ which the Hadamard ``H`` on every qubit reaches, so
 ``U = H^{(x)L} D (H u)^{(x)L}``.
 
 Every product gate ``w^{(x)L}`` (the Walsh-Hadamard transform and the
-fused kick gate ``H u H``) goes through one kernel.  It cuts the chain into
+kick's field rotation) goes through one kernel.  It cuts the chain into
 ``ceil(L / 5)`` blocks of at most five qubits and applies each block's
 Kronecker power ``w^{(x)s}`` as one matrix product on an ``(A, 2**s, B)``
 view of the amplitudes: ``ceil(L / 5)`` passes over the state, not ``L``.
+Its gates are real.  The lowest block, the fastest axis, takes a complex
+product; every block above it acts on the real and imaginary parts alike, so
+its product runs on the real view of the amplitudes, at half the arithmetic.
 
 Every evolution runs in the ``sigma_x`` frame, on ``H^{(x)L} psi``, where a
-kick is ``D (H u H)^{(x)L}``: one fused pass and one phase multiply
-(:class:`XFrameKick`), on a ``(P, 2**L)`` stack of states with one row, block
-gates and phases per parameter point.  :func:`step` transforms one state in
-and back out; a time series never transforms back, as every measure the
-package reports is invariant under ``H`` on each qubit.
+kick is ``D (H u H)^{(x)L}``.  The field gate splits as
+``H u H = diag(l) R diag(r)`` with ``R`` a real rotation, so a run goes one
+diagonal further, to ``diag(r)^{(x)L} H^{(x)L} psi``, where a kick is
+``R^{(x)L}`` followed by the phase vector ``D (r l)^{(x)L}``, built once
+(:class:`XFrameKick`).  It acts on a ``(P, 2**L)`` stack of states with one
+row, rotation, phases and frame per parameter point.  :func:`step` enters the
+frame and leaves it around one kick; a time series never leaves it, as every
+measure the package reports is invariant under a one-qubit unitary on each
+qubit.
 """
 
 from __future__ import annotations
@@ -53,6 +60,9 @@ BLOCK_QUBITS = 5
 # +-1 entries and gather the powers of 1/sqrt(2) into exact powers of 1/2
 # wherever they can, so a long run's norm does not drift one rounding per pass.
 _SIGN = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+# the signs of the rotation [[|a|, -|b|], [|b|, |a|]], flattened
+_ROTATION_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])
 
 
 def _check_norm(amplitudes: np.ndarray) -> None:  # one state or each row of a stack
@@ -172,22 +182,27 @@ def _block_gates(num_qubits: int, w: np.ndarray) -> list[tuple[int, np.ndarray]]
 def _fused_pass(amps: np.ndarray, gates, spare: np.ndarray):
     """Apply every block gate, alternating between ``amps`` and ``spare``.
 
-    ``amps`` may be a ``(P, 2**L)`` stack and each gate a ``(P, d, d)`` stack.
+    ``amps`` may be a ``(P, 2**L)`` stack and each gate a real ``(P, d, d)``
+    stack; above the lowest block it multiplies the real view of ``amps``.
     Returns ``(result, spare)``: the buffer that holds the product and the
     one left free.
     """
     rows = amps.size // amps.shape[-1]
+    real = np.finfo(amps.dtype).dtype
+    reals, spare_reals = amps.view(real), spare.view(real)
+    per_amp = reals.shape[-1] // amps.shape[-1]  # 2 for complex amplitudes, 1 for real ones
     for lo, gate in gates:
-        gate = gate.astype(amps.dtype, copy=False)  # mixed dtypes also cost a copy
         d = gate.shape[-1]
         if lo == 0:  # the block is the fastest axis: one (A, d) x (d, d) product per row;
             # with a transposed view as its right factor numpy would stage it in a copy
+            gate = gate.astype(amps.dtype, copy=False)  # mixed dtypes also cost a copy
             np.matmul(amps.reshape(rows, -1, d), np.ascontiguousarray(gate.swapaxes(-1, -2)),
                       out=spare.reshape(rows, -1, d))
         else:
-            np.matmul(gate[..., None, :, :], amps.reshape(rows, -1, d, 1 << lo),
-                      out=spare.reshape(rows, -1, d, 1 << lo))
+            shape = (rows, -1, d, per_amp << lo)
+            np.matmul(gate[..., None, :, :], reals.reshape(shape), out=spare_reals.reshape(shape))
         amps, spare = spare, amps
+        reals, spare_reals = spare_reals, reals
     return amps, spare
 
 
@@ -201,14 +216,23 @@ def fwht_inplace(amplitudes: np.ndarray) -> np.ndarray:
     n = amplitudes.shape[-1]
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"length {n} is not a power of two")
-    L = n.bit_length() - 1
-    gates = _block_gates(L, _SIGN)
-    if gates:  # the whole 2^(-L/2), exact for even L, goes into the first gate
-        gates[0] = (0, gates[0][1] * 2.0 ** (-L / 2))
-    out, _ = _fused_pass(amplitudes, gates, np.empty_like(amplitudes))
+    out, _ = _fused_pass(amplitudes, _hadamard_gates(n.bit_length() - 1),
+                         np.empty_like(amplitudes))
     if out is not amplitudes:
         amplitudes[...] = out
     return amplitudes
+
+
+@lru_cache(maxsize=2)
+def _hadamard_gates(num_qubits: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """The read-only block gates of ``H^{(x)L}``: powers of ``_SIGN``, with the
+    whole ``2^(-L/2)``, exact for even L, in the first."""
+    gates = _block_gates(num_qubits, _SIGN)
+    if gates:
+        gates[0] = (0, gates[0][1] * 2.0 ** (-num_qubits / 2))
+    for _, gate in gates:
+        gate.setflags(write=False)
+    return tuple(gates)
 
 
 @lru_cache(maxsize=2)
@@ -244,25 +268,71 @@ def field_unitary(b_field: float, theta: float) -> np.ndarray:
     return math.cos(b_field / 2) * np.eye(2) - 1j * math.sin(b_field / 2) * axis
 
 
+def _split_field_gates(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(l, R, r)`` with ``H u H = diag(l) R diag(r)`` and ``R`` real, per row of a
+    ``(P, 2, 2)`` stack of field gates ``u``.
+
+    ``w = H u H`` is in SU(2), ``[[a, -b*], [b, a*]]``, so with ``R`` the
+    rotation ``[[|a|, -|b|], [|b|, |a|]]`` the phases are
+    ``l = (e^{i arg a}, e^{i arg b})`` and ``r = (1, e^{-i(arg a + arg b)})``,
+    taking ``arg 0 = 0`` where ``a`` or ``b`` is 0.
+    """
+    column = u.sum(axis=-1) @ _SIGN / 2.0  # (a, b) = H u H e_0, and H e_0 = (1, 1) / sqrt(2)
+    size = np.abs(column)
+    left = np.divide(column, size, out=np.ones_like(column), where=size > 0)
+    right = np.ones_like(left)
+    right[:, 1] = (left[:, 0] * left[:, 1]).conj()
+    rotation = (size[:, [0, 1, 1, 0]] * _ROTATION_SIGNS).reshape(-1, 2, 2)
+    return left, rotation, right
+
+
+def _times_diagonal_power(amplitudes: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Multiply row p of a ``(P, 2**L)`` stack in place by ``diag(v_p)^{(x)L}``.
+
+    Two broadcast multiplies on a ``(P, 2**(L-m), 2**m)`` view, by the powers
+    of the upper and the lower qubits, so no temporary has the state's size.
+    """
+    L = amplitudes.shape[-1].bit_length() - 1
+    low, high = L // 2, L - L // 2
+    view = np.reshape(amplitudes, (len(amplitudes), 1 << high, 1 << low), copy=False)
+    power = np.ones((len(v), 1), dtype=complex)
+    for n in range(1, high + 1):  # power = diag(v)^{(x)n}, the lower qubits' on the way
+        power = (v[:, :, None] * power[:, None, :]).reshape(len(v), -1)
+        if n == low:
+            view *= power[:, None, :]
+    view *= power[:, :, None]
+    return amplitudes
+
+
 def step(state: PureState, params: ChainParams) -> PureState:
-    """One kick ``U = U_xx(j_x) . U_field(b, theta)``: the sigma_x-frame kick of
-    :class:`XFrameKick` between two Walsh-Hadamard transforms."""
+    """One kick ``U = U_xx(j_x) . U_field(b, theta)``: the kick of
+    :class:`XFrameKick` between the Walsh-Hadamard transforms and phases that
+    enter and leave its frame."""
     if state.num_qubits != params.num_qubits:
         raise ValueError(
             f"state has {state.num_qubits} qubits but params expect {params.num_qubits}"
         )
-    kicked = XFrameKick([params])(fwht_inplace(state.amplitudes[None].copy()))
-    return PureState(state.num_qubits, fwht_inplace(kicked)[0])
+    kick = XFrameKick([params])
+    kicked = kick(kick.enter(fwht_inplace(state.amplitudes[None].copy())))
+    return PureState(state.num_qubits, fwht_inplace(kick.leave(kicked))[0])
 
 
 class XFrameKick:
-    """One kick in the sigma_x frame, ``D (H u H)^{(x)L}``, for a stack of time series.
+    """One kick in the sigma_x frame, with the field gate split into phases and
+    a real rotation, for a stack of time series.
 
-    Call it on the ``(P, 2**L)`` stack whose row p is ``H^{(x)L} psi_p`` (see
-    :func:`fwht_inplace`), to kick it at ``points[p]``; the points share one
-    chain (qubit count and boundary).  It returns the kicked stack in the same
-    frame, in either the array it was given or its spare one, and checks every
-    row's norm.  It owns its phases and spare buffer, so neither outlives the run.
+    The sigma_x-frame kick is ``D (H u H)^{(x)L}``, and ``H u H`` splits as
+    ``diag(l) R diag(r)`` with ``R`` real (:func:`_split_field_gates`).  On
+    ``diag(r)^{(x)L} H^{(x)L} psi`` a kick is therefore ``R^{(x)L}``, real
+    block passes, followed by the phase vector ``D (r l)^{(x)L}``, built once.
+    :meth:`enter` takes a ``(P, 2**L)`` stack whose row p is
+    ``H^{(x)L} psi_p`` into this frame, with ``points[p]``'s own ``r``, and
+    :meth:`leave` takes it back out.
+
+    Calling it kicks a stack in the frame and returns it in either the array
+    it was given or its spare one, after checking every row's norm.  The
+    points share one chain (qubit count and boundary).  It owns its phases and
+    spare buffer, so neither outlives the run.
     """
 
     def __init__(self, points: list[ChainParams]):
@@ -270,9 +340,21 @@ class XFrameKick:
         if any((p.num_qubits, p.boundary) != (L, boundary) for p in points):
             raise ValueError("the points of a stack must share qubit count and boundary")
         u = np.array([field_unitary(p.b_field, p.theta) for p in points])
-        self._gates = _block_gates(L, _SIGN @ u @ _SIGN / 2.0)
-        self._phases = _ising_phase_vector(L, [p.j_x for p in points], boundary)
+        left, rotation, self._right = _split_field_gates(u)
+        self._gates = _block_gates(L, rotation)
+        # the lowest block multiplies complex amplitudes: cast its gate once, not per kick
+        self._gates[0] = (0, self._gates[0][1].astype(complex))
+        self._phases = _times_diagonal_power(
+            _ising_phase_vector(L, [p.j_x for p in points], boundary), self._right * left)
         self._spare = np.empty_like(self._phases)
+
+    def enter(self, amplitudes: np.ndarray) -> np.ndarray:
+        """``diag(r)^{(x)L}`` on each row, in place: from ``H^{(x)L} psi`` into the frame."""
+        return _times_diagonal_power(amplitudes, self._right)
+
+    def leave(self, amplitudes: np.ndarray) -> np.ndarray:
+        """The inverse of :meth:`enter`, in place."""
+        return _times_diagonal_power(amplitudes, self._right.conj())
 
     def __call__(self, amplitudes: np.ndarray) -> np.ndarray:
         amps, self._spare = _fused_pass(amplitudes, self._gates, self._spare)

@@ -3,10 +3,10 @@
 Everything here is built from dense matrices and explicit index sums, on
 purpose: none of it shares code paths with the package (no Walsh-Hadamard
 trick, no reshape-based partial traces, and the concurrence comes from the
-non-Hermitian product spectrum rather than the package's Hermitian
-sqrt(rho) form), so agreement is meaningful.  Single-qubit and bond
-unitaries come from eigendecompositions of their generators rather than
-trig closed forms.
+non-Hermitian product spectrum rather than the package's singular values
+of F^T (sigma_y (x) sigma_y) F), so agreement is meaningful.  Single-qubit
+and bond unitaries come from eigendecompositions of their generators rather
+than trig closed forms.
 """
 
 from __future__ import annotations

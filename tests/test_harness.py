@@ -90,6 +90,14 @@ class TestRunTimeSeries:
         series = run_time_series(cfg)
         assert [r.t for r in series] == [0, 3, 6, 9]
 
+    def test_computes_only_the_measures_asked_for(self):
+        for measures, pairs, tangle in ((frozenset({"q"}), False, False),
+                                        (frozenset({"n_tangle"}), False, True),
+                                        (frozenset({"nn_concurrence"}), True, False)):
+            r = run_time_series(RunConfig(params=quick_params(), steps=1, measures=measures))[-1]
+            assert (r.pair_concurrences is not None) == pairs
+            assert (r.n_tangle is not None) == tangle
+
     def test_zero_field_q_trace_is_cluster_formula(self):
         cfg = RunConfig(params=quick_params(num_qubits=6, j_x=0.9), steps=40,
                         measures=frozenset({"q"}))

@@ -79,6 +79,17 @@ class TestRdmPair:
         for (i, j) in [(0, 1), (2, 4), (4, 0)]:
             assert_valid_rdm(rdm_pair(s, i, j), 4)
 
+    def test_summed_over_slices(self, monkeypatch):
+        # chunks small enough to slice the qubits below, between and above the pair
+        from kicked_ising import measures
+        s = random_pure(7, 25)
+        pairs = list(itertools.permutations(range(7), 2))
+        whole = [rdm_pair(s, i, j) for i, j in pairs]
+        for chunk in (4, 16, 64):
+            monkeypatch.setattr(measures, "_RDM_CHUNK", chunk)
+            for (i, j), want in zip(pairs, whole):
+                assert np.max(np.abs(rdm_pair(s, i, j) - want)) < 1e-15
+
     def test_rejects_bad_indices(self):
         with pytest.raises(ValueError):
             rdm_pair(make_vacuum(4), 1, 1)
@@ -94,6 +105,17 @@ class TestConcurrence:
 
     def test_product_state(self):
         assert concurrence(np.diag([1.0, 0, 0, 0]).astype(complex)) == 0.0
+
+    def test_separable_pure_pairs_read_zero(self):
+        # rho rho~ of a product state has a spectrum of rounding noise only,
+        # which a square root would lift to ~1e-8
+        rng = np.random.default_rng(26)
+        a = rng.normal(size=(2000, 2, 2)) @ np.array([1, 1j])
+        b = rng.normal(size=(2000, 2, 2)) @ np.array([1, 1j])
+        pair = (a[:, :, None] * b[:, None, :]).reshape(2000, 4)
+        pair /= np.linalg.norm(pair, axis=1, keepdims=True)
+        rho = pair[:, :, None] * pair[:, None, :].conj()
+        assert np.max(concurrences(rho)) < 1e-13
 
     def test_cluster_nearest_neighbour_value(self):
         s = cluster_state(4, np.pi / 2)
@@ -364,6 +386,13 @@ class TestReport:
         assert r.q_measure >= 0.0
         with pytest.raises(ValueError):
             r.value("nn_concurrence")
+
+    def test_n_tangle_skip(self):
+        r = report(random_pure(5, 602), 2, n_tangle_measure=False)
+        assert r.n_tangle is None
+        assert r.pair_concurrences is not None
+        with pytest.raises(ValueError):
+            r.value("n_tangle")
 
     def test_rejects_unknown_boundary(self):
         with pytest.raises(ValueError):

@@ -18,12 +18,15 @@ from kicked_ising import (
     step,
 )
 from kicked_ising.statevec import (
+    _SIGN,
     BLOCK_QUBITS,
     XFrameKick,
     _block_gates,
     _fused_pass,
     _ising_phase_vector,
+    _split_field_gates,
     blocks,
+    field_unitary,
 )
 
 
@@ -137,11 +140,13 @@ class TestProductGate:
             assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= 1
 
     def test_matches_dense_kron(self):
-        # L < 5 is one block; 6..9 are two blocks of unequal or equal sizes
+        # L < 5 is one block; 6..9 are two blocks of unequal or equal sizes.
+        # The kernel takes real gates: a rotation and a general real matrix
         rng = np.random.default_rng(11)
         for L in range(2, 10):
-            for w in (helpers.random_unitary_2x2(rng),
-                      rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))):
+            angle = rng.uniform(0, 2 * np.pi)
+            for w in (np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]),
+                      rng.normal(size=(2, 2))):
                 psi = helpers.random_state(L, rng)
                 out, _ = _fused_pass(psi.copy(), _block_gates(L, w), np.empty_like(psi))
                 expect = helpers.apply_local_unitaries(psi, [w] * L)
@@ -164,18 +169,33 @@ class TestProductGate:
 
 class TestXFrameKick:
     def test_is_step_conjugated_by_hadamards(self):
-        # three kicks in the x frame are H^{(x)L} U^3 H^{(x)L}, with U the dense kick
+        # entering the frame, three kicks and leaving it give H^{(x)L} U^3 H^{(x)L},
+        # with U the dense kick
         rng = np.random.default_rng(13)
         for L, boundary in ((3, "open"), (6, "periodic"), (8, "open"), (9, "periodic")):
             psi = helpers.random_state(L, rng)
             kick = XFrameKick([ChainParams(L, 1.3, 0.8, 0.5, boundary)])
-            x_frame = fwht_inplace(psi.copy())[None]
+            x_frame = kick.enter(fwht_inplace(psi.copy())[None])
             for _ in range(3):
                 x_frame = kick(x_frame)
+            x_frame = kick.leave(x_frame)
             u = helpers.step_dense(L, 1.3, 0.8, 0.5, boundary)
             expect = fwht_inplace(u @ u @ u @ psi)
             assert x_frame.shape == (1, 2 ** L)
             assert np.max(np.abs(x_frame[0] - expect)) < 1e-12
+
+    def test_field_gate_splits_into_phases_and_a_real_rotation(self):
+        # H u H = diag(l) R diag(r), also where a = 0 or b = 0 in [[a, -b*], [b, a*]]
+        rng = np.random.default_rng(19)
+        fields = [*zip(rng.uniform(-7, 7, 20), rng.uniform(-4, 4, 20)),
+                  (0.0, 0.7), (np.pi, np.pi / 2), (2 * np.pi, 0.4), (1.2, 0.0), (np.pi, 0.0)]
+        u = np.array([field_unitary(b, theta) for b, theta in fields])
+        left, rotation, right = _split_field_gates(u)
+        assert rotation.dtype == np.float64
+        assert np.max(np.abs(rotation @ rotation.swapaxes(-1, -2) - np.eye(2))) < 1e-15
+        w = _SIGN @ u @ _SIGN / 2.0
+        split = left[:, :, None] * rotation * right[:, None, :]
+        assert np.max(np.abs(split - w)) < 1e-15
 
     def test_checks_the_norm(self):
         kick = XFrameKick([ChainParams(4, 1.0, 0.5, 0.3)])
@@ -183,21 +203,28 @@ class TestXFrameKick:
             kick(np.full((1, 16), 0.3, dtype=complex))
 
     def test_stack_rows_are_kicked_at_their_own_points(self):
-        # per-row field gates and per-row Ising phases: a stack equals its rows kicked alone
+        # per-row frames, field gates and Ising phases: a stack equals its rows
+        # kicked alone, and each row leaves the frame as H U^3 H of its own point
         rng = np.random.default_rng(17)
         for L, boundary in ((4, "periodic"), (7, "open"), (11, "periodic")):
             points = [ChainParams(L, *rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, np.pi),
                                   boundary) for _ in range(5)]
-            stack = fwht_inplace(np.array([helpers.random_state(L, rng) for _ in points]))
-            kick, rows = XFrameKick(points), stack.copy()
+            psis = np.array([helpers.random_state(L, rng) for _ in points])
+            kick = XFrameKick(points)
+            stack = kick.enter(fwht_inplace(psis.copy()))
+            rows = stack.copy()
             for _ in range(3):
                 stack = kick(stack)
-            for params, row, got in zip(points, rows, stack):
+            for params, psi, row, got in zip(points, psis, rows, stack):
                 single = XFrameKick([params])
                 row = row[None].copy()
                 for _ in range(3):
                     row = single(row)
                 assert np.array_equal(row[0], got)
+                if L < 8:
+                    u = helpers.step_dense(L, params.j_x, params.b_field, params.theta, boundary)
+                    expect = fwht_inplace(u @ u @ u @ psi)
+                    assert np.max(np.abs(single.leave(row)[0] - expect)) < 1e-12
 
     def test_stack_norm_check_sees_every_row(self):
         points = [ChainParams(4, 1.0, 0.5, 0.3)] * 3
@@ -362,6 +389,17 @@ class TestInvariants:
             s = PureState(L, helpers.random_state(L, rng))
             out = step(s, ChainParams(L, jx, b, theta, boundary))
             assert np.max(np.abs(out.amplitudes - dense @ s.amplitudes)) < 1e-12
+
+    def test_step_equals_dense_unitary_where_the_field_gate_degenerates(self):
+        # fields whose sigma_x-frame gate has a zero entry: B = 0, B = pi at
+        # theta = pi/2, B = 2 pi, and theta = 0
+        rng = np.random.default_rng(8)
+        for b, theta in ((0.0, 0.7), (np.pi, np.pi / 2), (2 * np.pi, 0.4), (1.2, 0.0)):
+            for L, boundary in ((5, "periodic"), (6, "open")):
+                dense = helpers.step_dense(L, 0.9, b, theta, boundary)
+                s = PureState(L, helpers.random_state(L, rng))
+                out = step(s, ChainParams(L, 0.9, b, theta, boundary))
+                assert np.max(np.abs(out.amplitudes - dense @ s.amplitudes)) < 1e-12
 
     def test_translational_invariance_from_vacuum(self):
         params = ChainParams(6, 1.3, 0.7, 0.5)
