@@ -237,14 +237,25 @@ def _hadamard_gates(num_qubits: int) -> tuple[tuple[int, np.ndarray], ...]:
 
 @lru_cache(maxsize=2)
 def _bond_flips(num_qubits: int, boundary: str) -> np.ndarray:
-    """How many bonds join unequal bits, per basis index, as uint8."""
-    idx = np.arange(2 ** num_qubits, dtype=np.uint32)
+    """How many bonds join unequal bits, per basis index, as uint8.
+
+    Built from the two halves of the index ``hi 2^m + lo``, each of ``2^(L/2)``
+    values: their own counts, plus the bond across the cut and, on a ring,
+    the bond that closes it, in broadcast uint8 adds.
+    """
+    def half(n):  # an n-bit half's own unequal bonds, and its lowest and highest bits
+        idx = np.arange(1 << n, dtype=np.uint32)
+        count = np.bitwise_count((idx ^ (idx >> 1)) & ((1 << (n - 1)) - 1)).astype(np.uint8)
+        return count, (idx & 1).astype(np.uint8), (idx >> (n - 1)).astype(np.uint8)
+
+    m = num_qubits // 2
+    lo, lo_first, lo_last = half(m)
+    hi, hi_first, hi_last = half(num_qubits - m)
+    out = hi[:, None] + lo[None, :]
+    out += hi_first[:, None] ^ lo_last[None, :]
     if boundary == "periodic":
-        neighbour = (idx >> 1) | ((idx & 1) << (num_qubits - 1))
-        out = np.bitwise_count(idx ^ neighbour)
-    else:
-        out = np.bitwise_count((idx ^ (idx >> 1)) & ((1 << (num_qubits - 1)) - 1))
-    out = out.astype(np.uint8, copy=False)
+        out += hi_last[:, None] ^ lo_first[None, :]
+    out = out.reshape(-1)
     out.setflags(write=False)
     return out
 
