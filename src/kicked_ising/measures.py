@@ -39,8 +39,6 @@ def rdm_pair(state: PureState, i: int, j: int) -> np.ndarray:
         t = part.transpose(order).reshape(4, -1)
         return t @ t.conj().T
 
-    if state.dim <= _RDM_CHUNK:
-        return gram(v)
     # summed over slices of at most _RDM_CHUNK amplitudes, as in _block_rdm
     below = min(v.shape[4], max(1, _RDM_CHUNK // 4))
     between = min(v.shape[2], max(1, _RDM_CHUNK // (4 * below)))

@@ -216,23 +216,14 @@ def fwht_inplace(amplitudes: np.ndarray) -> np.ndarray:
     n = amplitudes.shape[-1]
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"length {n} is not a power of two")
-    out, _ = _fused_pass(amplitudes, _hadamard_gates(n.bit_length() - 1),
-                         np.empty_like(amplitudes))
+    L = n.bit_length() - 1
+    gates = _block_gates(L, _SIGN)
+    if gates:  # the whole 2^(-L/2), exact for even L, goes into the first gate
+        gates[0] = (0, gates[0][1] * 2.0 ** (-L / 2))
+    out, _ = _fused_pass(amplitudes, gates, np.empty_like(amplitudes))
     if out is not amplitudes:
         amplitudes[...] = out
     return amplitudes
-
-
-@lru_cache(maxsize=2)
-def _hadamard_gates(num_qubits: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """The read-only block gates of ``H^{(x)L}``: powers of ``_SIGN``, with the
-    whole ``2^(-L/2)``, exact for even L, in the first."""
-    gates = _block_gates(num_qubits, _SIGN)
-    if gates:
-        gates[0] = (0, gates[0][1] * 2.0 ** (-num_qubits / 2))
-    for _, gate in gates:
-        gate.setflags(write=False)
-    return tuple(gates)
 
 
 @lru_cache(maxsize=2)
@@ -303,9 +294,11 @@ def _times_diagonal_power(amplitudes: np.ndarray, v: np.ndarray) -> np.ndarray:
     Two broadcast multiplies on a ``(P, 2**(L-m), 2**m)`` view, by the powers
     of the upper and the lower qubits, so no temporary has the state's size.
     """
+    if not amplitudes.flags.c_contiguous:  # a reshape would copy, and drop the multiplies
+        raise ValueError("the stack must be C-contiguous to be multiplied in place")
     L = amplitudes.shape[-1].bit_length() - 1
     low, high = L // 2, L - L // 2
-    view = np.reshape(amplitudes, (len(amplitudes), 1 << high, 1 << low), copy=False)
+    view = amplitudes.reshape(len(amplitudes), 1 << high, 1 << low)
     power = np.ones((len(v), 1), dtype=complex)
     for n in range(1, high + 1):  # power = diag(v)^{(x)n}, the lower qubits' on the way
         power = (v[:, :, None] * power[:, None, :]).reshape(len(v), -1)

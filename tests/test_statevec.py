@@ -233,6 +233,13 @@ class TestXFrameKick:
         with pytest.raises(ValueError, match="norm"):
             XFrameKick(points)(stack)
 
+    def test_frame_refuses_a_stack_it_cannot_multiply_in_place(self):
+        # a column-major stack would be reshaped into a copy, and the phases lost
+        kick = XFrameKick([ChainParams(4, 1.0, 0.5, 0.3)] * 2)
+        stack = np.asfortranarray(fwht_inplace(np.tile(np.eye(16, dtype=complex)[0], (2, 1))))
+        with pytest.raises(ValueError, match="contiguous"):
+            kick.enter(stack)
+
     def test_stack_points_share_one_chain(self):
         with pytest.raises(ValueError, match="share"):
             XFrameKick([ChainParams(4, 1.0, 0.5, 0.3), ChainParams(4, 1.0, 0.5, 0.3, "open")])
