@@ -35,12 +35,12 @@ _NAMED_INITIALS = ("vacuum", "all_up", "ghz")
 # numerics for an approximation without saying so
 _PIN_ATOL = 1e-12
 
-# complex state-sized arrays alive at once in a time series: the state and
-# the kick's spare buffer and phase vector; the cached bond-flip counts and
-# parity signs take one byte an amplitude, an eighth of a copy together, and
-# the rest is headroom.  A 20-qubit evolve with every measure peaks 3.6
-# copies above the bare interpreter
-_LIVE_STATE_COPIES = 4
+# complex state-sized arrays alive at once in a time series: the state
+# alone, as the kick streams it through buffers of a chunk's size; the cached
+# parity signs take one byte an amplitude, and the rest is headroom.  Above
+# the bare interpreter (VmHWM, one BLAS thread), an evolve with every measure
+# peaks at 1.4 copies for 20 qubits (22.8 MiB) and 1.1 for 24 (280 MiB)
+_LIVE_STATE_COPIES = 2
 
 # numbers in a sweep chunk: the complex amplitudes of its stack of states, or
 # its JW points' (L/2)^2 real Dirichlet kernels each; a point larger than this
@@ -91,23 +91,10 @@ def initial_state(params: ChainParams, initial: str) -> PureState:
     return PureState(params.num_qubits, amps)
 
 
-def _x_frame_start(params: ChainParams, initial: str) -> np.ndarray:
-    """``H^{(x)L}`` of :func:`initial_state`, built in the sigma_x frame directly.
-
-    The basis state |b> becomes 2^{-L/2} (-1)^{popcount(x & b)} at each index
-    x, so the vacuum is a constant vector.  The amplitudes are those that
-    ``fwht_inplace`` gives, to the last bit.
-    """
-    L = params.num_qubits
-    out = np.zeros(2 ** L, dtype=complex)
-    for index, amplitude in _start_terms(L, initial):
-        value = amplitude * 2.0 ** (-L / 2)
-        if index == 0:
-            out += value
-        else:
-            odd = np.bitwise_count(np.arange(2 ** L, dtype=np.uint32) & index) & 1
-            out += np.where(odd, -value, value)
-    return out
+def _x_frame_start(kick: XFrameKick, initial: str) -> np.ndarray:
+    """:func:`initial_state` in the frame of ``kick``, one row per point, built
+    there directly (:meth:`~kicked_ising.statevec.XFrameKick.start`)."""
+    return kick.start(_start_terms(kick.num_qubits, initial))
 
 
 def _shift_invariant(params: ChainParams, initial: str) -> bool:
@@ -180,16 +167,14 @@ def _evolve(points: list[ChainParams], initial: str, steps: int, sample_every: i
     L = points[0].num_qubits
     _check_memory(L, len(points))
     try:
-        start = _x_frame_start(points[0], initial)
-        amps = start[None] if len(points) == 1 else np.tile(start, (len(points), 1))
         kick = XFrameKick(points)
-        kick.enter(amps)
+        amps = _x_frame_start(kick, initial)
     except MemoryError as exc:
         raise InsufficientMemoryError(
             f"state vector for {L} qubits does not fit in memory") from exc
     yield 0, amps
     for t in range(1, steps + 1):
-        amps = kick(amps)
+        kick(amps)
         if t % sample_every == 0:
             yield t, amps
 

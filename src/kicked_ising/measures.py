@@ -176,8 +176,13 @@ def q_measure(state: PureState) -> float:
 
 @lru_cache(maxsize=2)
 def _parity_signs(num_qubits: int) -> np.ndarray:
-    counts = np.bitwise_count(np.arange(2 ** num_qubits, dtype=np.uint32))
-    out = np.where(counts & 1, np.int8(-1), np.int8(1))
+    """(-1)^popcount(b) per basis index b, as int8: the outer product of the
+    signs of the index's two halves, so no temporary outgrows a half."""
+    def half(n):
+        counts = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+        return np.where(counts & 1, np.int8(-1), np.int8(1))
+
+    out = np.multiply.outer(half(num_qubits - num_qubits // 2), half(num_qubits // 2)).reshape(-1)
     out.setflags(write=False)
     return out
 

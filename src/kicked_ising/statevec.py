@@ -17,31 +17,37 @@ which the Hadamard ``H`` on every qubit reaches, so
 ``U = H^{(x)L} D (H u)^{(x)L}``.
 
 Every product gate ``w^{(x)L}`` (the Walsh-Hadamard transform and the
-kick's field rotation) goes through one kernel.  It cuts the chain into
-``ceil(L / 5)`` blocks of at most five qubits and applies each block's
-Kronecker power ``w^{(x)s}`` as one matrix product on an ``(A, 2**s, B)``
-view of the amplitudes: ``ceil(L / 5)`` passes over the state, not ``L``.
-Its gates are real.  The lowest block, the fastest axis, takes a complex
+kick's field rotation) goes through one kernel.  It cuts the qubits into
+blocks of at most five and applies each block's Kronecker power ``w^{(x)s}``
+as one matrix product on an ``(A, 2**s, B)`` view of the amplitudes.  Its
+gates are real.  The lowest block, the fastest axis, takes a complex
 product; every block above it acts on the real and imaginary parts alike, so
 its product runs on the real view of the amplitudes, at half the arithmetic.
+A row of more than ``_WHOLE_ROW_QUBITS`` qubits is streamed in two passes
+that each read and write it once: the blocks of the qubits above the lowest
+``CHUNK_QUBITS`` on panels of columns, then those below on one contiguous
+chunk of ``2**CHUNK_QUBITS`` amplitudes at a time, each pass through a buffer
+that stays in cache.  A shorter row, or a stack of them, is one chunk.
 
 Every evolution runs in the ``sigma_x`` frame, on ``H^{(x)L} psi``, where a
 kick is ``D (H u H)^{(x)L}``.  The field gate splits as
 ``H u H = diag(l) R diag(r)`` with ``R`` a real rotation, so a run goes one
 diagonal further, to ``diag(r)^{(x)L} H^{(x)L} psi``, where a kick is
-``R^{(x)L}`` followed by the phase vector ``D (r l)^{(x)L}``, built once
-(:class:`XFrameKick`).  It acts on a ``(P, 2**L)`` stack of states with one
-row, rotation, phases and frame per parameter point.  :func:`step` enters the
-frame and leaves it around one kick; a time series never leaves it, as every
-measure the package reports is invariant under a one-qubit unitary on each
-qubit.
+``R^{(x)L}`` followed by the phases ``D (r l)^{(x)L}`` (:class:`XFrameKick`).
+The phases factor over the two parts of the index, so a streamed kick
+multiplies each chunk by a table of its low qubits' phases and folds the rest
+into its lowest block's complex gate: no array of the state's size besides
+the state.  The kick acts on a ``(P, 2**L)`` stack of states with one row,
+rotation, phases and frame per parameter point.  A run builds its start in
+the frame directly, as a product vector; :func:`step` enters the frame and
+leaves it around one kick; a time series never leaves it, as every measure
+the package reports is invariant under a one-qubit unitary on each qubit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,6 +62,24 @@ _NORM_ATOL = 1e-10  # fresh states sit at 1e-12; long runs may drift towards thi
 # qubits per fused block: a 32x32 gate makes each pass over the state compute-bound
 BLOCK_QUBITS = 5
 
+# qubits per chunk: a longer chain is kicked 2**14 amplitudes (256 KiB) at a
+# time, so that a chunk, its buffer and its phase table stay in a core's
+# cache; chunks of 2**15 kick no faster at 20 to 22 qubits, at twice the tables
+CHUNK_QUBITS = 14
+
+# a row of at most this many qubits is one chunk: at 15 and 16 qubits a
+# streamed kick takes as long as a whole-row one, from 17 on it is faster
+_WHOLE_ROW_QUBITS = 16
+
+# the lowest block of a chunk, its one complex product, spans this many qubits;
+# the real blocks above it cost half as much per qubit (at 20 qubits, blocks
+# of 3, 4, 4 and 3 qubits kicked ~10% faster than blocks of 4, 5 and 5)
+_LOWEST_QUBITS = 3
+
+# the fewest columns of a panel of the high qubits: each row of a panel is a
+# run of 1 KiB; runs of 256 B made the pass half again as slow at 24 qubits
+_PANEL_COLUMNS = 64
+
 # The Walsh-Hadamard gate is _SIGN / sqrt(2).  The kernels keep _SIGN's exact
 # +-1 entries and gather the powers of 1/sqrt(2) into exact powers of 1/2
 # wherever they can, so a long run's norm does not drift one rounding per pass.
@@ -66,7 +90,11 @@ _ROTATION_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])
 
 
 def _check_norm(amplitudes: np.ndarray) -> None:  # one state or each row of a stack
-    for norm in np.sqrt(np.vecdot(amplitudes, amplitudes).real).reshape(-1).tolist():
+    _check_squared_norms(np.vecdot(amplitudes, amplitudes).real)
+
+
+def _check_squared_norms(squares: np.ndarray) -> None:
+    for norm in np.sqrt(squares).reshape(-1).tolist():
         if not abs(norm - 1.0) <= _NORM_ATOL:  # so a NaN norm fails too
             raise ValueError(f"state norm {norm!r} is not 1 within {_NORM_ATOL}")
 
@@ -164,25 +192,30 @@ def blocks(num_qubits: int) -> list[tuple[int, int]]:
     return out
 
 
-def _block_gates(num_qubits: int, w: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """``(lowest qubit, w^{(x)s})`` for each block of :func:`blocks`.
+def _chunk_qubits(num_qubits: int) -> int:
+    """Qubits of the chunks a row of ``num_qubits`` qubits is streamed in."""
+    return num_qubits if num_qubits <= _WHOLE_ROW_QUBITS else CHUNK_QUBITS
+
+
+def _block_gates(layout: list[tuple[int, int]], w: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(lowest qubit, w^{(x)s})`` for each ``(lowest qubit, s)`` block of ``layout``.
 
     ``w`` may be a ``(P, 2, 2)`` stack, one gate per row of a state stack.  The
     powers are built as outer products, which cost far less than ``np.kron``.
     """
-    gates, power = [], np.ones((1, 1))
-    for lo, size in reversed(blocks(num_qubits)):  # sizes ascend
+    powers, power = {}, np.ones((1, 1))
+    for size in sorted({size for _, size in layout}):
         while (n := power.shape[-1]) < 1 << size:
             power = (power[..., :, None, :, None] * w[..., None, :, None, :]).reshape(
                 *w.shape[:-2], 2 * n, 2 * n)
-        gates.append((lo, power))
-    return gates[::-1]
+        powers[size] = power
+    return [(lo, powers[size]) for lo, size in layout]
 
 
 def _fused_pass(amps: np.ndarray, gates, spare: np.ndarray):
     """Apply every block gate, alternating between ``amps`` and ``spare``.
 
-    ``amps`` may be a ``(P, 2**L)`` stack and each gate a real ``(P, d, d)``
+    ``amps`` may be a ``(P, n)`` stack and each gate a real ``(P, d, d)``
     stack; above the lowest block it multiplies the real view of ``amps``.
     Returns ``(result, spare)``: the buffer that holds the product and the
     one left free.
@@ -206,62 +239,89 @@ def _fused_pass(amps: np.ndarray, gates, spare: np.ndarray):
     return amps, spare
 
 
+def _panel_pass(rows: np.ndarray, gates, buffer: np.ndarray) -> None:
+    """Apply the gates of the high qubits to a ``(P, 2**h, 2**k)`` view in place.
+
+    The gates' lowest qubits count from the view's middle axis.  A panel of
+    columns at a time is copied into one half of ``buffer``, passed through
+    the gates with the other half as the spare, and copied back.
+    """
+    P, high, width = rows.shape
+    columns = min(width, 1 << (len(buffer) // (2 * P * high)).bit_length() - 1)
+    size = P * high * columns
+    panel, spare = buffer[:size].reshape(P, -1), buffer[size:2 * size].reshape(P, -1)
+    shift = columns.bit_length() - 1  # the view's middle axis, in qubits of a panel row
+    gates = [(lo + shift, gate) for lo, gate in gates]
+    for c in range(0, width, columns):
+        view = rows[:, :, c:c + columns]
+        np.copyto(panel.reshape(view.shape), view)
+        out, _ = _fused_pass(panel, gates, spare)
+        view[...] = out.reshape(view.shape)
+
+
+def _stream_buffer(shape: tuple[int, int, int], dtype) -> np.ndarray:
+    """A buffer for streaming a ``(P, 2**h, 2**k)`` view: a chunk's spare, or
+    two panels of at least ``_PANEL_COLUMNS`` columns."""
+    P, high, width = shape
+    return np.empty(max(2 * width, 2 * P * high * _PANEL_COLUMNS), dtype=dtype)
+
+
+def _rows_of(amplitudes: np.ndarray, k: int) -> np.ndarray:
+    """The ``(P, 2**h, 2**k)`` view of a stack, which must not be a copy."""
+    if not amplitudes.flags.c_contiguous:  # a reshape would copy, and drop the writes
+        raise ValueError("the stack must be C-contiguous to be changed in place")
+    return amplitudes.reshape(-1, amplitudes.shape[-1] >> k, 1 << k)
+
+
 def fwht_inplace(amplitudes: np.ndarray) -> np.ndarray:
     """In-place normalized fast Walsh-Hadamard transform, H^{tensor L}.
 
     Applies ``H = [[1, 1], [1, -1]]/sqrt(2)`` on every qubit through the
-    fused product-gate kernel; the transform is involutive.  The array length
-    (the row length of a ``(P, 2**L)`` stack) must be a power of two.
+    fused product-gate kernel, streamed as the kick is (:class:`XFrameKick`);
+    the transform is involutive.  The array length (the row length of a
+    ``(P, 2**L)`` stack) must be a power of two; a streamed one must be
+    C-contiguous.
     """
     n = amplitudes.shape[-1]
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"length {n} is not a power of two")
     L = n.bit_length() - 1
-    gates = _block_gates(L, _SIGN)
+    k = _chunk_qubits(L)
+    gates = _block_gates(blocks(k), _SIGN)
     if gates:  # the whole 2^(-L/2), exact for even L, goes into the first gate
         gates[0] = (0, gates[0][1] * 2.0 ** (-L / 2))
-    out, _ = _fused_pass(amplitudes, gates, np.empty_like(amplitudes))
-    if out is not amplitudes:
-        amplitudes[...] = out
+    if k == L:  # the whole stack is one chunk
+        chunks, spare = [amplitudes], np.empty_like(amplitudes)
+    else:
+        rows = _rows_of(amplitudes, k)
+        buffer = _stream_buffer(rows.shape, amplitudes.dtype)
+        _panel_pass(rows, _block_gates(blocks(L - k), _SIGN), buffer)
+        chunks, spare = rows.reshape(-1, 1, 1 << k), buffer[:1 << k].reshape(1, -1)
+    for chunk in chunks:
+        out, _ = _fused_pass(chunk, gates, spare)
+        if out is not chunk:
+            chunk[...] = out
     return amplitudes
 
 
-@lru_cache(maxsize=2)
-def _bond_flips(num_qubits: int, boundary: str) -> np.ndarray:
-    """How many bonds join unequal bits, per basis index, as uint8.
+def _bond_phases(num_qubits: int, j_x: np.ndarray, closed: bool) -> np.ndarray:
+    """exp(-i (j_x/4) sum_n s_n s_{n+1}) over the bonds inside ``num_qubits``
+    qubits, closed into a ring if ``closed``, per basis index: a
+    ``(P, 2**num_qubits)`` table, a row per coupling, with s = +/-1 from the bits.
 
-    Built from the two halves of the index ``hi 2^m + lo``, each of ``2^(L/2)``
-    values: their own counts, plus the bond across the cut and, on a ring,
-    the bond that closes it, in broadcast uint8 adds.
-    """
-    def half(n):  # an n-bit half's own unequal bonds, and its lowest and highest bits
-        idx = np.arange(1 << n, dtype=np.uint32)
-        count = np.bitwise_count((idx ^ (idx >> 1)) & ((1 << (n - 1)) - 1)).astype(np.uint8)
-        return count, (idx & 1).astype(np.uint8), (idx >> (n - 1)).astype(np.uint8)
-
-    m = num_qubits // 2
-    lo, lo_first, lo_last = half(m)
-    hi, hi_first, hi_last = half(num_qubits - m)
-    out = hi[:, None] + lo[None, :]
-    out += hi_first[:, None] ^ lo_last[None, :]
-    if boundary == "periodic":
-        out += hi_last[:, None] ^ lo_first[None, :]
-    out = out.reshape(-1)
-    out.setflags(write=False)
-    return out
-
-
-def _ising_phase_vector(num_qubits: int, j_x, boundary: str) -> np.ndarray:
-    """exp(-i (j_x/4) sum_n s_n s_{n+1}) per sigma_x eigenbasis index (a row per j_x),
-    with s = +/-1 from the bits.
-
-    A basis index with k unequal bonds has alignment n_bonds - 2k, so the
+    A basis index with f unequal bonds has alignment n_bonds - 2f, so the
     exponential is taken once per alignment and gathered by the flip counts.
     """
-    n_bonds = num_qubits if boundary == "periodic" else num_qubits - 1
+    idx = np.arange(1 << num_qubits, dtype=np.uint32)
+    neighbours = idx >> 1  # bit n holds qubit n + 1, and on a ring the top bit qubit 0
+    if closed:
+        neighbours |= (idx & 1) << num_qubits - 1
+    else:
+        neighbours ^= idx & 1 << num_qubits - 1  # so the top bit counts no bond
+    flips = np.bitwise_count(idx ^ neighbours)
+    n_bonds = num_qubits if closed else num_qubits - 1
     alignment = np.arange(n_bonds, -n_bonds - 1, -2, dtype=np.float64)
-    table = np.exp(-0.25j * np.asarray(j_x, dtype=float)[..., None] * alignment)
-    return np.take(table, _bond_flips(num_qubits, boundary), axis=-1)
+    return np.take(np.exp(-0.25j * j_x[:, None] * alignment), flips, axis=-1)
 
 
 def field_unitary(b_field: float, theta: float) -> np.ndarray:
@@ -308,6 +368,15 @@ def _times_diagonal_power(amplitudes: np.ndarray, v: np.ndarray) -> np.ndarray:
     return amplitudes
 
 
+def _product_vectors(factors: np.ndarray) -> np.ndarray:
+    """``(x)_n factors[..., n, :]``, qubit 0 fastest: a ``(..., 2**n)`` table from
+    a ``(..., n, 2)`` stack of one-qubit vectors."""
+    out = np.ones((*factors.shape[:-2], 1), dtype=factors.dtype)
+    for n in range(factors.shape[-2]):
+        out = (factors[..., n, :, None] * out[..., None, :]).reshape(*factors.shape[:-2], -1)
+    return out
+
+
 def step(state: PureState, params: ChainParams) -> PureState:
     """One kick ``U = U_xx(j_x) . U_field(b, theta)``: the kick of
     :class:`XFrameKick` between the Walsh-Hadamard transforms and phases that
@@ -328,15 +397,27 @@ class XFrameKick:
     The sigma_x-frame kick is ``D (H u H)^{(x)L}``, and ``H u H`` splits as
     ``diag(l) R diag(r)`` with ``R`` real (:func:`_split_field_gates`).  On
     ``diag(r)^{(x)L} H^{(x)L} psi`` a kick is therefore ``R^{(x)L}``, real
-    block passes, followed by the phase vector ``D (r l)^{(x)L}``, built once.
-    :meth:`enter` takes a ``(P, 2**L)`` stack whose row p is
-    ``H^{(x)L} psi_p`` into this frame, with ``points[p]``'s own ``r``, and
-    :meth:`leave` takes it back out.
+    block passes, followed by the phases ``D (r l)^{(x)L}``.
+    :meth:`start` builds a stack in this frame, :meth:`enter` takes a
+    ``(P, 2**L)`` stack whose row p is ``H^{(x)L} psi_p`` into it, with
+    ``points[p]``'s own ``r``, and :meth:`leave` takes it back out.
 
-    Calling it kicks a stack in the frame and returns it in either the array
-    it was given or its spare one, after checking every row's norm.  The
-    points share one chain (qubit count and boundary).  It owns its phases and
-    spare buffer, so neither outlives the run.
+    Calling it kicks a stack in the frame, in place, and checks every row's
+    norm.  A row of more than ``_WHOLE_ROW_QUBITS`` qubits is streamed, with
+    its index split as ``x = hi 2**k + lo``, ``k = CHUNK_QUBITS``:
+
+    * the panel pass applies the blocks of the high qubits to panels of
+      columns of the ``(2**(L-k), 2**k)`` view, through a small buffer;
+    * the chunk pass visits each row ``hi`` of that view once: the real blocks
+      of the low qubits, then the lowest block as a complex product that also
+      carries the phases of ``hi``'s own qubits and of the two bonds that
+      cross the cut (bit k-1 of lo with bit 0 of hi, and on a ring bit 0 of lo
+      with the top bit of hi), then the phase table of the low qubits, and the
+      chunk's share of the norm.
+
+    So a kick reads and writes the state twice and holds no array of its
+    size.  A shorter row is one chunk, and a stack of them is kicked at once.
+    The points share one chain (qubit count and boundary).
     """
 
     def __init__(self, points: list[ChainParams]):
@@ -345,12 +426,55 @@ class XFrameKick:
             raise ValueError("the points of a stack must share qubit count and boundary")
         u = np.array([field_unitary(p.b_field, p.theta) for p in points])
         left, rotation, self._right = _split_field_gates(u)
-        self._gates = _block_gates(L, rotation)
-        # the lowest block multiplies complex amplitudes: cast its gate once, not per kick
-        self._gates[0] = (0, self._gates[0][1].astype(complex))
-        self._phases = _times_diagonal_power(
-            _ising_phase_vector(L, [p.j_x for p in points], boundary), self._right * left)
-        self._spare = np.empty_like(self._phases)
+        frame = self._right * left
+        j_x = np.array([p.j_x for p in points], dtype=float)
+        self.num_qubits, self._chunk = L, _chunk_qubits(L)
+        k, h = self._chunk, L - self._chunk
+        if not h:
+            self._low = _block_gates(blocks(L), rotation)
+            # the lowest block multiplies complex amplitudes: cast its gate once, not per kick
+            self._low[0] = (0, self._low[0][1].astype(complex))
+            self._low_phases = _times_diagonal_power(
+                _bond_phases(L, j_x, boundary == "periodic"), frame)
+            self._buffer = np.empty_like(self._low_phases)
+            return
+        layout = [(0, _LOWEST_QUBITS)] + [(_LOWEST_QUBITS + lo, size)
+                                          for lo, size in blocks(k - _LOWEST_QUBITS)]
+        (_, lowest), *self._low = _block_gates(layout, rotation)
+        self._high = _block_gates(blocks(h), rotation)
+        self._low_phases = _times_diagonal_power(_bond_phases(k, j_x, False), frame)
+        # bond[p, s, s'] is a bond's phase between bits s and s'
+        bond = np.exp(-0.25j * j_x[:, None, None] * (1.0 - 2.0 * np.eye(2)[::-1]))
+        ring = bond if boundary == "periodic" else np.ones_like(bond)
+        hi = np.arange(1 << h)
+        # per row hi and half t of its chunk (bit k-1 of lo): hi's own phases
+        # and the cut bond; per output index a: the ring bond, from a's bit 0
+        scale = (_times_diagonal_power(_bond_phases(h, j_x, False), frame)[:, :, None]
+                 * bond[:, :, hi & 1].swapaxes(1, 2))
+        closing = ring[:, np.arange(1 << _LOWEST_QUBITS) & 1][:, :, hi >> (h - 1)]
+        self._lowest = (lowest.swapaxes(-1, -2)[:, None, None]  # the right factor: transposed
+                        * closing.swapaxes(1, 2)[:, :, None, None, :]
+                        * scale[:, :, :, None, None])
+        self._buffer = _stream_buffer((len(points), 1 << h, 1 << k), complex)
+
+    def start(self, terms: list[tuple[int, complex]]) -> np.ndarray:
+        """The stack whose row p is ``diag(r_p)^{(x)L} H^{(x)L} sum a |b>`` over the
+        ``(b, a)`` of ``terms``, built in the frame.
+
+        ``H^{(x)L} |b> = 2^{-L/2} (x)_n (1, (-1)^{b_n})``, so each term is a
+        product vector ``(x)_n (r_0, (-1)^{b_n} r_1)``.  The stack is one matrix
+        product of the terms' vectors over the high qubits by those over the
+        low qubits: one write per amplitude, and no temporary of its size.
+        """
+        L, m = self.num_qubits, self.num_qubits // 2
+        signs = 1 - 2 * ((np.array([b for b, _ in terms])[:, None] >> np.arange(L)) & 1)
+        factors = self._right[:, None, None, :] * np.stack([np.ones_like(signs), signs], -1)
+        amplitude = np.array([a for _, a in terms]) * 2.0 ** (-L / 2)
+        low = _product_vectors(factors[:, :, :m]) * amplitude[:, None]
+        high = _product_vectors(factors[:, :, m:])
+        out = np.empty((len(factors), 1 << (L - m), 1 << m), dtype=complex)
+        np.matmul(high.swapaxes(1, 2), low, out=out)
+        return out.reshape(len(out), -1)
 
     def enter(self, amplitudes: np.ndarray) -> np.ndarray:
         """``diag(r)^{(x)L}`` on each row, in place: from ``H^{(x)L} psi`` into the frame."""
@@ -361,7 +485,23 @@ class XFrameKick:
         return _times_diagonal_power(amplitudes, self._right.conj())
 
     def __call__(self, amplitudes: np.ndarray) -> np.ndarray:
-        amps, self._spare = _fused_pass(amplitudes, self._gates, self._spare)
-        amps *= self._phases
-        _check_norm(amps)
-        return amps
+        if self._chunk == self.num_qubits:
+            out, _ = _fused_pass(amplitudes, self._low, self._buffer)
+            np.multiply(out, self._low_phases, out=amplitudes)
+            _check_norm(amplitudes)
+            return amplitudes
+        rows = _rows_of(amplitudes, self._chunk)
+        _panel_pass(rows, self._high, self._buffer)
+        spare = self._buffer[:rows.shape[-1]].reshape(1, -1)
+        d = self._lowest.shape[-1]
+        squares = np.zeros(len(rows))
+        for p, row in enumerate(rows):
+            low = [(lo, gate[p:p + 1]) for lo, gate in self._low]
+            for hi in range(len(row)):
+                chunk = row[hi:hi + 1]
+                out, free = _fused_pass(chunk, low, spare)
+                np.matmul(out.reshape(2, -1, d), self._lowest[p, hi], out=free.reshape(2, -1, d))
+                np.multiply(free, self._low_phases[p], out=chunk)
+                squares[p] += np.vecdot(chunk[0], chunk[0]).real
+        _check_squared_norms(squares)
+        return amplitudes

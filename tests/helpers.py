@@ -57,6 +57,41 @@ def step_dense(L: int, j_x: float, b: float, theta: float,
     return ising_kick_dense(L, j_x, boundary) @ field_kick_dense(L, b, theta)
 
 
+def apply_one_qubit_gate(psi: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+    """The 2x2 gate g on qubit k, as two linear combinations of the halves of a
+    reshaped copy; no product-gate kernel."""
+    v = psi.reshape(-1, 2, 2 ** k)
+    out = np.empty_like(v, dtype=complex)
+    out[:, 0] = g[0, 0] * v[:, 0] + g[0, 1] * v[:, 1]
+    out[:, 1] = g[1, 0] * v[:, 0] + g[1, 1] * v[:, 1]
+    return out.reshape(psi.shape)
+
+
+def ising_alignment(L: int, boundary: str = "periodic") -> np.ndarray:
+    """sum_n s_n s_{n+1} per basis index, with s = +/-1 from the bits, summed bond by bond."""
+    idx = np.arange(2 ** L)
+    n_bonds = L if boundary == "periodic" else L - 1
+    out = np.full(2 ** L, n_bonds, dtype=np.int64)
+    for n in range(n_bonds):
+        out -= 2 * (((idx >> n) ^ (idx >> ((n + 1) % L))) & 1)
+    return out
+
+
+def kick_reference(psi: np.ndarray, L: int, j_x: float, b: float, theta: float,
+                   boundary: str = "periodic") -> np.ndarray:
+    """One kick in O(L 2^L), for chains beyond the dense matrices: the field's
+    u, then H, on each qubit by reshape, the Ising phases per index, and H on
+    each qubit again."""
+    u = expm_herm((b / 2.0) * (np.cos(theta) * SX + np.sin(theta) * SZ))
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
+    for k in range(L):
+        psi = apply_one_qubit_gate(psi, h @ u, k)
+    psi = psi * np.exp(-0.25j * j_x * ising_alignment(L, boundary))
+    for k in range(L):
+        psi = apply_one_qubit_gate(psi, h, k)
+    return psi
+
+
 def brute_rdm1(psi: np.ndarray, k: int, L: int) -> np.ndarray:
     """Partial trace onto qubit k by explicit index summation."""
     rho = np.zeros((2, 2), dtype=complex)

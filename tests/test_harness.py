@@ -27,6 +27,7 @@ from kicked_ising import (
 )
 from kicked_ising import fwht_inplace, measures
 from kicked_ising.harness import MEASURES, _evolve, _shift_invariant, _x_frame_start
+from kicked_ising.statevec import XFrameKick
 
 # time-averaged Q for (L=6, j_x=B=theta=pi/4, 1000 kicks); recorded from the
 # first validated build, pinned here as the determinism fixture
@@ -68,19 +69,24 @@ class TestInitialState:
 
 
 class TestXFrameStart:
-    def test_is_bitwise_the_transformed_start(self):
+    def test_is_the_transformed_start_in_the_frame(self):
+        # fwht_inplace and each row's own diag(r)^{(x)L}, to rounding: the
+        # product vector multiplies the same factors in another order
         rng = np.random.default_rng(31)
-        for L in range(2, 15):
-            bitstrings = ["".join(rng.choice(["0", "1"], L)) for _ in range(3)]
+        for L in (2, 3, 6, 9, 14, 17):
+            bitstrings = ["".join(rng.choice(["0", "1"], L)) for _ in range(2)]
             for boundary in ("periodic", "open"):
-                p = quick_params(num_qubits=L, boundary=boundary)
+                points = [quick_params(num_qubits=L, boundary=boundary, b_field=b, theta=theta)
+                          for b, theta in rng.uniform(0, 3, (3, 2))]
+                kick = XFrameKick(points)
                 for initial in ("vacuum", "all_up", "ghz", *bitstrings):
-                    want = fwht_inplace(initial_state(p, initial).amplitudes)
-                    assert _x_frame_start(p, initial).tobytes() == want.tobytes()
+                    start = np.tile(initial_state(points[0], initial).amplitudes, (3, 1))
+                    want = kick.enter(fwht_inplace(start))
+                    assert np.max(np.abs(_x_frame_start(kick, initial) - want)) <= 1e-15
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError, match="initial must be"):
-            _x_frame_start(quick_params(), "thermal")
+            _x_frame_start(XFrameKick([quick_params()]), "thermal")
 
 
 class TestRunTimeSeries:
@@ -188,6 +194,25 @@ class TestMemoryPreflight:
             assert [r.t for r in run_time_series(cfg)] == [0, 1, 2]
 
 
+class TestKickMemory:
+    def test_a_streamed_run_holds_one_state(self):
+        # a 3-kick run at L = 18 streams its kicks through buffers and tables
+        # of a chunk's size; a state-sized spare or phase vector would double
+        # the peak
+        import tracemalloc
+
+        L = 18
+        state_bytes = 16 * 2 ** L
+        cfg = RunConfig(params=ChainParams(L, 1.1, 0.7, 0.6), steps=3, measures=frozenset({"q"}))
+        tracemalloc.start()
+        try:
+            run_time_series(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - state_bytes <= state_bytes / 4
+
+
 class TestTimeAverage:
     def test_constant_series(self):
         cfg = RunConfig(params=quick_params(), steps=5, initial="ghz",
@@ -247,9 +272,8 @@ class TestSweepGrid:
         assert np.max(np.abs(sweep_grid(cfg) - per_point_averages(cfg))) < 1e-10
 
     def test_numeric_sweep_keeps_the_phase_caches_small(self):
-        from kicked_ising import measures, statevec
-
-        statevec._bond_flips.cache_clear()
+        # the kick's phase tables live and die with it; the n-tangle's parity
+        # signs are the one cache left
         measures._parity_signs.cache_clear()
         for num_qubits in (4, 5, 6):  # each chain length needs its own 2^L-sized entries
             cfg = SweepConfig(axis1=AxisSpec("j_x", 0.3, 2.7, 6),
@@ -257,9 +281,8 @@ class TestSweepGrid:
                               fixed=quick_params(num_qubits=num_qubits, theta=0.7), steps=3,
                               measure="n_tangle")
             sweep_grid(cfg)
-        for cache in (statevec._bond_flips, measures._parity_signs):
-            info = cache.cache_info()
-            assert info.maxsize <= 2 and info.currsize <= 2
+        info = measures._parity_signs.cache_info()
+        assert info.maxsize <= 2 and info.currsize <= 2
 
     def test_point_failures_carry_coordinates(self):
         cfg = SweepConfig(

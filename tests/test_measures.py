@@ -342,6 +342,16 @@ class TestNTangleSlices:
             assert np.max(np.abs(n_tangle(a) - want)) < 1e-13
 
 
+    def test_parity_signs_from_the_index_halves(self):
+        from kicked_ising import measures
+        for L in range(1, 15):
+            idx = np.arange(2 ** L)
+            popcount = sum((idx >> k) & 1 for k in range(L))
+            signs = measures._parity_signs(L)
+            assert signs.dtype == np.int8
+            assert np.array_equal(signs, 1 - 2 * (popcount & 1))
+
+
 class TestLocalUnitaryInvariance:
     def test_measures_preserved(self):
         rng = np.random.default_rng(55)

@@ -9,21 +9,26 @@ import helpers
 from kicked_ising import (
     ChainParams,
     PureState,
+    RunConfig,
     fwht_inplace,
     make_basis_state,
     make_ghz,
     make_vacuum,
     n_tangle,
     q_measure,
+    run_time_series,
     step,
+    statevec,
 )
+from kicked_ising.harness import _evolve
 from kicked_ising.statevec import (
     _SIGN,
     BLOCK_QUBITS,
+    CHUNK_QUBITS,
     XFrameKick,
     _block_gates,
+    _bond_phases,
     _fused_pass,
-    _ising_phase_vector,
     _split_field_gates,
     blocks,
     field_unitary,
@@ -148,16 +153,17 @@ class TestProductGate:
             for w in (np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]),
                       rng.normal(size=(2, 2))):
                 psi = helpers.random_state(L, rng)
-                out, _ = _fused_pass(psi.copy(), _block_gates(L, w), np.empty_like(psi))
+                out, _ = _fused_pass(psi.copy(), _block_gates(blocks(L), w), np.empty_like(psi))
                 expect = helpers.apply_local_unitaries(psi, [w] * L)
                 assert np.max(np.abs(out - expect)) < 1e-12
 
     def test_fwht_stays_in_place(self):
         # an odd block count (L=11 and 12: three blocks) ends the alternation in
-        # the spare buffer; the oracle applies H one qubit at a time
+        # the spare buffer, and L=17 goes in panels and chunks; the oracle
+        # applies H one qubit at a time
         rng = np.random.default_rng(12)
         h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        for L in (3, 7, 11, 12):
+        for L in (3, 7, 11, 12, 17):  # 17 streams
             v = helpers.random_state(L, rng)
             expect = v
             for k in range(L):
@@ -204,9 +210,10 @@ class TestXFrameKick:
 
     def test_stack_rows_are_kicked_at_their_own_points(self):
         # per-row frames, field gates and Ising phases: a stack equals its rows
-        # kicked alone, and each row leaves the frame as H U^3 H of its own point
+        # kicked alone, and each row leaves the frame as H U^3 H of its own
+        # point; L=17 is streamed
         rng = np.random.default_rng(17)
-        for L, boundary in ((4, "periodic"), (7, "open"), (11, "periodic")):
+        for L, boundary in ((4, "periodic"), (7, "open"), (11, "periodic"), (17, "open")):
             points = [ChainParams(L, *rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, np.pi),
                                   boundary) for _ in range(5)]
             psis = np.array([helpers.random_state(L, rng) for _ in points])
@@ -227,11 +234,12 @@ class TestXFrameKick:
                     assert np.max(np.abs(single.leave(row)[0] - expect)) < 1e-12
 
     def test_stack_norm_check_sees_every_row(self):
-        points = [ChainParams(4, 1.0, 0.5, 0.3)] * 3
-        stack = fwht_inplace(np.tile(np.eye(16, dtype=complex)[0], (3, 1)))
-        stack[2] *= 1.01
-        with pytest.raises(ValueError, match="norm"):
-            XFrameKick(points)(stack)
+        for L in (4, 17):  # 17 sums each row's norm over its chunks
+            points = [ChainParams(L, 1.0, 0.5, 0.3)] * 3
+            stack = fwht_inplace(np.tile(np.eye(1, 2 ** L, dtype=complex), (3, 1)))
+            stack[2] *= 1.01
+            with pytest.raises(ValueError, match="norm"):
+                XFrameKick(points)(stack)
 
     def test_frame_refuses_a_stack_it_cannot_multiply_in_place(self):
         # a column-major stack would be reshaped into a copy, and the phases lost
@@ -257,14 +265,93 @@ class TestIsingPhases:
         return np.exp(-0.25j * np.asarray(j_x, dtype=float)[..., None] * alignment)
 
     def test_table_gather_is_bitwise_the_per_index_exponential(self):
+        # each factor table of the kick is a gather from one exponential per alignment
         rng = np.random.default_rng(29)
         for L in range(2, 15):
             for boundary in ("periodic", "open"):
-                for j_x in (rng.uniform(-7, 7), rng.uniform(-7, 7, 3), 0.0, np.pi):
-                    got = _ising_phase_vector(L, j_x, boundary)
+                for j_x in (rng.uniform(-7, 7, 1), rng.uniform(-7, 7, 3), [0.0], [np.pi]):
+                    got = _bond_phases(L, np.array(j_x), boundary == "periodic")
                     want = self.exp_per_index(L, j_x, boundary)
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
+
+    def test_streamed_factors_multiply_to_the_chain_phases(self, monkeypatch):
+        # at zero field the frame and the rotation are the identity, so a kick
+        # multiplies by the phases alone: the low table, the high row's factor
+        # and the two bonds across the cut.  Their product takes the angle in
+        # pieces, each rounded to its own size, so it may differ from the one
+        # exponential of the whole alignment by a few ulp of the largest
+        # angle, |j_x| L / 4 <= 31 rad, about 7e-15; 1e-14 bounds that
+        monkeypatch.setattr(statevec, "_WHOLE_ROW_QUBITS", CHUNK_QUBITS)
+        rng = np.random.default_rng(30)
+        for L, boundary in ((CHUNK_QUBITS + 1, "periodic"), (CHUNK_QUBITS + 2, "open"),
+                            (CHUNK_QUBITS + 3, "periodic")):
+            j_x = rng.uniform(-7, 7, 2)
+            points = [ChainParams(L, j, 0.0, 0.4, boundary) for j in j_x]
+            psis = np.array([helpers.random_state(L, rng) for _ in points])
+            got = XFrameKick(points)(psis.copy())
+            want = self.exp_per_index(L, j_x, boundary) * psis
+            assert np.max(np.abs(got - want)) < 1e-14
+
+
+class TestStreamedKick:
+    """Chains longer than CHUNK_QUBITS against the per-qubit reference kick.
+
+    L = CHUNK_QUBITS + 1 and + 2 are one row each unless streaming is forced;
+    it is, so that high parts of one and two qubits are checked too."""
+
+    CASES = [  # L, boundary, theta, forced to stream
+        (CHUNK_QUBITS + 1, "periodic", 0.6, True),
+        (CHUNK_QUBITS + 2, "open", np.pi / 2, True),
+        (17, "periodic", np.pi / 2, False),
+        (18, "open", 0.6, False),
+        (20, "periodic", 0.6, False),
+    ]
+
+    def test_step_matches_the_reference_kick(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        for L, boundary, theta, forced in self.CASES:
+            monkeypatch.setattr(statevec, "_WHOLE_ROW_QUBITS",
+                                CHUNK_QUBITS if forced else statevec._WHOLE_ROW_QUBITS)
+            assert forced or statevec._chunk_qubits(L) < L
+            psi = helpers.random_state(L, rng)
+            got = step(PureState(L, psi), ChainParams(L, 1.3, 0.8, theta, boundary))
+            want = helpers.kick_reference(psi, L, 1.3, 0.8, theta, boundary)
+            assert np.max(np.abs(got.amplitudes - want)) < 1e-12
+
+    def test_time_series_matches_the_reference_kick(self, monkeypatch):
+        # the run's rows are the reference states under diag(r) H on every
+        # qubit, and its Q is theirs
+        for L, boundary, theta, forced in self.CASES[:-1]:
+            monkeypatch.setattr(statevec, "_WHOLE_ROW_QUBITS",
+                                CHUNK_QUBITS if forced else statevec._WHOLE_ROW_QUBITS)
+            params = ChainParams(L, 1.3, 0.8, theta, boundary)
+            frame = np.diag(XFrameKick([params])._right[0]) @ np.array([[1, 1], [1, -1]])
+            psi = make_vacuum(L).amplitudes
+            series = run_time_series(RunConfig(params, 2, measures=frozenset({"q"})))
+            for t, amps in _evolve([params], "vacuum", 2):
+                want = psi
+                for k in range(L):
+                    want = helpers.apply_one_qubit_gate(want, frame / np.sqrt(2.0), k)
+                assert np.max(np.abs(amps[0] - want)) < 1e-12
+                assert abs(series[t].q_measure - q_measure(PureState(L, psi))) < 1e-12
+                psi = helpers.kick_reference(psi, L, 1.3, 0.8, theta, boundary)
+
+    def test_any_chunk_size_kicks_as_a_whole_row(self, monkeypatch):
+        # small chunks make tall stacks of narrow panels, and high parts of
+        # one to three blocks
+        rng = np.random.default_rng(44)
+        L, boundary = 10, "periodic"
+        points = [ChainParams(L, *rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, np.pi), boundary)
+                  for _ in range(3)]
+        psis = np.array([helpers.random_state(L, rng) for _ in points])
+        whole, hadamard = XFrameKick(points)(psis.copy()), fwht_inplace(psis.copy())
+        monkeypatch.setattr(statevec, "_WHOLE_ROW_QUBITS", 2)
+        for chunk in (4, 6, 9):
+            monkeypatch.setattr(statevec, "CHUNK_QUBITS", chunk)
+            assert statevec._chunk_qubits(L) == chunk
+            assert np.max(np.abs(XFrameKick(points)(psis.copy()) - whole)) < 1e-13
+            assert np.max(np.abs(fwht_inplace(psis.copy()) - hadamard)) < 1e-13
 
 
 class TestFieldKick:

@@ -21,6 +21,12 @@ through a whole run, and the ``BENCH_*.json`` file its record goes to:
   ``compare --regime transverse`` calls it (``BENCH_series.json``).  Case:
   ``L20``, the seed-0 ``compare-transverse-L20`` run (L = 20, 3 kicks from
   the vacuum ring at theta = pi/2).
+- ``kick``: ``harness.run_time_series`` with the measure ``q`` alone at a
+  tilted field, where the kicks are most of the run (``BENCH_kick.json``).
+  Cases: ``L16``, ``L20``, ``L22`` and ``L24``, 3 kicks from the vacuum ring
+  at the seed-0 ``evolve-pairs-L12`` couplings.  Each case also records
+  ``peak_bytes``, the ``tracemalloc`` peak of its untimed run: every array
+  the run allocates, the state included.
 
 Each ``LABEL=SRC_DIR`` names a tree whose ``kicked_ising`` package is timed.
 The trees take turns: each of the ``REPEATS`` rounds starts one fresh
@@ -56,6 +62,7 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from collections.abc import Callable  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -136,6 +143,21 @@ def _series_cases() -> dict:
     return {f"L{L}": (lambda: harness.run_time_series(config), {"num_qubits": L, "kicks": steps})}
 
 
+def _kick_cases() -> dict:
+    from kicked_ising import harness
+    from kicked_ising.statevec import ChainParams
+
+    flags, _ = _seed0("evolve-pairs-L12")
+    jx, b, theta = (float(flags[f]) for f in ("--jx", "--b", "--theta"))
+    cases = {}
+    for L in (16, 20, 22, 24):
+        config = harness.RunConfig(ChainParams(L, jx, b, theta), 3, measures=frozenset({"q"}))
+        # the module attribute, as timed
+        cases[f"L{L}"] = (lambda config=config: harness.run_time_series(config),
+                          {"num_qubits": L, "kicks": 3})
+    return cases
+
+
 @dataclass(frozen=True)
 class Layer:
     """A timed package function, the runs that call it, and where they are recorded."""
@@ -145,6 +167,7 @@ class Layer:
     run: str  # what one case runs; its seconds are recorded as ``<run>_s``
     cases: Callable[[], dict]  # case name -> (run it, what it covers), built per tree
     output: str
+    peak: bool = False  # record the tracemalloc peak of each case's untimed run
 
 
 LAYERS = {
@@ -154,6 +177,8 @@ LAYERS = {
     "step": Layer("statevec", "step", "series", _step_cases, "BENCH_step.json"),
     "series": Layer("harness", "run_time_series", "series", _series_cases,
                     "BENCH_series.json"),
+    "kick": Layer("harness", "run_time_series", "series", _kick_cases, "BENCH_kick.json",
+                  peak=True),
 }
 
 
@@ -177,11 +202,18 @@ def _time_cases(layer: Layer) -> dict:
     out = {}
     try:
         for name, (run, covers) in layer.cases().items():
-            run()  # warm-up
+            peak = {}
+            if layer.peak:  # the warm-up, traced: tracing slows allocations, not the timed run
+                tracemalloc.start()
+                run()
+                peak["peak_bytes"] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            else:
+                run()  # warm-up
             tally.update(layer=0.0, calls=0)
             start = time.perf_counter()
             run()
-            out[name] = {"run": time.perf_counter() - start, **tally, **covers}
+            out[name] = {"run": time.perf_counter() - start, **tally, **covers, **peak}
     finally:
         setattr(module, layer.function, original)
     return out
@@ -249,9 +281,11 @@ def main(argv: list[str] | None = None) -> int:
     for label, src in args.trees:
         samples = rounds[label]
         cases = {name: {key: value for key, value in first.items()
-                        if key not in ("layer", "run")}
+                        if key not in ("layer", "run", "peak_bytes")}
                  | {"layer_s": _spread([s[name]["layer"] for s in samples]),
                     f"{layer.run}_s": _spread([s[name]["run"] for s in samples])}
+                 | ({"peak_bytes": _spread([s[name]["peak_bytes"] for s in samples])}
+                    if layer.peak else {})
                  for name, first in samples[0].items()}
         record.setdefault("runs", {})[label] = {
             "source_sha256": _source_digest(src), "host": host, "cases": cases,
@@ -259,7 +293,9 @@ def main(argv: list[str] | None = None) -> int:
         for name, case in cases.items():
             print(f"{label} {name}: layer {case['layer_s']['median'] * 1e3:.2f} ms "
                   f"[{case['layer_s']['q1'] * 1e3:.2f}, {case['layer_s']['q3'] * 1e3:.2f}], "
-                  f"{layer.run} {case[f'{layer.run}_s']['median'] * 1e3:.2f} ms")
+                  f"{layer.run} {case[f'{layer.run}_s']['median'] * 1e3:.2f} ms"
+                  + (f", peak {case['peak_bytes']['median'] / 2 ** 20:.1f} MiB"
+                     if layer.peak else ""))
     output.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 
