@@ -31,6 +31,7 @@ from .measures import (
     q_measure,
     rdm_pair,
     report,
+    reports,
 )
 from .statevec import (
     ChainParams,
@@ -72,6 +73,7 @@ __all__ = [
     "q_measure",
     "rdm_pair",
     "report",
+    "reports",
     "run_time_series",
     "step",
     "sweep_grid",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytic
-from .measures import MeasureReport, n_tangle, one_tangles, report
+from .measures import MeasureReport, n_tangle, one_tangles, reports
 from .statevec import ChainParams, PureState, XFrameKick
 
 MEASURES = frozenset(
@@ -103,7 +103,7 @@ def _shift_invariant(params: ChainParams, initial: str) -> bool:
     True on a ring started from a named state or from a bitstring of one
     repeated bit: each start is shift-invariant, and the uniform kick commutes
     with the shift.  Decided from the run's input alone, never from its
-    amplitudes; :func:`~kicked_ising.measures.report` and
+    amplitudes; :func:`~kicked_ising.measures.reports` and
     :func:`~kicked_ising.measures.one_tangles` take it as given.
     """
     L = params.num_qubits
@@ -179,16 +179,34 @@ def _evolve(points: list[ChainParams], initial: str, steps: int, sample_every: i
             yield t, amps
 
 
+def _groups(samples, num_qubits: int):
+    """The ``(t, amps)`` samples of a one-row run as ``(ts, stack)`` groups:
+    up to ``_CHUNK_AMPLITUDES // 2**L`` rows copied into one buffer, or, for
+    a row longer than that, each live row as it is, never copied."""
+    size = _CHUNK_AMPLITUDES >> num_qubits
+    group, ts = np.empty((size, 1 << num_qubits), dtype=complex), []
+    for t, amps in samples:
+        if not size:
+            yield [t], amps
+            continue
+        group[len(ts)] = amps[0]
+        ts.append(t)
+        if len(ts) == size:
+            yield ts, group
+            ts = []
+    if ts:
+        yield ts, group[:len(ts)]
+
+
 def run_time_series(config: RunConfig) -> list[MeasureReport]:
-    """Evolve and sample; the t=0 report is always included."""
+    """Evolve and sample, measuring the samples in groups; the t=0 report is always included."""
     params = config.params
-    pair_measures = bool(config.measures & _PAIR_MEASURES)
-    n_tangle_measure = "n_tangle" in config.measures
-    shift = _shift_invariant(params, config.initial)
-    return [report(PureState(params.num_qubits, amps[0]), t, pair_measures=pair_measures,
-                   n_tangle_measure=n_tangle_measure, boundary=params.boundary,
-                   shift_invariant=shift)
-            for t, amps in _evolve([params], config.initial, config.steps, config.sample_every)]
+    options = dict(pair_measures=bool(config.measures & _PAIR_MEASURES),
+                   n_tangle_measure="n_tangle" in config.measures, boundary=params.boundary,
+                   shift_invariant=_shift_invariant(params, config.initial))
+    samples = _evolve([params], config.initial, config.steps, config.sample_every)
+    return [r for ts, amps in _groups(samples, params.num_qubits)
+            for r in reports(amps, ts, **options)]
 
 
 def time_average(series: list[MeasureReport], measure: str) -> float:
@@ -274,7 +292,6 @@ def _numeric_averages(config: SweepConfig, axes: dict[str, np.ndarray],
     points = [replace(config.fixed, **{name: float(axes[name][k]) for name in SWEEP_PARAMETERS})
               for k in ks]
     values = np.empty((len(points), config.steps))  # a row per point, as time_average sums
-    L, boundary = config.fixed.num_qubits, config.fixed.boundary
     shift = _shift_invariant(config.fixed, config.initial)
     for t, amps in _evolve(points, config.initial, config.steps):
         if t == 0:
@@ -284,10 +301,10 @@ def _numeric_averages(config: SweepConfig, axes: dict[str, np.ndarray],
         elif config.measure == "n_tangle":
             values[:, t - 1] = n_tangle(amps)
         else:
-            values[:, t - 1] = [report(PureState(L, row), t, n_tangle_measure=False,
-                                       boundary=boundary,
-                                       shift_invariant=shift).value(config.measure)
-                                for row in amps]
+            values[:, t - 1] = [r.value(config.measure)
+                                for r in reports(amps, [t] * len(amps), n_tangle_measure=False,
+                                                 boundary=config.fixed.boundary,
+                                                 shift_invariant=shift)]
     return values.mean(axis=1)
 
 

@@ -1,15 +1,16 @@
 """Reduced density matrices and the entanglement measures computed from them.
 
-All operations take a :class:`~kicked_ising.statevec.PureState` (or a reduced
-density matrix produced here) and are pure functions.  Basis conventions come
-from :mod:`kicked_ising.statevec`; two-qubit density matrices are ordered
-(|00>, |01>, |10>, |11>) with the first-listed qubit in the left slot.
+The measures take a ``(P, 2**L)`` stack of amplitude rows, one state a row,
+and :func:`reports` assembles them; the one-state forms take a
+:class:`~kicked_ising.statevec.PureState`.  All are pure functions.  Basis
+conventions come from :mod:`kicked_ising.statevec`; two-qubit density matrices
+are ordered (|00>, |01>, |10>, |11>) with the first-listed qubit in the left slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -23,29 +24,37 @@ _EIG_FLOOR = -1e-9  # spectra of valid density matrices may only dip this far be
 _RDM_CHUNK = 1 << 16  # amplitudes per partial block-RDM product (1 MiB)
 
 
+def _pair_rdms(amps: np.ndarray, pairs) -> np.ndarray:
+    """(P, len(pairs), 4, 4) reduced density matrices of qubits ``(i, j)``,
+    qubit ``i`` leftmost, for each row of a ``(P, 2**L)`` stack.
+
+    Fixing the pair's two bits leaves four quarter views of a row, and their
+    Gram matrix is one ``np.vecdot`` that broadcasts the quarters against each
+    other along the longest of their three axes (:func:`_sliced_vecdot`), so
+    no copy of the state is made.  The pair (L-1-d, L-1) has quarters that are
+    contiguous runs of 2^(L-1-d).
+    """
+    p, L = len(amps), amps.shape[-1].bit_length() - 1
+    out = np.empty((p, len(pairs), 4, 4), dtype=complex)
+    for k, (i, j) in enumerate(pairs):
+        if not (0 <= i < L and 0 <= j < L):
+            raise IndexError(f"qubit pair ({i}, {j}) out of range for {L} qubits")
+        if i == j:
+            raise ValueError(f"need two distinct qubits, got ({i}, {j})")
+        lo, hi = min(i, j), max(i, j)
+        v = amps.reshape(p, 2 ** (L - 1 - hi), 2, 2 ** (hi - lo - 1), 2, 2 ** lo)
+        longest = max((5, 3, 1), key=lambda axis: v.shape[axis])  # the contiguous one on ties
+        rest = [axis for axis in (1, 3, 5) if axis != longest]
+        bits = (2, 4) if i > j else (4, 2)  # qubit i's bit first
+        w = v.transpose(0, *rest, *bits, longest)
+        gram = _sliced_vecdot(w[..., None, None, :, :, :], w[..., None, None, :])
+        out[:, k] = gram.sum(axis=(1, 2)).reshape(p, 4, 4)
+    return out
+
+
 def rdm_pair(state: PureState, i: int, j: int) -> np.ndarray:
     """4x4 reduced density matrix of qubits ``(i, j)``, qubit ``i`` leftmost."""
-    L = state.num_qubits
-    if not (0 <= i < L and 0 <= j < L):
-        raise IndexError(f"qubit pair ({i}, {j}) out of range for {L} qubits")
-    if i == j:
-        raise ValueError(f"need two distinct qubits, got ({i}, {j})")
-    lo, hi = min(i, j), max(i, j)
-    # axes: the qubits above hi, qubit hi, those between, qubit lo, those below lo
-    v = state.amplitudes.reshape(2 ** (L - 1 - hi), 2, 2 ** (hi - lo - 1), 2, 2 ** lo)
-    order = (3, 1, 0, 2, 4) if i < j else (1, 3, 0, 2, 4)
-
-    def gram(part):  # the pair's rows of a slice of the state, times their adjoint
-        t = part.transpose(order).reshape(4, -1)
-        return t @ t.conj().T
-
-    # summed over slices of at most _RDM_CHUNK amplitudes, as in _block_rdm
-    below = min(v.shape[4], max(1, _RDM_CHUNK // 4))
-    between = min(v.shape[2], max(1, _RDM_CHUNK // (4 * below)))
-    above = max(1, _RDM_CHUNK // (4 * between * below))
-    return sum(gram(v[a:a + above, :, m:m + between, :, c:c + below])
-               for a in range(0, v.shape[0], above) for m in range(0, v.shape[2], between)
-               for c in range(0, v.shape[4], below))
+    return _pair_rdms(state.amplitudes[None], [(i, j)])[0, 0]
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -207,6 +216,14 @@ def n_tangle(state):
     return float(out[0]) if isinstance(state, PureState) else out
 
 
+@lru_cache(maxsize=8)
+def _bonds(L: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of a chain's bonds, each with i < j, in sorted order."""
+    num_bonds = L if boundary == "periodic" else L - 1
+    bonds = sorted({(min(i, (i + 1) % L), max(i, (i + 1) % L)) for i in range(num_bonds)})
+    return tuple(np.array(side) for side in zip(*bonds))
+
+
 @dataclass(frozen=True)
 class MeasureReport:
     """Every measure of one state at one kick count.
@@ -230,7 +247,7 @@ class MeasureReport:
     def one_tangle(self) -> float:
         return float(self.one_tangles.mean())
 
-    @property
+    @cached_property  # read by three of the properties below
     def sum_two_tangles_per_qubit(self) -> np.ndarray | None:
         if self.pair_concurrences is None:
             return None
@@ -256,10 +273,7 @@ class MeasureReport:
         """Mean concurrence over the bonds (i, i+1), plus (L-1, 0) on a ring."""
         if self.pair_concurrences is None:
             return None
-        L = self.num_qubits
-        num_bonds = L if self.boundary == "periodic" else L - 1
-        bonds = {(min(i, (i + 1) % L), max(i, (i + 1) % L)) for i in range(num_bonds)}
-        return float(np.mean([self.pair_concurrences[i, j] for i, j in sorted(bonds)]))
+        return float(self.pair_concurrences[_bonds(self.num_qubits, self.boundary)].mean())
 
     def value(self, measure: str) -> float:
         """Scalar value of a named measure (for averaging and CSV output)."""
@@ -272,48 +286,48 @@ class MeasureReport:
         return float(out)
 
 
-def report(state: PureState, t: int, pair_measures: bool = True,
-           n_tangle_measure: bool = True, boundary: str = "periodic",
-           shift_invariant: bool = False) -> MeasureReport:
-    """Assemble the measures of ``state`` at kick count ``t``: the one-tangles
-    always, the pair table if ``pair_measures`` and the n-tangle if
-    ``n_tangle_measure``; a skipped measure reads None.
+def reports(amps: np.ndarray, ts, pair_measures: bool = True, n_tangle_measure: bool = True,
+            boundary: str = "periodic", shift_invariant: bool = False) -> list[MeasureReport]:
+    """The measures of each row of a ``(P, 2**L)`` stack, row p at kick count
+    ``ts[p]``, each for the whole stack at once: the one-tangles always, the
+    pair table if ``pair_measures`` and the n-tangle if ``n_tangle_measure``;
+    a skipped measure reads None.
 
-    ``boundary`` is that of the chain the state lives on; it selects the
+    ``boundary`` is that of the chain the states live on; it selects the
     bonds of ``nn_concurrence``.
 
     ``shift_invariant`` is the caller's assertion, not checked here, that the
-    ring shift maps ``state`` to itself up to a phase.  Every qubit then has
+    ring shift maps every row to itself up to a phase.  Every qubit then has
     the same one-tangle (see :func:`one_tangles`), and a pair's concurrence
     depends only on its ring distance d, so the table is filled from the
-    L // 2 pairs (0, d) instead of all L (L - 1) / 2; a ring started from a
-    shift-invariant state and kicked uniformly stays so.  Only a periodic
-    chain has the shift.
+    L // 2 pairs (L-1-d, L-1) instead of all L (L - 1) / 2; a ring started
+    from a shift-invariant state and kicked uniformly stays so.  Only a
+    periodic chain has the shift.
     """
     if boundary not in BOUNDARIES:
         raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
     if shift_invariant and boundary != "periodic":
         raise ValueError(f"a {boundary} chain has no ring shift to be invariant under")
-    L = state.num_qubits
-    tangles = one_tangles(state, shift_invariant)
-    pairs = None
+    L = amps.shape[-1].bit_length() - 1
+    tangles = one_tangles(amps, shift_invariant)
+    tables = [None] * len(amps)
     if pair_measures:
         i, j = np.triu_indices(L, k=1)
         if shift_invariant:
-            by_distance = concurrences(np.array([rdm_pair(state, 0, d)
-                                                 for d in range(1, L // 2 + 1)]))
-            values = by_distance[np.minimum(j - i, L - (j - i)) - 1]
+            by_distance = concurrences(_pair_rdms(amps, [(L - 1 - d, L - 1)
+                                                         for d in range(1, L // 2 + 1)]))
+            values = by_distance[:, np.minimum(j - i, L - (j - i)) - 1]
         else:
-            values = concurrences(np.array([rdm_pair(state, a, b)
-                                            for a, b in zip(i.tolist(), j.tolist())]))
-        pairs = np.zeros((L, L))
-        pairs[i, j] = pairs[j, i] = values
-    return MeasureReport(
-        t=t,
-        num_qubits=L,
-        q_measure=float(tangles.mean()),
-        n_tangle=n_tangle(state) if n_tangle_measure else None,
-        one_tangles=tangles,
-        pair_concurrences=pairs,
-        boundary=boundary,
-    )
+            values = concurrences(_pair_rdms(amps, list(zip(i.tolist(), j.tolist()))))
+        tables = np.zeros((len(amps), L, L))
+        tables[:, i, j] = tables[:, j, i] = values
+    n_tangles = n_tangle(amps).tolist() if n_tangle_measure else [None] * len(amps)
+    return [MeasureReport(t=t, num_qubits=L, q_measure=q, n_tangle=n, one_tangles=row,
+                          pair_concurrences=table, boundary=boundary)
+            for t, q, n, row, table in zip(ts, tangles.mean(axis=1).tolist(), n_tangles,
+                                           tangles, tables, strict=True)]
+
+
+def report(state: PureState, t: int, **options) -> MeasureReport:
+    """The :func:`reports` of one state at kick count ``t``, with its keyword options."""
+    return reports(state.amplitudes[None], [t], **options)[0]

@@ -94,9 +94,10 @@ def _check_norm(amplitudes: np.ndarray) -> None:  # one state or each row of a s
 
 
 def _check_squared_norms(squares: np.ndarray) -> None:
-    for norm in np.sqrt(squares).reshape(-1).tolist():
-        if not abs(norm - 1.0) <= _NORM_ATOL:  # so a NaN norm fails too
-            raise ValueError(f"state norm {norm!r} is not 1 within {_NORM_ATOL}")
+    norms = np.sqrt(squares).reshape(-1)
+    if not abs(norms - 1.0).max() <= _NORM_ATOL:  # max passes a NaN on, so it fails too
+        norm = next(n for n in norms.tolist() if not abs(n - 1.0) <= _NORM_ATOL)
+        raise ValueError(f"state norm {norm!r} is not 1 within {_NORM_ATOL}")
 
 
 @dataclass(frozen=True)
@@ -474,7 +475,9 @@ class XFrameKick:
         high = _product_vectors(factors[:, :, m:])
         out = np.empty((len(factors), 1 << (L - m), 1 << m), dtype=complex)
         np.matmul(high.swapaxes(1, 2), low, out=out)
-        return out.reshape(len(out), -1)
+        out = out.reshape(len(out), -1)
+        _check_norm(out)  # once a run: each kick checks the rows it returns
+        return out
 
     def enter(self, amplitudes: np.ndarray) -> np.ndarray:
         """``diag(r)^{(x)L}`` on each row, in place: from ``H^{(x)L} psi`` into the frame."""

@@ -195,22 +195,36 @@ class TestMemoryPreflight:
 
 
 class TestKickMemory:
+    @staticmethod
+    def traced_peak(config):
+        """The tracemalloc peak of one run_time_series call, in bytes."""
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            run_time_series(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_a_streamed_run_holds_one_state(self):
         # a 3-kick run at L = 18 streams its kicks through buffers and tables
         # of a chunk's size; a state-sized spare or phase vector would double
         # the peak
-        import tracemalloc
-
         L = 18
         state_bytes = 16 * 2 ** L
         cfg = RunConfig(params=ChainParams(L, 1.1, 0.7, 0.6), steps=3, measures=frozenset({"q"}))
-        tracemalloc.start()
-        try:
-            run_time_series(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - state_bytes <= state_bytes / 4
+        assert self.traced_peak(cfg) - state_bytes <= state_bytes / 4
+
+    def test_a_row_larger_than_a_group_is_measured_where_it_lies(self):
+        # no two rows of 16 qubits fit in a group of _CHUNK_AMPLITUDES, so each
+        # sampled row is measured in place.  With every measure the run holds
+        # the state, the kick's row-sized buffer and phase table and one slice
+        # of the n-tangle: ~4.2 states.  The per-report path peaked at 5.0,
+        # and a copy of the row would add one state
+        L = 16
+        cfg = RunConfig(params=ChainParams(L, 1.1, 0.7, 0.6), steps=3)
+        assert self.traced_peak(cfg) <= 5 * 16 * 2 ** L
 
 
 class TestTimeAverage:
@@ -540,17 +554,58 @@ class TestShiftReducedTables:
             assert np.array_equal(r.pair_concurrences, full.pair_concurrences)
 
     def test_one_pair_rdm_per_ring_distance(self, monkeypatch):
-        calls = []
-        rdm_pair = measures.rdm_pair
-        monkeypatch.setattr(measures, "rdm_pair", lambda *a: calls.append(a) or rdm_pair(*a))
+        built = []  # the pair RDMs of each call: rows times pairs
+        pair_rdms = measures._pair_rdms
+        monkeypatch.setattr(measures, "_pair_rdms",
+                            lambda amps, pairs: built.append(len(amps) * len(pairs))
+                            or pair_rdms(amps, pairs))
         for boundary, per_report in (("periodic", 4), ("open", 28)):
-            calls.clear()
+            built.clear()
             run_time_series(RunConfig(params=quick_params(num_qubits=8, theta=0.6,
                                                           boundary=boundary), steps=2))
-            assert len(calls) == 3 * per_report
-        calls.clear()
+            assert built == [3 * per_report]  # the three reports are one group
+        built.clear()
         sweep_grid(SweepConfig(axis1=AxisSpec("j_x", 0.5, 1.0, 2),
                                axis2=AxisSpec("b_field", 0.5, 1.0, 2),
                                fixed=quick_params(num_qubits=8, theta=0.6), steps=2,
                                measure="nn_concurrence"))
-        assert len(calls) == 4 * 2 * 4  # points x sampled kicks x ring distances
+        assert built == [4 * 4] * 2  # per sampled kick: points x ring distances
+
+
+class TestGroupedReports:
+    """A series measures its samples in groups; each report against a dense walk."""
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("initial", ["vacuum", "ghz", "random"])
+    @pytest.mark.parametrize("sample_every", [1, 3])
+    def test_matches_a_dense_walk(self, monkeypatch, boundary, initial, sample_every):
+        from kicked_ising import harness
+
+        L, steps, jx, b, theta = 6, 41, 1.1, 0.8, 0.7
+        if initial == "random":
+            initial = "".join(np.random.default_rng(61).choice(["0", "1"], L))
+            assert len(set(initial)) == 2  # not shift-invariant
+        # groups of 4 rows: 42 or 14 samples end on a partial group
+        monkeypatch.setattr(harness, "_CHUNK_AMPLITUDES", 4 * 2 ** L)
+        params = ChainParams(L, jx, b, theta, boundary)
+        series = run_time_series(RunConfig(params=params, steps=steps, initial=initial,
+                                           sample_every=sample_every))
+        assert [r.t for r in series] == list(range(0, steps + 1, sample_every))
+        y_all = np.array([[1.0]])
+        for _ in range(L):
+            y_all = np.kron(y_all, helpers.SY)
+        pairs = np.triu_indices(L, k=1)
+        psi = initial_state(params, initial).amplitudes
+        t = 0
+        for r in series:
+            while t < r.t:
+                psi = helpers.kick_reference(psi, L, jx, b, theta, boundary)
+                t += 1
+            tangles = [4.0 * np.linalg.det(helpers.brute_rdm1(psi, k, L)).real for k in range(L)]
+            rdms = [helpers.brute_rdm2(psi, i, j, L) for i, j in zip(*pairs)]
+            table = np.zeros((L, L))
+            table[pairs] = measures.concurrences(np.array(rdms))
+            assert np.max(np.abs(r.one_tangles - tangles)) < 1e-12
+            assert r.q_measure == pytest.approx(np.mean(tangles), abs=1e-12)
+            assert r.n_tangle == pytest.approx(abs(psi @ y_all @ psi) ** 2, abs=1e-12)
+            assert np.max(np.abs(r.pair_concurrences - (table + table.T))) < 1e-12

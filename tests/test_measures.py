@@ -8,6 +8,7 @@ import pytest
 import helpers
 from kicked_ising import (
     ChainParams,
+    MeasureReport,
     PureState,
     concurrence,
     concurrences,
@@ -20,6 +21,7 @@ from kicked_ising import (
     report,
     step,
 )
+from kicked_ising import measures
 
 
 def cluster_state(L, jx_t, boundary="periodic"):
@@ -81,7 +83,6 @@ class TestRdmPair:
 
     def test_summed_over_slices(self, monkeypatch):
         # chunks small enough to slice the qubits below, between and above the pair
-        from kicked_ising import measures
         s = random_pure(7, 25)
         pairs = list(itertools.permutations(range(7), 2))
         whole = [rdm_pair(s, i, j) for i, j in pairs]
@@ -95,6 +96,21 @@ class TestRdmPair:
             rdm_pair(make_vacuum(4), 1, 1)
         with pytest.raises(IndexError):
             rdm_pair(make_vacuum(4), 0, 4)
+
+
+class TestPairRdms:
+    @pytest.mark.parametrize("num_qubits", range(2, 9))
+    def test_every_ordered_pair_of_a_stack_matches_brute_force(self, num_qubits):
+        # the pairs with lo = 0 have no qubits below them, so their quarters
+        # are reduced along a strided axis
+        rng = np.random.default_rng(800 + num_qubits)
+        amps = np.array([helpers.random_state(num_qubits, rng) for _ in range(3)])
+        pairs = list(itertools.permutations(range(num_qubits), 2))
+        rdms = measures._pair_rdms(amps, pairs)
+        assert rdms.shape == (3, len(pairs), 4, 4)
+        for psi, row in zip(amps, rdms):
+            for (i, j), rho in zip(pairs, row):
+                assert np.max(np.abs(rho - helpers.brute_rdm2(psi, i, j, num_qubits))) < 1e-13
 
 
 class TestConcurrence:
@@ -297,7 +313,6 @@ class TestBlockOneTangles:
 
     def test_summed_over_slices(self, monkeypatch):
         # slices smaller than a block row and than a block column
-        from kicked_ising import measures
         rng = np.random.default_rng(22)
         states = [PureState(L, helpers.random_state(L, rng)) for L in (7, 11, 12)]
         whole = [(one_tangles(s), one_tangles(s, shift_invariant=True)) for s in states]
@@ -333,7 +348,6 @@ class TestShiftInvariantOneTangles:
 
 class TestNTangleSlices:
     def test_summed_over_slices(self, monkeypatch):
-        from kicked_ising import measures
         rng = np.random.default_rng(24)
         stacks = [np.array([helpers.random_state(L, rng) for _ in range(3)]) for L in (6, 9, 12)]
         whole = [n_tangle(a) for a in stacks]
@@ -343,7 +357,6 @@ class TestNTangleSlices:
 
 
     def test_parity_signs_from_the_index_halves(self):
-        from kicked_ising import measures
         for L in range(1, 15):
             idx = np.arange(2 ** L)
             popcount = sum((idx >> k) & 1 for k in range(L))
@@ -388,6 +401,17 @@ class TestReport:
         slack = r.one_tangles - r.sum_two_tangles_per_qubit
         assert slack.min() >= -1e-9
         assert np.min(r.residual_tangles) >= -1e-9
+
+    def test_nn_concurrence_averages_the_chain_bonds(self):
+        for L in range(2, 7):
+            table = np.arange(L * L, dtype=float).reshape(L, L)
+            table = table + table.T
+            for boundary, closed in (("periodic", L > 2), ("open", False)):
+                r = MeasureReport(t=0, num_qubits=L, q_measure=0.0, n_tangle=None,
+                                  one_tangles=np.zeros(L), pair_concurrences=table,
+                                  boundary=boundary)
+                bonds = [table[i, i + 1] for i in range(L - 1)] + [table[0, L - 1]] * closed
+                assert r.nn_concurrence == pytest.approx(np.mean(bonds), abs=1e-12)
 
     def test_pairwise_skip(self):
         r = report(random_pure(5, 601), 2, pair_measures=False)

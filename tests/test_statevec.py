@@ -1,5 +1,6 @@
 """State construction, kick kernels, and the Walsh-Hadamard transform."""
 
+import re
 import time
 
 import numpy as np
@@ -240,6 +241,15 @@ class TestXFrameKick:
             stack[2] *= 1.01
             with pytest.raises(ValueError, match="norm"):
                 XFrameKick(points)(stack)
+
+    @pytest.mark.parametrize("scale", [np.nan, 1.0 + 2e-10])
+    def test_stack_norm_check_names_the_failing_value(self, scale):
+        # one comparison over the rows; the error names the row that fails
+        stack = np.tile(np.eye(1, 16, dtype=complex), (3, 1))
+        stack[1] *= scale
+        norm = float(np.sqrt(np.vdot(stack[1], stack[1]).real))
+        with pytest.raises(ValueError, match=f"norm {re.escape(repr(norm))} is not 1"):
+            statevec._check_norm(stack)
 
     def test_frame_refuses_a_stack_it_cannot_multiply_in_place(self):
         # a column-major stack would be reshaped into a copy, and the phases lost

@@ -9,10 +9,12 @@ through a whole run, and the ``BENCH_*.json`` file its record goes to:
   grid of ``perfbench`` (51 x 51 points of (j_x, B) at theta = pi/2, L = 20,
   1000 kicks); and ``window-T``, the 4 x 4 grid spanning the same ranges at
   L = 20, for windows of T = 10^2, 10^4 and 10^6 kicks.
-- ``report``: ``harness.report`` with every pair measure, timed inside
-  ``harness.run_time_series`` (``BENCH_report.json``).  Cases: ``L12``, the
-  seed-0 ``evolve-pairs-L12`` run (L = 12, 40 kicks, a vacuum ring); and
-  ``L16`` and ``L20``, the same couplings at L = 16 and 20 for 3 kicks.
+- ``report``: ``harness.reports``, which measures a group of sampled
+  states with every pair measure, timed inside ``harness.run_time_series``
+  (``BENCH_report.json``); in a tree that measures one state per call, its
+  ``harness.report``.  Cases: ``L12``, the seed-0 ``evolve-pairs-L12`` run
+  (L = 12, 40 kicks, a vacuum ring); and ``L16`` and ``L20``, the same
+  couplings at L = 16 and 20 for 3 kicks.
 - ``step``: ``statevec.step``, one kick of one state, timed over a run of
   kicks from the vacuum ring (``BENCH_step.json``).  Cases: ``L10`` (100
   kicks), ``L14`` (20 kicks) and ``L20`` (3 kicks), at the seed-0
@@ -163,7 +165,7 @@ class Layer:
     """A timed package function, the runs that call it, and where they are recorded."""
 
     module: str  # the kicked_ising module whose attribute the runs look up per call
-    function: str
+    functions: tuple[str, ...]  # the first of these that the module has is timed
     run: str  # what one case runs; its seconds are recorded as ``<run>_s``
     cases: Callable[[], dict]  # case name -> (run it, what it covers), built per tree
     output: str
@@ -171,13 +173,14 @@ class Layer:
 
 
 LAYERS = {
-    "jw_average": Layer("analytic", "jw_q_average", "sweep", _jw_average_cases,
+    "jw_average": Layer("analytic", ("jw_q_average",), "sweep", _jw_average_cases,
                         "BENCH_jw_average.json"),
-    "report": Layer("harness", "report", "series", _report_cases, "BENCH_report.json"),
-    "step": Layer("statevec", "step", "series", _step_cases, "BENCH_step.json"),
-    "series": Layer("harness", "run_time_series", "series", _series_cases,
+    "report": Layer("harness", ("reports", "report"), "series", _report_cases,
+                    "BENCH_report.json"),
+    "step": Layer("statevec", ("step",), "series", _step_cases, "BENCH_step.json"),
+    "series": Layer("harness", ("run_time_series",), "series", _series_cases,
                     "BENCH_series.json"),
-    "kick": Layer("harness", "run_time_series", "series", _kick_cases, "BENCH_kick.json",
+    "kick": Layer("harness", ("run_time_series",), "series", _kick_cases, "BENCH_kick.json",
                   peak=True),
 }
 
@@ -187,7 +190,8 @@ def _time_cases(layer: Layer) -> dict:
     inside the layer, seconds in the whole run, and how often the run called
     the layer."""
     module = importlib.import_module(f"kicked_ising.{layer.module}")
-    original = getattr(module, layer.function)
+    function = next(name for name in layer.functions if hasattr(module, name))
+    original = getattr(module, function)
     tally = {"layer": 0.0, "calls": 0}
 
     def timed(*args, **kwargs):
@@ -198,7 +202,7 @@ def _time_cases(layer: Layer) -> dict:
             tally["layer"] += time.perf_counter() - start
             tally["calls"] += 1
 
-    setattr(module, layer.function, timed)
+    setattr(module, function, timed)
     out = {}
     try:
         for name, (run, covers) in layer.cases().items():
@@ -215,7 +219,7 @@ def _time_cases(layer: Layer) -> dict:
             run()
             out[name] = {"run": time.perf_counter() - start, **tally, **covers, **peak}
     finally:
-        setattr(module, layer.function, original)
+        setattr(module, function, original)
     return out
 
 
