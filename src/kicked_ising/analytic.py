@@ -9,6 +9,7 @@ and is cross-validated against it in the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -173,12 +174,23 @@ def _dirichlet(hi, lo, steps: int):
     series 1 + (T^2-1) d^2 / 3 for the first factor where |d| T < 1e-6.
     """
     turns = np.rint(hi / math.pi)
-    d = (hi - turns * math.pi) + (lo - turns * _PI_LO)
+    d = np.asarray((hi - turns * math.pi) + (lo - turns * _PI_LO))
     tan_d, tan_dt = np.tan(d), np.tan(d * steps)
     small = np.abs(d) * steps < 1e-6
-    ratio = np.where(small, 1.0 + (steps * steps - 1.0) * d * d / 3.0,
-                     tan_dt / (steps * np.where(small, 1.0, tan_d)))
-    return ratio / (1.0 + tan_dt * tan_dt) * (1.0 - tan_d * tan_dt)
+    # empty_like keeps d's memory order, which sets the order a caller's sums add in
+    ratio = np.divide(tan_dt, steps * tan_d, out=np.empty_like(d), where=~small)
+    ratio[small] = 1.0 + (steps * steps - 1.0) * d[small] * d[small] / 3.0
+    ratio /= 1.0 + tan_dt * tan_dt
+    ratio *= 1.0 - tan_d * tan_dt
+    return ratio
+
+
+@functools.lru_cache(maxsize=16)
+def _pairs(modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs q < r of ``modes`` modes, read-only: every sweep chunk shares them."""
+    q, r = np.triu_indices(modes, 1)
+    q.flags.writeable = r.flags.writeable = False
+    return q, r
 
 
 def jw_q_average(num_qubits: int, j_x, b_field, steps: int) -> np.ndarray:
@@ -198,9 +210,10 @@ def jw_q_average(num_qubits: int, j_x, b_field, steps: int) -> np.ndarray:
     j_x, b_field = np.asarray(j_x, dtype=float), np.asarray(b_field, dtype=float)
     w, theta = _vacuum_series(L, j_x[:, None], b_field[:, None])
     u = w / L
-    q, r = np.triu_indices(L // 2, 1)  # the pairs q < r
-    k_pairs = (_dirichlet(*_two_sum(theta[:, q], theta[:, r]), steps)
-               + _dirichlet(*_two_sum(theta[:, q], -theta[:, r]), steps))
+    q, r = _pairs(L // 2)
+    theta_q, theta_r = theta[:, q], theta[:, r]
+    k_pairs = _dirichlet(*_two_sum(theta_q, theta_r), steps)
+    k_pairs += _dirichlet(*_two_sum(theta_q, -theta_r), steps)
     x0 = u.sum(axis=1)
     mean_c = (u * _dirichlet(theta, 0.0, steps)).sum(axis=1)
     mean_c2 = (0.5 * (u * u * (1.0 + _dirichlet(2.0 * theta, 0.0, steps))).sum(axis=1)

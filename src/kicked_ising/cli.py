@@ -4,7 +4,7 @@ Four subcommands: ``evolve`` (time series of measures), ``sweep`` (two-axis
 grid of time averages), ``analytic`` (closed forms alone), and ``compare``
 (numeric vs closed form, with a tolerance gate on the exit code).
 
-Values are printed with 17 significant digits so the CSV round-trips to
+Each cell is ``f"{x:.17g}"`` of a Python float, so the CSV round-trips to
 bit-identical doubles; identical invocations produce byte-identical files.
 A flat ``key = value`` config file can supply any run option; explicit flags win.
 """
@@ -166,11 +166,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     config = SweepConfig(axis1=axis1, axis2=axis2, fixed=fixed, steps=args.kicks,
                          measure=args.measure, initial=args.initial)
     grid = sweep_grid(config)
-    v1s, v2s = axis1.values(), axis2.values()
+    v1s, v2s = ([_fmt(v) for v in axis.values().tolist()] for axis in (axis1, axis2))
     lines = ["axis1,axis2,value"]
-    for i, v1 in enumerate(v1s):
-        for j, v2 in enumerate(v2s):
-            lines.append(f"{_fmt(v1)},{_fmt(v2)},{_fmt(grid[i, j])}")
+    for v1, row in zip(v1s, grid):
+        lines.extend(f"{v1},{v2},{_fmt(x)}" for v2, x in zip(v2s, row.tolist()))
     _write_lines(args.output, lines)
     return EXIT_OK
 

@@ -369,15 +369,6 @@ def _times_diagonal_power(amplitudes: np.ndarray, v: np.ndarray) -> np.ndarray:
     return amplitudes
 
 
-def _product_vectors(factors: np.ndarray) -> np.ndarray:
-    """``(x)_n factors[..., n, :]``, qubit 0 fastest: a ``(..., 2**n)`` table from
-    a ``(..., n, 2)`` stack of one-qubit vectors."""
-    out = np.ones((*factors.shape[:-2], 1), dtype=factors.dtype)
-    for n in range(factors.shape[-2]):
-        out = (factors[..., n, :, None] * out[..., None, :]).reshape(*factors.shape[:-2], -1)
-    return out
-
-
 def step(state: PureState, params: ChainParams) -> PureState:
     """One kick ``U = U_xx(j_x) . U_field(b, theta)``: the kick of
     :class:`XFrameKick` between the Walsh-Hadamard transforms and phases that
@@ -463,17 +454,23 @@ class XFrameKick:
         ``(b, a)`` of ``terms``, built in the frame.
 
         ``H^{(x)L} |b> = 2^{-L/2} (x)_n (1, (-1)^{b_n})``, so each term is a
-        product vector ``(x)_n (r_0, (-1)^{b_n} r_1)``.  The stack is one matrix
-        product of the terms' vectors over the high qubits by those over the
-        low qubits: one write per amplitude, and no temporary of its size.
+        product vector ``(x)_n (r_0, (-1)^{b_n} r_1)``, and as ``r_0 = 1`` its
+        amplitude x is ``(-1)^{popcount(x & b)} r_1^{popcount(x)}``: a gather
+        from the powers of ``r_1``.  The stack is one matrix product of the
+        terms' vectors over the high qubits by those over the low qubits: one
+        write per amplitude, and no temporary of its size.
         """
         L, m = self.num_qubits, self.num_qubits // 2
-        signs = 1 - 2 * ((np.array([b for b, _ in terms])[:, None] >> np.arange(L)) & 1)
-        factors = self._right[:, None, None, :] * np.stack([np.ones_like(signs), signs], -1)
-        amplitude = np.array([a for _, a in terms]) * 2.0 ** (-L / 2)
-        low = _product_vectors(factors[:, :, :m]) * amplitude[:, None]
-        high = _product_vectors(factors[:, :, m:])
-        out = np.empty((len(factors), 1 << (L - m), 1 << m), dtype=complex)
+        powers = np.ones((len(self._right), L - m + 1), dtype=complex)
+        for k in range(1, L - m + 1):
+            powers[:, k] = self._right[:, 1] * powers[:, k - 1]
+        signed = np.stack([powers, -powers], 1)  # [p, parity, count]
+        bits = np.array([b for b, _ in terms])[:, None]
+        x = np.arange(1 << (L - m))  # the high half's indices; the low half's are a prefix
+        low, high = (signed[:, np.bitwise_count(x[:1 << n] & b) & 1, np.bitwise_count(x[:1 << n])]
+                     for n, b in ((m, bits), (L - m, bits >> m)))
+        low *= (np.array([a for _, a in terms]) * 2.0 ** (-L / 2))[:, None]
+        out = np.empty((len(powers), 1 << (L - m), 1 << m), dtype=complex)
         np.matmul(high.swapaxes(1, 2), low, out=out)
         out = out.reshape(len(out), -1)
         _check_norm(out)  # once a run: each kick checks the rows it returns

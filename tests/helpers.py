@@ -170,3 +170,43 @@ def apply_local_unitaries(psi: np.ndarray, unitaries: list[np.ndarray]) -> np.nd
     for k in range(L - 1, -1, -1):
         full = np.kron(full, unitaries[k])
     return full @ psi
+
+
+# ---------------------------------------------------------- kernel references
+# Earlier forms of two package kernels, kept verbatim: the package's forms
+# change only the array handling, so they must agree bit for bit.
+
+_PI_LO = 1.2246467991473532e-16  # pi - float(pi)
+
+
+def dirichlet_reference(hi, lo, steps: int):
+    """The window mean (1/T) sum_{t=1..T} cos 2ht at h = hi + lo, as one
+    ``np.where`` over the series and the tangent form of the kernel."""
+    turns = np.rint(hi / np.pi)
+    d = (hi - turns * np.pi) + (lo - turns * _PI_LO)
+    tan_d, tan_dt = np.tan(d), np.tan(d * steps)
+    small = np.abs(d) * steps < 1e-6
+    ratio = np.where(small, 1.0 + (steps * steps - 1.0) * d * d / 3.0,
+                     tan_dt / (steps * np.where(small, 1.0, tan_d)))
+    return ratio / (1.0 + tan_dt * tan_dt) * (1.0 - tan_d * tan_dt)
+
+
+def product_vectors_reference(factors: np.ndarray) -> np.ndarray:
+    """``(x)_n factors[..., n, :]``, qubit 0 fastest: a ``(..., 2**n)`` table from
+    a ``(..., n, 2)`` stack of one-qubit vectors, one qubit at a time."""
+    out = np.ones((*factors.shape[:-2], 1), dtype=factors.dtype)
+    for n in range(factors.shape[-2]):
+        out = (factors[..., n, :, None] * out[..., None, :]).reshape(*factors.shape[:-2], -1)
+    return out
+
+
+def x_frame_start_reference(right: np.ndarray, num_qubits: int, terms) -> np.ndarray:
+    """The stack of ``XFrameKick.start`` from each term's product vector
+    ``(x)_n (r_0, (-1)^{b_n} r_1)``, per row of the ``(P, 2)`` frame ``right``."""
+    L, m = num_qubits, num_qubits // 2
+    signs = 1 - 2 * ((np.array([b for b, _ in terms])[:, None] >> np.arange(L)) & 1)
+    factors = right[:, None, None, :] * np.stack([np.ones_like(signs), signs], -1)
+    amplitude = np.array([a for _, a in terms]) * 2.0 ** (-L / 2)
+    low = product_vectors_reference(factors[:, :, :m]) * amplitude[:, None]
+    high = product_vectors_reference(factors[:, :, m:])
+    return np.matmul(high.swapaxes(1, 2), low).reshape(len(factors), -1)

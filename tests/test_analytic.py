@@ -242,6 +242,50 @@ class TestJwQ:
             # float(pi) plus its low part is pi to within 1e-32, a resonance
             assert abs(_dirichlet(np.pi, _PI_LO, steps) - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("steps", [1, 7, 1000, 10 ** 6])
+    def test_dirichlet_kernel_is_bitwise_the_reference(self, steps):
+        # the kernel changes only the reference's array handling, so every
+        # element takes the same operations: where |d| T < 1e-6 (the series;
+        # 0 and pi with its low part are the 0/0 of the tangent form), where
+        # it is not, on a mix, and on scalars and 0-d arrays
+        from kicked_ising.analytic import _PI_LO, _dirichlet
+
+        rng = np.random.default_rng(41)
+        tiny = 9e-7 / steps
+        small = np.concatenate([[0.0, np.pi, -2 * np.pi], rng.uniform(-tiny, tiny, 20),
+                                np.pi + rng.uniform(-tiny, tiny, 20)])
+        large = rng.choice([-1.0, 1.0], 40) * rng.uniform(0.05, 3.09, 40)
+        mixed = rng.permutation(np.concatenate([small, large, rng.uniform(-6.2, 6.2, 37)]))
+        # the distance to the nearest multiple of pi sets which form a point takes
+        assert np.all(np.abs(np.remainder(small + np.pi / 2, np.pi) - np.pi / 2) * steps < 1e-6)
+        for hi in (small, large, mixed, mixed.reshape(12, 10).T):
+            for lo in (0.0, np.where(np.abs(hi) > 3.0, np.sign(hi) * _PI_LO, 0.0)):
+                got, want = _dirichlet(hi, lo, steps), helpers.dirichlet_reference(hi, lo, steps)
+                assert np.array_equal(got, want)
+                # the caller's sums add in the result's memory order
+                assert got.flags.f_contiguous == want.flags.f_contiguous
+        for hi, lo in ((np.pi, _PI_LO), (0.3, 0.0), (np.float64(1e-12), 0.0),
+                       (np.array(-2.9), 0.0), (np.array(4e-8 / steps), 1e-20), (0.0, 0.0)):
+            got = _dirichlet(hi, lo, steps)
+            assert np.ndim(got) == 0
+            assert np.array_equal(got, helpers.dirichlet_reference(hi, lo, steps))
+
+    def test_average_is_bitwise_with_the_reference_kernel(self, monkeypatch):
+        # the pair sums add in the memory order of the kernel's result, so
+        # with the reference kernel swapped in the average is the same to the bit
+        from kicked_ising import analytic
+
+        rng = np.random.default_rng(43)
+        jx, b = rng.uniform(0.0, 2 * np.pi, (2, 60))
+        jx[:4], b[:4] = [np.pi, 0.0, np.pi + 1e-9, 1e-13], [0.9, 1.3, 2.2, 0.0]
+        for L in (4, 10, 20):
+            for steps in (1, 1000, 10 ** 6):
+                got = jw_q_average(L, jx, b, steps)
+                with monkeypatch.context() as patch:
+                    patch.setattr(analytic, "_dirichlet", helpers.dirichlet_reference)
+                    want = jw_q_average(L, jx, b, steps)
+                assert np.array_equal(got, want)
+
     def test_window_average_is_exact_at_resonances_of_long_windows(self):
         # near j_x = pi, theta_q + theta_{pi-q} lies within ~1e-9 of pi, so the
         # Dirichlet kernel needs that distance to full relative precision

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from kicked_ising import cluster_q, jw_q_vacuum
@@ -229,6 +230,32 @@ class TestSweep:
         for jx, b, value in rows:
             want = sum(jw_q_vacuum(8, float(jx), float(b), ts)) / len(ts)
             assert float(value) == pytest.approx(want, abs=1e-12)
+
+    def test_seventeen_digit_round_trip(self, tmp_path):
+        # each cell is f"{x:.17g}" of its axis value or its grid value, and
+        # reads back as the same double: on a grid whose theta = pi/2 column
+        # takes the closed form and whose other points are evolved, with a
+        # field axis that crosses 0
+        from kicked_ising import AxisSpec, ChainParams, SweepConfig, sweep_grid
+        from kicked_ising.harness import _jw_mask
+
+        code, blob = run_cli(["sweep", "--axis1", "b:-1.3:0.9:5", "--axis2",
+                              "theta:0.2:1.5707963267948966:3", "--jx", "0.9", "--L", "6",
+                              "--kicks", "12"], tmp_path)
+        assert code == 0
+        config = SweepConfig(AxisSpec("b_field", -1.3, 0.9, 5),
+                             AxisSpec("theta", 0.2, math.pi / 2, 3),
+                             ChainParams(6, 0.9, 0.0, 0.0), 12)
+        v1, v2 = config.axis1.values(), config.axis2.values()
+        assert v1.min() < 0.0 < v1.max()
+        assert _jw_mask(config, np.repeat(v2[None], 5, axis=0).ravel()).sum() == 5
+        grid = sweep_grid(config)
+        _, rows = parse_csv(blob)
+        assert len(rows) == grid.size
+        for (i, j), row in zip(np.ndindex(grid.shape), rows):
+            want = (v1[i], v2[j], grid[i, j])
+            assert row == [f"{x:.17g}" for x in want]
+            assert [float(cell) for cell in row] == [float(x) for x in want]
 
     @pytest.mark.parametrize("theta", ["1.5707963267948966", "0.9"])
     def test_one_tangle_is_q(self, tmp_path, theta):

@@ -26,7 +26,13 @@ from kicked_ising import (
     time_average,
 )
 from kicked_ising import fwht_inplace, measures
-from kicked_ising.harness import MEASURES, _evolve, _shift_invariant, _x_frame_start
+from kicked_ising.harness import (
+    MEASURES,
+    _evolve,
+    _shift_invariant,
+    _start_terms,
+    _x_frame_start,
+)
 from kicked_ising.statevec import XFrameKick
 
 # time-averaged Q for (L=6, j_x=B=theta=pi/4, 1000 kicks); recorded from the
@@ -83,6 +89,22 @@ class TestXFrameStart:
                     start = np.tile(initial_state(points[0], initial).amplitudes, (3, 1))
                     want = kick.enter(fwht_inplace(start))
                     assert np.max(np.abs(_x_frame_start(kick, initial) - want)) <= 1e-15
+
+    def test_is_bitwise_the_product_vector_reference(self):
+        # as r_0 = 1 exactly, the gather from the powers of r_1 multiplies the
+        # same factors in the same order as a product built one qubit at a
+        # time; B = 0 gives r_1 = 1, and theta = pi/2 gives r_1 = -i, with a zero part
+        rng = np.random.default_rng(37)
+        for L in (2, 3, 5, 8, 13, 16):
+            bitstrings = ["".join(rng.choice(["0", "1"], L)) for _ in range(2)]
+            fields = [*rng.uniform(-3, 3, (3, 2)), (0.0, 1.1), (0.8, np.pi / 2)]
+            for boundary in ("periodic", "open"):
+                kick = XFrameKick([quick_params(num_qubits=L, boundary=boundary, b_field=b,
+                                                theta=theta) for b, theta in fields])
+                for initial in ("vacuum", "all_up", "ghz", *bitstrings):
+                    want = helpers.x_frame_start_reference(kick._right, L,
+                                                           _start_terms(L, initial))
+                    assert np.array_equal(_x_frame_start(kick, initial), want)
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError, match="initial must be"):

@@ -29,6 +29,9 @@ through a whole run, and the ``BENCH_*.json`` file its record goes to:
   at the seed-0 ``evolve-pairs-L12`` couplings.  Each case also records
   ``peak_bytes``, the ``tracemalloc`` peak of its untimed run: every array
   the run allocates, the state included.
+- ``sweep``: ``cli.main``, a whole ``kicked-ising sweep`` call with its CSV
+  written by ``--output`` to a temporary file (``BENCH_sweep.json``).  Cases:
+  the seed-0 ``sweep-jw-L20`` and ``sweep-tilt-L6`` argv of ``perfbench``.
 
 Each ``LABEL=SRC_DIR`` names a tree whose ``kicked_ising`` package is timed.
 The trees take turns: each of the ``REPEATS`` rounds starts one fresh
@@ -63,6 +66,7 @@ import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
 from collections.abc import Callable  # noqa: E402
@@ -77,12 +81,17 @@ REPEATS = 9  # timed runs per case and tree
 CHILD_FLAG = "--time-this-interpreter"
 
 
-def _seed0(workload: str):
-    """The flags and sweep axes of ``perfbench``'s seed-0 invocation of ``workload``."""
+def _invocation(workload: str):
+    """``perfbench``'s seed-0 invocation of ``workload``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
-    inv = WORKLOADS[workload].generate(0, False)
+    return WORKLOADS[workload].generate(0, False)
+
+
+def _seed0(workload: str):
+    """The flags and sweep axes of ``perfbench``'s seed-0 invocation of ``workload``."""
+    inv = _invocation(workload)
     return dict(zip(inv.argv[1::2], inv.argv[2::2])), inv.axes
 
 
@@ -160,6 +169,23 @@ def _kick_cases() -> dict:
     return cases
 
 
+def _sweep_cases() -> dict:
+    from kicked_ising import cli
+
+    cases = {}
+    for workload in ("sweep-jw-L20", "sweep-tilt-L6"):
+        inv = _invocation(workload)
+
+        def run(argv=inv.argv):
+            with tempfile.TemporaryDirectory() as tmp:
+                # the module attribute, as timed
+                if cli.main([*argv, "--output", os.path.join(tmp, "out.csv")]) != 0:
+                    raise RuntimeError(f"kicked-ising {' '.join(argv)} failed")
+
+        cases[workload] = (run, {"num_qubits": inv.num_qubits, "points": inv.work["csv_rows"]})
+    return cases
+
+
 @dataclass(frozen=True)
 class Layer:
     """A timed package function, the runs that call it, and where they are recorded."""
@@ -182,6 +208,7 @@ LAYERS = {
                     "BENCH_series.json"),
     "kick": Layer("harness", ("run_time_series",), "series", _kick_cases, "BENCH_kick.json",
                   peak=True),
+    "sweep": Layer("cli", ("main",), "call", _sweep_cases, "BENCH_sweep.json"),
 }
 
 
