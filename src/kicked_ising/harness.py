@@ -39,7 +39,8 @@ _PIN_ATOL = 1e-12
 # alone, as the kick streams it through buffers of a chunk's size; the cached
 # parity signs take one byte an amplitude, and the rest is headroom.  Above
 # the bare interpreter (VmHWM, one BLAS thread), an evolve with every measure
-# peaks at 1.4 copies for 20 qubits (22.8 MiB) and 1.1 for 24 (280 MiB)
+# peaks at 1.4 copies for 20 qubits (22.1 MiB) and 1.1 for 24 (283 MiB, of
+# them 4 MiB for the kick's embedded lowest-block factors)
 _LIVE_STATE_COPIES = 2
 
 # numbers in a sweep chunk: the complex amplitudes of its stack of states, or
@@ -179,23 +180,25 @@ def _evolve(points: list[ChainParams], initial: str, steps: int, sample_every: i
             yield t, amps
 
 
-def _groups(samples, num_qubits: int):
-    """The ``(t, amps)`` samples of a one-row run as ``(ts, stack)`` groups:
-    up to ``_CHUNK_AMPLITUDES // 2**L`` rows copied into one buffer, or, for
-    a row longer than that, each live row as it is, never copied."""
-    size = _CHUNK_AMPLITUDES >> num_qubits
-    group, ts = np.empty((size, 1 << num_qubits), dtype=complex), []
+def _groups(samples, rows: int, num_qubits: int):
+    """The ``(t, amps)`` samples of a run of ``rows`` points as ``(ts, stack)``
+    groups, the rows of sample i at ``i * rows``: the stacks of up to
+    ``k = _CHUNK_AMPLITUDES // (rows 2**L)`` samples copied into one buffer,
+    or, where a group would hold one stack (k <= 1), each live stack as it
+    is, never copied."""
+    size = _CHUNK_AMPLITUDES // (rows << num_qubits)
+    if size <= 1:
+        yield from (([t], amps) for t, amps in samples)
+        return
+    group, ts = np.empty((size, rows, 1 << num_qubits), dtype=complex), []
     for t, amps in samples:
-        if not size:
-            yield [t], amps
-            continue
-        group[len(ts)] = amps[0]
+        group[len(ts)] = amps
         ts.append(t)
         if len(ts) == size:
-            yield ts, group
+            yield ts, group.reshape(-1, 1 << num_qubits)
             ts = []
     if ts:
-        yield ts, group[:len(ts)]
+        yield ts, group[:len(ts)].reshape(-1, 1 << num_qubits)
 
 
 def run_time_series(config: RunConfig) -> list[MeasureReport]:
@@ -205,7 +208,7 @@ def run_time_series(config: RunConfig) -> list[MeasureReport]:
                    n_tangle_measure="n_tangle" in config.measures, boundary=params.boundary,
                    shift_invariant=_shift_invariant(params, config.initial))
     samples = _evolve([params], config.initial, config.steps, config.sample_every)
-    return [r for ts, amps in _groups(samples, params.num_qubits)
+    return [r for ts, amps in _groups(samples, 1, params.num_qubits)
             for r in reports(amps, ts, **options)]
 
 
@@ -288,23 +291,24 @@ def _jw_averages(config: SweepConfig, axes: dict[str, np.ndarray], ks: list[int]
 
 def _numeric_averages(config: SweepConfig, axes: dict[str, np.ndarray],
                       ks: list[int]) -> np.ndarray:
-    """Mean measure over kicks 1..steps of points evolved as one stack."""
+    """Mean measure over kicks 1..steps of points evolved as one stack, the
+    sampled stacks measured in groups."""
     points = [replace(config.fixed, **{name: float(axes[name][k]) for name in SWEEP_PARAMETERS})
               for k in ks]
-    values = np.empty((len(points), config.steps))  # a row per point, as time_average sums
+    P = len(points)
+    values = np.empty((P, config.steps))  # a row per point, as time_average sums
     shift = _shift_invariant(config.fixed, config.initial)
-    for t, amps in _evolve(points, config.initial, config.steps):
-        if t == 0:
-            continue
+    samples = ((t, amps) for t, amps in _evolve(points, config.initial, config.steps) if t)
+    for ts, amps in _groups(samples, P, config.fixed.num_qubits):
         if config.measure in _Q_MEASURES:
-            values[:, t - 1] = one_tangles(amps, shift).mean(axis=1)
+            got = one_tangles(amps, shift).mean(axis=1)
         elif config.measure == "n_tangle":
-            values[:, t - 1] = n_tangle(amps)
+            got = n_tangle(amps)
         else:
-            values[:, t - 1] = [r.value(config.measure)
-                                for r in reports(amps, [t] * len(amps), n_tangle_measure=False,
-                                                 boundary=config.fixed.boundary,
-                                                 shift_invariant=shift)]
+            got = [r.value(config.measure)
+                   for r in reports(amps, np.repeat(ts, P), n_tangle_measure=False,
+                                    boundary=config.fixed.boundary, shift_invariant=shift)]
+        values[:, ts[0] - 1:ts[-1]] = np.reshape(got, (len(ts), P)).T
     return values.mean(axis=1)
 
 

@@ -19,10 +19,12 @@ which the Hadamard ``H`` on every qubit reaches, so
 Every product gate ``w^{(x)L}`` (the Walsh-Hadamard transform and the
 kick's field rotation) goes through one kernel.  It cuts the qubits into
 blocks of at most five and applies each block's Kronecker power ``w^{(x)s}``
-as one matrix product on an ``(A, 2**s, B)`` view of the amplitudes.  Its
-gates are real.  The lowest block, the fastest axis, takes a complex
-product; every block above it acts on the real and imaginary parts alike, so
-its product runs on the real view of the amplitudes, at half the arithmetic.
+as one float64 matrix product on the interleaved real view of the
+amplitudes.  ``w`` is real, so a block above the lowest acts on the real and
+imaginary parts alike: its gate multiplies an ``(A, 2**s, B)`` view of the
+real numbers, at half the arithmetic of a complex product.  The lowest
+block, the fastest axis, multiplies by a right factor ``F = g^T``, which may
+carry complex phases, with each entry as a real 2x2 block (:func:`_real_factor`).
 A row of more than ``_WHOLE_ROW_QUBITS`` qubits is streamed in two passes
 that each read and write it once: the blocks of the qubits above the lowest
 ``CHUNK_QUBITS`` on panels of columns, then those below on one contiguous
@@ -36,7 +38,7 @@ diagonal further, to ``diag(r)^{(x)L} H^{(x)L} psi``, where a kick is
 ``R^{(x)L}`` followed by the phases ``D (r l)^{(x)L}`` (:class:`XFrameKick`).
 The phases factor over the two parts of the index, so a streamed kick
 multiplies each chunk by a table of its low qubits' phases and folds the rest
-into its lowest block's complex gate: no array of the state's size besides
+into its lowest block's right factor: no array of the state's size besides
 the state.  The kick acts on a ``(P, 2**L)`` stack of states with one row,
 rotation, phases and frame per parameter point.  A run builds its start in
 the frame directly, as a product vector; :func:`step` enters the frame and
@@ -71,9 +73,9 @@ CHUNK_QUBITS = 14
 # streamed kick takes as long as a whole-row one, from 17 on it is faster
 _WHOLE_ROW_QUBITS = 16
 
-# the lowest block of a chunk, its one complex product, spans this many qubits;
-# the real blocks above it cost half as much per qubit (at 20 qubits, blocks
-# of 3, 4, 4 and 3 qubits kicked ~10% faster than blocks of 4, 5 and 5)
+# the lowest block of a chunk spans this many qubits; its factor carries complex
+# phases, so its embedded product costs twice as much per qubit as the blocks
+# above it (at 20 qubits, a kick took 16, 19 and 21 ms with 3, 4 and 5 of them)
 _LOWEST_QUBITS = 3
 
 # the fewest columns of a panel of the high qubits: each row of a panel is a
@@ -213,27 +215,37 @@ def _block_gates(layout: list[tuple[int, int]], w: np.ndarray) -> list[tuple[int
     return [(lo, powers[size]) for lo, size in layout]
 
 
+def _real_factor(f: np.ndarray, dtype) -> np.ndarray:
+    """The right factor ``f`` (a ``(..., d, d)`` stack) of a product on the
+    fastest axis, as a real factor of the interleaved real view of ``dtype``
+    amplitudes: for complex ones each entry ``f`` becomes
+    ``[[Re f, Im f], [-Im f, Re f]]``, for real ones it is ``f`` itself."""
+    if not np.issubdtype(dtype, np.complexfloating):
+        return np.ascontiguousarray(f)
+    pairs = np.stack([np.stack([f.real, f.imag], -1), np.stack([-f.imag, f.real], -1)], -2)
+    return pairs.swapaxes(-3, -2).reshape(*f.shape[:-2], 2 * f.shape[-1], 2 * f.shape[-1])
+
+
 def _fused_pass(amps: np.ndarray, gates, spare: np.ndarray):
-    """Apply every block gate, alternating between ``amps`` and ``spare``.
+    """Apply every block gate to the real view of ``amps``, alternating
+    between ``amps`` and ``spare``.
 
     ``amps`` may be a ``(P, n)`` stack and each gate a real ``(P, d, d)``
-    stack; above the lowest block it multiplies the real view of ``amps``.
-    Returns ``(result, spare)``: the buffer that holds the product and the
-    one left free.
+    stack.  The lowest block's gate (``lo == 0``) is its right factor on the
+    fastest axis, built once by :func:`_real_factor`.  Returns
+    ``(result, spare)``: the buffer that holds the product and the one left
+    free.
     """
     rows = amps.size // amps.shape[-1]
     real = np.finfo(amps.dtype).dtype
     reals, spare_reals = amps.view(real), spare.view(real)
     per_amp = reals.shape[-1] // amps.shape[-1]  # 2 for complex amplitudes, 1 for real ones
     for lo, gate in gates:
-        d = gate.shape[-1]
-        if lo == 0:  # the block is the fastest axis: one (A, d) x (d, d) product per row;
-            # with a transposed view as its right factor numpy would stage it in a copy
-            gate = gate.astype(amps.dtype, copy=False)  # mixed dtypes also cost a copy
-            np.matmul(amps.reshape(rows, -1, d), np.ascontiguousarray(gate.swapaxes(-1, -2)),
-                      out=spare.reshape(rows, -1, d))
+        if lo == 0:  # the block is the fastest axis: one (A, e) x (e, e) product per row
+            shape = (rows, -1, gate.shape[-1])
+            np.matmul(reals.reshape(shape), gate, out=spare_reals.reshape(shape))
         else:
-            shape = (rows, -1, d, per_amp << lo)
+            shape = (rows, -1, gate.shape[-1], per_amp << lo)
             np.matmul(gate[..., None, :, :], reals.reshape(shape), out=spare_reals.reshape(shape))
         amps, spare = spare, amps
         reals, spare_reals = spare_reals, reals
@@ -290,7 +302,7 @@ def fwht_inplace(amplitudes: np.ndarray) -> np.ndarray:
     k = _chunk_qubits(L)
     gates = _block_gates(blocks(k), _SIGN)
     if gates:  # the whole 2^(-L/2), exact for even L, goes into the first gate
-        gates[0] = (0, gates[0][1] * 2.0 ** (-L / 2))
+        gates[0] = (0, _real_factor(gates[0][1].T * 2.0 ** (-L / 2), amplitudes.dtype))
     if k == L:  # the whole stack is one chunk
         chunks, spare = [amplitudes], np.empty_like(amplitudes)
     else:
@@ -401,11 +413,13 @@ class XFrameKick:
     * the panel pass applies the blocks of the high qubits to panels of
       columns of the ``(2**(L-k), 2**k)`` view, through a small buffer;
     * the chunk pass visits each row ``hi`` of that view once: the real blocks
-      of the low qubits, then the lowest block as a complex product that also
-      carries the phases of ``hi``'s own qubits and of the two bonds that
+      of the low qubits, then the lowest block, whose complex right factor
+      also carries the phases of ``hi``'s own qubits and of the two bonds that
       cross the cut (bit k-1 of lo with bit 0 of hi, and on a ring bit 0 of lo
       with the top bit of hi), then the phase table of the low qubits, and the
       chunk's share of the norm.
+
+    Each lowest block's right factor is embedded in real numbers once, here.
 
     So a kick reads and writes the state twice and holds no array of its
     size.  A shorter row is one chunk, and a stack of them is kicked at once.
@@ -424,8 +438,7 @@ class XFrameKick:
         k, h = self._chunk, L - self._chunk
         if not h:
             self._low = _block_gates(blocks(L), rotation)
-            # the lowest block multiplies complex amplitudes: cast its gate once, not per kick
-            self._low[0] = (0, self._low[0][1].astype(complex))
+            self._low[0] = (0, _real_factor(self._low[0][1].swapaxes(-1, -2), complex))
             self._low_phases = _times_diagonal_power(
                 _bond_phases(L, j_x, boundary == "periodic"), frame)
             self._buffer = np.empty_like(self._low_phases)
@@ -444,9 +457,9 @@ class XFrameKick:
         scale = (_times_diagonal_power(_bond_phases(h, j_x, False), frame)[:, :, None]
                  * bond[:, :, hi & 1].swapaxes(1, 2))
         closing = ring[:, np.arange(1 << _LOWEST_QUBITS) & 1][:, :, hi >> (h - 1)]
-        self._lowest = (lowest.swapaxes(-1, -2)[:, None, None]  # the right factor: transposed
-                        * closing.swapaxes(1, 2)[:, :, None, None, :]
-                        * scale[:, :, :, None, None])
+        self._lowest = _real_factor(lowest.swapaxes(-1, -2)[:, None, None]  # the right factor
+                                    * closing.swapaxes(1, 2)[:, :, None, None, :]
+                                    * scale[:, :, :, None, None], complex)
         self._buffer = _stream_buffer((len(points), 1 << h, 1 << k), complex)
 
     def start(self, terms: list[tuple[int, complex]]) -> np.ndarray:
@@ -493,14 +506,15 @@ class XFrameKick:
         rows = _rows_of(amplitudes, self._chunk)
         _panel_pass(rows, self._high, self._buffer)
         spare = self._buffer[:rows.shape[-1]].reshape(1, -1)
-        d = self._lowest.shape[-1]
+        e = self._lowest.shape[-1]
         squares = np.zeros(len(rows))
         for p, row in enumerate(rows):
             low = [(lo, gate[p:p + 1]) for lo, gate in self._low]
             for hi in range(len(row)):
                 chunk = row[hi:hi + 1]
                 out, free = _fused_pass(chunk, low, spare)
-                np.matmul(out.reshape(2, -1, d), self._lowest[p, hi], out=free.reshape(2, -1, d))
+                np.matmul(out.view(float).reshape(2, -1, e), self._lowest[p, hi],
+                          out=free.view(float).reshape(2, -1, e))
                 np.multiply(free, self._low_phases[p], out=chunk)
                 squares[p] += np.vecdot(chunk[0], chunk[0]).real
         _check_squared_norms(squares)

@@ -591,7 +591,7 @@ class TestShiftReducedTables:
                                axis2=AxisSpec("b_field", 0.5, 1.0, 2),
                                fixed=quick_params(num_qubits=8, theta=0.6), steps=2,
                                measure="nn_concurrence"))
-        assert built == [4 * 4] * 2  # per sampled kick: points x ring distances
+        assert built == [2 * 4 * 4]  # both sampled kicks in one group: kicks x points x distances
 
 
 class TestGroupedReports:
@@ -631,3 +631,73 @@ class TestGroupedReports:
             assert r.q_measure == pytest.approx(np.mean(tangles), abs=1e-12)
             assert r.n_tangle == pytest.approx(abs(psi @ y_all @ psi) ** 2, abs=1e-12)
             assert np.max(np.abs(r.pair_concurrences - (table + table.T))) < 1e-12
+
+
+class TestGroups:
+    """Sampled stacks are measured in groups of kicks, in a time series and a sweep alike."""
+
+    def test_a_group_of_one_stack_is_the_live_stack(self):
+        # at 14 qubits a group of _CHUNK_AMPLITUDES holds one row: a copy into a
+        # one-row buffer would cost a state and a pass, and buy nothing
+        from kicked_ising import harness
+
+        L = 14
+        assert harness._CHUNK_AMPLITUDES // 2 ** L == 1
+        stacks = [np.zeros((1, 2 ** L), dtype=complex) for _ in range(3)]
+        groups = list(harness._groups(zip(range(3), stacks), 1, L))
+        assert [ts for ts, _ in groups] == [[0], [1], [2]]
+        assert all(got is want for (_, got), want in zip(groups, stacks))
+
+    def test_a_group_holds_its_samples_stacks_in_order(self, monkeypatch):
+        from kicked_ising import harness
+
+        monkeypatch.setattr(harness, "_CHUNK_AMPLITUDES", 4 * 3 * 2 ** 4)  # four stacks of three
+        stacks = np.random.default_rng(5).normal(size=(7, 3, 2 ** 4)).astype(complex)
+        groups = [(ts, amps.copy()) for ts, amps in harness._groups(zip(range(1, 8), stacks),
+                                                                     3, 4)]
+        assert [ts for ts, _ in groups] == [[1, 2, 3, 4], [5, 6, 7]]
+        assert np.array_equal(np.concatenate([amps for _, amps in groups]),
+                              stacks.reshape(-1, 2 ** 4))
+
+    @pytest.mark.parametrize("measure", ["q", "n_tangle", "nn_concurrence"])
+    def test_a_window_that_is_not_a_whole_number_of_groups(self, monkeypatch, measure):
+        # six points at L = 5 in groups of four kicks: 7 kicks end on a group of three
+        from kicked_ising import harness
+
+        monkeypatch.setattr(harness, "_CHUNK_AMPLITUDES", 4 * 6 * 2 ** 5)
+        cfg = SweepConfig(axis1=AxisSpec("j_x", 0.4, 2.9, 2), axis2=AxisSpec("theta", 0.3, 1.2, 3),
+                          fixed=quick_params(num_qubits=5, b_field=0.9), steps=7, measure=measure)
+        assert np.max(np.abs(sweep_grid(cfg) - per_point_averages(cfg))) < 1e-12
+
+    @pytest.mark.parametrize("steps", [7, 8, 9])
+    def test_a_numeric_chunk_measures_once_a_group(self, monkeypatch, steps):
+        from kicked_ising import harness
+
+        calls = []
+        tangles = harness.one_tangles
+        monkeypatch.setattr(harness, "one_tangles",
+                            lambda amps, shift: calls.append(len(amps)) or tangles(amps, shift))
+        monkeypatch.setattr(harness, "_CHUNK_AMPLITUDES", 4 * 6 * 2 ** 5)  # k = 4 kicks
+        cfg = SweepConfig(axis1=AxisSpec("j_x", 0.4, 2.9, 2), axis2=AxisSpec("theta", 0.3, 1.2, 3),
+                          fixed=quick_params(num_qubits=5, b_field=0.9), steps=steps)
+        sweep_grid(cfg)
+        assert len(calls) == -(-steps // 4)
+        assert sum(calls) == 6 * steps
+
+    def test_a_one_point_sweep_copies_no_state(self):
+        # at L = 15 a chunk is one point and a group one stack, so each kick is
+        # measured where it lies: the sweep holds the state, the kick's buffer
+        # and phase table and small temporaries (3.1 states); a copy adds one
+        import tracemalloc
+
+        L = 15
+        cfg = SweepConfig(axis1=AxisSpec("j_x", 0.5, 1.0, 2),
+                          axis2=AxisSpec("b_field", 0.5, 1.0, 2),
+                          fixed=ChainParams(L, 0.7, 0.6, 0.6), steps=3)
+        tracemalloc.start()
+        try:
+            sweep_grid(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 16 * 2 ** L

@@ -30,6 +30,7 @@ from kicked_ising.statevec import (
     _block_gates,
     _bond_phases,
     _fused_pass,
+    _real_factor,
     _split_field_gates,
     blocks,
     field_unitary,
@@ -134,6 +135,23 @@ class TestFwht:
         with pytest.raises(ValueError):
             fwht_inplace(np.zeros(3, dtype=complex))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_matches_the_dense_kronecker_product_in_either_dtype(self, dtype):
+        # a real array takes the lowest block's plain factor, a complex one its
+        # 2x2 embedding; both on a stack of three rows
+        rng = np.random.default_rng(8)
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+        dense = np.ones((1, 1))
+        for L in range(1, 11):
+            dense = np.kron(h, dense)
+            stack = rng.normal(size=(3, 2 ** L)).astype(dtype)
+            if dtype == np.complex128:
+                stack += 1j * rng.normal(size=stack.shape)
+            want = stack @ dense.T
+            got = fwht_inplace(stack)
+            assert got.dtype == dtype
+            assert np.max(np.abs(got - want)) < 1e-13
+
 
 class TestProductGate:
     def test_blocks_cover_the_chain(self):
@@ -147,16 +165,33 @@ class TestProductGate:
 
     def test_matches_dense_kron(self):
         # L < 5 is one block; 6..9 are two blocks of unequal or equal sizes.
-        # The kernel takes real gates: a rotation and a general real matrix
+        # The kernel takes real gates: a rotation and a general real matrix,
+        # the lowest as its right factor on the complex amplitudes' real view
         rng = np.random.default_rng(11)
         for L in range(2, 10):
             angle = rng.uniform(0, 2 * np.pi)
             for w in (np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]),
                       rng.normal(size=(2, 2))):
                 psi = helpers.random_state(L, rng)
-                out, _ = _fused_pass(psi.copy(), _block_gates(blocks(L), w), np.empty_like(psi))
+                gates = _block_gates(blocks(L), w)
+                gates[0] = (0, _real_factor(gates[0][1].T, psi.dtype))
+                out, _ = _fused_pass(psi.copy(), gates, np.empty_like(psi))
                 expect = helpers.apply_local_unitaries(psi, [w] * L)
                 assert np.max(np.abs(out - expect)) < 1e-12
+
+    def test_embedded_factor_is_the_complex_product(self):
+        # each entry f of a complex right factor becomes [[Re f, Im f], [-Im f, Re f]]
+        # on the interleaved real view: one shared factor, and one per row
+        rng = np.random.default_rng(14)
+        for L in (3, 6, 9):
+            stack = rng.normal(size=(3, 2 ** L)) + 1j * rng.normal(size=(3, 2 ** L))
+            for shape in ((8, 8), (3, 8, 8)):
+                f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                factor = _real_factor(f, complex)
+                assert factor.dtype == np.float64 and factor.shape == (*shape[:-2], 16, 16)
+                out, _ = _fused_pass(stack.copy(), [(0, factor)], np.empty_like(stack))
+                want = (stack.reshape(3, -1, 8) @ f).reshape(3, -1)
+                assert np.max(np.abs(out - want)) < 1e-14
 
     def test_fwht_stays_in_place(self):
         # an odd block count (L=11 and 12: three blocks) ends the alternation in
@@ -190,6 +225,27 @@ class TestXFrameKick:
             expect = fwht_inplace(u @ u @ u @ psi)
             assert x_frame.shape == (1, 2 ** L)
             assert np.max(np.abs(x_frame[0] - expect)) < 1e-12
+
+    @pytest.mark.parametrize("L", [5, 10, 15, 17])
+    def test_kick_matches_the_reference(self, L):
+        # rows of 5, 10 and 15 qubits have a five-qubit lowest block, whose
+        # right factor is embedded; 17 streams, with a three-qubit lowest
+        # block carrying phases.  The dense kick up to 10 qubits, the
+        # per-qubit reference kick above
+        rng = np.random.default_rng(16 + L)
+        assert blocks(L)[0] == (0, 5) or statevec._chunk_qubits(L) < L
+        for boundary in ("periodic", "open"):
+            params = ChainParams(L, *rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, np.pi),
+                                 boundary)
+            psi = helpers.random_state(L, rng)
+            got = step(PureState(L, psi), params).amplitudes
+            if L <= 10:
+                want = helpers.step_dense(L, params.j_x, params.b_field, params.theta,
+                                          boundary) @ psi
+            else:
+                want = helpers.kick_reference(psi, L, params.j_x, params.b_field, params.theta,
+                                              boundary)
+            assert np.max(np.abs(got - want)) < 1e-12
 
     def test_field_gate_splits_into_phases_and_a_real_rotation(self):
         # H u H = diag(l) R diag(r), also where a = 0 or b = 0 in [[a, -b*], [b, a*]]

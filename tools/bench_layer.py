@@ -23,10 +23,13 @@ through a whole run, and the ``BENCH_*.json`` file its record goes to:
   ``compare --regime transverse`` calls it (``BENCH_series.json``).  Case:
   ``L20``, the seed-0 ``compare-transverse-L20`` run (L = 20, 3 kicks from
   the vacuum ring at theta = pi/2).
-- ``kick``: ``harness.run_time_series`` with the measure ``q`` alone at a
-  tilted field, where the kicks are most of the run (``BENCH_kick.json``).
-  Cases: ``L16``, ``L20``, ``L22`` and ``L24``, 3 kicks from the vacuum ring
-  at the seed-0 ``evolve-pairs-L12`` couplings.  Each case also records
+- ``kick``: ``statevec.XFrameKick.__call__``, the kick, timed inside runs
+  from the vacuum ring at a tilted field (``BENCH_kick.json``).  Cases:
+  ``L16``, ``L20``, ``L22`` and ``L24``, a ``harness.run_time_series`` of 3
+  kicks measuring ``q`` alone at the seed-0 ``evolve-pairs-L12`` couplings;
+  ``L12``, one row of those couplings kicked 40 times; and
+  ``sweep-tilt-L6``, the stack of the 55 evolved points of the seed-0
+  ``sweep-tilt-L6`` grid kicked 100 times.  Each case also records
   ``peak_bytes``, the ``tracemalloc`` peak of its untimed run: every array
   the run allocates, the state included.
 - ``sweep``: ``cli.main``, a whole ``kicked-ising sweep`` call with its CSV
@@ -58,6 +61,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse  # noqa: E402
+import functools  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import json  # noqa: E402
@@ -158,14 +162,26 @@ def _kick_cases() -> dict:
     from kicked_ising import harness
     from kicked_ising.statevec import ChainParams
 
+    def kicked(points, kicks):  # the start and ``kicks`` kicks of a stack, unmeasured
+        for _ in harness._evolve(points, "vacuum", kicks):
+            pass
+
     flags, _ = _seed0("evolve-pairs-L12")
     jx, b, theta = (float(flags[f]) for f in ("--jx", "--b", "--theta"))
-    cases = {}
+    cases = {"L12": (lambda: kicked([ChainParams(12, jx, b, theta)], 40),
+                     {"num_qubits": 12, "points": 1, "kicks": 40})}
     for L in (16, 20, 22, 24):
         config = harness.RunConfig(ChainParams(L, jx, b, theta), 3, measures=frozenset({"q"}))
-        # the module attribute, as timed
         cases[f"L{L}"] = (lambda config=config: harness.run_time_series(config),
-                          {"num_qubits": L, "kicks": 3})
+                          {"num_qubits": L, "points": 1, "kicks": 3})
+    flags, ((lo1, hi1, n1), (lo2, hi2, n2)) = _seed0("sweep-tilt-L6")
+    L, steps = int(flags["--L"]), int(flags["--kicks"])
+    # the grid's (B, theta) points off the transverse line, which its closed form takes
+    points = [ChainParams(L, float(flags["--jx"]), b, theta)
+              for b in np.linspace(lo1, hi1, n1).tolist()
+              for theta in np.linspace(lo2, hi2, n2).tolist() if abs(theta - math.pi / 2) > 1e-12]
+    cases["sweep-tilt-L6"] = (lambda: kicked(points, steps),
+                              {"num_qubits": L, "points": len(points), "kicks": steps})
     return cases
 
 
@@ -191,7 +207,7 @@ class Layer:
     """A timed package function, the runs that call it, and where they are recorded."""
 
     module: str  # the kicked_ising module whose attribute the runs look up per call
-    functions: tuple[str, ...]  # the first of these that the module has is timed
+    functions: tuple[str, ...]  # the first of these (``function`` or ``Class.method``) is timed
     run: str  # what one case runs; its seconds are recorded as ``<run>_s``
     cases: Callable[[], dict]  # case name -> (run it, what it covers), built per tree
     output: str
@@ -206,8 +222,8 @@ LAYERS = {
     "step": Layer("statevec", ("step",), "series", _step_cases, "BENCH_step.json"),
     "series": Layer("harness", ("run_time_series",), "series", _series_cases,
                     "BENCH_series.json"),
-    "kick": Layer("harness", ("run_time_series",), "series", _kick_cases, "BENCH_kick.json",
-                  peak=True),
+    "kick": Layer("statevec", ("XFrameKick.__call__",), "series", _kick_cases,
+                  "BENCH_kick.json", peak=True),
     "sweep": Layer("cli", ("main",), "call", _sweep_cases, "BENCH_sweep.json"),
 }
 
@@ -217,8 +233,12 @@ def _time_cases(layer: Layer) -> dict:
     inside the layer, seconds in the whole run, and how often the run called
     the layer."""
     module = importlib.import_module(f"kicked_ising.{layer.module}")
-    function = next(name for name in layer.functions if hasattr(module, name))
-    original = getattr(module, function)
+    for target in layer.functions:
+        *path, function = target.split(".")
+        owner = functools.reduce(getattr, path, module)  # the module, or a class in it
+        if hasattr(owner, function):
+            break
+    original = getattr(owner, function)
     tally = {"layer": 0.0, "calls": 0}
 
     def timed(*args, **kwargs):
@@ -229,7 +249,7 @@ def _time_cases(layer: Layer) -> dict:
             tally["layer"] += time.perf_counter() - start
             tally["calls"] += 1
 
-    setattr(module, function, timed)
+    setattr(owner, function, timed)  # on a class, it is called as a method
     out = {}
     try:
         for name, (run, covers) in layer.cases().items():
@@ -246,7 +266,7 @@ def _time_cases(layer: Layer) -> dict:
             run()
             out[name] = {"run": time.perf_counter() - start, **tally, **covers, **peak}
     finally:
-        setattr(module, function, original)
+        setattr(owner, function, original)
     return out
 
 
