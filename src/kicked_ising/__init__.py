@@ -17,7 +17,6 @@ from .harness import (
     SweepConfig,
     SweepPointError,
     compare_numeric_analytic,
-    initial_state,
     run_time_series,
     sweep_grid,
     time_average,
@@ -28,20 +27,9 @@ from .measures import (
     concurrences,
     n_tangle,
     one_tangles,
-    q_measure,
-    rdm_pair,
-    report,
     reports,
 )
-from .statevec import (
-    ChainParams,
-    PureState,
-    fwht_inplace,
-    make_basis_state,
-    make_ghz,
-    make_vacuum,
-    step,
-)
+from .statevec import ChainParams
 
 __version__ = "0.1.0"
 
@@ -51,7 +39,6 @@ __all__ = [
     "InsufficientMemoryError",
     "MeasureReport",
     "NoAnalyticOracleError",
-    "PureState",
     "RunConfig",
     "SweepConfig",
     "SweepPointError",
@@ -61,21 +48,12 @@ __all__ = [
     "compare_numeric_analytic",
     "concurrence",
     "concurrences",
-    "fwht_inplace",
-    "initial_state",
     "jw_q_vacuum",
     "jw_sz_profile",
-    "make_basis_state",
-    "make_ghz",
-    "make_vacuum",
     "n_tangle",
     "one_tangles",
-    "q_measure",
-    "rdm_pair",
-    "report",
     "reports",
     "run_time_series",
-    "step",
     "sweep_grid",
     "sym_cluster_n_tangle",
     "time_average",

@@ -1,9 +1,11 @@
 """Time-series runs, stationary time averages, parameter sweeps, and the
 numeric-vs-analytic comparison drivers.
 
-Every run goes through one kick loop, :func:`_evolve`, which kicks a stack of
-states, one per parameter point, in the frame of
-:class:`~kicked_ising.statevec.XFrameKick`; a time series is a stack of one.
+Every run goes through one kick loop, :func:`_evolve`, which builds a
+``(P, 2**L)`` stack of states, one row per parameter point, and kicks it in
+the frame of :class:`~kicked_ising.statevec.XFrameKick`, which it never
+leaves; a time series is a stack of one.  A run's start is named by
+:func:`_start_terms` and built in the frame directly.
 Sweeps take their grid in chunks, the transverse points from the free-fermion
 closed form and the rest as stacks, in a fixed row-major order.
 """
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import analytic
 from .measures import MeasureReport, n_tangle, one_tangles, reports
-from .statevec import ChainParams, PureState, XFrameKick
+from .statevec import ChainParams, XFrameKick
 
 MEASURES = frozenset(
     {"q", "n_tangle", "one_tangle", "nn_concurrence", "residual_tangle", "sum_two_tangles"}
@@ -82,20 +84,6 @@ def _start_terms(num_qubits: int, initial: str) -> list[tuple[int, float]]:
         f"initial must be one of {_NAMED_INITIALS} or a bitstring of length {num_qubits}, "
         f"got {initial!r}"
     )
-
-
-def initial_state(params: ChainParams, initial: str) -> PureState:
-    """Build a named initial state ('vacuum', 'all_up', 'ghz') or a bitstring."""
-    amps = np.zeros(2 ** params.num_qubits, dtype=complex)
-    for index, amplitude in _start_terms(params.num_qubits, initial):
-        amps[index] = amplitude
-    return PureState(params.num_qubits, amps)
-
-
-def _x_frame_start(kick: XFrameKick, initial: str) -> np.ndarray:
-    """:func:`initial_state` in the frame of ``kick``, one row per point, built
-    there directly (:meth:`~kicked_ising.statevec.XFrameKick.start`)."""
-    return kick.start(_start_terms(kick.num_qubits, initial))
 
 
 def _shift_invariant(params: ChainParams, initial: str) -> bool:
@@ -169,7 +157,7 @@ def _evolve(points: list[ChainParams], initial: str, steps: int, sample_every: i
     _check_memory(L, len(points))
     try:
         kick = XFrameKick(points)
-        amps = _x_frame_start(kick, initial)
+        amps = kick.start(_start_terms(L, initial))
     except MemoryError as exc:
         raise InsufficientMemoryError(
             f"state vector for {L} qubits does not fit in memory") from exc

@@ -1,10 +1,11 @@
 """Reduced density matrices and the entanglement measures computed from them.
 
-The measures take a ``(P, 2**L)`` stack of amplitude rows, one state a row,
-and :func:`reports` assembles them; the one-state forms take a
-:class:`~kicked_ising.statevec.PureState`.  All are pure functions.  Basis
-conventions come from :mod:`kicked_ising.statevec`; two-qubit density matrices
-are ordered (|00>, |01>, |10>, |11>) with the first-listed qubit in the left slot.
+Every measure takes a ``(P, 2**L)`` stack of amplitude rows, one state a row
+(one state is ``P = 1``), and :func:`reports` assembles them; the
+concurrences take the two-qubit density matrices.  All are pure functions.
+Basis conventions come from :mod:`kicked_ising.statevec`; two-qubit density
+matrices are ordered (|00>, |01>, |10>, |11>) with the first-listed qubit in
+the left slot.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .statevec import BLOCK_QUBITS, BOUNDARIES, PAULI_Y, PureState, blocks
+from .statevec import BLOCK_QUBITS, BOUNDARIES, PAULI_Y, blocks
 
 # spin-flip kernel sigma_y (x) sigma_y; identical for either sign convention of sigma_y
 _SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y).real.astype(float)
@@ -50,11 +51,6 @@ def _pair_rdms(amps: np.ndarray, pairs) -> np.ndarray:
         gram = _sliced_vecdot(w[..., None, None, :, :, :], w[..., None, None, :])
         out[:, k] = gram.sum(axis=(1, 2)).reshape(p, 4, 4)
     return out
-
-
-def rdm_pair(state: PureState, i: int, j: int) -> np.ndarray:
-    """4x4 reduced density matrix of qubits ``(i, j)``, qubit ``i`` leftmost."""
-    return _pair_rdms(state.amplitudes[None], [(i, j)])[0, 0]
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -122,9 +118,9 @@ def _block_rdm(amplitudes: np.ndarray, lo: int, size: int) -> np.ndarray:
     d, p = 1 << size, len(amplitudes)
     if lo == 0:  # the block is the fastest axis: (d, rows) x (rows, d) products
         m = amplitudes.reshape(p, -1, d)
-        step = max(1, _RDM_CHUNK // d)
-        return sum(m[:, r:r + step].swapaxes(1, 2) @ m[:, r:r + step].conj()
-                   for r in range(0, m.shape[1], step))
+        span = max(1, _RDM_CHUNK // d)
+        return sum(m[:, r:r + span].swapaxes(1, 2) @ m[:, r:r + span].conj()
+                   for r in range(0, m.shape[1], span))
     v = amplitudes.reshape(p, -1, d, 1 << lo)
     rows = max(1, _RDM_CHUNK // v[0, 0].size)
     cols = min(v.shape[3], max(1, _RDM_CHUNK // d))
@@ -143,30 +139,28 @@ def _sliced_vecdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                for r in range(0, n, _RDM_CHUNK))
 
 
-def one_tangles(state, shift_invariant: bool = False) -> np.ndarray:
-    """All L one-tangles, 4 det of each single-qubit reduced density matrix
-    clamped to [0, 1], from one RDM per block.
+def one_tangles(amps: np.ndarray, shift_invariant: bool = False) -> np.ndarray:
+    """The (P, L) one-tangles of a ``(P, 2**L)`` stack: 4 det of each
+    single-qubit reduced density matrix clamped to [0, 1], from one RDM per
+    block.
 
-    For a ``(P, 2**L)`` stack of amplitude rows in place of a PureState, a
-    (P, L) array.  The blocks are those of the kick kernel
+    The blocks are those of the kick kernel
     (:func:`~kicked_ising.statevec.blocks`).  Each costs one 2^s x 2^s
     reduced-density-matrix product, whose partial traces give the block's s
     single-qubit RDMs.
 
     ``shift_invariant`` is the caller's assertion, not checked here, that the
-    ring shift maps every row to itself up to a phase, as in :func:`report`.
+    ring shift maps every row to itself up to a phase, as in :func:`reports`.
     Every qubit then has the RDM of qubit L-1, whose entries are three dot
     products of the two contiguous halves of a row.
     """
-    amps = state.amplitudes[None] if isinstance(state, PureState) else state
     L = amps.shape[-1].bit_length() - 1
     if shift_invariant:
         half = amps.shape[-1] // 2
         lo, hi = amps[:, :half], amps[:, half:]
         det = (_sliced_vecdot(lo, lo).real * _sliced_vecdot(hi, hi).real
                - np.abs(_sliced_vecdot(lo, hi)) ** 2)
-        out = np.repeat(np.clip(4.0 * det, 0.0, 1.0)[:, None], L, axis=1)
-        return out[0] if isinstance(state, PureState) else out
+        return np.repeat(np.clip(4.0 * det, 0.0, 1.0)[:, None], L, axis=1)
     out = np.empty((len(amps), L))
     for lo, size in blocks(L):
         rho = _block_rdm(amps, lo, size)
@@ -175,12 +169,7 @@ def one_tangles(state, shift_invariant: bool = False) -> np.ndarray:
         coherence = rho[:, clear, isset].sum(axis=-1)
         det = p[:, clear].sum(axis=-1) * p[:, isset].sum(axis=-1) - np.abs(coherence) ** 2
         out[:, lo:lo + size] = np.clip(4.0 * det, 0.0, 1.0)
-    return out[0] if isinstance(state, PureState) else out
-
-
-def q_measure(state: PureState) -> float:
-    """Average one-tangle over all qubits (Meyer-Wallach measure)."""
-    return float(one_tangles(state).mean())
+    return out
 
 
 @lru_cache(maxsize=2)
@@ -196,24 +185,22 @@ def _parity_signs(num_qubits: int) -> np.ndarray:
     return out
 
 
-def n_tangle(state):
-    """|<psi| sigma_y^{(x) L} |psi*>|^2, the N-qubit generalization of the tangle.
+def n_tangle(a: np.ndarray) -> np.ndarray:
+    """|<psi| sigma_y^{(x) L} |psi*>|^2, the N-qubit generalization of the
+    tangle, per row of a ``(P, 2**L)`` stack: a (P,) array.
 
     Evaluated in O(2^L) as ``|sum_b psi(b) psi(~b) (-1)^popcount(b)|^2``; the
-    complement pairing makes it vanish identically for odd L.  A (P,) array for
-    a ``(P, 2**L)`` stack of amplitude rows in place of a PureState.  The sum
-    runs over slices of ``_RDM_CHUNK`` amplitudes, reading ``psi(~b)`` as a
+    complement pairing makes it vanish identically for odd L.  The sum runs
+    over slices of ``_RDM_CHUNK`` amplitudes, reading ``psi(~b)`` as a
     reversed view, so no temporary is larger than one slice a row.
     """
-    a = state.amplitudes[None] if isinstance(state, PureState) else state
     signs = _parity_signs(a.shape[-1].bit_length() - 1)
     flipped = a[:, ::-1]
     total = sum(np.matmul((flipped[:, r:r + _RDM_CHUNK] * signs[r:r + _RDM_CHUNK])[:, None, :],
                           a[:, r:r + _RDM_CHUNK, None])[:, 0, 0]
                 for r in range(0, a.shape[-1], _RDM_CHUNK))
     # np.hypot rounds as abs() of a complex does; np.abs can differ in the last bit
-    out = np.minimum(np.hypot(total.real, total.imag) ** 2, 1.0)
-    return float(out[0]) if isinstance(state, PureState) else out
+    return np.minimum(np.hypot(total.real, total.imag) ** 2, 1.0)
 
 
 @lru_cache(maxsize=8)
@@ -326,8 +313,3 @@ def reports(amps: np.ndarray, ts, pair_measures: bool = True, n_tangle_measure: 
                           pair_concurrences=table, boundary=boundary)
             for t, q, n, row, table in zip(ts, tangles.mean(axis=1).tolist(), n_tangles,
                                            tangles, tables, strict=True)]
-
-
-def report(state: PureState, t: int, **options) -> MeasureReport:
-    """The :func:`reports` of one state at kick count ``t``, with its keyword options."""
-    return reports(state.amplitudes[None], [t], **options)[0]

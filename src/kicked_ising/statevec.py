@@ -1,8 +1,9 @@
-"""Pure-state representation and the kicked-Ising evolution kernels.
+"""The kicked-Ising chain's parameters and its evolution kernel.
 
 Basis convention (shared by every module in this package):
 
-* A state of ``L`` qubits is a length ``2**L`` complex amplitude array.
+* The states of ``L`` qubits are a ``(P, 2**L)`` stack of complex amplitude
+  rows, one state a row; one state is ``P = 1``.
 * Bit ``k`` of a basis index (least-significant bit first, ``k = 0 .. L-1``)
   encodes qubit ``k``.  Bit value 1 corresponds to the spin-up state ``|1>``
   with ``S^z`` eigenvalue +1/2, so the all-down "vacuum" is basis index 0.
@@ -16,34 +17,33 @@ coupling is a diagonal phase vector ``D`` in the ``sigma_x`` eigenbasis,
 which the Hadamard ``H`` on every qubit reaches, so
 ``U = H^{(x)L} D (H u)^{(x)L}``.
 
-Every product gate ``w^{(x)L}`` (the Walsh-Hadamard transform and the
-kick's field rotation) goes through one kernel.  It cuts the qubits into
-blocks of at most five and applies each block's Kronecker power ``w^{(x)s}``
-as one float64 matrix product on the interleaved real view of the
-amplitudes.  ``w`` is real, so a block above the lowest acts on the real and
-imaginary parts alike: its gate multiplies an ``(A, 2**s, B)`` view of the
-real numbers, at half the arithmetic of a complex product.  The lowest
-block, the fastest axis, multiplies by a right factor ``F = g^T``, which may
-carry complex phases, with each entry as a real 2x2 block (:func:`_real_factor`).
-A row of more than ``_WHOLE_ROW_QUBITS`` qubits is streamed in two passes
-that each read and write it once: the blocks of the qubits above the lowest
-``CHUNK_QUBITS`` on panels of columns, then those below on one contiguous
-chunk of ``2**CHUNK_QUBITS`` amplitudes at a time, each pass through a buffer
-that stays in cache.  A shorter row, or a stack of them, is one chunk.
-
 Every evolution runs in the ``sigma_x`` frame, on ``H^{(x)L} psi``, where a
 kick is ``D (H u H)^{(x)L}``.  The field gate splits as
 ``H u H = diag(l) R diag(r)`` with ``R`` a real rotation, so a run goes one
 diagonal further, to ``diag(r)^{(x)L} H^{(x)L} psi``, where a kick is
 ``R^{(x)L}`` followed by the phases ``D (r l)^{(x)L}`` (:class:`XFrameKick`).
-The phases factor over the two parts of the index, so a streamed kick
-multiplies each chunk by a table of its low qubits' phases and folds the rest
-into its lowest block's right factor: no array of the state's size besides
-the state.  The kick acts on a ``(P, 2**L)`` stack of states with one row,
-rotation, phases and frame per parameter point.  A run builds its start in
-the frame directly, as a product vector; :func:`step` enters the frame and
-leaves it around one kick; a time series never leaves it, as every measure
-the package reports is invariant under a one-qubit unitary on each qubit.
+A run builds its start in the frame directly, as a product vector, and never
+leaves it: every measure the package reports is invariant under a one-qubit
+unitary on each qubit.
+
+The product gate ``R^{(x)L}`` cuts the qubits into blocks of at most five
+and applies each block's Kronecker power ``R^{(x)s}`` as one float64 matrix
+product on the interleaved real view of the amplitudes.  ``R`` is real, so a
+block above the lowest acts on the real and imaginary parts alike: its gate
+multiplies an ``(A, 2**s, B)`` view of the real numbers, at half the
+arithmetic of a complex product.  The lowest block, the fastest axis,
+multiplies by a right factor ``F = g^T``, which may carry complex phases,
+with each entry as a real 2x2 block (:func:`_real_factor`).  A row of more
+than ``_WHOLE_ROW_QUBITS`` qubits is streamed in two passes that each read
+and write it once: the blocks of the qubits above the lowest
+``CHUNK_QUBITS`` on panels of columns, then those below on one contiguous
+chunk of ``2**CHUNK_QUBITS`` amplitudes at a time, each pass through a buffer
+that stays in cache.  A shorter row, or a stack of them, is one chunk.  The
+phases factor over the two parts of the index, so a streamed kick multiplies
+each chunk by a table of its low qubits' phases and folds the rest into its
+lowest block's right factor: no array of the state's size besides the state.
+The kick acts on the whole stack, with one rotation, phase table and frame
+per parameter point.
 """
 
 from __future__ import annotations
@@ -82,16 +82,14 @@ _LOWEST_QUBITS = 3
 # run of 1 KiB; runs of 256 B made the pass half again as slow at 24 qubits
 _PANEL_COLUMNS = 64
 
-# The Walsh-Hadamard gate is _SIGN / sqrt(2).  The kernels keep _SIGN's exact
-# +-1 entries and gather the powers of 1/sqrt(2) into exact powers of 1/2
-# wherever they can, so a long run's norm does not drift one rounding per pass.
+# the Hadamard gate is _SIGN / sqrt(2); H u H is _SIGN u _SIGN / 2, exactly
 _SIGN = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 # the signs of the rotation [[|a|, -|b|], [|b|, |a|]], flattened
 _ROTATION_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])
 
 
-def _check_norm(amplitudes: np.ndarray) -> None:  # one state or each row of a stack
+def _check_norm(amplitudes: np.ndarray) -> None:  # each row of a stack
     _check_squared_norms(np.vecdot(amplitudes, amplitudes).real)
 
 
@@ -100,30 +98,6 @@ def _check_squared_norms(squares: np.ndarray) -> None:
     if not abs(norms - 1.0).max() <= _NORM_ATOL:  # max passes a NaN on, so it fails too
         norm = next(n for n in norms.tolist() if not abs(n - 1.0) <= _NORM_ATOL)
         raise ValueError(f"state norm {norm!r} is not 1 within {_NORM_ATOL}")
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Unit-norm pure state of ``num_qubits`` qubits."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.num_qubits < 2:
-            raise ValueError(f"need at least 2 qubits, got {self.num_qubits}")
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2 ** self.num_qubits,):
-            raise ValueError(
-                f"amplitude array of shape {self.amplitudes.shape} does not match "
-                f"num_qubits={self.num_qubits}"
-            )
-        _check_norm(amps)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
 
 
 @dataclass(frozen=True)
@@ -151,35 +125,6 @@ class ChainParams:
     @property
     def num_bonds(self) -> int:
         return self.num_qubits if self.boundary == "periodic" else self.num_qubits - 1
-
-
-def make_basis_state(num_qubits: int, bits: str) -> PureState:
-    """Computational basis state from a bitstring in ket order.
-
-    The leftmost character of ``bits`` is qubit ``L-1``, the rightmost is
-    qubit 0, i.e. the basis index is ``int(bits, 2)``.
-    """
-    if num_qubits < 2:
-        raise ValueError(f"need at least 2 qubits, got {num_qubits}")
-    if len(bits) != num_qubits or any(c not in "01" for c in bits):
-        raise ValueError(f"bits must be a 0/1 string of length {num_qubits}, got {bits!r}")
-    amps = np.zeros(2 ** num_qubits, dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return PureState(num_qubits, amps)
-
-
-def make_vacuum(num_qubits: int) -> PureState:
-    """All spins down: basis index 0."""
-    return make_basis_state(num_qubits, "0" * num_qubits)
-
-
-def make_ghz(num_qubits: int) -> PureState:
-    """(|0...0> + |1...1>)/sqrt(2)."""
-    if num_qubits < 2:
-        raise ValueError(f"need at least 2 qubits, got {num_qubits}")
-    amps = np.zeros(2 ** num_qubits, dtype=complex)
-    amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-    return PureState(num_qubits, amps)
 
 
 def blocks(num_qubits: int) -> list[tuple[int, int]]:
@@ -215,13 +160,10 @@ def _block_gates(layout: list[tuple[int, int]], w: np.ndarray) -> list[tuple[int
     return [(lo, powers[size]) for lo, size in layout]
 
 
-def _real_factor(f: np.ndarray, dtype) -> np.ndarray:
-    """The right factor ``f`` (a ``(..., d, d)`` stack) of a product on the
-    fastest axis, as a real factor of the interleaved real view of ``dtype``
-    amplitudes: for complex ones each entry ``f`` becomes
-    ``[[Re f, Im f], [-Im f, Re f]]``, for real ones it is ``f`` itself."""
-    if not np.issubdtype(dtype, np.complexfloating):
-        return np.ascontiguousarray(f)
+def _real_factor(f: np.ndarray) -> np.ndarray:
+    """The complex right factor ``f`` (a ``(..., d, d)`` stack) of a product on
+    the fastest axis, as a real factor of the interleaved real view of the
+    amplitudes: each entry ``f`` becomes ``[[Re f, Im f], [-Im f, Re f]]``."""
     pairs = np.stack([np.stack([f.real, f.imag], -1), np.stack([-f.imag, f.real], -1)], -2)
     return pairs.swapaxes(-3, -2).reshape(*f.shape[:-2], 2 * f.shape[-1], 2 * f.shape[-1])
 
@@ -237,15 +179,13 @@ def _fused_pass(amps: np.ndarray, gates, spare: np.ndarray):
     free.
     """
     rows = amps.size // amps.shape[-1]
-    real = np.finfo(amps.dtype).dtype
-    reals, spare_reals = amps.view(real), spare.view(real)
-    per_amp = reals.shape[-1] // amps.shape[-1]  # 2 for complex amplitudes, 1 for real ones
+    reals, spare_reals = amps.view(float), spare.view(float)
     for lo, gate in gates:
         if lo == 0:  # the block is the fastest axis: one (A, e) x (e, e) product per row
             shape = (rows, -1, gate.shape[-1])
             np.matmul(reals.reshape(shape), gate, out=spare_reals.reshape(shape))
-        else:
-            shape = (rows, -1, gate.shape[-1], per_amp << lo)
+        else:  # an amplitude is two reals
+            shape = (rows, -1, gate.shape[-1], 2 << lo)
             np.matmul(gate[..., None, :, :], reals.reshape(shape), out=spare_reals.reshape(shape))
         amps, spare = spare, amps
         reals, spare_reals = spare_reals, reals
@@ -272,11 +212,11 @@ def _panel_pass(rows: np.ndarray, gates, buffer: np.ndarray) -> None:
         view[...] = out.reshape(view.shape)
 
 
-def _stream_buffer(shape: tuple[int, int, int], dtype) -> np.ndarray:
+def _stream_buffer(shape: tuple[int, int, int]) -> np.ndarray:
     """A buffer for streaming a ``(P, 2**h, 2**k)`` view: a chunk's spare, or
     two panels of at least ``_PANEL_COLUMNS`` columns."""
     P, high, width = shape
-    return np.empty(max(2 * width, 2 * P * high * _PANEL_COLUMNS), dtype=dtype)
+    return np.empty(max(2 * width, 2 * P * high * _PANEL_COLUMNS), dtype=complex)
 
 
 def _rows_of(amplitudes: np.ndarray, k: int) -> np.ndarray:
@@ -284,37 +224,6 @@ def _rows_of(amplitudes: np.ndarray, k: int) -> np.ndarray:
     if not amplitudes.flags.c_contiguous:  # a reshape would copy, and drop the writes
         raise ValueError("the stack must be C-contiguous to be changed in place")
     return amplitudes.reshape(-1, amplitudes.shape[-1] >> k, 1 << k)
-
-
-def fwht_inplace(amplitudes: np.ndarray) -> np.ndarray:
-    """In-place normalized fast Walsh-Hadamard transform, H^{tensor L}.
-
-    Applies ``H = [[1, 1], [1, -1]]/sqrt(2)`` on every qubit through the
-    fused product-gate kernel, streamed as the kick is (:class:`XFrameKick`);
-    the transform is involutive.  The array length (the row length of a
-    ``(P, 2**L)`` stack) must be a power of two; a streamed one must be
-    C-contiguous.
-    """
-    n = amplitudes.shape[-1]
-    if n < 1 or (n & (n - 1)) != 0:
-        raise ValueError(f"length {n} is not a power of two")
-    L = n.bit_length() - 1
-    k = _chunk_qubits(L)
-    gates = _block_gates(blocks(k), _SIGN)
-    if gates:  # the whole 2^(-L/2), exact for even L, goes into the first gate
-        gates[0] = (0, _real_factor(gates[0][1].T * 2.0 ** (-L / 2), amplitudes.dtype))
-    if k == L:  # the whole stack is one chunk
-        chunks, spare = [amplitudes], np.empty_like(amplitudes)
-    else:
-        rows = _rows_of(amplitudes, k)
-        buffer = _stream_buffer(rows.shape, amplitudes.dtype)
-        _panel_pass(rows, _block_gates(blocks(L - k), _SIGN), buffer)
-        chunks, spare = rows.reshape(-1, 1, 1 << k), buffer[:1 << k].reshape(1, -1)
-    for chunk in chunks:
-        out, _ = _fused_pass(chunk, gates, spare)
-        if out is not chunk:
-            chunk[...] = out
-    return amplitudes
 
 
 def _bond_phases(num_qubits: int, j_x: np.ndarray, closed: bool) -> np.ndarray:
@@ -337,10 +246,21 @@ def _bond_phases(num_qubits: int, j_x: np.ndarray, closed: bool) -> np.ndarray:
     return np.take(np.exp(-0.25j * j_x[:, None] * alignment), flips, axis=-1)
 
 
-def field_unitary(b_field: float, theta: float) -> np.ndarray:
-    """The 2x2 one-qubit rotation exp(-i b (cos(theta) S^x + sin(theta) S^z))."""
-    axis = math.cos(theta) * PAULI_X + math.sin(theta) * PAULI_Z
-    return math.cos(b_field / 2) * np.eye(2) - 1j * math.sin(b_field / 2) * axis
+def field_unitary(b_field: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The ``(P, 2, 2)`` stack of one-qubit rotations
+    exp(-i b (cos(theta) S^x + sin(theta) S^z)), one per point of the ``(P,)``
+    arrays ``b_field`` and ``theta``.
+
+    The sines and cosines are libm's, from :mod:`math`, one point at a time:
+    NumPy's vector loops need not round them as libm does on every platform,
+    and every digit a run reports follows from the gates.
+    """
+    def trig(f, x):
+        return np.array([f(v) for v in np.asarray(x, dtype=float).tolist()])[:, None, None]
+
+    half = np.asarray(b_field, dtype=float) / 2
+    axis = trig(math.cos, theta) * PAULI_X + trig(math.sin, theta) * PAULI_Z
+    return trig(math.cos, half) * np.eye(2) - 1j * trig(math.sin, half) * axis
 
 
 def _split_field_gates(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -381,30 +301,17 @@ def _times_diagonal_power(amplitudes: np.ndarray, v: np.ndarray) -> np.ndarray:
     return amplitudes
 
 
-def step(state: PureState, params: ChainParams) -> PureState:
-    """One kick ``U = U_xx(j_x) . U_field(b, theta)``: the kick of
-    :class:`XFrameKick` between the Walsh-Hadamard transforms and phases that
-    enter and leave its frame."""
-    if state.num_qubits != params.num_qubits:
-        raise ValueError(
-            f"state has {state.num_qubits} qubits but params expect {params.num_qubits}"
-        )
-    kick = XFrameKick([params])
-    kicked = kick(kick.enter(fwht_inplace(state.amplitudes[None].copy())))
-    return PureState(state.num_qubits, fwht_inplace(kick.leave(kicked))[0])
-
-
 class XFrameKick:
     """One kick in the sigma_x frame, with the field gate split into phases and
-    a real rotation, for a stack of time series.
+    a real rotation, for a ``(P, 2**L)`` stack of time series, row p at
+    ``points[p]``.
 
     The sigma_x-frame kick is ``D (H u H)^{(x)L}``, and ``H u H`` splits as
     ``diag(l) R diag(r)`` with ``R`` real (:func:`_split_field_gates`).  On
     ``diag(r)^{(x)L} H^{(x)L} psi`` a kick is therefore ``R^{(x)L}``, real
-    block passes, followed by the phases ``D (r l)^{(x)L}``.
-    :meth:`start` builds a stack in this frame, :meth:`enter` takes a
-    ``(P, 2**L)`` stack whose row p is ``H^{(x)L} psi_p`` into it, with
-    ``points[p]``'s own ``r``, and :meth:`leave` takes it back out.
+    block passes, followed by the phases ``D (r l)^{(x)L}``, with each row's
+    own ``l``, ``R`` and ``r``.  :meth:`start` builds a stack in this frame,
+    which a run never leaves.
 
     Calling it kicks a stack in the frame, in place, and checks every row's
     norm.  A row of more than ``_WHOLE_ROW_QUBITS`` qubits is streamed, with
@@ -430,15 +337,15 @@ class XFrameKick:
         L, boundary = points[0].num_qubits, points[0].boundary
         if any((p.num_qubits, p.boundary) != (L, boundary) for p in points):
             raise ValueError("the points of a stack must share qubit count and boundary")
-        u = np.array([field_unitary(p.b_field, p.theta) for p in points])
-        left, rotation, self._right = _split_field_gates(u)
+        left, rotation, self._right = _split_field_gates(
+            field_unitary([p.b_field for p in points], [p.theta for p in points]))
         frame = self._right * left
         j_x = np.array([p.j_x for p in points], dtype=float)
         self.num_qubits, self._chunk = L, _chunk_qubits(L)
         k, h = self._chunk, L - self._chunk
         if not h:
             self._low = _block_gates(blocks(L), rotation)
-            self._low[0] = (0, _real_factor(self._low[0][1].swapaxes(-1, -2), complex))
+            self._low[0] = (0, _real_factor(self._low[0][1].swapaxes(-1, -2)))
             self._low_phases = _times_diagonal_power(
                 _bond_phases(L, j_x, boundary == "periodic"), frame)
             self._buffer = np.empty_like(self._low_phases)
@@ -459,8 +366,8 @@ class XFrameKick:
         closing = ring[:, np.arange(1 << _LOWEST_QUBITS) & 1][:, :, hi >> (h - 1)]
         self._lowest = _real_factor(lowest.swapaxes(-1, -2)[:, None, None]  # the right factor
                                     * closing.swapaxes(1, 2)[:, :, None, None, :]
-                                    * scale[:, :, :, None, None], complex)
-        self._buffer = _stream_buffer((len(points), 1 << h, 1 << k), complex)
+                                    * scale[:, :, :, None, None])
+        self._buffer = _stream_buffer((len(points), 1 << h, 1 << k))
 
     def start(self, terms: list[tuple[int, complex]]) -> np.ndarray:
         """The stack whose row p is ``diag(r_p)^{(x)L} H^{(x)L} sum a |b>`` over the
@@ -488,14 +395,6 @@ class XFrameKick:
         out = out.reshape(len(out), -1)
         _check_norm(out)  # once a run: each kick checks the rows it returns
         return out
-
-    def enter(self, amplitudes: np.ndarray) -> np.ndarray:
-        """``diag(r)^{(x)L}`` on each row, in place: from ``H^{(x)L} psi`` into the frame."""
-        return _times_diagonal_power(amplitudes, self._right)
-
-    def leave(self, amplitudes: np.ndarray) -> np.ndarray:
-        """The inverse of :meth:`enter`, in place."""
-        return _times_diagonal_power(amplitudes, self._right.conj())
 
     def __call__(self, amplitudes: np.ndarray) -> np.ndarray:
         if self._chunk == self.num_qubits:

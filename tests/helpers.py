@@ -6,12 +6,18 @@ trick, no reshape-based partial traces, and the concurrence comes from the
 non-Hermitian product spectrum rather than the package's singular values
 of F^T (sigma_y (x) sigma_y) F), so agreement is meaningful.  Single-qubit
 and bond unitaries come from eigendecompositions of their generators rather
-than trig closed forms.
+than trig closed forms.  The one input taken from the package is the list of
+a run's start terms (:func:`z_start`); the field-gate and kernel references at
+the end keep earlier package forms verbatim.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from kicked_ising.harness import _start_terms
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, 1j], [-1j, 0]], dtype=complex)
@@ -153,6 +159,16 @@ def v_q_block(j_x: float, b: float, q: float) -> np.ndarray:
     return expm_herm((j_x / 2.0) * pairing) @ expm_herm(b * number)
 
 
+def z_start(num_qubits: int, initial: str) -> np.ndarray:
+    """A run's named or bitstring start as a ``(1, 2**L)`` z-basis stack, from
+    the terms the package names it by (``harness._start_terms``): the one
+    package input here, so that a test walks the run's own start."""
+    amps = np.zeros((1, 2 ** num_qubits), dtype=complex)
+    for index, amplitude in _start_terms(num_qubits, initial):
+        amps[0, index] = amplitude
+    return amps
+
+
 def random_state(L: int, rng: np.random.Generator) -> np.ndarray:
     psi = rng.normal(size=2 ** L) + 1j * rng.normal(size=2 ** L)
     return psi / np.linalg.norm(psi)
@@ -173,7 +189,7 @@ def apply_local_unitaries(psi: np.ndarray, unitaries: list[np.ndarray]) -> np.nd
 
 
 # ---------------------------------------------------------- kernel references
-# Earlier forms of two package kernels, kept verbatim: the package's forms
+# Earlier forms of three package kernels, kept verbatim: the package's forms
 # change only the array handling, so they must agree bit for bit.
 
 _PI_LO = 1.2246467991473532e-16  # pi - float(pi)
@@ -210,3 +226,10 @@ def x_frame_start_reference(right: np.ndarray, num_qubits: int, terms) -> np.nda
     low = product_vectors_reference(factors[:, :, :m]) * amplitude[:, None]
     high = product_vectors_reference(factors[:, :, m:])
     return np.matmul(high.swapaxes(1, 2), low).reshape(len(factors), -1)
+
+
+def field_unitary_reference(b_field: float, theta: float) -> np.ndarray:
+    """The 2x2 field gate exp(-i b (cos(theta) S^x + sin(theta) S^z)) of one
+    point, from ``math`` scalars, as the package built it one point at a time."""
+    axis = math.cos(theta) * SX + math.sin(theta) * SZ
+    return math.cos(b_field / 2) * np.eye(2) - 1j * math.sin(b_field / 2) * axis

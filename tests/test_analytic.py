@@ -6,16 +6,14 @@ import pytest
 import helpers
 from kicked_ising import (
     ChainParams,
+    RunConfig,
     cluster_n_tangle,
     cluster_nn_concurrence,
     cluster_q,
     jw_q_vacuum,
     jw_sz_profile,
-    make_ghz,
-    make_vacuum,
-    n_tangle,
-    q_measure,
-    step,
+    one_tangles,
+    run_time_series,
     sym_cluster_n_tangle,
 )
 from kicked_ising.analytic import _even_momenta, _mode_arrays, jw_q_average
@@ -29,17 +27,29 @@ DEGENERATE_POINTS = [(jx, b) for jx in DEGENERATE_COUPLINGS + (1.1,)
                      for b in DEGENERATE_FIELDS + (0.9,)][:-1]
 
 
+def series(params, steps, initial="vacuum", measures=("q",)):
+    """The run's reports at kicks 1..steps."""
+    return run_time_series(RunConfig(params, steps, initial, frozenset(measures)))[1:]
+
+
 def assert_matches_state_vector(L, jx, b, steps):
     """jw_q_vacuum kick by kick, and jw_q_average over the window, within 1e-12
-    of the state vector from the vacuum; returns the state vector's Q."""
-    params = ChainParams(L, jx, b, np.pi / 2)
-    s, numeric = make_vacuum(L), []
-    for _ in range(steps):
-        s = step(s, params)
-        numeric.append(q_measure(s))
+    of the run's Q from the vacuum."""
+    numeric = [r.q_measure for r in series(ChainParams(L, jx, b, np.pi / 2), steps)]
     assert np.max(np.abs(jw_q_vacuum(L, jx, b, np.arange(1, steps + 1)) - numeric)) < 1e-12
     assert abs(jw_q_average(L, np.array([jx]), np.array([b]), steps)[0] - np.mean(numeric)) < 1e-12
-    return numeric
+
+
+def z_basis_q(L, jx, b, steps):
+    """Q at kicks 1..steps of the dense z-basis walk from the vacuum.  A product
+    state's Q reads below 1e-20 there; in the run's frame, whose one-qubit
+    gates spread every amplitude, it reads rounding (~3e-16)."""
+    u = helpers.step_dense(L, jx, b, np.pi / 2)
+    psi, out = helpers.z_start(L, "vacuum"), []
+    for _ in range(steps):
+        psi = psi @ u.T
+        out.append(one_tangles(psi).mean())
+    return out
 
 
 class TestClusterQ:
@@ -134,11 +144,8 @@ class TestSymmetrizedNTangle:
     def test_matches_numeric_ghz_evolution(self):
         for L in (4, 6):
             jx = 0.83
-            params = ChainParams(L, jx, 0.0, 0.0)
-            s = make_ghz(L)
-            for t in range(1, 16):
-                s = step(s, params)
-                assert n_tangle(s) == pytest.approx(sym_cluster_n_tangle(jx, t, L), abs=1e-10)
+            for r in series(ChainParams(L, jx, 0.0, 0.0), 15, "ghz", ("n_tangle",)):
+                assert r.n_tangle == pytest.approx(sym_cluster_n_tangle(jx, r.t, L), abs=1e-10)
 
     def test_rejects_odd_length(self):
         with pytest.raises(ValueError):
@@ -203,12 +210,9 @@ class TestJwQ:
 
     def test_matches_numeric_evolution(self):
         L = 10
-        params = ChainParams(L, np.pi / 2, np.pi / 3, np.pi / 2)
-        s = make_vacuum(L)
-        for t in range(1, 31):
-            s = step(s, params)
-            assert q_measure(s) == pytest.approx(jw_q_vacuum(L, np.pi / 2, np.pi / 3, t),
-                                                 abs=1e-8)
+        for r in series(ChainParams(L, np.pi / 2, np.pi / 3, np.pi / 2), 30):
+            assert r.q_measure == pytest.approx(jw_q_vacuum(L, np.pi / 2, np.pi / 3, r.t),
+                                                abs=1e-8)
 
     def test_window_average_is_the_mean_of_the_trace(self):
         # j_x = pi pairs the quasi-energies; on sin(j_x/2) = 0 and sin B = 0 the
@@ -332,12 +336,14 @@ class TestJwQ:
     def test_trivial_coupling_never_entangles(self):
         # sin(j_x/2) is 0 and 1e-16: the state vector stays a product state
         for jx in (0.0, 2 * np.pi):
-            assert np.max(assert_matches_state_vector(8, jx, 0.5, 1000)) < 1e-20
+            assert_matches_state_vector(8, jx, 0.5, 1000)
+            assert np.max(z_basis_q(8, jx, 0.5, 1000)) < 1e-20
 
     def test_weak_coupling_matches_the_state_vector(self):
         # sin(j_x/2) sin(pi/L) is 8e-13: the state vector stays a product state
         # to 1e-20, and both closed forms follow it with no route of their own
-        assert np.max(assert_matches_state_vector(8, 4e-12, 0.5, 1000)) < 1e-20
+        assert_matches_state_vector(8, 4e-12, 0.5, 1000)
+        assert np.max(z_basis_q(8, 4e-12, 0.5, 1000)) < 1e-20
 
     def test_degenerate_routing_matches_numeric(self):
         # B = pi commutes with the coupling, as B = 0 does
@@ -426,19 +432,13 @@ class TestOracleAgreement:
 
     def test_cluster_forms_track_numeric(self):
         for L, jx in [(4, 0.7), (6, np.pi / 2)]:
-            params = ChainParams(L, jx, 0.0, 0.0)
-            s = make_vacuum(L)
-            for t in range(1, 26):
-                s = step(s, params)
-                assert q_measure(s) == pytest.approx(
-                    cluster_q(jx, t, "periodic", L), abs=1e-10)
-                assert n_tangle(s) == pytest.approx(
-                    cluster_n_tangle(jx, t, L), abs=1e-10)
+            for r in series(ChainParams(L, jx, 0.0, 0.0), 25, measures=("q", "n_tangle")):
+                assert r.q_measure == pytest.approx(
+                    cluster_q(jx, r.t, "periodic", L), abs=1e-10)
+                assert r.n_tangle == pytest.approx(
+                    cluster_n_tangle(jx, r.t, L), abs=1e-10)
 
     def test_transverse_forms_track_numeric(self):
         for L, jx, b in [(4, 1.1, 0.4), (6, 2.7, 2.0)]:
-            params = ChainParams(L, jx, b, np.pi / 2)
-            s = make_vacuum(L)
-            for t in range(1, 26):
-                s = step(s, params)
-                assert q_measure(s) == pytest.approx(jw_q_vacuum(L, jx, b, t), abs=1e-8)
+            for r in series(ChainParams(L, jx, b, np.pi / 2), 25):
+                assert r.q_measure == pytest.approx(jw_q_vacuum(L, jx, b, r.t), abs=1e-8)

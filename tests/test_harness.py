@@ -10,30 +10,26 @@ from kicked_ising import (
     AxisSpec,
     ChainParams,
     NoAnalyticOracleError,
-    PureState,
     RunConfig,
     SweepConfig,
     SweepPointError,
     cluster_q,
     compare_numeric_analytic,
-    initial_state,
     jw_q_vacuum,
-    report,
+    reports,
     run_time_series,
-    step,
     sweep_grid,
     sym_cluster_n_tangle,
     time_average,
 )
-from kicked_ising import fwht_inplace, measures
+from kicked_ising import measures
 from kicked_ising.harness import (
     MEASURES,
     _evolve,
     _shift_invariant,
     _start_terms,
-    _x_frame_start,
 )
-from kicked_ising.statevec import XFrameKick
+from kicked_ising.statevec import _SIGN, XFrameKick
 
 # time-averaged Q for (L=6, j_x=B=theta=pi/4, 1000 kicks); recorded from the
 # first validated build, pinned here as the determinism fixture
@@ -60,24 +56,24 @@ def per_point_averages(cfg):
 
 class TestInitialState:
     def test_named_states(self):
-        p = quick_params()
-        assert initial_state(p, "vacuum").amplitudes[0] == 1.0
-        assert initial_state(p, "all_up").amplitudes[-1] == 1.0
-        ghz = initial_state(p, "ghz").amplitudes
-        assert ghz[0] == pytest.approx(2 ** -0.5)
-        assert initial_state(p, "0110").amplitudes[0b0110] == 1.0
+        assert _start_terms(4, "vacuum") == [(0, 1.0)]
+        assert _start_terms(4, "all_up") == [(15, 1.0)]
+        (low, a), (high, b) = _start_terms(4, "ghz")
+        assert (low, high) == (0, 15) and a == b == pytest.approx(2 ** -0.5)
+        assert _start_terms(4, "0110") == [(0b0110, 1.0)]
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError):
-            initial_state(quick_params(), "thermal")
+            _start_terms(4, "thermal")
         with pytest.raises(ValueError):
-            initial_state(quick_params(), "01")
+            _start_terms(4, "01")
 
 
 class TestXFrameStart:
     def test_is_the_transformed_start_in_the_frame(self):
-        # fwht_inplace and each row's own diag(r)^{(x)L}, to rounding: the
-        # product vector multiplies the same factors in another order
+        # the z-basis start under each row's own diag(r) H on every qubit, one
+        # qubit at a time, to rounding: the product vector multiplies the same
+        # factors in another order
         rng = np.random.default_rng(31)
         for L in (2, 3, 6, 9, 14, 17):
             bitstrings = ["".join(rng.choice(["0", "1"], L)) for _ in range(2)]
@@ -86,9 +82,13 @@ class TestXFrameStart:
                           for b, theta in rng.uniform(0, 3, (3, 2))]
                 kick = XFrameKick(points)
                 for initial in ("vacuum", "all_up", "ghz", *bitstrings):
-                    start = np.tile(initial_state(points[0], initial).amplitudes, (3, 1))
-                    want = kick.enter(fwht_inplace(start))
-                    assert np.max(np.abs(_x_frame_start(kick, initial) - want)) <= 1e-15
+                    want = np.tile(helpers.z_start(L, initial), (3, 1))
+                    for p, r in enumerate(kick._right):
+                        for k in range(L):
+                            want[p] = helpers.apply_one_qubit_gate(
+                                want[p], np.diag(r) @ _SIGN / np.sqrt(2.0), k)
+                    got = kick.start(_start_terms(L, initial))
+                    assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_is_bitwise_the_product_vector_reference(self):
         # as r_0 = 1 exactly, the gather from the powers of r_1 multiplies the
@@ -104,11 +104,11 @@ class TestXFrameStart:
                 for initial in ("vacuum", "all_up", "ghz", *bitstrings):
                     want = helpers.x_frame_start_reference(kick._right, L,
                                                            _start_terms(L, initial))
-                    assert np.array_equal(_x_frame_start(kick, initial), want)
+                    assert np.array_equal(kick.start(_start_terms(L, initial)), want)
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError, match="initial must be"):
-            _x_frame_start(XFrameKick([quick_params()]), "thermal")
+            next(_evolve([quick_params()], "thermal", 1))
 
 
 class TestRunTimeSeries:
@@ -156,7 +156,7 @@ class TestRunTimeSeries:
         cfg = RunConfig(params=quick_params(num_qubits=6, boundary="open"), steps=3)
         last = run_time_series(cfg)[-1]
         assert last.t == 3
-        psi = initial_state(cfg.params, "vacuum").amplitudes
+        psi = helpers.z_start(6, "vacuum")[0]
         step_matrix = helpers.step_dense(6, 0.7, 0.0, 0.0, "open")
         for _ in range(3):
             psi = step_matrix @ psi
@@ -168,7 +168,7 @@ class TestRunTimeSeries:
 
     def test_matches_z_frame_step_and_report(self):
         # the series is evolved in the sigma_x frame; each reported measure must
-        # equal that of the z-basis walk
+        # equal that of the z-basis walk of the reference kick
         cases = [(6, 1.3, 0.9, 0.6, "vacuum"), (6, 0.7, 0.0, 0.0, "vacuum"),
                  (6, 1.1, 0.5, 1.2, "ghz"), (5, 2.1, 1.7, 0.3, "ghz"),
                  (7, 0.9, 1.2, 0.8, "0110100"), (12, 1.0, 0.6, 0.7, "100000000001")]
@@ -176,11 +176,11 @@ class TestRunTimeSeries:
             for L, jx, b, theta, initial in cases:
                 params = ChainParams(L, jx, b, theta, boundary)
                 series = run_time_series(RunConfig(params=params, steps=8, initial=initial))
-                state = initial_state(params, initial)
+                psi = helpers.z_start(L, initial)[0]
                 for r in series:
                     if r.t:
-                        state = step(state, params)
-                    want = report(state, r.t, boundary=boundary)
+                        psi = helpers.kick_reference(psi, L, jx, b, theta, boundary)
+                    want = reports(psi[None], [r.t], boundary=boundary)[0]
                     assert r.q_measure == pytest.approx(want.q_measure, abs=1e-10)
                     assert r.n_tangle == pytest.approx(want.n_tangle, abs=1e-10)
                     assert np.max(np.abs(r.one_tangles - want.one_tangles)) < 1e-10
@@ -199,11 +199,11 @@ class TestMemoryPreflight:
     def test_refuses_a_run_that_cannot_fit_before_allocating(self, monkeypatch):
         from kicked_ising import harness
 
-        def no_state(*args):
-            raise AssertionError("the state was allocated before the memory check")
+        def no_kick(*args):
+            raise AssertionError("the kick and its state were built before the memory check")
 
         monkeypatch.setattr(harness, "_available_memory_bytes", lambda: 1 << 20)
-        monkeypatch.setattr(harness, "_x_frame_start", no_state)
+        monkeypatch.setattr(harness, "XFrameKick", no_kick)
         with pytest.raises(RuntimeError, match="16-qubit run needs"):
             run_time_series(RunConfig(params=quick_params(num_qubits=16), steps=1))
 
@@ -443,7 +443,9 @@ class TestStackedSweep:
         unitary = statevec.field_unitary
 
         def leaky(b_field, theta):  # one grid point's field gate loses its unitarity
-            return unitary(b_field, theta) * (1.01 if (b_field, theta) == bad else 1.0)
+            gates = unitary(b_field, theta)
+            gates[(np.asarray(b_field) == bad[0]) & (np.asarray(theta) == bad[1])] *= 1.01
+            return gates
 
         monkeypatch.setattr(statevec, "field_unitary", leaky)
         assert harness._CHUNK_AMPLITUDES >= 9 * 2 ** 4  # all nine points in one stack
@@ -562,7 +564,7 @@ class TestShiftReducedTables:
             params = ChainParams(num_qubits, jx, b, theta)
             series = run_time_series(RunConfig(params=params, steps=5, initial=initial))
             for r, (t, amps) in zip(series, _evolve([params], initial, 5)):
-                full = report(PureState(num_qubits, amps[0]), t).pair_concurrences
+                full = reports(amps, [t])[0].pair_concurrences
                 assert r.t == t
                 assert np.max(np.abs(r.pair_concurrences - full)) < 1e-12
 
@@ -572,7 +574,7 @@ class TestShiftReducedTables:
         params = ChainParams(7, 1.3, 0.9, 0.6, boundary)
         series = run_time_series(RunConfig(params=params, steps=4, initial=initial))
         for r, (t, amps) in zip(series, _evolve([params], initial, 4)):
-            full = report(PureState(7, amps[0]), t, boundary=boundary)
+            full = reports(amps, [t], boundary=boundary)[0]
             assert np.array_equal(r.pair_concurrences, full.pair_concurrences)
 
     def test_one_pair_rdm_per_ring_distance(self, monkeypatch):
@@ -617,7 +619,7 @@ class TestGroupedReports:
         for _ in range(L):
             y_all = np.kron(y_all, helpers.SY)
         pairs = np.triu_indices(L, k=1)
-        psi = initial_state(params, initial).amplitudes
+        psi = helpers.z_start(L, initial)[0]
         t = 0
         for r in series:
             while t < r.t:

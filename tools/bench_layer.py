@@ -15,10 +15,6 @@ through a whole run, and the ``BENCH_*.json`` file its record goes to:
   ``harness.report``.  Cases: ``L12``, the seed-0 ``evolve-pairs-L12`` run
   (L = 12, 40 kicks, a vacuum ring); and ``L16`` and ``L20``, the same
   couplings at L = 16 and 20 for 3 kicks.
-- ``step``: ``statevec.step``, one kick of one state, timed over a run of
-  kicks from the vacuum ring (``BENCH_step.json``).  Cases: ``L10`` (100
-  kicks), ``L14`` (20 kicks) and ``L20`` (3 kicks), at the seed-0
-  ``evolve-pairs-L12`` couplings.
 - ``series``: ``harness.run_time_series`` with the measure ``q`` alone, as
   ``compare --regime transverse`` calls it (``BENCH_series.json``).  Case:
   ``L20``, the seed-0 ``compare-transverse-L20`` run (L = 20, 3 kicks from
@@ -130,22 +126,6 @@ def _report_cases() -> dict:
     return cases
 
 
-def _step_cases() -> dict:
-    from kicked_ising import statevec
-
-    flags, _ = _seed0("evolve-pairs-L12")
-    jx, b, theta = (float(flags[f]) for f in ("--jx", "--b", "--theta"))
-    cases = {}
-    for L, kicks in ((10, 100), (14, 20), (20, 3)):
-        def run(params=statevec.ChainParams(L, jx, b, theta), kicks=kicks):
-            state = statevec.make_vacuum(params.num_qubits)
-            for _ in range(kicks):
-                state = statevec.step(state, params)  # the module attribute, as timed
-
-        cases[f"L{L}"] = (run, {"num_qubits": L, "kicks": kicks})
-    return cases
-
-
 def _series_cases() -> dict:
     from kicked_ising import harness
     from kicked_ising.statevec import ChainParams
@@ -219,7 +199,6 @@ LAYERS = {
                         "BENCH_jw_average.json"),
     "report": Layer("harness", ("reports", "report"), "series", _report_cases,
                     "BENCH_report.json"),
-    "step": Layer("statevec", ("step",), "series", _step_cases, "BENCH_step.json"),
     "series": Layer("harness", ("run_time_series",), "series", _series_cases,
                     "BENCH_series.json"),
     "kick": Layer("statevec", ("XFrameKick.__call__",), "series", _kick_cases,
