@@ -33,17 +33,16 @@ block above the lowest acts on the real and imaginary parts alike: its gate
 multiplies an ``(A, 2**s, B)`` view of the real numbers, at half the
 arithmetic of a complex product.  The lowest block, the fastest axis,
 multiplies by a right factor ``F = g^T``, which may carry complex phases,
-with each entry as a real 2x2 block (:func:`_real_factor`).  A row of more
-than ``_WHOLE_ROW_QUBITS`` qubits is streamed in two passes that each read
-and write it once: the blocks of the qubits above the lowest
-``CHUNK_QUBITS`` on panels of columns, then those below on one contiguous
-chunk of ``2**CHUNK_QUBITS`` amplitudes at a time, each pass through a buffer
-that stays in cache.  A shorter row, or a stack of them, is one chunk.  The
-phases factor over the two parts of the index, so a streamed kick multiplies
-each chunk by a table of its low qubits' phases and folds the rest into its
-lowest block's right factor: no array of the state's size besides the state.
-The kick acts on the whole stack, with one rotation, phase table and frame
-per parameter point.
+with each entry as a real 2x2 block (:func:`_real_factor`).  A kick is one
+loop over chunks: the index of a row splits as ``x = hi 2**k + lo``, and each
+chunk ``hi`` of ``2**k`` amplitudes, over the whole stack, gets the blocks of
+its low qubits, a table of their phases and its share of the norm, in a
+buffer that stays in cache.  A row of up to ``_WHOLE_ROW_QUBITS`` qubits is
+one chunk (``k = L``).  A longer one has ``k = CHUNK_QUBITS``, and a panel
+pass first applies the blocks of the qubits above ``k`` to panels of
+columns; the phases factor over the two parts of the index, so each chunk's
+lowest block also carries the phases of ``hi``: no array of the state's size
+besides the state.  Each row has its own rotation, phase table and frame.
 """
 
 from __future__ import annotations
@@ -59,7 +58,13 @@ PAULI_Z = np.array([[-1, 0], [0, 1]], dtype=complex)
 
 BOUNDARIES = ("periodic", "open")
 
-_NORM_ATOL = 1e-10  # fresh states sit at 1e-12; long runs may drift towards this
+# a norm further than this from 1 is a bug: a kick that is not unitary
+_NORM_ATOL = 1e-10
+
+# a kick rescales a row whose norm is further than this from 1: the rounding of
+# the block products drifts it by up to ~2e-15 a kick, which would reach
+# _NORM_ATOL within 10**5 kicks; fresh states sit well inside this
+_RESCALE_ATOL = 2e-12
 
 # qubits per fused block: a 32x32 gate makes each pass over the state compute-bound
 BLOCK_QUBITS = 5
@@ -73,7 +78,7 @@ CHUNK_QUBITS = 14
 # streamed kick takes as long as a whole-row one, from 17 on it is faster
 _WHOLE_ROW_QUBITS = 16
 
-# the lowest block of a chunk spans this many qubits; its factor carries complex
+# the lowest block of a streamed chunk spans this many qubits; its factor carries complex
 # phases, so its embedded product costs twice as much per qubit as the blocks
 # above it (at 20 qubits, a kick took 16, 19 and 21 ms with 3, 4 and 5 of them)
 _LOWEST_QUBITS = 3
@@ -93,11 +98,15 @@ def _check_norm(amplitudes: np.ndarray) -> None:  # each row of a stack
     _check_squared_norms(np.vecdot(amplitudes, amplitudes).real)
 
 
-def _check_squared_norms(squares: np.ndarray) -> None:
+def _check_squared_norms(squares: np.ndarray) -> float:
+    """The largest ``|norm - 1|`` of the rows whose squared norms are ``squares``,
+    which must be at most ``_NORM_ATOL``."""
     norms = np.sqrt(squares).reshape(-1)
-    if not abs(norms - 1.0).max() <= _NORM_ATOL:  # max passes a NaN on, so it fails too
+    drift = np.maximum.reduce(abs(norms - 1.0))  # the method .max() costs a call more
+    if not drift <= _NORM_ATOL:  # maximum passes a NaN on, so it fails too
         norm = next(n for n in norms.tolist() if not abs(n - 1.0) <= _NORM_ATOL)
         raise ValueError(f"state norm {norm!r} is not 1 within {_NORM_ATOL}")
+    return drift
 
 
 @dataclass(frozen=True)
@@ -172,17 +181,18 @@ def _fused_pass(amps: np.ndarray, gates, spare: np.ndarray):
     """Apply every block gate to the real view of ``amps``, alternating
     between ``amps`` and ``spare``.
 
-    ``amps`` may be a ``(P, n)`` stack and each gate a real ``(P, d, d)``
-    stack.  The lowest block's gate (``lo == 0``) is its right factor on the
-    fastest axis, built once by :func:`_real_factor`.  Returns
+    ``amps`` may be a ``(P, n)`` stack, its rows contiguous, and each gate a
+    real ``(P, d, d)`` stack.  The lowest block's gate (``lo == 0``) is its
+    right factor on the fastest axis, built once by :func:`_real_factor`; a
+    ``(P, m, d, d)`` factor acts on each of m equal parts of a row.  Returns
     ``(result, spare)``: the buffer that holds the product and the one left
     free.
     """
     rows = amps.size // amps.shape[-1]
     reals, spare_reals = amps.view(float), spare.view(float)
     for lo, gate in gates:
-        if lo == 0:  # the block is the fastest axis: one (A, e) x (e, e) product per row
-            shape = (rows, -1, gate.shape[-1])
+        if lo == 0:  # the fastest axis: an (A, e) x (e, e) product per row (and factor)
+            shape = (rows, *gate.shape[1:-2], -1, gate.shape[-1])
             np.matmul(reals.reshape(shape), gate, out=spare_reals.reshape(shape))
         else:  # an amplitude is two reals
             shape = (rows, -1, gate.shape[-1], 2 << lo)
@@ -210,20 +220,6 @@ def _panel_pass(rows: np.ndarray, gates, buffer: np.ndarray) -> None:
         np.copyto(panel.reshape(view.shape), view)
         out, _ = _fused_pass(panel, gates, spare)
         view[...] = out.reshape(view.shape)
-
-
-def _stream_buffer(shape: tuple[int, int, int]) -> np.ndarray:
-    """A buffer for streaming a ``(P, 2**h, 2**k)`` view: a chunk's spare, or
-    two panels of at least ``_PANEL_COLUMNS`` columns."""
-    P, high, width = shape
-    return np.empty(max(2 * width, 2 * P * high * _PANEL_COLUMNS), dtype=complex)
-
-
-def _rows_of(amplitudes: np.ndarray, k: int) -> np.ndarray:
-    """The ``(P, 2**h, 2**k)`` view of a stack, which must not be a copy."""
-    if not amplitudes.flags.c_contiguous:  # a reshape would copy, and drop the writes
-        raise ValueError("the stack must be C-contiguous to be changed in place")
-    return amplitudes.reshape(-1, amplitudes.shape[-1] >> k, 1 << k)
 
 
 def _bond_phases(num_qubits: int, j_x: np.ndarray, closed: bool) -> np.ndarray:
@@ -314,22 +310,25 @@ class XFrameKick:
     which a run never leaves.
 
     Calling it kicks a stack in the frame, in place, and checks every row's
-    norm.  A row of more than ``_WHOLE_ROW_QUBITS`` qubits is streamed, with
-    its index split as ``x = hi 2**k + lo``, ``k = CHUNK_QUBITS``:
+    norm, with each row's index split as ``x = hi 2**k + lo``: ``k = L`` for
+    a row of up to ``_WHOLE_ROW_QUBITS`` qubits, else ``k = CHUNK_QUBITS``.
 
-    * the panel pass applies the blocks of the high qubits to panels of
-      columns of the ``(2**(L-k), 2**k)`` view, through a small buffer;
-    * the chunk pass visits each row ``hi`` of that view once: the real blocks
-      of the low qubits, then the lowest block, whose complex right factor
-      also carries the phases of ``hi``'s own qubits and of the two bonds that
-      cross the cut (bit k-1 of lo with bit 0 of hi, and on a ring bit 0 of lo
-      with the top bit of hi), then the phase table of the low qubits, and the
-      chunk's share of the norm.
+    * Where ``k < L``, the panel pass applies the blocks of the high qubits
+      to panels of columns of the ``(2**(L-k), 2**k)`` view, through a small
+      buffer.
+    * The chunk pass visits each row ``hi`` of that view once, over the whole
+      stack: the real blocks of the low qubits and the lowest block, then the
+      phase table of the low qubits, and the chunk's share of the norm.  In a
+      row of one chunk the lowest block goes first and the table holds every
+      bond.  Otherwise it goes last, and its complex right factor, one per
+      half of the chunk (bit k-1 of lo), also carries the phases of ``hi``'s
+      own qubits and of the two bonds that cross the cut (bit k-1 of lo with
+      bit 0 of hi, and on a ring bit 0 of lo with the top bit of hi).
 
     Each lowest block's right factor is embedded in real numbers once, here.
-
-    So a kick reads and writes the state twice and holds no array of its
-    size.  A shorter row is one chunk, and a stack of them is kicked at once.
+    A streamed kick reads and writes the state once per pass and holds no
+    array of its size.  A row whose norm has drifted from 1 by more than
+    ``_RESCALE_ATOL``, by rounding over many kicks, is rescaled to norm 1.
     The points share one chain (qubit count and boundary).
     """
 
@@ -341,33 +340,37 @@ class XFrameKick:
             field_unitary([p.b_field for p in points], [p.theta for p in points]))
         frame = self._right * left
         j_x = np.array([p.j_x for p in points], dtype=float)
-        self.num_qubits, self._chunk = L, _chunk_qubits(L)
-        k, h = self._chunk, L - self._chunk
-        if not h:
-            self._low = _block_gates(blocks(L), rotation)
-            self._low[0] = (0, _real_factor(self._low[0][1].swapaxes(-1, -2)))
-            self._low_phases = _times_diagonal_power(
-                _bond_phases(L, j_x, boundary == "periodic"), frame)
-            self._buffer = np.empty_like(self._low_phases)
-            return
-        layout = [(0, _LOWEST_QUBITS)] + [(_LOWEST_QUBITS + lo, size)
-                                          for lo, size in blocks(k - _LOWEST_QUBITS)]
-        (_, lowest), *self._low = _block_gates(layout, rotation)
+        self.num_qubits, k = L, _chunk_qubits(L)
+        h = L - k
+        self._rows = (len(points), 1 << h, 1 << k)  # the stack's view, a row hi a chunk
+        layout = blocks(L) if not h else [(0, _LOWEST_QUBITS)] + [
+            (_LOWEST_QUBITS + lo, size) for lo, size in blocks(k - _LOWEST_QUBITS)]
+        (_, lowest), *low = _block_gates(layout, rotation)
+        lowest = lowest.swapaxes(-1, -2)  # the right factor
         self._high = _block_gates(blocks(h), rotation)
-        self._low_phases = _times_diagonal_power(_bond_phases(k, j_x, False), frame)
-        # bond[p, s, s'] is a bond's phase between bits s and s'
-        bond = np.exp(-0.25j * j_x[:, None, None] * (1.0 - 2.0 * np.eye(2)[::-1]))
-        ring = bond if boundary == "periodic" else np.ones_like(bond)
-        hi = np.arange(1 << h)
-        # per row hi and half t of its chunk (bit k-1 of lo): hi's own phases
-        # and the cut bond; per output index a: the ring bond, from a's bit 0
-        scale = (_times_diagonal_power(_bond_phases(h, j_x, False), frame)[:, :, None]
-                 * bond[:, :, hi & 1].swapaxes(1, 2))
-        closing = ring[:, np.arange(1 << _LOWEST_QUBITS) & 1][:, :, hi >> (h - 1)]
-        self._lowest = _real_factor(lowest.swapaxes(-1, -2)[:, None, None]  # the right factor
-                                    * closing.swapaxes(1, 2)[:, :, None, None, :]
-                                    * scale[:, :, :, None, None])
-        self._buffer = _stream_buffer((len(points), 1 << h, 1 << k))
+        if not h:  # one chunk: the lowest block first, as blocks(L) lists it
+            self._gates = [[(0, _real_factor(lowest)), *low]]
+        else:  # row hi's gates: the low blocks, then the lowest, with a factor per half
+            # bond[p, s, s'] is a bond's phase between bits s and s'
+            bond = np.exp(-0.25j * j_x[:, None, None] * (1.0 - 2.0 * np.eye(2)[::-1]))
+            ring = bond if boundary == "periodic" else np.ones_like(bond)
+            hi = np.arange(1 << h)
+            # per row hi and half t of its chunk (bit k-1 of lo): hi's own phases
+            # and the cut bond; per output index a: the ring bond, from a's bit 0
+            scale = (_times_diagonal_power(_bond_phases(h, j_x, False), frame)[:, :, None]
+                     * bond[:, :, hi & 1].swapaxes(1, 2))
+            closing = ring[:, np.arange(1 << _LOWEST_QUBITS) & 1][:, :, hi >> (h - 1)]
+            factors = _real_factor(lowest[:, None, None]
+                                   * closing.swapaxes(1, 2)[:, :, None, None, :]
+                                   * scale[:, :, :, None, None])
+            self._gates = [[*low, (0, f)] for f in factors.swapaxes(0, 1)]
+        self._low_phases = _times_diagonal_power(
+            _bond_phases(k, j_x, boundary == "periodic" and not h), frame)
+        # the chunks' spare, and where there are high qubits two panels of 2**k
+        # amplitudes or more: at 20 qubits, 20-30% faster than panels half as wide
+        width = max(2 << k, 2 * _PANEL_COLUMNS << h) if h else 1 << k
+        self._buffer = np.empty(len(points) * width, dtype=complex)
+        self._spare = self._buffer[:len(points) << k].reshape(len(points), -1)
 
     def start(self, terms: list[tuple[int, complex]]) -> np.ndarray:
         """The stack whose row p is ``diag(r_p)^{(x)L} H^{(x)L} sum a |b>`` over the
@@ -397,24 +400,19 @@ class XFrameKick:
         return out
 
     def __call__(self, amplitudes: np.ndarray) -> np.ndarray:
-        if self._chunk == self.num_qubits:
-            out, _ = _fused_pass(amplitudes, self._low, self._buffer)
-            np.multiply(out, self._low_phases, out=amplitudes)
-            _check_norm(amplitudes)
-            return amplitudes
-        rows = _rows_of(amplitudes, self._chunk)
-        _panel_pass(rows, self._high, self._buffer)
-        spare = self._buffer[:rows.shape[-1]].reshape(1, -1)
-        e = self._lowest.shape[-1]
-        squares = np.zeros(len(rows))
-        for p, row in enumerate(rows):
-            low = [(lo, gate[p:p + 1]) for lo, gate in self._low]
-            for hi in range(len(row)):
-                chunk = row[hi:hi + 1]
-                out, free = _fused_pass(chunk, low, spare)
-                np.matmul(out.view(float).reshape(2, -1, e), self._lowest[p, hi],
-                          out=free.view(float).reshape(2, -1, e))
-                np.multiply(free, self._low_phases[p], out=chunk)
-                squares[p] += np.vecdot(chunk[0], chunk[0]).real
-        _check_squared_norms(squares)
+        if not amplitudes.flags.c_contiguous:  # a reshape would copy, and drop the writes
+            raise ValueError("the stack must be C-contiguous to be changed in place")
+        rows = amplitudes.reshape(self._rows)
+        if self._high:
+            _panel_pass(rows, self._high, self._buffer)
+        squares = 0.0
+        for hi, gates in enumerate(self._gates):
+            chunk = rows[:, hi]
+            out, _ = _fused_pass(chunk, gates, self._spare)
+            np.multiply(out, self._low_phases, out=chunk)
+            squares += np.vecdot(chunk, chunk).real
+        if _check_squared_norms(squares) > _RESCALE_ATOL:  # the rows that drifted, to norm 1
+            for row, norm in zip(amplitudes, np.sqrt(squares).tolist()):
+                if abs(norm - 1.0) > _RESCALE_ATOL:
+                    row *= 1.0 / norm
         return amplitudes

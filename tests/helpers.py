@@ -5,10 +5,11 @@ purpose: none of it shares code paths with the package (no Walsh-Hadamard
 trick, no reshape-based partial traces, and the concurrence comes from the
 non-Hermitian product spectrum rather than the package's singular values
 of F^T (sigma_y (x) sigma_y) F), so agreement is meaningful.  Single-qubit
-and bond unitaries come from eigendecompositions of their generators rather
-than trig closed forms.  The one input taken from the package is the list of
-a run's start terms (:func:`z_start`); the field-gate and kernel references at
-the end keep earlier package forms verbatim.
+unitaries come from eigendecompositions of their generators rather than trig
+closed forms, and the Ising kick from its phases between dense Kronecker
+powers of the Hadamard gate.  The one input taken from the package is the
+list of a run's start terms (:func:`z_start`); the field-gate and kernel
+references at the end keep earlier package forms verbatim.
 """
 
 from __future__ import annotations
@@ -49,13 +50,13 @@ def field_kick_dense(L: int, b: float, theta: float) -> np.ndarray:
 
 
 def ising_kick_dense(L: int, j_x: float, boundary: str = "periodic") -> np.ndarray:
-    n_bonds = L if boundary == "periodic" else L - 1
-    dim = 2 ** L
-    U = np.eye(dim, dtype=complex)
-    for n in range(n_bonds):
-        xx = op_on(SX, n, L) @ op_on(SX, (n + 1) % L, L)
-        U = (np.cos(j_x / 4.0) * np.eye(dim) - 1j * np.sin(j_x / 4.0) * xx) @ U
-    return U
+    """exp(-i (j_x/4) sum_n X_n X_{n+1}): the coupling is diagonal in the
+    sigma_x basis, so it is (H^{(x)L} diag(exp(-i (j_x/4) alignment))) @ H^{(x)L},
+    with H^{(x)L} a dense Kronecker power."""
+    h = np.array([[1.0]])
+    for _ in range(L):
+        h = np.kron(h, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    return (h * np.exp(-0.25j * j_x * ising_alignment(L, boundary))) @ h
 
 
 def step_dense(L: int, j_x: float, b: float, theta: float,

@@ -279,6 +279,12 @@ class TestSweep:
         assert err.startswith("error: sweep point (0, 0)")
         assert "needs about" in err
 
+    def test_long_window_holds_its_norm(self):
+        # 10**5 kicks drift the norm by about 1e-10 without the kick's rescale
+        assert main(["sweep", "--axis1", "b:1.2897741477722866:1.3:2",
+                     "--axis2", "theta:0.6825325327249898:0.69:2", "--jx", "0.8016286607747516",
+                     "--L", "6", "--kicks", "100000", "--measure", "q"]) == 0
+
     def test_other_failures_keep_their_traceback(self, monkeypatch):
         from kicked_ising import cli, harness
 

@@ -6,6 +6,7 @@ the z basis it takes a state there and back by the one-qubit gates
 ``helpers.apply_one_qubit_gate``.
 """
 
+import math
 import re
 import time
 
@@ -161,16 +162,19 @@ class TestProductGate:
 
     def test_embedded_factor_is_the_complex_product(self):
         # each entry f of a complex right factor becomes [[Re f, Im f], [-Im f, Re f]]
-        # on the interleaved real view: one shared factor, and one per row
+        # on the interleaved real view: one shared factor, one per row, and one
+        # per half of each row
         rng = np.random.default_rng(14)
         for L in (3, 6, 9):
             stack = rng.normal(size=(3, 2 ** L)) + 1j * rng.normal(size=(3, 2 ** L))
-            for shape in ((8, 8), (3, 8, 8)):
+            for shape in ((8, 8), (3, 8, 8), (3, 2, 8, 8)):  # the last: one per half of a row
+                if len(shape) == 4 and L == 3:  # a row of one block has no halves
+                    continue
                 f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
                 factor = _real_factor(f)
                 assert factor.dtype == np.float64 and factor.shape == (*shape[:-2], 16, 16)
                 out, _ = _fused_pass(stack.copy(), [(0, factor)], np.empty_like(stack))
-                want = (stack.reshape(3, -1, 8) @ f).reshape(3, -1)
+                want = (stack.reshape(3, *shape[1:-2], -1, 8) @ f).reshape(3, -1)
                 assert np.max(np.abs(out - want)) < 1e-14
 
     def test_kick_stays_in_place(self):
@@ -284,6 +288,18 @@ class TestXFrameKick:
             stack[2] *= 1.01
             with pytest.raises(ValueError, match="norm"):
                 kick(stack)
+
+    def test_kick_brings_a_drifted_row_back_to_norm_1(self):
+        # a row whose norm left 1 by more than the rescale band, but not by the
+        # 1e-10 of the check, leaves the kick at norm 1: in a stack, and in a
+        # streamed row.  The norms are summed exactly: a dot product of 2**17
+        # amplitudes rounds by about 1e-14
+        for L, scales in ((6, (1.0 + 5e-11, 1.0, 1.0 - 5e-11)), (17, (1.0 - 5e-11,))):
+            kick = XFrameKick([ChainParams(L, 1.3, 0.8, 0.6)] * len(scales))
+            stack = kick.start([(0, 1.0)]) * np.array(scales)[:, None]
+            kick(stack)
+            for row in stack.view(float):
+                assert abs(math.sqrt(math.fsum((row * row).tolist())) - 1.0) < 1e-14
 
     @pytest.mark.parametrize("scale", [np.nan, 1.0 + 2e-10])
     def test_stack_norm_check_names_the_failing_value(self, scale):
@@ -464,6 +480,18 @@ class TestIsingKick:
                 assert abs(out[idx]) == pytest.approx(0.5, abs=1e-12)
             else:
                 assert abs(out[idx]) < 1e-12
+
+    def test_dense_oracle_is_the_product_of_the_bond_unitaries(self):
+        # the oracle's sigma_x-basis phases against cos(j_x/4) - i sin(j_x/4) X_n X_{n+1}
+        # multiplied bond by bond
+        for L in range(2, 7):
+            for boundary in ("periodic", "open"):
+                x = [helpers.op_on(helpers.SX, n, L) for n in range(L)]
+                u = np.eye(2 ** L, dtype=complex)
+                for n in range(L if boundary == "periodic" else L - 1):
+                    xx = x[n] @ x[(n + 1) % L]
+                    u = (np.cos(1.3 / 4.0) * np.eye(2 ** L) - 1j * np.sin(1.3 / 4.0) * xx) @ u
+                assert np.max(np.abs(helpers.ising_kick_dense(L, 1.3, boundary) - u)) < 1e-13
 
     def test_matches_dense_on_random_states(self):
         rng = np.random.default_rng(4)

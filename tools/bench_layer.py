@@ -11,8 +11,7 @@ through a whole run, and the ``BENCH_*.json`` file its record goes to:
   L = 20, for windows of T = 10^2, 10^4 and 10^6 kicks.
 - ``report``: ``harness.reports``, which measures a group of sampled
   states with every pair measure, timed inside ``harness.run_time_series``
-  (``BENCH_report.json``); in a tree that measures one state per call, its
-  ``harness.report``.  Cases: ``L12``, the seed-0 ``evolve-pairs-L12`` run
+  (``BENCH_report.json``).  Cases: ``L12``, the seed-0 ``evolve-pairs-L12`` run
   (L = 12, 40 kicks, a vacuum ring); and ``L16`` and ``L20``, the same
   couplings at L = 16 and 20 for 3 kicks.
 - ``series``: ``harness.run_time_series`` with the measure ``q`` alone, as
@@ -187,7 +186,7 @@ class Layer:
     """A timed package function, the runs that call it, and where they are recorded."""
 
     module: str  # the kicked_ising module whose attribute the runs look up per call
-    functions: tuple[str, ...]  # the first of these (``function`` or ``Class.method``) is timed
+    function: str  # the timed ``function`` or ``Class.method``
     run: str  # what one case runs; its seconds are recorded as ``<run>_s``
     cases: Callable[[], dict]  # case name -> (run it, what it covers), built per tree
     output: str
@@ -195,15 +194,14 @@ class Layer:
 
 
 LAYERS = {
-    "jw_average": Layer("analytic", ("jw_q_average",), "sweep", _jw_average_cases,
+    "jw_average": Layer("analytic", "jw_q_average", "sweep", _jw_average_cases,
                         "BENCH_jw_average.json"),
-    "report": Layer("harness", ("reports", "report"), "series", _report_cases,
-                    "BENCH_report.json"),
-    "series": Layer("harness", ("run_time_series",), "series", _series_cases,
+    "report": Layer("harness", "reports", "series", _report_cases, "BENCH_report.json"),
+    "series": Layer("harness", "run_time_series", "series", _series_cases,
                     "BENCH_series.json"),
-    "kick": Layer("statevec", ("XFrameKick.__call__",), "series", _kick_cases,
+    "kick": Layer("statevec", "XFrameKick.__call__", "series", _kick_cases,
                   "BENCH_kick.json", peak=True),
-    "sweep": Layer("cli", ("main",), "call", _sweep_cases, "BENCH_sweep.json"),
+    "sweep": Layer("cli", "main", "call", _sweep_cases, "BENCH_sweep.json"),
 }
 
 
@@ -212,11 +210,8 @@ def _time_cases(layer: Layer) -> dict:
     inside the layer, seconds in the whole run, and how often the run called
     the layer."""
     module = importlib.import_module(f"kicked_ising.{layer.module}")
-    for target in layer.functions:
-        *path, function = target.split(".")
-        owner = functools.reduce(getattr, path, module)  # the module, or a class in it
-        if hasattr(owner, function):
-            break
+    *path, function = layer.function.split(".")
+    owner = functools.reduce(getattr, path, module)  # the module, or a class in it
     original = getattr(owner, function)
     tally = {"layer": 0.0, "calls": 0}
 
