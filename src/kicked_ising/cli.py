@@ -245,20 +245,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- wiring
 
-def _add_common(sub: argparse.ArgumentParser, func) -> None:
-    sub.add_argument("--config", help="flat 'key = value' config file; flags override")
-    sub.add_argument("--output", help="output CSV path (default: stdout)")
-    sub.set_defaults(func=func, subparser=sub)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kicked-ising",
-        description="Kicked Ising chain: evolution, entanglement measures, closed forms.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("evolve", help="time series of entanglement measures")
+def _evolve_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--L", type=int)
     p.add_argument("--jx", type=_finite)
     p.add_argument("--b", type=_finite)
@@ -267,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     p.add_argument("--initial", default="vacuum")
     p.add_argument("--sample-every", dest="sample_every", type=int, default=1)
-    _add_common(p, _cmd_evolve)
 
-    p = subs.add_parser("sweep", help="two-axis grid of time-averaged measures")
+
+def _sweep_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--axis1", help="swept axis as name:min:max:count")
     p.add_argument("--axis2", help="second swept axis")
     p.add_argument("--L", type=int)
@@ -280,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measure", default="q", help="measure to average (default q)")
     p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     p.add_argument("--initial", default="vacuum")
-    _add_common(p, _cmd_sweep)
 
-    p = subs.add_parser("analytic", help="closed-form curves as CSV")
+
+def _analytic_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--formula", help="one of " + ", ".join(_FORMULAS))
     p.add_argument("--L", type=int)
     p.add_argument("--jx", type=_finite)
@@ -291,9 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tmin", type=_finite, default=0.0)
     p.add_argument("--tmax", type=_finite)
     p.add_argument("--samples", type=int, default=100)
-    _add_common(p, _cmd_analytic)
 
-    p = subs.add_parser("compare", help="numeric evolution vs closed form")
+
+def _compare_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--regime", help="one of " + ", ".join(REGIMES))
     p.add_argument("--L", type=int)
     p.add_argument("--jx", type=_finite)
@@ -302,13 +289,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
     p.add_argument("--tmax", type=int)
     p.add_argument("--tol", type=_finite, default=1e-8)
-    _add_common(p, _cmd_compare)
 
+
+# subcommand -> (help, its options, what it runs)
+_COMMANDS = {
+    "evolve": ("time series of entanglement measures", _evolve_options, _cmd_evolve),
+    "sweep": ("two-axis grid of time-averaged measures", _sweep_options, _cmd_sweep),
+    "analytic": ("closed-form curves as CSV", _analytic_options, _cmd_analytic),
+    "compare": ("numeric evolution vs closed form", _compare_options, _cmd_compare),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of the four subcommands.  Given the ``argv`` it will parse,
+    only the subcommand that ``argv`` names gets its options, as a call never
+    parses the others'; every subcommand gets them when ``argv`` names none,
+    so that help and errors still list them all."""
+    parser = argparse.ArgumentParser(
+        prog="kicked-ising",
+        description="Kicked Ising chain: evolution, entanglement measures, closed forms.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    named = next((a for a in argv or () if not a.startswith("-")), None)
+    for name, (help_text, options, func) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        if named == name or named not in _COMMANDS:
+            options(sub)
+            sub.add_argument("--config", help="flat 'key = value' config file; flags override")
+            sub.add_argument("--output", help="output CSV path (default: stdout)")
+            sub.set_defaults(func=func, subparser=sub)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         if args.config:

@@ -5,7 +5,8 @@ Every run goes through one kick loop, :func:`_evolve`, which builds a
 ``(P, 2**L)`` stack of states, one row per parameter point, and kicks it in
 the frame of :class:`~kicked_ising.statevec.XFrameKick`, which it never
 leaves; a time series is a stack of one.  A run's start is named by
-:func:`_start_terms` and built in the frame directly.
+:func:`_start_terms` and built in the frame directly.  Sampled states are
+measured in groups, and their reports finished in batches (:func:`_reports`).
 Sweeps take their grid in chunks, the transverse points from the free-fermion
 closed form and the rest as stacks, in a fixed row-major order.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytic
-from .measures import MeasureReport, n_tangle, one_tangles, reports
+from .measures import MeasureReport, ReportBatch, n_tangle, one_tangles
 from .statevec import ChainParams, XFrameKick
 
 MEASURES = frozenset(
@@ -38,8 +39,8 @@ _NAMED_INITIALS = ("vacuum", "all_up", "ghz")
 _PIN_ATOL = 1e-12
 
 # complex state-sized arrays alive at once in a time series: the state
-# alone, as the kick streams it through buffers of a chunk's size; the cached
-# parity signs take one byte an amplitude, and the rest is headroom.  Above
+# alone, as the kick streams it through buffers of a chunk's size; the
+# n-tangle's cached sign pattern is at most 1 MiB, and the rest is headroom.  Above
 # the bare interpreter (VmHWM, one BLAS thread), an evolve with every measure
 # peaks at 1.4 copies for 20 qubits (22.1 MiB) and 1.1 for 24 (283 MiB, of
 # them 4 MiB for the kick's embedded lowest-block factors)
@@ -189,15 +190,28 @@ def _groups(samples, rows: int, num_qubits: int):
         yield ts, group[:len(ts)].reshape(-1, 1 << num_qubits)
 
 
+def _reports(groups, **options):
+    """The reports of ``(ts, amps)`` groups, measured as the groups come and
+    finished in batches (:class:`~kicked_ising.measures.ReportBatch`): a batch
+    closes when its pending pair RDMs reach ``_CHUNK_AMPLITUDES`` complex
+    entries, and at the end."""
+    batch = ReportBatch(**options)
+    for ts, amps in groups:
+        batch.add(amps, ts)
+        if batch.pending >= _CHUNK_AMPLITUDES:
+            yield from batch.finish()
+    yield from batch.finish()
+
+
 def run_time_series(config: RunConfig) -> list[MeasureReport]:
     """Evolve and sample, measuring the samples in groups; the t=0 report is always included."""
     params = config.params
-    options = dict(pair_measures=bool(config.measures & _PAIR_MEASURES),
-                   n_tangle_measure="n_tangle" in config.measures, boundary=params.boundary,
-                   shift_invariant=_shift_invariant(params, config.initial))
     samples = _evolve([params], config.initial, config.steps, config.sample_every)
-    return [r for ts, amps in _groups(samples, 1, params.num_qubits)
-            for r in reports(amps, ts, **options)]
+    return list(_reports(_groups(samples, 1, params.num_qubits),
+                         pair_measures=bool(config.measures & _PAIR_MEASURES),
+                         n_tangle_measure="n_tangle" in config.measures,
+                         boundary=params.boundary,
+                         shift_invariant=_shift_invariant(params, config.initial)))
 
 
 def time_average(series: list[MeasureReport], measure: str) -> float:
@@ -280,23 +294,26 @@ def _jw_averages(config: SweepConfig, axes: dict[str, np.ndarray], ks: list[int]
 def _numeric_averages(config: SweepConfig, axes: dict[str, np.ndarray],
                       ks: list[int]) -> np.ndarray:
     """Mean measure over kicks 1..steps of points evolved as one stack, the
-    sampled stacks measured in groups."""
+    sampled stacks measured in groups, and a pair measure's reports finished
+    in batches (:func:`_reports`)."""
     points = [replace(config.fixed, **{name: float(axes[name][k]) for name in SWEEP_PARAMETERS})
               for k in ks]
     P = len(points)
     values = np.empty((P, config.steps))  # a row per point, as time_average sums
     shift = _shift_invariant(config.fixed, config.initial)
     samples = ((t, amps) for t, amps in _evolve(points, config.initial, config.steps) if t)
-    for ts, amps in _groups(samples, P, config.fixed.num_qubits):
-        if config.measure in _Q_MEASURES:
-            got = one_tangles(amps, shift).mean(axis=1)
-        elif config.measure == "n_tangle":
-            got = n_tangle(amps)
-        else:
-            got = [r.value(config.measure)
-                   for r in reports(amps, np.repeat(ts, P), n_tangle_measure=False,
-                                    boundary=config.fixed.boundary, shift_invariant=shift)]
-        values[:, ts[0] - 1:ts[-1]] = np.reshape(got, (len(ts), P)).T
+    groups = _groups(samples, P, config.fixed.num_qubits)
+    if config.measure in _PAIR_MEASURES:
+        got = [r.value(config.measure)
+               for r in _reports(((np.repeat(ts, P), amps) for ts, amps in groups),
+                                 n_tangle_measure=False, boundary=config.fixed.boundary,
+                                 shift_invariant=shift)]
+        values[:] = np.reshape(got, (config.steps, P)).T
+    else:
+        for ts, amps in groups:
+            got = (one_tangles(amps, shift).mean(axis=1) if config.measure in _Q_MEASURES
+                   else n_tangle(amps))
+            values[:, ts[0] - 1:ts[-1]] = np.reshape(got, (len(ts), P)).T
     return values.mean(axis=1)
 
 

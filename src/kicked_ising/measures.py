@@ -1,17 +1,20 @@
 """Reduced density matrices and the entanglement measures computed from them.
 
 Every measure takes a ``(P, 2**L)`` stack of amplitude rows, one state a row
-(one state is ``P = 1``), and :func:`reports` assembles them; the
-concurrences take the two-qubit density matrices.  All are pure functions.
-Basis conventions come from :mod:`kicked_ising.statevec`; two-qubit density
-matrices are ordered (|00>, |01>, |10>, |11>) with the first-listed qubit in
-the left slot.
+(one state is ``P = 1``); the concurrences take the two-qubit density
+matrices.  A :class:`ReportBatch` measures groups of sampled stacks as they
+come and finishes their reports together: one concurrence call and one table
+fill per batch, and the pair table's derived columns computed once for all
+of its reports.  :func:`reports` is a batch of one group.  Basis conventions
+come from :mod:`kicked_ising.statevec`; two-qubit density matrices are
+ordered (|00>, |01>, |10>, |11>) with the first-listed qubit in the left
+slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +26,8 @@ _SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y).real.astype(float)
 _EIG_FLOOR = -1e-9  # spectra of valid density matrices may only dip this far below 0
 
 _RDM_CHUNK = 1 << 16  # amplitudes per partial block-RDM product (1 MiB)
+
+_ROW_BLOCK = 1 << 11  # amplitudes of a block of several short rows in n_tangle
 
 
 def _pair_rdms(amps: np.ndarray, pairs) -> np.ndarray:
@@ -51,6 +56,51 @@ def _pair_rdms(amps: np.ndarray, pairs) -> np.ndarray:
         gram = _sliced_vecdot(w[..., None, None, :, :, :], w[..., None, None, :])
         out[:, k] = gram.sum(axis=(1, 2)).reshape(p, 4, 4)
     return out
+
+
+@lru_cache(maxsize=8)
+def _bit_sums(num_bits: int) -> np.ndarray:
+    """(2n, 2^n) indicator of the indices m whose bit n-d is s, row 2(d-1)+s."""
+    bits = (np.arange(1 << num_bits) >> np.arange(num_bits - 1, -1, -1)[:, None]) & 1
+    return np.stack([bits == 0, bits == 1], axis=1).reshape(2 * num_bits, -1).astype(complex)
+
+
+# where each entry of a ring pair's 4x4 RDM sits among the 20 that
+# _ring_pair_rdms gathers a pair: at 2g + s the same-bit sums S00, S11 and S01
+# (g = 0, 1, 2) of qubit L-1-d's bit s, at 6 + 2a + b the cross block c[a, b],
+# and at 10 on the complex conjugates of those ten
+_RING_LAYOUT = np.array([[0, 14, 6, 7], [4, 2, 8, 9], [16, 18, 1, 15], [17, 19, 5, 3]])
+
+
+def _ring_pair_rdms(amps: np.ndarray) -> np.ndarray:
+    """(P, L // 2, 4, 4) reduced density matrices of the pairs (L-1-d, L-1),
+    d = 1 .. L // 2, qubit L-1-d leftmost, for each row of a ``(P, 2**L)`` stack.
+
+    Every pair holds qubit L-1, whose bit splits a row into two halves.  With
+    each half viewed as (2^(L//2), rest), its qubits L-2 .. L-1-L//2 on the
+    first axis, three dot products along ``rest`` give a Gram of the halves
+    per first-axis index, and the sums of that Gram over the indices with
+    qubit L-1-d's bit at 0 and at 1 are pair d's two same-bit 2x2 blocks.
+    The cross block (qubit L-1-d's bit 0 against 1) takes four quarter dot
+    products a pair, against the sixteen of :func:`_pair_rdms`.  No copy of
+    the state is made.
+    """
+    p, L = len(amps), amps.shape[-1].bit_length() - 1
+    K = L // 2
+    halves = amps.reshape(p, 2, 1 << K, -1)
+    lo, hi = halves[:, 0], halves[:, 1]
+    entries = np.empty((p, K, 20), dtype=complex)  # as _RING_LAYOUT reads them
+    for k, (a, b) in enumerate(((lo, lo), (hi, hi), (lo, hi))):
+        # one dot per sum, so that a row's values do not depend on the rows
+        # stacked with it, as those of one larger BLAS product could
+        gram = _sliced_vecdot(a, b)[:, None, :]
+        entries[..., 2 * k:2 * k + 2] = np.vecdot(_bit_sums(K), gram).reshape(p, K, 2)
+    cross = entries[..., 6:10].reshape(p, K, 2, 2)  # a view
+    for d in range(1, K + 1):
+        v = amps.reshape(p, 2, 1 << (d - 1), 2, -1)  # qubit L-1, qubits between, qubit L-1-d
+        _sliced_vecdot(v[:, None, :, :, 1], v[:, :, None, :, 0]).sum(axis=-1, out=cross[:, d - 1])
+    np.conjugate(entries[..., :10], out=entries[..., 10:])
+    return entries[..., _RING_LAYOUT]
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -134,9 +184,10 @@ def _sliced_vecdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Rounding grows with the length of one dot product, so a long one is cut
     into slices whose partial sums are added."""
-    n = a.shape[-1]
-    return sum(np.vecdot(a[..., r:r + _RDM_CHUNK], b[..., r:r + _RDM_CHUNK])
-               for r in range(0, n, _RDM_CHUNK))
+    out = np.vecdot(a[..., :_RDM_CHUNK], b[..., :_RDM_CHUNK])
+    for r in range(_RDM_CHUNK, a.shape[-1], _RDM_CHUNK):
+        out += np.vecdot(a[..., r:r + _RDM_CHUNK], b[..., r:r + _RDM_CHUNK])
+    return out
 
 
 def one_tangles(amps: np.ndarray, shift_invariant: bool = False) -> np.ndarray:
@@ -161,26 +212,30 @@ def one_tangles(amps: np.ndarray, shift_invariant: bool = False) -> np.ndarray:
         det = (_sliced_vecdot(lo, lo).real * _sliced_vecdot(hi, hi).real
                - np.abs(_sliced_vecdot(lo, hi)) ** 2)
         return np.repeat(np.clip(4.0 * det, 0.0, 1.0)[:, None], L, axis=1)
+    def sums(picked):  # along contiguous rows, so that a row's sum does not depend on P
+        return np.ascontiguousarray(picked).sum(axis=-1)
+
     out = np.empty((len(amps), L))
     for lo, size in blocks(L):
         rho = _block_rdm(amps, lo, size)
         clear, isset = _bit_pairs(size)
         p = rho.diagonal(axis1=-2, axis2=-1).real
-        coherence = rho[:, clear, isset].sum(axis=-1)
-        det = p[:, clear].sum(axis=-1) * p[:, isset].sum(axis=-1) - np.abs(coherence) ** 2
+        coherence = sums(rho[:, clear, isset])
+        det = sums(p[:, clear]) * sums(p[:, isset]) - np.abs(coherence) ** 2
         out[:, lo:lo + size] = np.clip(4.0 * det, 0.0, 1.0)
     return out
 
 
 @lru_cache(maxsize=2)
-def _parity_signs(num_qubits: int) -> np.ndarray:
-    """(-1)^popcount(b) per basis index b, as int8: the outer product of the
-    signs of the index's two halves, so no temporary outgrows a half."""
+def _parity_signs(num_qubits: int, dtype=np.int8) -> np.ndarray:
+    """(-1)^popcount(b) per basis index b, as ``dtype``: the outer product of
+    the signs of the index's two halves, so no temporary outgrows a half."""
     def half(n):
         counts = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
         return np.where(counts & 1, np.int8(-1), np.int8(1))
 
-    out = np.multiply.outer(half(num_qubits - num_qubits // 2), half(num_qubits // 2)).reshape(-1)
+    out = np.multiply.outer(half(num_qubits - num_qubits // 2), half(num_qubits // 2))
+    out = out.reshape(-1).astype(dtype)
     out.setflags(write=False)
     return out
 
@@ -189,16 +244,31 @@ def n_tangle(a: np.ndarray) -> np.ndarray:
     """|<psi| sigma_y^{(x) L} |psi*>|^2, the N-qubit generalization of the
     tangle, per row of a ``(P, 2**L)`` stack: a (P,) array.
 
-    Evaluated in O(2^L) as ``|sum_b psi(b) psi(~b) (-1)^popcount(b)|^2``; the
-    complement pairing makes it vanish identically for odd L.  The sum runs
-    over slices of ``_RDM_CHUNK`` amplitudes, reading ``psi(~b)`` as a
-    reversed view, so no temporary is larger than one slice a row.
+    Evaluated in O(2^L) as ``|sum_b psi(b) psi(~b) (-1)^popcount(b)|^2``.  The
+    terms of b and ~b are equal for even L, so the sum is twice that over
+    b < 2^(L-1), reading ``psi(~b)`` from a reversed view; for odd L they
+    cancel, and the n-tangle is 0.  The sum runs over slices of a row of at
+    most ``_RDM_CHUNK`` amplitudes, and over blocks of rows of at most
+    ``_ROW_BLOCK`` (numpy buffers each operand of a product over several
+    rows), so no temporary outgrows one slice of a row however many rows the
+    stack has.  A slice starts at a multiple of its power-of-two width, so its
+    signs are one cached complex pattern times the sign of its start.
     """
-    signs = _parity_signs(a.shape[-1].bit_length() - 1)
-    flipped = a[:, ::-1]
-    total = sum(np.matmul((flipped[:, r:r + _RDM_CHUNK] * signs[r:r + _RDM_CHUNK])[:, None, :],
-                          a[:, r:r + _RDM_CHUNK, None])[:, 0, 0]
-                for r in range(0, a.shape[-1], _RDM_CHUNK))
+    p, L = len(a), a.shape[-1].bit_length() - 1
+    if L % 2:
+        return np.zeros(p)
+    half = a.shape[-1] // 2
+    cols = 1 << (min(half, _RDM_CHUNK).bit_length() - 1)
+    rows = max(1, _ROW_BLOCK // half)
+    signs = _parity_signs(cols.bit_length() - 1, complex)
+    head, tail = a[:, :half, None], a[:, None, ::-1][..., :half]
+    total = np.zeros((p, 1, 1), dtype=complex)
+    for c in range(0, half, cols):
+        start = -1.0 if bin(c).count("1") & 1 else 1.0
+        for r in range(0, p, rows):
+            total[r:r + rows] += start * np.matmul(tail[r:r + rows, :, c:c + cols] * signs,
+                                                   head[r:r + rows, c:c + cols])
+    total = 2.0 * total[:, 0, 0]
     # np.hypot rounds as abs() of a complex does; np.abs can differ in the last bit
     return np.minimum(np.hypot(total.real, total.imag) ** 2, 1.0)
 
@@ -211,15 +281,46 @@ def _bonds(L: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.array(side) for side in zip(*bonds))
 
 
+@lru_cache(maxsize=8)
+def _table_pairs(L: int, shift_invariant: bool) -> tuple[np.ndarray, np.ndarray, list | None,
+                                                         np.ndarray]:
+    """The table entries (i, j), i < j, the pairs whose RDMs fill them, and
+    each entry's column among those pairs: all pairs, or on a shift-invariant
+    ring the L // 2 pairs (L-1-d, L-1), an entry taking its ring distance's."""
+    i, j = np.triu_indices(L, k=1)
+    if shift_invariant:
+        return i, j, None, np.minimum(j - i, L - (j - i)) - 1
+    return i, j, list(zip(i.tolist(), j.tolist())), np.arange(len(i))
+
+
+def _pair_columns(tangles: np.ndarray, tables: np.ndarray, boundary: str) -> dict[str, list]:
+    """The columns a ``(N, L, L)`` batch of pair tables derives, one entry per
+    report, with the ``(N, L)`` one-tangles.
+
+    Each reduction runs along the contiguous rows of one report's values, as
+    it would for that report alone, so no value depends on its batch.
+    """
+    per_qubit = (tables ** 2).sum(axis=2)
+    residual = tangles - per_qubit
+    i, j = _bonds(tables.shape[-1], boundary)
+    bonds = np.ascontiguousarray(tables[:, i, j])
+    return {"sum_two_tangles_per_qubit": list(per_qubit), "residual_tangles": list(residual),
+            "sum_two_tangles": per_qubit.mean(axis=1).tolist(),
+            "residual_tangle": residual.mean(axis=1).tolist(),
+            "nn_concurrence": bonds.mean(axis=1).tolist()}
+
+
 @dataclass(frozen=True)
 class MeasureReport:
     """Every measure of one state at one kick count.
 
     ``pair_concurrences`` is the symmetric (L, L) concurrence table, or None
-    when the pairwise measures were skipped for speed; the derived scalars
-    then come back as None as well.  ``n_tangle`` is None when it was
+    when the pairwise measures were skipped for speed; the columns derived
+    from it then read None as well.  ``n_tangle`` is None when it was
     skipped.  ``boundary`` names the chain's bonds that ``nn_concurrence``
-    averages over.
+    averages over.  A :class:`ReportBatch` derives the table's columns for
+    all of its reports at once; a report built from a table alone derives
+    them in ``__post_init__``, as a batch of one.
     """
 
     t: int
@@ -229,38 +330,22 @@ class MeasureReport:
     one_tangles: np.ndarray
     pair_concurrences: np.ndarray | None
     boundary: str = "periodic"
+    sum_two_tangles_per_qubit: np.ndarray | None = None
+    residual_tangles: np.ndarray | None = None
+    sum_two_tangles: float | None = None
+    residual_tangle: float | None = None
+    nn_concurrence: float | None = None  # mean over the bonds (i, i+1), and (L-1, 0) on a ring
+
+    def __post_init__(self):
+        if self.pair_concurrences is not None and self.nn_concurrence is None:
+            columns = _pair_columns(self.one_tangles[None], self.pair_concurrences[None],
+                                    self.boundary)
+            for name, (value,) in columns.items():
+                object.__setattr__(self, name, value)
 
     @property
     def one_tangle(self) -> float:
         return float(self.one_tangles.mean())
-
-    @cached_property  # read by three of the properties below
-    def sum_two_tangles_per_qubit(self) -> np.ndarray | None:
-        if self.pair_concurrences is None:
-            return None
-        return (self.pair_concurrences ** 2).sum(axis=1)
-
-    @property
-    def sum_two_tangles(self) -> float | None:
-        per_qubit = self.sum_two_tangles_per_qubit
-        return None if per_qubit is None else float(per_qubit.mean())
-
-    @property
-    def residual_tangles(self) -> np.ndarray | None:
-        per_qubit = self.sum_two_tangles_per_qubit
-        return None if per_qubit is None else self.one_tangles - per_qubit
-
-    @property
-    def residual_tangle(self) -> float | None:
-        per_focus = self.residual_tangles
-        return None if per_focus is None else float(per_focus.mean())
-
-    @property
-    def nn_concurrence(self) -> float | None:
-        """Mean concurrence over the bonds (i, i+1), plus (L-1, 0) on a ring."""
-        if self.pair_concurrences is None:
-            return None
-        return float(self.pair_concurrences[_bonds(self.num_qubits, self.boundary)].mean())
 
     def value(self, measure: str) -> float:
         """Scalar value of a named measure (for averaging and CSV output)."""
@@ -273,12 +358,17 @@ class MeasureReport:
         return float(out)
 
 
-def reports(amps: np.ndarray, ts, pair_measures: bool = True, n_tangle_measure: bool = True,
-            boundary: str = "periodic", shift_invariant: bool = False) -> list[MeasureReport]:
-    """The measures of each row of a ``(P, 2**L)`` stack, row p at kick count
-    ``ts[p]``, each for the whole stack at once: the one-tangles always, the
-    pair table if ``pair_measures`` and the n-tangle if ``n_tangle_measure``;
-    a skipped measure reads None.
+class ReportBatch:
+    """Groups of sampled ``(P, 2**L)`` stacks measured as they come, their
+    reports finished together.
+
+    :meth:`add` takes a group's one-tangles, its pair RDMs if
+    ``pair_measures`` and its n-tangles if ``n_tangle_measure``, and keeps
+    nothing of the stack.  :meth:`finish` returns the reports of every group
+    added since the last finish, in order: one :func:`concurrences` call and
+    one table fill for them all, and the table's derived columns computed
+    once.  ``pending`` counts the complex entries of the pair RDMs waiting
+    for it, so that a caller can bound them.  A skipped measure reads None.
 
     ``boundary`` is that of the chain the states live on; it selects the
     bonds of ``nn_concurrence``.
@@ -287,29 +377,64 @@ def reports(amps: np.ndarray, ts, pair_measures: bool = True, n_tangle_measure: 
     ring shift maps every row to itself up to a phase.  Every qubit then has
     the same one-tangle (see :func:`one_tangles`), and a pair's concurrence
     depends only on its ring distance d, so the table is filled from the
-    L // 2 pairs (L-1-d, L-1) instead of all L (L - 1) / 2; a ring started
-    from a shift-invariant state and kicked uniformly stays so.  Only a
-    periodic chain has the shift.
+    L // 2 pairs (L-1-d, L-1) (:func:`_ring_pair_rdms`) instead of all
+    L (L - 1) / 2 (:func:`_pair_rdms`); a ring started from a shift-invariant
+    state and kicked uniformly stays so.  Only a periodic chain has the shift.
     """
-    if boundary not in BOUNDARIES:
-        raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
-    if shift_invariant and boundary != "periodic":
-        raise ValueError(f"a {boundary} chain has no ring shift to be invariant under")
-    L = amps.shape[-1].bit_length() - 1
-    tangles = one_tangles(amps, shift_invariant)
-    tables = [None] * len(amps)
-    if pair_measures:
-        i, j = np.triu_indices(L, k=1)
-        if shift_invariant:
-            by_distance = concurrences(_pair_rdms(amps, [(L - 1 - d, L - 1)
-                                                         for d in range(1, L // 2 + 1)]))
-            values = by_distance[:, np.minimum(j - i, L - (j - i)) - 1]
-        else:
-            values = concurrences(_pair_rdms(amps, list(zip(i.tolist(), j.tolist()))))
-        tables = np.zeros((len(amps), L, L))
-        tables[:, i, j] = tables[:, j, i] = values
-    n_tangles = n_tangle(amps).tolist() if n_tangle_measure else [None] * len(amps)
-    return [MeasureReport(t=t, num_qubits=L, q_measure=q, n_tangle=n, one_tangles=row,
-                          pair_concurrences=table, boundary=boundary)
-            for t, q, n, row, table in zip(ts, tangles.mean(axis=1).tolist(), n_tangles,
-                                           tangles, tables, strict=True)]
+
+    def __init__(self, pair_measures: bool = True, n_tangle_measure: bool = True,
+                 boundary: str = "periodic", shift_invariant: bool = False):
+        if boundary not in BOUNDARIES:
+            raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
+        if shift_invariant and boundary != "periodic":
+            raise ValueError(f"a {boundary} chain has no ring shift to be invariant under")
+        self.pair_measures, self.n_tangle_measure = pair_measures, n_tangle_measure
+        self.boundary, self.shift_invariant = boundary, shift_invariant
+        self.pending = 0
+        self._groups = []  # (ts, one-tangles, pair RDMs, n-tangles) per group
+
+    def add(self, amps: np.ndarray, ts) -> None:
+        """Measure a stack whose row p is at kick count ``ts[p]``."""
+        if len(ts) != len(amps):
+            raise ValueError(f"{len(ts)} kick counts for {len(amps)} rows")
+        rdms = None
+        if self.pair_measures:
+            L = amps.shape[-1].bit_length() - 1
+            pairs = _table_pairs(L, self.shift_invariant)[2]
+            rdms = _ring_pair_rdms(amps) if pairs is None else _pair_rdms(amps, pairs)
+            self.pending += rdms.size
+        self._groups.append((list(ts), one_tangles(amps, self.shift_invariant), rdms,
+                             n_tangle(amps) if self.n_tangle_measure else None))
+
+    def finish(self) -> list[MeasureReport]:
+        """The reports of the groups added since the last finish."""
+        if not self._groups:
+            return []
+        ts, tangles, rdms, ns = zip(*self._groups)
+        self._groups, self.pending = [], 0
+        ts = [t for group in ts for t in group]
+        tangles = np.concatenate(tangles)
+        N, L = tangles.shape
+        n_tangles = np.concatenate(ns).tolist() if self.n_tangle_measure else [None] * N
+        paired = [{"pair_concurrences": None}] * N
+        if self.pair_measures:
+            i, j, _, column = _table_pairs(L, self.shift_invariant)
+            values = concurrences(np.concatenate(rdms))[:, column]
+            tables = np.zeros((N, L, L))
+            tables[:, i, j] = tables[:, j, i] = values
+            columns = {"pair_concurrences": list(tables),
+                       **_pair_columns(tangles, tables, self.boundary)}
+            paired = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        return [MeasureReport(t=t, num_qubits=L, q_measure=q, n_tangle=n, one_tangles=row,
+                              boundary=self.boundary, **pair)
+                for t, q, n, row, pair in zip(ts, tangles.mean(axis=1).tolist(), n_tangles,
+                                              tangles, paired, strict=True)]
+
+
+def reports(amps: np.ndarray, ts, pair_measures: bool = True, n_tangle_measure: bool = True,
+            boundary: str = "periodic", shift_invariant: bool = False) -> list[MeasureReport]:
+    """The measures of each row of a ``(P, 2**L)`` stack, row p at kick count
+    ``ts[p]``: a :class:`ReportBatch` of one group, whose options it takes."""
+    batch = ReportBatch(pair_measures, n_tangle_measure, boundary, shift_invariant)
+    batch.add(amps, ts)
+    return batch.finish()

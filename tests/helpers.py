@@ -14,6 +14,7 @@ references at the end keep earlier package forms verbatim.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -115,21 +116,15 @@ def brute_rdm1(psi: np.ndarray, k: int, L: int) -> np.ndarray:
 
 
 def brute_rdm2(psi: np.ndarray, i: int, j: int, L: int) -> np.ndarray:
-    """Partial trace onto qubits (i, j), i leftmost, by explicit index summation."""
+    """Partial trace onto qubits (i, j), i leftmost, by explicit index
+    summation, each entry one sum over the indices of the other qubits."""
+    rest = np.arange(2 ** L)
+    rest = rest[(rest & ((1 << i) | (1 << j))) == 0]
     rho = np.zeros((4, 4), dtype=complex)
-    mi, mj = 1 << i, 1 << j
-    for a in (0, 1):
-        for b in (0, 1):
-            for c in (0, 1):
-                for d in (0, 1):
-                    acc = 0j
-                    for rest in range(2 ** L):
-                        if rest & (mi | mj):
-                            continue
-                        bra = rest | (a << i) | (b << j)
-                        ket = rest | (c << i) | (d << j)
-                        acc += psi[bra] * np.conj(psi[ket])
-                    rho[2 * a + b, 2 * c + d] = acc
+    for a, b, c, d in itertools.product((0, 1), repeat=4):
+        bra = rest | (a << i) | (b << j)
+        ket = rest | (c << i) | (d << j)
+        rho[2 * a + b, 2 * c + d] = np.sum(psi[bra] * np.conj(psi[ket]))
     return rho
 
 

@@ -462,6 +462,49 @@ _FLOAT_OPTIONS = [(command, option) for command, argv in _RUNS.items()
                   if (command, option) != ("compare", "--tmax")]  # a whole count of kicks
 
 
+class TestParser:
+    """Only the subcommand an invocation names gets its options built."""
+
+    def test_named_subcommand_has_every_option(self):
+        def options(parser):
+            subs = next(a for a in parser._actions if a.dest == "command").choices
+            return {name: sorted(o for a in sub._actions for o in a.option_strings)
+                    for name, sub in subs.items()}
+
+        full = options(build_parser())
+        assert all(len(flags) > 3 for flags in full.values())
+        for name in full:
+            named = options(build_parser([name, "--L", "4"]))
+            assert named == {other: flags if other == name else ["--help", "-h"]
+                             for other, flags in full.items()}
+        assert options(build_parser(["--help"])) == options(build_parser(["bogus"])) == full
+
+    def test_sweep_help_lists_its_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "--axis1" in capsys.readouterr().out
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in ("evolve", "sweep", "analytic", "compare"))
+
+    @pytest.mark.parametrize("command", ["evolve", "sweep", "analytic", "compare"])
+    def test_config_fills_the_named_subcommands_defaults(self, tmp_path, command):
+        from kicked_ising import cli
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("L = 7\nboundary = open\n")
+        argv = [command, "--config", str(cfg)]
+        parser = build_parser(argv)
+        cli._config_as_defaults(parser.parse_args(argv).subparser, str(cfg))
+        args = parser.parse_args(argv)
+        assert (args.L, args.boundary) == (7, "open")
+
+
 class TestNonFiniteNumbers:
     """NaN and infinity are refused at the option that carries them, never run."""
 

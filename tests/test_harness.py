@@ -578,22 +578,27 @@ class TestShiftReducedTables:
             assert np.array_equal(r.pair_concurrences, full.pair_concurrences)
 
     def test_one_pair_rdm_per_ring_distance(self, monkeypatch):
-        built = []  # the pair RDMs of each call: rows times pairs
-        pair_rdms = measures._pair_rdms
+        # a ring's pairs come from one ring-kernel call a group, L // 2 RDMs a
+        # row; an open chain's from one all-pairs call a group, 28 RDMs a row
+        built = []  # (kernel, the pair RDMs of the call: rows times pairs)
+        ring, pair = measures._ring_pair_rdms, measures._pair_rdms
+        monkeypatch.setattr(measures, "_ring_pair_rdms",
+                            lambda amps: built.append(("ring", len(amps) * 4)) or ring(amps))
         monkeypatch.setattr(measures, "_pair_rdms",
-                            lambda amps, pairs: built.append(len(amps) * len(pairs))
-                            or pair_rdms(amps, pairs))
-        for boundary, per_report in (("periodic", 4), ("open", 28)):
+                            lambda amps, pairs: built.append(("pairs", len(amps) * len(pairs)))
+                            or pair(amps, pairs))
+        for boundary, kernel, per_report in (("periodic", "ring", 4), ("open", "pairs", 28)):
             built.clear()
             run_time_series(RunConfig(params=quick_params(num_qubits=8, theta=0.6,
                                                           boundary=boundary), steps=2))
-            assert built == [3 * per_report]  # the three reports are one group
+            assert built == [(kernel, 3 * per_report)]  # the three reports are one group
         built.clear()
         sweep_grid(SweepConfig(axis1=AxisSpec("j_x", 0.5, 1.0, 2),
                                axis2=AxisSpec("b_field", 0.5, 1.0, 2),
                                fixed=quick_params(num_qubits=8, theta=0.6), steps=2,
                                measure="nn_concurrence"))
-        assert built == [2 * 4 * 4]  # both sampled kicks in one group: kicks x points x distances
+        # both sampled kicks in one group: kicks x points x distances
+        assert built == [("ring", 2 * 4 * 4)]
 
 
 class TestGroupedReports:
@@ -633,6 +638,45 @@ class TestGroupedReports:
             assert r.q_measure == pytest.approx(np.mean(tangles), abs=1e-12)
             assert r.n_tangle == pytest.approx(abs(psi @ y_all @ psi) ** 2, abs=1e-12)
             assert np.max(np.abs(r.pair_concurrences - (table + table.T))) < 1e-12
+
+
+class TestReportBatches:
+    """A series finishes its reports in batches of pending pair RDMs."""
+
+    @pytest.mark.parametrize("boundary, initial, batches", [("periodic", "vacuum", 7),
+                                                            ("open", "vacuum", 21),
+                                                            ("periodic", "01101001", 21)])
+    def test_several_batches_equal_one(self, monkeypatch, boundary, initial, batches):
+        from dataclasses import fields
+
+        from kicked_ising import harness
+
+        config = RunConfig(params=ChainParams(8, 1.1, 0.8, 0.7, boundary), steps=20,
+                           initial=initial)
+        whole = run_time_series(config)
+        calls = []
+        stack = measures.concurrences
+        monkeypatch.setattr(measures, "concurrences",
+                            lambda rho: calls.append(len(rho)) or stack(rho))
+        # 192 entries: a batch of three ring reports (4 RDMs each), or of one
+        # report of 28; groups of one live stack
+        monkeypatch.setattr(harness, "_CHUNK_AMPLITUDES", 3 * 4 * 16)
+        batched = run_time_series(config)
+        assert len(calls) == batches
+        assert len(batched) == len(whole) == 21
+        for r, want in zip(batched, whole):
+            for field in fields(r):
+                assert np.array_equal(getattr(r, field.name), getattr(want, field.name))
+
+    def test_a_whole_l12_run_is_one_batch(self, monkeypatch):
+        # 41 reports of 6 ring distances: 246 RDMs, one concurrence call
+        calls = []
+        stack = measures.concurrences
+        monkeypatch.setattr(measures, "concurrences",
+                            lambda rho: calls.append(rho.shape) or stack(rho))
+        series = run_time_series(RunConfig(params=ChainParams(12, 0.9, 1.4, 0.6), steps=40))
+        assert len(series) == 41
+        assert calls == [(41, 6, 4, 4)]
 
 
 class TestGroups:

@@ -4,6 +4,7 @@ The measures take a ``(P, 2**L)`` stack; a state here is a stack of one row.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -383,6 +384,104 @@ class TestNTangleSlices:
             assert np.array_equal(signs, 1 - 2 * (popcount & 1))
 
 
+class TestNTangleHalfSum:
+    """The n-tangle sums half the basis and makes no stack-wide temporary."""
+
+    @staticmethod
+    def full_sum(a):
+        # the sum over every basis index with the int8 signs of the whole row
+        L = a.shape[-1].bit_length() - 1
+        signs = measures._parity_signs(L)
+        total = np.matmul((a[:, ::-1] * signs)[:, None, :], a[:, :, None])[:, 0, 0]
+        return np.minimum(np.hypot(total.real, total.imag) ** 2, 1.0)
+
+    def test_matches_the_full_sum_on_random_states(self):
+        rng = np.random.default_rng(25)
+        for L in range(2, 17, 2):
+            a = np.array([helpers.random_state(L, rng) for _ in range(3)])
+            want = self.full_sum(a)
+            assert np.max(np.abs(n_tangle(a) - want) / want) < 1e-14
+
+    def test_as_exact_as_the_full_sum_on_kicked_states(self):
+        # near 0 the n-tangle has no relative precision to compare, so the
+        # sum's modulus is compared with the exactly added products of the
+        # full sum (math.fsum): a sum of 2^L terms of total modulus <= 1 is
+        # good to about sqrt(2^L) roundings.  The half sum keeps within it;
+        # the full sum it replaced errs by up to 6.4e-14 at L = 16, just over
+        rng = np.random.default_rng(26)
+        for L in (4, 8, 12, 16):
+            signs = measures._parity_signs(L)
+            for initial in ("vacuum", "ghz"):
+                points = [ChainParams(L, *rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, np.pi))
+                          for _ in range(3)]
+                for _, amps in _evolve(points, initial, 4):
+                    terms = amps[:, ::-1] * signs * amps
+                    exact = np.array([min(abs(complex(math.fsum(t.real), math.fsum(t.imag))), 1.0)
+                                      for t in terms])  # clipped, as the measure is
+                    bound = 2 ** (L / 2) * np.finfo(float).eps
+                    assert np.max(np.abs(np.sqrt(n_tangle(amps)) - exact)) < bound
+
+    def test_odd_counts_read_exactly_zero(self):
+        rng = np.random.default_rng(27)
+        for L in (1, 3, 5, 7, 9):
+            a = np.array([helpers.random_state(L, rng) for _ in range(2)])
+            assert np.array_equal(n_tangle(a), np.zeros(2))
+
+    def test_no_temporary_spans_the_stack(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(28)
+        for rows in (4, 16):
+            a = np.array([helpers.random_state(12, rng) for _ in range(rows)])
+            n_tangle(a)  # fills the sign cache
+            tracemalloc.start()
+            try:
+                n_tangle(a)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # half of the 322 KiB the full sum over the stack took for 4 rows
+            assert peak <= 161 * 1024
+
+
+class TestRingPairRdms:
+    """The pairs (L-1-d, L-1) of a row from its halves' Gram and cross blocks."""
+
+    def test_matches_brute_force_for_every_ring_distance(self):
+        rng = np.random.default_rng(29)
+        for L in range(2, 15):
+            stack = np.array([helpers.random_state(L, rng) for _ in range(3)])
+            for rows in (stack[:1], stack):
+                got = measures._ring_pair_rdms(rows)
+                assert got.shape == (len(rows), L // 2, 4, 4)
+                for p, row in enumerate(rows):
+                    for d in range(1, L // 2 + 1):
+                        want = helpers.brute_rdm2(row, L - 1 - d, L - 1, L)
+                        assert np.max(np.abs(got[p, d - 1] - want)) < 1e-13
+
+    @pytest.mark.parametrize("chunk", [4, 16, 64])
+    def test_summed_over_slices(self, monkeypatch, chunk):
+        rng = np.random.default_rng(30)
+        stacks = [np.array([helpers.random_state(L, rng) for _ in range(3)]) for L in (7, 10, 13)]
+        whole = [measures._ring_pair_rdms(a) for a in stacks]
+        monkeypatch.setattr(measures, "_RDM_CHUNK", chunk)
+        for a, want in zip(stacks, whole):
+            assert np.max(np.abs(measures._ring_pair_rdms(a) - want)) < 1e-15
+
+    def test_no_temporary_outgrows_a_slice(self):
+        import tracemalloc
+
+        a = helpers.random_state(18, np.random.default_rng(31))[None]  # a 4 MiB row
+        measures._ring_pair_rdms(a)
+        tracemalloc.start()
+        try:
+            measures._ring_pair_rdms(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * measures._RDM_CHUNK
+
+
 class TestLocalUnitaryInvariance:
     def test_measures_preserved(self):
         rng = np.random.default_rng(55)
@@ -465,6 +564,21 @@ class TestReport:
             d = min(abs(i - j), L - abs(i - j))
             assert reduced[i, j] == reduced[0, d]
         assert np.all(np.diag(reduced) == 0.0)
+
+    def test_batched_columns_equal_a_report_alone(self):
+        # each column has one definition: a batch reduces each report's row
+        # as a report built from its table alone does, bit for bit
+        for boundary in ("periodic", "open"):
+            amps = np.concatenate([kicked(ChainParams(7, 0.9, 1.1, 0.6, boundary), t)
+                                   for t in range(5)])
+            for r in reports(amps, list(range(5)), boundary=boundary):
+                alone = MeasureReport(t=r.t, num_qubits=7, q_measure=r.q_measure,
+                                      n_tangle=r.n_tangle, one_tangles=r.one_tangles,
+                                      pair_concurrences=r.pair_concurrences, boundary=boundary)
+                for name in ("sum_two_tangles", "residual_tangle", "nn_concurrence"):
+                    assert getattr(r, name) == getattr(alone, name)
+                for name in ("sum_two_tangles_per_qubit", "residual_tangles"):
+                    assert np.array_equal(getattr(r, name), getattr(alone, name))
 
     def test_value_lookup(self):
         r = report_of(ghz(4), 1)

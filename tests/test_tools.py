@@ -1,0 +1,50 @@
+"""The layer timing tool: every layer names functions the package has, its
+cases build, and a timed case sees its layer called."""
+
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from kicked_ising import measures
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def bench_layer():
+    environ = dict(os.environ)  # the tool pins BLAS threads for the processes it starts
+    spec = importlib.util.spec_from_file_location("bench_layer", ROOT / "tools" / "bench_layer.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+        os.environ.clear()
+        os.environ.update(environ)
+    return module
+
+
+def test_every_layer_function_resolves(bench_layer):
+    for layer in bench_layer.LAYERS.values():
+        assert set(bench_layer._holders(layer)) == set(layer.functions)
+
+
+def test_every_layers_cases_build(bench_layer):
+    for layer in bench_layer.LAYERS.values():
+        cases = layer.cases()
+        assert cases
+        for run, covers in cases.values():
+            assert callable(run) and covers["num_qubits"] >= 1
+
+
+def test_a_timed_report_case_counts_its_calls(bench_layer):
+    add, finish = measures.ReportBatch.add, measures.ReportBatch.finish
+    case = bench_layer._time_cases(bench_layer.LAYERS["report"], {"L12"})["L12"]
+    # eleven groups of four samples measured, and one batch finished
+    assert case["calls"] == 12
+    assert 0.0 < case["layer"] < case["run"]
+    assert (measures.ReportBatch.add, measures.ReportBatch.finish) == (add, finish)

@@ -1,19 +1,26 @@
 """Time one layer of the package as the runs call it, in two or more source
 trees side by side.
 
-Each layer in ``LAYERS`` names a package function, the cases that call it
-through a whole run, and the ``BENCH_*.json`` file its record goes to:
+Each layer in ``LAYERS`` names the package functions it times, the cases
+that call them through a whole run, and the ``BENCH_*.json`` file its record
+goes to:
 
 - ``jw_average``: ``analytic.jw_q_average``, timed inside ``harness.sweep_grid``
   (``BENCH_jw_average.json``).  Cases: ``grid``, the seed-0 ``sweep-jw-L20``
   grid of ``perfbench`` (51 x 51 points of (j_x, B) at theta = pi/2, L = 20,
   1000 kicks); and ``window-T``, the 4 x 4 grid spanning the same ranges at
   L = 20, for windows of T = 10^2, 10^4 and 10^6 kicks.
-- ``report``: ``harness.reports``, which measures a group of sampled
-  states with every pair measure, timed inside ``harness.run_time_series``
-  (``BENCH_report.json``).  Cases: ``L12``, the seed-0 ``evolve-pairs-L12`` run
-  (L = 12, 40 kicks, a vacuum ring); and ``L16`` and ``L20``, the same
-  couplings at L = 16 and 20 for 3 kicks.
+- ``report``: the report work of a time series with every measure, timed
+  inside ``harness.run_time_series`` (``BENCH_report.json``):
+  ``measures.ReportBatch.add``, which measures a group of sampled states,
+  and ``measures.ReportBatch.finish``, which finishes a batch of groups'
+  reports, or ``measures.reports`` in a tree that measures and finishes
+  each group in one call.  Cases: ``L12``, the seed-0 ``evolve-pairs-L12``
+  run (L = 12, 40 kicks, a vacuum ring); ``L16`` and ``L20``, the same
+  couplings at L = 16 and 20 for 3 kicks; and ``L20-pair-rdms``, whose
+  ``series_s`` is one call of the kernel that gives the ten ring-distance
+  pair RDMs of the ``L20`` run's last state (``measures._ring_pair_rdms``,
+  or ``measures._pair_rdms`` on the same pairs in a tree without it).
 - ``series``: ``harness.run_time_series`` with the measure ``q`` alone, as
   ``compare --regime transverse`` calls it (``BENCH_series.json``).  Case:
   ``L20``, the seed-0 ``compare-transverse-L20`` run (L = 20, 3 kicks from
@@ -30,6 +37,12 @@ through a whole run, and the ``BENCH_*.json`` file its record goes to:
 - ``sweep``: ``cli.main``, a whole ``kicked-ising sweep`` call with its CSV
   written by ``--output`` to a temporary file (``BENCH_sweep.json``).  Cases:
   the seed-0 ``sweep-jw-L20`` and ``sweep-tilt-L6`` argv of ``perfbench``.
+
+A timed function is wrapped wherever the package holds it: on its class, or
+in every ``kicked_ising`` module that imported it by name.  A call made
+inside another timed call counts once.  A tree times those of the layer's
+functions it has, and fails if it has none; the record lists them under
+``timed``.
 
 Each ``LABEL=SRC_DIR`` names a tree whose ``kicked_ising`` package is timed.
 The trees take turns: each of the ``REPEATS`` rounds starts one fresh
@@ -112,7 +125,8 @@ def _jw_average_cases() -> dict:
 
 
 def _report_cases() -> dict:
-    from kicked_ising.harness import RunConfig, run_time_series
+    from kicked_ising import measures
+    from kicked_ising.harness import RunConfig, _evolve, run_time_series
     from kicked_ising.statevec import ChainParams
 
     flags, _ = _seed0("evolve-pairs-L12")
@@ -122,6 +136,17 @@ def _report_cases() -> dict:
         config = RunConfig(ChainParams(L, jx, b, theta), steps)
         cases[f"L{L}"] = (lambda config=config: run_time_series(config),
                           {"num_qubits": L, "kicks": steps})
+
+    @functools.cache
+    def state():  # the L20 case's state after its 3 kicks, built at the first run
+        for _, amps in _evolve([ChainParams(20, jx, b, theta)], "vacuum", 3):
+            pass
+        return amps
+
+    # the ring kernel, or in a tree without it the all-pairs kernel on the same pairs
+    kernel = getattr(measures, "_ring_pair_rdms", None) or functools.partial(
+        measures._pair_rdms, pairs=[(19 - d, 19) for d in range(1, 11)])
+    cases["L20-pair-rdms"] = (lambda: kernel(state()), {"num_qubits": 20, "pairs": 10})
     return cases
 
 
@@ -183,10 +208,10 @@ def _sweep_cases() -> dict:
 
 @dataclass(frozen=True)
 class Layer:
-    """A timed package function, the runs that call it, and where they are recorded."""
+    """Timed package functions, the runs that call them, and where they are recorded."""
 
-    module: str  # the kicked_ising module whose attribute the runs look up per call
-    function: str  # the timed ``function`` or ``Class.method``
+    module: str  # the kicked_ising module that defines the timed functions
+    functions: tuple[str, ...]  # each a ``function`` or ``Class.method``; their seconds add up
     run: str  # what one case runs; its seconds are recorded as ``<run>_s``
     cases: Callable[[], dict]  # case name -> (run it, what it covers), built per tree
     output: str
@@ -194,39 +219,74 @@ class Layer:
 
 
 LAYERS = {
-    "jw_average": Layer("analytic", "jw_q_average", "sweep", _jw_average_cases,
+    "jw_average": Layer("analytic", ("jw_q_average",), "sweep", _jw_average_cases,
                         "BENCH_jw_average.json"),
-    "report": Layer("harness", "reports", "series", _report_cases, "BENCH_report.json"),
-    "series": Layer("harness", "run_time_series", "series", _series_cases,
+    "report": Layer("measures", ("ReportBatch.add", "ReportBatch.finish", "reports"), "series",
+                    _report_cases, "BENCH_report.json"),
+    "series": Layer("harness", ("run_time_series",), "series", _series_cases,
                     "BENCH_series.json"),
-    "kick": Layer("statevec", "XFrameKick.__call__", "series", _kick_cases,
+    "kick": Layer("statevec", ("XFrameKick.__call__",), "series", _kick_cases,
                   "BENCH_kick.json", peak=True),
-    "sweep": Layer("cli", "main", "call", _sweep_cases, "BENCH_sweep.json"),
+    "sweep": Layer("cli", ("main",), "call", _sweep_cases, "BENCH_sweep.json"),
 }
 
 
-def _time_cases(layer: Layer) -> dict:
-    """One untimed and one timed run per case in this interpreter: seconds
-    inside the layer, seconds in the whole run, and how often the run called
-    the layer."""
+def _holders(layer: Layer) -> dict[str, list[tuple[object, str, Callable]]]:
+    """Each of the layer's functions this tree has, with every ``(owner,
+    attribute, function)`` through which the package calls it: its class, or
+    its module and each package module that imported it by name."""
     module = importlib.import_module(f"kicked_ising.{layer.module}")
-    *path, function = layer.function.split(".")
-    owner = functools.reduce(getattr, path, module)  # the module, or a class in it
-    original = getattr(owner, function)
-    tally = {"layer": 0.0, "calls": 0}
-
-    def timed(*args, **kwargs):
-        start = time.perf_counter()
+    out = {}
+    for name in layer.functions:
+        *path, function = name.split(".")
         try:
-            return original(*args, **kwargs)
-        finally:
-            tally["layer"] += time.perf_counter() - start
-            tally["calls"] += 1
+            owner = functools.reduce(getattr, path, module)  # the module, or a class in it
+            original = getattr(owner, function)
+        except AttributeError:
+            continue
+        out[name] = [(owner, function, original)]
+        if not path:
+            out[name] += [(other, attr, original)
+                          for key, other in sorted(sys.modules.items())
+                          if key.startswith("kicked_ising.") and other is not module
+                          for attr, value in vars(other).items() if value is original]
+    if not out:
+        raise AttributeError(f"kicked_ising.{layer.module} has none of {layer.functions}")
+    return out
 
-    setattr(owner, function, timed)  # on a class, it is called as a method
+
+def _time_cases(layer: Layer, names=None) -> dict:
+    """One untimed and one timed run per case in this interpreter (of the
+    cases in ``names``, or all): seconds inside the layer, seconds in the
+    whole run, how often the run called the layer, and which of the layer's
+    functions were timed."""
+    holders = _holders(layer)
+    tally = {"layer": 0.0, "calls": 0}
+    depth = [0]  # timed calls under way
+
+    def timed(original):
+        def call(*args, **kwargs):
+            if depth[0]:
+                return original(*args, **kwargs)
+            depth[0] += 1
+            start = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                tally["layer"] += time.perf_counter() - start
+                tally["calls"] += 1
+                depth[0] -= 1
+
+        return call
+
+    for places in holders.values():
+        for owner, attr, original in places:
+            setattr(owner, attr, timed(original))  # on a class, it is called as a method
     out = {}
     try:
         for name, (run, covers) in layer.cases().items():
+            if names is not None and name not in names:
+                continue
             peak = {}
             if layer.peak:  # the warm-up, traced: tracing slows allocations, not the timed run
                 tracemalloc.start()
@@ -238,9 +298,12 @@ def _time_cases(layer: Layer) -> dict:
             tally.update(layer=0.0, calls=0)
             start = time.perf_counter()
             run()
-            out[name] = {"run": time.perf_counter() - start, **tally, **covers, **peak}
+            out[name] = {"run": time.perf_counter() - start, **tally, **covers, **peak,
+                         "timed": sorted(holders)}
     finally:
-        setattr(owner, function, original)
+        for places in holders.values():
+            for owner, attr, original in places:
+                setattr(owner, attr, original)
     return out
 
 
