@@ -212,6 +212,7 @@ def one_tangles(amps: np.ndarray, shift_invariant: bool = False) -> np.ndarray:
         det = (_sliced_vecdot(lo, lo).real * _sliced_vecdot(hi, hi).real
                - np.abs(_sliced_vecdot(lo, hi)) ** 2)
         return np.repeat(np.clip(4.0 * det, 0.0, 1.0)[:, None], L, axis=1)
+
     def sums(picked):  # along contiguous rows, so that a row's sum does not depend on P
         return np.ascontiguousarray(picked).sum(axis=-1)
 
