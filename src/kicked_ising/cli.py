@@ -7,30 +7,23 @@ grid of time averages), ``analytic`` (closed forms alone), and ``compare``
 Each cell is ``f"{x:.17g}"`` of a Python float, so the CSV round-trips to
 bit-identical doubles; identical invocations produce byte-identical files.
 A flat ``key = value`` config file can supply any run option; explicit flags win.
+Argv, config files and help all come from one table of options, ``_COMMANDS``.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
+from collections import namedtuple
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import analytic
-from .harness import (
-    REGIMES,
-    AxisSpec,
-    InsufficientMemoryError,
-    NoAnalyticOracleError,
-    RunConfig,
-    SweepConfig,
-    SweepPointError,
-    compare_numeric_analytic,
-    run_time_series,
-    sweep_grid,
-)
+from .harness import (REGIMES, AxisSpec, InsufficientMemoryError, NoAnalyticOracleError,
+                      RunConfig, SweepConfig, SweepPointError, compare_numeric_analytic,
+                      run_time_series, sweep_grid)
 from .statevec import ChainParams
 
 _AXIS_NAMES = {"jx": "j_x", "j_x": "j_x", "b": "b_field", "b_field": "b_field", "theta": "theta"}
@@ -54,67 +47,29 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
             fh.write(text)
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-# options about the invocation itself rather than the run
-_NOT_IN_CONFIG = frozenset({"help", "config", "output"})
-
-
-def _parse_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-def _config_as_defaults(sub: argparse.ArgumentParser, path: str) -> None:
-    """Make the file's values the defaults of ``sub``'s own options.
-
-    argparse converts string defaults through each option's ``type``, and
-    flags given on the command line still win.  It checks ``choices`` only on
-    flags, so the file's values are checked here.
-    """
-    values = _parse_config_file(path)
-    options = {action.dest: action for action in sub._actions
-               if action.dest not in _NOT_IN_CONFIG}
-    for key, value in values.items():
-        if key not in options:
-            raise ValueError(f"unknown config key {key!r}")
-        action = options[key]
-        if action.choices is not None and (action.type or str)(value) not in action.choices:
-            raise ValueError(f"config key {key!r} must be one of {list(action.choices)}, "
-                             f"got {value!r}")
-    sub.set_defaults(**values)
-
-
-def _require(args: argparse.Namespace, names: list[str]) -> None:
+def _require(args: SimpleNamespace, names: list[str]) -> None:
     missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
         raise ValueError("missing required parameter(s): " + ", ".join(sorted(missing)))
 
 
 def _finite(text: str) -> float:
-    """The argparse ``type`` of every float option: a finite float.
-
-    argparse names the option in the message when this raises.
-    """
+    """The type of every float option: a finite float."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+        raise ValueError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _int(text: str) -> int:
+    """The type of every whole-number option."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected a whole number, got {text!r}") from None
 
 
 def _parse_axis(text: str, option: str) -> AxisSpec:
@@ -127,12 +82,12 @@ def _parse_axis(text: str, option: str) -> AxisSpec:
                          f"got {name!r}")
     try:
         bounds = _finite(lo), _finite(hi)
-    except argparse.ArgumentTypeError as exc:
+    except ValueError as exc:
         raise ValueError(f"{option} bound: {exc}") from None
     try:
-        points = int(count)
-    except ValueError:
-        raise ValueError(f"{option} count: expected a whole number, got {count!r}") from None
+        points = _int(count)
+    except ValueError as exc:
+        raise ValueError(f"{option} count: {exc}") from None
     if points < 2:
         raise ValueError(f"{option} count: need at least 2 points, got {points}")
     return AxisSpec(_AXIS_NAMES[name], *bounds, points)
@@ -140,28 +95,24 @@ def _parse_axis(text: str, option: str) -> AxisSpec:
 
 # ------------------------------------------------------------------- evolve
 
-def _cmd_evolve(args: argparse.Namespace) -> int:
+def _cmd_evolve(args: SimpleNamespace) -> int:
     _require(args, ["L", "jx", "b", "theta", "steps"])
     params = ChainParams(args.L, args.jx, args.b, args.theta, args.boundary)
     config = RunConfig(params=params, steps=args.steps, initial=args.initial,
                        sample_every=args.sample_every)
-    series = run_time_series(config)
     lines = ["t,q,n_tangle,residual_tangle,nn_concurrence,sum_two_tangles"]
-    for r in series:
-        lines.append(",".join([
-            str(r.t), _fmt(r.q_measure), _fmt(r.n_tangle), _fmt(r.residual_tangle),
-            _fmt(r.nn_concurrence), _fmt(r.sum_two_tangles),
-        ]))
+    lines += [",".join([str(r.t), *map(_fmt, (r.q_measure, r.n_tangle, r.residual_tangle,
+                                              r.nn_concurrence, r.sum_two_tangles))])
+              for r in run_time_series(config)]
     _write_lines(args.output, lines)
     return EXIT_OK
 
 
 # -------------------------------------------------------------------- sweep
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: SimpleNamespace) -> int:
     _require(args, ["axis1", "axis2", "L", "kicks"])
-    axis1 = _parse_axis(args.axis1, "--axis1")
-    axis2 = _parse_axis(args.axis2, "--axis2")
+    axis1, axis2 = _parse_axis(args.axis1, "--axis1"), _parse_axis(args.axis2, "--axis2")
     fixed = ChainParams(args.L, args.jx, args.b, args.theta, args.boundary)
     config = SweepConfig(axis1=axis1, axis2=axis2, fixed=fixed, steps=args.kicks,
                          measure=args.measure, initial=args.initial)
@@ -179,7 +130,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 _FORMULAS = ("cluster_q", "cluster_nn_concurrence", "cluster_n_tangle", "sym_n_tangle", "jw_q")
 
 
-def _cmd_analytic(args: argparse.Namespace) -> int:
+def _cmd_analytic(args: SimpleNamespace) -> int:
     _require(args, ["formula"])
     if args.formula not in _FORMULAS:
         raise ValueError(f"formula must be one of {_FORMULAS}, got {args.formula!r}")
@@ -209,17 +160,16 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         else:
             _require(args, ["L"])
             values = analytic.sym_cluster_n_tangle(args.jx, ts, args.L)
-    lines = ["t,value"]
-    for t, v in zip(ts, np.atleast_1d(values)):
-        t_text = str(int(t)) if args.formula == "jw_q" else _fmt(float(t))
-        lines.append(f"{t_text},{_fmt(float(v))}")
+    t_texts = map(str if args.formula == "jw_q" else _fmt, ts.tolist())
+    cells = map(_fmt, np.atleast_1d(values).tolist())
+    lines = ["t,value", *map(",".join, zip(t_texts, cells))]
     _write_lines(args.output, lines)
     return EXIT_OK
 
 
 # ------------------------------------------------------------------ compare
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: SimpleNamespace) -> int:
     _require(args, ["regime", "L", "jx", "tmax"])
     try:
         if args.regime not in REGIMES:
@@ -233,8 +183,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_ORACLE
     lines = ["measure,max_abs_deviation"]
-    for name in sorted(deviations):
-        lines.append(f"{name},{_fmt(deviations[name])}")
+    lines += [f"{name},{_fmt(deviations[name])}" for name in sorted(deviations)]
     _write_lines(args.output, lines)
     worst = max(deviations.values())
     ok = worst <= args.tol
@@ -245,93 +194,144 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 # -------------------------------------------------------------------- wiring
 
-def _evolve_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--L", type=int)
-    p.add_argument("--jx", type=_finite)
-    p.add_argument("--b", type=_finite)
-    p.add_argument("--theta", type=_finite)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
-    p.add_argument("--initial", default="vacuum")
-    p.add_argument("--sample-every", dest="sample_every", type=int, default=1)
+_Option = namedtuple("_Option", "type default help choices", defaults=(None, "", None))
+_L, _JX = _Option(_int, None, "chain length in qubits"), _Option(_finite, None, "coupling j_x")
+_B, _THETA = _Option(_finite, None, "field B"), _Option(_finite, None, "field tilt theta")
+_BOUNDARY = _Option(str, "periodic", "chain boundary", ("periodic", "open"))
+_INITIAL = _Option(str, "vacuum", "start: vacuum, all_up, ghz or a bitstring")
 
-
-def _sweep_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--axis1", help="swept axis as name:min:max:count")
-    p.add_argument("--axis2", help="second swept axis")
-    p.add_argument("--L", type=int)
-    p.add_argument("--jx", type=_finite, default=0.0)
-    p.add_argument("--b", type=_finite, default=0.0)
-    p.add_argument("--theta", type=_finite, default=0.0)
-    p.add_argument("--kicks", type=int, help="time-average window in kicks")
-    p.add_argument("--measure", default="q", help="measure to average (default q)")
-    p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
-    p.add_argument("--initial", default="vacuum")
-
-
-def _analytic_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--formula", help="one of " + ", ".join(_FORMULAS))
-    p.add_argument("--L", type=int)
-    p.add_argument("--jx", type=_finite)
-    p.add_argument("--b", type=_finite)
-    p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
-    p.add_argument("--tmin", type=_finite, default=0.0)
-    p.add_argument("--tmax", type=_finite)
-    p.add_argument("--samples", type=int, default=100)
-
-
-def _compare_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--regime", help="one of " + ", ".join(REGIMES))
-    p.add_argument("--L", type=int)
-    p.add_argument("--jx", type=_finite)
-    p.add_argument("--b", type=_finite, default=0.0)
-    p.add_argument("--theta", type=_finite, default=0.0)
-    p.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
-    p.add_argument("--tmax", type=int)
-    p.add_argument("--tol", type=_finite, default=1e-8)
-
-
-# subcommand -> (help, its options, what it runs)
+# subcommand -> (help, what it runs, the options that a config file may set too)
 _COMMANDS = {
-    "evolve": ("time series of entanglement measures", _evolve_options, _cmd_evolve),
-    "sweep": ("two-axis grid of time-averaged measures", _sweep_options, _cmd_sweep),
-    "analytic": ("closed-form curves as CSV", _analytic_options, _cmd_analytic),
-    "compare": ("numeric evolution vs closed form", _compare_options, _cmd_compare),
+    "evolve": ("time series of entanglement measures", _cmd_evolve, {
+        "L": _L, "jx": _JX, "b": _B, "theta": _THETA, "steps": _Option(_int, None, "kicks"),
+        "boundary": _BOUNDARY, "initial": _INITIAL,
+        "sample_every": _Option(_int, 1, "kicks between samples")}),
+    "sweep": ("two-axis grid of time-averaged measures", _cmd_sweep, {
+        "axis1": _Option(str, None, "swept axis as name:min:max:count"),
+        "axis2": _Option(str, None, "second swept axis"), "L": _L,
+        "jx": _JX._replace(default=0.0), "b": _B._replace(default=0.0),
+        "theta": _THETA._replace(default=0.0), "kicks": _Option(_int, None, "window in kicks"),
+        "measure": _Option(str, "q", "measure to average"),
+        "boundary": _BOUNDARY, "initial": _INITIAL}),
+    "analytic": ("closed-form curves as CSV", _cmd_analytic, {
+        "formula": _Option(str, None, "one of " + ", ".join(_FORMULAS)),
+        "L": _L, "jx": _JX, "b": _B, "boundary": _BOUNDARY,
+        "tmin": _Option(_finite, 0.0, "first time"), "tmax": _Option(_finite, None, "last time"),
+        "samples": _Option(_int, 100, "times from tmin to tmax")}),
+    "compare": ("numeric evolution vs closed form", _cmd_compare, {
+        "regime": _Option(str, None, "one of " + ", ".join(REGIMES)), "L": _L, "jx": _JX,
+        "b": _B._replace(default=0.0), "theta": _THETA._replace(default=0.0),
+        "boundary": _BOUNDARY, "tmax": _Option(_int, None, "kicks to compare"),
+        "tol": _Option(_finite, 1e-8, "largest deviation that exits 0")}),
 }
+_INVOCATION = {"config": _Option(str, None, "flat 'key = value' config file; flags override"),
+               "output": _Option(str, None, "output CSV path (default: stdout)")}
+_TOP_HELP = "\n".join([
+    "usage: kicked-ising {" + ",".join(_COMMANDS) + "} [--option VALUE ...]", "",
+    "Kicked Ising chain: evolution, entanglement measures, closed forms.", "", "commands:",
+    *(f"  {name:<10}{about}" for name, (about, _, _) in _COMMANDS.items()), "",
+    "exit codes: 0 done, 1 compare exceeded --tol, 2 bad usage or input, 3 no closed form"])
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser of the four subcommands.  Given the ``argv`` it will parse,
-    only the subcommand that ``argv`` names gets its options, as a call never
-    parses the others'; every subcommand gets them when ``argv`` names none,
-    so that help and errors still list them all."""
-    parser = argparse.ArgumentParser(
-        prog="kicked-ising",
-        description="Kicked Ising chain: evolution, entanglement measures, closed forms.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    named = next((a for a in argv or () if not a.startswith("-")), None)
-    for name, (help_text, options, func) in _COMMANDS.items():
-        sub = subs.add_parser(name, help=help_text)
-        if named == name or named not in _COMMANDS:
-            options(sub)
-            sub.add_argument("--config", help="flat 'key = value' config file; flags override")
-            sub.add_argument("--output", help="output CSV path (default: stdout)")
-            sub.set_defaults(func=func, subparser=sub)
-    return parser
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _help(command: str) -> str:
+    about, _, table = _COMMANDS[command]
+    rows = [("-h, --help", "show this help and exit")] + [
+        (_flag(name) + " " + ("{" + ",".join(o.choices) + "}" if o.choices else name.upper()),
+         o.help + ("" if o.default is None else f" (default: {o.default})"))
+        for name, o in {**table, **_INVOCATION}.items()]
+    return (f"usage: kicked-ising {command} [--option VALUE ...]\n\n{about}\n\noptions:\n"
+            + "\n".join(f"  {spec:<24}  {text}" for spec, text in rows))
+
+
+def _typed(name: str, option: _Option, text: str) -> object:
+    """``text`` as the value of option ``name``, or a ValueError that names the option."""
+    try:
+        value = option.type(text)
+    except ValueError as exc:
+        raise ValueError(f"argument {_flag(name)}: {exc}") from None
+    if option.choices is not None and value not in option.choices:
+        raise ValueError(f"argument {_flag(name)}: invalid choice: {text!r} (choose from "
+                         + ", ".join(map(repr, option.choices)) + ")")
+    return value
+
+
+def _usage_error(prog: str, message: str):
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _parse(argv: list[str]) -> tuple[str, dict[str, object]]:
+    """The subcommand ``argv`` names and the typed options it gives, read as
+    argparse would: ``--opt value`` or ``--opt=value``, any unique prefix of
+    an option, the last occurrence winning, and a value that may start with
+    ``-`` but not ``--``.  Exits 0 at help, and 2 at the first usage error."""
+    if argv[:1] in (["-h"], ["--h"], ["--he"], ["--hel"], ["--help"]):
+        print(_TOP_HELP)
+        raise SystemExit(EXIT_OK)
+    if not argv or argv[0] not in _COMMANDS:
+        _usage_error("kicked-ising", (f"unknown subcommand {argv[0]!r}" if argv else
+                                      "no subcommand") + ": choose from " + ", ".join(_COMMANDS))
+    command, rest, given = argv[0], iter(argv[1:]), {}
+    prog, options = f"kicked-ising {command}", {**_COMMANDS[command][2], **_INVOCATION}
+    flags = {_flag(name): name for name in [*options, "help"]} | {"-h": "help"}
+    for arg in rest:
+        flag, has_value, value = arg.partition("=")
+        matches = [flag] if flag in flags else [f for f in flags
+                                                if flag.startswith("--") and f.startswith(flag)]
+        if len(matches) != 1:
+            _usage_error(prog, f"ambiguous option: {flag} could match {', '.join(matches)}"
+                         if matches else f"unrecognized argument {arg!r}")
+        name = flags[matches[0]]
+        if name == "help":
+            print(_help(command))
+            raise SystemExit(EXIT_OK)
+        if not has_value:
+            value = next(rest, "--")
+            if value.startswith("--"):
+                _usage_error(prog, f"argument {_flag(name)}: expected one argument")
+        try:
+            given[name] = _typed(name, options[name], value)
+        except ValueError as exc:
+            _usage_error(prog, str(exc))
+    return command, given
+
+
+def _config_values(path: str, table: dict[str, _Option]) -> dict[str, object]:
+    """The values a flat ``key = value`` file gives ``table``'s options, typed
+    and checked as flags are."""
+    out = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+            key, text = line.split("=", 1)
+            key = key.strip().replace("-", "_")
+            if key not in table:
+                raise ValueError(f"unknown config key {key!r}")
+            out[key] = _typed(key, table[key], text.strip())
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
+    """Run the subcommand ``argv`` names with the table's defaults, over them
+    the ``--config`` file's values, and over both the flags."""
+    command, given = _parse(sys.argv[1:] if argv is None else argv)
+    _, run, table = _COMMANDS[command]
+    values = {name: option.default for name, option in {**table, **_INVOCATION}.items()}
     try:
-        if args.config:
-            _config_as_defaults(args.subparser, args.config)
-            args = parser.parse_args(argv)
-        return args.func(args)
+        if given.get("config"):
+            values.update(_config_values(given["config"], table))
+        return run(SimpleNamespace(**(values | given)))
     except (ValueError, OSError, InsufficientMemoryError, SweepPointError) as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

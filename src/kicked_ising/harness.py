@@ -6,7 +6,7 @@ Every run goes through one kick loop, :func:`_evolve`, which builds a
 the frame of :class:`~kicked_ising.statevec.XFrameKick`, which it never
 leaves; a time series is a stack of one.  A run's start is named by
 :func:`_start_terms` and built in the frame directly.  Sampled states are
-measured in groups, and their reports finished in batches (:func:`_reports`).
+measured in groups, and their reports finished in batches (:func:`_finished`).
 Sweeps take their grid in chunks, the transverse points from the free-fermion
 closed form and the rest as stacks, in a fixed row-major order.
 """
@@ -190,28 +190,28 @@ def _groups(samples, rows: int, num_qubits: int):
         yield ts, group[:len(ts)].reshape(-1, 1 << num_qubits)
 
 
-def _reports(groups, **options):
-    """The reports of ``(ts, amps)`` groups, measured as the groups come and
-    finished in batches (:class:`~kicked_ising.measures.ReportBatch`): a batch
-    closes when its pending pair RDMs reach ``_CHUNK_AMPLITUDES`` complex
-    entries, and at the end."""
+def _finished(groups, finish, **options):
+    """``(ts, amps)`` groups measured as they come into a
+    :class:`~kicked_ising.measures.ReportBatch`, and ``finish(batch)`` of each
+    batch (its reports or its columns): a batch closes when its pending pair
+    RDMs reach ``_CHUNK_AMPLITUDES`` complex entries, and at the end."""
     batch = ReportBatch(**options)
     for ts, amps in groups:
         batch.add(amps, ts)
         if batch.pending >= _CHUNK_AMPLITUDES:
-            yield from batch.finish()
-    yield from batch.finish()
+            yield finish(batch)
+    yield finish(batch)
 
 
 def run_time_series(config: RunConfig) -> list[MeasureReport]:
     """Evolve and sample, measuring the samples in groups; the t=0 report is always included."""
     params = config.params
     samples = _evolve([params], config.initial, config.steps, config.sample_every)
-    return list(_reports(_groups(samples, 1, params.num_qubits),
-                         pair_measures=bool(config.measures & _PAIR_MEASURES),
-                         n_tangle_measure="n_tangle" in config.measures,
-                         boundary=params.boundary,
-                         shift_invariant=_shift_invariant(params, config.initial)))
+    batches = _finished(_groups(samples, 1, params.num_qubits), ReportBatch.finish,
+                        pair_measures=bool(config.measures & _PAIR_MEASURES),
+                        n_tangle_measure="n_tangle" in config.measures, boundary=params.boundary,
+                        shift_invariant=_shift_invariant(params, config.initial))
+    return [r for reports in batches for r in reports]
 
 
 def time_average(series: list[MeasureReport], measure: str) -> float:
@@ -294,8 +294,8 @@ def _jw_averages(config: SweepConfig, axes: dict[str, np.ndarray], ks: list[int]
 def _numeric_averages(config: SweepConfig, axes: dict[str, np.ndarray],
                       ks: list[int]) -> np.ndarray:
     """Mean measure over kicks 1..steps of points evolved as one stack, the
-    sampled stacks measured in groups, and a pair measure's reports finished
-    in batches (:func:`_reports`)."""
+    sampled stacks measured in groups, and a pair measure read from the
+    columns of batches (:func:`_finished`)."""
     points = [replace(config.fixed, **{name: float(axes[name][k]) for name in SWEEP_PARAMETERS})
               for k in ks]
     P = len(points)
@@ -304,10 +304,10 @@ def _numeric_averages(config: SweepConfig, axes: dict[str, np.ndarray],
     samples = ((t, amps) for t, amps in _evolve(points, config.initial, config.steps) if t)
     groups = _groups(samples, P, config.fixed.num_qubits)
     if config.measure in _PAIR_MEASURES:
-        got = [r.value(config.measure)
-               for r in _reports(((np.repeat(ts, P), amps) for ts, amps in groups),
-                                 n_tangle_measure=False, boundary=config.fixed.boundary,
-                                 shift_invariant=shift)]
+        got = [x for columns in _finished(((np.repeat(ts, P), amps) for ts, amps in groups),
+                                          ReportBatch.columns, n_tangle_measure=False,
+                                          boundary=config.fixed.boundary, shift_invariant=shift)
+               for x in columns.get(config.measure, ())]
         values[:] = np.reshape(got, (config.steps, P)).T
     else:
         for ts, amps in groups:

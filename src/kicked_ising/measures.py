@@ -294,9 +294,9 @@ def _table_pairs(L: int, shift_invariant: bool) -> tuple[np.ndarray, np.ndarray,
     return i, j, list(zip(i.tolist(), j.tolist())), np.arange(len(i))
 
 
-def _pair_columns(tangles: np.ndarray, tables: np.ndarray, boundary: str) -> dict[str, list]:
-    """The columns a ``(N, L, L)`` batch of pair tables derives, one entry per
-    report, with the ``(N, L)`` one-tangles.
+def _pair_columns(tangles: np.ndarray, tables: np.ndarray, boundary: str) -> dict:
+    """The columns a ``(N, L, L)`` batch of pair tables derives with the
+    ``(N, L)`` one-tangles, each a list or an array of one entry per report.
 
     Each reduction runs along the contiguous rows of one report's values, as
     it would for that report alone, so no value depends on its batch.
@@ -305,7 +305,7 @@ def _pair_columns(tangles: np.ndarray, tables: np.ndarray, boundary: str) -> dic
     residual = tangles - per_qubit
     i, j = _bonds(tables.shape[-1], boundary)
     bonds = np.ascontiguousarray(tables[:, i, j])
-    return {"sum_two_tangles_per_qubit": list(per_qubit), "residual_tangles": list(residual),
+    return {"sum_two_tangles_per_qubit": per_qubit, "residual_tangles": residual,
             "sum_two_tangles": per_qubit.mean(axis=1).tolist(),
             "residual_tangle": residual.mean(axis=1).tolist(),
             "nn_concurrence": bonds.mean(axis=1).tolist()}
@@ -329,7 +329,7 @@ class MeasureReport:
     q_measure: float
     n_tangle: float | None
     one_tangles: np.ndarray
-    pair_concurrences: np.ndarray | None
+    pair_concurrences: np.ndarray | None = None
     boundary: str = "periodic"
     sum_two_tangles_per_qubit: np.ndarray | None = None
     residual_tangles: np.ndarray | None = None
@@ -366,12 +366,11 @@ class ReportBatch:
     :meth:`add` takes a group's one-tangles, its pair RDMs if
     ``pair_measures`` and its n-tangles if ``n_tangle_measure``, and keeps
     nothing of the stack.  :meth:`finish` returns the reports of every group
-    added since the last finish, in order: one :func:`concurrences` call and
-    one table fill for them all, and the table's derived columns computed
-    once.  ``pending`` counts the complex entries of the pair RDMs waiting
-    for it, so that a caller can bound them.  A skipped measure reads None.
-
-    ``boundary`` is that of the chain the states live on; it selects the
+    added since the last finish, in order, and :meth:`columns` their fields:
+    one :func:`concurrences` call and one table fill for them all, and the
+    table's derived columns computed once.  ``pending`` counts the complex
+    entries of the pair RDMs waiting for it, so that a caller can bound them.
+    A skipped measure reads None.  ``boundary``, the chain's, selects the
     bonds of ``nn_concurrence``.
 
     ``shift_invariant`` is the caller's assertion, not checked here, that the
@@ -407,29 +406,31 @@ class ReportBatch:
         self._groups.append((list(ts), one_tangles(amps, self.shift_invariant), rdms,
                              n_tangle(amps) if self.n_tangle_measure else None))
 
-    def finish(self) -> list[MeasureReport]:
-        """The reports of the groups added since the last finish."""
+    def columns(self) -> dict:
+        """The fields of the reports :meth:`finish` would return, by name, each
+        a list or an array of one entry per report (no fields if no reports)."""
         if not self._groups:
-            return []
+            return {}
         ts, tangles, rdms, ns = zip(*self._groups)
         self._groups, self.pending = [], 0
-        ts = [t for group in ts for t in group]
         tangles = np.concatenate(tangles)
         N, L = tangles.shape
-        n_tangles = np.concatenate(ns).tolist() if self.n_tangle_measure else [None] * N
-        paired = [{"pair_concurrences": None}] * N
+        out = {"t": [t for group in ts for t in group], "num_qubits": [L] * N,
+               "q_measure": tangles.mean(axis=1).tolist(), "one_tangles": tangles,
+               "n_tangle": np.concatenate(ns).tolist() if self.n_tangle_measure else [None] * N}
         if self.pair_measures:
             i, j, _, column = _table_pairs(L, self.shift_invariant)
             values = concurrences(np.concatenate(rdms))[:, column]
             tables = np.zeros((N, L, L))
             tables[:, i, j] = tables[:, j, i] = values
-            columns = {"pair_concurrences": list(tables),
-                       **_pair_columns(tangles, tables, self.boundary)}
-            paired = [dict(zip(columns, row)) for row in zip(*columns.values())]
-        return [MeasureReport(t=t, num_qubits=L, q_measure=q, n_tangle=n, one_tangles=row,
-                              boundary=self.boundary, **pair)
-                for t, q, n, row, pair in zip(ts, tangles.mean(axis=1).tolist(), n_tangles,
-                                              tangles, paired, strict=True)]
+            out.update(pair_concurrences=tables, **_pair_columns(tangles, tables, self.boundary))
+        return out
+
+    def finish(self) -> list[MeasureReport]:
+        """The reports of the groups added since the last finish, from :meth:`columns`."""
+        columns = self.columns()
+        return [MeasureReport(**dict(zip(columns, row)), boundary=self.boundary)
+                for row in zip(*columns.values(), strict=True)]
 
 
 def reports(amps: np.ndarray, ts, pair_measures: bool = True, n_tangle_measure: bool = True,

@@ -1,12 +1,13 @@
 """The command-line front end: flags, config files, CSV contracts, exit codes."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from kicked_ising import cluster_q, jw_q_vacuum
-from kicked_ising.cli import build_parser, main
+from kicked_ising import cli, cluster_q, jw_q_vacuum
+from kicked_ising.cli import main
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -463,21 +464,23 @@ _FLOAT_OPTIONS = [(command, option) for command, argv in _RUNS.items()
 
 
 class TestParser:
-    """Only the subcommand an invocation names gets its options built."""
+    """Each subcommand takes the options of its row of the option table."""
 
-    def test_named_subcommand_has_every_option(self):
-        def options(parser):
-            subs = next(a for a in parser._actions if a.dest == "command").choices
-            return {name: sorted(o for a in sub._actions for o in a.option_strings)
-                    for name, sub in subs.items()}
-
-        full = options(build_parser())
-        assert all(len(flags) > 3 for flags in full.values())
-        for name in full:
-            named = options(build_parser([name, "--L", "4"]))
-            assert named == {other: flags if other == name else ["--help", "-h"]
-                             for other, flags in full.items()}
-        assert options(build_parser(["--help"])) == options(build_parser(["bogus"])) == full
+    def test_named_subcommand_has_every_option(self, capsys):
+        # its help lists exactly its own options, and it refuses the others'
+        every = {name for _, _, table in cli._COMMANDS.values() for name in table}
+        for command, (_, _, table) in cli._COMMANDS.items():
+            assert len(table) > 3
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == 0
+            listed = re.findall(r"^  (-h, --help|--[\w-]+)", capsys.readouterr().out, re.M)
+            assert listed == ["-h, --help", *map(cli._flag, [*table, "config", "output"])]
+            for other in sorted(every - set(table)):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, cli._flag(other), "1"])
+                assert exc.value.code == 2
+                assert f"unrecognized argument '{cli._flag(other)}'" in capsys.readouterr().err
 
     def test_sweep_help_lists_its_options(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -498,35 +501,31 @@ class TestParser:
 
         cfg = tmp_path / "run.cfg"
         cfg.write_text("L = 7\nboundary = open\n")
-        argv = [command, "--config", str(cfg)]
-        parser = build_parser(argv)
-        cli._config_as_defaults(parser.parse_args(argv).subparser, str(cfg))
-        args = parser.parse_args(argv)
-        assert (args.L, args.boundary) == (7, "open")
+        values = cli._config_values(str(cfg), cli._COMMANDS[command][2])
+        assert values == {"L": 7, "boundary": "open"} and type(values["L"]) is int
 
 
 class TestNonFiniteNumbers:
     """NaN and infinity are refused at the option that carries them, never run."""
 
     def test_every_float_option_is_covered(self):
-        subs = next(a for a in build_parser()._actions if a.dest == "command").choices
-        floats = {(command, option) for command, sub in subs.items() for a in sub._actions
-                  if a.type not in (None, int, str) for option in a.option_strings}
+        floats = {(command, cli._flag(name)) for command, (_, _, table) in cli._COMMANDS.items()
+                  for name, option in table.items() if option.type not in (cli._int, str)}
         assert floats == set(_FLOAT_OPTIONS)
 
     @pytest.mark.parametrize("command, option", _FLOAT_OPTIONS)
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_float_option_refused(self, command, option, value, capsys):
-        argv = list(_RUNS[command])
-        k = argv.index(option)
-        argv[k:k + 2] = [f"{option}={value}"]  # "-inf" alone would read as a flag
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        errors = [line for line in err.splitlines() if "error:" in line]
-        assert out == "" and len(errors) == 1
-        assert option in errors[0] and repr(value) in errors[0]
+        k = _RUNS[command].index(option)
+        for given in ([f"{option}={value}"], [option, value]):  # "-inf" is a value, not a flag
+            argv = _RUNS[command][:k] + given + _RUNS[command][k + 2:]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            errors = [line for line in err.splitlines() if "error:" in line]
+            assert out == "" and len(errors) == 1
+            assert option in errors[0] and repr(value) in errors[0]
 
     def test_nan_sweep_coupling_is_an_error_not_nan_rows(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -550,10 +549,93 @@ class TestNonFiniteNumbers:
     def test_config_file_value_refused(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("L = 4\njx = 0.9\nb = inf\ntheta = 0.7\nsteps = 3\n")
+        assert main(["evolve", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: argument --b: expected a finite number, got 'inf'\n"
+
+
+class TestArgvContract:
+    """The argv forms argparse took keep their meaning; every other argv is a
+    usage error of one line."""
+
+    _FULL = ["evolve", "--L", "6", "--jx", "-0.5", "--b", "0.3", "--theta", "0.7",
+             "--steps", "5", "--sample-every", "2", "--boundary", "open", "--output", "-"]
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--L=6", "--jx=-0.5", "--b=0.3", "--theta=0.7", "--steps=5",
+         "--sample-every=2", "--boundary=open", "--output=-"],
+        ["evolve", "--L", "6", "--j", "-0.5", "--b", "0.3", "--th", "0.7", "--st", "5",
+         "--sa", "2", "--bo", "open", "--ou", "-"],
+        ["evolve", "--L", "9", "--jx", "1", "--b", "0.3", "--theta", "0.7", "--steps", "5",
+         "--sample-every", "2", "--boundary", "periodic", "--output", "x.csv",
+         "--L=6", "--jx", "-0.5", "--boundary=open", "--output", "-"],
+    ], ids=["equals", "prefixes", "last-wins"])
+    def test_accepted_forms_mean_the_same(self, argv):
+        assert cli._parse(argv) == cli._parse(self._FULL) == ("evolve", {
+            "L": 6, "jx": -0.5, "b": 0.3, "theta": 0.7, "steps": 5, "sample_every": 2,
+            "boundary": "open", "output": "-"})
+
+    def test_exact_name_beats_a_longer_option(self):
+        # --b names the field, though --boundary starts with it too
+        assert cli._parse(["compare", "--b", "0.1"]) == ("compare", {"b": 0.1})
+
+    def test_prefixed_run_writes_the_same_csv(self, tmp_path):
+        full = self._FULL[:-2]
+        _, want = run_cli(full, tmp_path, "a.csv")
+        _, got = run_cli(["evolve", "--L=6", "--j", "-0.5", "--b=0.3", "--th", "0.7",
+                          "--st", "5", "--sa=2", "--bo", "open"], tmp_path, "b.csv")
+        assert got == want and want.count(b"\n") == 4
+
+    @pytest.mark.parametrize("argv, names", [
+        (["evolve", "--bogus", "1"], "'--bogus'"),
+        (["evolve", "-L", "4"], "'-L'"),
+        (["evolve", "--L"], "--L"),
+        (["evolve", "--initial", "--L", "4"], "--initial"),
+        (["evolve", "--L", "four"], "--L"),
+        (["evolve", "--jx", "x"], "--jx"),
+        (["evolve", "--boundary", "sideways"], "--boundary"),
+        (["evolve", "stray"], "'stray'"),
+        (["sweep", "--axis", "jx:0:1:2"], "--axis1, --axis2"),
+        ([], "subcommand"),
+        (["bogus", "--L", "4"], "'bogus'"),
+        (["--L", "4", "evolve"], "'--L'"),
+    ])
+    def test_usage_error_is_one_line(self, argv, names, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["evolve", "--config", str(cfg)])
+            main(argv)
         assert exc.value.code == 2
-        assert "argument --b: expected a finite number, got 'inf'" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert re.match(r"kicked-ising( \w+)?: error: ", err) and names in err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he"], ["evolve", "-h"],
+                                      ["sweep", "--help"], ["compare", "--L", "4", "--h"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: kicked-ising") and err == ""
+
+    def test_config_keys_are_typed_checked_and_overridden(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("L = 7\nsample-every = 3\njx = -1e-3\ninitial = ghz\n")
+        table = cli._COMMANDS["evolve"][2]
+        assert cli._config_values(str(cfg), table) == {
+            "L": 7, "sample_every": 3, "jx": -1e-3, "initial": "ghz"}
+        for bad, names in [("L = 7.5", "--L"), ("boundary = ring", "--boundary"),
+                           ("L 7", "expected 'key = value'"), ("output = x", "'output'")]:
+            cfg.write_text(bad + "\n")
+            with pytest.raises(ValueError, match=re.escape(names)):
+                cli._config_values(str(cfg), table)
+            assert main(["evolve", "--config", str(cfg)]) == 2
+            assert names in capsys.readouterr().err
+        # a flag wins over the file; the file over the table's default
+        cfg.write_text("L = 4\njx = 0.9\nb = 0.2\ntheta = 0.3\nsteps = 3\nboundary = open\n")
+        _, from_file = run_cli(["evolve", "--config", str(cfg), "--steps", "2"], tmp_path)
+        _, direct = run_cli(["evolve", "--L", "4", "--jx", "0.9", "--b", "0.2", "--theta", "0.3",
+                             "--steps", "2", "--boundary", "open"], tmp_path, "b.csv")
+        assert from_file == direct
 
 
 def test_stdout_default(capsys):

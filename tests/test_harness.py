@@ -307,6 +307,22 @@ class TestSweepGrid:
                           fixed=quick_params(num_qubits=6, theta=np.pi / 2 - 9e-4), steps=100)
         assert np.max(np.abs(sweep_grid(cfg) - per_point_averages(cfg))) < 1e-10
 
+    def test_long_state_vector_window_matches_the_closed_form(self, monkeypatch):
+        # 10^5 kicks of the vacuum ring on the transverse line, evolved (the closed
+        # form turned off) against jw_q_average, which is exact to rounding at any
+        # window.  Q is quadratic in the amplitudes, and every kick holds the norm
+        # to 1e-10, so an exact kick's Q may sit that far from the closed form.
+        from kicked_ising import analytic, harness
+
+        monkeypatch.setattr(harness, "_jw_mask",
+                            lambda config, thetas: np.zeros(thetas.shape, dtype=bool))
+        cfg = SweepConfig(axis1=AxisSpec("j_x", 0.7, 2.3, 2),
+                          axis2=AxisSpec("b_field", 0.4, 1.9, 2),
+                          fixed=quick_params(num_qubits=6, theta=np.pi / 2), steps=10 ** 5)
+        jx, b = np.meshgrid(cfg.axis1.values(), cfg.axis2.values(), indexing="ij")
+        want = analytic.jw_q_average(6, jx.ravel(), b.ravel(), cfg.steps).reshape(2, 2)
+        assert np.max(np.abs(sweep_grid(cfg) - want)) < 1e-10
+
     def test_numeric_sweep_keeps_the_phase_caches_small(self):
         # the kick's phase tables live and die with it; the n-tangle's parity
         # signs are the one cache left

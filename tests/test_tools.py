@@ -48,3 +48,15 @@ def test_a_timed_report_case_counts_its_calls(bench_layer):
     assert case["calls"] == 12
     assert 0.0 < case["layer"] < case["run"]
     assert (measures.ReportBatch.add, measures.ReportBatch.finish) == (add, finish)
+
+
+def test_a_cold_cli_case_times_a_first_call(bench_layer):
+    layer = bench_layer.LAYERS["cli"]
+    assert layer.cold and set(layer.cases()) == {
+        "evolve-pairs-L12", "compare-transverse-L20", "sweep-tilt-L6", "sweep-jw-L20"}
+    # one fresh interpreter: the import of the CLI timed, then its first call
+    case = bench_layer._run_child("cli", ROOT / "src", "sweep-tilt-L6")
+    assert list(case) == ["sweep-tilt-L6"]
+    case = case["sweep-tilt-L6"]
+    assert case["calls"] == 1 and case["import_s"] > 0.0
+    assert 0.0 < case["layer"] <= case["run"]

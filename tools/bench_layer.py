@@ -37,6 +37,11 @@ goes to:
 - ``sweep``: ``cli.main``, a whole ``kicked-ising sweep`` call with its CSV
   written by ``--output`` to a temporary file (``BENCH_sweep.json``).  Cases:
   the seed-0 ``sweep-jw-L20`` and ``sweep-tilt-L6`` argv of ``perfbench``.
+- ``cli``: ``cli.main`` as above, cold: the first call of a fresh interpreter,
+  as the benchmark makes it, on the seed-0 argv of all four ``perfbench``
+  workloads (``BENCH_cli.json``).  Each case runs in its own interpreter, with
+  no warm-up run, and also records ``import_s``, the seconds of importing
+  ``kicked_ising.cli`` there (numpy is imported before, by this tool).
 
 A timed function is wrapped wherever the package holds it: on its class, or
 in every ``kicked_ising`` module that imported it by name.  A call made
@@ -47,10 +52,12 @@ functions it has, and fails if it has none; the record lists them under
 Each ``LABEL=SRC_DIR`` names a tree whose ``kicked_ising`` package is timed.
 The trees take turns: each of the ``REPEATS`` rounds starts one fresh
 interpreter per tree, the first tree of a round rotating, and that
-interpreter runs every case once untimed and once timed.  So every tree sees
-the same host phases, and a before/after pair recorded in one invocation is
-comparable; one tree per invocation is not, as the host's speed drifts
-between invocations by more than the quartiles within one.  The median and
+interpreter runs every case once untimed and once timed (a cold layer's
+round starts one interpreter per tree and case, which runs the case once).
+So every tree sees the same host phases, and a before/after pair recorded
+in one invocation is comparable; one tree per invocation is not, as the
+host's speed drifts between invocations by more than the quartiles within
+one.  The median and
 quartiles of the layer's seconds per run, and of the whole run, are merged
 into the layer's file at the repository root under each label, next to what
 other labels recorded.  BLAS runs one thread unless the environment says
@@ -68,7 +75,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import argparse  # noqa: E402
 import functools  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
@@ -189,14 +195,16 @@ def _kick_cases() -> dict:
     return cases
 
 
-def _sweep_cases() -> dict:
-    from kicked_ising import cli
-
+def _main_cases(workloads: tuple[str, ...]) -> dict:
     cases = {}
-    for workload in ("sweep-jw-L20", "sweep-tilt-L6"):
+    for workload in workloads:
         inv = _invocation(workload)
 
         def run(argv=inv.argv):
+            # here, not when the cases are built: main lists a cold layer's cases
+            # in an interpreter that cannot import the package
+            from kicked_ising import cli
+
             with tempfile.TemporaryDirectory() as tmp:
                 # the module attribute, as timed
                 if cli.main([*argv, "--output", os.path.join(tmp, "out.csv")]) != 0:
@@ -216,6 +224,7 @@ class Layer:
     cases: Callable[[], dict]  # case name -> (run it, what it covers), built per tree
     output: str
     peak: bool = False  # record the tracemalloc peak of each case's untimed run
+    cold: bool = False  # time each case's first run in its own interpreter, and the import
 
 
 LAYERS = {
@@ -227,7 +236,13 @@ LAYERS = {
                     "BENCH_series.json"),
     "kick": Layer("statevec", ("XFrameKick.__call__",), "series", _kick_cases,
                   "BENCH_kick.json", peak=True),
-    "sweep": Layer("cli", ("main",), "call", _sweep_cases, "BENCH_sweep.json"),
+    "sweep": Layer("cli", ("main",), "call",
+                   functools.partial(_main_cases, ("sweep-jw-L20", "sweep-tilt-L6")),
+                   "BENCH_sweep.json"),
+    "cli": Layer("cli", ("main",), "call",
+                 functools.partial(_main_cases, ("evolve-pairs-L12", "compare-transverse-L20",
+                                                 "sweep-tilt-L6", "sweep-jw-L20")),
+                 "BENCH_cli.json", cold=True),
 }
 
 
@@ -259,7 +274,13 @@ def _time_cases(layer: Layer, names=None) -> dict:
     """One untimed and one timed run per case in this interpreter (of the
     cases in ``names``, or all): seconds inside the layer, seconds in the
     whole run, how often the run called the layer, and which of the layer's
-    functions were timed."""
+    functions were timed.  A cold layer's case runs once, timed, after a timed
+    import of the layer's module."""
+    imported = {}
+    if layer.cold:
+        start = time.perf_counter()
+        importlib.import_module(f"kicked_ising.{layer.module}")
+        imported["import_s"] = time.perf_counter() - start
     holders = _holders(layer)
     tally = {"layer": 0.0, "calls": 0}
     depth = [0]  # timed calls under way
@@ -293,13 +314,13 @@ def _time_cases(layer: Layer, names=None) -> dict:
                 run()
                 peak["peak_bytes"] = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
-            else:
+            elif not layer.cold:
                 run()  # warm-up
             tally.update(layer=0.0, calls=0)
             start = time.perf_counter()
             run()
             out[name] = {"run": time.perf_counter() - start, **tally, **covers, **peak,
-                         "timed": sorted(holders)}
+                         **imported, "timed": sorted(holders)}
     finally:
         for places in holders.values():
             for owner, attr, original in places:
@@ -331,6 +352,8 @@ def _cpu_model() -> str:
 
 
 def _tree(text: str) -> tuple[str, Path]:
+    import argparse
+
     label, sep, src = text.partition("=")
     if not (sep and label and src):
         raise argparse.ArgumentTypeError(f"expected LABEL=SRC_DIR, got {text!r}")
@@ -340,14 +363,17 @@ def _tree(text: str) -> tuple[str, Path]:
     return label, path
 
 
-def _run_child(layer: str, src: Path) -> dict:
+def _run_child(layer: str, src: Path, *case: str) -> dict:
+    """The cases of ``layer`` (or the one named) timed in a fresh interpreter on ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, __file__, CHILD_FLAG, layer], env=env, check=True,
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, __file__, CHILD_FLAG, layer, *case], env=env,
+                          check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
 
 
 def main(argv: list[str] | None = None) -> int:
+    import argparse  # here, not at the top: a cold layer's interpreters must not import it
+
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("layer", choices=sorted(LAYERS))
     parser.add_argument("trees", nargs="+", type=_tree, metavar="LABEL=SRC_DIR",
@@ -361,19 +387,23 @@ def main(argv: list[str] | None = None) -> int:
     for r in range(REPEATS):
         k = r % len(args.trees)
         for label, src in args.trees[k:] + args.trees[:k]:
-            rounds[label].append(_run_child(args.layer, src))
+            if layer.cold:
+                rounds[label].append({name: _run_child(args.layer, src, name)[name]
+                                      for name in layer.cases()})
+            else:
+                rounds[label].append(_run_child(args.layer, src))
     output = ROOT / layer.output
     record = json.loads(output.read_text()) if output.exists() else {}
     host = {"cpu": _cpu_model(), "nproc": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__, "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
+    # a sample's key -> the key of its median and quartiles in the record
+    spread = {"layer": "layer_s", "run": f"{layer.run}_s", "peak_bytes": "peak_bytes",
+              "import_s": "import_s"}
     for label, src in args.trees:
         samples = rounds[label]
-        cases = {name: {key: value for key, value in first.items()
-                        if key not in ("layer", "run", "peak_bytes")}
-                 | {"layer_s": _spread([s[name]["layer"] for s in samples]),
-                    f"{layer.run}_s": _spread([s[name]["run"] for s in samples])}
-                 | ({"peak_bytes": _spread([s[name]["peak_bytes"] for s in samples])}
-                    if layer.peak else {})
+        cases = {name: {key: value for key, value in first.items() if key not in spread}
+                 | {spread[key]: _spread([s[name][key] for s in samples])
+                    for key in spread if key in first}
                  for name, first in samples[0].items()}
         record.setdefault("runs", {})[label] = {
             "source_sha256": _source_digest(src), "host": host, "cases": cases,
@@ -383,13 +413,14 @@ def main(argv: list[str] | None = None) -> int:
                   f"[{case['layer_s']['q1'] * 1e3:.2f}, {case['layer_s']['q3'] * 1e3:.2f}], "
                   f"{layer.run} {case[f'{layer.run}_s']['median'] * 1e3:.2f} ms"
                   + (f", peak {case['peak_bytes']['median'] / 2 ** 20:.1f} MiB"
-                     if layer.peak else ""))
+                     if layer.peak else "")
+                  + (f", import {case['import_s']['median'] * 1e3:.2f} ms" if layer.cold else ""))
     output.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == [CHILD_FLAG]:
-        print(json.dumps(_time_cases(LAYERS[sys.argv[2]])))
+        print(json.dumps(_time_cases(LAYERS[sys.argv[2]], sys.argv[3:] or None)))
         sys.exit(0)
     sys.exit(main())
