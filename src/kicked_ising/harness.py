@@ -5,8 +5,9 @@ Every run goes through one kick loop, :func:`_evolve`, which builds a
 ``(P, 2**L)`` stack of states, one row per parameter point, and kicks it in
 the frame of :class:`~kicked_ising.statevec.XFrameKick`, which it never
 leaves; a time series is a stack of one.  A run's start is named by
-:func:`_start_terms` and built in the frame directly.  Sampled states are
-measured in groups, and their reports finished in batches (:func:`_finished`).
+:func:`_start_terms` and built in the frame directly.  Each sampled state is
+kicked straight into its slot of a group, which is measured where it was
+written, and the reports are finished in batches (:func:`_finished`).
 Sweeps take their grid in chunks, the transverse points from the free-fermion
 closed form and the rest as stacks, in a fixed row-major order.
 """
@@ -50,6 +51,12 @@ _LIVE_STATE_COPIES = 2
 # its JW points' (L/2)^2 real Dirichlet kernels each; a point larger than this
 # is a chunk of its own
 _CHUNK_AMPLITUDES = 1 << 14
+
+# the most stacks a group of samples holds: a run binds a kick plan per pair of
+# slots it kicks between, and by 64 samples a group spreads the measures'
+# per-call cost thin (with 4096 slots of 2 qubits, building the plans made a
+# 10^4-kick run 40% slower)
+_GROUP_SLOTS = 64
 
 
 class NoAnalyticOracleError(ValueError):
@@ -124,7 +131,7 @@ class RunConfig:
 def _available_memory_bytes() -> int | None:
     """MemAvailable from /proc/meminfo, or None where the system does not say."""
     try:
-        with open("/proc/meminfo", encoding="ascii") as fh:
+        with open("/proc/meminfo", encoding="utf-8") as fh:  # ASCII; utf-8 is loaded at start-up
             for line in fh:
                 if line.startswith("MemAvailable:"):
                     return int(line.split()[1]) * 1024
@@ -145,49 +152,57 @@ def _check_memory(num_qubits: int, points: int = 1) -> None:
         )
 
 
-def _evolve(points: list[ChainParams], initial: str, steps: int, sample_every: int = 1):
-    """The kick loop: evolve every point of one chain from ``initial`` together.
+def _evolve(points: list[ChainParams], initial: str, steps: int, sample_every: int = 1,
+            sample_start: bool = True):
+    """The kick loop: evolve every point of one chain from ``initial`` together,
+    and yield the samples in groups.
 
-    Yields ``(t, amps)`` at t = 0 and every ``sample_every`` kicks, with
-    ``amps`` the ``(P, 2**L)`` stack whose row p belongs to ``points[p]``.  The
-    rows are in the frame of :class:`~kicked_ising.statevec.XFrameKick`, the
-    z-basis state under a Hadamard and a diagonal phase gate on every qubit,
-    where every reported measure takes the same value as in the z basis.
+    The samples are t = 0 if ``sample_start``, and every ``sample_every``
+    kicks.  Each is the ``(P, 2**L)`` stack whose row p belongs to
+    ``points[p]``, in the frame of :class:`~kicked_ising.statevec.XFrameKick`
+    (the z-basis state under a Hadamard and a diagonal phase gate on every
+    qubit, where every reported measure takes the same value as in the z
+    basis).  Yields ``(ts, amps)``: the sampled kicks and their stacks, one
+    after another in the rows of ``amps``, up to
+    ``k = _CHUNK_AMPLITUDES // (P 2**L)`` of them, and at most ``_GROUP_SLOTS``.
+
+    The run holds one buffer of k slots, a stack each, and each sampled stack
+    is kicked straight into the slot of its group where it is measured: a
+    kick writes the slot of the next sample, the first kick after a sample
+    out of the previous one, and the rest in place.  The start is built in
+    its slot, or where k <= 1 is the buffer's one slot.
+    A group is yielded full before its slots are written again, and the
+    caller measures it before the loop goes on.
     """
-    L = points[0].num_qubits
-    _check_memory(L, len(points))
+    L, P = points[0].num_qubits, len(points)
+    _check_memory(L, P)
+    size = max(1, min(_CHUNK_AMPLITUDES // (P << L), _GROUP_SLOTS))
+    ts, at = ([0], 0) if sample_start else ([], size - 1)  # the start's slot
     try:
         kick = XFrameKick(points)
-        amps = kick.start(_start_terms(L, initial))
+        if size > 1:  # the start built in its slot
+            buffer = np.empty((size, P, 1 << L), dtype=complex)
+            kick.start(_start_terms(L, initial), out=buffer[at])
+        else:  # the start is the buffer, allocated once its small factors are built
+            buffer = kick.start(_start_terms(L, initial))[None]
     except MemoryError as exc:
         raise InsufficientMemoryError(
             f"state vector for {L} qubits does not fit in memory") from exc
-    yield 0, amps
+    slots = list(buffer)
+    plans = {}  # (from slot, to slot) -> the kick between them, at most 2k
     for t in range(1, steps + 1):
-        kick(amps)
-        if t % sample_every == 0:
-            yield t, amps
-
-
-def _groups(samples, rows: int, num_qubits: int):
-    """The ``(t, amps)`` samples of a run of ``rows`` points as ``(ts, stack)``
-    groups, the rows of sample i at ``i * rows``: the stacks of up to
-    ``k = _CHUNK_AMPLITUDES // (rows 2**L)`` samples copied into one buffer,
-    or, where a group would hold one stack (k <= 1), each live stack as it
-    is, never copied."""
-    size = _CHUNK_AMPLITUDES // (rows << num_qubits)
-    if size <= 1:
-        yield from (([t], amps) for t, amps in samples)
-        return
-    group, ts = np.empty((size, rows, 1 << num_qubits), dtype=complex), []
-    for t, amps in samples:
-        group[len(ts)] = amps
-        ts.append(t)
         if len(ts) == size:
-            yield ts, group.reshape(-1, 1 << num_qubits)
+            yield ts, buffer.reshape(-1, 1 << L)
             ts = []
+        to = len(ts)
+        if (at, to) not in plans:
+            plans[at, to] = kick.plan(slots[at], slots[to])
+        plans[at, to]()
+        at = to
+        if t % sample_every == 0:
+            ts.append(t)
     if ts:
-        yield ts, group[:len(ts)].reshape(-1, 1 << num_qubits)
+        yield ts, buffer[:len(ts)].reshape(-1, 1 << L)
 
 
 def _finished(groups, finish, **options):
@@ -206,8 +221,8 @@ def _finished(groups, finish, **options):
 def run_time_series(config: RunConfig) -> list[MeasureReport]:
     """Evolve and sample, measuring the samples in groups; the t=0 report is always included."""
     params = config.params
-    samples = _evolve([params], config.initial, config.steps, config.sample_every)
-    batches = _finished(_groups(samples, 1, params.num_qubits), ReportBatch.finish,
+    groups = _evolve([params], config.initial, config.steps, config.sample_every)
+    batches = _finished(groups, ReportBatch.finish,
                         pair_measures=bool(config.measures & _PAIR_MEASURES),
                         n_tangle_measure="n_tangle" in config.measures, boundary=params.boundary,
                         shift_invariant=_shift_invariant(params, config.initial))
@@ -301,8 +316,7 @@ def _numeric_averages(config: SweepConfig, axes: dict[str, np.ndarray],
     P = len(points)
     values = np.empty((P, config.steps))  # a row per point, as time_average sums
     shift = _shift_invariant(config.fixed, config.initial)
-    samples = ((t, amps) for t, amps in _evolve(points, config.initial, config.steps) if t)
-    groups = _groups(samples, P, config.fixed.num_qubits)
+    groups = _evolve(points, config.initial, config.steps, sample_start=False)
     if config.measure in _PAIR_MEASURES:
         got = [x for columns in _finished(((np.repeat(ts, P), amps) for ts, amps in groups),
                                           ReportBatch.columns, n_tangle_measure=False,

@@ -36,7 +36,7 @@ def _pair_rdms(amps: np.ndarray, pairs) -> np.ndarray:
 
     Fixing the pair's two bits leaves four quarter views of a row, and their
     Gram matrix is one ``np.vecdot`` that broadcasts the quarters against each
-    other along the longest of their three axes (:func:`_sliced_vecdot`), so
+    other along the longest of their three axes (:func:`_sliced_vecdots`), so
     no copy of the state is made.  The pair (L-1-d, L-1) has quarters that are
     contiguous runs of 2^(L-1-d).
     """
@@ -53,7 +53,7 @@ def _pair_rdms(amps: np.ndarray, pairs) -> np.ndarray:
         rest = [axis for axis in (1, 3, 5) if axis != longest]
         bits = (2, 4) if i > j else (4, 2)  # qubit i's bit first
         w = v.transpose(0, *rest, *bits, longest)
-        gram = _sliced_vecdot(w[..., None, None, :, :, :], w[..., None, None, :])
+        (gram,) = _sliced_vecdots((w[..., None, None, :, :, :], w[..., None, None, :]))
         out[:, k] = gram.sum(axis=(1, 2)).reshape(p, 4, 4)
     return out
 
@@ -90,15 +90,15 @@ def _ring_pair_rdms(amps: np.ndarray) -> np.ndarray:
     halves = amps.reshape(p, 2, 1 << K, -1)
     lo, hi = halves[:, 0], halves[:, 1]
     entries = np.empty((p, K, 20), dtype=complex)  # as _RING_LAYOUT reads them
-    for k, (a, b) in enumerate(((lo, lo), (hi, hi), (lo, hi))):
-        # one dot per sum, so that a row's values do not depend on the rows
-        # stacked with it, as those of one larger BLAS product could
-        gram = _sliced_vecdot(a, b)[:, None, :]
-        entries[..., 2 * k:2 * k + 2] = np.vecdot(_bit_sums(K), gram).reshape(p, K, 2)
+    # one dot per sum, so that a row's values do not depend on the rows
+    # stacked with it, as those of one larger BLAS product could
+    for k, gram in enumerate(_sliced_vecdots((lo, lo), (hi, hi), (lo, hi))):
+        entries[..., 2 * k:2 * k + 2] = np.vecdot(_bit_sums(K), gram[:, None, :]).reshape(p, K, 2)
     cross = entries[..., 6:10].reshape(p, K, 2, 2)  # a view
     for d in range(1, K + 1):
         v = amps.reshape(p, 2, 1 << (d - 1), 2, -1)  # qubit L-1, qubits between, qubit L-1-d
-        _sliced_vecdot(v[:, None, :, :, 1], v[:, :, None, :, 0]).sum(axis=-1, out=cross[:, d - 1])
+        (c,) = _sliced_vecdots((v[:, None, :, :, 1], v[:, :, None, :, 0]))
+        c.sum(axis=-1, out=cross[:, d - 1])
     np.conjugate(entries[..., :10], out=entries[..., 10:])
     return entries[..., _RING_LAYOUT]
 
@@ -179,15 +179,18 @@ def _block_rdm(amplitudes: np.ndarray, lo: int, size: int) -> np.ndarray:
     return sum(np.matmul(q, q.conj().swapaxes(-1, -2)).sum(axis=1) for q in parts)
 
 
-def _sliced_vecdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k conj(a[..., k]) b[..., k], summed over slices of ``_RDM_CHUNK``.
+def _sliced_vecdots(*pairs) -> list[np.ndarray]:
+    """sum_k conj(a[..., k]) b[..., k] for each ``(a, b)`` of ``pairs``, summed
+    over slices of ``_RDM_CHUNK``, every pair's dot of a slice in turn while
+    the slice is in cache.
 
     Rounding grows with the length of one dot product, so a long one is cut
     into slices whose partial sums are added."""
-    out = np.vecdot(a[..., :_RDM_CHUNK], b[..., :_RDM_CHUNK])
-    for r in range(_RDM_CHUNK, a.shape[-1], _RDM_CHUNK):
-        out += np.vecdot(a[..., r:r + _RDM_CHUNK], b[..., r:r + _RDM_CHUNK])
-    return out
+    sums = [np.vecdot(a[..., :_RDM_CHUNK], b[..., :_RDM_CHUNK]) for a, b in pairs]
+    for r in range(_RDM_CHUNK, pairs[0][0].shape[-1], _RDM_CHUNK):
+        for out, (a, b) in zip(sums, pairs):
+            out += np.vecdot(a[..., r:r + _RDM_CHUNK], b[..., r:r + _RDM_CHUNK])
+    return sums
 
 
 def one_tangles(amps: np.ndarray, shift_invariant: bool = False) -> np.ndarray:
@@ -209,8 +212,8 @@ def one_tangles(amps: np.ndarray, shift_invariant: bool = False) -> np.ndarray:
     if shift_invariant:
         half = amps.shape[-1] // 2
         lo, hi = amps[:, :half], amps[:, half:]
-        det = (_sliced_vecdot(lo, lo).real * _sliced_vecdot(hi, hi).real
-               - np.abs(_sliced_vecdot(lo, hi)) ** 2)
+        lolo, hihi, lohi = _sliced_vecdots((lo, lo), (hi, hi), (lo, hi))
+        det = lolo.real * hihi.real - np.abs(lohi) ** 2
         return np.repeat(np.clip(4.0 * det, 0.0, 1.0)[:, None], L, axis=1)
 
     def sums(picked):  # along contiguous rows, so that a row's sum does not depend on P

@@ -43,6 +43,10 @@ pass first applies the blocks of the qubits above ``k`` to panels of
 columns; the phases factor over the two parts of the index, so each chunk's
 lowest block also carries the phases of ``hi``: no array of the state's size
 besides the state.  Each row has its own rotation, phase table and frame.
+A kick reads one stack and writes another, or the same one in place, and
+every operand view of its calls is bound once per pair of stacks
+(:meth:`XFrameKick.plan`), so that a small kick, which costs numpy calls
+more than arithmetic, pays for no reshape or view a kick.
 """
 
 from __future__ import annotations
@@ -177,49 +181,65 @@ def _real_factor(f: np.ndarray) -> np.ndarray:
     return pairs.swapaxes(-3, -2).reshape(*f.shape[:-2], 2 * f.shape[-1], 2 * f.shape[-1])
 
 
-def _fused_pass(amps: np.ndarray, gates, spare: np.ndarray):
-    """Apply every block gate to the real view of ``amps``, alternating
-    between ``amps`` and ``spare``.
+def _products(source: np.ndarray, target: np.ndarray, gates, spare: np.ndarray):
+    """The block products of ``gates`` from ``source`` into ``target``, chunk by
+    chunk: steps ``(f, a, b, out)``, each called as ``f(a[i], b[i], out=out[i])``
+    for chunk i, and the operand that holds the product once they have run
+    (``target`` or the spare, indexed alike).
 
-    ``amps`` may be a ``(P, n)`` stack, its rows contiguous, and each gate a
-    real ``(P, d, d)`` stack.  The lowest block's gate (``lo == 0``) is its
-    right factor on the fastest axis, built once by :func:`_real_factor`; a
-    ``(P, m, d, d)`` factor acts on each of m equal parts of a row.  Returns
-    ``(result, spare)``: the buffer that holds the product and the one left
-    free.
+    ``source`` and ``target`` are ``(n, P, w)`` stacks of n chunks of P rows,
+    each row of a chunk contiguous, and ``spare`` a C-contiguous ``(P, w)``
+    chunk that every chunk uses in turn.  A chunk's first product reads
+    ``source`` into the spare, and the rest alternate between the spare and
+    ``target``, so ``source`` is only read and may be ``target`` itself.
+    Each gate is an ``(n, P, d, d)`` stack of real gates, one per chunk and
+    row, acting on the real view.  The lowest block's gate (``lo == 0``) is
+    its right factor on the fastest axis, built by :func:`_real_factor`; an
+    ``(n, P, m, d, d)`` factor acts on each of m equal parts of a row.  Every
+    operand is a view, whatever n is.
     """
-    rows = amps.size // amps.shape[-1]
-    reals, spare_reals = amps.view(float), spare.view(float)
+    n, rows = source.shape[:2]
+    # every chunk's spare, writable (the spare is C-contiguous)
+    spare = np.ndarray((n, *spare.shape), spare.dtype, buffer=spare, strides=(0, *spare.strides))
+    steps, now, free = [], source, spare
     for lo, gate in gates:
         if lo == 0:  # the fastest axis: an (A, e) x (e, e) product per row (and factor)
-            shape = (rows, *gate.shape[1:-2], -1, gate.shape[-1])
-            np.matmul(reals.reshape(shape), gate, out=spare_reals.reshape(shape))
+            shape = (n, rows, *gate.shape[2:-2], -1, gate.shape[-1])
+            a, b = now.view(float).reshape(shape), gate
         else:  # an amplitude is two reals
-            shape = (rows, -1, gate.shape[-1], 2 << lo)
-            np.matmul(gate[..., None, :, :], reals.reshape(shape), out=spare_reals.reshape(shape))
-        amps, spare = spare, amps
-        reals, spare_reals = spare_reals, reals
-    return amps, spare
+            shape = (n, rows, -1, gate.shape[-1], 2 << lo)
+            a, b = gate[..., None, :, :], now.view(float).reshape(shape)
+        steps.append((np.matmul, a, b, free.view(float).reshape(shape)))
+        now, free = free, target if free is spare else spare
+    return steps, now
 
 
-def _panel_pass(rows: np.ndarray, gates, buffer: np.ndarray) -> None:
-    """Apply the gates of the high qubits to a ``(P, 2**h, 2**k)`` view in place.
+def _bound(steps) -> list:
+    """The steps of one chunk with each operand taken out of its chunk axis
+    once, here: ``(f, (a,), (b,), (out,))``, indexed as before."""
+    return [(f, *((x[0],) for x in operands)) for f, *operands in steps]
 
-    The gates' lowest qubits count from the view's middle axis.  A panel of
-    columns at a time is copied into one half of ``buffer``, passed through
-    the gates with the other half as the spare, and copied back.
+
+def _panel_steps(source: np.ndarray, target: np.ndarray, gates, buffer: np.ndarray):
+    """The panel pass that applies the gates of the high qubits to a
+    ``(P, 2**h, 2**k)`` view ``source``, writing ``target`` (which may be
+    ``source``): ``(columns in, columns out, panel, steps, result)``.
+
+    The gates' lowest qubits count from the view's middle axis.  Panel c of
+    ``columns in`` is copied into ``panel``, one half of ``buffer``, passed
+    through the steps with the other half as the spare, and ``result`` is
+    copied to panel c of ``columns out``.
     """
-    P, high, width = rows.shape
+    P, high, width = source.shape
     columns = min(width, 1 << (len(buffer) // (2 * P * high)).bit_length() - 1)
     size = P * high * columns
-    panel, spare = buffer[:size].reshape(P, -1), buffer[size:2 * size].reshape(P, -1)
+    panel, spare = buffer[:size].reshape(1, P, -1), buffer[size:2 * size].reshape(P, -1)
     shift = columns.bit_length() - 1  # the view's middle axis, in qubits of a panel row
-    gates = [(lo + shift, gate) for lo, gate in gates]
-    for c in range(0, width, columns):
-        view = rows[:, :, c:c + columns]
-        np.copyto(panel.reshape(view.shape), view)
-        out, _ = _fused_pass(panel, gates, spare)
-        view[...] = out.reshape(view.shape)
+    steps, out = _products(panel, panel, [(lo + shift, gate[None]) for lo, gate in gates], spare)
+    shape = (P, high, width // columns, columns)
+    panels_in, panels_out = (x.reshape(shape).transpose(2, 0, 1, 3) for x in (source, target))
+    one = (P, high, columns)
+    return panels_in, panels_out, panel[0].reshape(one), _bound(steps), out[0].reshape(one)
 
 
 def _bond_phases(num_qubits: int, j_x: np.ndarray, closed: bool) -> np.ndarray:
@@ -273,7 +293,10 @@ def _split_field_gates(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     left = np.divide(column, size, out=np.ones_like(column), where=size > 0)
     right = np.ones_like(left)
     right[:, 1] = (left[:, 0] * left[:, 1]).conj()
-    rotation = (size[:, [0, 1, 1, 0]] * _ROTATION_SIGNS).reshape(-1, 2, 2)
+    # C-contiguous, and so are the block gates built from it: the fancy index
+    # leaves the points fastest, and a product by such a gate took 7 against
+    # 4.6 us on the 55-row stack at L = 6
+    rotation = np.ascontiguousarray((size[:, [0, 1, 1, 0]] * _ROTATION_SIGNS).reshape(-1, 2, 2))
     return left, rotation, right
 
 
@@ -297,6 +320,51 @@ def _times_diagonal_power(amplitudes: np.ndarray, v: np.ndarray) -> np.ndarray:
     return amplitudes
 
 
+class _KickPlan:
+    """One kick of ``source`` into ``target`` by ``kick``, its operands bound
+    (:meth:`XFrameKick.plan`)."""
+
+    __slots__ = ("panels", "steps", "chunks", "target")
+
+    def __init__(self, kick: XFrameKick, source: np.ndarray, target: np.ndarray):
+        for stack in (source, target):
+            if not stack.flags.c_contiguous:  # a reshape would copy, and drop the writes
+                raise ValueError("the stack must be C-contiguous to be changed in place")
+        rows, into = (stack.reshape(kick._rows) for stack in (target, source))
+        self.panels = _panel_steps(into, rows, kick._high, kick._buffer) if kick._high else None
+        chunks = rows.swapaxes(0, 1)  # chunk hi of every row; a panel pass leaves them here
+        steps, out = _products(into.swapaxes(0, 1) if self.panels is None else chunks, chunks,
+                               kick._gates, kick._spare)
+        phases = kick._low_phases
+        steps.append((np.multiply, out, np.broadcast_to(phases, (len(chunks), *phases.shape)),
+                      chunks))
+        if len(chunks) == 1:  # a row of one chunk: every operand bound here
+            steps, chunks = _bound(steps), (chunks[0],)
+        # a streamed row's chunk operands stay (n, ...) views, each chunk's view
+        # made as it is kicked, so that a plan holds no view per chunk
+        self.steps, self.chunks, self.target = steps, chunks, target
+
+    def __call__(self) -> np.ndarray:
+        if self.panels is not None:
+            panels_in, panels_out, panel, steps, out = self.panels
+            for c in range(len(panels_in)):
+                np.copyto(panel, panels_in[c])
+                for f, a, b, product in steps:
+                    f(a[0], b[0], out=product[0])
+                np.copyto(panels_out[c], out)
+        squares = None
+        for hi, chunk in enumerate(self.chunks):
+            for f, a, b, out in self.steps:
+                f(a[hi], b[hi], out=out[hi])
+            share = np.vecdot(chunk, chunk).real
+            squares = share if squares is None else squares + share
+        if _check_squared_norms(squares) > _RESCALE_ATOL:  # the drifted rows, to norm 1
+            for row, norm in zip(self.target, np.sqrt(squares).tolist()):
+                if abs(norm - 1.0) > _RESCALE_ATOL:
+                    row *= 1.0 / norm
+        return self.target
+
+
 class XFrameKick:
     """One kick in the sigma_x frame, with the field gate split into phases and
     a real rotation, for a ``(P, 2**L)`` stack of time series, row p at
@@ -309,15 +377,18 @@ class XFrameKick:
     own ``l``, ``R`` and ``r``.  :meth:`start` builds a stack in this frame,
     which a run never leaves.
 
-    Calling it kicks a stack in the frame, in place, and checks every row's
-    norm, with each row's index split as ``x = hi 2**k + lo``: ``k = L`` for
-    a row of up to ``_WHOLE_ROW_QUBITS`` qubits, else ``k = CHUNK_QUBITS``.
+    :meth:`plan` binds the kick of one stack in the frame into another, or
+    into itself, and calling it kicks a stack in place; either checks every
+    row's norm, with each row's index split as ``x = hi 2**k + lo``:
+    ``k = L`` for a row of up to ``_WHOLE_ROW_QUBITS`` qubits, else
+    ``k = CHUNK_QUBITS``.
 
     * Where ``k < L``, the panel pass applies the blocks of the high qubits
       to panels of columns of the ``(2**(L-k), 2**k)`` view, through a small
       buffer.
     * The chunk pass visits each row ``hi`` of that view once, over the whole
-      stack: the real blocks of the low qubits and the lowest block, then the
+      stack, from the source (or, after a panel pass, the target) into the
+      target: the real blocks of the low qubits and the lowest block, then the
       phase table of the low qubits, and the chunk's share of the norm.  In a
       row of one chunk the lowest block goes first and the table holds every
       bond.  Otherwise it goes last, and its complex right factor, one per
@@ -349,7 +420,7 @@ class XFrameKick:
         lowest = lowest.swapaxes(-1, -2)  # the right factor
         self._high = _block_gates(blocks(h), rotation)
         if not h:  # one chunk: the lowest block first, as blocks(L) lists it
-            self._gates = [[(0, _real_factor(lowest)), *low]]
+            self._gates = [(0, _real_factor(lowest)[None]), *((lo, g[None]) for lo, g in low)]
         else:  # row hi's gates: the low blocks, then the lowest, with a factor per half
             # bond[p, s, s'] is a bond's phase between bits s and s'
             bond = np.exp(-0.25j * j_x[:, None, None] * (1.0 - 2.0 * np.eye(2)[::-1]))
@@ -363,7 +434,8 @@ class XFrameKick:
             factors = _real_factor(lowest[:, None, None]
                                    * closing.swapaxes(1, 2)[:, :, None, None, :]
                                    * scale[:, :, :, None, None])
-            self._gates = [[*low, (0, f)] for f in factors.swapaxes(0, 1)]
+            self._gates = [*((lo, np.broadcast_to(g, (1 << h, *g.shape))) for lo, g in low),
+                           (0, factors.swapaxes(0, 1))]
         self._low_phases = _times_diagonal_power(
             _bond_phases(k, j_x, boundary == "periodic" and not h), frame)
         # the chunks' spare, and where there are high qubits two panels of 2**k
@@ -372,7 +444,7 @@ class XFrameKick:
         self._buffer = np.empty(len(points) * width, dtype=complex)
         self._spare = self._buffer[:len(points) << k].reshape(len(points), -1)
 
-    def start(self, terms: list[tuple[int, complex]]) -> np.ndarray:
+    def start(self, terms: list[tuple[int, complex]], out: np.ndarray | None = None) -> np.ndarray:
         """The stack whose row p is ``diag(r_p)^{(x)L} H^{(x)L} sum a |b>`` over the
         ``(b, a)`` of ``terms``, built in the frame.
 
@@ -381,7 +453,8 @@ class XFrameKick:
         amplitude x is ``(-1)^{popcount(x & b)} r_1^{popcount(x)}``: a gather
         from the powers of ``r_1``.  The stack is one matrix product of the
         terms' vectors over the high qubits by those over the low qubits: one
-        write per amplitude, and no temporary of its size.
+        write per amplitude, and no temporary of its size: into ``out``, a
+        C-contiguous ``(P, 2**L)`` stack, where given.
         """
         L, m = self.num_qubits, self.num_qubits // 2
         powers = np.ones((len(self._right), L - m + 1), dtype=complex)
@@ -393,26 +466,24 @@ class XFrameKick:
         low, high = (signed[:, np.bitwise_count(x[:1 << n] & b) & 1, np.bitwise_count(x[:1 << n])]
                      for n, b in ((m, bits), (L - m, bits >> m)))
         low *= (np.array([a for _, a in terms]) * 2.0 ** (-L / 2))[:, None]
-        out = np.empty((len(powers), 1 << (L - m), 1 << m), dtype=complex)
-        np.matmul(high.swapaxes(1, 2), low, out=out)
-        out = out.reshape(len(out), -1)
+        if out is None:
+            out = np.empty((len(powers), 1 << L), dtype=complex)
+        np.matmul(high.swapaxes(1, 2), low, out=out.reshape(len(out), 1 << (L - m), 1 << m))
         _check_norm(out)  # once a run: each kick checks the rows it returns
         return out
 
+    def plan(self, source: np.ndarray, target: np.ndarray) -> _KickPlan:
+        """The kick of the stack ``source`` into ``target``, as a call.
+
+        ``target`` is ``source``, for a kick in place, or a stack of its shape
+        that does not overlap it; either way the call writes only ``target``
+        and the kick's buffer, and returns ``target``.
+        Every operand view of the passes, the phase multiplies and the norm
+        sums is bound here, once, so a run that kicks between the same
+        stacks again calls the same plan.
+        """
+        return _KickPlan(self, source, target)
+
     def __call__(self, amplitudes: np.ndarray) -> np.ndarray:
-        if not amplitudes.flags.c_contiguous:  # a reshape would copy, and drop the writes
-            raise ValueError("the stack must be C-contiguous to be changed in place")
-        rows = amplitudes.reshape(self._rows)
-        if self._high:
-            _panel_pass(rows, self._high, self._buffer)
-        squares = 0.0
-        for hi, gates in enumerate(self._gates):
-            chunk = rows[:, hi]
-            out, _ = _fused_pass(chunk, gates, self._spare)
-            np.multiply(out, self._low_phases, out=chunk)
-            squares += np.vecdot(chunk, chunk).real
-        if _check_squared_norms(squares) > _RESCALE_ATOL:  # the rows that drifted, to norm 1
-            for row, norm in zip(amplitudes, np.sqrt(squares).tolist()):
-                if abs(norm - 1.0) > _RESCALE_ATOL:
-                    row *= 1.0 / norm
-        return amplitudes
+        """Kick the stack ``amplitudes`` in place: the plan from it into itself."""
+        return self.plan(amplitudes, amplitudes)()

@@ -9,7 +9,8 @@ unitaries come from eigendecompositions of their generators rather than trig
 closed forms, and the Ising kick from its phases between dense Kronecker
 powers of the Hadamard gate.  The one input taken from the package is the
 list of a run's start terms (:func:`z_start`); the field-gate and kernel
-references at the end keep earlier package forms verbatim.
+references at the end keep earlier package forms verbatim, and
+:func:`samples` reads the package's own runs one state at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 
 import numpy as np
 
-from kicked_ising.harness import _start_terms
+from kicked_ising.harness import _evolve, _start_terms
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, 1j], [-1j, 0]], dtype=complex)
@@ -229,3 +230,11 @@ def field_unitary_reference(b_field: float, theta: float) -> np.ndarray:
     point, from ``math`` scalars, as the package built it one point at a time."""
     axis = math.cos(theta) * SX + math.sin(theta) * SZ
     return math.cos(b_field / 2) * np.eye(2) - 1j * math.sin(b_field / 2) * axis
+
+
+def samples(points, initial: str, steps: int, sample_every: int = 1):
+    """The package's run (``harness._evolve``) one sample at a time: ``(t, stack)``
+    per sampled kick, a view of the ``(P, 2**L)`` stack in the run's group,
+    which later kicks overwrite once the run has gone past the group."""
+    for ts, amps in _evolve(points, initial, steps, sample_every):
+        yield from zip(ts, amps.reshape(len(ts), len(points), -1))

@@ -51,7 +51,6 @@ from kicked_ising import (
 )
 from kicked_ising.analytic import _even_momenta, _mode_arrays
 from kicked_ising.cli import main as cli_main
-from kicked_ising.harness import _evolve
 from kicked_ising.statevec import _SIGN, XFrameKick
 
 JX_SET = (0.3, 0.7, math.pi / 2)
@@ -65,7 +64,7 @@ def _verdict(num: str, label: str, ok: bool, detail: str = "") -> bool:
 
 def _walk(params: ChainParams, steps: int, initial: str = "vacuum") -> np.ndarray:
     """The run's states at kicks 0..steps as one ``(steps + 1, 2**L)`` stack."""
-    return np.concatenate([amps.copy() for _, amps in _evolve([params], initial, steps)])
+    return np.concatenate([amps.copy() for _, amps in helpers.samples([params], initial, steps)])
 
 
 def _q_trace(params: ChainParams, steps: int, initial: str = "vacuum") -> np.ndarray:

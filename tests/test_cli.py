@@ -644,3 +644,34 @@ def test_stdout_default(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("t,value\n")
+
+
+class TestRuntimeImports:
+    def test_a_run_imports_nothing_the_cli_import_did_not(self, tmp_path):
+        # a fresh process pays for every module a run imports on its way: an
+        # evolve, a sweep and a compare add nothing to sys.modules (reading
+        # /proc/meminfo as ASCII once imported encodings.ascii)
+        import os
+        import subprocess
+        import sys
+
+        code = """if True:
+            import os, sys
+            import kicked_ising.cli as cli
+            before = set(sys.modules)
+            for argv in (
+                    ["evolve", "--L", "6", "--jx", "0.9", "--b", "1.1", "--theta", "0.6",
+                     "--steps", "3", "--sample-every", "2"],
+                    ["sweep", "--axis1", "b:0.1:1:2", "--axis2", "theta:0.2:1.5707963:2",
+                     "--jx", "0.9", "--L", "4", "--kicks", "3"],
+                    ["compare", "--regime", "transverse", "--L", "6", "--jx", "1.1",
+                     "--b", "0.7", "--tmax", "3"]):
+                out = os.path.join(sys.argv[1], "out.csv")
+                assert cli.main(argv + ["--output", out]) == 0
+            print(sorted(set(sys.modules) - before))
+        """
+        src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[]"

@@ -1,5 +1,6 @@
 """Time series, averaging, sweeps, and the numeric-vs-analytic drivers."""
 
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -579,7 +580,7 @@ class TestShiftReducedTables:
             jx, b, theta = rng.uniform(0.0, 2.0 * np.pi, 3)
             params = ChainParams(num_qubits, jx, b, theta)
             series = run_time_series(RunConfig(params=params, steps=5, initial=initial))
-            for r, (t, amps) in zip(series, _evolve([params], initial, 5)):
+            for r, (t, amps) in zip(series, helpers.samples([params], initial, 5)):
                 full = reports(amps, [t])[0].pair_concurrences
                 assert r.t == t
                 assert np.max(np.abs(r.pair_concurrences - full)) < 1e-12
@@ -589,7 +590,7 @@ class TestShiftReducedTables:
     def test_other_runs_keep_the_full_table(self, boundary, initial):
         params = ChainParams(7, 1.3, 0.9, 0.6, boundary)
         series = run_time_series(RunConfig(params=params, steps=4, initial=initial))
-        for r, (t, amps) in zip(series, _evolve([params], initial, 4)):
+        for r, (t, amps) in zip(series, helpers.samples([params], initial, 4)):
             full = reports(amps, [t], boundary=boundary)[0]
             assert np.array_equal(r.pair_concurrences, full.pair_concurrences)
 
@@ -699,27 +700,93 @@ class TestGroups:
     """Sampled stacks are measured in groups of kicks, in a time series and a sweep alike."""
 
     def test_a_group_of_one_stack_is_the_live_stack(self):
-        # at 14 qubits a group of _CHUNK_AMPLITUDES holds one row: a copy into a
-        # one-row buffer would cost a state and a pass, and buy nothing
+        # at 14 qubits a group of _CHUNK_AMPLITUDES holds one row: the run keeps
+        # one stack and kicks it in place, and each sample is that stack
         from kicked_ising import harness
 
         L = 14
         assert harness._CHUNK_AMPLITUDES // 2 ** L == 1
-        stacks = [np.zeros((1, 2 ** L), dtype=complex) for _ in range(3)]
-        groups = list(harness._groups(zip(range(3), stacks), 1, L))
+        params = ChainParams(L, 1.3, 0.8, 0.6)
+        kick, groups, want = XFrameKick([params]), [], None
+        for ts, amps in _evolve([params], "vacuum", 2):
+            groups.append((ts, amps))
+            want = kick.start(_start_terms(L, "vacuum")) if want is None else kick(want)
+            assert np.array_equal(amps, want)
         assert [ts for ts, _ in groups] == [[0], [1], [2]]
-        assert all(got is want for (_, got), want in zip(groups, stacks))
+        assert all(got.__array_interface__ == groups[0][1].__array_interface__
+                   for _, got in groups)
 
     def test_a_group_holds_its_samples_stacks_in_order(self, monkeypatch):
+        # four stacks of three a group; each sample is the stack before it
+        # kicked in place, bit for bit
         from kicked_ising import harness
 
-        monkeypatch.setattr(harness, "_CHUNK_AMPLITUDES", 4 * 3 * 2 ** 4)  # four stacks of three
-        stacks = np.random.default_rng(5).normal(size=(7, 3, 2 ** 4)).astype(complex)
-        groups = [(ts, amps.copy()) for ts, amps in harness._groups(zip(range(1, 8), stacks),
-                                                                     3, 4)]
+        monkeypatch.setattr(harness, "_CHUNK_AMPLITUDES", 4 * 3 * 2 ** 4)
+        points = [ChainParams(4, 1.3, b, 0.6) for b in (0.4, 0.8, 1.9)]
+        groups = [(ts, amps.copy())
+                  for ts, amps in _evolve(points, "vacuum", 7, sample_start=False)]
         assert [ts for ts, _ in groups] == [[1, 2, 3, 4], [5, 6, 7]]
+        kick = XFrameKick(points)
+        stack, want = kick.start(_start_terms(4, "vacuum")), []
+        for _ in range(7):
+            want.append(kick(stack).copy())
         assert np.array_equal(np.concatenate([amps for _, amps in groups]),
-                              stacks.reshape(-1, 2 ** 4))
+                              np.concatenate(want))
+
+    @pytest.mark.parametrize("sample_every", [2, 3])
+    @pytest.mark.parametrize("L, boundary, initial, steps", [(12, "periodic", "vacuum", 20),
+                                                             (11, "open", "ghz", 40)])
+    def test_a_sampled_run_is_the_every_kick_run_subsampled(self, L, boundary, initial, steps,
+                                                            sample_every):
+        # groups of 4 (L = 12) and 8 (L = 11) stacks, which the samples of
+        # every 2 or 3 kicks fill no whole number of, and the unsampled kicks
+        # stay in their slot: states and reports are bit for bit the
+        # every-kick run's
+        params = ChainParams(L, 0.9, 1.1, 0.6, boundary)
+        every = run_time_series(RunConfig(params, steps, initial))
+        sampled = run_time_series(RunConfig(params, steps, initial, sample_every=sample_every))
+        assert [r.t for r in sampled] == list(range(0, steps + 1, sample_every))
+        for got in sampled:
+            want = every[got.t]
+            for field in dataclasses.fields(got):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+        states = {t: amps.copy() for t, amps in helpers.samples([params], initial, steps)}
+        for t, amps in helpers.samples([params], initial, steps, sample_every):
+            assert np.array_equal(amps, states[t])
+
+    def test_a_group_holds_at_most_64_stacks(self):
+        # 2**14 amplitudes would be 4096 states of two qubits, and a kick plan
+        # per pair of slots; 64 slots fill groups of 64
+        from kicked_ising import harness
+
+        assert harness._GROUP_SLOTS == 64
+        got = [ts for ts, _ in _evolve([ChainParams(2, 0.9, 1.1, 0.6)], "vacuum", 150)]
+        assert [len(ts) for ts in got] == [64, 64, 23]
+        assert sum(got, []) == list(range(151))
+
+    def test_each_group_is_measured_where_it_was_written(self, monkeypatch):
+        # every group a run yields, and every group a series and a sweep
+        # measure, is a view of the run's one buffer
+        from kicked_ising import harness
+
+        def one_buffer(stacks):
+            return all(amps.base is stacks[0].base and np.shares_memory(amps, stacks[0])
+                       for amps in stacks)
+
+        points = [ChainParams(5, 0.9, b, 0.6) for b in (0.4, 1.9)]
+        assert one_buffer([amps for _, amps in _evolve(points, "vacuum", 40)])
+        measured = []
+        add = measures.ReportBatch.add
+        monkeypatch.setattr(measures.ReportBatch, "add",
+                            lambda batch, amps, ts: measured.append(amps) or add(batch, amps, ts))
+        run_time_series(RunConfig(ChainParams(12, 0.9, 1.1, 0.6), 20, sample_every=3))
+        assert len(measured) == 2 and one_buffer(measured)
+        measured.clear()
+        sweep_grid(SweepConfig(axis1=AxisSpec("b_field", 0.4, 1.9, 3),
+                               axis2=AxisSpec("theta", 0.3, 1.2, 3),
+                               fixed=ChainParams(6, 0.9, 0.0, 0.0), steps=30,
+                               measure="nn_concurrence"))
+        assert len(measured) == 2 and one_buffer(measured)
 
     @pytest.mark.parametrize("measure", ["q", "n_tangle", "nn_concurrence"])
     def test_a_window_that_is_not_a_whole_number_of_groups(self, monkeypatch, measure):

@@ -20,7 +20,6 @@ from kicked_ising import (
     reports,
 )
 from kicked_ising import measures
-from kicked_ising.harness import _evolve
 
 
 def vacuum(L):
@@ -42,7 +41,7 @@ def random_pure(L, seed):
 
 def kicked(params, kicks, initial="vacuum"):
     """The run's stack after ``kicks`` kicks, in the kick's frame."""
-    for _, amps in _evolve([params], initial, kicks, kicks):
+    for _, amps in helpers.samples([params], initial, kicks, kicks):
         pass
     return amps
 
@@ -359,10 +358,29 @@ class TestShiftInvariantOneTangles:
                 points = [ChainParams(L, *rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, np.pi))
                           for _ in range(3)]
                 for stack in (points[:1], points):
-                    for t, amps in _evolve(stack, initial, 3):
+                    for t, amps in helpers.samples(stack, initial, 3):
                         got = one_tangles(amps, shift_invariant=True)
                         assert got.shape == (len(stack), L)
                         assert np.max(np.abs(got - one_tangles(amps))) < 1e-12
+
+    @pytest.mark.parametrize("chunk", [16, 256])
+    def test_three_dots_a_slice_are_the_three_separate_sums(self, monkeypatch, chunk):
+        # one pass over the slices takes the three dot products of the halves
+        # in the same slices and order as three passes would: bit for bit
+        def sliced(a, b):  # one pass of one dot product
+            out = np.vecdot(a[:, :chunk], b[:, :chunk])
+            for r in range(chunk, a.shape[-1], chunk):
+                out += np.vecdot(a[:, r:r + chunk], b[:, r:r + chunk])
+            return out
+
+        monkeypatch.setattr(measures, "_RDM_CHUNK", chunk)
+        rng = np.random.default_rng(31)
+        for L in range(2, 19):
+            stack = np.array([helpers.random_state(L, rng) for _ in range(2)])
+            lo, hi = stack[:, :2 ** (L - 1)], stack[:, 2 ** (L - 1):]
+            det = sliced(lo, lo).real * sliced(hi, hi).real - np.abs(sliced(lo, hi)) ** 2
+            want = np.repeat(np.clip(4.0 * det, 0.0, 1.0)[:, None], L, axis=1)
+            assert np.array_equal(one_tangles(stack, shift_invariant=True), want)
 
 
 class TestNTangleSlices:
@@ -414,7 +432,7 @@ class TestNTangleHalfSum:
             for initial in ("vacuum", "ghz"):
                 points = [ChainParams(L, *rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, np.pi))
                           for _ in range(3)]
-                for _, amps in _evolve(points, initial, 4):
+                for _, amps in helpers.samples(points, initial, 4):
                     terms = amps[:, ::-1] * signs * amps
                     exact = np.array([min(abs(complex(math.fsum(t.real), math.fsum(t.imag))), 1.0)
                                       for t in terms])  # clipped, as the measure is
@@ -588,7 +606,7 @@ class TestReport:
             r.value("entropy")
 
     def test_measures_in_range_on_dynamical_states(self):
-        for t, s in _evolve([ChainParams(5, 1.2, 0.9, 0.6)], "vacuum", 5):
+        for t, s in helpers.samples([ChainParams(5, 1.2, 0.9, 0.6)], "vacuum", 5):
             r = report_of(s, t)
             assert -1e-9 <= r.q_measure <= 1 + 1e-9
             assert -1e-9 <= r.n_tangle <= 1 + 1e-9

@@ -21,7 +21,7 @@ from kicked_ising import (
     run_time_series,
     statevec,
 )
-from kicked_ising.harness import _evolve, _start_terms
+from kicked_ising.harness import _start_terms
 from kicked_ising.statevec import (
     _SIGN,
     BLOCK_QUBITS,
@@ -29,7 +29,7 @@ from kicked_ising.statevec import (
     XFrameKick,
     _block_gates,
     _bond_phases,
-    _fused_pass,
+    _products,
     _real_factor,
     _split_field_gates,
     blocks,
@@ -57,6 +57,17 @@ def out_of_frame(kick, stack):
     """The inverse of :func:`into_frame`."""
     return np.array([on_every_qubit(row, HADAMARD @ np.diag(r.conj()))
                      for row, r in zip(stack, kick._right)])
+
+
+def product_pass(stack, gates):
+    """The block products of ``gates`` applied to ``stack`` in place, as one
+    chunk, through one spare; returns the array that holds the product."""
+    chunk = stack.reshape(1, -1, stack.shape[-1])
+    steps, out = _products(chunk, chunk, [(lo, g[None]) for lo, g in gates],
+                           np.empty_like(chunk[0]))
+    for f, a, b, product in steps:
+        f(a[0], b[0], out=product[0])
+    return out[0].reshape(stack.shape)
 
 
 def z_kick(psi, params, kicks=1):
@@ -156,7 +167,7 @@ class TestProductGate:
                 psi = helpers.random_state(L, rng)
                 gates = _block_gates(blocks(L), w)
                 gates[0] = (0, _real_factor(gates[0][1].T))
-                out, _ = _fused_pass(psi.copy(), gates, np.empty_like(psi))
+                out = product_pass(psi.copy(), gates)
                 expect = helpers.apply_local_unitaries(psi, [w] * L)
                 assert np.max(np.abs(out - expect)) < 1e-12
 
@@ -173,7 +184,7 @@ class TestProductGate:
                 f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
                 factor = _real_factor(f)
                 assert factor.dtype == np.float64 and factor.shape == (*shape[:-2], 16, 16)
-                out, _ = _fused_pass(stack.copy(), [(0, factor)], np.empty_like(stack))
+                out = product_pass(stack.copy(), [(0, factor)])
                 want = (stack.reshape(3, *shape[1:-2], -1, 8) @ f).reshape(3, -1)
                 assert np.max(np.abs(out - want)) < 1e-14
 
@@ -251,6 +262,27 @@ class TestXFrameKick:
         w = _SIGN @ u @ _SIGN / 2.0
         split = left[:, :, None] * rotation * right[:, None, :]
         assert np.max(np.abs(split - w)) < 1e-15
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("L, rows", [(6, 3), (12, 1), (17, 2)])
+    def test_out_of_place_kick_is_a_copy_kicked_in_place(self, L, rows, boundary):
+        # a stack of one chunk, a row of three blocks, and streamed rows (panels,
+        # then chunks): the kick into another stack leaves its source as it was
+        # and writes what a copy kicked in place holds, bit for bit; a plan
+        # called again kicks again
+        rng = np.random.default_rng(45 + L)
+        points = [ChainParams(L, *rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, np.pi), boundary)
+                  for _ in range(rows)]
+        kick = XFrameKick(points)
+        source = into_frame(kick, [helpers.random_state(L, rng) for _ in points])
+        before, target = source.copy(), np.empty_like(source)
+        assert kick.plan(source, target)() is target
+        assert np.array_equal(source, before)
+        assert np.array_equal(target, kick(before.copy()))
+        in_place = kick.plan(target, target)
+        in_place()
+        in_place()
+        assert np.array_equal(target, kick(kick(kick(before.copy()))))
 
     def test_checks_the_norm(self):
         kick = XFrameKick([ChainParams(4, 1.0, 0.5, 0.3)])
@@ -401,7 +433,7 @@ class TestStreamedKick:
             kick = XFrameKick([params])
             psi = helpers.z_start(L, "vacuum")[0]
             series = run_time_series(RunConfig(params, 2, measures=frozenset({"q"})))
-            for t, amps in _evolve([params], "vacuum", 2):
+            for t, amps in helpers.samples([params], "vacuum", 2):
                 assert np.max(np.abs(amps - into_frame(kick, psi[None]))) < 1e-12
                 assert abs(series[t].q_measure - one_tangles(psi[None]).mean()) < 1e-12
                 psi = helpers.kick_reference(psi, L, 1.3, 0.8, theta, boundary)
@@ -533,7 +565,8 @@ class TestStep:
 
 class TestInvariants:
     def test_norm_conservation_long_run(self):
-        for _, amps in _evolve([ChainParams(4, 2.31, 1.77, 0.9)], "vacuum", 10_000, 10_000):
+        params = ChainParams(4, 2.31, 1.77, 0.9)
+        for _, amps in helpers.samples([params], "vacuum", 10_000, 10_000):
             pass
         assert abs(np.linalg.norm(amps) - 1.0) < 1e-10
 
@@ -561,7 +594,7 @@ class TestInvariants:
 
     def test_translational_invariance_from_vacuum(self):
         # the frame is one gate on every qubit, so it keeps the RDMs' equality
-        for _, amps in _evolve([ChainParams(6, 1.3, 0.7, 0.5)], "vacuum", 7, 7):
+        for _, amps in helpers.samples([ChainParams(6, 1.3, 0.7, 0.5)], "vacuum", 7, 7):
             pass
         rdms = [helpers.brute_rdm1(amps[0], k, 6) for k in range(6)]
         for r in rdms[1:]:

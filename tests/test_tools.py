@@ -60,3 +60,14 @@ def test_a_cold_cli_case_times_a_first_call(bench_layer):
     case = case["sweep-tilt-L6"]
     assert case["calls"] == 1 and case["import_s"] > 0.0
     assert 0.0 < case["layer"] <= case["run"]
+
+
+def test_a_timed_kick_case_times_every_plan_and_kick(bench_layer):
+    from kicked_ising import statevec
+
+    plan, call = statevec.XFrameKick.plan, statevec._KickPlan.__call__
+    case = bench_layer._time_cases(bench_layer.LAYERS["kick"], {"L12"})["L12"]
+    # 40 kicks through the four slots of a group: four plans, bound once each
+    assert case["calls"] == 44 and case["peak_bytes"] > 0
+    assert 0.0 < case["layer"] < case["run"]
+    assert (statevec.XFrameKick.plan, statevec._KickPlan.__call__) == (plan, call)

@@ -25,15 +25,21 @@ goes to:
   ``compare --regime transverse`` calls it (``BENCH_series.json``).  Case:
   ``L20``, the seed-0 ``compare-transverse-L20`` run (L = 20, 3 kicks from
   the vacuum ring at theta = pi/2).
-- ``kick``: ``statevec.XFrameKick.__call__``, the kick, timed inside runs
-  from the vacuum ring at a tilted field (``BENCH_kick.json``).  Cases:
-  ``L16``, ``L20``, ``L22`` and ``L24``, a ``harness.run_time_series`` of 3
-  kicks measuring ``q`` alone at the seed-0 ``evolve-pairs-L12`` couplings;
-  ``L12``, one row of those couplings kicked 40 times; and
-  ``sweep-tilt-L6``, the stack of the 55 evolved points of the seed-0
-  ``sweep-tilt-L6`` grid kicked 100 times.  Each case also records
-  ``peak_bytes``, the ``tracemalloc`` peak of its untimed run: every array
-  the run allocates, the state included.
+- ``kick``: the kick, timed inside runs from the vacuum ring at a tilted
+  field (``BENCH_kick.json``): ``statevec.XFrameKick.plan``, which binds a
+  kick between two stacks, and ``statevec._KickPlan.__call__``, which runs
+  it, or ``statevec.XFrameKick.__call__`` in a tree that kicks in place
+  alone.  Cases: ``L16``, ``L20``, ``L22`` and ``L24``, a
+  ``harness.run_time_series`` of 3 kicks measuring ``q`` alone at the
+  seed-0 ``evolve-pairs-L12`` couplings; ``L12``, one row of those couplings
+  kicked 40 times; and ``sweep-tilt-L6``, the stack of the 55 evolved points
+  of the seed-0 ``sweep-tilt-L6`` grid kicked 100 times.  ``L12`` and
+  ``sweep-tilt-L6`` write each sample into its group, unmeasured, as their
+  runs do (through ``harness._evolve``, or in a tree that copies each
+  sample into its group, through ``harness._groups`` too), with t = 0
+  sampled in ``L12`` only.  Each case also records ``peak_bytes``, the
+  ``tracemalloc`` peak of its untimed run: every array the run allocates,
+  the state included.
 - ``sweep``: ``cli.main``, a whole ``kicked-ising sweep`` call with its CSV
   written by ``--output`` to a temporary file (``BENCH_sweep.json``).  Cases:
   the seed-0 ``sweep-jw-L20`` and ``sweep-tilt-L6`` argv of ``perfbench``.
@@ -41,7 +47,9 @@ goes to:
   as the benchmark makes it, on the seed-0 argv of all four ``perfbench``
   workloads (``BENCH_cli.json``).  Each case runs in its own interpreter, with
   no warm-up run, and also records ``import_s``, the seconds of importing
-  ``kicked_ising.cli`` there (numpy is imported before, by this tool).
+  ``kicked_ising.cli`` there (numpy is imported before, by this tool).  A
+  first call varies more than a warm one, so this layer takes
+  ``COLD_REPEATS`` rounds.
 
 A timed function is wrapped wherever the package holds it: on its class, or
 in every ``kicked_ising`` module that imported it by name.  A call made
@@ -50,7 +58,7 @@ functions it has, and fails if it has none; the record lists them under
 ``timed``.
 
 Each ``LABEL=SRC_DIR`` names a tree whose ``kicked_ising`` package is timed.
-The trees take turns: each of the ``REPEATS`` rounds starts one fresh
+The trees take turns: each of the layer's rounds (``REPEATS``) starts one fresh
 interpreter per tree, the first tree of a round rotating, and that
 interpreter runs every case once untimed and once timed (a cold layer's
 round starts one interpreter per tree and case, which runs the case once).
@@ -96,6 +104,9 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 WINDOWS = (10 ** 2, 10 ** 4, 10 ** 6)
 REPEATS = 9  # timed runs per case and tree
+# a cold layer's rounds: at 9, two invocations on the same trees put the first
+# sweep-tilt-L6 call at 9.2 and 11.0 ms, quartiles overlapping across trees
+COLD_REPEATS = 30
 CHILD_FLAG = "--time-this-interpreter"
 
 
@@ -172,13 +183,19 @@ def _kick_cases() -> dict:
     from kicked_ising import harness
     from kicked_ising.statevec import ChainParams
 
-    def kicked(points, kicks):  # the start and ``kicks`` kicks of a stack, unmeasured
-        for _ in harness._evolve(points, "vacuum", kicks):
+    def kicked(points, kicks, sample_start):  # a run's kicks into its sample groups, unmeasured
+        if hasattr(harness, "_groups"):  # a tree that kicks in place and copies each sample
+            samples = ((t, amps) for t, amps in harness._evolve(points, "vacuum", kicks)
+                       if t or sample_start)
+            groups = harness._groups(samples, len(points), points[0].num_qubits)
+        else:
+            groups = harness._evolve(points, "vacuum", kicks, sample_start=sample_start)
+        for _ in groups:
             pass
 
     flags, _ = _seed0("evolve-pairs-L12")
     jx, b, theta = (float(flags[f]) for f in ("--jx", "--b", "--theta"))
-    cases = {"L12": (lambda: kicked([ChainParams(12, jx, b, theta)], 40),
+    cases = {"L12": (lambda: kicked([ChainParams(12, jx, b, theta)], 40, True),
                      {"num_qubits": 12, "points": 1, "kicks": 40})}
     for L in (16, 20, 22, 24):
         config = harness.RunConfig(ChainParams(L, jx, b, theta), 3, measures=frozenset({"q"}))
@@ -190,7 +207,7 @@ def _kick_cases() -> dict:
     points = [ChainParams(L, float(flags["--jx"]), b, theta)
               for b in np.linspace(lo1, hi1, n1).tolist()
               for theta in np.linspace(lo2, hi2, n2).tolist() if abs(theta - math.pi / 2) > 1e-12]
-    cases["sweep-tilt-L6"] = (lambda: kicked(points, steps),
+    cases["sweep-tilt-L6"] = (lambda: kicked(points, steps, False),
                               {"num_qubits": L, "points": len(points), "kicks": steps})
     return cases
 
@@ -234,8 +251,8 @@ LAYERS = {
                     _report_cases, "BENCH_report.json"),
     "series": Layer("harness", ("run_time_series",), "series", _series_cases,
                     "BENCH_series.json"),
-    "kick": Layer("statevec", ("XFrameKick.__call__",), "series", _kick_cases,
-                  "BENCH_kick.json", peak=True),
+    "kick": Layer("statevec", ("XFrameKick.__call__", "XFrameKick.plan", "_KickPlan.__call__"),
+                  "series", _kick_cases, "BENCH_kick.json", peak=True),
     "sweep": Layer("cli", ("main",), "call",
                    functools.partial(_main_cases, ("sweep-jw-L20", "sweep-tilt-L6")),
                    "BENCH_sweep.json"),
@@ -384,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("need two or more trees with distinct labels")
     layer = LAYERS[args.layer]
     rounds = {label: [] for label in labels}
-    for r in range(REPEATS):
+    for r in range(COLD_REPEATS if layer.cold else REPEATS):
         k = r % len(args.trees)
         for label, src in args.trees[k:] + args.trees[:k]:
             if layer.cold:
