@@ -152,17 +152,17 @@ def _check_memory(num_qubits: int, points: int = 1) -> None:
         )
 
 
-def _evolve(points: list[ChainParams], initial: str, steps: int, sample_every: int = 1,
-            sample_start: bool = True):
+def _evolve(num_qubits: int, boundary: str, j_x, b_field, theta, initial: str, steps: int,
+            sample_every: int = 1, sample_start: bool = True):
     """The kick loop: evolve every point of one chain from ``initial`` together,
     and yield the samples in groups.
 
     The samples are t = 0 if ``sample_start``, and every ``sample_every``
-    kicks.  Each is the ``(P, 2**L)`` stack whose row p belongs to
-    ``points[p]``, in the frame of :class:`~kicked_ising.statevec.XFrameKick`
-    (the z-basis state under a Hadamard and a diagonal phase gate on every
-    qubit, where every reported measure takes the same value as in the z
-    basis).  Yields ``(ts, amps)``: the sampled kicks and their stacks, one
+    kicks.  Each is the ``(P, 2**L)`` stack whose row p is at point p of the
+    ``(P,)`` arrays ``j_x``, ``b_field`` and ``theta``, on one chain, in the
+    frame of :class:`~kicked_ising.statevec.XFrameKick` (the z-basis state
+    under a Hadamard and a diagonal phase gate on every qubit, where every
+    reported measure takes the same value as in the z basis).  Yields ``(ts, amps)``: the sampled kicks and their stacks, one
     after another in the rows of ``amps``, up to
     ``k = _CHUNK_AMPLITUDES // (P 2**L)`` of them, and at most ``_GROUP_SLOTS``.
 
@@ -174,12 +174,12 @@ def _evolve(points: list[ChainParams], initial: str, steps: int, sample_every: i
     A group is yielded full before its slots are written again, and the
     caller measures it before the loop goes on.
     """
-    L, P = points[0].num_qubits, len(points)
+    L, P = num_qubits, len(j_x)
     _check_memory(L, P)
     size = max(1, min(_CHUNK_AMPLITUDES // (P << L), _GROUP_SLOTS))
     ts, at = ([0], 0) if sample_start else ([], size - 1)  # the start's slot
     try:
-        kick = XFrameKick(points)
+        kick = XFrameKick(L, boundary, j_x, b_field, theta)
         if size > 1:  # the start built in its slot
             buffer = np.empty((size, P, 1 << L), dtype=complex)
             kick.start(_start_terms(L, initial), out=buffer[at])
@@ -221,7 +221,8 @@ def _finished(groups, finish, **options):
 def run_time_series(config: RunConfig) -> list[MeasureReport]:
     """Evolve and sample, measuring the samples in groups; the t=0 report is always included."""
     params = config.params
-    groups = _evolve([params], config.initial, config.steps, config.sample_every)
+    groups = _evolve(params.num_qubits, params.boundary, [params.j_x], [params.b_field],
+                     [params.theta], config.initial, config.steps, config.sample_every)
     batches = _finished(groups, ReportBatch.finish,
                         pair_measures=bool(config.measures & _PAIR_MEASURES),
                         n_tangle_measure="n_tangle" in config.measures, boundary=params.boundary,
@@ -255,6 +256,10 @@ class AxisSpec:
     def __post_init__(self):
         if self.name not in SWEEP_PARAMETERS:
             raise ValueError(f"axis name must be one of {SWEEP_PARAMETERS}, got {self.name!r}")
+        for end in ("start", "stop"):
+            if not math.isfinite(getattr(self, end)):
+                raise ValueError(f"axis {self.name} {end} must be a finite number, "
+                                 f"got {getattr(self, end)!r}")
         if self.count < 2:
             raise ValueError(f"axis needs at least 2 points, got {self.count}")
 
@@ -286,8 +291,9 @@ def _jw_mask(config: SweepConfig, thetas: np.ndarray) -> np.ndarray:
     """Which points take mean Q from the free-fermion closed form: those the
     transverse regime's Q oracle holds for, as ``compare`` takes them.  Of a
     point's parameters only theta decides it, so each distinct theta is
-    decided once, through a set: np.unique's sort alone raises a small
-    sweep's peak memory by ~0.3 MB.  The rest are evolved."""
+    decided once, through a set (np.unique's sort alone raises a small
+    sweep's peak memory by ~0.3 MB), and the points of the thetas taken are
+    found by one comparison.  The rest are evolved."""
     transverse = REGIMES["transverse"]
 
     def takes(theta: float) -> bool:
@@ -295,9 +301,8 @@ def _jw_mask(config: SweepConfig, thetas: np.ndarray) -> np.ndarray:
         return (config.measure in _Q_MEASURES and transverse.contains(p, config.initial)
                 and transverse.oracles["q"].holds(p))
 
-    thetas = thetas.tolist()
-    decided = {theta: takes(theta) for theta in set(thetas)}
-    return np.array([decided[theta] for theta in thetas], dtype=bool)
+    taken = [theta for theta in set(thetas.tolist()) if takes(theta)]
+    return np.equal.outer(thetas, taken).any(axis=1)
 
 
 def _jw_averages(config: SweepConfig, axes: dict[str, np.ndarray], ks: list[int]) -> np.ndarray:
@@ -311,22 +316,22 @@ def _numeric_averages(config: SweepConfig, axes: dict[str, np.ndarray],
     """Mean measure over kicks 1..steps of points evolved as one stack, the
     sampled stacks measured in groups, and a pair measure read from the
     columns of batches (:func:`_finished`)."""
-    points = [replace(config.fixed, **{name: float(axes[name][k]) for name in SWEEP_PARAMETERS})
-              for k in ks]
-    P = len(points)
+    fixed, P = config.fixed, len(ks)
     values = np.empty((P, config.steps))  # a row per point, as time_average sums
-    shift = _shift_invariant(config.fixed, config.initial)
-    groups = _evolve(points, config.initial, config.steps, sample_start=False)
+    shift = _shift_invariant(fixed, config.initial)
+    groups = _evolve(fixed.num_qubits, fixed.boundary, *(axes[n][ks] for n in SWEEP_PARAMETERS),
+                     config.initial, config.steps, sample_start=False)
     if config.measure in _PAIR_MEASURES:
         got = [x for columns in _finished(((np.repeat(ts, P), amps) for ts, amps in groups),
                                           ReportBatch.columns, n_tangle_measure=False,
-                                          boundary=config.fixed.boundary, shift_invariant=shift)
+                                          boundary=fixed.boundary, shift_invariant=shift)
                for x in columns.get(config.measure, ())]
         values[:] = np.reshape(got, (config.steps, P)).T
     else:
-        for ts, amps in groups:
-            got = (one_tangles(amps, shift).mean(axis=1) if config.measure in _Q_MEASURES
-                   else n_tangle(amps))
+        for ts, amps in groups:  # a shift-invariant row's qubits share one one-tangle
+            got = (n_tangle(amps) if config.measure not in _Q_MEASURES
+                   else one_tangles(amps, shift)[:, 0] if shift
+                   else one_tangles(amps, shift).mean(axis=1))
             values[:, ts[0] - 1:ts[-1]] = np.reshape(got, (len(ts), P)).T
     return values.mean(axis=1)
 

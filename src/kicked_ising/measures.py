@@ -205,8 +205,8 @@ def one_tangles(amps: np.ndarray, shift_invariant: bool = False) -> np.ndarray:
 
     ``shift_invariant`` is the caller's assertion, not checked here, that the
     ring shift maps every row to itself up to a phase, as in :func:`reports`.
-    Every qubit then has the RDM of qubit L-1, whose entries are three dot
-    products of the two contiguous halves of a row.
+    Every qubit then has the RDM of qubit L-1, from three dot products of the
+    two contiguous halves of a row, and the result is a read-only view of it.
     """
     L = amps.shape[-1].bit_length() - 1
     if shift_invariant:
@@ -214,7 +214,7 @@ def one_tangles(amps: np.ndarray, shift_invariant: bool = False) -> np.ndarray:
         lo, hi = amps[:, :half], amps[:, half:]
         lolo, hihi, lohi = _sliced_vecdots((lo, lo), (hi, hi), (lo, hi))
         det = lolo.real * hihi.real - np.abs(lohi) ** 2
-        return np.repeat(np.clip(4.0 * det, 0.0, 1.0)[:, None], L, axis=1)
+        return np.broadcast_to(np.clip(4.0 * det, 0.0, 1.0)[:, None], (len(amps), L))
 
     def sums(picked):  # along contiguous rows, so that a row's sum does not depend on P
         return np.ascontiguousarray(picked).sum(axis=-1)

@@ -19,9 +19,9 @@ which the Hadamard ``H`` on every qubit reaches, so
 
 Every evolution runs in the ``sigma_x`` frame, on ``H^{(x)L} psi``, where a
 kick is ``D (H u H)^{(x)L}``.  The field gate splits as
-``H u H = diag(l) R diag(r)`` with ``R`` a real rotation, so a run goes one
-diagonal further, to ``diag(r)^{(x)L} H^{(x)L} psi``, where a kick is
-``R^{(x)L}`` followed by the phases ``D (r l)^{(x)L}`` (:class:`XFrameKick`).
+``H u H = diag(l) R diag(r)`` with ``R`` a real rotation, in closed form, so
+a run goes one diagonal further, to ``diag(r)^{(x)L} H^{(x)L} psi``, where a
+kick is ``R^{(x)L}`` followed by the phases ``D (r l)^{(x)L}`` (:class:`XFrameKick`).
 A run builds its start in the frame directly, as a product vector, and never
 leaves it: every measure the package reports is invariant under a one-qubit
 unitary on each qubit.
@@ -56,9 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, 1j], [-1j, 0]], dtype=complex)
-PAULI_Z = np.array([[-1, 0], [0, 1]], dtype=complex)
 
 BOUNDARIES = ("periodic", "open")
 
@@ -91,24 +89,20 @@ _LOWEST_QUBITS = 3
 # run of 1 KiB; runs of 256 B made the pass half again as slow at 24 qubits
 _PANEL_COLUMNS = 64
 
-# the Hadamard gate is _SIGN / sqrt(2); H u H is _SIGN u _SIGN / 2, exactly
-_SIGN = np.array([[1.0, 1.0], [1.0, -1.0]])
-
-# the signs of the rotation [[|a|, -|b|], [|b|, |a|]], flattened
-_ROTATION_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])
-
 
 def _check_norm(amplitudes: np.ndarray) -> None:  # each row of a stack
     _check_squared_norms(np.vecdot(amplitudes, amplitudes).real)
 
 
 def _check_squared_norms(squares: np.ndarray) -> float:
-    """The largest ``|norm - 1|`` of the rows whose squared norms are ``squares``,
-    which must be at most ``_NORM_ATOL``."""
-    norms = np.sqrt(squares).reshape(-1)
-    drift = np.maximum.reduce(abs(norms - 1.0))  # the method .max() costs a call more
-    if not drift <= _NORM_ATOL:  # maximum passes a NaN on, so it fails too
-        norm = next(n for n in norms.tolist() if not abs(n - 1.0) <= _NORM_ATOL)
+    """The largest ``|norm - 1|`` of the rows whose squared norms are the
+    ``(P,)`` array ``squares``, which must be at most ``_NORM_ATOL``: from the
+    largest and the smallest square, as sqrt is monotone.  Either reduction
+    passes a NaN on, and ``max`` keeps a NaN given first, so a NaN fails."""
+    drift = max(abs(math.sqrt(np.maximum.reduce(squares)) - 1.0),
+                abs(math.sqrt(np.minimum.reduce(squares)) - 1.0))
+    if not drift <= _NORM_ATOL:
+        norm = next(n for n in np.sqrt(squares).tolist() if not abs(n - 1.0) <= _NORM_ATOL)
         raise ValueError(f"state norm {norm!r} is not 1 within {_NORM_ATOL}")
     return drift
 
@@ -132,6 +126,9 @@ class ChainParams:
     def __post_init__(self):
         if self.num_qubits < 2:
             raise ValueError(f"need at least 2 qubits, got {self.num_qubits}")
+        for name in ("j_x", "b_field", "theta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
 
@@ -177,8 +174,12 @@ def _real_factor(f: np.ndarray) -> np.ndarray:
     """The complex right factor ``f`` (a ``(..., d, d)`` stack) of a product on
     the fastest axis, as a real factor of the interleaved real view of the
     amplitudes: each entry ``f`` becomes ``[[Re f, Im f], [-Im f, Re f]]``."""
-    pairs = np.stack([np.stack([f.real, f.imag], -1), np.stack([-f.imag, f.real], -1)], -2)
-    return pairs.swapaxes(-3, -2).reshape(*f.shape[:-2], 2 * f.shape[-1], 2 * f.shape[-1])
+    *stack, d, _ = f.shape
+    out = np.empty((*stack, d, 2, d, 2))  # [..., row, re/im in, column, re/im out]
+    out[..., 0, :, 0] = out[..., 1, :, 1] = f.real
+    out[..., 0, :, 1] = f.imag
+    np.negative(f.imag, out=out[..., 1, :, 0])
+    return out.reshape(*stack, 2 * d, 2 * d)
 
 
 def _products(source: np.ndarray, target: np.ndarray, gates, spare: np.ndarray):
@@ -262,41 +263,42 @@ def _bond_phases(num_qubits: int, j_x: np.ndarray, closed: bool) -> np.ndarray:
     return np.take(np.exp(-0.25j * j_x[:, None] * alignment), flips, axis=-1)
 
 
-def field_unitary(b_field: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """The ``(P, 2, 2)`` stack of one-qubit rotations
-    exp(-i b (cos(theta) S^x + sin(theta) S^z)), one per point of the ``(P,)``
-    arrays ``b_field`` and ``theta``.
+def _field_split(b_field, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(l, R, r)`` with ``H u H = diag(l) R diag(r)`` and ``R`` real, per point
+    of the ``(P,)`` arrays ``b_field`` (B) and ``theta``, where ``u`` is the
+    field gate exp(-i B (cos(theta) S^x + sin(theta) S^z)).
+
+    ``H u H`` is ``[[a, -b*], [b, a*]]``, with ``a = cos(B/2) - i sin(B/2) cos(theta)``
+    and ``b = i sin(B/2) sin(theta)``, so with ``R`` the rotation
+    ``[[|a|, -|b|], [|b|, |a|]]`` the phases are ``l = (a/|a|, b/|b|)`` and
+    ``r = (1, (l_0 l_1)*)``, taking ``arg 0 = 0`` where ``a`` or ``b`` is 0.
 
     The sines and cosines are libm's, from :mod:`math`, one point at a time:
     NumPy's vector loops need not round them as libm does on every platform,
-    and every digit a run reports follows from the gates.
+    and every digit a run reports follows from the gates.  The rest is
+    arithmetic that IEEE rounds alike everywhere, point by point, so the
+    split of a stack is bitwise that of each point alone.
     """
     def trig(f, x):
-        return np.array([f(v) for v in np.asarray(x, dtype=float).tolist()])[:, None, None]
+        return np.array([f(v) for v in x])
 
-    half = np.asarray(b_field, dtype=float) / 2
-    axis = trig(math.cos, theta) * PAULI_X + trig(math.sin, theta) * PAULI_Z
-    return trig(math.cos, half) * np.eye(2) - 1j * trig(math.sin, half) * axis
-
-
-def _split_field_gates(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(l, R, r)`` with ``H u H = diag(l) R diag(r)`` and ``R`` real, per row of a
-    ``(P, 2, 2)`` stack of field gates ``u``.
-
-    ``w = H u H`` is in SU(2), ``[[a, -b*], [b, a*]]``, so with ``R`` the
-    rotation ``[[|a|, -|b|], [|b|, |a|]]`` the phases are
-    ``l = (e^{i arg a}, e^{i arg b})`` and ``r = (1, e^{-i(arg a + arg b)})``,
-    taking ``arg 0 = 0`` where ``a`` or ``b`` is 0.
-    """
-    column = u.sum(axis=-1) @ _SIGN / 2.0  # (a, b) = H u H e_0, and H e_0 = (1, 1) / sqrt(2)
-    size = np.abs(column)
-    left = np.divide(column, size, out=np.ones_like(column), where=size > 0)
+    halves = [b / 2 for b in np.asarray(b_field, dtype=float).tolist()]
+    theta = np.asarray(theta, dtype=float).tolist()
+    cos, sin = trig(math.cos, halves), trig(math.sin, halves)
+    re_a, im_a, im_b = cos, -sin * trig(math.cos, theta), sin * trig(math.sin, theta)
+    size_a, size_b = np.sqrt(re_a * re_a + im_a * im_a), abs(im_b)
+    left = np.ones((len(halves), 2), dtype=complex)
+    parts = left.view(float).reshape(-1, 2, 2)  # [point, a or b, real or imaginary]
+    np.divide(re_a, size_a, out=parts[:, 0, 0], where=size_a > 0)
+    np.divide(im_a, size_a, out=parts[:, 0, 1], where=size_a > 0)
+    parts[:, 1, 0] = im_b == 0
+    parts[:, 1, 1] = np.sign(im_b)  # b / |b| is i or -i
     right = np.ones_like(left)
     right[:, 1] = (left[:, 0] * left[:, 1]).conj()
-    # C-contiguous, and so are the block gates built from it: the fancy index
-    # leaves the points fastest, and a product by such a gate took 7 against
-    # 4.6 us on the 55-row stack at L = 6
-    rotation = np.ascontiguousarray((size[:, [0, 1, 1, 0]] * _ROTATION_SIGNS).reshape(-1, 2, 2))
+    rotation = np.empty((len(halves), 2, 2))  # C-contiguous, as are the block gates built from it
+    rotation[:, 0, 0] = rotation[:, 1, 1] = size_a
+    rotation[:, 1, 0] = size_b
+    rotation[:, 0, 1] = -size_b
     return left, rotation, right
 
 
@@ -367,11 +369,13 @@ class _KickPlan:
 
 class XFrameKick:
     """One kick in the sigma_x frame, with the field gate split into phases and
-    a real rotation, for a ``(P, 2**L)`` stack of time series, row p at
-    ``points[p]``.
+    a real rotation, for a ``(P, 2**L)`` stack of time series on one chain of
+    ``num_qubits`` qubits and ``boundary``, row p at the point
+    ``(j_x[p], b_field[p], theta[p])`` of three ``(P,)`` arrays.
 
     The sigma_x-frame kick is ``D (H u H)^{(x)L}``, and ``H u H`` splits as
-    ``diag(l) R diag(r)`` with ``R`` real (:func:`_split_field_gates`).  On
+    ``diag(l) R diag(r)`` with ``R`` real, in closed form per point
+    (:func:`_field_split`).  On
     ``diag(r)^{(x)L} H^{(x)L} psi`` a kick is therefore ``R^{(x)L}``, real
     block passes, followed by the phases ``D (r l)^{(x)L}``, with each row's
     own ``l``, ``R`` and ``r``.  :meth:`start` builds a stack in this frame,
@@ -400,20 +404,16 @@ class XFrameKick:
     A streamed kick reads and writes the state once per pass and holds no
     array of its size.  A row whose norm has drifted from 1 by more than
     ``_RESCALE_ATOL``, by rounding over many kicks, is rescaled to norm 1.
-    The points share one chain (qubit count and boundary).
     """
 
-    def __init__(self, points: list[ChainParams]):
-        L, boundary = points[0].num_qubits, points[0].boundary
-        if any((p.num_qubits, p.boundary) != (L, boundary) for p in points):
-            raise ValueError("the points of a stack must share qubit count and boundary")
-        left, rotation, self._right = _split_field_gates(
-            field_unitary([p.b_field for p in points], [p.theta for p in points]))
+    def __init__(self, num_qubits: int, boundary: str, j_x, b_field, theta):
+        left, rotation, self._right = _field_split(b_field, theta)
         frame = self._right * left
-        j_x = np.array([p.j_x for p in points], dtype=float)
-        self.num_qubits, k = L, _chunk_qubits(L)
+        j_x, P = np.asarray(j_x, dtype=float), len(left)
+        self.num_qubits = L = num_qubits
+        k = _chunk_qubits(L)
         h = L - k
-        self._rows = (len(points), 1 << h, 1 << k)  # the stack's view, a row hi a chunk
+        self._rows = (P, 1 << h, 1 << k)  # the stack's view, a row hi a chunk
         layout = blocks(L) if not h else [(0, _LOWEST_QUBITS)] + [
             (_LOWEST_QUBITS + lo, size) for lo, size in blocks(k - _LOWEST_QUBITS)]
         (_, lowest), *low = _block_gates(layout, rotation)
@@ -441,8 +441,8 @@ class XFrameKick:
         # the chunks' spare, and where there are high qubits two panels of 2**k
         # amplitudes or more: at 20 qubits, 20-30% faster than panels half as wide
         width = max(2 << k, 2 * _PANEL_COLUMNS << h) if h else 1 << k
-        self._buffer = np.empty(len(points) * width, dtype=complex)
-        self._spare = self._buffer[:len(points) << k].reshape(len(points), -1)
+        self._buffer = np.empty(P * width, dtype=complex)
+        self._spare = self._buffer[:P << k].reshape(P, -1)
 
     def start(self, terms: list[tuple[int, complex]], out: np.ndarray | None = None) -> np.ndarray:
         """The stack whose row p is ``diag(r_p)^{(x)L} H^{(x)L} sum a |b>`` over the

@@ -21,11 +21,13 @@ import math
 import numpy as np
 
 from kicked_ising.harness import _evolve, _start_terms
+from kicked_ising.statevec import XFrameKick
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, 1j], [-1j, 0]], dtype=complex)
 SZ = np.array([[-1, 0], [0, 1]], dtype=complex)  # |1> is spin up
 I2 = np.eye(2, dtype=complex)
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
 def op_on(op: np.ndarray, k: int, L: int) -> np.ndarray:
@@ -227,14 +229,28 @@ def x_frame_start_reference(right: np.ndarray, num_qubits: int, terms) -> np.nda
 
 def field_unitary_reference(b_field: float, theta: float) -> np.ndarray:
     """The 2x2 field gate exp(-i b (cos(theta) S^x + sin(theta) S^z)) of one
-    point, from ``math`` scalars, as the package built it one point at a time."""
+    point, from ``math`` scalars, as the package built it before its split
+    took a closed form."""
     axis = math.cos(theta) * SX + math.sin(theta) * SZ
     return math.cos(b_field / 2) * np.eye(2) - 1j * math.sin(b_field / 2) * axis
+
+
+def chain_arrays(points) -> tuple:
+    """``(num_qubits, boundary, j_x, b_field, theta)`` of a list of
+    ``ChainParams`` on one chain, the parameters as ``(P,)`` arrays: the
+    arguments that ``XFrameKick`` and the kick loop take."""
+    return (points[0].num_qubits, points[0].boundary,
+            *(np.array([getattr(p, name) for p in points]) for name in ("j_x", "b_field", "theta")))
+
+
+def kick_of(points) -> XFrameKick:
+    """The package's kick of the stack whose row p is at ``points[p]``."""
+    return XFrameKick(*chain_arrays(points))
 
 
 def samples(points, initial: str, steps: int, sample_every: int = 1):
     """The package's run (``harness._evolve``) one sample at a time: ``(t, stack)``
     per sampled kick, a view of the ``(P, 2**L)`` stack in the run's group,
     which later kicks overwrite once the run has gone past the group."""
-    for ts, amps in _evolve(points, initial, steps, sample_every):
+    for ts, amps in _evolve(*chain_arrays(points), initial, steps, sample_every):
         yield from zip(ts, amps.reshape(len(ts), len(points), -1))

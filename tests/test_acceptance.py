@@ -51,7 +51,7 @@ from kicked_ising import (
 )
 from kicked_ising.analytic import _even_momenta, _mode_arrays
 from kicked_ising.cli import main as cli_main
-from kicked_ising.statevec import _SIGN, XFrameKick
+from kicked_ising.statevec import XFrameKick
 
 JX_SET = (0.3, 0.7, math.pi / 2)
 T_MAX = 200
@@ -287,7 +287,7 @@ def test_criterion_10_sweep_landscape():
 def _in_frame(kick: XFrameKick, psi: np.ndarray) -> np.ndarray:
     """A z-basis state in the frame of a one-point ``kick``, as a one-row stack:
     ``diag(r) H`` on every qubit, one qubit at a time."""
-    gate = np.diag(kick._right[0]) @ _SIGN / math.sqrt(2.0)
+    gate = np.diag(kick._right[0]) @ helpers.HADAMARD
     for k in range(kick.num_qubits):
         psi = helpers.apply_one_qubit_gate(psi, gate, k)
     return psi[None]
@@ -303,7 +303,7 @@ def test_criterion_11_kernel_oracles():
             theta = rng.uniform(0, math.pi / 2)
             boundary = "periodic" if rng.integers(2) else "open"
             psi = helpers.random_state(L, rng)
-            kick = XFrameKick([ChainParams(L, jx, b, theta, boundary)])
+            kick = helpers.kick_of([ChainParams(L, jx, b, theta, boundary)])
             got = kick(_in_frame(kick, psi))
             want = _in_frame(kick, helpers.step_dense(L, jx, b, theta, boundary) @ psi)
             worst_step = max(worst_step, np.max(np.abs(got - want)))

@@ -26,11 +26,12 @@ from kicked_ising import (
 from kicked_ising import measures
 from kicked_ising.harness import (
     MEASURES,
+    SWEEP_PARAMETERS,
     _evolve,
+    _jw_mask,
     _shift_invariant,
     _start_terms,
 )
-from kicked_ising.statevec import _SIGN, XFrameKick
 
 # time-averaged Q for (L=6, j_x=B=theta=pi/4, 1000 kicks); recorded from the
 # first validated build, pinned here as the determinism fixture
@@ -81,13 +82,13 @@ class TestXFrameStart:
             for boundary in ("periodic", "open"):
                 points = [quick_params(num_qubits=L, boundary=boundary, b_field=b, theta=theta)
                           for b, theta in rng.uniform(0, 3, (3, 2))]
-                kick = XFrameKick(points)
+                kick = helpers.kick_of(points)
                 for initial in ("vacuum", "all_up", "ghz", *bitstrings):
                     want = np.tile(helpers.z_start(L, initial), (3, 1))
                     for p, r in enumerate(kick._right):
                         for k in range(L):
                             want[p] = helpers.apply_one_qubit_gate(
-                                want[p], np.diag(r) @ _SIGN / np.sqrt(2.0), k)
+                                want[p], np.diag(r) @ helpers.HADAMARD, k)
                     got = kick.start(_start_terms(L, initial))
                     assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -100,8 +101,8 @@ class TestXFrameStart:
             bitstrings = ["".join(rng.choice(["0", "1"], L)) for _ in range(2)]
             fields = [*rng.uniform(-3, 3, (3, 2)), (0.0, 1.1), (0.8, np.pi / 2)]
             for boundary in ("periodic", "open"):
-                kick = XFrameKick([quick_params(num_qubits=L, boundary=boundary, b_field=b,
-                                                theta=theta) for b, theta in fields])
+                kick = helpers.kick_of([quick_params(num_qubits=L, boundary=boundary, b_field=b,
+                                                     theta=theta) for b, theta in fields])
                 for initial in ("vacuum", "all_up", "ghz", *bitstrings):
                     want = helpers.x_frame_start_reference(kick._right, L,
                                                            _start_terms(L, initial))
@@ -109,7 +110,7 @@ class TestXFrameStart:
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError, match="initial must be"):
-            next(_evolve([quick_params()], "thermal", 1))
+            next(_evolve(*helpers.chain_arrays([quick_params()]), "thermal", 1))
 
 
 class TestRunTimeSeries:
@@ -350,13 +351,44 @@ class TestSweepGrid:
         assert err.value.grid_index == (0, 0)
         assert err.value.axis_values == (0.5, 0.5)
 
-    def test_a_nan_coupling_fails_its_point(self):
+    @pytest.mark.parametrize("end", ["start", "stop"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_an_axis_end_that_is_not_finite_is_refused(self, end, value):
+        # at construction, naming the axis and its end, not as the norm or
+        # the axis values of a failed sweep point
+        ends = {"start": 0.5, "stop": 1.0, end: value}
+        for name in SWEEP_PARAMETERS:
+            with pytest.raises(ValueError, match=f"axis {name} {end} must be a finite number"):
+                AxisSpec(name, ends["start"], ends["stop"], 3)
+
+    def test_a_nan_state_fails_its_point(self, monkeypatch):
         # a NaN state must not pass the norm check and average to NaN values
+        from kicked_ising import statevec
+
+        split = statevec._field_split
+
+        def poisoned(b_field, theta):
+            left, rotation, right = split(b_field, theta)
+            rotation[np.asarray(b_field) == 1.0] = np.nan
+            return left, rotation, right
+
+        monkeypatch.setattr(statevec, "_field_split", poisoned)
         cfg = SweepConfig(axis1=AxisSpec("j_x", 0.5, 1.0, 2),
                           axis2=AxisSpec("b_field", 0.5, 1.0, 2),
                           fixed=quick_params(theta=0.7), steps=3, measure="q")
-        with pytest.raises(SweepPointError, match="norm nan"):
-            sweep_grid(replace(cfg, axis1=AxisSpec("j_x", 0.5, float("nan"), 2)))
+        with pytest.raises(SweepPointError, match="norm nan") as err:
+            sweep_grid(cfg)
+        assert err.value.grid_index == (0, 1)
+
+    def test_closed_form_points_are_decided_by_their_theta(self):
+        # each distinct theta decided once and mapped back to every point of it;
+        # a measure without a closed form takes none
+        cfg = SweepConfig(axis1=AxisSpec("b_field", 0.3, 1.5, 3),
+                          axis2=AxisSpec("theta", 0.0, np.pi, 3), fixed=quick_params(), steps=5)
+        thetas = np.tile(cfg.axis2.values(), 3)
+        assert _jw_mask(cfg, thetas).tolist() == [False, True, False] * 3
+        assert not _jw_mask(replace(cfg, measure="n_tangle"), thetas).any()
+        assert not _jw_mask(replace(cfg, initial="ghz"), thetas).any()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -457,14 +489,14 @@ class TestStackedSweep:
                           axis2=AxisSpec("theta", 0.2, 1.0, 3),
                           fixed=quick_params(j_x=0.9), steps=5)
         bad = (cfg.axis1.values()[1], cfg.axis2.values()[2])
-        unitary = statevec.field_unitary
+        split = statevec._field_split
 
-        def leaky(b_field, theta):  # one grid point's field gate loses its unitarity
-            gates = unitary(b_field, theta)
-            gates[(np.asarray(b_field) == bad[0]) & (np.asarray(theta) == bad[1])] *= 1.01
-            return gates
+        def leaky(b_field, theta):  # one grid point's field rotation loses its unitarity
+            left, rotation, right = split(b_field, theta)
+            rotation[(np.asarray(b_field) == bad[0]) & (np.asarray(theta) == bad[1])] *= 1.01
+            return left, rotation, right
 
-        monkeypatch.setattr(statevec, "field_unitary", leaky)
+        monkeypatch.setattr(statevec, "_field_split", leaky)
         assert harness._CHUNK_AMPLITUDES >= 9 * 2 ** 4  # all nine points in one stack
         with pytest.raises(SweepPointError) as err:
             sweep_grid(cfg)
@@ -707,8 +739,8 @@ class TestGroups:
         L = 14
         assert harness._CHUNK_AMPLITUDES // 2 ** L == 1
         params = ChainParams(L, 1.3, 0.8, 0.6)
-        kick, groups, want = XFrameKick([params]), [], None
-        for ts, amps in _evolve([params], "vacuum", 2):
+        kick, groups, want = helpers.kick_of([params]), [], None
+        for ts, amps in _evolve(*helpers.chain_arrays([params]), "vacuum", 2):
             groups.append((ts, amps))
             want = kick.start(_start_terms(L, "vacuum")) if want is None else kick(want)
             assert np.array_equal(amps, want)
@@ -724,9 +756,10 @@ class TestGroups:
         monkeypatch.setattr(harness, "_CHUNK_AMPLITUDES", 4 * 3 * 2 ** 4)
         points = [ChainParams(4, 1.3, b, 0.6) for b in (0.4, 0.8, 1.9)]
         groups = [(ts, amps.copy())
-                  for ts, amps in _evolve(points, "vacuum", 7, sample_start=False)]
+                  for ts, amps in _evolve(*helpers.chain_arrays(points), "vacuum", 7,
+                                          sample_start=False)]
         assert [ts for ts, _ in groups] == [[1, 2, 3, 4], [5, 6, 7]]
-        kick = XFrameKick(points)
+        kick = helpers.kick_of(points)
         stack, want = kick.start(_start_terms(4, "vacuum")), []
         for _ in range(7):
             want.append(kick(stack).copy())
@@ -760,7 +793,8 @@ class TestGroups:
         from kicked_ising import harness
 
         assert harness._GROUP_SLOTS == 64
-        got = [ts for ts, _ in _evolve([ChainParams(2, 0.9, 1.1, 0.6)], "vacuum", 150)]
+        chain = helpers.chain_arrays([ChainParams(2, 0.9, 1.1, 0.6)])
+        got = [ts for ts, _ in _evolve(*chain, "vacuum", 150)]
         assert [len(ts) for ts in got] == [64, 64, 23]
         assert sum(got, []) == list(range(151))
 
@@ -774,7 +808,8 @@ class TestGroups:
                        for amps in stacks)
 
         points = [ChainParams(5, 0.9, b, 0.6) for b in (0.4, 1.9)]
-        assert one_buffer([amps for _, amps in _evolve(points, "vacuum", 40)])
+        chain = helpers.chain_arrays(points)
+        assert one_buffer([amps for _, amps in _evolve(*chain, "vacuum", 40)])
         measured = []
         add = measures.ReportBatch.add
         monkeypatch.setattr(measures.ReportBatch, "add",

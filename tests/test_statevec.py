@@ -23,20 +23,24 @@ from kicked_ising import (
 )
 from kicked_ising.harness import _start_terms
 from kicked_ising.statevec import (
-    _SIGN,
     BLOCK_QUBITS,
     CHUNK_QUBITS,
     XFrameKick,
     _block_gates,
     _bond_phases,
+    _field_split,
     _products,
     _real_factor,
-    _split_field_gates,
     blocks,
-    field_unitary,
 )
 
-HADAMARD = _SIGN / np.sqrt(2.0)
+HADAMARD = helpers.HADAMARD
+
+# fields whose sigma_x-frame gate [[a, -b*], [b, a*]] has a zero entry, or
+# nearly: b = 0 at B = 0 and at theta = 0, a = 0 at B = pi with theta = pi/2
+# (to the rounding of cos(pi/2)), and B = 2 pi
+DEGENERATE_FIELDS = [(0.0, 0.7), (np.pi, np.pi / 2), (2 * np.pi, 0.4), (1.2, 0.0), (np.pi, 0.0),
+                     (0.0, 0.0), (-np.pi, -np.pi / 2)]
 
 
 def on_every_qubit(psi, g):
@@ -72,7 +76,7 @@ def product_pass(stack, gates):
 
 def z_kick(psi, params, kicks=1):
     """``kicks`` kicks of the z-basis state ``psi`` by ``XFrameKick``, in its frame."""
-    kick = XFrameKick([params])
+    kick = helpers.kick_of([params])
     stack = into_frame(kick, psi[None])
     for _ in range(kicks):
         kick(stack)
@@ -144,6 +148,14 @@ class TestConstruction:
         assert ChainParams(5, 0.1, 0.1, 0.0, "open").num_bonds == 4
         assert ChainParams(5, 0.1, 0.1, 0.0).num_bonds == 5
 
+    @pytest.mark.parametrize("field", ["j_x", "b_field", "theta"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_chain_params_refuse_a_value_that_is_not_finite(self, field, value):
+        # at construction, naming the field: not late, from the gates or the norm check
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            ChainParams(**{"num_qubits": 4, "j_x": 1.0, "b_field": 1.0, "theta": 1.0,
+                           field: value})
+
 
 class TestProductGate:
     def test_blocks_cover_the_chain(self):
@@ -194,7 +206,7 @@ class TestProductGate:
         # kicks one qubit at a time
         rng = np.random.default_rng(12)
         for L in (3, 7, 11, 12, 17):
-            kick = XFrameKick([ChainParams(L, 1.3, 0.8, 0.6)])
+            kick = helpers.kick_of([ChainParams(L, 1.3, 0.8, 0.6)])
             psi = helpers.random_state(L, rng)
             stack = into_frame(kick, psi[None])
             want = into_frame(kick, helpers.kick_reference(psi, L, 1.3, 0.8, 0.6)[None])
@@ -209,7 +221,7 @@ class TestXFrameKick:
         rng = np.random.default_rng(13)
         for L, boundary in ((3, "open"), (6, "periodic"), (8, "open"), (9, "periodic")):
             psi = helpers.random_state(L, rng)
-            kick = XFrameKick([ChainParams(L, 1.3, 0.8, 0.5, boundary)])
+            kick = helpers.kick_of([ChainParams(L, 1.3, 0.8, 0.5, boundary)])
             x_frame = into_frame(kick, psi[None])
             for _ in range(3):
                 x_frame = kick(x_frame)
@@ -238,28 +250,33 @@ class TestXFrameKick:
                                               boundary)
             assert np.max(np.abs(got - want)) < 1e-12
 
-    def test_field_gates_are_bitwise_the_one_point_form(self):
-        # the stack of gates rounds as the gate of one point at a time did,
-        # at random fields and at theta = 0, theta = pi/2 and B = 0
+    def test_field_split_is_bitwise_the_one_point_form(self):
+        # the split of a stack rounds as the split of each point alone, at
+        # random fields and where the gate degenerates
         rng = np.random.default_rng(18)
-        b = np.concatenate([rng.uniform(-7, 7, 1000), [0.0, 0.0, 0.0, 1.3, -2.1]])
-        theta = np.concatenate([rng.uniform(-4, 4, 1000), [0.4, 0.0, np.pi / 2, 0.0, np.pi / 2]])
-        got = field_unitary(b, theta)
-        want = np.array([helpers.field_unitary_reference(x, y)
-                         for x, y in zip(b.tolist(), theta.tolist())])
-        assert got.shape == (len(b), 2, 2) and got.dtype == np.complex128
-        assert got.tobytes() == want.tobytes()
+        b, theta = np.concatenate([rng.uniform(-7, 7, (2, 1000)), np.transpose(DEGENERATE_FIELDS)],
+                                  axis=1)
+        got = _field_split(b, theta)
+        assert [x.dtype for x in got] == [np.complex128, np.float64, np.complex128]
+        assert [x.shape for x in got] == [(len(b), 2), (len(b), 2, 2), (len(b), 2)]
+        assert got[1].flags.c_contiguous
+        for p in (0, 1, 999, *range(1000, len(b))):
+            one = _field_split(b[p:p + 1], theta[p:p + 1])
+            assert all(x[p:p + 1].tobytes() == y.tobytes() for x, y in zip(got, one))
 
     def test_field_gate_splits_into_phases_and_a_real_rotation(self):
-        # H u H = diag(l) R diag(r), also where a = 0 or b = 0 in [[a, -b*], [b, a*]]
+        # H u H = diag(l) R diag(r) to rounding, against the dense gate u of
+        # each point, also where a = 0 or b = 0 in [[a, -b*], [b, a*]]; and
+        # r_0 = 1 exactly, which the start's gather relies on
         rng = np.random.default_rng(19)
-        fields = [*zip(rng.uniform(-7, 7, 20), rng.uniform(-4, 4, 20)),
-                  (0.0, 0.7), (np.pi, np.pi / 2), (2 * np.pi, 0.4), (1.2, 0.0), (np.pi, 0.0)]
-        u = field_unitary(*np.transpose(fields))
-        left, rotation, right = _split_field_gates(u)
-        assert rotation.dtype == np.float64
+        fields = [*zip(rng.uniform(-7, 7, 200), rng.uniform(-4, 4, 200)), *DEGENERATE_FIELDS]
+        left, rotation, right = _field_split(*np.transpose(fields))
         assert np.max(np.abs(rotation @ rotation.swapaxes(-1, -2) - np.eye(2))) < 1e-15
-        w = _SIGN @ u @ _SIGN / 2.0
+        assert np.all(rotation[:, 0, 0] >= 0) and np.all(rotation[:, 1, 0] >= 0)
+        assert np.max(np.abs(np.abs(left) - 1.0)) < 1e-15 and np.all(right[:, 0] == 1.0)
+        sign = np.array([[1.0, 1.0], [1.0, -1.0]])
+        w = np.array([sign @ helpers.field_unitary_reference(b, theta) @ sign / 2.0
+                      for b, theta in fields])
         split = left[:, :, None] * rotation * right[:, None, :]
         assert np.max(np.abs(split - w)) < 1e-15
 
@@ -273,7 +290,7 @@ class TestXFrameKick:
         rng = np.random.default_rng(45 + L)
         points = [ChainParams(L, *rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, np.pi), boundary)
                   for _ in range(rows)]
-        kick = XFrameKick(points)
+        kick = helpers.kick_of(points)
         source = into_frame(kick, [helpers.random_state(L, rng) for _ in points])
         before, target = source.copy(), np.empty_like(source)
         assert kick.plan(source, target)() is target
@@ -285,7 +302,7 @@ class TestXFrameKick:
         assert np.array_equal(target, kick(kick(kick(before.copy()))))
 
     def test_checks_the_norm(self):
-        kick = XFrameKick([ChainParams(4, 1.0, 0.5, 0.3)])
+        kick = helpers.kick_of([ChainParams(4, 1.0, 0.5, 0.3)])
         with pytest.raises(ValueError, match="norm"):
             kick(np.full((1, 16), 0.3, dtype=complex))
 
@@ -298,13 +315,13 @@ class TestXFrameKick:
             points = [ChainParams(L, *rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, np.pi),
                                   boundary) for _ in range(5)]
             psis = np.array([helpers.random_state(L, rng) for _ in points])
-            kick = XFrameKick(points)
+            kick = helpers.kick_of(points)
             stack = into_frame(kick, psis)
             rows = stack.copy()
             for _ in range(3):
                 stack = kick(stack)
             for params, psi, row, got in zip(points, psis, rows, stack):
-                single = XFrameKick([params])
+                single = helpers.kick_of([params])
                 row = row[None].copy()
                 for _ in range(3):
                     row = single(row)
@@ -315,7 +332,7 @@ class TestXFrameKick:
 
     def test_stack_norm_check_sees_every_row(self):
         for L in (4, 17):  # 17 sums each row's norm over its chunks
-            kick = XFrameKick([ChainParams(L, 1.0, 0.5, 0.3)] * 3)
+            kick = helpers.kick_of([ChainParams(L, 1.0, 0.5, 0.3)] * 3)
             stack = kick.start([(0, 1.0)])
             stack[2] *= 1.01
             with pytest.raises(ValueError, match="norm"):
@@ -327,7 +344,7 @@ class TestXFrameKick:
         # streamed row.  The norms are summed exactly: a dot product of 2**17
         # amplitudes rounds by about 1e-14
         for L, scales in ((6, (1.0 + 5e-11, 1.0, 1.0 - 5e-11)), (17, (1.0 - 5e-11,))):
-            kick = XFrameKick([ChainParams(L, 1.3, 0.8, 0.6)] * len(scales))
+            kick = helpers.kick_of([ChainParams(L, 1.3, 0.8, 0.6)] * len(scales))
             stack = kick.start([(0, 1.0)]) * np.array(scales)[:, None]
             kick(stack)
             for row in stack.view(float):
@@ -348,13 +365,32 @@ class TestXFrameKick:
         phases = np.asfortranarray(np.ones((2, 16), dtype=complex))
         with pytest.raises(ValueError, match="contiguous"):
             statevec._times_diagonal_power(phases, np.ones((2, 2), dtype=complex))
-        kick = XFrameKick([ChainParams(17, 1.0, 0.5, 0.3)] * 2)
+        kick = helpers.kick_of([ChainParams(17, 1.0, 0.5, 0.3)] * 2)
         with pytest.raises(ValueError, match="contiguous"):
             kick(np.asfortranarray(kick.start([(0, 1.0)])))
 
-    def test_stack_points_share_one_chain(self):
-        with pytest.raises(ValueError, match="share"):
-            XFrameKick([ChainParams(4, 1.0, 0.5, 0.3), ChainParams(4, 1.0, 0.5, 0.3, "open")])
+    def test_takes_the_chain_once_and_each_parameter_as_an_array(self):
+        # arrays or lists of the points' parameters make the same kick, and
+        # each row of the stack is kicked bit for bit as its point alone
+        rng = np.random.default_rng(46)
+        points = rng.uniform(0, 2 * np.pi, (3, 4))  # j_x, B and theta of four points
+        kick = XFrameKick(7, "open", *points)
+        stack = kick(kick.start([(5, 1.0)]))
+        listed = XFrameKick(7, "open", *points.tolist())
+        assert np.array_equal(listed(listed.start([(5, 1.0)])), stack)
+        for p, row in enumerate(stack):
+            one = XFrameKick(7, "open", *points[:, p:p + 1])
+            assert np.array_equal(one(one.start([(5, 1.0)]))[0], row)
+
+    def test_norm_check_reads_the_extreme_squares(self):
+        # the drift from the largest and smallest squared norm is, bit for
+        # bit, the largest |norm - 1| over every row
+        rng = np.random.default_rng(47)
+        for rows in (1, 2, 55):
+            for spread in (1e-16, 1e-13, 3e-12):
+                squares = 1.0 + spread * rng.standard_normal(rows)
+                want = np.max(np.abs(np.sqrt(squares) - 1.0))
+                assert statevec._check_squared_norms(squares) == want
 
 
 class TestIsingPhases:
@@ -393,7 +429,7 @@ class TestIsingPhases:
             j_x = rng.uniform(-7, 7, 2)
             points = [ChainParams(L, j, 0.0, 0.4, boundary) for j in j_x]
             psis = np.array([helpers.random_state(L, rng) for _ in points])
-            got = XFrameKick(points)(psis.copy())
+            got = helpers.kick_of(points)(psis.copy())
             want = self.exp_per_index(L, j_x, boundary) * psis
             assert np.max(np.abs(got - want)) < 1e-14
 
@@ -430,7 +466,7 @@ class TestStreamedKick:
             monkeypatch.setattr(statevec, "_WHOLE_ROW_QUBITS",
                                 CHUNK_QUBITS if forced else statevec._WHOLE_ROW_QUBITS)
             params = ChainParams(L, 1.3, 0.8, theta, boundary)
-            kick = XFrameKick([params])
+            kick = helpers.kick_of([params])
             psi = helpers.z_start(L, "vacuum")[0]
             series = run_time_series(RunConfig(params, 2, measures=frozenset({"q"})))
             for t, amps in helpers.samples([params], "vacuum", 2):
@@ -446,12 +482,12 @@ class TestStreamedKick:
         points = [ChainParams(L, *rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, np.pi), boundary)
                   for _ in range(3)]
         psis = np.array([helpers.random_state(L, rng) for _ in points])
-        whole = XFrameKick(points)(psis.copy())
+        whole = helpers.kick_of(points)(psis.copy())
         monkeypatch.setattr(statevec, "_WHOLE_ROW_QUBITS", 2)
         for chunk in (4, 6, 9):
             monkeypatch.setattr(statevec, "CHUNK_QUBITS", chunk)
             assert statevec._chunk_qubits(L) == chunk
-            assert np.max(np.abs(XFrameKick(points)(psis.copy()) - whole)) < 1e-13
+            assert np.max(np.abs(helpers.kick_of(points)(psis.copy()) - whole)) < 1e-13
 
 
 class TestFieldKick:
@@ -605,7 +641,7 @@ class TestInvariants:
         assert max(abs(q - 1.0) for q in trace) < 1e-12
 
     def test_step_at_20_qubits_is_fast(self):
-        kick = XFrameKick([ChainParams(20, 1.0, 0.5, 0.7)])
+        kick = helpers.kick_of([ChainParams(20, 1.0, 0.5, 0.7)])
         amps = kick(kick.start([(0, 1.0)]))
         best = min(_timed_kick(kick, amps) for _ in range(3))
         assert best < 1.0, f"one kick took {best:.2f}s at L=20"

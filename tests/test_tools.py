@@ -65,9 +65,24 @@ def test_a_cold_cli_case_times_a_first_call(bench_layer):
 def test_a_timed_kick_case_times_every_plan_and_kick(bench_layer):
     from kicked_ising import statevec
 
-    plan, call = statevec.XFrameKick.plan, statevec._KickPlan.__call__
+    init, plan, call = (statevec.XFrameKick.__init__, statevec.XFrameKick.plan,
+                        statevec._KickPlan.__call__)
     case = bench_layer._time_cases(bench_layer.LAYERS["kick"], {"L12"})["L12"]
-    # 40 kicks through the four slots of a group: four plans, bound once each
-    assert case["calls"] == 44 and case["peak_bytes"] > 0
+    # one kick built, then 40 kicks through the four slots of a group: four
+    # plans, bound once each; a short case, timed several times a round
+    assert case["calls"] == 45 and case["peak_bytes"] > 0
+    assert case["runs_per_round"] == bench_layer.SHORT_RUNS
     assert 0.0 < case["layer"] < case["run"]
-    assert (statevec.XFrameKick.plan, statevec._KickPlan.__call__) == (plan, call)
+    assert (statevec.XFrameKick.__init__, statevec.XFrameKick.plan,
+            statevec._KickPlan.__call__) == (init, plan, call)
+
+
+def test_a_cold_kick_case_times_a_first_construction(bench_layer):
+    layer = bench_layer.LAYERS["kick"]
+    assert not layer.cold and set(layer.cold_cases) == {"build-sweep-tilt-L6", "build-L12"}
+    # one fresh interpreter: the import of the kick's module timed, then its first kick built
+    case = bench_layer._run_child("kick", ROOT / "src", "build-sweep-tilt-L6")
+    assert list(case) == ["build-sweep-tilt-L6"]
+    case = case["build-sweep-tilt-L6"]
+    assert case["calls"] == 1 and case["points"] == 55 and case["import_s"] > 0.0
+    assert 0.0 < case["layer"] <= case["run"] and "peak_bytes" not in case

@@ -26,10 +26,11 @@ goes to:
   ``L20``, the seed-0 ``compare-transverse-L20`` run (L = 20, 3 kicks from
   the vacuum ring at theta = pi/2).
 - ``kick``: the kick, timed inside runs from the vacuum ring at a tilted
-  field (``BENCH_kick.json``): ``statevec.XFrameKick.plan``, which binds a
-  kick between two stacks, and ``statevec._KickPlan.__call__``, which runs
-  it, or ``statevec.XFrameKick.__call__`` in a tree that kicks in place
-  alone.  Cases: ``L16``, ``L20``, ``L22`` and ``L24``, a
+  field (``BENCH_kick.json``): ``statevec.XFrameKick.__init__``, which
+  builds it, ``statevec.XFrameKick.plan``, which binds a kick between two
+  stacks, and ``statevec._KickPlan.__call__``, which runs it, or
+  ``statevec.XFrameKick.__call__`` in a tree that kicks in place alone.
+  Cases: ``L16``, ``L20``, ``L22`` and ``L24``, a
   ``harness.run_time_series`` of 3 kicks measuring ``q`` alone at the
   seed-0 ``evolve-pairs-L12`` couplings; ``L12``, one row of those couplings
   kicked 40 times; and ``sweep-tilt-L6``, the stack of the 55 evolved points
@@ -37,9 +38,13 @@ goes to:
   ``sweep-tilt-L6`` write each sample into its group, unmeasured, as their
   runs do (through ``harness._evolve``, or in a tree that copies each
   sample into its group, through ``harness._groups`` too), with t = 0
-  sampled in ``L12`` only.  Each case also records ``peak_bytes``, the
-  ``tracemalloc`` peak of its untimed run: every array the run allocates,
-  the state included.
+  sampled in ``L12`` only.  Each of these cases also records
+  ``peak_bytes``, the ``tracemalloc`` peak of its untimed run: every array
+  the run allocates, the state included.  Two cases are cold:
+  ``build-sweep-tilt-L6`` and ``build-L12`` build the first ``XFrameKick``
+  of a fresh interpreter, for that stack of 55 points and for that L = 12
+  row, from the points' parameter arrays (or, in a tree whose kick takes
+  ``ChainParams``, from a list of them, made before the timed run).
 - ``sweep``: ``cli.main``, a whole ``kicked-ising sweep`` call with its CSV
   written by ``--output`` to a temporary file (``BENCH_sweep.json``).  Cases:
   the seed-0 ``sweep-jw-L20`` and ``sweep-tilt-L6`` argv of ``perfbench``.
@@ -55,13 +60,16 @@ A timed function is wrapped wherever the package holds it: on its class, or
 in every ``kicked_ising`` module that imported it by name.  A call made
 inside another timed call counts once.  A tree times those of the layer's
 functions it has, and fails if it has none; the record lists them under
-``timed``.
+``timed``.  A warm case whose untimed run took under ``SHORT_RUN_S`` is
+timed ``SHORT_RUNS`` times a round, and the round records the medians, so
+that a case of a few milliseconds is not ranked by one run's noise.
 
 Each ``LABEL=SRC_DIR`` names a tree whose ``kicked_ising`` package is timed.
 The trees take turns: each of the layer's rounds (``REPEATS``) starts one fresh
 interpreter per tree, the first tree of a round rotating, and that
-interpreter runs every case once untimed and once timed (a cold layer's
-round starts one interpreter per tree and case, which runs the case once).
+interpreter runs every warm case once untimed and then timed (a cold
+case's round, of ``COLD_REPEATS``, starts one interpreter per tree and case,
+which runs the case once).
 So every tree sees the same host phases, and a before/after pair recorded
 in one invocation is comparable; one tree per invocation is not, as the
 host's speed drifts between invocations by more than the quartiles within
@@ -103,10 +111,15 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 WINDOWS = (10 ** 2, 10 ** 4, 10 ** 6)
-REPEATS = 9  # timed runs per case and tree
-# a cold layer's rounds: at 9, two invocations on the same trees put the first
+REPEATS = 9  # rounds per warm case and tree
+# a cold case's rounds: at 9, two invocations on the same trees put the first
 # sweep-tilt-L6 call at 9.2 and 11.0 ms, quartiles overlapping across trees
 COLD_REPEATS = 30
+# a warm case shorter than this is timed this many times a round, and the round
+# takes the medians: with one run a round, the 100 kicks of the sweep-tilt-L6
+# stack read 3.42 [2.28, 3.58] ms against 2.76 [2.69, 3.78] between two trees
+# whose kicks, paired in one process, took 21 and 28 us
+SHORT_RUN_S, SHORT_RUNS = 0.1, 7
 CHILD_FLAG = "--time-this-interpreter"
 
 
@@ -122,6 +135,29 @@ def _seed0(workload: str):
     """The flags and sweep axes of ``perfbench``'s seed-0 invocation of ``workload``."""
     inv = _invocation(workload)
     return dict(zip(inv.argv[1::2], inv.argv[2::2])), inv.axes
+
+
+def _takes_points(function) -> bool:
+    """Whether ``function`` (the kick or the kick loop) takes a list of
+    ``ChainParams``, as in an older tree, rather than their chain and arrays."""
+    import inspect  # here: a cold case's interpreter imports no more than it must
+
+    return "points" in inspect.signature(function).parameters
+
+
+def _chain_arrays(points) -> tuple:
+    """``(num_qubits, boundary, j_x, b_field, theta)`` of ``ChainParams`` on one chain."""
+    return (points[0].num_qubits, points[0].boundary,
+            *(np.array([getattr(p, name) for p in points]) for name in ("j_x", "b_field", "theta")))
+
+
+def _evolve(points, *args, **kwargs):
+    """``harness._evolve`` of the stack of ``points``, in either form."""
+    from kicked_ising import harness
+
+    if _takes_points(harness._evolve):
+        return harness._evolve(points, *args, **kwargs)
+    return harness._evolve(*_chain_arrays(points), *args, **kwargs)
 
 
 def _jw_average_cases() -> dict:
@@ -143,7 +179,7 @@ def _jw_average_cases() -> dict:
 
 def _report_cases() -> dict:
     from kicked_ising import measures
-    from kicked_ising.harness import RunConfig, _evolve, run_time_series
+    from kicked_ising.harness import RunConfig, run_time_series
     from kicked_ising.statevec import ChainParams
 
     flags, _ = _seed0("evolve-pairs-L12")
@@ -180,18 +216,22 @@ def _series_cases() -> dict:
 
 
 def _kick_cases() -> dict:
-    from kicked_ising import harness
+    from kicked_ising import harness, statevec
     from kicked_ising.statevec import ChainParams
 
     def kicked(points, kicks, sample_start):  # a run's kicks into its sample groups, unmeasured
         if hasattr(harness, "_groups"):  # a tree that kicks in place and copies each sample
-            samples = ((t, amps) for t, amps in harness._evolve(points, "vacuum", kicks)
+            samples = ((t, amps) for t, amps in _evolve(points, "vacuum", kicks)
                        if t or sample_start)
             groups = harness._groups(samples, len(points), points[0].num_qubits)
         else:
-            groups = harness._evolve(points, "vacuum", kicks, sample_start=sample_start)
+            groups = _evolve(points, "vacuum", kicks, sample_start=sample_start)
         for _ in groups:
             pass
+
+    def built(points):  # the kick's construction from what the tree's run gives it
+        args = (points,) if _takes_points(statevec.XFrameKick) else _chain_arrays(points)
+        return lambda: statevec.XFrameKick(*args)
 
     flags, _ = _seed0("evolve-pairs-L12")
     jx, b, theta = (float(flags[f]) for f in ("--jx", "--b", "--theta"))
@@ -209,6 +249,8 @@ def _kick_cases() -> dict:
               for theta in np.linspace(lo2, hi2, n2).tolist() if abs(theta - math.pi / 2) > 1e-12]
     cases["sweep-tilt-L6"] = (lambda: kicked(points, steps, False),
                               {"num_qubits": L, "points": len(points), "kicks": steps})
+    cases["build-sweep-tilt-L6"] = (built(points), {"num_qubits": L, "points": len(points)})
+    cases["build-L12"] = (built([ChainParams(12, jx, b, theta)]), {"num_qubits": 12, "points": 1})
     return cases
 
 
@@ -240,8 +282,12 @@ class Layer:
     run: str  # what one case runs; its seconds are recorded as ``<run>_s``
     cases: Callable[[], dict]  # case name -> (run it, what it covers), built per tree
     output: str
-    peak: bool = False  # record the tracemalloc peak of each case's untimed run
+    peak: bool = False  # record the tracemalloc peak of each warm case's untimed run
     cold: bool = False  # time each case's first run in its own interpreter, and the import
+    cold_cases: tuple[str, ...] = ()  # the cases timed so in a layer that is not cold
+
+    def is_cold(self, case: str) -> bool:
+        return self.cold or case in self.cold_cases
 
 
 LAYERS = {
@@ -251,8 +297,10 @@ LAYERS = {
                     _report_cases, "BENCH_report.json"),
     "series": Layer("harness", ("run_time_series",), "series", _series_cases,
                     "BENCH_series.json"),
-    "kick": Layer("statevec", ("XFrameKick.__call__", "XFrameKick.plan", "_KickPlan.__call__"),
-                  "series", _kick_cases, "BENCH_kick.json", peak=True),
+    "kick": Layer("statevec", ("XFrameKick.__init__", "XFrameKick.__call__", "XFrameKick.plan",
+                               "_KickPlan.__call__"),
+                  "series", _kick_cases, "BENCH_kick.json", peak=True,
+                  cold_cases=("build-sweep-tilt-L6", "build-L12")),
     "sweep": Layer("cli", ("main",), "call",
                    functools.partial(_main_cases, ("sweep-jw-L20", "sweep-tilt-L6")),
                    "BENCH_sweep.json"),
@@ -288,13 +336,14 @@ def _holders(layer: Layer) -> dict[str, list[tuple[object, str, Callable]]]:
 
 
 def _time_cases(layer: Layer, names=None) -> dict:
-    """One untimed and one timed run per case in this interpreter (of the
-    cases in ``names``, or all): seconds inside the layer, seconds in the
-    whole run, how often the run called the layer, and which of the layer's
-    functions were timed.  A cold layer's case runs once, timed, after a timed
-    import of the layer's module."""
+    """The cases in ``names`` (or every warm case) timed in this interpreter: seconds
+    inside the layer, seconds in the whole run, how often the run called the
+    layer, and which of the layer's functions were timed.  A warm case runs
+    once untimed and then timed, ``SHORT_RUNS`` times if it is short, each
+    figure the median of those runs.  A cold case runs once, timed, after a
+    timed import of the layer's module, and must be the only case named."""
     imported = {}
-    if layer.cold:
+    if names is not None and all(layer.is_cold(name) for name in names):
         start = time.perf_counter()
         importlib.import_module(f"kicked_ising.{layer.module}")
         imported["import_s"] = time.perf_counter() - start
@@ -303,6 +352,7 @@ def _time_cases(layer: Layer, names=None) -> dict:
     depth = [0]  # timed calls under way
 
     def timed(original):
+        @functools.wraps(original)  # so that its signature is the original's
         def call(*args, **kwargs):
             if depth[0]:
                 return original(*args, **kwargs)
@@ -322,22 +372,30 @@ def _time_cases(layer: Layer, names=None) -> dict:
             setattr(owner, attr, timed(original))  # on a class, it is called as a method
     out = {}
     try:
-        for name, (run, covers) in layer.cases().items():
-            if names is not None and name not in names:
-                continue
-            peak = {}
-            if layer.peak:  # the warm-up, traced: tracing slows allocations, not the timed run
-                tracemalloc.start()
+        cases = layer.cases()
+        for name in [n for n in cases if not layer.is_cold(n)] if names is None else names:
+            run, covers = cases[name]
+            extra, runs = {}, 1
+            if not layer.is_cold(name):
+                start = time.perf_counter()
+                if layer.peak:  # the warm-up, traced: tracing slows allocations, not the timed run
+                    tracemalloc.start()
+                    run()
+                    extra["peak_bytes"] = tracemalloc.get_traced_memory()[1]
+                    tracemalloc.stop()
+                else:
+                    run()  # warm-up
+                if time.perf_counter() - start < SHORT_RUN_S:
+                    runs = extra["runs_per_round"] = SHORT_RUNS
+            times = []
+            for _ in range(runs):
+                tally.update(layer=0.0, calls=0)
+                start = time.perf_counter()
                 run()
-                peak["peak_bytes"] = tracemalloc.get_traced_memory()[1]
-                tracemalloc.stop()
-            elif not layer.cold:
-                run()  # warm-up
-            tally.update(layer=0.0, calls=0)
-            start = time.perf_counter()
-            run()
-            out[name] = {"run": time.perf_counter() - start, **tally, **covers, **peak,
-                         **imported, "timed": sorted(holders)}
+                times.append((time.perf_counter() - start, tally["layer"]))
+            out[name] = {"run": statistics.median(t for t, _ in times),
+                         "layer": statistics.median(t for _, t in times), "calls": tally["calls"],
+                         **covers, **extra, **imported, "timed": sorted(holders)}
     finally:
         for places in holders.values():
             for owner, attr, original in places:
@@ -381,7 +439,7 @@ def _tree(text: str) -> tuple[str, Path]:
 
 
 def _run_child(layer: str, src: Path, *case: str) -> dict:
-    """The cases of ``layer`` (or the one named) timed in a fresh interpreter on ``src``."""
+    """The warm cases of ``layer`` (or the one named) timed in a fresh interpreter on ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, __file__, CHILD_FLAG, layer, *case], env=env,
                           check=True, capture_output=True, text=True)
@@ -400,15 +458,17 @@ def main(argv: list[str] | None = None) -> int:
     if len(args.trees) < 2 or len(set(labels)) != len(labels):
         parser.error("need two or more trees with distinct labels")
     layer = LAYERS[args.layer]
-    rounds = {label: [] for label in labels}
-    for r in range(COLD_REPEATS if layer.cold else REPEATS):
+    cold = list(layer.cases()) if layer.cold else layer.cold_cases
+    rounds = {label: {} for label in labels}  # label -> case -> its record of each round
+    for r in range(COLD_REPEATS if cold else REPEATS):
         k = r % len(args.trees)
         for label, src in args.trees[k:] + args.trees[:k]:
-            if layer.cold:
-                rounds[label].append({name: _run_child(args.layer, src, name)[name]
-                                      for name in layer.cases()})
-            else:
-                rounds[label].append(_run_child(args.layer, src))
+            # every warm case in one interpreter, and each cold case in its own
+            timed = _run_child(args.layer, src) if not layer.cold and r < REPEATS else {}
+            for name in cold:
+                timed.update(_run_child(args.layer, src, name))
+            for name, case in timed.items():
+                rounds[label].setdefault(name, []).append(case)
     output = ROOT / layer.output
     record = json.loads(output.read_text()) if output.exists() else {}
     host = {"cpu": _cpu_model(), "nproc": os.cpu_count(), "python": platform.python_version(),
@@ -417,11 +477,10 @@ def main(argv: list[str] | None = None) -> int:
     spread = {"layer": "layer_s", "run": f"{layer.run}_s", "peak_bytes": "peak_bytes",
               "import_s": "import_s"}
     for label, src in args.trees:
-        samples = rounds[label]
-        cases = {name: {key: value for key, value in first.items() if key not in spread}
-                 | {spread[key]: _spread([s[name][key] for s in samples])
-                    for key in spread if key in first}
-                 for name, first in samples[0].items()}
+        cases = {name: {key: value for key, value in samples[0].items() if key not in spread}
+                 | {spread[key]: _spread([s[key] for s in samples])
+                    for key in spread if key in samples[0]}
+                 for name, samples in rounds[label].items()}
         record.setdefault("runs", {})[label] = {
             "source_sha256": _source_digest(src), "host": host, "cases": cases,
             "alternated_with": [other for other in labels if other != label]}
@@ -430,8 +489,9 @@ def main(argv: list[str] | None = None) -> int:
                   f"[{case['layer_s']['q1'] * 1e3:.2f}, {case['layer_s']['q3'] * 1e3:.2f}], "
                   f"{layer.run} {case[f'{layer.run}_s']['median'] * 1e3:.2f} ms"
                   + (f", peak {case['peak_bytes']['median'] / 2 ** 20:.1f} MiB"
-                     if layer.peak else "")
-                  + (f", import {case['import_s']['median'] * 1e3:.2f} ms" if layer.cold else ""))
+                     if "peak_bytes" in case else "")
+                  + (f", import {case['import_s']['median'] * 1e3:.2f} ms"
+                     if "import_s" in case else ""))
     output.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 
