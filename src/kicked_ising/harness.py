@@ -292,8 +292,8 @@ def _jw_mask(config: SweepConfig, thetas: np.ndarray) -> np.ndarray:
     transverse regime's Q oracle holds for, as ``compare`` takes them.  Of a
     point's parameters only theta decides it, so each distinct theta is
     decided once, through a set (np.unique's sort alone raises a small
-    sweep's peak memory by ~0.3 MB), and the points of the thetas taken are
-    found by one comparison.  The rest are evolved."""
+    sweep's peak memory by ~0.3 MB), and the points of a theta taken are
+    found by one vectorised comparison.  The rest are evolved."""
     transverse = REGIMES["transverse"]
 
     def takes(theta: float) -> bool:
@@ -301,8 +301,11 @@ def _jw_mask(config: SweepConfig, thetas: np.ndarray) -> np.ndarray:
         return (config.measure in _Q_MEASURES and transverse.contains(p, config.initial)
                 and transverse.oracles["q"].holds(p))
 
-    taken = [theta for theta in set(thetas.tolist()) if takes(theta)]
-    return np.equal.outer(thetas, taken).any(axis=1)
+    mask = np.zeros(thetas.shape, dtype=bool)
+    for theta in set(thetas.tolist()):
+        if takes(theta):
+            mask |= thetas == theta
+    return mask
 
 
 def _jw_averages(config: SweepConfig, axes: dict[str, np.ndarray], ks: list[int]) -> np.ndarray:

@@ -276,30 +276,23 @@ def _field_split(b_field, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     The sines and cosines are libm's, from :mod:`math`, one point at a time:
     NumPy's vector loops need not round them as libm does on every platform,
     and every digit a run reports follows from the gates.  The rest is
-    arithmetic that IEEE rounds alike everywhere, point by point, so the
-    split of a stack is bitwise that of each point alone.
+    arithmetic that IEEE rounds alike everywhere, on each point's own
+    numbers, so the split of a stack is bitwise that of each point alone.
     """
-    def trig(f, x):
-        return np.array([f(v) for v in x])
-
-    halves = [b / 2 for b in np.asarray(b_field, dtype=float).tolist()]
-    theta = np.asarray(theta, dtype=float).tolist()
-    cos, sin = trig(math.cos, halves), trig(math.sin, halves)
-    re_a, im_a, im_b = cos, -sin * trig(math.cos, theta), sin * trig(math.sin, theta)
-    size_a, size_b = np.sqrt(re_a * re_a + im_a * im_a), abs(im_b)
-    left = np.ones((len(halves), 2), dtype=complex)
-    parts = left.view(float).reshape(-1, 2, 2)  # [point, a or b, real or imaginary]
-    np.divide(re_a, size_a, out=parts[:, 0, 0], where=size_a > 0)
-    np.divide(im_a, size_a, out=parts[:, 0, 1], where=size_a > 0)
-    parts[:, 1, 0] = im_b == 0
-    parts[:, 1, 1] = np.sign(im_b)  # b / |b| is i or -i
+    rows = []  # per point: l as four reals, then R
+    for b, t in zip(*(np.asarray(x, dtype=float).tolist() for x in (b_field, theta))):
+        cos, sin = math.cos(b / 2), math.sin(b / 2)
+        im_a, im_b = -sin * math.cos(t), sin * math.sin(t)
+        size_a = math.sqrt(cos * cos + im_a * im_a)
+        l_a = (cos / size_a, im_a / size_a) if size_a else (1.0, 0.0)
+        l_b = (0.0, math.copysign(1.0, im_b)) if im_b else (1.0, 0.0)  # b / |b| is i or -i
+        rows.append((*l_a, *l_b, size_a, -abs(im_b), abs(im_b), size_a))
+    table = np.array(rows, dtype=float).reshape(-1, 8)
+    left = np.ascontiguousarray(table[:, :4]).view(complex)
     right = np.ones_like(left)
     right[:, 1] = (left[:, 0] * left[:, 1]).conj()
-    rotation = np.empty((len(halves), 2, 2))  # C-contiguous, as are the block gates built from it
-    rotation[:, 0, 0] = rotation[:, 1, 1] = size_a
-    rotation[:, 1, 0] = size_b
-    rotation[:, 0, 1] = -size_b
-    return left, rotation, right
+    # C-contiguous, as are the block gates built from it
+    return left, np.ascontiguousarray(table[:, 4:]).reshape(-1, 2, 2), right
 
 
 def _times_diagonal_power(amplitudes: np.ndarray, v: np.ndarray) -> np.ndarray:
