@@ -162,9 +162,10 @@ def _evolve(num_qubits: int, boundary: str, j_x, b_field, theta, initial: str, s
     ``(P,)`` arrays ``j_x``, ``b_field`` and ``theta``, on one chain, in the
     frame of :class:`~kicked_ising.statevec.XFrameKick` (the z-basis state
     under a Hadamard and a diagonal phase gate on every qubit, where every
-    reported measure takes the same value as in the z basis).  Yields ``(ts, amps)``: the sampled kicks and their stacks, one
-    after another in the rows of ``amps``, up to
-    ``k = _CHUNK_AMPLITUDES // (P 2**L)`` of them, and at most ``_GROUP_SLOTS``.
+    reported measure takes the same value as in the z basis).  Yields
+    ``(ts, amps)``: the sampled kicks and their stacks, one after another in
+    the rows of ``amps``, up to ``k = _CHUNK_AMPLITUDES // (P 2**L)`` of them,
+    and at most ``_GROUP_SLOTS``.
 
     The run holds one buffer of k slots, a stack each, and each sampled stack
     is kicked straight into the slot of its group where it is measured: a
