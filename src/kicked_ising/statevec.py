@@ -19,9 +19,10 @@ which the Hadamard ``H`` on every qubit reaches, so
 
 Every evolution runs in the ``sigma_x`` frame, on ``H^{(x)L} psi``, where a
 kick is ``D (H u H)^{(x)L}``.  The field gate splits as
-``H u H = diag(l) R diag(r)`` with ``R`` a real rotation, in closed form, so
-a run goes one diagonal further, to ``diag(r)^{(x)L} H^{(x)L} psi``, where a
-kick is ``R^{(x)L}`` followed by the phases ``D (r l)^{(x)L}`` (:class:`XFrameKick`).
+``H u H = diag(l) R diag(r)`` with ``R`` a real rotation, in closed form from
+libm's sines and cosines of B/2 and theta, one point at a time, so a run goes
+one diagonal further, to ``diag(r)^{(x)L} H^{(x)L} psi``, where a kick is
+``R^{(x)L}`` followed by the phases ``D (r l)^{(x)L}`` (:class:`XFrameKick`).
 A run builds its start in the frame directly, as a product vector, and never
 leaves it: every measure the package reports is invariant under a one-qubit
 unitary on each qubit.
@@ -368,15 +369,15 @@ class XFrameKick:
 
     The sigma_x-frame kick is ``D (H u H)^{(x)L}``, and ``H u H`` splits as
     ``diag(l) R diag(r)`` with ``R`` real, in closed form per point
-    (:func:`_field_split`).  On
-    ``diag(r)^{(x)L} H^{(x)L} psi`` a kick is therefore ``R^{(x)L}``, real
-    block passes, followed by the phases ``D (r l)^{(x)L}``, with each row's
-    own ``l``, ``R`` and ``r``.  :meth:`start` builds a stack in this frame,
+    (:func:`_field_split`).  On ``diag(r)^{(x)L} H^{(x)L} psi`` a kick is
+    therefore ``R^{(x)L}``, real block passes, followed by the phases
+    ``D (r l)^{(x)L}``, with each row's own ``l``, ``R`` and ``r``.  :meth:`start` builds a stack in this frame,
     which a run never leaves.
 
     :meth:`plan` binds the kick of one stack in the frame into another, or
     into itself, and calling it kicks a stack in place; either checks every
-    row's norm, with each row's index split as ``x = hi 2**k + lo``:
+    row's norm (from the largest and the smallest squared norm), with each
+    row's index split as ``x = hi 2**k + lo``:
     ``k = L`` for a row of up to ``_WHOLE_ROW_QUBITS`` qubits, else
     ``k = CHUNK_QUBITS``.
 
