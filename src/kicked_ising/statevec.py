@@ -41,9 +41,10 @@ its low qubits, a table of their phases and its share of the norm, in a
 buffer that stays in cache.  A row of up to ``_WHOLE_ROW_QUBITS`` qubits is
 one chunk (``k = L``).  A longer one has ``k = CHUNK_QUBITS``, and a panel
 pass first applies the blocks of the qubits above ``k`` to panels of
-columns; the phases factor over the two parts of the index, so each chunk's
-lowest block also carries the phases of ``hi``: no array of the state's size
-besides the state.  Each row has its own rotation, phase table and frame.
+``_PANEL_COLUMNS`` columns, read and written where they lie; the phases
+factor over the two parts of the index, so each chunk's lowest block also
+carries the phases of ``hi``: no array of the state's size besides the
+state.  Each row has its own rotation, phase table and frame.
 A kick reads one stack and writes another, or the same one in place, and
 every operand view of its calls is bound once per pair of stacks
 (:meth:`XFrameKick.plan`), so that a small kick, which costs numpy calls
@@ -86,9 +87,11 @@ _WHOLE_ROW_QUBITS = 16
 # above it (at 20 qubits, a kick took 16, 19 and 21 ms with 3, 4 and 5 of them)
 _LOWEST_QUBITS = 3
 
-# the fewest columns of a panel of the high qubits: each row of a panel is a
-# run of 1 KiB; runs of 256 B made the pass half again as slow at 24 qubits
-_PANEL_COLUMNS = 64
+# the columns of a panel of the high qubits, read and written where they lie:
+# each row of a panel is a run of 8 KiB.  With runs of 1 KiB a kick at 24
+# qubits took 385-436 ms against 314-331, and runs of 16 KiB were level at
+# twice the buffer (a 2-core x86 host, one BLAS thread)
+_PANEL_COLUMNS = 512
 
 
 def _check_norm(amplitudes: np.ndarray) -> None:  # each row of a stack
@@ -222,26 +225,49 @@ def _bound(steps) -> list:
     return [(f, *((x[0],) for x in operands)) for f, *operands in steps]
 
 
+def _copy(source: np.ndarray, _, out: np.ndarray) -> None:
+    np.copyto(out, source)  # a step that copies, and allocates nothing
+
+
 def _panel_steps(source: np.ndarray, target: np.ndarray, gates, buffer: np.ndarray):
     """The panel pass that applies the gates of the high qubits to a
-    ``(P, 2**h, 2**k)`` view ``source``, writing ``target`` (which may be
-    ``source``): ``(columns in, columns out, panel, steps, result)``.
+    ``(P, 2**h, 2**k)`` view ``source``, writing ``target`` (``source`` itself
+    for a kick in place): steps ``(f, a, b, out)``, each called as
+    ``f(a[c], b[c], out=out[c])`` for panel c, and the number of panels.
 
-    The gates' lowest qubits count from the view's middle axis.  Panel c of
-    ``columns in`` is copied into ``panel``, one half of ``buffer``, passed
-    through the steps with the other half as the spare, and ``result`` is
-    copied to panel c of ``columns out``.
+    Panel c is ``_PANEL_COLUMNS`` columns of the view (or all of them, if it
+    is narrower), and the gates' lowest qubits count from its middle axis.
+    Each product takes its panel as a strided ``(P, A, 2**lo, d, 2 columns)``
+    real view with the gate's axis next to last, so that a row of each
+    matrix is a contiguous run of the panel and BLAS takes the rest as
+    leading dimensions: the first product reads panel c of ``source`` where
+    it lies, and the last writes panel c of ``target``.  The products
+    between them write panel-sized intermediates in ``buffer``, two in turn
+    where there are three gates or more.  In place with one gate, the
+    product goes to an intermediate, and a copy writes it back.
     """
     P, high, width = source.shape
-    columns = min(width, 1 << (len(buffer) // (2 * P * high)).bit_length() - 1)
-    size = P * high * columns
-    panel, spare = buffer[:size].reshape(1, P, -1), buffer[size:2 * size].reshape(P, -1)
-    shift = columns.bit_length() - 1  # the view's middle axis, in qubits of a panel row
-    steps, out = _products(panel, panel, [(lo + shift, gate[None]) for lo, gate in gates], spare)
-    shape = (P, high, width // columns, columns)
-    panels_in, panels_out = (x.reshape(shape).transpose(2, 0, 1, 3) for x in (source, target))
-    one = (P, high, columns)
-    return panels_in, panels_out, panel[0].reshape(one), _bound(steps), out[0].reshape(one)
+    columns = min(width, _PANEL_COLUMNS)
+    n, size = width // columns, P * high * columns
+
+    def panels(x, lo=0, d=1):  # x as (n, P, A, 2**lo, d, 2 columns) reals
+        view = x.view(float).reshape(P, high // (d << lo), d, 1 << lo, -1, 2 * columns)
+        view = view.transpose(4, 0, 1, 3, 2, 5)
+        if len(view) < n:  # an intermediate, one panel for every c
+            view = np.ndarray((n, *view.shape[1:]), float, x, strides=(0, *view.strides[1:]))
+        return view
+
+    copy_back = source is target and len(gates) == 1
+    steps, now = [], source
+    for i, (lo, gate) in enumerate(gates):
+        d = gate.shape[-1]
+        out = target if i == len(gates) - 1 and not copy_back else buffer[i % 2 * size:][:size]
+        steps.append((np.matmul, np.broadcast_to(gate[:, None, None], (n, P, 1, 1, d, d)),
+                      panels(now, lo, d), panels(out, lo, d)))
+        now = out
+    if copy_back:
+        steps.append((_copy, panels(now), panels(now), panels(target)))
+    return steps, n
 
 
 def _bond_phases(num_qubits: int, j_x: np.ndarray, closed: bool) -> np.ndarray:
@@ -326,7 +352,8 @@ class _KickPlan:
         for stack in (source, target):
             if not stack.flags.c_contiguous:  # a reshape would copy, and drop the writes
                 raise ValueError("the stack must be C-contiguous to be changed in place")
-        rows, into = (stack.reshape(kick._rows) for stack in (target, source))
+        rows = target.reshape(kick._rows)
+        into = rows if source is target else source.reshape(kick._rows)
         self.panels = _panel_steps(into, rows, kick._high, kick._buffer) if kick._high else None
         chunks = rows.swapaxes(0, 1)  # chunk hi of every row; a panel pass leaves them here
         steps, out = _products(into.swapaxes(0, 1) if self.panels is None else chunks, chunks,
@@ -342,12 +369,10 @@ class _KickPlan:
 
     def __call__(self) -> np.ndarray:
         if self.panels is not None:
-            panels_in, panels_out, panel, steps, out = self.panels
-            for c in range(len(panels_in)):
-                np.copyto(panel, panels_in[c])
-                for f, a, b, product in steps:
-                    f(a[0], b[0], out=product[0])
-                np.copyto(panels_out[c], out)
+            steps, n = self.panels
+            for c in range(n):
+                for f, a, b, out in steps:
+                    f(a[c], b[c], out=out[c])
         squares = None
         for hi, chunk in enumerate(self.chunks):
             for f, a, b, out in self.steps:
@@ -382,8 +407,8 @@ class XFrameKick:
     ``k = CHUNK_QUBITS``.
 
     * Where ``k < L``, the panel pass applies the blocks of the high qubits
-      to panels of columns of the ``(2**(L-k), 2**k)`` view, through a small
-      buffer.
+      to panels of ``_PANEL_COLUMNS`` columns of the ``(2**(L-k), 2**k)``
+      view, reading and writing them where they lie (:func:`_panel_steps`).
     * The chunk pass visits each row ``hi`` of that view once, over the whole
       stack, from the source (or, after a panel pass, the target) into the
       target: the real blocks of the low qubits and the lowest block, then the
@@ -432,9 +457,10 @@ class XFrameKick:
                            (0, factors.swapaxes(0, 1))]
         self._low_phases = _times_diagonal_power(
             _bond_phases(k, j_x, boundary == "periodic" and not h), frame)
-        # the chunks' spare, and where there are high qubits two panels of 2**k
-        # amplitudes or more: at 20 qubits, 20-30% faster than panels half as wide
-        width = max(2 << k, 2 * _PANEL_COLUMNS << h) if h else 1 << k
+        # the chunks' spare, and the panel pass's intermediate: a panel of 2**h
+        # rows, or two where the high qubits make three blocks or more (from 25
+        # qubits); 512 KiB a row at 20 qubits, 2 MiB at 22 and 8 MiB at 24
+        width = max(1 << k, (1 if len(self._high) < 3 else 2) * min(1 << k, _PANEL_COLUMNS) << h)
         self._buffer = np.empty(P * width, dtype=complex)
         self._spare = self._buffer[:P << k].reshape(P, -1)
 

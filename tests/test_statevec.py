@@ -476,7 +476,7 @@ class TestStreamedKick:
 
     def test_any_chunk_size_kicks_as_a_whole_row(self, monkeypatch):
         # small chunks make tall stacks of narrow panels, and high parts of
-        # one to three blocks
+        # one and two blocks
         rng = np.random.default_rng(44)
         L, boundary = 10, "periodic"
         points = [ChainParams(L, *rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, np.pi), boundary)
@@ -488,6 +488,66 @@ class TestStreamedKick:
             monkeypatch.setattr(statevec, "CHUNK_QUBITS", chunk)
             assert statevec._chunk_qubits(L) == chunk
             assert np.max(np.abs(helpers.kick_of(points)(psis.copy()) - whole)) < 1e-13
+
+    @pytest.mark.parametrize("columns", [4, statevec._PANEL_COLUMNS])
+    def test_three_high_blocks_kick_as_a_whole_row(self, monkeypatch, columns):
+        # chunks of 4 qubits leave 11 high qubits of 15, three blocks, whose
+        # products pass through two intermediates in turn; panels of 4 columns
+        # reuse them panel after panel
+        rng = np.random.default_rng(46)
+        L = 15
+        points = [ChainParams(L, *rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, np.pi), "open")
+                  for _ in range(2)]
+        psis = np.array([helpers.random_state(L, rng) for _ in points])
+        whole = helpers.kick_of(points)(psis.copy())
+        monkeypatch.setattr(statevec, "_WHOLE_ROW_QUBITS", 2)
+        monkeypatch.setattr(statevec, "CHUNK_QUBITS", 4)
+        monkeypatch.setattr(statevec, "_PANEL_COLUMNS", columns)
+        kick = helpers.kick_of(points)
+        assert len(kick._high) == 3
+        in_place, target = psis.copy(), np.empty_like(psis)
+        kick.plan(in_place, in_place)()
+        kick.plan(psis, target)()
+        assert np.array_equal(in_place, target)
+        assert np.max(np.abs(target - whole)) < 1e-13
+
+
+class TestPanelPass:
+    """A streamed kick's panel pass reads and writes the state where it lies:
+    one high block out of place, or two, in place or not, write the target
+    straight; one in place goes through the buffer and is copied back."""
+
+    @pytest.mark.parametrize("L, rows, in_place", [(17, 1, True), (18, 1, False), (20, 2, True)])
+    def test_a_planned_kick_allocates_no_temporary(self, L, rows, in_place):
+        import tracemalloc
+
+        kick = helpers.kick_of([ChainParams(L, 1.1, 0.7, 0.6 + 0.1 * p) for p in range(rows)])
+        source = kick.start([(0, 1.0)])
+        plan = kick.plan(source, source if in_place else np.empty_like(source))
+        plan()
+        tracemalloc.start()
+        try:
+            plan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4096
+
+    @pytest.mark.parametrize("L", [17, 20])
+    def test_in_place_is_out_of_place_and_each_row_its_point_alone(self, L):
+        # one high block at 17 qubits (the copy back in place), two at 20
+        rng = np.random.default_rng(47 + L)
+        j_x, b_field, theta = rng.uniform(0, 2 * np.pi, (2, 3)).tolist() + [
+            rng.uniform(0, np.pi, 3).tolist()]
+        kick = XFrameKick(L, "periodic", j_x, b_field, theta)
+        source = np.array([helpers.random_state(L, rng) for _ in range(3)])
+        in_place, target = source.copy(), np.empty_like(source)
+        kick.plan(in_place, in_place)()
+        kick.plan(source, target)()
+        assert np.array_equal(in_place, target)
+        for p in range(3):
+            alone = XFrameKick(L, "periodic", j_x[p:p + 1], b_field[p:p + 1], theta[p:p + 1])
+            assert np.array_equal(alone(source[p:p + 1].copy())[0], target[p])
 
 
 class TestFieldKick:

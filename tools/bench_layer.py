@@ -19,8 +19,7 @@ goes to:
   run (L = 12, 40 kicks, a vacuum ring); ``L16`` and ``L20``, the same
   couplings at L = 16 and 20 for 3 kicks; and ``L20-pair-rdms``, whose
   ``series_s`` is one call of the kernel that gives the ten ring-distance
-  pair RDMs of the ``L20`` run's last state (``measures._ring_pair_rdms``,
-  or ``measures._pair_rdms`` on the same pairs in a tree without it).
+  pair RDMs of the ``L20`` run's last state (``measures._ring_pair_rdms``).
 - ``series``: ``harness.run_time_series`` with the measure ``q`` alone, as
   ``compare --regime transverse`` calls it (``BENCH_series.json``).  Case:
   ``L20``, the seed-0 ``compare-transverse-L20`` run (L = 20, 3 kicks from
@@ -30,21 +29,19 @@ goes to:
   builds it, ``statevec.XFrameKick.plan``, which binds a kick between two
   stacks, and ``statevec._KickPlan.__call__``, which runs it, or
   ``statevec.XFrameKick.__call__`` in a tree that kicks in place alone.
-  Cases: ``L16``, ``L20``, ``L22`` and ``L24``, a
+  Cases: ``L16``, ``L17``, ``L19``, ``L20``, ``L22`` and ``L24``, a
   ``harness.run_time_series`` of 3 kicks measuring ``q`` alone at the
   seed-0 ``evolve-pairs-L12`` couplings; ``L12``, one row of those couplings
   kicked 40 times; and ``sweep-tilt-L6``, the stack of the 55 evolved points
   of the seed-0 ``sweep-tilt-L6`` grid kicked 100 times.  ``L12`` and
   ``sweep-tilt-L6`` write each sample into its group, unmeasured, as their
-  runs do (through ``harness._evolve``, or in a tree that copies each
-  sample into its group, through ``harness._groups`` too), with t = 0
-  sampled in ``L12`` only.  Each of these cases also records
-  ``peak_bytes``, the ``tracemalloc`` peak of its untimed run: every array
-  the run allocates, the state included.  Two cases are cold:
+  runs do (through ``harness._evolve``), with t = 0 sampled in ``L12``
+  only.  Each of these cases also records ``peak_bytes``, the
+  ``tracemalloc`` peak of its untimed run: every array the run allocates,
+  the state included.  Two cases are cold:
   ``build-sweep-tilt-L6`` and ``build-L12`` build the first ``XFrameKick``
   of a fresh interpreter, for that stack of 55 points and for that L = 12
-  row, from the points' parameter arrays (or, in a tree whose kick takes
-  ``ChainParams``, from a list of them, made before the timed run).
+  row, from the points' parameter arrays.
 - ``sweep``: ``cli.main``, a whole ``kicked-ising sweep`` call with its CSV
   written by ``--output`` to a temporary file (``BENCH_sweep.json``).  Cases:
   the seed-0 ``sweep-jw-L20`` and ``sweep-tilt-L6`` argv of ``perfbench``.
@@ -137,27 +134,10 @@ def _seed0(workload: str):
     return dict(zip(inv.argv[1::2], inv.argv[2::2])), inv.axes
 
 
-def _takes_points(function) -> bool:
-    """Whether ``function`` (the kick or the kick loop) takes a list of
-    ``ChainParams``, as in an older tree, rather than their chain and arrays."""
-    import inspect  # here: a cold case's interpreter imports no more than it must
-
-    return "points" in inspect.signature(function).parameters
-
-
 def _chain_arrays(points) -> tuple:
     """``(num_qubits, boundary, j_x, b_field, theta)`` of ``ChainParams`` on one chain."""
     return (points[0].num_qubits, points[0].boundary,
             *(np.array([getattr(p, name) for p in points]) for name in ("j_x", "b_field", "theta")))
-
-
-def _evolve(points, *args, **kwargs):
-    """``harness._evolve`` of the stack of ``points``, in either form."""
-    from kicked_ising import harness
-
-    if _takes_points(harness._evolve):
-        return harness._evolve(points, *args, **kwargs)
-    return harness._evolve(*_chain_arrays(points), *args, **kwargs)
 
 
 def _jw_average_cases() -> dict:
@@ -179,7 +159,7 @@ def _jw_average_cases() -> dict:
 
 def _report_cases() -> dict:
     from kicked_ising import measures
-    from kicked_ising.harness import RunConfig, run_time_series
+    from kicked_ising.harness import RunConfig, _evolve, run_time_series
     from kicked_ising.statevec import ChainParams
 
     flags, _ = _seed0("evolve-pairs-L12")
@@ -192,14 +172,12 @@ def _report_cases() -> dict:
 
     @functools.cache
     def state():  # the L20 case's state after its 3 kicks, built at the first run
-        for _, amps in _evolve([ChainParams(20, jx, b, theta)], "vacuum", 3):
+        for _, amps in _evolve(*_chain_arrays([ChainParams(20, jx, b, theta)]), "vacuum", 3):
             pass
         return amps
 
-    # the ring kernel, or in a tree without it the all-pairs kernel on the same pairs
-    kernel = getattr(measures, "_ring_pair_rdms", None) or functools.partial(
-        measures._pair_rdms, pairs=[(19 - d, 19) for d in range(1, 11)])
-    cases["L20-pair-rdms"] = (lambda: kernel(state()), {"num_qubits": 20, "pairs": 10})
+    cases["L20-pair-rdms"] = (lambda: measures._ring_pair_rdms(state()),
+                              {"num_qubits": 20, "pairs": 10})
     return cases
 
 
@@ -220,24 +198,19 @@ def _kick_cases() -> dict:
     from kicked_ising.statevec import ChainParams
 
     def kicked(points, kicks, sample_start):  # a run's kicks into its sample groups, unmeasured
-        if hasattr(harness, "_groups"):  # a tree that kicks in place and copies each sample
-            samples = ((t, amps) for t, amps in _evolve(points, "vacuum", kicks)
-                       if t or sample_start)
-            groups = harness._groups(samples, len(points), points[0].num_qubits)
-        else:
-            groups = _evolve(points, "vacuum", kicks, sample_start=sample_start)
-        for _ in groups:
+        for _ in harness._evolve(*_chain_arrays(points), "vacuum", kicks,
+                                 sample_start=sample_start):
             pass
 
-    def built(points):  # the kick's construction from what the tree's run gives it
-        args = (points,) if _takes_points(statevec.XFrameKick) else _chain_arrays(points)
+    def built(points):  # the kick's construction from its run's arrays
+        args = _chain_arrays(points)
         return lambda: statevec.XFrameKick(*args)
 
     flags, _ = _seed0("evolve-pairs-L12")
     jx, b, theta = (float(flags[f]) for f in ("--jx", "--b", "--theta"))
     cases = {"L12": (lambda: kicked([ChainParams(12, jx, b, theta)], 40, True),
                      {"num_qubits": 12, "points": 1, "kicks": 40})}
-    for L in (16, 20, 22, 24):
+    for L in (16, 17, 19, 20, 22, 24):
         config = harness.RunConfig(ChainParams(L, jx, b, theta), 3, measures=frozenset({"q"}))
         cases[f"L{L}"] = (lambda config=config: harness.run_time_series(config),
                           {"num_qubits": L, "points": 1, "kicks": 3})
