@@ -23,11 +23,10 @@ from .harness import (
 )
 from .measures import (
     MeasureReport,
-    concurrence,
+    ReportBatch,
     concurrences,
     n_tangle,
     one_tangles,
-    reports,
 )
 from .statevec import ChainParams
 
@@ -39,6 +38,7 @@ __all__ = [
     "InsufficientMemoryError",
     "MeasureReport",
     "NoAnalyticOracleError",
+    "ReportBatch",
     "RunConfig",
     "SweepConfig",
     "SweepPointError",
@@ -46,13 +46,11 @@ __all__ = [
     "cluster_nn_concurrence",
     "cluster_q",
     "compare_numeric_analytic",
-    "concurrence",
     "concurrences",
     "jw_q_vacuum",
     "jw_sz_profile",
     "n_tangle",
     "one_tangles",
-    "reports",
     "run_time_series",
     "sweep_grid",
     "sym_cluster_n_tangle",

@@ -100,7 +100,7 @@ def _shift_invariant(params: ChainParams, initial: str) -> bool:
     True on a ring started from a named state or from a bitstring of one
     repeated bit: each start is shift-invariant, and the uniform kick commutes
     with the shift.  Decided from the run's input alone, never from its
-    amplitudes; :func:`~kicked_ising.measures.reports` and
+    amplitudes; :class:`~kicked_ising.measures.ReportBatch` and
     :func:`~kicked_ising.measures.one_tangles` take it as given.
     """
     L = params.num_qubits
@@ -458,9 +458,10 @@ def compare_numeric_analytic(params: ChainParams, t_max: int, initial: str = "va
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
+    if regime is not None and regime not in REGIMES:
+        raise NoAnalyticOracleError(f"unknown regime {regime!r}, not one of {', '.join(REGIMES)}")
     names = list(REGIMES) if regime is None else [regime]
-    name = next((n for n in names if n in REGIMES and REGIMES[n].contains(params, initial)),
-                None)
+    name = next((n for n in names if REGIMES[n].contains(params, initial)), None)
     if name is None:
         raise NoAnalyticOracleError(
             "no analytic oracle: need B = 0 (vacuum or ghz start) or theta = pi/2 (vacuum start)"

@@ -5,7 +5,7 @@ Every measure takes a ``(P, 2**L)`` stack of amplitude rows, one state a row
 matrices.  A :class:`ReportBatch` measures groups of sampled stacks as they
 come and finishes their reports together: one concurrence call and one table
 fill per batch, and the pair table's derived columns computed once for all
-of its reports.  :func:`reports` is a batch of one group.  Basis conventions
+of its reports; it is the one way to a report.  Basis conventions
 come from :mod:`kicked_ising.statevec`; two-qubit density matrices are
 ordered (|00>, |01>, |10>, |11>) with the first-listed qubit in the left
 slot.
@@ -130,8 +130,9 @@ def concurrences(rho: np.ndarray) -> np.ndarray:
     rounding level: a square root of a computed ``rho rho~`` eigenvalue would
     lift rounding noise to ~1e-8 on a separable pair.  Each of the two
     decompositions of the whole stack is one LAPACK call.  Returns the
-    ``(...)`` array of max(s1 - s2 - s3 - s4, 0), with s1 the largest.
-    Raises ValueError if any matrix in the stack has an eigenvalue below -1e-9.
+    ``(...)`` array of max(s1 - s2 - s3 - s4, 0), with s1 the largest: a
+    scalar for one ``(4, 4)`` matrix.  Raises ValueError if the last two axes
+    are not (4, 4), or if any matrix has an eigenvalue below -1e-9.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
@@ -140,14 +141,6 @@ def concurrences(rho: np.ndarray) -> np.ndarray:
     f = v * np.sqrt(_clamped_spectrum(w))[..., None, :]
     s = np.linalg.svd(f.swapaxes(-1, -2) @ _SPIN_FLIP @ f, compute_uv=False)
     return np.maximum(s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3], 0.0)
-
-
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of one two-qubit density matrix (see :func:`concurrences`)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 density matrix, got shape {rho.shape}")
-    return float(concurrences(rho[None])[0])
 
 
 @lru_cache(maxsize=BLOCK_QUBITS)
@@ -204,7 +197,7 @@ def one_tangles(amps: np.ndarray, shift_invariant: bool = False) -> np.ndarray:
     single-qubit RDMs.
 
     ``shift_invariant`` is the caller's assertion, not checked here, that the
-    ring shift maps every row to itself up to a phase, as in :func:`reports`.
+    ring shift maps every row to itself up to a phase, as in :class:`ReportBatch`.
     Every qubit then has the RDM of qubit L-1, from three dot products of the
     two contiguous halves of a row, and the result is a read-only view of it.
     """
@@ -322,9 +315,9 @@ class MeasureReport:
     when the pairwise measures were skipped for speed; the columns derived
     from it then read None as well.  ``n_tangle`` is None when it was
     skipped.  ``boundary`` names the chain's bonds that ``nn_concurrence``
-    averages over.  A :class:`ReportBatch` derives the table's columns for
-    all of its reports at once; a report built from a table alone derives
-    them in ``__post_init__``, as a batch of one.
+    averages over.  A :class:`ReportBatch` builds every report, the table's
+    derived columns given with it.  ``q_measure`` is the mean one-tangle, so
+    :meth:`value` reads it for ``"q"`` and ``"one_tangle"`` alike.
     """
 
     t: int
@@ -340,20 +333,9 @@ class MeasureReport:
     residual_tangle: float | None = None
     nn_concurrence: float | None = None  # mean over the bonds (i, i+1), and (L-1, 0) on a ring
 
-    def __post_init__(self):
-        if self.pair_concurrences is not None and self.nn_concurrence is None:
-            columns = _pair_columns(self.one_tangles[None], self.pair_concurrences[None],
-                                    self.boundary)
-            for name, (value,) in columns.items():
-                object.__setattr__(self, name, value)
-
-    @property
-    def one_tangle(self) -> float:
-        return float(self.one_tangles.mean())
-
     def value(self, measure: str) -> float:
         """Scalar value of a named measure (for averaging and CSV output)."""
-        attr = {"q": "q_measure"}.get(measure, measure)
+        attr = {"q": "q_measure", "one_tangle": "q_measure"}.get(measure, measure)
         if not hasattr(self, attr):
             raise KeyError(f"unknown measure {measure!r}")
         out = getattr(self, attr)
@@ -434,12 +416,3 @@ class ReportBatch:
         columns = self.columns()
         return [MeasureReport(**dict(zip(columns, row)), boundary=self.boundary)
                 for row in zip(*columns.values(), strict=True)]
-
-
-def reports(amps: np.ndarray, ts, pair_measures: bool = True, n_tangle_measure: bool = True,
-            boundary: str = "periodic", shift_invariant: bool = False) -> list[MeasureReport]:
-    """The measures of each row of a ``(P, 2**L)`` stack, row p at kick count
-    ``ts[p]``: a :class:`ReportBatch` of one group, whose options it takes."""
-    batch = ReportBatch(pair_measures, n_tangle_measure, boundary, shift_invariant)
-    batch.add(amps, ts)
-    return batch.finish()

@@ -136,10 +136,6 @@ class ChainParams:
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
 
-    @property
-    def num_bonds(self) -> int:
-        return self.num_qubits if self.boundary == "periodic" else self.num_qubits - 1
-
 
 def blocks(num_qubits: int) -> list[tuple[int, int]]:
     """``(lowest qubit, size)`` of the ``ceil(L / BLOCK_QUBITS)`` blocks covering the chain.
@@ -400,9 +396,9 @@ class XFrameKick:
     which a run never leaves.
 
     :meth:`plan` binds the kick of one stack in the frame into another, or
-    into itself, and calling it kicks a stack in place; either checks every
-    row's norm (from the largest and the smallest squared norm), with each
-    row's index split as ``x = hi 2**k + lo``:
+    into itself (``kick.plan(s, s)()`` kicks ``s`` in place).  A kick checks
+    every row's norm (from the largest and the smallest squared norm), with
+    each row's index split as ``x = hi 2**k + lo``:
     ``k = L`` for a row of up to ``_WHOLE_ROW_QUBITS`` qubits, else
     ``k = CHUNK_QUBITS``.
 
@@ -503,7 +499,3 @@ class XFrameKick:
         stacks again calls the same plan.
         """
         return _KickPlan(self, source, target)
-
-    def __call__(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Kick the stack ``amplitudes`` in place: the plan from it into itself."""
-        return self.plan(amplitudes, amplitudes)()

@@ -9,8 +9,9 @@ unitaries come from eigendecompositions of their generators rather than trig
 closed forms, and the Ising kick from its phases between dense Kronecker
 powers of the Hadamard gate.  The one input taken from the package is the
 list of a run's start terms (:func:`z_start`); the field-gate and kernel
-references at the end keep earlier package forms verbatim, and
-:func:`samples` reads the package's own runs one state at a time.
+references at the end keep earlier package forms verbatim, :func:`samples`
+reads the package's own runs one state at a time, and :func:`batch_reports`
+measures a stack as a run's report batch does.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 import numpy as np
 
 from kicked_ising.harness import _evolve, _start_terms
+from kicked_ising.measures import ReportBatch
 from kicked_ising.statevec import XFrameKick
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -254,3 +256,11 @@ def samples(points, initial: str, steps: int, sample_every: int = 1):
     which later kicks overwrite once the run has gone past the group."""
     for ts, amps in _evolve(*chain_arrays(points), initial, steps, sample_every):
         yield from zip(ts, amps.reshape(len(ts), len(points), -1))
+
+
+def batch_reports(amps, ts, **options):
+    """The package's reports of a ``(P, 2**L)`` stack, row p at kick count
+    ``ts[p]``: one group of a ``ReportBatch`` made with ``options``."""
+    batch = ReportBatch(**options)
+    batch.add(amps, ts)
+    return batch.finish()

@@ -43,7 +43,6 @@ from kicked_ising import (
     jw_q_vacuum,
     n_tangle,
     one_tangles,
-    reports,
     run_time_series,
     sweep_grid,
     sym_cluster_n_tangle,
@@ -105,7 +104,7 @@ def test_criterion_03_cluster_concurrences():
     for L in (4, 6):
         for jx in JX_SET:
             walk = _walk(ChainParams(L, jx, 0.0, 0.0), T_MAX)
-            for r in reports(walk, range(T_MAX + 1), n_tangle_measure=False):
+            for r in helpers.batch_reports(walk, range(T_MAX + 1), n_tangle_measure=False):
                 want = cluster_nn_concurrence(jx, r.t)
                 dead = abs(math.tan(jx * r.t / 2)) > 2
                 for i in range(L):
@@ -182,8 +181,9 @@ def test_criterion_07_special_point():
 def _ckw_min_slack(amps: np.ndarray) -> float:
     """The least residual tangle of any focus qubit of any row of a stack: its
     one-tangle less the squared concurrences of its pairs with every other qubit."""
+    ts = np.zeros(len(amps), dtype=int)
     return min(float(r.residual_tangles.min())
-               for r in reports(amps, np.zeros(len(amps), dtype=int), n_tangle_measure=False))
+               for r in helpers.batch_reports(amps, ts, n_tangle_measure=False))
 
 
 def test_criterion_08_monogamy():
@@ -304,7 +304,8 @@ def test_criterion_11_kernel_oracles():
             boundary = "periodic" if rng.integers(2) else "open"
             psi = helpers.random_state(L, rng)
             kick = helpers.kick_of([ChainParams(L, jx, b, theta, boundary)])
-            got = kick(_in_frame(kick, psi))
+            got = _in_frame(kick, psi)
+            kick.plan(got, got)()
             want = _in_frame(kick, helpers.step_dense(L, jx, b, theta, boundary) @ psi)
             worst_step = max(worst_step, np.max(np.abs(got - want)))
     elapsed = time.perf_counter() - t0

@@ -17,7 +17,6 @@ from kicked_ising import (
     cluster_q,
     compare_numeric_analytic,
     jw_q_vacuum,
-    reports,
     run_time_series,
     sweep_grid,
     sym_cluster_n_tangle,
@@ -26,6 +25,7 @@ from kicked_ising import (
 from kicked_ising import measures
 from kicked_ising.harness import (
     MEASURES,
+    REGIMES,
     SWEEP_PARAMETERS,
     _evolve,
     _jw_mask,
@@ -182,7 +182,7 @@ class TestRunTimeSeries:
                 for r in series:
                     if r.t:
                         psi = helpers.kick_reference(psi, L, jx, b, theta, boundary)
-                    want = reports(psi[None], [r.t], boundary=boundary)[0]
+                    want = helpers.batch_reports(psi[None], [r.t], boundary=boundary)[0]
                     assert r.q_measure == pytest.approx(want.q_measure, abs=1e-10)
                     assert r.n_tangle == pytest.approx(want.n_tangle, abs=1e-10)
                     assert np.max(np.abs(r.one_tangles - want.one_tangles)) < 1e-10
@@ -589,6 +589,19 @@ class TestCompare:
         with pytest.raises(NoAnalyticOracleError):
             compare_numeric_analytic(quick_params(b_field=0.3), t_max=20, regime="zero-field")
 
+    def test_unknown_regime_is_named_with_the_known_ones(self, monkeypatch):
+        from kicked_ising import harness
+
+        def no_run(config):
+            raise AssertionError("evolved a run with no regime")
+
+        monkeypatch.setattr(harness, "run_time_series", no_run)
+        with pytest.raises(NoAnalyticOracleError) as error:
+            compare_numeric_analytic(quick_params(), t_max=3, regime="bogus")
+        message = str(error.value)
+        assert "unknown regime 'bogus'" in message and "does not lie" not in message
+        assert all(name in message for name in REGIMES)
+
     def test_symmetrized_formula_reference(self):
         # the formula the ghz comparison uses, spot-checked at one point
         assert sym_cluster_n_tangle(1.1, np.pi / 1.1, 6) == pytest.approx(1.0, abs=1e-12)
@@ -613,7 +626,7 @@ class TestShiftReducedTables:
             params = ChainParams(num_qubits, jx, b, theta)
             series = run_time_series(RunConfig(params=params, steps=5, initial=initial))
             for r, (t, amps) in zip(series, helpers.samples([params], initial, 5)):
-                full = reports(amps, [t])[0].pair_concurrences
+                full = helpers.batch_reports(amps, [t])[0].pair_concurrences
                 assert r.t == t
                 assert np.max(np.abs(r.pair_concurrences - full)) < 1e-12
 
@@ -623,7 +636,7 @@ class TestShiftReducedTables:
         params = ChainParams(7, 1.3, 0.9, 0.6, boundary)
         series = run_time_series(RunConfig(params=params, steps=4, initial=initial))
         for r, (t, amps) in zip(series, helpers.samples([params], initial, 4)):
-            full = reports(amps, [t], boundary=boundary)[0]
+            full = helpers.batch_reports(amps, [t], boundary=boundary)[0]
             assert np.array_equal(r.pair_concurrences, full.pair_concurrences)
 
     def test_one_pair_rdm_per_ring_distance(self, monkeypatch):
@@ -742,7 +755,8 @@ class TestGroups:
         kick, groups, want = helpers.kick_of([params]), [], None
         for ts, amps in _evolve(*helpers.chain_arrays([params]), "vacuum", 2):
             groups.append((ts, amps))
-            want = kick.start(_start_terms(L, "vacuum")) if want is None else kick(want)
+            want = (kick.start(_start_terms(L, "vacuum")) if want is None
+                    else kick.plan(want, want)())
             assert np.array_equal(amps, want)
         assert [ts for ts, _ in groups] == [[0], [1], [2]]
         assert all(got.__array_interface__ == groups[0][1].__array_interface__
@@ -761,8 +775,9 @@ class TestGroups:
         assert [ts for ts, _ in groups] == [[1, 2, 3, 4], [5, 6, 7]]
         kick = helpers.kick_of(points)
         stack, want = kick.start(_start_terms(4, "vacuum")), []
+        in_place = kick.plan(stack, stack)
         for _ in range(7):
-            want.append(kick(stack).copy())
+            want.append(in_place().copy())
         assert np.array_equal(np.concatenate([amps for _, amps in groups]),
                               np.concatenate(want))
 

@@ -12,12 +12,10 @@ import pytest
 import helpers
 from kicked_ising import (
     ChainParams,
-    MeasureReport,
-    concurrence,
+    ReportBatch,
     concurrences,
     n_tangle,
     one_tangles,
-    reports,
 )
 from kicked_ising import measures
 
@@ -56,7 +54,9 @@ def q_of(s):
 
 
 def report_of(s, t, **options):
-    return reports(s, [t], **options)[0]
+    """The report of a one-row stack at kick count ``t``: a batch of one group."""
+    (report,) = helpers.batch_reports(s, [t], **options)
+    return report
 
 
 def corner_matrix(jx_t):
@@ -95,7 +95,7 @@ class TestRdmPair:
     def test_cluster_non_neighbours_carry_no_concurrence(self):
         s = cluster_state(6, 1.3)
         for pair in [(0, 2), (0, 3), (1, 4)]:
-            assert concurrence(rdm(s, *pair)) < 1e-10
+            assert concurrences(rdm(s, *pair)) < 1e-10
 
     def test_matches_brute_force(self):
         s = random_pure(4, 22)
@@ -143,10 +143,10 @@ class TestConcurrence:
     def test_bell_state(self):
         bell = np.zeros(4, dtype=complex)
         bell[0] = bell[3] = 2 ** -0.5
-        assert concurrence(np.outer(bell, bell.conj())) == pytest.approx(1.0, abs=1e-12)
+        assert concurrences(np.outer(bell, bell.conj())) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_state(self):
-        assert concurrence(np.diag([1.0, 0, 0, 0]).astype(complex)) == 0.0
+        assert concurrences(np.diag([1.0, 0, 0, 0]).astype(complex)) == 0.0
 
     def test_separable_pure_pairs_read_zero(self):
         # rho rho~ of a product state has a spectrum of rounding noise only,
@@ -162,14 +162,14 @@ class TestConcurrence:
     def test_cluster_nearest_neighbour_value(self):
         s = cluster_state(4, np.pi / 2)
         for i in range(4):
-            c = concurrence(rdm(s, i, (i + 1) % 4))
+            c = concurrences(rdm(s, i, (i + 1) % 4))
             assert c == pytest.approx(0.25, abs=1e-12)
 
     def test_matches_nonhermitian_oracle_on_random_rdms(self):
         for seed in range(20):
             s = random_pure(4, 100 + seed)
             rho = rdm(s, 0, 2)
-            assert concurrence(rho) == pytest.approx(helpers.concurrence_oracle(rho), abs=1e-10)
+            assert concurrences(rho) == pytest.approx(helpers.concurrence_oracle(rho), abs=1e-10)
 
     def test_oracle_matches_on_rank_deficient_open_chain_rdms(self):
         # zero-field open chains give pair RDMs whose product rho rho~ is rank-deficient
@@ -179,7 +179,7 @@ class TestConcurrence:
                 s = s @ helpers.ising_kick_dense(6, jx, "open").T
                 for i, j in itertools.combinations(range(6), 2):
                     rho = rdm(s, i, j)
-                    assert concurrence(rho) == pytest.approx(helpers.concurrence_oracle(rho),
+                    assert concurrences(rho) == pytest.approx(helpers.concurrence_oracle(rho),
                                                              abs=1e-12)
 
     def test_corner_matrix_spectrum(self):
@@ -197,7 +197,7 @@ class TestConcurrence:
             lam[::-1].sort()
             g = np.sqrt(a * (1 - 3 * a))
             assert np.max(np.abs(lam - [b + g, a, a, g - b])) < 1e-12
-            got = concurrence(rho)
+            got = concurrences(rho)
             assert got == pytest.approx(max(0.0, 2 * b - 2 * a), abs=1e-12)
 
             # the vacuum-seeded evolution gives the spin-flipped pattern:
@@ -209,9 +209,9 @@ class TestConcurrence:
     def test_rejects_invalid_matrix(self):
         bad = np.diag([1.1, 0, 0, -0.1]).astype(complex)
         with pytest.raises(ValueError):
-            concurrence(bad)
+            concurrences(bad)
         with pytest.raises(ValueError):
-            concurrence(np.eye(3, dtype=complex))
+            concurrences(np.eye(3, dtype=complex))
 
 
 class TestConcurrenceStack:
@@ -250,7 +250,7 @@ class TestConcurrenceStack:
             assert table[i, i] == 0.0
             for j in range(8):
                 if i != j:
-                    assert table[i, j] == pytest.approx(concurrence(rdm(s, i, j)), abs=1e-12)
+                    assert table[i, j] == pytest.approx(concurrences(rdm(s, i, j)), abs=1e-12)
 
 
 class TestTangles:
@@ -318,7 +318,7 @@ class TestTangles:
     def test_pair_concurrence_squared_is_one_tangle_for_two_qubits(self):
         for seed in range(10):
             s = random_pure(2, 700 + seed)
-            c2 = concurrence(rdm(s, 0, 1)) ** 2
+            c2 = concurrences(rdm(s, 0, 1)) ** 2
             assert c2 == pytest.approx(one_tangles(s)[0, 0], abs=1e-10)
             assert c2 == pytest.approx(one_tangles(s)[0, 1], abs=1e-10)
 
@@ -510,8 +510,8 @@ class TestLocalUnitaryInvariance:
         for k in range(4):
             assert one_tangles(rotated)[0, k] == pytest.approx(one_tangles(s)[0, k], abs=1e-10)
         for (i, j) in [(0, 1), (1, 3)]:
-            assert concurrence(rdm(rotated, i, j)) == pytest.approx(
-                concurrence(rdm(s, i, j)), abs=1e-10)
+            assert concurrences(rdm(rotated, i, j)) == pytest.approx(
+                concurrences(rdm(s, i, j)), abs=1e-10)
 
 
 class TestReport:
@@ -529,7 +529,8 @@ class TestReport:
         assert r.q_measure == pytest.approx(1.0, abs=1e-12)
         assert r.n_tangle == pytest.approx(1.0, abs=1e-12)
         assert np.max(r.pair_concurrences) < 1e-9
-        assert r.one_tangle == pytest.approx(r.q_measure, abs=1e-15)
+        assert r.value("one_tangle") == r.q_measure == pytest.approx(r.one_tangles.mean(),
+                                                                    abs=1e-15)
 
     def test_monogamy_inside_report(self):
         r = report_of(random_pure(6, 600), 0)
@@ -542,11 +543,10 @@ class TestReport:
             table = np.arange(L * L, dtype=float).reshape(L, L)
             table = table + table.T
             for boundary, closed in (("periodic", L > 2), ("open", False)):
-                r = MeasureReport(t=0, num_qubits=L, q_measure=0.0, n_tangle=None,
-                                  one_tangles=np.zeros(L), pair_concurrences=table,
-                                  boundary=boundary)
+                (got,) = measures._pair_columns(np.zeros((1, L)), table[None],
+                                                boundary)["nn_concurrence"]
                 bonds = [table[i, i + 1] for i in range(L - 1)] + [table[0, L - 1]] * closed
-                assert r.nn_concurrence == pytest.approx(np.mean(bonds), abs=1e-12)
+                assert got == pytest.approx(np.mean(bonds), abs=1e-12)
 
     def test_pairwise_skip(self):
         r = report_of(random_pure(5, 601), 2, pair_measures=False)
@@ -584,19 +584,17 @@ class TestReport:
         assert np.all(np.diag(reduced) == 0.0)
 
     def test_batched_columns_equal_a_report_alone(self):
-        # each column has one definition: a batch reduces each report's row
-        # as a report built from its table alone does, bit for bit
+        # a batch reduces each report's row as a batch of that row alone
+        # does: every field of every report agrees bit for bit
         for boundary in ("periodic", "open"):
             amps = np.concatenate([kicked(ChainParams(7, 0.9, 1.1, 0.6, boundary), t)
                                    for t in range(5)])
-            for r in reports(amps, list(range(5)), boundary=boundary):
-                alone = MeasureReport(t=r.t, num_qubits=7, q_measure=r.q_measure,
-                                      n_tangle=r.n_tangle, one_tangles=r.one_tangles,
-                                      pair_concurrences=r.pair_concurrences, boundary=boundary)
-                for name in ("sum_two_tangles", "residual_tangle", "nn_concurrence"):
-                    assert getattr(r, name) == getattr(alone, name)
-                for name in ("sum_two_tangles_per_qubit", "residual_tangles"):
-                    assert np.array_equal(getattr(r, name), getattr(alone, name))
+            batch = ReportBatch(boundary=boundary)
+            batch.add(amps, list(range(5)))
+            for p, r in enumerate(batch.finish()):
+                alone = report_of(amps[p:p + 1], p, boundary=boundary)
+                for name, value in vars(r).items():
+                    assert np.array_equal(value, getattr(alone, name)), name
 
     def test_value_lookup(self):
         r = report_of(ghz(4), 1)

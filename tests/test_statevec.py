@@ -78,8 +78,9 @@ def z_kick(psi, params, kicks=1):
     """``kicks`` kicks of the z-basis state ``psi`` by ``XFrameKick``, in its frame."""
     kick = helpers.kick_of([params])
     stack = into_frame(kick, psi[None])
+    in_place = kick.plan(stack, stack)
     for _ in range(kicks):
-        kick(stack)
+        in_place()
     return out_of_frame(kick, stack)[0]
 
 
@@ -145,8 +146,6 @@ class TestConstruction:
             ChainParams(1, 0.1, 0.1, 0.0)
         with pytest.raises(ValueError):
             ChainParams(4, 0.1, 0.1, 0.0, boundary="moebius")
-        assert ChainParams(5, 0.1, 0.1, 0.0, "open").num_bonds == 4
-        assert ChainParams(5, 0.1, 0.1, 0.0).num_bonds == 5
 
     @pytest.mark.parametrize("field", ["j_x", "b_field", "theta"])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
@@ -210,7 +209,7 @@ class TestProductGate:
             psi = helpers.random_state(L, rng)
             stack = into_frame(kick, psi[None])
             want = into_frame(kick, helpers.kick_reference(psi, L, 1.3, 0.8, 0.6)[None])
-            assert kick(stack) is stack
+            assert kick.plan(stack, stack)() is stack
             assert np.max(np.abs(stack - want)) < 1e-12
 
 
@@ -224,7 +223,7 @@ class TestXFrameKick:
             kick = helpers.kick_of([ChainParams(L, 1.3, 0.8, 0.5, boundary)])
             x_frame = into_frame(kick, psi[None])
             for _ in range(3):
-                x_frame = kick(x_frame)
+                x_frame = kick.plan(x_frame, x_frame)()
             assert x_frame.shape == (1, 2 ** L)
             u = helpers.step_dense(L, 1.3, 0.8, 0.5, boundary)
             assert np.max(np.abs(out_of_frame(kick, x_frame)[0] - u @ u @ u @ psi)) < 1e-12
@@ -295,16 +294,20 @@ class TestXFrameKick:
         before, target = source.copy(), np.empty_like(source)
         assert kick.plan(source, target)() is target
         assert np.array_equal(source, before)
-        assert np.array_equal(target, kick(before.copy()))
+        again = before.copy()
+        assert np.array_equal(target, kick.plan(again, again)())
         in_place = kick.plan(target, target)
         in_place()
         in_place()
-        assert np.array_equal(target, kick(kick(kick(before.copy()))))
+        for _ in range(2):
+            kick.plan(again, again)()
+        assert np.array_equal(target, again)
 
     def test_checks_the_norm(self):
         kick = helpers.kick_of([ChainParams(4, 1.0, 0.5, 0.3)])
+        stack = np.full((1, 16), 0.3, dtype=complex)
         with pytest.raises(ValueError, match="norm"):
-            kick(np.full((1, 16), 0.3, dtype=complex))
+            kick.plan(stack, stack)()
 
     def test_stack_rows_are_kicked_at_their_own_points(self):
         # per-row frames, field gates and Ising phases: a stack equals its rows
@@ -319,12 +322,12 @@ class TestXFrameKick:
             stack = into_frame(kick, psis)
             rows = stack.copy()
             for _ in range(3):
-                stack = kick(stack)
+                stack = kick.plan(stack, stack)()
             for params, psi, row, got in zip(points, psis, rows, stack):
                 single = helpers.kick_of([params])
                 row = row[None].copy()
                 for _ in range(3):
-                    row = single(row)
+                    row = single.plan(row, row)()
                 assert np.array_equal(row[0], got)
                 if L < 8:
                     u = helpers.step_dense(L, params.j_x, params.b_field, params.theta, boundary)
@@ -336,7 +339,7 @@ class TestXFrameKick:
             stack = kick.start([(0, 1.0)])
             stack[2] *= 1.01
             with pytest.raises(ValueError, match="norm"):
-                kick(stack)
+                kick.plan(stack, stack)()
 
     def test_kick_brings_a_drifted_row_back_to_norm_1(self):
         # a row whose norm left 1 by more than the rescale band, but not by the
@@ -346,7 +349,7 @@ class TestXFrameKick:
         for L, scales in ((6, (1.0 + 5e-11, 1.0, 1.0 - 5e-11)), (17, (1.0 - 5e-11,))):
             kick = helpers.kick_of([ChainParams(L, 1.3, 0.8, 0.6)] * len(scales))
             stack = kick.start([(0, 1.0)]) * np.array(scales)[:, None]
-            kick(stack)
+            kick.plan(stack, stack)()
             for row in stack.view(float):
                 assert abs(math.sqrt(math.fsum((row * row).tolist())) - 1.0) < 1e-14
 
@@ -366,8 +369,9 @@ class TestXFrameKick:
         with pytest.raises(ValueError, match="contiguous"):
             statevec._times_diagonal_power(phases, np.ones((2, 2), dtype=complex))
         kick = helpers.kick_of([ChainParams(17, 1.0, 0.5, 0.3)] * 2)
+        stack = np.asfortranarray(kick.start([(0, 1.0)]))
         with pytest.raises(ValueError, match="contiguous"):
-            kick(np.asfortranarray(kick.start([(0, 1.0)])))
+            kick.plan(stack, stack)
 
     def test_takes_the_chain_once_and_each_parameter_as_an_array(self):
         # arrays or lists of the points' parameters make the same kick, and
@@ -375,12 +379,15 @@ class TestXFrameKick:
         rng = np.random.default_rng(46)
         points = rng.uniform(0, 2 * np.pi, (3, 4))  # j_x, B and theta of four points
         kick = XFrameKick(7, "open", *points)
-        stack = kick(kick.start([(5, 1.0)]))
+        stack = kick.start([(5, 1.0)])
+        kick.plan(stack, stack)()
         listed = XFrameKick(7, "open", *points.tolist())
-        assert np.array_equal(listed(listed.start([(5, 1.0)])), stack)
+        start = listed.start([(5, 1.0)])
+        assert np.array_equal(listed.plan(start, start)(), stack)
         for p, row in enumerate(stack):
             one = XFrameKick(7, "open", *points[:, p:p + 1])
-            assert np.array_equal(one(one.start([(5, 1.0)]))[0], row)
+            start = one.start([(5, 1.0)])
+            assert np.array_equal(one.plan(start, start)()[0], row)
 
     def test_norm_check_reads_the_extreme_squares(self):
         # the drift from the largest and smallest squared norm is, bit for
@@ -429,7 +436,7 @@ class TestIsingPhases:
             j_x = rng.uniform(-7, 7, 2)
             points = [ChainParams(L, j, 0.0, 0.4, boundary) for j in j_x]
             psis = np.array([helpers.random_state(L, rng) for _ in points])
-            got = helpers.kick_of(points)(psis.copy())
+            got = helpers.kick_of(points).plan(psis, np.empty_like(psis))()
             want = self.exp_per_index(L, j_x, boundary) * psis
             assert np.max(np.abs(got - want)) < 1e-14
 
@@ -482,12 +489,13 @@ class TestStreamedKick:
         points = [ChainParams(L, *rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, np.pi), boundary)
                   for _ in range(3)]
         psis = np.array([helpers.random_state(L, rng) for _ in points])
-        whole = helpers.kick_of(points)(psis.copy())
+        whole = helpers.kick_of(points).plan(psis, np.empty_like(psis))()
         monkeypatch.setattr(statevec, "_WHOLE_ROW_QUBITS", 2)
         for chunk in (4, 6, 9):
             monkeypatch.setattr(statevec, "CHUNK_QUBITS", chunk)
             assert statevec._chunk_qubits(L) == chunk
-            assert np.max(np.abs(helpers.kick_of(points)(psis.copy()) - whole)) < 1e-13
+            got = helpers.kick_of(points).plan(psis, np.empty_like(psis))()
+            assert np.max(np.abs(got - whole)) < 1e-13
 
     @pytest.mark.parametrize("columns", [4, statevec._PANEL_COLUMNS])
     def test_three_high_blocks_kick_as_a_whole_row(self, monkeypatch, columns):
@@ -499,7 +507,7 @@ class TestStreamedKick:
         points = [ChainParams(L, *rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, np.pi), "open")
                   for _ in range(2)]
         psis = np.array([helpers.random_state(L, rng) for _ in points])
-        whole = helpers.kick_of(points)(psis.copy())
+        whole = helpers.kick_of(points).plan(psis, np.empty_like(psis))()
         monkeypatch.setattr(statevec, "_WHOLE_ROW_QUBITS", 2)
         monkeypatch.setattr(statevec, "CHUNK_QUBITS", 4)
         monkeypatch.setattr(statevec, "_PANEL_COLUMNS", columns)
@@ -547,7 +555,8 @@ class TestPanelPass:
         assert np.array_equal(in_place, target)
         for p in range(3):
             alone = XFrameKick(L, "periodic", j_x[p:p + 1], b_field[p:p + 1], theta[p:p + 1])
-            assert np.array_equal(alone(source[p:p + 1].copy())[0], target[p])
+            row = source[p:p + 1].copy()
+            assert np.array_equal(alone.plan(row, row)()[0], target[p])
 
 
 class TestFieldKick:
@@ -702,12 +711,13 @@ class TestInvariants:
 
     def test_step_at_20_qubits_is_fast(self):
         kick = helpers.kick_of([ChainParams(20, 1.0, 0.5, 0.7)])
-        amps = kick(kick.start([(0, 1.0)]))
+        amps = kick.start([(0, 1.0)])
+        kick.plan(amps, amps)()
         best = min(_timed_kick(kick, amps) for _ in range(3))
         assert best < 1.0, f"one kick took {best:.2f}s at L=20"
 
 
 def _timed_kick(kick, amps):
     t0 = time.perf_counter()
-    kick(amps)
+    kick.plan(amps, amps)()
     return time.perf_counter() - t0

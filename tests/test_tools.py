@@ -1,6 +1,7 @@
 """The layer timing tool: every layer names functions the package has, its
 cases build, and a timed case sees its layer called."""
 
+import dataclasses
 import importlib.util
 import os
 import sys
@@ -31,6 +32,16 @@ def bench_layer():
 def test_every_layer_function_resolves(bench_layer):
     for layer in bench_layer.LAYERS.values():
         assert set(bench_layer._holders(layer)) == set(layer.functions)
+
+
+def test_a_class_member_resolves_only_from_its_class(bench_layer):
+    # through type every class has a __call__: a member its class lacks is
+    # left out, not wrapped, and a layer of such members alone fails
+    kick = bench_layer.LAYERS["kick"]
+    layer = dataclasses.replace(kick, functions=("XFrameKick.__call__", "_KickPlan.__call__"))
+    assert set(bench_layer._holders(layer)) == {"_KickPlan.__call__"}
+    with pytest.raises(AttributeError, match="has none of"):
+        bench_layer._holders(dataclasses.replace(kick, functions=("XFrameKick.__call__",)))
 
 
 def test_every_layers_cases_build(bench_layer):

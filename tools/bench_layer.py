@@ -14,9 +14,8 @@ goes to:
   inside ``harness.run_time_series`` (``BENCH_report.json``):
   ``measures.ReportBatch.add``, which measures a group of sampled states,
   and ``measures.ReportBatch.finish``, which finishes a batch of groups'
-  reports, or ``measures.reports`` in a tree that measures and finishes
-  each group in one call.  Cases: ``L12``, the seed-0 ``evolve-pairs-L12``
-  run (L = 12, 40 kicks, a vacuum ring); ``L16`` and ``L20``, the same
+  reports.  Cases: ``L12``, the seed-0 ``evolve-pairs-L12`` run (L = 12,
+  40 kicks, a vacuum ring); ``L16`` and ``L20``, the same
   couplings at L = 16 and 20 for 3 kicks; and ``L20-pair-rdms``, whose
   ``series_s`` is one call of the kernel that gives the ten ring-distance
   pair RDMs of the ``L20`` run's last state (``measures._ring_pair_rdms``).
@@ -27,8 +26,7 @@ goes to:
 - ``kick``: the kick, timed inside runs from the vacuum ring at a tilted
   field (``BENCH_kick.json``): ``statevec.XFrameKick.__init__``, which
   builds it, ``statevec.XFrameKick.plan``, which binds a kick between two
-  stacks, and ``statevec._KickPlan.__call__``, which runs it, or
-  ``statevec.XFrameKick.__call__`` in a tree that kicks in place alone.
+  stacks, and ``statevec._KickPlan.__call__``, which runs it.
   Cases: ``L16``, ``L17``, ``L19``, ``L20``, ``L22`` and ``L24``, a
   ``harness.run_time_series`` of 3 kicks measuring ``q`` alone at the
   seed-0 ``evolve-pairs-L12`` couplings; ``L12``, one row of those couplings
@@ -266,12 +264,11 @@ class Layer:
 LAYERS = {
     "jw_average": Layer("analytic", ("jw_q_average",), "sweep", _jw_average_cases,
                         "BENCH_jw_average.json"),
-    "report": Layer("measures", ("ReportBatch.add", "ReportBatch.finish", "reports"), "series",
+    "report": Layer("measures", ("ReportBatch.add", "ReportBatch.finish"), "series",
                     _report_cases, "BENCH_report.json"),
     "series": Layer("harness", ("run_time_series",), "series", _series_cases,
                     "BENCH_series.json"),
-    "kick": Layer("statevec", ("XFrameKick.__init__", "XFrameKick.__call__", "XFrameKick.plan",
-                               "_KickPlan.__call__"),
+    "kick": Layer("statevec", ("XFrameKick.__init__", "XFrameKick.plan", "_KickPlan.__call__"),
                   "series", _kick_cases, "BENCH_kick.json", peak=True,
                   cold_cases=("build-sweep-tilt-L6", "build-L12")),
     "sweep": Layer("cli", ("main",), "call",
@@ -287,15 +284,18 @@ LAYERS = {
 def _holders(layer: Layer) -> dict[str, list[tuple[object, str, Callable]]]:
     """Each of the layer's functions this tree has, with every ``(owner,
     attribute, function)`` through which the package calls it: its class, or
-    its module and each package module that imported it by name."""
+    its module and each package module that imported it by name.
+
+    A name resolves only from its owner's own namespace: a class lacking
+    ``__call__`` still has one through ``type``, which must not be wrapped."""
     module = importlib.import_module(f"kicked_ising.{layer.module}")
     out = {}
     for name in layer.functions:
         *path, function = name.split(".")
         try:
             owner = functools.reduce(getattr, path, module)  # the module, or a class in it
-            original = getattr(owner, function)
-        except AttributeError:
+            original = vars(owner)[function]
+        except (AttributeError, KeyError):
             continue
         out[name] = [(owner, function, original)]
         if not path:
