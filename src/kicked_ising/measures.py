@@ -25,6 +25,8 @@ _SPIN_FLIP = np.kron(PAULI_Y, PAULI_Y).real.astype(float)
 
 _EIG_FLOOR = -1e-9  # spectra of valid density matrices may only dip this far below 0
 
+_PPT_MARGIN = -10.0 * _EIG_FLOOR  # det rho^{T_B} over t^3 above it proves C = 0; see concurrences
+
 _RDM_CHUNK = 1 << 16  # amplitudes per partial block-RDM product (1 MiB)
 
 _ROW_BLOCK = 1 << 11  # amplitudes of a block of several short rows in n_tangle
@@ -108,16 +110,20 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def _clamped_spectrum(w: np.ndarray) -> np.ndarray:
-    """Check and clean a ``(..., n)`` stack of ascending density-matrix spectra."""
-    if w.size and w.min() < _EIG_FLOOR:
-        raise ValueError(f"rho has eigenvalue {w.min():.3e} below {_EIG_FLOOR:.0e}; "
-                         "input is not a valid density matrix")
-    # eigenvalues below the backward-error resolution of the solver are
-    # indistinguishable from exact zeros; zeroing them keeps the later square
-    # root from amplifying rank-deficiency noise (~1e-16) to the 1e-8 scale
-    floor = 32.0 * np.finfo(float).eps * np.maximum(w[..., -1:], 0.0)
-    return np.where(w < floor, 0.0, w)
+def _proven_separable(h: np.ndarray) -> np.ndarray:
+    """Which matrices of a ``(N, 4, 4)`` Hermitian stack have det rho^{T_B} >
+    ``_PPT_MARGIN`` t^3, t the trace.  NaN reads False.
+
+    The determinant is the Laplace sum, over the six column pairs (a, b),
+    of the 2x2 minors of rows 0 and 1 times the minors of rows 2 and 3 on
+    the complementary columns (c, d), ordered so that (a, b, c, d) is an
+    even permutation."""
+    a, b = [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]
+    c, d = [2, 3, 1, 0, 2, 0], [3, 1, 2, 3, 0, 1]
+    pt = h.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
+    top = pt[:, 0, a] * pt[:, 1, b] - pt[:, 0, b] * pt[:, 1, a]
+    bottom = pt[:, 2, c] * pt[:, 3, d] - pt[:, 2, d] * pt[:, 3, c]
+    return (top * bottom).sum(axis=-1).real > _PPT_MARGIN * h.trace(axis1=1, axis2=2).real ** 3
 
 
 def concurrences(rho: np.ndarray) -> np.ndarray:
@@ -128,19 +134,45 @@ def concurrences(rho: np.ndarray) -> np.ndarray:
     conjugate) are the squared singular values of ``S = F^T (sigma_y (x)
     sigma_y) F``.  Taking the singular values directly keeps their error at
     rounding level: a square root of a computed ``rho rho~`` eigenvalue would
-    lift rounding noise to ~1e-8 on a separable pair.  Each of the two
-    decompositions of the whole stack is one LAPACK call.  Returns the
-    ``(...)`` array of max(s1 - s2 - s3 - s4, 0), with s1 the largest: a
-    scalar for one ``(4, 4)`` matrix.  Raises ValueError if the last two axes
-    are not (4, 4), or if any matrix has an eigenvalue below -1e-9.
+    lift rounding noise to ~1e-8 on a separable pair.
+
+    Pairs proven separable skip that spectrum.  rho^{T_B} of a positive rho
+    has at most one negative eigenvalue, so det rho^{T_B} > 0 makes all four
+    positive, each at most the trace t, and the smallest at least det / t^3:
+    rho is PPT, so separable (Peres; Horodecki), and C = 0.  The Wootters
+    path's clamp moves rho by at most 1e-9 (``_EIG_FLOOR``) and rho^{T_B} by
+    at most 2e-9, so ``det > _PPT_MARGIN t^3`` (1e-8 t^3) keeps the clamped
+    matrix PPT with room to spare: it reads exactly 0.0, its spectrum
+    checked by ``eigvalsh`` alone.  The rest run ``eigh`` and ``svd`` on a
+    gathered stack, one matrix at a time as before, so their values are
+    unchanged.
+
+    Returns the ``(...)`` array of max(s1 - s2 - s3 - s4, 0), with s1 the
+    largest: a scalar for one ``(4, 4)`` matrix.  Raises ValueError if the
+    last two axes are not (4, 4), if an entry is not finite, or if any
+    matrix has an eigenvalue below -1e-9.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a stack of 4x4 density matrices, got shape {rho.shape}")
-    w, v = np.linalg.eigh(_hermitian_part(rho))
-    f = v * np.sqrt(_clamped_spectrum(w))[..., None, :]
+    if not np.isfinite(rho).all():
+        raise ValueError("rho has a non-finite entry; input is not a valid density matrix")
+    h = _hermitian_part(rho).reshape(-1, 4, 4)
+    separable = _proven_separable(h)
+    w, v = np.linalg.eigh(h[~separable])
+    low = min(np.linalg.eigvalsh(h[separable]).min(initial=0.0), w.min(initial=0.0))
+    if low < _EIG_FLOOR:
+        raise ValueError(f"rho has eigenvalue {low:.3e} below {_EIG_FLOOR:.0e}; "
+                         "input is not a valid density matrix")
+    # eigenvalues below the backward-error resolution of the solver are
+    # indistinguishable from exact zeros; zeroing them keeps the later square
+    # root from amplifying rank-deficiency noise (~1e-16) to the 1e-8 scale
+    floor = 32.0 * np.finfo(float).eps * np.maximum(w[..., -1:], 0.0)
+    f = v * np.sqrt(np.where(w < floor, 0.0, w))[..., None, :]
     s = np.linalg.svd(f.swapaxes(-1, -2) @ _SPIN_FLIP @ f, compute_uv=False)
-    return np.maximum(s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3], 0.0)
+    out = np.zeros(len(h))
+    out[~separable] = np.maximum(s[..., 0] - s[..., 1] - s[..., 2] - s[..., 3], 0.0)
+    return out.reshape(rho.shape[:-2])[()]
 
 
 @lru_cache(maxsize=BLOCK_QUBITS)
@@ -353,7 +385,9 @@ class ReportBatch:
     nothing of the stack.  :meth:`finish` returns the reports of every group
     added since the last finish, in order, and :meth:`columns` their fields:
     one :func:`concurrences` call and one table fill for them all, and the
-    table's derived columns computed once.  ``pending`` counts the complex
+    table's derived columns computed once; it reads the pairs that their
+    partial transpose proves separable, most of a nonintegrable run's, with
+    no Wootters spectrum.  ``pending`` counts the complex
     entries of the pair RDMs waiting for it, so that a caller can bound them.
     A skipped measure reads None.  ``boundary``, the chain's, selects the
     bonds of ``nn_concurrence``.

@@ -252,6 +252,121 @@ class TestConcurrenceStack:
                 if i != j:
                     assert table[i, j] == pytest.approx(concurrences(rdm(s, i, j)), abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_a_non_finite_matrix(self, bad):
+        # a NaN spectrum would pass the eigenvalue floor, and an inf fails inside
+        # LAPACK; such a matrix is refused first, and never reads as separable
+        rhos = self.stack()
+        rhos[7, 1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            concurrences(rhos)
+        with pytest.raises(ValueError, match="non-finite"):
+            concurrences(rhos[7])
+
+
+def werner(p, rng):
+    """p |psi-><psi-| + (1 - p) I/4 under a random local unitary: C = max(0, (3p - 1)/2),
+    separable exactly for p <= 1/3."""
+    singlet = np.array([0, 1, -1, 0]) / math.sqrt(2.0)
+    u = np.kron(helpers.random_unitary_2x2(rng), helpers.random_unitary_2x2(rng))
+    rho = p * np.outer(singlet, singlet) + (1 - p) * np.eye(4) / 4
+    return u @ rho @ u.conj().T
+
+
+def partial_transpose(rhos):
+    """rho^{T_B} of a (..., 4, 4) stack: <ab|rho^{T_B}|cd> = <ad|rho|cb>."""
+    out = np.empty_like(rhos)
+    for a, b, c, d in itertools.product(range(2), repeat=4):
+        out[..., 2 * a + b, 2 * c + d] = rhos[..., 2 * a + d, 2 * c + b]
+    return out
+
+
+def screened(rhos):
+    """Which matrices of a (N, 4, 4) stack skip the Wootters spectrum."""
+    return measures._proven_separable(measures._hermitian_part(rhos))
+
+
+class TestPptScreen:
+    """The partial-transpose screen: separable pairs read exactly 0.0 without
+    ``eigh`` or ``svd``, and every other pair its Wootters value, unchanged."""
+
+    def stacks(self):
+        rng = np.random.default_rng(28)
+        out = {}
+        for rank in (2, 3, 4):
+            g = rng.normal(size=(300, 4, rank)) + 1j * rng.normal(size=(300, 4, rank))
+            rho = g @ g.conj().swapaxes(-1, -2)
+            out[f"mixed-rank-{rank}"] = rho / np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+        states = [random_pure(4, 100 + seed) for seed in range(20)]
+        out["pure-state-rdms"] = np.array([rdm(s, 0, 2) for s in states]
+                                          + [rdm(s, 3, 1) for s in states])
+        pure = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
+        pure /= np.linalg.norm(pure, axis=1, keepdims=True)
+        out["pure"] = pure[:, :, None] * pure[:, None, :].conj()
+        factors = rng.normal(size=(50, 2, 2)) + 1j * rng.normal(size=(50, 2, 2))
+        product = (factors[:, 0, :, None] * factors[:, 1, None, :]).reshape(50, 4)
+        product /= np.linalg.norm(product, axis=1, keepdims=True)
+        out["product"] = product[:, :, None] * product[:, None, :].conj()
+        bell = np.array([1, 0, 0, 1]) / math.sqrt(2.0)
+        out["bell"] = np.outer(bell, bell)[None].astype(complex)
+        out["corner"] = np.array([corner_matrix(x) for x in np.linspace(0.1, 3.0, 30)])
+        open_chain = []
+        for jx in (0.7, 1.3, 2.1):  # rank-deficient pairs
+            s = vacuum(6)
+            for _ in range(7):
+                s = s @ helpers.ising_kick_dense(6, jx, "open").T
+                open_chain += [rdm(s, i, j) for i, j in itertools.combinations(range(6), 2)]
+        out["open-chain"] = np.array(open_chain)
+        return out
+
+    def test_matches_the_unscreened_path_bitwise(self, monkeypatch):
+        stacks = self.stacks()
+        got = {name: concurrences(rhos) for name, rhos in stacks.items()}
+        mask = {name: screened(rhos) for name, rhos in stacks.items()}
+        monkeypatch.setattr(measures, "_PPT_MARGIN", np.inf)  # nothing screened
+        assert not any(screened(rhos).any() for rhos in stacks.values())
+        for name, rhos in stacks.items():
+            assert np.array_equal(got[name], concurrences(rhos)), name
+        # both paths ran: the screen on mixed pairs; never on a pure pair,
+        # whose partial transpose is singular or not positive
+        for name in ("mixed-rank-3", "mixed-rank-4", "pure-state-rdms", "corner", "open-chain"):
+            assert 0 < mask[name].sum() < len(mask[name]), name
+        for name in ("pure", "product", "bell"):
+            assert not mask[name].any(), name
+
+    def test_screened_matrices_have_a_positive_partial_transpose(self):
+        rhos = np.concatenate(list(self.stacks().values()))
+        mask = screened(rhos)
+        pt = partial_transpose(measures._hermitian_part(rhos))
+        assert np.linalg.eigvalsh(pt[mask]).min() > measures._PPT_MARGIN
+        assert np.all(concurrences(rhos)[mask] == 0.0)
+
+    def test_werner_states_across_the_separable_edge(self):
+        rng = np.random.default_rng(3)
+        edge = 1.0 / 3.0
+        ps = np.concatenate([np.linspace(0.0, 1.0, 61),
+                             edge + np.array([-1e-3, -1e-6, -1e-9, 0.0, 1e-9, 1e-6, 1e-3])])
+        rhos = np.array([werner(p, rng) for p in ps])
+        got = concurrences(rhos)
+        below = ps < edge
+        assert np.all(got[below] == 0.0)
+        assert np.max(np.abs(got[~below] - (3 * ps[~below] - 1) / 2)) < 1e-12
+        # far below the edge the screen proves it, near it the Wootters path reads 0.0
+        mask = screened(rhos)
+        assert mask[ps < edge - 1e-3].all() and not mask[~below].any()
+        assert not mask[np.abs(ps - edge) <= 1e-9].any()
+
+    def test_an_invalid_ppt_matrix_still_fails_the_stack(self):
+        # p = -0.4: eigenvalue -0.05, but a positive partial transpose
+        rng = np.random.default_rng(4)
+        bad = werner(-0.4, rng)
+        assert np.linalg.eigvalsh(bad).min() == pytest.approx(-0.05, abs=1e-12)
+        assert np.linalg.eigvalsh(partial_transpose(bad)).min() > 0.1
+        rhos = np.array([werner(p, rng) for p in (0.1, 0.9)] + [bad])
+        assert screened(rhos).tolist() == [True, False, True]
+        with pytest.raises(ValueError, match="eigenvalue -5"):
+            concurrences(rhos)
+
 
 class TestTangles:
     def test_one_tangle_product(self):

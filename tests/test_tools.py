@@ -61,6 +61,17 @@ def test_a_timed_report_case_counts_its_calls(bench_layer):
     assert (measures.ReportBatch.add, measures.ReportBatch.finish) == (add, finish)
 
 
+def test_a_timed_concurrence_case_counts_its_calls(bench_layer):
+    concurrences = measures.concurrences
+    layer = bench_layer.LAYERS["concurrence"]
+    assert set(layer.cases()) == {"evolve-pairs-L12", "sweep-nn-L6"}
+    case = bench_layer._time_cases(layer, {"evolve-pairs-L12"})["evolve-pairs-L12"]
+    # the run's 41 reports finished as one batch: one call for their pairs
+    assert case["calls"] == 1 and case["timed"] == ["concurrences"]
+    assert 0.0 < case["layer"] < case["run"]
+    assert measures.concurrences is concurrences
+
+
 def test_a_cold_cli_case_times_a_first_call(bench_layer):
     layer = bench_layer.LAYERS["cli"]
     assert layer.cold and set(layer.cases()) == {

@@ -40,6 +40,10 @@ goes to:
   ``build-sweep-tilt-L6`` and ``build-L12`` build the first ``XFrameKick``
   of a fresh interpreter, for that stack of 55 points and for that L = 12
   row, from the points' parameter arrays.
+- ``concurrence``: ``measures.concurrences``, timed inside ``cli.main``
+  (``BENCH_concurrence.json``).  Cases: ``evolve-pairs-L12``, the seed-0 run
+  of ``perfbench`` (one call, 246 pair matrices); and ``sweep-nn-L6``,
+  ``NN_SWEEP``, a 50-point, 100-kick ``nn_concurrence`` sweep at L = 6.
 - ``sweep``: ``cli.main``, a whole ``kicked-ising sweep`` call with its CSV
   written by ``--output`` to a temporary file (``BENCH_sweep.json``).  Cases:
   the seed-0 ``sweep-jw-L20`` and ``sweep-tilt-L6`` argv of ``perfbench``.
@@ -116,6 +120,9 @@ COLD_REPEATS = 30
 # whose kicks, paired in one process, took 21 and 28 us
 SHORT_RUN_S, SHORT_RUNS = 0.1, 7
 CHILD_FLAG = "--time-this-interpreter"
+# every point and kick of this sweep measures its ring's pairs
+NN_SWEEP = ("sweep", "--axis1", "b:0.1:2:10", "--axis2", "theta:0.1:1.4:5", "--jx", "0.9",
+            "--L", "6", "--kicks", "100", "--measure", "nn_concurrence")
 
 
 def _invocation(workload: str):
@@ -225,22 +232,33 @@ def _kick_cases() -> dict:
     return cases
 
 
+def _main_case(argv, covers: dict) -> tuple:
+    """A case that runs ``cli.main(argv)``, its CSV written to a temporary file."""
+    def run():
+        # here, not when the cases are built: main lists a cold layer's cases
+        # in an interpreter that cannot import the package
+        from kicked_ising import cli
+
+        with tempfile.TemporaryDirectory() as tmp:
+            # the module attribute, as timed
+            if cli.main([*argv, "--output", os.path.join(tmp, "out.csv")]) != 0:
+                raise RuntimeError(f"kicked-ising {' '.join(argv)} failed")
+
+    return run, covers
+
+
 def _main_cases(workloads: tuple[str, ...]) -> dict:
     cases = {}
     for workload in workloads:
         inv = _invocation(workload)
+        cases[workload] = _main_case(inv.argv, {"num_qubits": inv.num_qubits,
+                                                "points": inv.work["csv_rows"]})
+    return cases
 
-        def run(argv=inv.argv):
-            # here, not when the cases are built: main lists a cold layer's cases
-            # in an interpreter that cannot import the package
-            from kicked_ising import cli
 
-            with tempfile.TemporaryDirectory() as tmp:
-                # the module attribute, as timed
-                if cli.main([*argv, "--output", os.path.join(tmp, "out.csv")]) != 0:
-                    raise RuntimeError(f"kicked-ising {' '.join(argv)} failed")
-
-        cases[workload] = (run, {"num_qubits": inv.num_qubits, "points": inv.work["csv_rows"]})
+def _concurrence_cases() -> dict:
+    cases = _main_cases(("evolve-pairs-L12",))
+    cases["sweep-nn-L6"] = _main_case(NN_SWEEP, {"num_qubits": 6, "points": 50, "kicks": 100})
     return cases
 
 
@@ -271,6 +289,8 @@ LAYERS = {
     "kick": Layer("statevec", ("XFrameKick.__init__", "XFrameKick.plan", "_KickPlan.__call__"),
                   "series", _kick_cases, "BENCH_kick.json", peak=True,
                   cold_cases=("build-sweep-tilt-L6", "build-L12")),
+    "concurrence": Layer("measures", ("concurrences",), "call", _concurrence_cases,
+                         "BENCH_concurrence.json"),
     "sweep": Layer("cli", ("main",), "call",
                    functools.partial(_main_cases, ("sweep-jw-L20", "sweep-tilt-L6")),
                    "BENCH_sweep.json"),
