@@ -25,7 +25,9 @@ one diagonal further, to ``diag(r)^{(x)L} H^{(x)L} psi``, where a kick is
 ``R^{(x)L}`` followed by the phases ``D (r l)^{(x)L}`` (:class:`XFrameKick`).
 A run builds its start in the frame directly, as a product vector, and never
 leaves it: every measure the package reports is invariant under a one-qubit
-unitary on each qubit.
+unitary on each qubit.  A kick maps a product to a product but for the bonds
+across the cut, so a run of streamed rows builds its first kick from the
+start's factors too (:meth:`XFrameKick.start`).
 
 The product gate ``R^{(x)L}`` cuts the qubits into blocks of at most five
 and applies each block's Kronecker power ``R^{(x)s}`` as one float64 matrix
@@ -94,10 +96,6 @@ _LOWEST_QUBITS = 3
 _PANEL_COLUMNS = 512
 
 
-def _check_norm(amplitudes: np.ndarray) -> None:  # each row of a stack
-    _check_squared_norms(np.vecdot(amplitudes, amplitudes).real)
-
-
 def _check_squared_norms(squares: np.ndarray) -> float:
     """The largest ``|norm - 1|`` of the rows whose squared norms are the
     ``(P,)`` array ``squares``, which must be at most ``_NORM_ATOL``: from the
@@ -109,6 +107,19 @@ def _check_squared_norms(squares: np.ndarray) -> float:
         norm = next(n for n in np.sqrt(squares).tolist() if not abs(n - 1.0) <= _NORM_ATOL)
         raise ValueError(f"state norm {norm!r} is not 1 within {_NORM_ATOL}")
     return drift
+
+
+def _check_norm(stack: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
+    """A ``(P, 2**L)`` stack, checked from its rows' squared norms (or
+    ``squares``, summed by the caller), each row whose norm has left 1 by
+    more than ``_RESCALE_ATOL`` rescaled to norm 1 in place."""
+    if squares is None:
+        squares = np.vecdot(stack, stack).real
+    if _check_squared_norms(squares) > _RESCALE_ATOL:
+        for row, norm in zip(stack, np.sqrt(squares).tolist()):
+            if abs(norm - 1.0) > _RESCALE_ATOL:
+                row *= 1.0 / norm
+    return stack
 
 
 @dataclass(frozen=True)
@@ -375,11 +386,7 @@ class _KickPlan:
                 f(a[hi], b[hi], out=out[hi])
             share = np.vecdot(chunk, chunk).real
             squares = share if squares is None else squares + share
-        if _check_squared_norms(squares) > _RESCALE_ATOL:  # the drifted rows, to norm 1
-            for row, norm in zip(self.target, np.sqrt(squares).tolist()):
-                if abs(norm - 1.0) > _RESCALE_ATOL:
-                    row *= 1.0 / norm
-        return self.target
+        return _check_norm(self.target, squares)
 
 
 class XFrameKick:
@@ -426,6 +433,8 @@ class XFrameKick:
         frame = self._right * left
         j_x, P = np.asarray(j_x, dtype=float), len(left)
         self.num_qubits = L = num_qubits
+        # what a start's first kick is built from
+        self._point = (j_x, rotation, frame, boundary == "periodic")
         k = _chunk_qubits(L)
         h = L - k
         self._rows = (P, 1 << h, 1 << k)  # the stack's view, a row hi a chunk
@@ -460,9 +469,11 @@ class XFrameKick:
         self._buffer = np.empty(P * width, dtype=complex)
         self._spare = self._buffer[:P << k].reshape(P, -1)
 
-    def start(self, terms: list[tuple[int, complex]], out: np.ndarray | None = None) -> np.ndarray:
+    def start(self, terms: list[tuple[int, complex]], out: np.ndarray | None = None,
+              kicked: bool = False) -> np.ndarray:
         """The stack whose row p is ``diag(r_p)^{(x)L} H^{(x)L} sum a |b>`` over the
-        ``(b, a)`` of ``terms``, built in the frame.
+        ``(b, a)`` of ``terms``, built in the frame, or with ``kicked`` that
+        stack one kick later.
 
         ``H^{(x)L} |b> = 2^{-L/2} (x)_n (1, (-1)^{b_n})``, so each term is a
         product vector ``(x)_n (r_0, (-1)^{b_n} r_1)``, and as ``r_0 = 1`` its
@@ -471,22 +482,46 @@ class XFrameKick:
         terms' vectors over the high qubits by those over the low qubits: one
         write per amplitude, and no temporary of its size: into ``out``, a
         C-contiguous ``(P, 2**L)`` stack, where given.
+
+        A kick maps each term's product to a product but for the bonds across
+        the cut, so the kicked stack is a product of the factors split into 4
+        classes by the bits those bonds read, checked and held to norm 1 as a
+        kick holds its rows.
         """
         L, m = self.num_qubits, self.num_qubits // 2
-        powers = np.ones((len(self._right), L - m + 1), dtype=complex)
-        for k in range(1, L - m + 1):
+        P, h = len(self._right), L - m
+        powers = np.ones((P, h + 1), dtype=complex)
+        for k in range(1, h + 1):
             powers[:, k] = self._right[:, 1] * powers[:, k - 1]
         signed = np.stack([powers, -powers], 1)  # [p, parity, count]
         bits = np.array([b for b, _ in terms])[:, None]
-        x = np.arange(1 << (L - m))  # the high half's indices; the low half's are a prefix
+        x = np.arange(1 << h)  # the high half's indices; the low half's are a prefix
         low, high = (signed[:, np.bitwise_count(x[:1 << n] & b) & 1, np.bitwise_count(x[:1 << n])]
-                     for n, b in ((m, bits), (L - m, bits >> m)))
+                     for n, b in ((m, bits), (h, bits >> m)))
         low *= (np.array([a for _, a in terms]) * 2.0 ** (-L / 2))[:, None]
         if out is None:
-            out = np.empty((len(powers), 1 << L), dtype=complex)
-        np.matmul(high.swapaxes(1, 2), low, out=out.reshape(len(out), 1 << (L - m), 1 << m))
-        _check_norm(out)  # once a run: each kick checks the rows it returns
-        return out
+            out = np.empty((P, 1 << L), dtype=complex)
+        if not kicked:
+            np.matmul(high.swapaxes(1, 2), low, out=out.reshape(P, 1 << h, 1 << m))
+        else:  # a kick: R on each qubit, then the phases D (r l)^{(x)L}
+            j_x, rotation, frame, ring = self._point
+            bond = _bond_phases(2, j_x, False).reshape(P, 2, 2)  # [p, bit, bit]
+            # each factor takes its own bonds, and a class for each value of the
+            # bit that a bond across the cut reads: on the low factor, the ring's
+            # (L-1, 0) by the top bit of hi (ones on an open chain), and on the high
+            # factor (m-1, m) by bit m-1 of lo; an L = 2 ring's bonds join one pair
+            for n, across in ((m, bond ** ring), (h, bond)):
+                low = np.ascontiguousarray(low).view(float)  # real products, as a kick's
+                for lo, g in _block_gates(blocks(n), rotation):
+                    low = g[:, None] @ low.reshape(P, -1, g.shape[-1], 2 << lo)
+                low, high = high, np.einsum(  # [p, class, top bit, term, rest]
+                    "pTax,pbax->pbaTx", low.reshape(P, -1, 2, 1 << n).view(complex), (
+                        _times_diagonal_power(_bond_phases(n, j_x, False), frame).reshape(
+                            P, 1, -1, 2) * across[:, :, None]).reshape(P, 2, 2, -1))
+            # each class's product writes its own rows and columns of the stack
+            np.matmul(high.transpose(0, 2, 1, 4, 3), low,
+                      out=out.reshape(P, 2, -1, 2, 1 << m >> 1).transpose(0, 1, 3, 2, 4))
+        return _check_norm(out)  # as a kick checks and holds the rows it returns
 
     def plan(self, source: np.ndarray, target: np.ndarray) -> _KickPlan:
         """The kick of the stack ``source`` into ``target``, as a call.

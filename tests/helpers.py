@@ -20,6 +20,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from kicked_ising.harness import _evolve, _start_terms
 from kicked_ising.measures import ReportBatch
@@ -145,6 +146,35 @@ def concurrence_oracle(rho: np.ndarray) -> float:
     lam = np.sqrt(np.where(lam < 64 * np.finfo(float).eps * max(lam.max(), 0.0), 0.0, lam))
     lam[::-1].sort()
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
+
+
+def pair_factor(psi: np.ndarray, i: int, j: int, L: int) -> np.ndarray:
+    """The 4 x 2^(L-2) factor Psi of the pair (i, j), i leftmost, with
+    rho = Psi Psi^dagger as :func:`brute_rdm2` sums it: row 2a + b holds the
+    amplitudes with bit i = a and bit j = b, by explicit index."""
+    rest = np.arange(2 ** L)
+    rest = rest[(rest & ((1 << i) | (1 << j))) == 0]
+    return np.array([psi[rest | (a << i) | (b << j)] for a, b in itertools.product((0, 1), repeat=2)])
+
+
+def concurrence_factor_oracle(factor: np.ndarray) -> float:
+    """Wootters concurrence of rho = Psi Psi^dagger from its factor Psi, through
+    the non-Hermitian spectrum of rho rho~ taken in ``mpmath`` at 50 digits.
+
+    Built from its factor at that precision, rho keeps its rank, so the zero
+    eigenvalues of a rank-deficient product stay near 1e-50 and their square
+    roots near 1e-25, where :func:`concurrence_oracle`, reading a rounded rho,
+    lifts them to ~1e-8.  ``mpmath`` is not a declared dependency: without it
+    the calling test is skipped.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        psi = mpmath.matrix(factor.tolist())
+        rho = psi * psi.H
+        flip = mpmath.matrix(np.kron(SY, SY).real.tolist())
+        spectrum = mpmath.eig(rho * flip * rho.conjugate() * flip, left=False, right=False)
+        lam = sorted((mpmath.sqrt(max(mpmath.re(e), 0)) for e in spectrum), reverse=True)
+        return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
 def sz_profile_dense(psi: np.ndarray, L: int) -> np.ndarray:

@@ -802,6 +802,62 @@ class TestGroups:
         for t, amps in helpers.samples([params], initial, steps, sample_every):
             assert np.array_equal(amps, states[t])
 
+    @staticmethod
+    def planned_loop(points, initial, steps):
+        """The states of a run at t = 0 .. steps, from ``XFrameKick.start`` and
+        a kick in place, one plan for every kick."""
+        kick = helpers.kick_of(points)
+        stack = kick.start(_start_terms(points[0].num_qubits, initial))
+        states, in_place = [stack.copy()], kick.plan(stack, stack)
+        states += [in_place().copy() for _ in range(steps)]
+        return states
+
+    @pytest.mark.parametrize("sample_start", [True, False])
+    @pytest.mark.parametrize("L, rows, boundary, initial", [(6, 2, "open", "ghz"),
+                                                            (12, 2, "periodic", "vacuum"),
+                                                            (16, 1, "open", "all_up")])
+    def test_a_one_chunk_row_kicks_its_start_through_a_plan(self, L, rows, boundary, initial,
+                                                           sample_start):
+        # up to 16 qubits the start is kicked as every later stack is, bit for
+        # bit, in groups of four stacks (L = 12) or one (L = 16)
+        points = [ChainParams(L, 1.3, b, 0.6, boundary) for b in (0.8, 1.9)[:rows]]
+        want, seen = self.planned_loop(points, initial, 5), []
+        for ts, amps in _evolve(*helpers.chain_arrays(points), initial, 5,
+                                sample_start=sample_start):
+            for t, stack in zip(ts, amps.reshape(len(ts), rows, -1)):
+                assert np.array_equal(stack, want[t])
+                seen.append(t)
+        assert seen == list(range(0 if sample_start else 1, 6))
+
+    @pytest.mark.parametrize("boundary, initial", [("periodic", "vacuum"), ("open", "ghz")])
+    def test_a_streamed_row_builds_its_first_kick_from_its_start(self, boundary, initial):
+        # from 17 qubits t = 1 is the kicked start, built from its factors,
+        # whether t = 0 is sampled or not; it and every later state and
+        # measure match the loop of plans to rounding
+        L, steps = 17, 2
+        params = ChainParams(L, 1.3, 0.8, 0.6, boundary)
+        first = helpers.kick_of([params]).start(_start_terms(L, initial), kicked=True)
+        want = self.planned_loop([params], initial, steps)
+        for sample_start in (True, False):
+            seen = []
+            for ts, amps in _evolve(*helpers.chain_arrays([params]), initial, steps,
+                                    sample_start=sample_start):
+                assert len(ts) == 1
+                if ts == [1]:
+                    assert np.array_equal(amps, first)
+                assert np.max(np.abs(amps - want[ts[0]])) < 1e-13
+                seen += ts
+            assert seen == list(range(0 if sample_start else 1, steps + 1))
+        series = run_time_series(RunConfig(params, steps, initial))
+        assert [r.t for r in series] == list(range(steps + 1))
+        for got, amps in zip(series, want):
+            expected = helpers.batch_reports(amps, [got.t], boundary=boundary,
+                                             shift_invariant=_shift_invariant(params, initial))[0]
+            assert np.max(np.abs(got.one_tangles - expected.one_tangles)) < 1e-13
+            assert np.max(np.abs(got.pair_concurrences - expected.pair_concurrences)) < 1e-13
+            for measure in MEASURES:
+                assert abs(got.value(measure) - expected.value(measure)) < 1e-13
+
     def test_a_group_holds_at_most_64_stacks(self):
         # 2**14 amplitudes would be 4096 states of two qubits, and a kick plan
         # per pair of slots; 64 slots fill groups of 64

@@ -181,6 +181,19 @@ class TestConcurrence:
                     rho = rdm(s, i, j)
                     assert concurrences(rho) == pytest.approx(helpers.concurrence_oracle(rho),
                                                              abs=1e-12)
+        # and the same chains' sigma_x-frame states after 3 and 6 kicks, where
+        # the oracle above misses by up to 1.5e-8, against the spectrum taken
+        # from each pair's factor at 50 digits (skipped without mpmath, once
+        # the z-basis inputs have passed)
+        for jx in (0.7, 1.3, 2.1):
+            kick = helpers.kick_of([ChainParams(6, jx, 0.0, 0.0, "open")])
+            s = kick.start([(0, 1.0)])
+            in_place = kick.plan(s, s)
+            for t in range(1, 7):
+                in_place()
+                for i, j in itertools.combinations(range(6), 2) if t % 3 == 0 else ():
+                    want = helpers.concurrence_factor_oracle(helpers.pair_factor(s[0], i, j, 6))
+                    assert concurrences(rdm(s, i, j)) == pytest.approx(want, abs=1e-12)
 
     def test_corner_matrix_spectrum(self):
         # density matrices that are diagonal except for one anti-diagonal

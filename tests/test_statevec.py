@@ -559,6 +559,59 @@ class TestPanelPass:
             assert np.array_equal(alone.plan(row, row)()[0], target[p])
 
 
+class TestKickedStart:
+    """``XFrameKick.start(terms, kicked=True)``, a start's first kick built
+    from its factors, is the start kicked by a plan."""
+
+    # rows whose field gate degenerates (B = 0 and pi, theta = 0 and pi/2),
+    # and a tilted one, for stacks of three rows; stacks of two from 17 qubits
+    POINTS = [(0.9, 0.0, np.pi / 2), (1.7, np.pi, 0.0), (2.3, 1.1, 0.6)]
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("L", range(2, 21))
+    def test_is_the_start_kicked_by_a_plan(self, L, boundary):
+        rng = np.random.default_rng(60 + L)
+        kick = XFrameKick(L, boundary, *np.array(self.POINTS[:3 if L <= 16 else 2]).T)
+        bits = "".join(rng.choice(["0", "1"], L))
+        for initial in ("vacuum", "all_up", "ghz", bits):
+            terms = _start_terms(L, initial)
+            start = kick.start(terms)
+            want = kick.plan(start, np.empty_like(start))()
+            assert np.max(np.abs(kick.start(terms, kicked=True) - want)) < 1e-14
+
+    @pytest.mark.parametrize("L, boundary", [(2, "periodic"), (5, "open"), (12, "periodic"),
+                                             (17, "open")])
+    def test_a_row_is_bitwise_that_row_built_alone(self, L, boundary):
+        points = np.array(self.POINTS).T
+        for initial in ("vacuum", "ghz"):
+            terms = _start_terms(L, initial)
+            stack = XFrameKick(L, boundary, *points).start(terms, kicked=True)
+            for p, row in enumerate(stack):
+                alone = XFrameKick(L, boundary, *points[:, p:p + 1])
+                assert np.array_equal(alone.start(terms, kicked=True)[0], row)
+
+    def test_writes_out_and_returns_it(self):
+        kick = XFrameKick(17, "periodic", *np.array(self.POINTS[:2]).T)
+        out = np.empty((2, 2 ** 17), dtype=complex)
+        assert kick.start([(0, 1.0)], out=out, kicked=True) is out
+        assert np.array_equal(out, kick.start([(0, 1.0)], kicked=True))
+
+    @pytest.mark.parametrize("L", [4, 17])
+    def test_refuses_terms_that_are_not_normalised(self, L):
+        kick = XFrameKick(L, "open", *np.array(self.POINTS[:2]).T)
+        for terms in ([(0, 1.0), (3, 1.0)], [(1, 0.5)]):
+            for kicked in (False, True):
+                with pytest.raises(ValueError, match="norm"):
+                    kick.start(terms, kicked=kicked)
+
+    def test_holds_a_drifted_start_to_norm_1_as_a_kick_does(self):
+        # terms off norm 1 by more than the rescale band, but within the 1e-10
+        # of the check, give rows of norm 1, as a kick of their start does
+        kick = helpers.kick_of([ChainParams(17, 1.3, 0.8, 0.6)])
+        for row in kick.start([(0, 1.0 - 5e-11)], kicked=True).view(float):
+            assert abs(math.sqrt(math.fsum((row * row).tolist())) - 1.0) < 1e-14
+
+
 class TestFieldKick:
     def test_zero_field_is_identity(self):
         rng = np.random.default_rng(1)

@@ -87,16 +87,28 @@ def test_a_cold_cli_case_times_a_first_call(bench_layer):
 def test_a_timed_kick_case_times_every_plan_and_kick(bench_layer):
     from kicked_ising import statevec
 
-    init, plan, call = (statevec.XFrameKick.__init__, statevec.XFrameKick.plan,
-                        statevec._KickPlan.__call__)
+    timed = (statevec.XFrameKick.__init__, statevec.XFrameKick.start,
+             statevec.XFrameKick.plan, statevec._KickPlan.__call__)
     case = bench_layer._time_cases(bench_layer.LAYERS["kick"], {"L12"})["L12"]
-    # one kick built, then 40 kicks through the four slots of a group: four
-    # plans, bound once each; a short case, timed several times a round
-    assert case["calls"] == 45 and case["peak_bytes"] > 0
+    # one kick and its start built, then 40 kicks through the four slots of a
+    # group: four plans, bound once each; a short case, timed several times a round
+    assert case["calls"] == 46 and case["peak_bytes"] > 0
     assert case["runs_per_round"] == bench_layer.SHORT_RUNS
     assert 0.0 < case["layer"] < case["run"]
-    assert (statevec.XFrameKick.__init__, statevec.XFrameKick.plan,
-            statevec._KickPlan.__call__) == (init, plan, call)
+    assert (statevec.XFrameKick.__init__, statevec.XFrameKick.start,
+            statevec.XFrameKick.plan, statevec._KickPlan.__call__) == timed
+
+
+def test_a_timed_first_kick_case_times_the_start_and_its_kick(bench_layer):
+    layer = bench_layer.LAYERS["kick"]
+    assert {"first-L17", "first-L20", "first-L22", "first-L24"} <= set(layer.cases())
+    case = bench_layer._time_cases(layer, {"first-L17"})["first-L17"]
+    # a streamed row: the kick built, its start, and its first kick built
+    # from the start's factors, with no plan bound
+    assert case["calls"] == 3 and case["kicks"] == 1 and case["peak_bytes"] > 2 ** 21
+    assert case["timed"] == ["XFrameKick.__init__", "XFrameKick.plan", "XFrameKick.start",
+                             "_KickPlan.__call__"]
+    assert 0.0 < case["layer"] < case["run"]
 
 
 def test_a_cold_kick_case_times_a_first_construction(bench_layer):

@@ -25,16 +25,22 @@ goes to:
   the vacuum ring at theta = pi/2).
 - ``kick``: the kick, timed inside runs from the vacuum ring at a tilted
   field (``BENCH_kick.json``): ``statevec.XFrameKick.__init__``, which
-  builds it, ``statevec.XFrameKick.plan``, which binds a kick between two
-  stacks, and ``statevec._KickPlan.__call__``, which runs it.
+  builds it, ``statevec.XFrameKick.start``, which builds a run's start (and
+  where a row is streamed its first kick), ``statevec.XFrameKick.plan``,
+  which binds a kick between two stacks, and ``statevec._KickPlan.__call__``,
+  which runs it.
   Cases: ``L16``, ``L17``, ``L19``, ``L20``, ``L22`` and ``L24``, a
   ``harness.run_time_series`` of 3 kicks measuring ``q`` alone at the
-  seed-0 ``evolve-pairs-L12`` couplings; ``L12``, one row of those couplings
+  seed-0 ``evolve-pairs-L12`` couplings; ``first-L17``, ``first-L20``,
+  ``first-L22`` and ``first-L24``, the start and the first kick of such a
+  run, t = 0 sampled, unmeasured; ``L12``, one row of those couplings
   kicked 40 times; and ``sweep-tilt-L6``, the stack of the 55 evolved points
-  of the seed-0 ``sweep-tilt-L6`` grid kicked 100 times.  ``L12`` and
-  ``sweep-tilt-L6`` write each sample into its group, unmeasured, as their
-  runs do (through ``harness._evolve``), with t = 0 sampled in ``L12``
-  only.  Each of these cases also records ``peak_bytes``, the
+  of the seed-0 ``sweep-tilt-L6`` grid kicked 100 times.  The ``first``
+  cases, ``L12`` and ``sweep-tilt-L6`` write each sample into its group,
+  unmeasured, as their runs do (through ``harness._evolve``), with t = 0
+  sampled in all but ``sweep-tilt-L6``.  Records made before ``start`` was
+  timed list the three other functions under ``timed``.  Each of these
+  cases also records ``peak_bytes``, the
   ``tracemalloc`` peak of its untimed run: every array the run allocates,
   the state included.  Two cases are cold:
   ``build-sweep-tilt-L6`` and ``build-L12`` build the first ``XFrameKick``
@@ -219,6 +225,9 @@ def _kick_cases() -> dict:
         config = harness.RunConfig(ChainParams(L, jx, b, theta), 3, measures=frozenset({"q"}))
         cases[f"L{L}"] = (lambda config=config: harness.run_time_series(config),
                           {"num_qubits": L, "points": 1, "kicks": 3})
+    for L in (17, 20, 22, 24):
+        cases[f"first-L{L}"] = (lambda L=L: kicked([ChainParams(L, jx, b, theta)], 1, True),
+                                {"num_qubits": L, "points": 1, "kicks": 1})
     flags, ((lo1, hi1, n1), (lo2, hi2, n2)) = _seed0("sweep-tilt-L6")
     L, steps = int(flags["--L"]), int(flags["--kicks"])
     # the grid's (B, theta) points off the transverse line, which its closed form takes
@@ -286,7 +295,8 @@ LAYERS = {
                     _report_cases, "BENCH_report.json"),
     "series": Layer("harness", ("run_time_series",), "series", _series_cases,
                     "BENCH_series.json"),
-    "kick": Layer("statevec", ("XFrameKick.__init__", "XFrameKick.plan", "_KickPlan.__call__"),
+    "kick": Layer("statevec", ("XFrameKick.__init__", "XFrameKick.start", "XFrameKick.plan",
+                               "_KickPlan.__call__"),
                   "series", _kick_cases, "BENCH_kick.json", peak=True,
                   cold_cases=("build-sweep-tilt-L6", "build-L12")),
     "concurrence": Layer("measures", ("concurrences",), "call", _concurrence_cases,
