@@ -175,11 +175,10 @@ def _evolve(num_qubits: int, boundary: str, j_x, b_field, theta, initial: str, s
     A group is yielded full before its slots are written again, and the
     caller measures it before the loop goes on.
 
-    A row the kick streams (one with a panel pass, from 17 qubits, so k = 1)
-    takes its first kick from the start's factors
+    A row the kick streams (``XFrameKick.streamed``, from 17 qubits, so
+    k = 1) takes its first kick from the start's factors
     (``XFrameKick.start(..., kicked=True)``), one small product where a kick
-    makes a pass over the state for each of its blocks: after the sampled
-    start, or in its place where t = 0 is not sampled.  Shorter rows kick
+    makes a pass over the state for each of its blocks.  Shorter rows kick
     their start as every later stack.
     """
     L, P = num_qubits, len(j_x)
@@ -189,13 +188,12 @@ def _evolve(num_qubits: int, boundary: str, j_x, b_field, theta, initial: str, s
     terms = _start_terms(L, initial)
     try:
         kick = XFrameKick(L, boundary, j_x, b_field, theta)
-        factored = bool(kick._high)  # a streamed row (so size = 1): t = 1 from the factors
+        assert not kick.streamed or size == 1  # t = 1 is built in the start's slot
         if size > 1:  # the start built in its slot
             buffer = np.empty((size, P, 1 << L), dtype=complex)
             kick.start(terms, out=buffer[at])
-        else:  # the start (or t = 1, not sampling it) is the buffer, allocated once
-            # its small factors are built
-            buffer = kick.start(terms, kicked=factored and not sample_start)[None]
+        else:  # the start is the buffer, allocated once its small factors are built
+            buffer = kick.start(terms)[None]
     except MemoryError as exc:
         raise InsufficientMemoryError(
             f"state vector for {L} qubits does not fit in memory") from exc
@@ -206,12 +204,12 @@ def _evolve(num_qubits: int, boundary: str, j_x, b_field, theta, initial: str, s
             yield ts, buffer.reshape(-1, 1 << L)
             ts = []
         to = len(ts)
-        if t > 1 or not factored:
+        if t == 1 and kick.streamed:
+            kick.start(terms, out=slots[to], kicked=True)
+        else:
             if (at, to) not in plans:
                 plans[at, to] = kick.plan(slots[at], slots[to])
             plans[at, to]()
-        elif sample_start:  # else built in the start's place
-            kick.start(terms, out=slots[to], kicked=True)
         at = to
         if t % sample_every == 0:
             ts.append(t)

@@ -409,7 +409,7 @@ class XFrameKick:
     ``k = L`` for a row of up to ``_WHOLE_ROW_QUBITS`` qubits, else
     ``k = CHUNK_QUBITS``.
 
-    * Where ``k < L``, the panel pass applies the blocks of the high qubits
+    * Where ``k < L`` (``streamed``), the panel pass applies the blocks of the high qubits
       to panels of ``_PANEL_COLUMNS`` columns of the ``(2**(L-k), 2**k)``
       view, reading and writing them where they lie (:func:`_panel_steps`).
     * The chunk pass visits each row ``hi`` of that view once, over the whole
@@ -433,8 +433,11 @@ class XFrameKick:
         frame = self._right * left
         j_x, P = np.asarray(j_x, dtype=float), len(left)
         self.num_qubits = L = num_qubits
-        # what a start's first kick is built from
-        self._point = (j_x, rotation, frame, boundary == "periodic")
+        # bond[p, s, s'] is a bond's phase between bits s and s'; ring the
+        # closing bond's, ones on an open chain
+        bond = np.exp(-0.25j * j_x[:, None, None] * (1.0 - 2.0 * np.eye(2)[::-1]))
+        ring = bond if boundary == "periodic" else np.ones_like(bond)
+        self._point = (j_x, rotation, frame, bond, ring)  # a start's first kick's
         k = _chunk_qubits(L)
         h = L - k
         self._rows = (P, 1 << h, 1 << k)  # the stack's view, a row hi a chunk
@@ -443,12 +446,10 @@ class XFrameKick:
         (_, lowest), *low = _block_gates(layout, rotation)
         lowest = lowest.swapaxes(-1, -2)  # the right factor
         self._high = _block_gates(blocks(h), rotation)
+        self.streamed = h > 0  # a row has a panel pass
         if not h:  # one chunk: the lowest block first, as blocks(L) lists it
             self._gates = [(0, _real_factor(lowest)[None]), *((lo, g[None]) for lo, g in low)]
         else:  # row hi's gates: the low blocks, then the lowest, with a factor per half
-            # bond[p, s, s'] is a bond's phase between bits s and s'
-            bond = np.exp(-0.25j * j_x[:, None, None] * (1.0 - 2.0 * np.eye(2)[::-1]))
-            ring = bond if boundary == "periodic" else np.ones_like(bond)
             hi = np.arange(1 << h)
             # per row hi and half t of its chunk (bit k-1 of lo): hi's own phases
             # and the cut bond; per output index a: the ring bond, from a's bit 0
@@ -504,13 +505,12 @@ class XFrameKick:
         if not kicked:
             np.matmul(high.swapaxes(1, 2), low, out=out.reshape(P, 1 << h, 1 << m))
         else:  # a kick: R on each qubit, then the phases D (r l)^{(x)L}
-            j_x, rotation, frame, ring = self._point
-            bond = _bond_phases(2, j_x, False).reshape(P, 2, 2)  # [p, bit, bit]
+            j_x, rotation, frame, bond, ring = self._point
             # each factor takes its own bonds, and a class for each value of the
             # bit that a bond across the cut reads: on the low factor, the ring's
             # (L-1, 0) by the top bit of hi (ones on an open chain), and on the high
             # factor (m-1, m) by bit m-1 of lo; an L = 2 ring's bonds join one pair
-            for n, across in ((m, bond ** ring), (h, bond)):
+            for n, across in ((m, ring), (h, bond)):
                 low = np.ascontiguousarray(low).view(float)  # real products, as a kick's
                 for lo, g in _block_gates(blocks(n), rotation):
                     low = g[:, None] @ low.reshape(P, -1, g.shape[-1], 2 << lo)

@@ -821,6 +821,7 @@ class TestGroups:
         # up to 16 qubits the start is kicked as every later stack is, bit for
         # bit, in groups of four stacks (L = 12) or one (L = 16)
         points = [ChainParams(L, 1.3, b, 0.6, boundary) for b in (0.8, 1.9)[:rows]]
+        assert not helpers.kick_of(points).streamed
         want, seen = self.planned_loop(points, initial, 5), []
         for ts, amps in _evolve(*helpers.chain_arrays(points), initial, 5,
                                 sample_start=sample_start):
@@ -836,7 +837,9 @@ class TestGroups:
         # measure match the loop of plans to rounding
         L, steps = 17, 2
         params = ChainParams(L, 1.3, 0.8, 0.6, boundary)
-        first = helpers.kick_of([params]).start(_start_terms(L, initial), kicked=True)
+        kick = helpers.kick_of([params])
+        assert kick.streamed
+        first = kick.start(_start_terms(L, initial), kicked=True)
         want = self.planned_loop([params], initial, steps)
         for sample_start in (True, False):
             seen = []

@@ -181,10 +181,11 @@ class TestConcurrence:
                     rho = rdm(s, i, j)
                     assert concurrences(rho) == pytest.approx(helpers.concurrence_oracle(rho),
                                                              abs=1e-12)
-        # and the same chains' sigma_x-frame states after 3 and 6 kicks, where
-        # the oracle above misses by up to 1.5e-8, against the spectrum taken
-        # from each pair's factor at 50 digits (skipped without mpmath, once
-        # the z-basis inputs have passed)
+
+    def test_factor_oracle_matches_on_rank_deficient_frame_rdms(self):
+        # the same chains' sigma_x-frame states after 3 and 6 kicks, where the
+        # oracle above misses by up to 1.5e-8, against the spectrum taken from
+        # each pair's factor at 50 digits (skipped without mpmath)
         for jx in (0.7, 1.3, 2.1):
             kick = helpers.kick_of([ChainParams(6, jx, 0.0, 0.0, "open")])
             s = kick.start([(0, 1.0)])
