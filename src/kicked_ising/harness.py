@@ -22,6 +22,7 @@ import numpy as np
 
 from . import analytic
 from .measures import MeasureReport, ReportBatch, n_tangle, one_tangles
+from .factored import FactoredKick
 from .statevec import ChainParams, XFrameKick
 
 MEASURES = frozenset(
@@ -57,6 +58,11 @@ _CHUNK_AMPLITUDES = 1 << 14
 # per-call cost thin (with 4096 slots of 2 qubits, building the plans made a
 # 10^4-kick run 40% slower)
 _GROUP_SLOTS = 64
+
+# a streamed run stays as half-chain factors while a kick leaves their rank at
+# most this: at 20 qubits, writing the state from factors of rank 64 takes
+# 11.6-15 ms against a 12 ms kick, and reading Q from them 1.5 ms
+_FACTORED_RANK = 64
 
 
 class NoAnalyticOracleError(ValueError):
@@ -152,8 +158,17 @@ def _check_memory(num_qubits: int, points: int = 1) -> None:
         )
 
 
+def _stacks(size: int, P: int, L: int) -> np.ndarray:
+    """A buffer of ``size`` slots of ``(P, 2**L)`` stacks."""
+    try:
+        return np.empty((size, P, 1 << L), dtype=complex)
+    except MemoryError as exc:
+        raise InsufficientMemoryError(
+            f"state vector for {L} qubits does not fit in memory") from exc
+
+
 def _evolve(num_qubits: int, boundary: str, j_x, b_field, theta, initial: str, steps: int,
-            sample_every: int = 1, sample_start: bool = True):
+            sample_every: int = 1, sample_start: bool = True, states: bool = True):
     """The kick loop: evolve every point of one chain from ``initial`` together,
     and yield the samples in groups.
 
@@ -176,45 +191,63 @@ def _evolve(num_qubits: int, boundary: str, j_x, b_field, theta, initial: str, s
     caller measures it before the loop goes on.
 
     A row the kick streams (``XFrameKick.streamed``, from 17 qubits, so
-    k = 1) takes its first kick from the start's factors
-    (``XFrameKick.start(..., kicked=True)``), one small product where a kick
-    makes a pass over the state for each of its blocks.  Shorter rows kick
-    their start as every later stack.
+    k = 1) is kicked as its start's half-chain factors
+    (:class:`~kicked_ising.factored.FactoredKick`) while the next kick leaves
+    their rank at most ``_FACTORED_RANK``, and each sample is written into
+    the slot from them, or, unless the caller needs ``states``, yielded as
+    its :class:`~kicked_ising.factored.Factors`; the buffer is allocated at
+    the first write.  Past that rank the run writes its state into the slot and
+    kicks it there, as shorter rows kick their start and every later stack.
     """
     L, P = num_qubits, len(j_x)
     _check_memory(L, P)
     size = max(1, min(_CHUNK_AMPLITUDES // (P << L), _GROUP_SLOTS))
     ts, at = ([0], 0) if sample_start else ([], size - 1)  # the start's slot
-    terms = _start_terms(L, initial)
-    try:
-        kick = XFrameKick(L, boundary, j_x, b_field, theta)
-        assert not kick.streamed or size == 1  # t = 1 is built in the start's slot
-        if size > 1:  # the start built in its slot
-            buffer = np.empty((size, P, 1 << L), dtype=complex)
-            kick.start(terms, out=buffer[at])
-        else:  # the start is the buffer, allocated once its small factors are built
-            buffer = kick.start(terms)[None]
-    except MemoryError as exc:
-        raise InsufficientMemoryError(
-            f"state vector for {L} qubits does not fit in memory") from exc
-    slots = list(buffer)
+    kick = XFrameKick(L, boundary, j_x, b_field, theta)
+    assert not kick.streamed or size == 1  # a factored sample is its group
+    buffer = written = factors = None  # the slots, the factors last written, the factors
+    if kick.streamed:
+        factored = FactoredKick(kick)
+        factors = factored.start(_start_terms(L, initial))
+    else:  # the start built in its slot
+        buffer = _stacks(size, P, L)
+        kick.start(_start_terms(L, initial), out=buffer[at])
+
+    def write():  # the factors' stack into the slot of the last kick
+        nonlocal buffer, written
+        if written is not factors:
+            if buffer is None:
+                buffer = _stacks(size, P, L)
+            written = factors
+            factors.stack(out=buffer[at])
+
+    def group():  # the samples of ts
+        if factors is not None:
+            if not states:
+                return factors
+            write()
+        return buffer[:len(ts)].reshape(-1, 1 << L)
+
     plans = {}  # (from slot, to slot) -> the kick between them, at most 2k
     for t in range(1, steps + 1):
         if len(ts) == size:
-            yield ts, buffer.reshape(-1, 1 << L)
+            yield ts, group()
             ts = []
         to = len(ts)
-        if t == 1 and kick.streamed:
-            kick.start(terms, out=slots[to], kicked=True)
+        if factors is not None and len(factors.high[0]) * factored.rank_growth <= _FACTORED_RANK:
+            factors = factored(factors)
         else:
+            if factors is not None:  # the run leaves its factors for their stack
+                write()
+                factors = written = None
             if (at, to) not in plans:
-                plans[at, to] = kick.plan(slots[at], slots[to])
+                plans[at, to] = kick.plan(buffer[at], buffer[to])
             plans[at, to]()
         at = to
         if t % sample_every == 0:
             ts.append(t)
     if ts:
-        yield ts, buffer[:len(ts)].reshape(-1, 1 << L)
+        yield ts, group()
 
 
 def _finished(groups, finish, **options):
@@ -233,12 +266,13 @@ def _finished(groups, finish, **options):
 def run_time_series(config: RunConfig) -> list[MeasureReport]:
     """Evolve and sample, measuring the samples in groups; the t=0 report is always included."""
     params = config.params
+    pairs, shift = bool(config.measures & _PAIR_MEASURES), _shift_invariant(params, config.initial)
+    n = "n_tangle" in config.measures
     groups = _evolve(params.num_qubits, params.boundary, [params.j_x], [params.b_field],
-                     [params.theta], config.initial, config.steps, config.sample_every)
-    batches = _finished(groups, ReportBatch.finish,
-                        pair_measures=bool(config.measures & _PAIR_MEASURES),
-                        n_tangle_measure="n_tangle" in config.measures, boundary=params.boundary,
-                        shift_invariant=_shift_invariant(params, config.initial))
+                     [params.theta], config.initial, config.steps, config.sample_every,
+                     states=pairs or n or not shift)
+    batches = _finished(groups, ReportBatch.finish, pair_measures=pairs, n_tangle_measure=n,
+                        boundary=params.boundary, shift_invariant=shift)
     return [r for reports in batches for r in reports]
 
 
@@ -335,7 +369,8 @@ def _numeric_averages(config: SweepConfig, axes: dict[str, np.ndarray],
     values = np.empty((P, config.steps))  # a row per point, as time_average sums
     shift = _shift_invariant(fixed, config.initial)
     groups = _evolve(fixed.num_qubits, fixed.boundary, *(axes[n][ks] for n in SWEEP_PARAMETERS),
-                     config.initial, config.steps, sample_start=False)
+                     config.initial, config.steps, sample_start=False,
+                     states=config.measure not in _Q_MEASURES or not shift)
     if config.measure in _PAIR_MEASURES:
         got = [x for columns in _finished(((np.repeat(ts, P), amps) for ts, amps in groups),
                                           ReportBatch.columns, n_tangle_measure=False,

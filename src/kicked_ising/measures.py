@@ -2,13 +2,10 @@
 
 Every measure takes a ``(P, 2**L)`` stack of amplitude rows, one state a row
 (one state is ``P = 1``); the concurrences take the two-qubit density
-matrices.  A :class:`ReportBatch` measures groups of sampled stacks as they
-come and finishes their reports together: one concurrence call and one table
-fill per batch, and the pair table's derived columns computed once for all
-of its reports; it is the one way to a report.  Basis conventions
-come from :mod:`kicked_ising.statevec`; two-qubit density matrices are
-ordered (|00>, |01>, |10>, |11>) with the first-listed qubit in the left
-slot.
+matrices.  A :class:`ReportBatch` measures groups of sampled stacks and
+finishes their reports together.  Basis conventions come from
+:mod:`kicked_ising.statevec`; two-qubit density matrices are ordered (|00>,
+|01>, |10>, |11>) with the first-listed qubit in the left slot.
 """
 
 from __future__ import annotations
@@ -106,7 +103,7 @@ def _ring_pair_rdms(amps: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """``(A + A^dagger)/2`` over the last two axes, to shed rounding noise."""
+    """``(A + A^dagger)/2`` on the last two axes."""
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
@@ -143,9 +140,7 @@ def concurrences(rho: np.ndarray) -> np.ndarray:
     path's clamp moves rho by at most 1e-9 (``_EIG_FLOOR``) and rho^{T_B} by
     at most 2e-9, so ``det > _PPT_MARGIN t^3`` (1e-8 t^3) keeps the clamped
     matrix PPT with room to spare: it reads exactly 0.0, its spectrum
-    checked by ``eigvalsh`` alone.  The rest run ``eigh`` and ``svd`` on a
-    gathered stack, one matrix at a time as before, so their values are
-    unchanged.
+    checked by ``eigvalsh`` alone.
 
     Returns the ``(...)`` array of max(s1 - s2 - s3 - s4, 0), with s1 the
     largest: a scalar for one ``(4, 4)`` matrix.  Raises ValueError if the
@@ -232,12 +227,16 @@ def one_tangles(amps: np.ndarray, shift_invariant: bool = False) -> np.ndarray:
     ring shift maps every row to itself up to a phase, as in :class:`ReportBatch`.
     Every qubit then has the RDM of qubit L-1, from three dot products of the
     two contiguous halves of a row, and the result is a read-only view of it.
+    Such a stack may be given as its ``factored.Factors``.
     """
     L = amps.shape[-1].bit_length() - 1
     if shift_invariant:
-        half = amps.shape[-1] // 2
-        lo, hi = amps[:, :half], amps[:, half:]
-        lolo, hihi, lohi = _sliced_vecdots((lo, lo), (hi, hi), (lo, hi))
+        if hasattr(amps, "half_dots"):
+            lolo, hihi, lohi = amps.half_dots()
+        else:
+            half = amps.shape[-1] // 2
+            lo, hi = amps[:, :half], amps[:, half:]
+            lolo, hihi, lohi = _sliced_vecdots((lo, lo), (hi, hi), (lo, hi))
         det = lolo.real * hihi.real - np.abs(lohi) ** 2
         return np.broadcast_to(np.clip(4.0 * det, 0.0, 1.0)[:, None], (len(amps), L))
 
@@ -278,9 +277,8 @@ def n_tangle(a: np.ndarray) -> np.ndarray:
     b < 2^(L-1), reading ``psi(~b)`` from a reversed view; for odd L they
     cancel, and the n-tangle is 0.  The sum runs over slices of a row of at
     most ``_RDM_CHUNK`` amplitudes, and over blocks of rows of at most
-    ``_ROW_BLOCK`` (numpy buffers each operand of a product over several
-    rows), so no temporary outgrows one slice of a row however many rows the
-    stack has.  A slice starts at a multiple of its power-of-two width, so its
+    ``_ROW_BLOCK``, so no temporary outgrows one slice of a row however many
+    rows the stack has.  A slice starts at a multiple of its power-of-two width, so its
     signs are one cached complex pattern times the sign of its start.
     """
     p, L = len(a), a.shape[-1].bit_length() - 1

@@ -26,8 +26,9 @@ one diagonal further, to ``diag(r)^{(x)L} H^{(x)L} psi``, where a kick is
 A run builds its start in the frame directly, as a product vector, and never
 leaves it: every measure the package reports is invariant under a one-qubit
 unitary on each qubit.  A kick maps a product to a product but for the bonds
-across the cut, so a run of streamed rows builds its first kick from the
-start's factors too (:meth:`XFrameKick.start`).
+across the cut, so a run of streamed rows keeps its start's half-chain
+factors (:meth:`XFrameKick.factors`) for its first kicks, in
+:mod:`kicked_ising.factored`.
 
 The product gate ``R^{(x)L}`` cuts the qubits into blocks of at most five
 and applies each block's Kronecker power ``R^{(x)s}`` as one float64 matrix
@@ -111,8 +112,9 @@ def _check_squared_norms(squares: np.ndarray) -> float:
 
 def _check_norm(stack: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
     """A ``(P, 2**L)`` stack, checked from its rows' squared norms (or
-    ``squares``, summed by the caller), each row whose norm has left 1 by
-    more than ``_RESCALE_ATOL`` rescaled to norm 1 in place."""
+    ``squares``, summed by the caller, for a stack of P rows of any shape),
+    each row whose norm has left 1 by more than ``_RESCALE_ATOL`` rescaled
+    to norm 1 in place."""
     if squares is None:
         squares = np.vecdot(stack, stack).real
     if _check_squared_norms(squares) > _RESCALE_ATOL:
@@ -399,8 +401,9 @@ class XFrameKick:
     ``diag(l) R diag(r)`` with ``R`` real, in closed form per point
     (:func:`_field_split`).  On ``diag(r)^{(x)L} H^{(x)L} psi`` a kick is
     therefore ``R^{(x)L}``, real block passes, followed by the phases
-    ``D (r l)^{(x)L}``, with each row's own ``l``, ``R`` and ``r``.  :meth:`start` builds a stack in this frame,
-    which a run never leaves.
+    ``D (r l)^{(x)L}``, with each row's own ``l``, ``R`` and ``r``.
+    :meth:`start` builds a stack in this frame, which a run never leaves
+    (a streamed run's first kicks take its factors, :mod:`~kicked_ising.factored`).
 
     :meth:`plan` binds the kick of one stack in the frame into another, or
     into itself (``kick.plan(s, s)()`` kicks ``s`` in place).  A kick checks
@@ -422,72 +425,71 @@ class XFrameKick:
       own qubits and of the two bonds that cross the cut (bit k-1 of lo with
       bit 0 of hi, and on a ring bit 0 of lo with the top bit of hi).
 
-    Each lowest block's right factor is embedded in real numbers once, here.
+    The tables, the lowest blocks' right factors (embedded in real numbers)
+    and the buffer are built at the first plan, so a run that is never
+    planned holds none.
     A streamed kick reads and writes the state once per pass and holds no
     array of its size.  A row whose norm has drifted from 1 by more than
     ``_RESCALE_ATOL``, by rounding over many kicks, is rescaled to norm 1.
     """
 
     def __init__(self, num_qubits: int, boundary: str, j_x, b_field, theta):
-        left, rotation, self._right = _field_split(b_field, theta)
-        frame = self._right * left
-        j_x, P = np.asarray(j_x, dtype=float), len(left)
+        left, self._rotation, self._right = _field_split(b_field, theta)
+        self._frame = self._right * left
+        self._j_x = j_x = np.asarray(j_x, dtype=float)
         self.num_qubits = L = num_qubits
+        self._closed = boundary == "periodic"
         # bond[p, s, s'] is a bond's phase between bits s and s'; ring the
         # closing bond's, ones on an open chain
-        bond = np.exp(-0.25j * j_x[:, None, None] * (1.0 - 2.0 * np.eye(2)[::-1]))
-        ring = bond if boundary == "periodic" else np.ones_like(bond)
-        self._point = (j_x, rotation, frame, bond, ring)  # a start's first kick's
+        self._bond = np.exp(-0.25j * j_x[:, None, None] * (1.0 - 2.0 * np.eye(2)[::-1]))
+        self._ring = self._bond if self._closed else np.ones_like(self._bond)
         k = _chunk_qubits(L)
-        h = L - k
-        self._rows = (P, 1 << h, 1 << k)  # the stack's view, a row hi a chunk
-        layout = blocks(L) if not h else [(0, _LOWEST_QUBITS)] + [
+        self._rows = (len(left), 1 << (L - k), 1 << k)  # the stack's view, a row hi a chunk
+        self.streamed = k < L  # a row has a panel pass
+        self._gates = None
+
+    def _build(self) -> None:
+        """The chunk pass's gates and phase table, the panel pass's gates, and the buffer."""
+        (P, rows, width), rotation, frame = self._rows, self._rotation, self._frame
+        h, k = rows.bit_length() - 1, width.bit_length() - 1
+        layout = blocks(k) if not h else [(0, _LOWEST_QUBITS)] + [
             (_LOWEST_QUBITS + lo, size) for lo, size in blocks(k - _LOWEST_QUBITS)]
         (_, lowest), *low = _block_gates(layout, rotation)
         lowest = lowest.swapaxes(-1, -2)  # the right factor
         self._high = _block_gates(blocks(h), rotation)
-        self.streamed = h > 0  # a row has a panel pass
         if not h:  # one chunk: the lowest block first, as blocks(L) lists it
             self._gates = [(0, _real_factor(lowest)[None]), *((lo, g[None]) for lo, g in low)]
         else:  # row hi's gates: the low blocks, then the lowest, with a factor per half
-            hi = np.arange(1 << h)
+            hi = np.arange(rows)
             # per row hi and half t of its chunk (bit k-1 of lo): hi's own phases
             # and the cut bond; per output index a: the ring bond, from a's bit 0
-            scale = (_times_diagonal_power(_bond_phases(h, j_x, False), frame)[:, :, None]
-                     * bond[:, :, hi & 1].swapaxes(1, 2))
-            closing = ring[:, np.arange(1 << _LOWEST_QUBITS) & 1][:, :, hi >> (h - 1)]
+            scale = (_times_diagonal_power(_bond_phases(h, self._j_x, False), frame)[:, :, None]
+                     * self._bond[:, :, hi & 1].swapaxes(1, 2))
+            closing = self._ring[:, np.arange(1 << _LOWEST_QUBITS) & 1][:, :, hi >> (h - 1)]
             factors = _real_factor(lowest[:, None, None]
                                    * closing.swapaxes(1, 2)[:, :, None, None, :]
                                    * scale[:, :, :, None, None])
-            self._gates = [*((lo, np.broadcast_to(g, (1 << h, *g.shape))) for lo, g in low),
+            self._gates = [*((lo, np.broadcast_to(g, (rows, *g.shape))) for lo, g in low),
                            (0, factors.swapaxes(0, 1))]
         self._low_phases = _times_diagonal_power(
-            _bond_phases(k, j_x, boundary == "periodic" and not h), frame)
+            _bond_phases(k, self._j_x, self._closed and not h), frame)
         # the chunks' spare, and the panel pass's intermediate: a panel of 2**h
         # rows, or two where the high qubits make three blocks or more (from 25
         # qubits); 512 KiB a row at 20 qubits, 2 MiB at 22 and 8 MiB at 24
-        width = max(1 << k, (1 if len(self._high) < 3 else 2) * min(1 << k, _PANEL_COLUMNS) << h)
+        width = max(width, (1 if len(self._high) < 3 else 2) * min(width, _PANEL_COLUMNS) * rows)
         self._buffer = np.empty(P * width, dtype=complex)
         self._spare = self._buffer[:P << k].reshape(P, -1)
 
-    def start(self, terms: list[tuple[int, complex]], out: np.ndarray | None = None,
-              kicked: bool = False) -> np.ndarray:
-        """The stack whose row p is ``diag(r_p)^{(x)L} H^{(x)L} sum a |b>`` over the
-        ``(b, a)`` of ``terms``, built in the frame, or with ``kicked`` that
-        stack one kick later.
+    def factors(self, terms: list[tuple[int, complex]]) -> tuple[np.ndarray, np.ndarray]:
+        """The high and the low factor of rank ``len(terms)``, unchecked, of
+        the stack whose row p is ``diag(r_p)^{(x)L} H^{(x)L} sum a |b>`` over
+        the ``(b, a)`` of ``terms``, built in the frame (see
+        :class:`~kicked_ising.factored.Factors`).
 
         ``H^{(x)L} |b> = 2^{-L/2} (x)_n (1, (-1)^{b_n})``, so each term is a
         product vector ``(x)_n (r_0, (-1)^{b_n} r_1)``, and as ``r_0 = 1`` its
         amplitude x is ``(-1)^{popcount(x & b)} r_1^{popcount(x)}``: a gather
-        from the powers of ``r_1``.  The stack is one matrix product of the
-        terms' vectors over the high qubits by those over the low qubits: one
-        write per amplitude, and no temporary of its size: into ``out``, a
-        C-contiguous ``(P, 2**L)`` stack, where given.
-
-        A kick maps each term's product to a product but for the bonds across
-        the cut, so the kicked stack is a product of the factors split into 4
-        classes by the bits those bonds read, checked and held to norm 1 as a
-        kick holds its rows.
+        from the powers of ``r_1``, a factor per term on each half.
         """
         L, m = self.num_qubits, self.num_qubits // 2
         P, h = len(self._right), L - m
@@ -497,31 +499,21 @@ class XFrameKick:
         signed = np.stack([powers, -powers], 1)  # [p, parity, count]
         bits = np.array([b for b, _ in terms])[:, None]
         x = np.arange(1 << h)  # the high half's indices; the low half's are a prefix
-        low, high = (signed[:, np.bitwise_count(x[:1 << n] & b) & 1, np.bitwise_count(x[:1 << n])]
-                     for n, b in ((m, bits), (h, bits >> m)))
+        low, high = (np.ascontiguousarray(  # the gather's rows would be strided
+            signed[:, np.bitwise_count(x[:1 << n] & b) & 1, np.bitwise_count(x[:1 << n])])
+            for n, b in ((m, bits), (h, bits >> m)))
         low *= (np.array([a for _, a in terms]) * 2.0 ** (-L / 2))[:, None]
+        return high, low
+
+    def start(self, terms: list[tuple[int, complex]], out: np.ndarray | None = None) -> np.ndarray:
+        """The stack of :meth:`factors`, one matrix product, checked and held
+        to norm 1 as a kick holds its rows: into ``out``, a C-contiguous
+        ``(P, 2**L)`` stack, where given, with no temporary of its size."""
+        high, low = self.factors(terms)
         if out is None:
-            out = np.empty((P, 1 << L), dtype=complex)
-        if not kicked:
-            np.matmul(high.swapaxes(1, 2), low, out=out.reshape(P, 1 << h, 1 << m))
-        else:  # a kick: R on each qubit, then the phases D (r l)^{(x)L}
-            j_x, rotation, frame, bond, ring = self._point
-            # each factor takes its own bonds, and a class for each value of the
-            # bit that a bond across the cut reads: on the low factor, the ring's
-            # (L-1, 0) by the top bit of hi (ones on an open chain), and on the high
-            # factor (m-1, m) by bit m-1 of lo; an L = 2 ring's bonds join one pair
-            for n, across in ((m, ring), (h, bond)):
-                low = np.ascontiguousarray(low).view(float)  # real products, as a kick's
-                for lo, g in _block_gates(blocks(n), rotation):
-                    low = g[:, None] @ low.reshape(P, -1, g.shape[-1], 2 << lo)
-                low, high = high, np.einsum(  # [p, class, top bit, term, rest]
-                    "pTax,pbax->pbaTx", low.reshape(P, -1, 2, 1 << n).view(complex), (
-                        _times_diagonal_power(_bond_phases(n, j_x, False), frame).reshape(
-                            P, 1, -1, 2) * across[:, :, None]).reshape(P, 2, 2, -1))
-            # each class's product writes its own rows and columns of the stack
-            np.matmul(high.transpose(0, 2, 1, 4, 3), low,
-                      out=out.reshape(P, 2, -1, 2, 1 << m >> 1).transpose(0, 1, 3, 2, 4))
-        return _check_norm(out)  # as a kick checks and holds the rows it returns
+            out = np.empty((len(high), high.shape[-1] * low.shape[-1]), dtype=complex)
+        np.matmul(high.swapaxes(1, 2), low, out=out.reshape(len(high), high.shape[-1], -1))
+        return _check_norm(out)
 
     def plan(self, source: np.ndarray, target: np.ndarray) -> _KickPlan:
         """The kick of the stack ``source`` into ``target``, as a call.
@@ -533,4 +525,6 @@ class XFrameKick:
         sums is bound here, once, so a run that kicks between the same
         stacks again calls the same plan.
         """
+        if self._gates is None:
+            self._build()
         return _KickPlan(self, source, target)

@@ -22,7 +22,9 @@ from kicked_ising import (
     sym_cluster_n_tangle,
     time_average,
 )
-from kicked_ising import measures
+from kicked_ising import harness, measures
+from kicked_ising.factored import FactoredKick, Factors
+from kicked_ising.measures import one_tangles
 from kicked_ising.harness import (
     MEASURES,
     REGIMES,
@@ -832,14 +834,15 @@ class TestGroups:
 
     @pytest.mark.parametrize("boundary, initial", [("periodic", "vacuum"), ("open", "ghz")])
     def test_a_streamed_row_builds_its_first_kick_from_its_start(self, boundary, initial):
-        # from 17 qubits t = 1 is the kicked start, built from its factors,
-        # whether t = 0 is sampled or not; it and every later state and
-        # measure match the loop of plans to rounding
+        # from 17 qubits t = 1 is the kicked start, built as factors from the
+        # start's, whether t = 0 is sampled or not; it and every later state
+        # and measure match the loop of plans to rounding
         L, steps = 17, 2
         params = ChainParams(L, 1.3, 0.8, 0.6, boundary)
         kick = helpers.kick_of([params])
         assert kick.streamed
-        first = kick.start(_start_terms(L, initial), kicked=True)
+        factored = FactoredKick(kick)
+        first = factored(factored.start(_start_terms(L, initial))).stack()
         want = self.planned_loop([params], initial, steps)
         for sample_start in (True, False):
             seen = []
@@ -860,6 +863,76 @@ class TestGroups:
             assert np.max(np.abs(got.pair_concurrences - expected.pair_concurrences)) < 1e-13
             for measure in MEASURES:
                 assert abs(got.value(measure) - expected.value(measure)) < 1e-13
+
+    @pytest.mark.parametrize("L", [17, 18, 19, 20])
+    def test_a_factored_q_is_the_planned_loops(self, L):
+        # Q of a ring from a named start is read from the factors while their
+        # rank allows (t <= 3 from one term, t <= 2 from GHZ's two); an open
+        # chain and a bitstring start go through the written state
+        steps = 4
+        bits = "1" + "0" * (L - 1)
+        for boundary, initial in (("periodic", "vacuum"), ("periodic", "all_up"),
+                                  ("periodic", "ghz"), ("open", "vacuum"), ("periodic", bits)):
+            params = ChainParams(L, 1.1, 0.7, 0.6, boundary)
+            want = self.planned_loop([params], initial, steps)
+            series = run_time_series(RunConfig(params, steps, initial, frozenset({"q"})))
+            for got, amps in zip(series, want):
+                assert abs(got.q_measure - one_tangles(amps).mean()) < 1e-13
+
+    def test_a_q_only_run_yields_factors_until_it_leaves_them(self):
+        # a shift-invariant run that needs no state: factors of rank 1, 4, 16
+        # and 64, then at t = 4 (rank 256) the state, kicked as a stack
+        params = ChainParams(17, 1.1, 0.7, 0.6)
+        got = [(ts, amps) for ts, amps in _evolve(*helpers.chain_arrays([params]), "vacuum", 5,
+                                                  states=False)]
+        assert [ts for ts, _ in got] == [[t] for t in range(6)]
+        assert [len(a.high[0]) for _, a in got[:4]] == [1, 4, 16, 64]
+        assert all(isinstance(amps, Factors) for _, amps in got[:4])
+        assert all(isinstance(amps, np.ndarray) for _, amps in got[4:])
+
+    @pytest.mark.parametrize("sample_every", [1, 2, 3])
+    @pytest.mark.parametrize("boundary, steps, leaves", [("periodic", 5, 4), ("open", 8, 7)])
+    def test_the_state_past_the_rank_limit_is_the_planned_loops(self, boundary, steps, leaves,
+                                                                 sample_every):
+        # the run leaves its factors at the kick that would pass rank 64
+        # (4 on a ring, 7 on an open chain), from a written sample or not
+        params = ChainParams(17, 1.3, 0.8, 0.6, boundary)
+        growth = FactoredKick(helpers.kick_of([params])).rank_growth
+        assert growth ** (leaves - 1) <= harness._FACTORED_RANK < growth ** leaves
+        want = self.planned_loop([params], "vacuum", steps)
+        seen = []
+        for t, amps in helpers.samples([params], "vacuum", steps, sample_every):
+            assert np.max(np.abs(amps - want[t])) < 1e-14
+            seen.append(t)
+        assert seen == list(range(0, steps + 1, sample_every))
+
+    def test_a_factored_stack_row_is_bitwise_the_row_alone(self):
+        points = [ChainParams(18, 1.1, b, 0.6) for b in (0.7, 1.9)]
+        stacks = [amps for _, amps in _evolve(*helpers.chain_arrays(points), "ghz", 2,
+                                              states=False)]
+        for p, point in enumerate(points):
+            alone = [amps for _, amps in _evolve(*helpers.chain_arrays([point]), "ghz", 2,
+                                                 states=False)]
+            for stack, row in zip(stacks, alone):
+                assert np.array_equal(stack.high[p], row.high[0])
+                assert np.array_equal(stack.low[p], row.low[0])
+                assert np.array_equal(one_tangles(stack, True)[p], one_tangles(row, True)[0])
+
+    def test_a_q_only_run_at_24_qubits_holds_no_state(self):
+        # compare --regime transverse --L 24 --tmax 3: every sample read from
+        # factors of rank at most 64, so the 256 MiB state is never allocated
+        import tracemalloc
+
+        from kicked_ising import cli
+
+        tracemalloc.start()
+        try:
+            code = cli.main(["compare", "--regime", "transverse", "--L", "24", "--jx", "1.1",
+                             "--b", "0.7", "--tmax", "3", "--tol", "1e-13"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 16 * 2 ** 20
 
     def test_a_group_holds_at_most_64_stacks(self):
         # 2**14 amplitudes would be 4096 states of two qubits, and a kick plan

@@ -21,6 +21,7 @@ from kicked_ising import (
     run_time_series,
     statevec,
 )
+from kicked_ising.factored import FactoredKick, Factors
 from kicked_ising.harness import _start_terms
 from kicked_ising.statevec import (
     BLOCK_QUBITS,
@@ -512,10 +513,10 @@ class TestStreamedKick:
         monkeypatch.setattr(statevec, "CHUNK_QUBITS", 4)
         monkeypatch.setattr(statevec, "_PANEL_COLUMNS", columns)
         kick = helpers.kick_of(points)
-        assert len(kick._high) == 3
         in_place, target = psis.copy(), np.empty_like(psis)
         kick.plan(in_place, in_place)()
         kick.plan(psis, target)()
+        assert len(kick._high) == 3  # built at the first plan
         assert np.array_equal(in_place, target)
         assert np.max(np.abs(target - whole)) < 1e-13
 
@@ -560,12 +561,17 @@ class TestPanelPass:
 
 
 class TestKickedStart:
-    """``XFrameKick.start(terms, kicked=True)``, a start's first kick built
-    from its factors, is the start kicked by a plan."""
+    """A start's first kick as half-chain factors (``FactoredKick``) is the
+    start kicked by a plan."""
 
     # rows whose field gate degenerates (B = 0 and pi, theta = 0 and pi/2),
     # and a tilted one, for stacks of three rows; stacks of two from 17 qubits
     POINTS = [(0.9, 0.0, np.pi / 2), (1.7, np.pi, 0.0), (2.3, 1.1, 0.6)]
+
+    @staticmethod
+    def kicked(kick, terms):
+        factored = FactoredKick(kick)
+        return factored(factored.start(terms))
 
     @pytest.mark.parametrize("boundary", ["periodic", "open"])
     @pytest.mark.parametrize("L", range(2, 21))
@@ -577,7 +583,10 @@ class TestKickedStart:
             terms = _start_terms(L, initial)
             start = kick.start(terms)
             want = kick.plan(start, np.empty_like(start))()
-            assert np.max(np.abs(kick.start(terms, kicked=True) - want)) < 1e-14
+            kicked = self.kicked(kick, terms)
+            # a class per value of each bit a bond across the cut reads
+            assert len(kicked.high[0]) == len(terms) * (4 if boundary == "periodic" else 2)
+            assert np.max(np.abs(kicked.stack() - want)) < 1e-14
 
     @pytest.mark.parametrize("L, boundary", [(2, "periodic"), (5, "open"), (12, "periodic"),
                                              (17, "open")])
@@ -585,31 +594,42 @@ class TestKickedStart:
         points = np.array(self.POINTS).T
         for initial in ("vacuum", "ghz"):
             terms = _start_terms(L, initial)
-            stack = XFrameKick(L, boundary, *points).start(terms, kicked=True)
+            stack = self.kicked(XFrameKick(L, boundary, *points), terms).stack()
             for p, row in enumerate(stack):
                 alone = XFrameKick(L, boundary, *points[:, p:p + 1])
-                assert np.array_equal(alone.start(terms, kicked=True)[0], row)
+                assert np.array_equal(self.kicked(alone, terms).stack()[0], row)
 
     def test_writes_out_and_returns_it(self):
-        kick = XFrameKick(17, "periodic", *np.array(self.POINTS[:2]).T)
+        kicked = self.kicked(XFrameKick(17, "periodic", *np.array(self.POINTS[:2]).T), [(0, 1.0)])
         out = np.empty((2, 2 ** 17), dtype=complex)
-        assert kick.start([(0, 1.0)], out=out, kicked=True) is out
-        assert np.array_equal(out, kick.start([(0, 1.0)], kicked=True))
+        assert kicked.shape == out.shape and len(kicked) == 2
+        assert kicked.stack(out=out) is out
+        assert np.array_equal(out, kicked.stack())
 
     @pytest.mark.parametrize("L", [4, 17])
     def test_refuses_terms_that_are_not_normalised(self, L):
         kick = XFrameKick(L, "open", *np.array(self.POINTS[:2]).T)
+        factored = FactoredKick(kick)
         for terms in ([(0, 1.0), (3, 1.0)], [(1, 0.5)]):
-            for kicked in (False, True):
+            for start in (kick.start, factored.start):
                 with pytest.raises(ValueError, match="norm"):
-                    kick.start(terms, kicked=kicked)
+                    start(terms)
+        # and a factored kick refuses factors that are not
+        start = factored.start([(1, 1.0)])
+        with pytest.raises(ValueError, match="norm"):
+            factored(Factors(start.high * 0.5, start.low))
 
     def test_holds_a_drifted_start_to_norm_1_as_a_kick_does(self):
         # terms off norm 1 by more than the rescale band, but within the 1e-10
-        # of the check, give rows of norm 1, as a kick of their start does
+        # of the check, give rows of norm 1, as a kick of their start does;
+        # so do factors that drifted as far, kicked
         kick = helpers.kick_of([ChainParams(17, 1.3, 0.8, 0.6)])
-        for row in kick.start([(0, 1.0 - 5e-11)], kicked=True).view(float):
-            assert abs(math.sqrt(math.fsum((row * row).tolist())) - 1.0) < 1e-14
+        factored = FactoredKick(kick)
+        start = factored.start([(0, 1.0)])
+        for kicked in (self.kicked(kick, [(0, 1.0 - 5e-11)]),
+                       factored(Factors(start.high * (1.0 + 5e-11), start.low))):
+            for row in kicked.stack().view(float):
+                assert abs(math.sqrt(math.fsum((row * row).tolist())) - 1.0) < 1e-14
 
 
 class TestFieldKick:

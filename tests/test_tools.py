@@ -85,30 +85,55 @@ def test_a_cold_cli_case_times_a_first_call(bench_layer):
 
 
 def test_a_timed_kick_case_times_every_plan_and_kick(bench_layer):
-    from kicked_ising import statevec
+    from kicked_ising import factored, statevec
 
-    timed = (statevec.XFrameKick.__init__, statevec.XFrameKick.start,
-             statevec.XFrameKick.plan, statevec._KickPlan.__call__)
+    def functions():
+        return (statevec.XFrameKick.__init__, statevec.XFrameKick.start, statevec.XFrameKick.plan,
+                statevec._KickPlan.__call__, factored.FactoredKick.__init__,
+                factored.FactoredKick.start, factored.FactoredKick.__call__,
+                factored.Factors.stack, measures.one_tangles)
+
+    timed = functions()
     case = bench_layer._time_cases(bench_layer.LAYERS["kick"], {"L12"})["L12"]
     # one kick and its start built, then 40 kicks through the four slots of a
     # group: four plans, bound once each; a short case, timed several times a round
     assert case["calls"] == 46 and case["peak_bytes"] > 0
     assert case["runs_per_round"] == bench_layer.SHORT_RUNS
     assert 0.0 < case["layer"] < case["run"]
-    assert (statevec.XFrameKick.__init__, statevec.XFrameKick.start,
-            statevec.XFrameKick.plan, statevec._KickPlan.__call__) == timed
+    # its parts: a row of one chunk is never factored, and nothing is measured
+    assert set(case["parts"].values()) == {0.0}
+    assert functions() == timed
 
 
 def test_a_timed_first_kick_case_times_the_start_and_its_kick(bench_layer):
     layer = bench_layer.LAYERS["kick"]
     assert {"first-L17", "first-L20", "first-L22", "first-L24"} <= set(layer.cases())
     case = bench_layer._time_cases(layer, {"first-L17"})["first-L17"]
-    # a streamed row: the kick built, its start, and its first kick built
-    # from the start's factors, with no plan bound
-    assert case["calls"] == 3 and case["kicks"] == 1 and case["peak_bytes"] > 2 ** 21
+    # a streamed row: the kick and its factored kick built, its start's
+    # factors, their write at t = 0, the factored first kick and its write at
+    # t = 1, with no plan bound
+    assert case["calls"] == 6 and case["kicks"] == 1 and case["peak_bytes"] > 2 ** 21
     assert case["timed"] == ["XFrameKick.__init__", "XFrameKick.plan", "XFrameKick.start",
-                             "_KickPlan.__call__"]
+                             "_KickPlan.__call__", "factored:FactoredKick.__call__",
+                             "factored:FactoredKick.__init__", "factored:FactoredKick.start",
+                             "factored:Factors.stack"]
     assert 0.0 < case["layer"] < case["run"]
+    assert 0.0 < case["parts"]["factored:FactoredKick.__call__"] < case["layer"]
+
+
+def test_a_timed_series_case_times_its_parts(bench_layer):
+    layer = bench_layer.LAYERS["series"]
+    assert set(layer.cases()) == {"L17", "L20", "L22", "L24"}
+    case = bench_layer._time_cases(layer, {"L17"})["L17"]
+    # three factored kicks, Q read from the factors at t = 0 .. 3, and no
+    # stack written or kicked
+    assert case["calls"] == 1 and case["timed"] == ["run_time_series"]
+    parts = case["parts"]
+    assert set(parts) == {"factored:FactoredKick.__call__", "factored:Factors.stack",
+                          "measures:one_tangles", "statevec:_KickPlan.__call__"}
+    assert parts["factored:Factors.stack"] == parts["statevec:_KickPlan.__call__"] == 0.0
+    kicks, tangles = parts["factored:FactoredKick.__call__"], parts["measures:one_tangles"]
+    assert 0.0 < kicks and 0.0 < tangles and kicks + tangles < case["layer"]
 
 
 def test_a_cold_kick_case_times_a_first_construction(bench_layer):

@@ -20,15 +20,21 @@ goes to:
   ``series_s`` is one call of the kernel that gives the ten ring-distance
   pair RDMs of the ``L20`` run's last state (``measures._ring_pair_rdms``).
 - ``series``: ``harness.run_time_series`` with the measure ``q`` alone, as
-  ``compare --regime transverse`` calls it (``BENCH_series.json``).  Case:
+  ``compare --regime transverse`` calls it (``BENCH_series.json``).  Cases:
   ``L20``, the seed-0 ``compare-transverse-L20`` run (L = 20, 3 kicks from
-  the vacuum ring at theta = pi/2).
+  the vacuum ring at theta = pi/2), and ``L17``, ``L22`` and ``L24``, the
+  same run at those lengths.  Its parts (see below) are the factored kick,
+  the write of a stack from its factors, the one-tangles, which read such a
+  run's Q from its factors, and the planned kick.
 - ``kick``: the kick, timed inside runs from the vacuum ring at a tilted
   field (``BENCH_kick.json``): ``statevec.XFrameKick.__init__``, which
-  builds it, ``statevec.XFrameKick.start``, which builds a run's start (and
-  where a row is streamed its first kick), ``statevec.XFrameKick.plan``,
-  which binds a kick between two stacks, and ``statevec._KickPlan.__call__``,
-  which runs it.
+  builds it, ``statevec.XFrameKick.start``, which builds a run's start as a
+  stack, ``factored.FactoredKick``, built for a streamed row, its ``start``,
+  which builds the start as half-chain factors, and its call, which kicks
+  them, ``factored.Factors.stack``, which writes their stack,
+  ``statevec.XFrameKick.plan``, which binds a kick between two stacks, and
+  ``statevec._KickPlan.__call__``, which runs it.  Its parts are the
+  factored kick, the write, and the one-tangles.
   Cases: ``L16``, ``L17``, ``L19``, ``L20``, ``L22`` and ``L24``, a
   ``harness.run_time_series`` of 3 kicks measuring ``q`` alone at the
   seed-0 ``evolve-pairs-L12`` couplings; ``first-L17``, ``first-L20``,
@@ -38,8 +44,8 @@ goes to:
   of the seed-0 ``sweep-tilt-L6`` grid kicked 100 times.  The ``first``
   cases, ``L12`` and ``sweep-tilt-L6`` write each sample into its group,
   unmeasured, as their runs do (through ``harness._evolve``), with t = 0
-  sampled in all but ``sweep-tilt-L6``.  Records made before ``start`` was
-  timed list the three other functions under ``timed``.  Each of these
+  sampled in all but ``sweep-tilt-L6``.  Each record lists the functions
+  its tree had under ``timed``.  Each of these
   cases also records ``peak_bytes``, the
   ``tracemalloc`` peak of its untimed run: every array the run allocates,
   the state included.  Two cases are cold:
@@ -63,9 +69,11 @@ goes to:
 
 A timed function is wrapped wherever the package holds it: on its class, or
 in every ``kicked_ising`` module that imported it by name.  A call made
-inside another timed call counts once.  A tree times those of the layer's
-functions it has, and fails if it has none; the record lists them under
-``timed``.  A warm case whose untimed run took under ``SHORT_RUN_S`` is
+inside another timed call counts once.  A layer's ``parts``, each named
+``module:function``, are timed on their own as well, and recorded under
+``parts_s`` (a part the tree lacks is left out).  A tree times those of the
+layer's functions it has, and fails if it has none; the record lists them
+under ``timed``.  A warm case whose untimed run took under ``SHORT_RUN_S`` is
 timed ``SHORT_RUNS`` times a round, and the round records the medians, so
 that a case of a few milliseconds is not ranked by one run's noise.
 
@@ -197,11 +205,14 @@ def _series_cases() -> dict:
     from kicked_ising.statevec import ChainParams
 
     flags, _ = _seed0("compare-transverse-L20")
-    L, steps = int(flags["--L"]), int(flags["--tmax"])
-    config = harness.RunConfig(ChainParams(L, float(flags["--jx"]), float(flags["--b"]),
-                                           math.pi / 2.0), steps, measures=frozenset({"q"}))
-    # the module attribute, as timed
-    return {f"L{L}": (lambda: harness.run_time_series(config), {"num_qubits": L, "kicks": steps})}
+    steps, cases = int(flags["--tmax"]), {}
+    for L in (17, int(flags["--L"]), 22, 24):
+        config = harness.RunConfig(ChainParams(L, float(flags["--jx"]), float(flags["--b"]),
+                                               math.pi / 2.0), steps, measures=frozenset({"q"}))
+        # the module attribute, as timed
+        cases[f"L{L}"] = (lambda config=config: harness.run_time_series(config),
+                          {"num_qubits": L, "kicks": steps})
+    return cases
 
 
 def _kick_cases() -> dict:
@@ -283,10 +294,18 @@ class Layer:
     peak: bool = False  # record the tracemalloc peak of each warm case's untimed run
     cold: bool = False  # time each case's first run in its own interpreter, and the import
     cold_cases: tuple[str, ...] = ()  # the cases timed so in a layer that is not cold
+    # ``module:function`` names of package functions the layer's runs call, each
+    # timed on its own too and recorded under ``parts_s``
+    parts: tuple[str, ...] = ()
 
     def is_cold(self, case: str) -> bool:
         return self.cold or case in self.cold_cases
 
+
+# a factored kick, the write of a stack from its factors, and the one-tangles,
+# which read a factored sample's Q from its factors
+_KICK_PARTS = ("factored:FactoredKick.__call__", "factored:Factors.stack",
+               "measures:one_tangles")
 
 LAYERS = {
     "jw_average": Layer("analytic", ("jw_q_average",), "sweep", _jw_average_cases,
@@ -294,11 +313,13 @@ LAYERS = {
     "report": Layer("measures", ("ReportBatch.add", "ReportBatch.finish"), "series",
                     _report_cases, "BENCH_report.json"),
     "series": Layer("harness", ("run_time_series",), "series", _series_cases,
-                    "BENCH_series.json"),
-    "kick": Layer("statevec", ("XFrameKick.__init__", "XFrameKick.start", "XFrameKick.plan",
-                               "_KickPlan.__call__"),
+                    "BENCH_series.json", parts=_KICK_PARTS + ("statevec:_KickPlan.__call__",)),
+    "kick": Layer("statevec", ("XFrameKick.__init__", "XFrameKick.start",
+                               "factored:FactoredKick.__init__", "factored:FactoredKick.start",
+                               "factored:FactoredKick.__call__", "factored:Factors.stack",
+                               "XFrameKick.plan", "_KickPlan.__call__"),
                   "series", _kick_cases, "BENCH_kick.json", peak=True,
-                  cold_cases=("build-sweep-tilt-L6", "build-L12")),
+                  cold_cases=("build-sweep-tilt-L6", "build-L12"), parts=_KICK_PARTS),
     "concurrence": Layer("measures", ("concurrences",), "call", _concurrence_cases,
                          "BENCH_concurrence.json"),
     "sweep": Layer("cli", ("main",), "call",
@@ -311,16 +332,20 @@ LAYERS = {
 }
 
 
-def _holders(layer: Layer) -> dict[str, list[tuple[object, str, Callable]]]:
-    """Each of the layer's functions this tree has, with every ``(owner,
-    attribute, function)`` through which the package calls it: its class, or
-    its module and each package module that imported it by name.
+def _resolve(module_name: str, names) -> dict[str, list[tuple[object, str, Callable]]]:
+    """Each of ``names`` that ``kicked_ising.<module_name>`` has, with every
+    ``(owner, attribute, function)`` through which the package calls it: its
+    class, or its module and each package module that imported it by name.
 
     A name resolves only from its owner's own namespace: a class lacking
-    ``__call__`` still has one through ``type``, which must not be wrapped."""
-    module = importlib.import_module(f"kicked_ising.{layer.module}")
+    ``__call__`` still has one through ``type``, which must not be wrapped.
+    A module the tree lacks has none of them."""
+    try:
+        module = importlib.import_module(f"kicked_ising.{module_name}")
+    except ModuleNotFoundError:
+        return {}
     out = {}
-    for name in layer.functions:
+    for name in names:
         *path, function = name.split(".")
         try:
             owner = functools.reduce(getattr, path, module)  # the module, or a class in it
@@ -333,6 +358,18 @@ def _holders(layer: Layer) -> dict[str, list[tuple[object, str, Callable]]]:
                           for key, other in sorted(sys.modules.items())
                           if key.startswith("kicked_ising.") and other is not module
                           for attr, value in vars(other).items() if value is original]
+    return out
+
+
+def _holders(layer: Layer) -> dict[str, list[tuple[object, str, Callable]]]:
+    """The layer's functions this tree has, resolved as :func:`_resolve` does,
+    each from the layer's module or, if named ``module:function``, from its
+    own; a tree that has none of them fails."""
+    out = {}
+    for name in layer.functions:
+        module, _, function = name.rpartition(":")
+        out.update((name, places) for places in _resolve(module or layer.module, (function,))
+                   .values())
     if not out:
         raise AttributeError(f"kicked_ising.{layer.module} has none of {layer.functions}")
     return out
@@ -351,28 +388,33 @@ def _time_cases(layer: Layer, names=None) -> dict:
         importlib.import_module(f"kicked_ising.{layer.module}")
         imported["import_s"] = time.perf_counter() - start
     holders = _holders(layer)
-    tally = {"layer": 0.0, "calls": 0}
-    depth = [0]  # timed calls under way
+    wrapped = [("layer", places) for places in holders.values()]
+    for part in layer.parts:  # each that this tree has, timed under its own key
+        module, name = part.split(":")
+        wrapped += [(part, places) for places in _resolve(module, (name,)).values()]
+    tally = dict.fromkeys({key for key, _ in wrapped}, 0.0)
+    depth = dict.fromkeys(tally, 0)  # timed calls under way, per key
+    calls = [0]  # the layer's
 
-    def timed(original):
+    def timed(original, key):
         @functools.wraps(original)  # so that its signature is the original's
         def call(*args, **kwargs):
-            if depth[0]:
+            if depth[key]:
                 return original(*args, **kwargs)
-            depth[0] += 1
+            depth[key] += 1
             start = time.perf_counter()
             try:
                 return original(*args, **kwargs)
             finally:
-                tally["layer"] += time.perf_counter() - start
-                tally["calls"] += 1
-                depth[0] -= 1
+                tally[key] += time.perf_counter() - start
+                calls[0] += key == "layer"
+                depth[key] -= 1
 
         return call
 
-    for places in holders.values():
-        for owner, attr, original in places:
-            setattr(owner, attr, timed(original))  # on a class, it is called as a method
+    for key, places in wrapped:  # a function both a layer's and a part is wrapped twice
+        for owner, attr, _ in places:
+            setattr(owner, attr, timed(vars(owner)[attr], key))  # on a class, called as a method
     out = {}
     try:
         cases = layer.cases()
@@ -392,15 +434,20 @@ def _time_cases(layer: Layer, names=None) -> dict:
                     runs = extra["runs_per_round"] = SHORT_RUNS
             times = []
             for _ in range(runs):
-                tally.update(layer=0.0, calls=0)
+                tally.update(dict.fromkeys(tally, 0.0))
+                calls[0] = 0
                 start = time.perf_counter()
                 run()
-                times.append((time.perf_counter() - start, tally["layer"]))
+                times.append((time.perf_counter() - start, dict(tally)))
             out[name] = {"run": statistics.median(t for t, _ in times),
-                         "layer": statistics.median(t for _, t in times), "calls": tally["calls"],
-                         **covers, **extra, **imported, "timed": sorted(holders)}
+                         "layer": statistics.median(t["layer"] for _, t in times),
+                         "calls": calls[0], **covers, **extra, **imported,
+                         "timed": sorted(holders)}
+            if len(tally) > 1:
+                out[name]["parts"] = {key: statistics.median(t[key] for _, t in times)
+                                      for key in sorted(tally) if key != "layer"}
     finally:
-        for places in holders.values():
+        for _, places in wrapped:
             for owner, attr, original in places:
                 setattr(owner, attr, original)
     return out
@@ -480,9 +527,12 @@ def main(argv: list[str] | None = None) -> int:
     spread = {"layer": "layer_s", "run": f"{layer.run}_s", "peak_bytes": "peak_bytes",
               "import_s": "import_s"}
     for label, src in args.trees:
-        cases = {name: {key: value for key, value in samples[0].items() if key not in spread}
+        cases = {name: {key: value for key, value in samples[0].items()
+                        if key not in spread and key != "parts"}
                  | {spread[key]: _spread([s[key] for s in samples])
                     for key in spread if key in samples[0]}
+                 | ({"parts_s": {part: _spread([s["parts"][part] for s in samples])
+                                 for part in samples[0]["parts"]}} if "parts" in samples[0] else {})
                  for name, samples in rounds[label].items()}
         record.setdefault("runs", {})[label] = {
             "source_sha256": _source_digest(src), "host": host, "cases": cases,
@@ -494,7 +544,9 @@ def main(argv: list[str] | None = None) -> int:
                   + (f", peak {case['peak_bytes']['median'] / 2 ** 20:.1f} MiB"
                      if "peak_bytes" in case else "")
                   + (f", import {case['import_s']['median'] * 1e3:.2f} ms"
-                     if "import_s" in case else ""))
+                     if "import_s" in case else "")
+                  + "".join(f", {part} {spread['median'] * 1e3:.2f} ms"
+                            for part, spread in case.get("parts_s", {}).items()))
     output.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return 0
 
