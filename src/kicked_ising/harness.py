@@ -8,6 +8,8 @@ leaves; a time series is a stack of one.  A run's start is named by
 :func:`_start_terms` and built in the frame directly.  Each sampled state is
 kicked straight into its slot of a group, which is measured where it was
 written, and the reports are finished in batches (:func:`_finished`).
+A run of Q alone on a ring from a shift-invariant product start evolves
+only its light cone, a ring of 2t + 1 qubits for t kicks (:func:`_light_cone`).
 Sweeps take their grid in chunks, the transverse points from the free-fermion
 closed form and the rest as stacks, in a fixed row-major order.
 """
@@ -22,7 +24,6 @@ import numpy as np
 
 from . import analytic
 from .measures import MeasureReport, ReportBatch, n_tangle, one_tangles
-from .factored import FactoredKick
 from .statevec import ChainParams, XFrameKick
 
 MEASURES = frozenset(
@@ -58,11 +59,6 @@ _CHUNK_AMPLITUDES = 1 << 14
 # per-call cost thin (with 4096 slots of 2 qubits, building the plans made a
 # 10^4-kick run 40% slower)
 _GROUP_SLOTS = 64
-
-# a streamed run stays as half-chain factors while a kick leaves their rank at
-# most this: at 20 qubits, writing the state from factors of rank 64 takes
-# 11.6-15 ms against a 12 ms kick, and reading Q from them 1.5 ms
-_FACTORED_RANK = 64
 
 
 class NoAnalyticOracleError(ValueError):
@@ -113,6 +109,27 @@ def _shift_invariant(params: ChainParams, initial: str) -> bool:
     return params.boundary == "periodic" and initial in (*_NAMED_INITIALS, "0" * L, "1" * L)
 
 
+def _light_cone(params: ChainParams, initial: str, measures, steps: int) -> tuple[int, str]:
+    """The qubits a run evolves and its start there: ``(L, initial)``, or for
+    Q alone on a ring of more than ``2 steps + 1`` qubits from a
+    shift-invariant product start, that ring of ``2 steps + 1`` qubits.
+
+    A kick is one-qubit gates and then nearest-neighbour ones, so after t
+    kicks a qubit's reduced density matrix depends only on the 2t + 1
+    qubits within t sites of it (the Lieb-Robinson light cone): on every
+    ring of at least 2t + 1 qubits from the same product start a qubit has
+    the same one-tangle, and a shift-invariant ring has Q equal to it.  GHZ
+    is no product, and its one-tangles see the whole ring.  Decided from the
+    run's input alone, never from its amplitudes.
+    """
+    L = params.num_qubits
+    start = {"0" * L: "vacuum", "1" * L: "all_up"}.get(initial, initial)
+    if (measures <= _Q_MEASURES and params.boundary == "periodic"
+            and start in ("vacuum", "all_up") and 2 * steps + 1 < L):
+        return 2 * steps + 1, start
+    return L, initial
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One time-series experiment."""
@@ -158,17 +175,8 @@ def _check_memory(num_qubits: int, points: int = 1) -> None:
         )
 
 
-def _stacks(size: int, P: int, L: int) -> np.ndarray:
-    """A buffer of ``size`` slots of ``(P, 2**L)`` stacks."""
-    try:
-        return np.empty((size, P, 1 << L), dtype=complex)
-    except MemoryError as exc:
-        raise InsufficientMemoryError(
-            f"state vector for {L} qubits does not fit in memory") from exc
-
-
 def _evolve(num_qubits: int, boundary: str, j_x, b_field, theta, initial: str, steps: int,
-            sample_every: int = 1, sample_start: bool = True, states: bool = True):
+            sample_every: int = 1, sample_start: bool = True):
     """The kick loop: evolve every point of one chain from ``initial`` together,
     and yield the samples in groups.
 
@@ -189,65 +197,32 @@ def _evolve(num_qubits: int, boundary: str, j_x, b_field, theta, initial: str, s
     its slot, or where k <= 1 is the buffer's one slot.
     A group is yielded full before its slots are written again, and the
     caller measures it before the loop goes on.
-
-    A row the kick streams (``XFrameKick.streamed``, from 17 qubits, so
-    k = 1) is kicked as its start's half-chain factors
-    (:class:`~kicked_ising.factored.FactoredKick`) while the next kick leaves
-    their rank at most ``_FACTORED_RANK``, and each sample is written into
-    the slot from them, or, unless the caller needs ``states``, yielded as
-    its :class:`~kicked_ising.factored.Factors`; the buffer is allocated at
-    the first write.  Past that rank the run writes its state into the slot and
-    kicks it there, as shorter rows kick their start and every later stack.
     """
     L, P = num_qubits, len(j_x)
     _check_memory(L, P)
     size = max(1, min(_CHUNK_AMPLITUDES // (P << L), _GROUP_SLOTS))
     ts, at = ([0], 0) if sample_start else ([], size - 1)  # the start's slot
     kick = XFrameKick(L, boundary, j_x, b_field, theta)
-    assert not kick.streamed or size == 1  # a factored sample is its group
-    buffer = written = factors = None  # the slots, the factors last written, the factors
-    if kick.streamed:
-        factored = FactoredKick(kick)
-        factors = factored.start(_start_terms(L, initial))
-    else:  # the start built in its slot
-        buffer = _stacks(size, P, L)
-        kick.start(_start_terms(L, initial), out=buffer[at])
-
-    def write():  # the factors' stack into the slot of the last kick
-        nonlocal buffer, written
-        if written is not factors:
-            if buffer is None:
-                buffer = _stacks(size, P, L)
-            written = factors
-            factors.stack(out=buffer[at])
-
-    def group():  # the samples of ts
-        if factors is not None:
-            if not states:
-                return factors
-            write()
-        return buffer[:len(ts)].reshape(-1, 1 << L)
-
+    try:
+        buffer = np.empty((size, P, 1 << L), dtype=complex)
+    except MemoryError as exc:
+        raise InsufficientMemoryError(
+            f"state vector for {L} qubits does not fit in memory") from exc
+    kick.start(_start_terms(L, initial), out=buffer[at])
     plans = {}  # (from slot, to slot) -> the kick between them, at most 2k
     for t in range(1, steps + 1):
         if len(ts) == size:
-            yield ts, group()
+            yield ts, buffer.reshape(-1, 1 << L)
             ts = []
         to = len(ts)
-        if factors is not None and len(factors.high[0]) * factored.rank_growth <= _FACTORED_RANK:
-            factors = factored(factors)
-        else:
-            if factors is not None:  # the run leaves its factors for their stack
-                write()
-                factors = written = None
-            if (at, to) not in plans:
-                plans[at, to] = kick.plan(buffer[at], buffer[to])
-            plans[at, to]()
+        if (at, to) not in plans:
+            plans[at, to] = kick.plan(buffer[at], buffer[to])
+        plans[at, to]()
         at = to
         if t % sample_every == 0:
             ts.append(t)
     if ts:
-        yield ts, group()
+        yield ts, buffer[:len(ts)].reshape(-1, 1 << L)
 
 
 def _finished(groups, finish, **options):
@@ -264,16 +239,26 @@ def _finished(groups, finish, **options):
 
 
 def run_time_series(config: RunConfig) -> list[MeasureReport]:
-    """Evolve and sample, measuring the samples in groups; the t=0 report is always included."""
+    """Evolve and sample, measuring the samples in groups; the t=0 report is always included.
+
+    A run that :func:`_light_cone` takes to a shorter ring evolves that
+    ring, and its reports are given back the chain's length: ``num_qubits``
+    L and ``one_tangles`` a read-only view of L equal values.
+    """
     params = config.params
+    L, (qubits, initial) = params.num_qubits, _light_cone(params, config.initial,
+                                                          config.measures, config.steps)
     pairs, shift = bool(config.measures & _PAIR_MEASURES), _shift_invariant(params, config.initial)
-    n = "n_tangle" in config.measures
-    groups = _evolve(params.num_qubits, params.boundary, [params.j_x], [params.b_field],
-                     [params.theta], config.initial, config.steps, config.sample_every,
-                     states=pairs or n or not shift)
-    batches = _finished(groups, ReportBatch.finish, pair_measures=pairs, n_tangle_measure=n,
+    groups = _evolve(qubits, params.boundary, [params.j_x], [params.b_field], [params.theta],
+                     initial, config.steps, config.sample_every)
+    batches = _finished(groups, ReportBatch.finish, pair_measures=pairs,
+                        n_tangle_measure="n_tangle" in config.measures,
                         boundary=params.boundary, shift_invariant=shift)
-    return [r for reports in batches for r in reports]
+    reports = [r for reports in batches for r in reports]
+    if qubits < L:
+        reports = [replace(r, num_qubits=L, one_tangles=np.broadcast_to(r.one_tangles[0], L))
+                   for r in reports]
+    return reports
 
 
 def time_average(series: list[MeasureReport], measure: str) -> float:
@@ -368,9 +353,9 @@ def _numeric_averages(config: SweepConfig, axes: dict[str, np.ndarray],
     fixed, P = config.fixed, len(ks)
     values = np.empty((P, config.steps))  # a row per point, as time_average sums
     shift = _shift_invariant(fixed, config.initial)
-    groups = _evolve(fixed.num_qubits, fixed.boundary, *(axes[n][ks] for n in SWEEP_PARAMETERS),
-                     config.initial, config.steps, sample_start=False,
-                     states=config.measure not in _Q_MEASURES or not shift)
+    qubits, initial = _light_cone(fixed, config.initial, {config.measure}, config.steps)
+    groups = _evolve(qubits, fixed.boundary, *(axes[n][ks] for n in SWEEP_PARAMETERS), initial,
+                     config.steps, sample_start=False)
     if config.measure in _PAIR_MEASURES:
         got = [x for columns in _finished(((np.repeat(ts, P), amps) for ts, amps in groups),
                                           ReportBatch.columns, n_tangle_measure=False,
@@ -421,8 +406,9 @@ def sweep_grid(config: SweepConfig) -> np.ndarray:
     # sweep at L = 20, unless an earlier free raised the thresholds already).
     np.empty(8 * _CHUNK_AMPLITUDES)
     L = config.fixed.num_qubits
+    qubits = _light_cone(config.fixed, config.initial, {config.measure}, config.steps)[0]
     for closed_form, evaluate, size in ((True, _jw_averages, (L // 2) ** 2),
-                                        (False, _numeric_averages, 2 ** L)):
+                                        (False, _numeric_averages, 2 ** qubits)):
         todo = np.flatnonzero(jw == closed_form).tolist()
         chunk = max(1, _CHUNK_AMPLITUDES // size)
         for start in range(0, len(todo), chunk):

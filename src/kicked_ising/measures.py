@@ -227,16 +227,12 @@ def one_tangles(amps: np.ndarray, shift_invariant: bool = False) -> np.ndarray:
     ring shift maps every row to itself up to a phase, as in :class:`ReportBatch`.
     Every qubit then has the RDM of qubit L-1, from three dot products of the
     two contiguous halves of a row, and the result is a read-only view of it.
-    Such a stack may be given as its ``factored.Factors``.
     """
     L = amps.shape[-1].bit_length() - 1
     if shift_invariant:
-        if hasattr(amps, "half_dots"):
-            lolo, hihi, lohi = amps.half_dots()
-        else:
-            half = amps.shape[-1] // 2
-            lo, hi = amps[:, :half], amps[:, half:]
-            lolo, hihi, lohi = _sliced_vecdots((lo, lo), (hi, hi), (lo, hi))
+        half = amps.shape[-1] // 2
+        lo, hi = amps[:, :half], amps[:, half:]
+        lolo, hihi, lohi = _sliced_vecdots((lo, lo), (hi, hi), (lo, hi))
         det = lolo.real * hihi.real - np.abs(lohi) ** 2
         return np.broadcast_to(np.clip(4.0 * det, 0.0, 1.0)[:, None], (len(amps), L))
 

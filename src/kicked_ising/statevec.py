@@ -25,10 +25,7 @@ one diagonal further, to ``diag(r)^{(x)L} H^{(x)L} psi``, where a kick is
 ``R^{(x)L}`` followed by the phases ``D (r l)^{(x)L}`` (:class:`XFrameKick`).
 A run builds its start in the frame directly, as a product vector, and never
 leaves it: every measure the package reports is invariant under a one-qubit
-unitary on each qubit.  A kick maps a product to a product but for the bonds
-across the cut, so a run of streamed rows keeps its start's half-chain
-factors (:meth:`XFrameKick.factors`) for its first kicks, in
-:mod:`kicked_ising.factored`.
+unitary on each qubit.
 
 The product gate ``R^{(x)L}`` cuts the qubits into blocks of at most five
 and applies each block's Kronecker power ``R^{(x)s}`` as one float64 matrix
@@ -402,8 +399,7 @@ class XFrameKick:
     (:func:`_field_split`).  On ``diag(r)^{(x)L} H^{(x)L} psi`` a kick is
     therefore ``R^{(x)L}``, real block passes, followed by the phases
     ``D (r l)^{(x)L}``, with each row's own ``l``, ``R`` and ``r``.
-    :meth:`start` builds a stack in this frame, which a run never leaves
-    (a streamed run's first kicks take its factors, :mod:`~kicked_ising.factored`).
+    :meth:`start` builds a stack in this frame, which a run never leaves.
 
     :meth:`plan` binds the kick of one stack in the frame into another, or
     into itself (``kick.plan(s, s)()`` kicks ``s`` in place).  A kick checks
@@ -483,8 +479,10 @@ class XFrameKick:
     def factors(self, terms: list[tuple[int, complex]]) -> tuple[np.ndarray, np.ndarray]:
         """The high and the low factor of rank ``len(terms)``, unchecked, of
         the stack whose row p is ``diag(r_p)^{(x)L} H^{(x)L} sum a |b>`` over
-        the ``(b, a)`` of ``terms``, built in the frame (see
-        :class:`~kicked_ising.factored.Factors`).
+        the ``(b, a)`` of ``terms``, built in the frame: row p is
+        ``sum_c high[p, c] (x) low[p, c]``, ``high`` a ``(P, r, 2**(L-m))``
+        stack over the qubits ``m .. L-1`` and ``low`` a ``(P, r, 2**m)`` one
+        over the qubits below them, ``m = L // 2``.
 
         ``H^{(x)L} |b> = 2^{-L/2} (x)_n (1, (-1)^{b_n})``, so each term is a
         product vector ``(x)_n (r_0, (-1)^{b_n} r_1)``, and as ``r_0 = 1`` its
@@ -508,12 +506,16 @@ class XFrameKick:
     def start(self, terms: list[tuple[int, complex]], out: np.ndarray | None = None) -> np.ndarray:
         """The stack of :meth:`factors`, one matrix product, checked and held
         to norm 1 as a kick holds its rows: into ``out``, a C-contiguous
-        ``(P, 2**L)`` stack, where given, with no temporary of its size."""
+        ``(P, 2**L)`` stack, where given, with no temporary of its size.
+        The squared norms are ``sum_cc' G[c, c'] K[c, c']``, from the factors'
+        Gram matrices ``G = high* high^T`` and ``K = low* low^T``, which
+        round far less than a sum over the stack."""
         high, low = self.factors(terms)
         if out is None:
             out = np.empty((len(high), high.shape[-1] * low.shape[-1]), dtype=complex)
         np.matmul(high.swapaxes(1, 2), low, out=out.reshape(len(high), high.shape[-1], -1))
-        return _check_norm(out)
+        grams = [np.matmul(f.conj(), f.swapaxes(1, 2)) for f in (high, low)]
+        return _check_norm(out, (grams[0] * grams[1]).reshape(len(out), -1).sum(axis=-1).real)
 
     def plan(self, source: np.ndarray, target: np.ndarray) -> _KickPlan:
         """The kick of the stack ``source`` into ``target``, as a call.

@@ -84,6 +84,19 @@ class TestEvolve:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: a 6-qubit run needs about")
 
+    def test_a_light_cone_run_passes_the_memory_preflight(self, monkeypatch, tmp_path):
+        # Q alone on a ring of 40 qubits for 3 kicks evolves its light cone of
+        # 7, which fits in 1 MiB where the ring's 2^40 amplitudes would not
+        from kicked_ising import harness
+
+        monkeypatch.setattr(harness, "_available_memory_bytes", lambda: 1 << 20)
+        code, blob = run_cli(["compare", "--regime", "transverse", "--L", "40", "--jx", "1.1",
+                              "--b", "0.7", "--tmax", "3"], tmp_path)
+        assert code == 0
+        header, rows = parse_csv(blob)
+        assert header == ["measure", "max_abs_deviation"] and rows[0][0] == "q"
+        assert float(rows[0][1]) <= 1e-12
+
     def test_identical_invocations_byte_identical(self, tmp_path):
         args = ["evolve", "--L", "5", "--jx", "0.9", "--b", "0.4",
                 "--theta", "0.7", "--steps", "12"]

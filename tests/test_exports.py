@@ -1,6 +1,8 @@
 """The package's public names."""
 
 import importlib
+import importlib.util
+import inspect
 
 import pytest
 
@@ -17,13 +19,17 @@ import kicked_ising
 # a ReportBatch of one group, concurrence is concurrences of one matrix,
 # MeasureReport's __post_init__ derived the pair columns a batch always
 # passes, its one_tangle equals q_measure, a kick in place is
-# kick.plan(s, s)(), and no code read ChainParams.num_bonds
+# kick.plan(s, s)(), and no code read ChainParams.num_bonds.  A streamed
+# run's half-chain factors (kicked_ising.factored, the rank limit and
+# _evolve's states flag) served Q-only few-kick rings, which evolve their
+# light cone instead
 DELETED = {
     "kicked_ising": ("PureState", "apply_field_kick", "apply_ising_kick", "concurrence",
                      "fwht_inplace", "initial_state", "make_basis_state", "make_ghz",
                      "make_vacuum", "one_tangle", "q_measure", "rdm_pair", "rdm_single",
                      "report", "reports", "residual_tangle", "step"),
-    "kicked_ising.harness": ("_x_frame_start", "initial_state"),
+    "kicked_ising.harness": ("FactoredKick", "_FACTORED_RANK", "_x_frame_start",
+                             "initial_state"),
     "kicked_ising.measures": ("MeasureReport.__post_init__", "MeasureReport.one_tangle",
                               "concurrence", "one_tangle", "q_measure", "rdm_pair",
                               "rdm_single", "report", "reports", "residual_tangle"),
@@ -55,3 +61,10 @@ def test_deleted_names_are_gone(module):
         # the owner's own namespace: through type, every class has a __call__
         assert attr not in vars(owner), name
         assert name not in kicked_ising.__all__
+
+
+def test_the_factored_module_and_flag_are_gone():
+    from kicked_ising.harness import _evolve
+
+    assert importlib.util.find_spec("kicked_ising.factored") is None
+    assert "states" not in inspect.signature(_evolve).parameters

@@ -23,12 +23,12 @@ from kicked_ising import (
     time_average,
 )
 from kicked_ising import harness, measures
-from kicked_ising.factored import FactoredKick, Factors
 from kicked_ising.measures import one_tangles
 from kicked_ising.harness import (
     MEASURES,
     REGIMES,
     SWEEP_PARAMETERS,
+    _Q_MEASURES,
     _evolve,
     _jw_mask,
     _shift_invariant,
@@ -236,10 +236,11 @@ class TestKickMemory:
     def test_a_streamed_run_holds_one_state(self):
         # a 3-kick run at L = 18 streams its kicks through buffers and tables
         # of a chunk's size; a state-sized spare or phase vector would double
-        # the peak
+        # the peak.  From GHZ, as Q alone from vacuum would evolve the light cone
         L = 18
         state_bytes = 16 * 2 ** L
-        cfg = RunConfig(params=ChainParams(L, 1.1, 0.7, 0.6), steps=3, measures=frozenset({"q"}))
+        cfg = RunConfig(params=ChainParams(L, 1.1, 0.7, 0.6), steps=3, initial="ghz",
+                        measures=frozenset({"q"}))
         assert self.traced_peak(cfg) - state_bytes <= state_bytes / 4
 
     def test_a_row_larger_than_a_group_is_measured_where_it_lies(self):
@@ -511,7 +512,9 @@ class TestStackedSweep:
 
         cfg = SweepConfig(axis1=AxisSpec("j_x", 0.5, 1.5, 3),
                           axis2=AxisSpec("b_field", 0.3, 1.5, 3),
-                          fixed=quick_params(num_qubits=10, theta=0.4), steps=3)
+                          fixed=quick_params(num_qubits=10, theta=0.4), steps=5)
+        # 5 kicks have a light cone of 11 qubits, so the 10 of the ring are evolved
+        assert harness._light_cone(cfg.fixed, cfg.initial, {cfg.measure}, cfg.steps)[0] == 10
         one_point = harness._LIVE_STATE_COPIES * 16 * 2 ** 10
         monkeypatch.setattr(harness, "_available_memory_bytes", lambda: one_point)
         # the stack of nine does not fit, so its points go one at a time
@@ -834,15 +837,15 @@ class TestGroups:
 
     @pytest.mark.parametrize("boundary, initial", [("periodic", "vacuum"), ("open", "ghz")])
     def test_a_streamed_row_builds_its_first_kick_from_its_start(self, boundary, initial):
-        # from 17 qubits t = 1 is the kicked start, built as factors from the
-        # start's, whether t = 0 is sampled or not; it and every later state
-        # and measure match the loop of plans to rounding
+        # from 17 qubits t = 1 is the start kicked by a plan, whether t = 0 is
+        # sampled or not; it and every later state are the loop of plans' bit
+        # for bit, and so are the measures of a run with every measure
         L, steps = 17, 2
         params = ChainParams(L, 1.3, 0.8, 0.6, boundary)
         kick = helpers.kick_of([params])
         assert kick.streamed
-        factored = FactoredKick(kick)
-        first = factored(factored.start(_start_terms(L, initial))).stack()
+        start = kick.start(_start_terms(L, initial))
+        first = kick.plan(start, np.empty_like(start))()
         want = self.planned_loop([params], initial, steps)
         for sample_start in (True, False):
             seen = []
@@ -851,7 +854,7 @@ class TestGroups:
                 assert len(ts) == 1
                 if ts == [1]:
                     assert np.array_equal(amps, first)
-                assert np.max(np.abs(amps - want[ts[0]])) < 1e-13
+                assert np.array_equal(amps, want[ts[0]])
                 seen += ts
             assert seen == list(range(0 if sample_start else 1, steps + 1))
         series = run_time_series(RunConfig(params, steps, initial))
@@ -859,16 +862,14 @@ class TestGroups:
         for got, amps in zip(series, want):
             expected = helpers.batch_reports(amps, [got.t], boundary=boundary,
                                              shift_invariant=_shift_invariant(params, initial))[0]
-            assert np.max(np.abs(got.one_tangles - expected.one_tangles)) < 1e-13
-            assert np.max(np.abs(got.pair_concurrences - expected.pair_concurrences)) < 1e-13
-            for measure in MEASURES:
-                assert abs(got.value(measure) - expected.value(measure)) < 1e-13
+            for field in dataclasses.fields(got):
+                assert np.array_equal(getattr(got, field.name), getattr(expected, field.name))
 
     @pytest.mark.parametrize("L", [17, 18, 19, 20])
     def test_a_factored_q_is_the_planned_loops(self, L):
-        # Q of a ring from a named start is read from the factors while their
-        # rank allows (t <= 3 from one term, t <= 2 from GHZ's two); an open
-        # chain and a bitstring start go through the written state
+        # Q alone at 17 to 20 qubits: a ring from vacuum or all_up evolves its
+        # light cone of 9 qubits, and GHZ, an open chain and a bitstring start
+        # the whole chain; each is the Q of the loop of plans over the chain
         steps = 4
         bits = "1" + "0" * (L - 1)
         for boundary, initial in (("periodic", "vacuum"), ("periodic", "all_up"),
@@ -879,48 +880,67 @@ class TestGroups:
             for got, amps in zip(series, want):
                 assert abs(got.q_measure - one_tangles(amps).mean()) < 1e-13
 
-    def test_a_q_only_run_yields_factors_until_it_leaves_them(self):
-        # a shift-invariant run that needs no state: factors of rank 1, 4, 16
-        # and 64, then at t = 4 (rank 256) the state, kicked as a stack
-        params = ChainParams(17, 1.1, 0.7, 0.6)
-        got = [(ts, amps) for ts, amps in _evolve(*helpers.chain_arrays([params]), "vacuum", 5,
-                                                  states=False)]
-        assert [ts for ts, _ in got] == [[t] for t in range(6)]
-        assert [len(a.high[0]) for _, a in got[:4]] == [1, 4, 16, 64]
-        assert all(isinstance(amps, Factors) for _, amps in got[:4])
-        assert all(isinstance(amps, np.ndarray) for _, amps in got[4:])
+    @pytest.mark.parametrize("L", [17, 20, 22])
+    def test_the_light_cones_q_is_a_planned_streamed_runs(self, L):
+        # off the integrable lines, Q of a planned run over the whole ring is
+        # the light cone's to 1e-12 at every kick
+        steps, point = 3, (1.3, 0.9, 0.7)
+        params = ChainParams(L, *point)
+        want = [one_tangles(amps, True)[0, 0]
+                for _, amps in _evolve(*helpers.chain_arrays([params]), "vacuum", steps)]
+        series = run_time_series(RunConfig(params, steps, measures=frozenset({"q"})))
+        assert [r.t for r in series] == list(range(steps + 1)) and len(want) == steps + 1
+        assert max(abs(r.q_measure - q) for r, q in zip(series, want)) < 1e-12
 
-    @pytest.mark.parametrize("sample_every", [1, 2, 3])
-    @pytest.mark.parametrize("boundary, steps, leaves", [("periodic", 5, 4), ("open", 8, 7)])
-    def test_the_state_past_the_rank_limit_is_the_planned_loops(self, boundary, steps, leaves,
-                                                                 sample_every):
-        # the run leaves its factors at the kick that would pass rank 64
-        # (4 on a ring, 7 on an open chain), from a written sample or not
-        params = ChainParams(17, 1.3, 0.8, 0.6, boundary)
-        growth = FactoredKick(helpers.kick_of([params])).rank_growth
-        assert growth ** (leaves - 1) <= harness._FACTORED_RANK < growth ** leaves
-        want = self.planned_loop([params], "vacuum", steps)
-        seen = []
-        for t, amps in helpers.samples([params], "vacuum", steps, sample_every):
-            assert np.max(np.abs(amps - want[t])) < 1e-14
-            seen.append(t)
-        assert seen == list(range(0, steps + 1, sample_every))
+    def test_a_ring_of_2t_qubits_misses_q(self):
+        # the cone needs all of its 2t + 1 qubits: a ring of 2t misses Q at t
+        # by far more than rounding
+        steps, point = 3, (1.3, 0.9, 0.7)
+        cone, short = (run_time_series(RunConfig(ChainParams(L, *point), steps,
+                                                 measures=frozenset({"q"})))
+                       for L in (20, 2 * steps))
+        assert abs(cone[-1].q_measure - short[-1].q_measure) > 1e-6
 
-    def test_a_factored_stack_row_is_bitwise_the_row_alone(self):
-        points = [ChainParams(18, 1.1, b, 0.6) for b in (0.7, 1.9)]
-        stacks = [amps for _, amps in _evolve(*helpers.chain_arrays(points), "ghz", 2,
-                                              states=False)]
-        for p, point in enumerate(points):
-            alone = [amps for _, amps in _evolve(*helpers.chain_arrays([point]), "ghz", 2,
-                                                 states=False)]
-            for stack, row in zip(stacks, alone):
-                assert np.array_equal(stack.high[p], row.high[0])
-                assert np.array_equal(stack.low[p], row.low[0])
-                assert np.array_equal(one_tangles(stack, True)[p], one_tangles(row, True)[0])
+    def test_a_q_only_ring_run_evolves_its_light_cone(self, monkeypatch):
+        # Q alone on a ring from a shift-invariant product start evolves
+        # 2 steps + 1 qubits, in a time series and a sweep; GHZ, an open chain,
+        # a mixed bitstring and every other measure evolve the chain's L
+        L, steps = 9, 2
+        evolved = []
+        evolve = harness._evolve
+        monkeypatch.setattr(harness, "_evolve",
+                            lambda n, *args, **kw: evolved.append(n) or evolve(n, *args, **kw))
+
+        def qubits(initial="vacuum", boundary="periodic", measures=("q",)):
+            evolved.clear()
+            series = run_time_series(RunConfig(ChainParams(L, 0.9, 1.1, 0.6, boundary), steps,
+                                               initial, frozenset(measures)))
+            assert [r.num_qubits for r in series] == [L] * (steps + 1)
+            assert all(r.one_tangles.shape == (L,) for r in series)
+            return evolved[0]
+
+        for initial in ("vacuum", "all_up", "0" * L, "1" * L):
+            for measure in _Q_MEASURES:
+                assert qubits(initial, measures=[measure]) == 2 * steps + 1
+        assert qubits("ghz") == qubits(boundary="open") == qubits("0" * (L - 1) + "1") == L
+        for measure in MEASURES - _Q_MEASURES:
+            assert qubits(measures=["q", measure]) == L
+        # the reports are the chain's: L qubits, one read-only one-tangle each
+        report = run_time_series(RunConfig(ChainParams(L, 0.9, 1.1, 0.6), steps,
+                                           measures=frozenset({"q"})))[-1]
+        assert not report.one_tangles.flags.writeable
+        assert np.all(report.one_tangles == report.one_tangles[0])
+        evolved.clear()
+        sweep_grid(SweepConfig(AxisSpec("b_field", 0.4, 1.9, 2), AxisSpec("theta", 0.3, 1.2, 2),
+                               fixed=ChainParams(L, 0.9, 0.0, 0.0), steps=steps))
+        assert evolved == [2 * steps + 1]
+        # a run of 2 steps + 1 qubits or fewer has no shorter ring to take
+        assert harness._light_cone(ChainParams(5, 0.9, 1.1, 0.6), "vacuum", {"q"}, 2) == (
+            5, "vacuum")
 
     def test_a_q_only_run_at_24_qubits_holds_no_state(self):
-        # compare --regime transverse --L 24 --tmax 3: every sample read from
-        # factors of rank at most 64, so the 256 MiB state is never allocated
+        # compare --regime transverse --L 24 --tmax 3: the run evolves its
+        # light cone of 7 qubits, so the 256 MiB state is never allocated
         import tracemalloc
 
         from kicked_ising import cli
@@ -932,7 +952,7 @@ class TestGroups:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 0 and peak < 16 * 2 ** 20
+        assert code == 0 and peak < 2 ** 20
 
     def test_a_group_holds_at_most_64_stacks(self):
         # 2**14 amplitudes would be 4096 states of two qubits, and a kick plan

@@ -21,8 +21,7 @@ from kicked_ising import (
     run_time_series,
     statevec,
 )
-from kicked_ising.factored import FactoredKick, Factors
-from kicked_ising.harness import _start_terms
+from kicked_ising.harness import _evolve, _start_terms
 from kicked_ising.statevec import (
     BLOCK_QUBITS,
     CHUNK_QUBITS,
@@ -561,8 +560,8 @@ class TestPanelPass:
 
 
 class TestKickedStart:
-    """A start's first kick as half-chain factors (``FactoredKick``) is the
-    start kicked by a plan."""
+    """A run's start, built from its half-chain factors (``XFrameKick.factors``),
+    and its first kick, a plan, as the kick loop takes them."""
 
     # rows whose field gate degenerates (B = 0 and pi, theta = 0 and pi/2),
     # and a tilted one, for stacks of three rows; stacks of two from 17 qubits
@@ -570,23 +569,28 @@ class TestKickedStart:
 
     @staticmethod
     def kicked(kick, terms):
-        factored = FactoredKick(kick)
-        return factored(factored.start(terms))
+        """The start of ``terms`` kicked once by a plan."""
+        start = kick.start(terms)
+        return kick.plan(start, np.empty_like(start))()
 
     @pytest.mark.parametrize("boundary", ["periodic", "open"])
     @pytest.mark.parametrize("L", range(2, 21))
     def test_is_the_start_kicked_by_a_plan(self, L, boundary):
+        # the start is the product of its factors, a term a column, bitwise
+        # the reference built one qubit at a time, and the kick loop's t = 1
+        # is it kicked by a plan, bit for bit, for one-chunk and streamed rows
         rng = np.random.default_rng(60 + L)
-        kick = XFrameKick(L, boundary, *np.array(self.POINTS[:3 if L <= 16 else 2]).T)
+        points = np.array(self.POINTS[:3 if L <= 16 else 2]).T
+        kick = XFrameKick(L, boundary, *points)
         bits = "".join(rng.choice(["0", "1"], L))
         for initial in ("vacuum", "all_up", "ghz", bits):
             terms = _start_terms(L, initial)
-            start = kick.start(terms)
-            want = kick.plan(start, np.empty_like(start))()
-            kicked = self.kicked(kick, terms)
-            # a class per value of each bit a bond across the cut reads
-            assert len(kicked.high[0]) == len(terms) * (4 if boundary == "periodic" else 2)
-            assert np.max(np.abs(kicked.stack() - want)) < 1e-14
+            high, low = kick.factors(terms)
+            assert high.shape[:2] == low.shape[:2] == (len(points[0]), len(terms))
+            want = helpers.x_frame_start_reference(kick._right, L, terms)
+            assert np.array_equal(kick.start(terms), want)
+            (ts, amps), = _evolve(L, boundary, *points, initial, 1, sample_start=False)
+            assert ts == [1] and np.array_equal(amps, self.kicked(kick, terms))
 
     @pytest.mark.parametrize("L, boundary", [(2, "periodic"), (5, "open"), (12, "periodic"),
                                              (17, "open")])
@@ -594,41 +598,31 @@ class TestKickedStart:
         points = np.array(self.POINTS).T
         for initial in ("vacuum", "ghz"):
             terms = _start_terms(L, initial)
-            stack = self.kicked(XFrameKick(L, boundary, *points), terms).stack()
+            stack = self.kicked(XFrameKick(L, boundary, *points), terms)
             for p, row in enumerate(stack):
                 alone = XFrameKick(L, boundary, *points[:, p:p + 1])
-                assert np.array_equal(self.kicked(alone, terms).stack()[0], row)
+                assert np.array_equal(self.kicked(alone, terms)[0], row)
 
     def test_writes_out_and_returns_it(self):
-        kicked = self.kicked(XFrameKick(17, "periodic", *np.array(self.POINTS[:2]).T), [(0, 1.0)])
+        kick = XFrameKick(17, "periodic", *np.array(self.POINTS[:2]).T)
         out = np.empty((2, 2 ** 17), dtype=complex)
-        assert kicked.shape == out.shape and len(kicked) == 2
-        assert kicked.stack(out=out) is out
-        assert np.array_equal(out, kicked.stack())
+        assert kick.start([(0, 1.0)], out=out) is out
+        assert np.array_equal(out, kick.start([(0, 1.0)]))
 
     @pytest.mark.parametrize("L", [4, 17])
     def test_refuses_terms_that_are_not_normalised(self, L):
         kick = XFrameKick(L, "open", *np.array(self.POINTS[:2]).T)
-        factored = FactoredKick(kick)
         for terms in ([(0, 1.0), (3, 1.0)], [(1, 0.5)]):
-            for start in (kick.start, factored.start):
-                with pytest.raises(ValueError, match="norm"):
-                    start(terms)
-        # and a factored kick refuses factors that are not
-        start = factored.start([(1, 1.0)])
-        with pytest.raises(ValueError, match="norm"):
-            factored(Factors(start.high * 0.5, start.low))
+            with pytest.raises(ValueError, match="norm"):
+                kick.start(terms)
 
     def test_holds_a_drifted_start_to_norm_1_as_a_kick_does(self):
         # terms off norm 1 by more than the rescale band, but within the 1e-10
-        # of the check, give rows of norm 1, as a kick of their start does;
-        # so do factors that drifted as far, kicked
+        # of the check, give rows of norm 1, as a kick does, and so does its kick
         kick = helpers.kick_of([ChainParams(17, 1.3, 0.8, 0.6)])
-        factored = FactoredKick(kick)
-        start = factored.start([(0, 1.0)])
-        for kicked in (self.kicked(kick, [(0, 1.0 - 5e-11)]),
-                       factored(Factors(start.high * (1.0 + 5e-11), start.low))):
-            for row in kicked.stack().view(float):
+        terms = [(0, 1.0 - 5e-11)]
+        for stack in (kick.start(terms), self.kicked(kick, terms)):
+            for row in stack.view(float):
                 assert abs(math.sqrt(math.fsum((row * row).tolist())) - 1.0) < 1e-14
 
 

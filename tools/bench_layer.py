@@ -23,21 +23,19 @@ goes to:
   ``compare --regime transverse`` calls it (``BENCH_series.json``).  Cases:
   ``L20``, the seed-0 ``compare-transverse-L20`` run (L = 20, 3 kicks from
   the vacuum ring at theta = pi/2), and ``L17``, ``L22`` and ``L24``, the
-  same run at those lengths.  Its parts (see below) are the factored kick,
-  the write of a stack from its factors, the one-tangles, which read such a
-  run's Q from its factors, and the planned kick.
+  same run at those lengths; each evolves its light cone of 7 qubits.  Its
+  parts (see below) are the one-tangles and the planned kick.
 - ``kick``: the kick, timed inside runs from the vacuum ring at a tilted
   field (``BENCH_kick.json``): ``statevec.XFrameKick.__init__``, which
   builds it, ``statevec.XFrameKick.start``, which builds a run's start as a
-  stack, ``factored.FactoredKick``, built for a streamed row, its ``start``,
-  which builds the start as half-chain factors, and its call, which kicks
-  them, ``factored.Factors.stack``, which writes their stack,
-  ``statevec.XFrameKick.plan``, which binds a kick between two stacks, and
-  ``statevec._KickPlan.__call__``, which runs it.  Its parts are the
-  factored kick, the write, and the one-tangles.
-  Cases: ``L16``, ``L17``, ``L19``, ``L20``, ``L22`` and ``L24``, a
-  ``harness.run_time_series`` of 3 kicks measuring ``q`` alone at the
-  seed-0 ``evolve-pairs-L12`` couplings; ``first-L17``, ``first-L20``,
+  stack, ``statevec.XFrameKick.plan``, which binds a kick between two
+  stacks, and ``statevec._KickPlan.__call__``, which runs it.  Its part is
+  the one-tangles.
+  Cases: ``L16``, ``L17``, ``L19``, ``L20``, ``L22`` and ``L24``, a run of
+  3 kicks over the whole ring (``harness._evolve``, not the light cone that
+  ``harness.run_time_series`` takes for Q alone) at the seed-0
+  ``evolve-pairs-L12`` couplings, each sample's Q read by
+  ``measures.one_tangles``; ``first-L17``, ``first-L20``,
   ``first-L22`` and ``first-L24``, the start and the first kick of such a
   run, t = 0 sampled, unmeasured; ``L12``, one row of those couplings
   kicked 40 times; and ``sweep-tilt-L6``, the stack of the 55 evolved points
@@ -89,8 +87,9 @@ host's speed drifts between invocations by more than the quartiles within
 one.  The median and
 quartiles of the layer's seconds per run, and of the whole run, are merged
 into the layer's file at the repository root under each label, next to what
-other labels recorded.  BLAS runs one thread unless the environment says
-otherwise.
+other labels recorded; a label the file already holds is refused before
+anything is timed, as a record's ``alternated_with`` names its partners.
+BLAS runs one thread unless the environment says otherwise.
 
 Run from the repository root, with a second tree checked out elsewhere:
 
@@ -216,13 +215,17 @@ def _series_cases() -> dict:
 
 
 def _kick_cases() -> dict:
-    from kicked_ising import harness, statevec
+    from kicked_ising import harness, measures, statevec
     from kicked_ising.statevec import ChainParams
 
     def kicked(points, kicks, sample_start):  # a run's kicks into its sample groups, unmeasured
         for _ in harness._evolve(*_chain_arrays(points), "vacuum", kicks,
                                  sample_start=sample_start):
             pass
+
+    def q_series(points, kicks):  # a run over the whole ring, each sample's Q read
+        for _, amps in harness._evolve(*_chain_arrays(points), "vacuum", kicks):
+            measures.one_tangles(amps, True)  # the module attribute, as timed
 
     def built(points):  # the kick's construction from its run's arrays
         args = _chain_arrays(points)
@@ -233,8 +236,7 @@ def _kick_cases() -> dict:
     cases = {"L12": (lambda: kicked([ChainParams(12, jx, b, theta)], 40, True),
                      {"num_qubits": 12, "points": 1, "kicks": 40})}
     for L in (16, 17, 19, 20, 22, 24):
-        config = harness.RunConfig(ChainParams(L, jx, b, theta), 3, measures=frozenset({"q"}))
-        cases[f"L{L}"] = (lambda config=config: harness.run_time_series(config),
+        cases[f"L{L}"] = (lambda L=L: q_series([ChainParams(L, jx, b, theta)], 3),
                           {"num_qubits": L, "points": 1, "kicks": 3})
     for L in (17, 20, 22, 24):
         cases[f"first-L{L}"] = (lambda L=L: kicked([ChainParams(L, jx, b, theta)], 1, True),
@@ -302,10 +304,8 @@ class Layer:
         return self.cold or case in self.cold_cases
 
 
-# a factored kick, the write of a stack from its factors, and the one-tangles,
-# which read a factored sample's Q from its factors
-_KICK_PARTS = ("factored:FactoredKick.__call__", "factored:Factors.stack",
-               "measures:one_tangles")
+# the one-tangles, which read a sample's Q
+_KICK_PARTS = ("measures:one_tangles",)
 
 LAYERS = {
     "jw_average": Layer("analytic", ("jw_q_average",), "sweep", _jw_average_cases,
@@ -315,8 +315,6 @@ LAYERS = {
     "series": Layer("harness", ("run_time_series",), "series", _series_cases,
                     "BENCH_series.json", parts=_KICK_PARTS + ("statevec:_KickPlan.__call__",)),
     "kick": Layer("statevec", ("XFrameKick.__init__", "XFrameKick.start",
-                               "factored:FactoredKick.__init__", "factored:FactoredKick.start",
-                               "factored:FactoredKick.__call__", "factored:Factors.stack",
                                "XFrameKick.plan", "_KickPlan.__call__"),
                   "series", _kick_cases, "BENCH_kick.json", peak=True,
                   cold_cases=("build-sweep-tilt-L6", "build-L12"), parts=_KICK_PARTS),
@@ -508,6 +506,11 @@ def main(argv: list[str] | None = None) -> int:
     if len(args.trees) < 2 or len(set(labels)) != len(labels):
         parser.error("need two or more trees with distinct labels")
     layer = LAYERS[args.layer]
+    output = ROOT / layer.output
+    record = json.loads(output.read_text()) if output.exists() else {}
+    taken = [label for label in labels if label in record.get("runs", {})]
+    if taken:  # a record keeps its label, as another record's alternated_with names it
+        parser.error(f"{output.name} already holds a record labelled {', '.join(taken)}")
     cold = list(layer.cases()) if layer.cold else layer.cold_cases
     rounds = {label: {} for label in labels}  # label -> case -> its record of each round
     for r in range(COLD_REPEATS if cold else REPEATS):
@@ -519,8 +522,6 @@ def main(argv: list[str] | None = None) -> int:
                 timed.update(_run_child(args.layer, src, name))
             for name, case in timed.items():
                 rounds[label].setdefault(name, []).append(case)
-    output = ROOT / layer.output
-    record = json.loads(output.read_text()) if output.exists() else {}
     host = {"cpu": _cpu_model(), "nproc": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__, "blas_threads": os.environ["OPENBLAS_NUM_THREADS"]}
     # a sample's key -> the key of its median and quartiles in the record
