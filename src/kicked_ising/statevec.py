@@ -508,13 +508,13 @@ class XFrameKick:
         to norm 1 as a kick holds its rows: into ``out``, a C-contiguous
         ``(P, 2**L)`` stack, where given, with no temporary of its size.
         The squared norms are ``sum_cc' G[c, c'] K[c, c']``, from the factors'
-        Gram matrices ``G = high* high^T`` and ``K = low* low^T``, which
+        Gram matrices ``G[c, c'] = <high_c, high_c'>`` and ``K`` alike, which
         round far less than a sum over the stack."""
         high, low = self.factors(terms)
         if out is None:
             out = np.empty((len(high), high.shape[-1] * low.shape[-1]), dtype=complex)
         np.matmul(high.swapaxes(1, 2), low, out=out.reshape(len(high), high.shape[-1], -1))
-        grams = [np.matmul(f.conj(), f.swapaxes(1, 2)) for f in (high, low)]
+        grams = [np.vecdot(f[:, :, None], f[:, None]) for f in (high, low)]
         return _check_norm(out, (grams[0] * grams[1]).reshape(len(out), -1).sum(axis=-1).real)
 
     def plan(self, source: np.ndarray, target: np.ndarray) -> _KickPlan:

@@ -864,6 +864,14 @@ class TestGroups:
                                              shift_invariant=_shift_invariant(params, initial))[0]
             for field in dataclasses.fields(got):
                 assert np.array_equal(getattr(got, field.name), getattr(expected, field.name))
+        # sampled every 2 or 3 kicks, the one slot is kicked in place between samples
+        want = self.planned_loop([params], initial, 5)
+        for sample_every in (2, 3):
+            seen = []
+            for t, amps in helpers.samples([params], initial, 5, sample_every):
+                assert np.array_equal(amps, want[t])
+                seen.append(t)
+            assert seen == list(range(0, 6, sample_every))
 
     @pytest.mark.parametrize("L", [17, 18, 19, 20])
     def test_a_factored_q_is_the_planned_loops(self, L):
